@@ -19,6 +19,7 @@ from repro.cluster.topology import Cluster
 from repro.ec.rs import get_code
 from repro.experiments.exp5 import run as run_exp5
 from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
@@ -71,7 +72,7 @@ def test_exp5_batched_node_repair_data_plane():
         coord = _build_coordinator(block, n_stripes)
         coord.crash_node(3)
         t0 = time.perf_counter()
-        report = coord.repair(scheme="hmbr", verify=False, batched=batched)
+        report = coord.repair(RepairRequest(scheme="hmbr", verify=False, batched=batched))
         return time.perf_counter() - t0, coord, report
 
     runs_single = [run_once(False) for _ in range(repeats)]
@@ -80,8 +81,8 @@ def test_exp5_batched_node_repair_data_plane():
     t_batch, coord_b, rb = min(runs_batch, key=lambda r: r[0])
     coord_a = runs_single[0][1]
     assert coord_a.read("f") == coord_b.read("f")
-    assert rb.batched and rb.pattern_groups >= 1
-    assert rb.plan_cache_stats["misses"] >= 1
+    assert rb.batched and rb.plan_summary["pattern_groups"] >= 1
+    assert rb.plan_summary["plan_cache"]["misses"] >= 1
     record_batch_point(
         "exp5.batched_node_repair",
         params={
@@ -92,8 +93,8 @@ def test_exp5_batched_node_repair_data_plane():
             "per_stripe_s": t_single,
             "batched_s": t_batch,
             "speedup_x": t_single / t_batch,
-            "pattern_groups": rb.pattern_groups,
-            "plan_misses": rb.plan_cache_stats["misses"],
+            "pattern_groups": rb.plan_summary["pattern_groups"],
+            "plan_misses": rb.plan_summary["plan_cache"]["misses"],
         },
     )
 

@@ -7,11 +7,12 @@ from benchmarks.conftest import attach
 from repro.cluster.bandwidth import make_wld
 from repro.cluster.node import Node
 from repro.cluster.probing import measure_bandwidths
-from repro.cluster.timeseries import bandwidth_trace_events
 from repro.cluster.topology import Cluster
 from repro.simnet.flows import Flow
 from repro.simnet.fluid import FluidSimulator
+from repro.simnet.network import NetworkTrace
 from repro.simnet.viz import ascii_gantt, to_json
+from repro.system.request import RepairRequest
 
 
 def test_probe_full_cluster(benchmark):
@@ -28,7 +29,7 @@ def test_probe_full_cluster(benchmark):
 def test_simulation_under_ou_churn(benchmark):
     """A 20-flow workload under 60 s of per-second OU bandwidth events."""
     cl = Cluster([Node(i, 100.0, 100.0) for i in range(20)])
-    events = bandwidth_trace_events(cl, duration_s=60.0, step_s=1.0, rel_sigma=0.25, rng=1)
+    events = NetworkTrace.ou(60.0, step_s=1.0, rel_sigma=0.25, seed=1).events_for(cl)
     rng = np.random.default_rng(2)
     flows = []
     for i in range(20):
@@ -70,7 +71,7 @@ def test_rebalance_throughput(benchmark):
         payload = np.random.default_rng(3).integers(0, 256, 200_000, dtype=np.uint8).tobytes()
         coord.write("f", payload)
         coord.crash_node(coord.layout.stripes[0].placement[0])
-        coord.repair()
+        coord.repair(RepairRequest())
         return coord.rebalance()
 
     stats = benchmark.pedantic(cycle, rounds=3, iterations=1)

@@ -71,8 +71,8 @@ def _make_batch(code, seed=20230717):
 def test_pooled_decode_speedup_vs_serial():
     """The acceptance gate: pooled workers=4 beats per-stripe serial >= 2x.
 
-    The per-stripe baseline is what ``Coordinator.repair(batched=False)``
-    runs for each stripe — ``code.decode`` rebuilding the GF(2^16) scale
+    The per-stripe baseline is what an un-batched ``RepairRequest`` runs
+    for each stripe — ``code.decode`` rebuilding the GF(2^16) scale
     LUTs per call.  The pool amortizes those LUTs across one plane matmul
     per pattern group, which is where the wall-clock win comes from even on
     a single core; the inline batched engine is recorded alongside so the

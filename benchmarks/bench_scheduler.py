@@ -54,8 +54,7 @@ def _build_contention_free(seed=0):
         for _ in range(STRIPES_PER_JOB):
             blocks = rng.integers(0, 256, size=(K, BLOCK_BYTES), dtype=np.uint8)
             coded = coord.code.encode_stripe(blocks)
-            sid = coord._next_stripe_id
-            coord._next_stripe_id += 1
+            sid = coord.layout.next_id()
             placement = list(range(base, base + WIDTH))
             coord.layout.add(Stripe(sid, K, M, placement))
             for b, node in enumerate(placement):
@@ -71,7 +70,7 @@ def _run_at_concurrency(cap):
     coord, groups = _build_contention_free()
     sch = RepairScheduler(coord, AdmissionPolicy(
         max_inflight_per_node=None, max_inflight_total=cap))
-    coord._sched = sch
+    coord.sched = sch
     for sids in groups:
         sch.submit(stripes=sids)
     t0 = time.perf_counter()
@@ -120,8 +119,7 @@ def _build_shared_group(seed=0):
         for _ in range(STRIPES_PER_JOB):
             blocks = rng.integers(0, 256, size=(K, BLOCK_BYTES), dtype=np.uint8)
             coded = coord.code.encode_stripe(blocks)
-            sid = coord._next_stripe_id
-            coord._next_stripe_id += 1
+            sid = coord.layout.next_id()
             placement = list(range(WIDTH))
             coord.layout.add(Stripe(sid, K, M, placement))
             for b, node in enumerate(placement):
@@ -137,7 +135,7 @@ def test_sched_weighted_contention_point():
     background jobs it shares every link with."""
     coord, groups = _build_shared_group()
     sch = RepairScheduler(coord, AdmissionPolicy(max_inflight_per_node=None))
-    coord._sched = sch
+    coord.sched = sch
     jobs = [
         sch.submit(stripes=sids, priority="foreground" if i == 0 else "background")
         for i, sids in enumerate(groups)

@@ -9,6 +9,7 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
 
 
 def build_system(k=16, m=4, n_data=40, n_spare=4, block_bytes=1 << 14, seed=0):
@@ -57,7 +58,7 @@ def test_full_repair_cycle(benchmark):
         coord.write("f", data)
         coord.crash_node(0)
         coord.crash_node(1)
-        report = coord.repair(scheme="hmbr")
+        report = coord.repair(RepairRequest(scheme="hmbr"))
         assert coord.read("f") == data
         return report
 
@@ -66,7 +67,7 @@ def test_full_repair_cycle(benchmark):
     attach(
         benchmark,
         blocks_recovered=report.blocks_recovered,
-        simulated_transfer_s=report.simulated_transfer_s,
+        simulated_transfer_s=report.makespan_s,
     )
 
 

@@ -60,7 +60,6 @@ from repro.repair import (
 from repro.system import (
     Coordinator,
     JobOutcome,
-    RepairReport,
     RepairRequest,
     RepairResult,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "Coordinator",
     "RepairRequest",
     "RepairResult",
-    "RepairReport",
     "JobOutcome",
     "AdmissionPolicy",
     "RepairJob",

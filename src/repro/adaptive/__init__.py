@@ -14,11 +14,11 @@ committed pieces through the coordinator's agents with a resumable
 Entry points: ``Coordinator.repair(RepairRequest(adaptive=True,
 network=NetworkTrace...))``, or :class:`AdaptiveRuntime` directly.
 On a quiet network the whole machinery is a bit-exact no-op versus the
-static path.  See ``docs/ADAPTIVE.md``.
+static path; the adaptive-capable schemes are
+:data:`repro.repair.ADAPTIVE_SCHEMES`.  See ``docs/ADAPTIVE.md``.
 """
 
 from repro.adaptive.engine import (
-    ADAPTIVE_SCHEMES,
     AdaptiveConfig,
     AdaptiveEngine,
     AdaptiveEntry,
@@ -27,17 +27,15 @@ from repro.adaptive.engine import (
     AdaptiveRound,
 )
 from repro.adaptive.journal import CommittedRange, OverlapError, RangeJournal
-from repro.adaptive.runtime import AdaptiveRepairReport, AdaptiveRuntime
+from repro.adaptive.runtime import AdaptiveRuntime
 
 __all__ = [
-    "ADAPTIVE_SCHEMES",
     "AdaptiveConfig",
     "AdaptiveEngine",
     "AdaptiveEntry",
     "AdaptivePiece",
     "AdaptiveReport",
     "AdaptiveRound",
-    "AdaptiveRepairReport",
     "AdaptiveRuntime",
     "CommittedRange",
     "OverlapError",

@@ -42,13 +42,11 @@ from repro.adaptive.journal import RangeJournal
 from repro.repair._build import add_centralized, add_independent, add_multilevel
 from repro.repair.context import RepairContext
 from repro.repair.plan import RepairPlan
+from repro.repair.planner import ADAPTIVE_SCHEMES
 from repro.repair.split import scaled_split_tasks, search_split
 from repro.repair.topology import build_chain_paths
 from repro.simnet.fluid import FluidSimulator
 from repro.simnet.network import cluster_at
-
-#: schemes the adaptive engine can both decompose and re-plan.
-ADAPTIVE_SCHEMES = ("cr", "ir", "hmbr", "mlf")
 
 _TINY = 1e-12
 #: a remaining range narrower than this is "done at the boundary".

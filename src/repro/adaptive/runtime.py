@@ -18,16 +18,12 @@ ranges, so concatenation is exact), stored, and — when ``verify`` is on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from repro.adaptive.engine import (
-    ADAPTIVE_SCHEMES,
     AdaptiveConfig,
     AdaptiveEngine,
     AdaptiveEntry,
     AdaptiveReport,
 )
-from repro.ec.stripe import block_name
 from repro.repair._build import repaired_name
 from repro.repair.executor import ExecutionJournal
 from repro.repair.plan import ConcatOp
@@ -35,148 +31,87 @@ from repro.simnet.network import as_network
 from repro.system.agent import run_plan_ops
 
 
-@dataclass
-class AdaptiveRepairReport:
-    """A full adaptive repair: engine timing report + data-plane facts."""
-
-    scheme: str
-    dead_nodes: list[int]
-    stripes_repaired: list[int]
-    blocks_recovered: int
-    #: simulated landing instant of the last committed piece.
-    simulated_transfer_s: float
-    compute_s_total: float
-    compute_s_critical: float
-    bytes_on_wire_mb_model: float
-    per_stripe_transfer_s: dict[int, float]
-    replacements: dict[int, int]
-    #: planning rounds run (1 = no drift, static behavior).
-    rounds: int
-    replans: int
-    wasted_mb: float
-    #: committed pieces per stripe (1 everywhere on a quiet network).
-    pieces_per_stripe: dict[int, int] = dc_field(default_factory=dict)
-    #: the engine's full timing report (rounds, journal, pieces).
-    engine: AdaptiveReport | None = None
-
-
 class AdaptiveRuntime:
     """Run one adaptive repair round against a coordinator.
 
-    ``network`` is anything :func:`repro.simnet.network.as_network`
-    accepts (a :class:`~repro.simnet.network.NetworkTrace`, a bare event
-    iterable, or ``None`` for quiet).  ``config`` tunes the engine; see
-    :class:`~repro.adaptive.engine.AdaptiveConfig`.
+    ``request`` is the :class:`~repro.system.request.RepairRequest` being
+    served: its ``scheme`` / ``verify`` drive the round, its ``network``
+    (a :class:`~repro.simnet.network.NetworkTrace`; ``None`` = quiet) is
+    the trace the engine watches, and its ``drift_threshold`` /
+    ``max_replans`` tune the engine unless an explicit ``config``
+    (:class:`~repro.adaptive.engine.AdaptiveConfig`) overrides them.
     """
 
-    def __init__(self, coord, *, network=None, config: AdaptiveConfig | None = None):
+    def __init__(self, coord, request, *, config: AdaptiveConfig | None = None):
         self.coord = coord
-        self.network = as_network(network)
-        self.config = config or AdaptiveConfig()
+        self.request = request
+        self.config = config or AdaptiveConfig(
+            drift_threshold=request.drift_threshold,
+            max_replans=request.max_replans,
+        )
         #: stripe id -> resumable data-plane cursor (the never-re-send ledger).
         self.journals: dict[int, ExecutionJournal] = {}
 
-    def repair(self, scheme: str = "hmbr", *, verify: bool = True) -> AdaptiveRepairReport:
-        """One adaptive repair round; returns the combined report."""
-        coord = self.coord
-        if scheme not in ADAPTIVE_SCHEMES:
-            raise ValueError(
-                f"adaptive repair supports {ADAPTIVE_SCHEMES}, not {scheme!r}"
-            )
+    def repair(self):
+        """One adaptive repair round; returns the request's ``RepairResult``.
+
+        Planning is the static round's :meth:`Coordinator.plan_round
+        <repro.system.coordinator.Coordinator.plan_round>` verbatim, so on
+        a quiet trace this degenerates to exactly one static round
+        (bit-exact, same makespan).  ``result.report`` is the engine's
+        :class:`~repro.adaptive.engine.AdaptiveReport`.
+        """
+        coord, req = self.coord, self.request
+        before = coord.meter()
         dead = coord.cluster.dead_ids()
         affected = coord.layout.stripes_with_failures(dead)
         if not affected:
-            return AdaptiveRepairReport(
-                scheme=scheme, dead_nodes=dead, stripes_repaired=[],
-                blocks_recovered=0, simulated_transfer_s=0.0,
-                compute_s_total=0.0, compute_s_critical=0.0,
-                bytes_on_wire_mb_model=0.0, per_stripe_transfer_s={},
-                replacements={}, rounds=0, replans=0, wasted_mb=0.0,
+            return coord.round_result(
+                req, before, [], 0.0, {}, {}, {"adaptive": True}, job_id="adaptive0"
             )
-        events = self.network.events_for(coord.cluster)
-
-        obs = coord.obs
-        root = None
-        if obs is not None:
-            root = obs.tracer.begin(
-                "repair.adaptive", actor="coordinator", cat="repair",
-                scheme=scheme, dead_nodes=list(dead), stripes=sorted(affected),
-                quiet=not events, drift_threshold=self.config.drift_threshold,
-            )
-        try:
+        events = as_network(req.network).events_for(coord.cluster)
+        with coord.span(
+            "repair.adaptive", "repair",
+            scheme=req.scheme, dead_nodes=list(dead), stripes=sorted(affected),
+            quiet=not events, drift_threshold=self.config.drift_threshold,
+        ):
             # ---- planning: byte-identical to the static healthy round
-            dead_with_blocks = coord._dead_with_blocks(affected)
-            free_spares = coord._free_spares()
-            if len(dead_with_blocks) > len(free_spares):
-                raise RuntimeError(
-                    f"{len(dead_with_blocks)} dead nodes but only "
-                    f"{len(free_spares)} free spares"
-                )
-            replacement_of = coord._assign_spares(dead_with_blocks, free_spares)
-            stripes = {s.stripe_id: s for s in coord.layout}
-            work = coord._build_work(affected, replacement_of)
-            common_p = coord._common_hmbr_split(work) if scheme == "hmbr" else None
-            plans = coord._plan_work(work, scheme, common_p)
-
+            rnd = coord.plan_round(req.scheme, affected)
+            key_of = {sid: f"s{sid:04d}" for sid, _ in rnd.plans}
             entries = [
-                AdaptiveEntry(key=f"s{sid:04d}", ctx=ctx, scheme=scheme, plan=plan)
-                for sid, plan, ctx in plans
+                AdaptiveEntry(key=key_of[sid], ctx=ctx, scheme=req.scheme, plan=plan)
+                for (sid, ctx, _), (_, plan) in zip(rnd.work, rnd.plans)
             ]
-            sid_of = {f"s{sid:04d}": sid for sid, _, _ in plans}
-            ctx_of = {f"s{sid:04d}": ctx for sid, _, ctx in plans}
 
             # ---- timing plane: drift-watched rounds over the event trace
-            engine = AdaptiveEngine(
-                coord.cluster, events=events, config=self.config, obs=obs
-            )
-            engine_report = engine.run(entries)
+            report = AdaptiveEngine(
+                coord.cluster, events=events, config=self.config, obs=coord.obs
+            ).run(entries)
 
             # ---- data plane: each journaled piece's ops run exactly once
-            compute_before = {i: a.compute_seconds for i, a in coord.agents.items()}
-            for key in sorted(engine_report.pieces):
-                self._execute_key(
-                    key, sid_of[key], ctx_of[key], engine_report, stripes, verify
-                )
+            for sid, ctx, _ in rnd.work:
+                self._execute_key(key_of[sid], sid, ctx, report, req.verify)
             for agent in coord.agents.values():
                 agent.clear_scratch()
-        finally:
-            if root is not None:
-                obs.tracer.unwind(root)
 
-        compute_by_node = {
-            i: a.compute_seconds - compute_before[i]
-            for i, a in coord.agents.items()
-        }
-        report = AdaptiveRepairReport(
-            scheme=scheme,
-            dead_nodes=dead,
-            stripes_repaired=sorted(affected),
-            blocks_recovered=sum(len(f) for f in affected.values()),
-            simulated_transfer_s=engine_report.makespan_s,
-            compute_s_total=sum(compute_by_node.values()),
-            compute_s_critical=max(compute_by_node.values(), default=0.0),
-            bytes_on_wire_mb_model=engine_report.bytes_on_wire_mb_model,
-            per_stripe_transfer_s={
-                sid_of[k]: t for k, t in engine_report.finish_s.items()
+        pieces = {sid: len(report.pieces[key]) for sid, key in key_of.items()}
+        if coord.obs is not None:
+            coord.obs.metrics.gauge("adaptive.pieces").set(sum(pieces.values()))
+        return coord.round_result(
+            req, before, rnd.plans, report.makespan_s,
+            {sid: report.finish_s[key] for sid, key in key_of.items()},
+            rnd.replacement_of,
+            {
+                "adaptive": True,
+                "rounds": report.n_rounds,
+                "replans": report.replans,
+                "wasted_mb": report.wasted_mb,
+                "pieces_per_stripe": pieces,
             },
-            replacements=replacement_of,
-            rounds=engine_report.n_rounds,
-            replans=engine_report.replans,
-            wasted_mb=engine_report.wasted_mb,
-            pieces_per_stripe={
-                sid_of[k]: len(ps) for k, ps in engine_report.pieces.items()
-            },
-            engine=engine_report,
+            bytes_on_wire_mb_model=report.bytes_on_wire_mb_model,
+            report=report,
+            job_id="adaptive0",
         )
-        if obs is not None:
-            m = obs.metrics
-            m.counter("repair.runs").inc()
-            m.counter("repair.blocks_recovered").inc(report.blocks_recovered)
-            m.gauge("repair.simulated_transfer_s").set(report.simulated_transfer_s)
-            m.gauge("adaptive.pieces").set(
-                sum(report.pieces_per_stripe.values())
-            )
-        return report
 
     # ------------------------------------------------------------------ #
     def assemble_ops(self, key: str, ctx, engine_report: AdaptiveReport):
@@ -206,30 +141,15 @@ class AdaptiveRuntime:
             outputs[fb] = (node, out)
         return ops, outputs
 
-    def _execute_key(self, key, sid, ctx, engine_report, stripes, verify) -> None:
+    def _execute_key(self, key, sid, ctx, engine_report, verify) -> None:
         """Run one stripe's assembled ops through the agents and commit."""
         coord = self.coord
-        obs = coord.obs
         ops, outputs = self.assemble_ops(key, ctx, engine_report)
         journal = self.journals.setdefault(sid, ExecutionJournal())
-        span = None
-        if obs is not None:
-            span = obs.tracer.begin(
-                f"adaptive.stripe:{sid}", actor="coordinator", cat="repair",
-                stripe=sid, ops=len(ops),
-                pieces=len(engine_report.pieces[key]),
-                resumed_at=journal.completed,
-            )
-        try:
+        with coord.span(
+            f"adaptive.stripe:{sid}", "repair",
+            stripe=sid, ops=len(ops), pieces=len(engine_report.pieces[key]),
+            resumed_at=journal.completed,
+        ):
             run_plan_ops(ops, coord.agents, coord.bus, journal=journal)
-            for fb, (node, buf) in outputs.items():
-                agent = coord.agents[node]
-                agent.store_block(
-                    block_name(sid, fb), agent.scratch[buf], overwrite=True
-                )
-                stripes[sid].placement[fb] = node
-            if verify:
-                coord._verify_stripe(sid)
-        finally:
-            if span is not None:
-                obs.tracer.unwind(span)
+            coord.commit_outputs(sid, outputs, verify)

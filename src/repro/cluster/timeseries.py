@@ -16,7 +16,7 @@ drops from ``n_paths * n_steps`` to ``n_steps``.
 
 The public entry point for trace generation is
 :meth:`repro.simnet.network.NetworkTrace.ou`; the module-level
-:func:`bandwidth_trace_events` survives as a deprecation shim that routes
+:func:`bandwidthou_trace_events` survives as a deprecation shim that routes
 through the same implementation.
 """
 
@@ -88,7 +88,7 @@ def ou_path(
     )[0]
 
 
-def _trace_events(
+def ou_trace_events(
     cluster: Cluster,
     duration_s: float,
     step_s: float = 1.0,
@@ -126,28 +126,3 @@ def _trace_events(
                 )
             )
     return events
-
-
-def bandwidth_trace_events(
-    cluster: Cluster,
-    duration_s: float,
-    step_s: float = 1.0,
-    rel_sigma: float = 0.15,
-    theta: float = 0.5,
-    rng: np.random.Generator | int = 0,
-    nodes: list[int] | None = None,
-) -> list[BandwidthEvent]:
-    """Deprecated shim: use :meth:`repro.simnet.network.NetworkTrace.ou`.
-
-    Routes bit-exact through the same implementation the facade uses.
-    """
-    from repro.system.request import warn_legacy
-
-    warn_legacy(
-        "bandwidth_trace_events(cluster, ...)",
-        "NetworkTrace.ou(...).events_for(cluster)",
-    )
-    return _trace_events(
-        cluster, duration_s, step_s=step_s, rel_sigma=rel_sigma,
-        theta=theta, rng=rng, nodes=nodes,
-    )

@@ -6,7 +6,7 @@ live in node block stores (:mod:`repro.system.blockstore`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def block_name(stripe_id: int, block_index: int) -> str:
@@ -103,25 +103,58 @@ class StripeMeta:
         return [i for i, nid in enumerate(self.placement) if nid not in dead]
 
 
-@dataclass
 class StripeLayout:
-    """A collection of stripes plus reverse indexes (node -> blocks)."""
+    """An id-indexed collection of stripes (the coordinator's stripe table).
 
-    stripes: list[Stripe] = field(default_factory=list)
+    ``layout[sid]`` is the stripe with that id (``KeyError`` when unknown);
+    iteration and :attr:`stripes` run in insertion order.  The layout also
+    owns id allocation: :meth:`next_id` hands out an id above every stripe
+    ever added, however it got there.
+    """
+
+    def __init__(self, stripes=()) -> None:
+        self._by_id: dict[int, Stripe] = {}
+        self._next_id = 0
+        for stripe in stripes:
+            self.add(stripe)
+
+    @property
+    def stripes(self) -> list[Stripe]:
+        """The stripes as a list, in insertion order."""
+        return list(self._by_id.values())
 
     def add(self, stripe: Stripe) -> None:
-        self.stripes.append(stripe)
+        if stripe.stripe_id in self._by_id:
+            raise ValueError(f"stripe {stripe.stripe_id} already in the layout")
+        self._by_id[stripe.stripe_id] = stripe
+        self._next_id = max(self._next_id, stripe.stripe_id + 1)
+
+    def next_id(self) -> int:
+        """Allocate the next unused stripe id."""
+        sid = self._next_id
+        self._next_id += 1
+        return sid
+
+    def remove(self, stripe_id: int) -> Stripe:
+        """Drop a stripe from the table and return it (its id is not reused)."""
+        return self._by_id.pop(stripe_id)
+
+    def __getitem__(self, stripe_id: int) -> Stripe:
+        return self._by_id[stripe_id]
+
+    def __contains__(self, stripe_id: int) -> bool:
+        return stripe_id in self._by_id
 
     def __len__(self) -> int:
-        return len(self.stripes)
+        return len(self._by_id)
 
     def __iter__(self):
-        return iter(self.stripes)
+        return iter(self._by_id.values())
 
     def stripes_with_failures(self, dead_nodes) -> dict[int, list[int]]:
         """Map stripe_id -> failed block indices, for stripes that lost data."""
         out: dict[int, list[int]] = {}
-        for s in self.stripes:
+        for s in self:
             failed = s.failed_blocks(dead_nodes)
             if failed:
                 out[s.stripe_id] = failed
@@ -129,7 +162,7 @@ class StripeLayout:
 
     def blocks_per_node(self) -> dict[int, int]:
         counts: dict[int, int] = {}
-        for s in self.stripes:
+        for s in self:
             for nid in s.placement:
                 counts[nid] = counts.get(nid, 0) + 1
         return counts

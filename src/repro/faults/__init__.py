@@ -9,7 +9,7 @@ Public surface:
   fires events and gates transfers through ``DataBus.fault_hook``;
 * :class:`~repro.faults.runtime.FaultRuntime` / ``FaultRepairReport`` — the
   degraded-repair state machine behind
-  :meth:`repro.system.coordinator.Coordinator.repair_with_faults`;
+  ``Coordinator.repair(RepairRequest(faults=...))``;
 * the exception hierarchy in :mod:`repro.faults.errors`.
 
 Importing this package changes nothing: injection is active only while a

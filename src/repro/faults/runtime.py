@@ -14,9 +14,12 @@ This is the degraded-repair state machine described in ``docs/FAULTS.md``:
 * stripes already committed are never re-executed; rounds continue until no
   stripe is missing blocks and no scheduled fault remains to fire.
 
-The runtime only ever *adds* behavior: it drives the same agents, bus, and
-planners as :meth:`repro.system.coordinator.Coordinator.repair`, and with an
-empty schedule it performs the identical op sequence.
+The runtime only ever *adds* behavior: it plans through the same
+:func:`repro.repair.planner.plan_round`, runs ops through the same
+:func:`~repro.system.agent.run_plan_ops` and commits through the same
+:meth:`Coordinator.commit_outputs <repro.system.coordinator.Coordinator.
+commit_outputs>` as a healthy round, and with an empty schedule it performs
+the identical op sequence.
 """
 
 from __future__ import annotations
@@ -32,19 +35,11 @@ from repro.faults.errors import (
     TransientFault,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultEvent
-from repro.repair.context import RepairContext
+from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.repair.executor import ExecutionJournal
-from repro.repair.plan import (
-    CombineOp,
-    ConcatOp,
-    RepairPlan,
-    SliceOp,
-    TransferOp,
-    rename_plan,
-)
-from repro.repair.validate import validate_plan
-from repro.simnet.fluid import FluidSimulator
+from repro.repair.plan import RepairPlan, TransferOp, rename_plan
+from repro.repair.planner import RoundPlan, assign_spares, dead_hosts, plan_stripe
+from repro.system.agent import run_plan_ops
 
 _MAX_ROUNDS = 32  # safety net: schedules are finite, rounds must terminate
 
@@ -91,12 +86,9 @@ def backoff_delay(
 
 @dataclass
 class FaultRepairReport:
-    """Outcome of one fault-aware repair run."""
+    """The fault runtime's audit trail (``RepairResult.report`` on its route)."""
 
-    scheme: str
     dead_nodes: list[int]
-    stripes_repaired: list[int]
-    blocks_recovered: int
     rounds: int
     attempts: dict[int, int] = field(default_factory=dict)  # stripe -> attempts
     replans: int = 0
@@ -110,22 +102,14 @@ class FaultRepairReport:
     executed_transfer_bytes: int = 0
     #: subset of the above belonging to attempts that were later aborted
     wasted_transfer_bytes: int = 0
-    simulated_transfer_s: float = 0.0
     #: MB the fluid simulator charged for the committed plans; conservation
-    #: demands this equal ``bytes_on_wire_mb_model`` (chaos tests assert it)
+    #: demands this equal the result's ``bytes_on_wire_mb_model`` (chaos
+    #: tests assert it)
     sim_bytes_mb: float = 0.0
-    per_stripe_transfer_s: dict[int, float] = field(default_factory=dict)
-    compute_s_total: float = 0.0
-    bytes_on_wire_mb_model: float = 0.0
-    replacements: dict[int, int] = field(default_factory=dict)
 
 
 def _op_nodes(op) -> tuple[int, ...]:
-    if isinstance(op, TransferOp):
-        return (op.src_node, op.dst_node)
-    if isinstance(op, (SliceOp, CombineOp, ConcatOp)):
-        return (op.node,)
-    raise TypeError(f"unknown op {op!r}")  # pragma: no cover - defensive
+    return (op.src_node, op.dst_node) if isinstance(op, TransferOp) else (op.node,)
 
 
 class FaultRuntime:
@@ -160,6 +144,35 @@ class FaultRuntime:
         self.attempts: dict[int, int] = {}
         self.committed_bytes = 0
         self.wasted_bytes = 0
+
+    @classmethod
+    def from_request(cls, coord, req) -> "FaultRuntime":
+        """The runtime a :class:`~repro.system.request.RepairRequest` describes.
+
+        ``req.faults`` is a :class:`~repro.faults.schedule.FaultSchedule` or
+        a prepared :class:`~repro.faults.injector.FaultInjector`; the
+        request's retry/backoff/timeout knobs configure the state machine.
+        The one place a request becomes a runtime, whichever route runs it.
+        """
+        injector = req.faults
+        if isinstance(injector, FaultSchedule):
+            injector = FaultInjector(
+                injector, tick_s=0.001 if req.tick_s is None else req.tick_s
+            )
+        elif req.tick_s is not None:
+            injector.tick_s = req.tick_s
+        return cls(
+            coord,
+            injector,
+            max_retries=req.max_retries,
+            base_backoff_s=req.base_backoff_s,
+            plan_timeout_s=req.plan_timeout_s,
+            max_backoff_s=DEFAULT_MAX_BACKOFF_S
+            if req.max_backoff_s is None
+            else req.max_backoff_s,
+            backoff_jitter=req.backoff_jitter,
+            backoff_seed=req.backoff_seed,
+        )
 
     @property
     def _obs(self):
@@ -231,111 +244,62 @@ class FaultRuntime:
     def _node_alive(self, node: int) -> bool:
         return self.coord.cluster[node].alive and self.coord.agents[node].alive
 
-    def _refresh_replacements(self) -> dict[int, int]:
+    def _spare_map(self) -> dict[int, int]:
         """One spare per dead node, shared by every stripe this round."""
-        coord = self.coord
-        dead = sorted(
-            i for i in coord.agents if not self._node_alive(i)
-        )
-        affected = coord.layout.stripes_with_failures(dead)
-        stripes = {s.stripe_id: s for s in coord.layout}
-        dead_with_blocks = sorted(
-            {stripes[sid].placement[b] for sid, blocks in affected.items() for b in blocks}
-        )
-        free = [
-            s
-            for s in coord.spares
-            if self._node_alive(s) and len(coord.agents[s].store) == 0
-        ]
-        if len(dead_with_blocks) > len(free):
-            raise RuntimeError(
-                f"{len(dead_with_blocks)} dead nodes but only {len(free)} free spares"
+        if self._replacements is None:
+            coord = self.coord
+            dead = sorted(i for i in coord.agents if not self._node_alive(i))
+            affected = coord.layout.stripes_with_failures(dead)
+            self._replacements = assign_spares(
+                coord.cluster, dead_hosts(coord.layout, affected), coord.free_spares()
             )
-        self._replacements = coord._assign_spares(dead_with_blocks, free)
-        self._replacements_all.update(self._replacements)
+            self._replacements_all.update(self._replacements)
         return self._replacements
 
-    def _build_ctx(self, sid: int) -> tuple[RepairContext, int] | None:
-        """Current repair context for a stripe, or None if it is healthy."""
+    def _failed_blocks(self, sid: int) -> list[int]:
+        """Blocks of a stripe on a dead node or missing from their store."""
         coord = self.coord
-        stripe = next(s for s in coord.layout if s.stripe_id == sid)
+        stripe = coord.layout[sid]
         failed = [
             b
             for b, node in enumerate(stripe.placement)
             if not self._node_alive(node)
             or not coord.agents[node].store.has(block_name(sid, b))
         ]
-        if not failed:
-            return None
         surviving = stripe.n - len(failed)
         if surviving < coord.code.k or len(failed) > coord.code.m:
             raise StripeUnrecoverable(sid, surviving, coord.code.k)
-        replacements = self._replacements or self._refresh_replacements()
-        new_nodes = [replacements[stripe.placement[b]] for b in failed]
-        ctx = RepairContext(
-            cluster=coord.cluster,
-            code=coord.code,
-            stripe=stripe,
-            failed_blocks=failed,
-            new_nodes=new_nodes,
-            block_size_mb=coord.block_size_mb,
-        )
-        center = coord.center_scheduler.pick(new_nodes)
-        return ctx, center
+        return failed
 
-    def _make_plan(self, ctx: RepairContext, center: int, scheme: str, p: float | None) -> RepairPlan:
-        from repro.repair.hybrid import plan_hybrid
-        from repro.system.coordinator import _PLANNERS
+    def _prepare(self, sids, scheme: str) -> RoundPlan | None:
+        """Contexts, centers and the common split for the broken ``sids``.
 
-        if scheme == "hmbr" and p is not None:
-            plan = plan_hybrid(ctx, center=center, p=p)
-        elif scheme == "auto":
-            from repro.repair.selector import choose_scheme
-
-            plan = choose_scheme(ctx).plan
-        else:
-            plan = _PLANNERS[scheme](ctx, center)
-        validate_plan(plan, ctx)
-        return plan
-
-    def _common_split(self, work: list[tuple[int, RepairContext, int]]) -> float | None:
-        """The §IV-C shared HMBR split over all stripes of one round.
-
-        Delegates to :meth:`Coordinator._common_hmbr_split` so an empty
-        schedule reproduces its exact plans; re-plans after mid-round
-        failures fall back to the per-stripe split.
+        Per-stripe plans are made lazily, right before each stripe runs,
+        so they see every death confirmed while earlier stripes repaired.
         """
-        return self.coord._common_hmbr_split(work)
+        affected = {}
+        for sid in sids:
+            failed = self._failed_blocks(sid)
+            if failed:
+                affected[sid] = failed
+        if not affected:
+            return None
+        return self.coord.plan_round(
+            scheme, affected, replacement_of=self._spare_map(), lazy=True
+        )
 
     # ---------------------------------------------------------------- #
     # execution
     # ---------------------------------------------------------------- #
-    def _run_ops(self, ops, journal: ExecutionJournal, attempt_start: float) -> None:
-        coord = self.coord
-        agents, bus = coord.agents, coord.bus
-        for i in range(journal.completed, len(ops)):
-            op = ops[i]
-            self._tick()
-            if (
-                self.plan_timeout_s is not None
-                and self.injector.now - attempt_start > self.plan_timeout_s
-            ):
-                raise PlanTimeout(self.injector.now - attempt_start, self.plan_timeout_s)
-            for node in _op_nodes(op):
-                if not agents[node].alive:
-                    raise DeadAgent(node)
-            if isinstance(op, SliceOp):
-                agents[op.node].do_slice(op)
-            elif isinstance(op, TransferOp):
-                agents[op.src_node].send_to(agents[op.dst_node], op.name, op.rename, bus)
-                moved = agents[op.dst_node].scratch[op.rename or op.name]
-                journal.transfers += 1
-                journal.transfer_bytes += moved.nbytes
-            elif isinstance(op, CombineOp):
-                agents[op.node].do_combine(op)
-            elif isinstance(op, ConcatOp):
-                agents[op.node].do_concat(op)
-            journal.completed = i + 1
+    def _gate(self, op, attempt_start: float) -> None:
+        """Ahead of every op: tick the clock, enforce timeout and liveness."""
+        self._tick()
+        elapsed = self.injector.now - attempt_start
+        if self.plan_timeout_s is not None and elapsed > self.plan_timeout_s:
+            raise PlanTimeout(elapsed, self.plan_timeout_s)
+        for node in _op_nodes(op):
+            if not self.coord.agents[node].alive:
+                raise DeadAgent(node)
 
     def _clear_scratch(self) -> None:
         for agent in self.coord.agents.values():
@@ -350,7 +314,7 @@ class FaultRuntime:
         )
 
     def _repair_stripe(
-        self, sid: int, scheme: str, verify: bool, prebuilt: tuple[RepairContext, int] | None, p: float | None
+        self, sid: int, scheme: str, verify: bool, prebuilt: tuple, p: float | None
     ) -> RepairPlan | None:
         """Repair one stripe to completion; returns the committed plan."""
         coord = self.coord
@@ -359,19 +323,18 @@ class FaultRuntime:
         plan: RepairPlan | None = None
         ctx_center = prebuilt
         attempt_start = self.injector.now
-        last_error: Exception | None = None
-        using_prebuilt = prebuilt is not None
+        using_prebuilt = True
         obs = self._obs
         while True:
             if plan is None:
                 try:
                     if ctx_center is None:
-                        built = self._build_ctx(sid)
-                        if built is None:  # healthy again (nothing to repair)
+                        rnd = self._prepare([sid], scheme)
+                        if rnd is None:  # healthy again (nothing to repair)
                             return None
-                        ctx_center = built
+                        ctx_center = rnd.work[0][1:]
                     ctx, center = ctx_center
-                    plan = self._make_plan(ctx, center, scheme, p if using_prebuilt else None)
+                    plan = plan_stripe(ctx, center, scheme, p if using_prebuilt else None)
                 except ValueError:
                     # a context prebuilt at round start can go stale while
                     # earlier stripes repaired (helpers died since): rebuild
@@ -392,20 +355,19 @@ class FaultRuntime:
                     t_sim=self.injector.now,
                 )
             try:
-                self._run_ops(plan.ops, journal, attempt_start)
+                run_plan_ops(
+                    plan.ops, coord.agents, coord.bus, journal=journal,
+                    before_op=lambda op: self._gate(op, attempt_start),
+                )
                 self._sync_fired()  # a delay consumed by the last op may have fired kills
                 for node, _ in plan.outputs.values():
                     if not coord.agents[node].alive:
                         raise DeadAgent(node)  # repaired buffer died with its host
-                stripe = next(s for s in coord.layout if s.stripe_id == sid)
-                for fb, (node, buf) in plan.outputs.items():
-                    agent = coord.agents[node]
-                    agent.store_block(block_name(sid, fb), agent.scratch[buf], overwrite=True)
-                    stripe.placement[fb] = node
-                if verify and all(self._node_alive(n) for n in stripe.placement):
+                coord.commit_outputs(sid, plan.outputs, verify=False)
+                if verify and all(map(self._node_alive, coord.layout[sid].placement)):
                     # if another member died mid-plan the next round repairs
                     # it; parity can only be re-checked once all are up
-                    coord._verify_stripe(sid)
+                    coord.verify_stripe(sid)
                 self.committed_bytes += journal.transfer_bytes
                 self.attempts[sid] = self.attempts.get(sid, 0) + attempt + 1
                 if att_span is not None:
@@ -418,7 +380,6 @@ class FaultRuntime:
                     att_span.args["outcome"] = f"transient:{type(err).__name__}"
                 if obs is not None:
                     obs.metrics.counter("repair.retries").inc()
-                last_error = err
                 attempt += 1
                 self.retries += 1
                 if attempt > self.max_retries:
@@ -452,7 +413,6 @@ class FaultRuntime:
                 if att_span is not None:
                     obs.tracer.unwind(att_span)
                     att_span.args["outcome"] = type(err).__name__
-                last_error = err
                 attempt += 1
                 if attempt > self.max_retries:
                     raise RepairAborted(sid, attempt, err) from err
@@ -466,6 +426,56 @@ class FaultRuntime:
     # ---------------------------------------------------------------- #
     # entry points
     # ---------------------------------------------------------------- #
+    def _round(self, sids, scheme: str, verify: bool) -> list[tuple[int, RepairPlan]]:
+        """One round: a fresh spare map, then each broken stripe to completion."""
+        self._replacements = None
+        rnd = self._prepare(sids, scheme)
+        committed = []
+        for sid, ctx, center in rnd.work if rnd is not None else ():
+            plan = self._repair_stripe(sid, scheme, verify, (ctx, center), rnd.common_p)
+            if plan is not None:
+                committed.append((sid, plan))
+        return committed
+
+    def _rounds(self, scheme: str, verify: bool, wanted=None):
+        """Rounds until no stripe (of ``wanted``) is missing blocks.
+
+        With ``wanted=None`` (a whole-system repair) an idle system also
+        waits out silent kills and scheduled future faults before it
+        declares victory.  Returns the committed ``(stripe id, plan)``
+        pairs and the number of rounds taken.
+        """
+        coord, injector = self.coord, self.injector
+        committed: list[tuple[int, RepairPlan]] = []
+        for rounds in range(1, _MAX_ROUNDS + 1):
+            self._sync_fired()
+            broken = coord.layout.stripes_with_failures(coord.cluster.dead_ids())
+            todo = sorted(broken if wanted is None else wanted & set(broken))
+            if todo:
+                with coord.span(
+                    f"round:{rounds}", "round",
+                    round=rounds, stripes=todo, t_sim=injector.now,
+                ):
+                    committed += self._round(todo, scheme, verify)
+            elif wanted is not None:
+                return committed, rounds
+            elif any(
+                not coord.agents[i].alive and coord.cluster[i].alive
+                for i in coord.agents
+            ):
+                # silently-killed nodes: let the monitor confirm them
+                self._heartbeat_detect()
+            elif (nxt := injector.next_event_time()) is not None:
+                # future scheduled faults: advance to them and re-check
+                injector.advance(max(0.0, nxt - injector.now))
+                self._sync_fired()
+                self._beat_responsive()
+            else:
+                return committed, rounds
+        raise RuntimeError(  # pragma: no cover - schedules are finite
+            "fault-aware repair did not converge"
+        )
+
     def repair_stripes(
         self, sids, scheme: str = "hmbr", verify: bool = True
     ) -> list[tuple[int, RepairPlan]]:
@@ -474,150 +484,47 @@ class FaultRuntime:
         The job-scoped entry point used by :mod:`repro.sched`: one scheduler
         job's stripes run through exactly the per-stripe journal / backoff /
         re-plan machinery of :meth:`repair`, but other affected stripes are
-        left alone (they belong to other jobs).  Rounds repeat until none of
-        ``sids`` is missing blocks; returns the committed ``(stripe id,
-        plan)`` pairs (a stripe re-broken by a later fault appears once per
-        committed plan).  The caller owns injector attachment and the final
-        timing-plane simulation.
+        left alone (they belong to other jobs).  Returns the committed
+        ``(stripe id, plan)`` pairs (a stripe re-broken by a later fault
+        appears once per committed plan).  The caller owns injector
+        attachment and the final timing-plane simulation.
         """
-        wanted = set(sids)
-        committed: list[tuple[int, RepairPlan]] = []
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > _MAX_ROUNDS:  # pragma: no cover - safety net
-                raise RuntimeError("job-scoped fault-aware repair did not converge")
-            self._sync_fired()
-            dead = self.coord.cluster.dead_ids()
-            affected = self.coord.layout.stripes_with_failures(dead)
-            todo = sorted(wanted & set(affected))
-            if not todo:
-                break
-            self._replacements = None  # one fresh spare map per round
-            work: list[tuple[int, RepairContext, int]] = []
-            for sid in todo:
-                built = self._build_ctx(sid)
-                if built is not None:
-                    work.append((sid, built[0], built[1]))
-            p = self._common_split(work) if scheme == "hmbr" else None
-            for sid, ctx, center in work:
-                plan = self._repair_stripe(sid, scheme, verify, (ctx, center), p)
-                if plan is not None:
-                    committed.append((sid, plan))
-        return committed
+        return self._rounds(scheme, verify, wanted=set(sids))[0]
 
-    def repair(
-        self, scheme: str = "hmbr", verify: bool = True, events=()
-    ) -> FaultRepairReport:
+    def repair(self, request, events=()):
         """Repair every affected stripe to completion under the injector.
 
-        ``events`` (:class:`~repro.simnet.dynamic.BandwidthEvent`\\ s,
-        usually from a :class:`~repro.simnet.network.NetworkTrace`)
-        perturb the final timing-plane simulation; the journaled data
-        plane and the repaired bytes are unaffected.
+        ``request`` (a :class:`~repro.system.request.RepairRequest`) names
+        the scheme and whether to verify, and tags the returned
+        :class:`~repro.system.request.RepairResult`, whose ``report`` is
+        this run's :class:`FaultRepairReport`.  ``events``
+        (:class:`~repro.simnet.dynamic.BandwidthEvent`\\ s, usually from a
+        :class:`~repro.simnet.network.NetworkTrace`) perturb the final
+        timing-plane simulation; the journaled data plane and the repaired
+        bytes are unaffected.
         """
         coord = self.coord
         injector = self.injector
-        from repro.system.coordinator import _PLANNERS
-
-        if scheme != "auto" and scheme not in _PLANNERS:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; choose from {sorted(_PLANNERS)} or 'auto'"
-            )
+        before = coord.meter()
         injector.attach(coord.bus)
-        compute_before = {i: a.compute_seconds for i, a in coord.agents.items()}
-        final_plans: list[tuple[int, RepairPlan]] = []
-        rounds = 0
-        obs = self._obs
-        root = None
-        if obs is not None:
-            root = obs.tracer.begin(
-                "repair-with-faults", actor="coordinator", cat="repair",
-                scheme=scheme,
-            )
-        try:
-            injector.advance(0.0)
-            self._sync_fired()
-            self._beat_responsive()
-            while True:
-                rounds += 1
+        with coord.span("repair-with-faults", "repair", scheme=request.scheme):
+            try:
+                injector.advance(0.0)
                 self._sync_fired()
-                if rounds > _MAX_ROUNDS:  # pragma: no cover - safety net
-                    raise RuntimeError("fault-aware repair did not converge")
-                dead = coord.cluster.dead_ids()
-                affected = coord.layout.stripes_with_failures(dead)
-                if not affected:
-                    if any(
-                        not coord.agents[i].alive and coord.cluster[i].alive
-                        for i in coord.agents
-                    ):
-                        # silently-killed nodes: let the monitor confirm them
-                        self._heartbeat_detect()
-                        continue
-                    nxt = injector.next_event_time()
-                    if nxt is not None:
-                        # future scheduled faults: advance to them and re-check
-                        injector.advance(max(0.0, nxt - injector.now))
-                        self._sync_fired()
-                        self._beat_responsive()
-                        continue
-                    break
-                self._replacements = None  # one fresh spare map per round
-                round_span = None
-                if obs is not None:
-                    round_span = obs.tracer.begin(
-                        f"round:{rounds}", actor="coordinator", cat="round",
-                        round=rounds, stripes=sorted(affected),
-                        t_sim=injector.now,
-                    )
-                try:
-                    work: list[tuple[int, RepairContext, int]] = []
-                    for sid in sorted(affected):
-                        built = self._build_ctx(sid)
-                        if built is not None:
-                            work.append((sid, built[0], built[1]))
-                    p = self._common_split(work) if scheme == "hmbr" else None
-                    for sid, ctx, center in work:
-                        plan = self._repair_stripe(sid, scheme, verify, (ctx, center), p)
-                        if plan is not None:
-                            final_plans.append((sid, plan))
-                finally:
-                    if round_span is not None:
-                        obs.tracer.unwind(round_span)
-        finally:
-            injector.detach(coord.bus)
-            self._clear_scratch()
-            if root is not None:
-                obs.tracer.unwind(root)
+                self._beat_responsive()
+                final_plans, rounds = self._rounds(request.scheme, request.verify)
+            finally:
+                injector.detach(coord.bus)
+                self._clear_scratch()
 
-        # ---- timing plane: simulate the committed plans together
-        sim_tasks = []
-        per_stripe: dict[int, float] = {}
-        renamed: list[tuple[int, RepairPlan]] = []
-        for i, (sid, plan) in enumerate(final_plans):
-            rp = rename_plan(plan, f"rnd{i}:")
-            renamed.append((sid, rp))
-            sim_tasks.extend(rp.tasks)
-        makespan = 0.0
-        sim_bytes_mb = 0.0
-        if sim_tasks:
-            sim = FluidSimulator(coord.cluster).run(
-                sim_tasks,
-                events=list(events),
-                tracer=obs.tracer if obs is not None else None,
-                trace_label="simulate",
-            )
-            makespan = sim.makespan
-            sim_bytes_mb = sum(sim.bytes_sent.values())
-            for sid, rp in renamed:
-                t = max(sim.finish_times[t.task_id] for t in rp.tasks)
-                per_stripe[sid] = max(per_stripe.get(sid, 0.0), t)
-
+        # ---- timing plane: simulate the committed plans together (renamed:
+        # a stripe re-broken by a later fault commits more than one plan)
+        makespan, per_stripe, sim = coord.time_plans(
+            [(sid, rename_plan(plan, f"rnd{i}:")) for i, (sid, plan) in enumerate(final_plans)],
+            events,
+        )
         report = FaultRepairReport(
-            scheme=scheme,
             dead_nodes=coord.cluster.dead_ids(),
-            stripes_repaired=sorted({sid for sid, _ in final_plans}),
-            blocks_recovered=sum(len(p.outputs) for _, p in final_plans),
             rounds=rounds,
             attempts=dict(self.attempts),
             replans=self.replans,
@@ -629,27 +536,24 @@ class FaultRuntime:
             events_fired=list(self._events),
             executed_transfer_bytes=self.committed_bytes + self.wasted_bytes,
             wasted_transfer_bytes=self.wasted_bytes,
-            simulated_transfer_s=makespan,
-            sim_bytes_mb=sim_bytes_mb,
-            per_stripe_transfer_s=per_stripe,
-            compute_s_total=sum(
-                a.compute_seconds - compute_before[i] for i, a in coord.agents.items()
-            ),
-            bytes_on_wire_mb_model=sum(p.total_transfer_mb() for _, p in final_plans),
-            replacements=dict(self._replacements_all),
+            sim_bytes_mb=sum(sim.bytes_sent.values()) if sim is not None else 0.0,
         )
-        if obs is not None:
-            m = obs.metrics
-            m.counter("repair.runs").inc()
-            m.counter("repair.blocks_recovered").inc(report.blocks_recovered)
-            m.gauge("repair.simulated_transfer_s").set(report.simulated_transfer_s)
-            m.gauge("repair.bytes_on_wire_mb_model").set(report.bytes_on_wire_mb_model)
+        if self._obs is not None:
+            m = self._obs.metrics
             m.gauge("faults.rounds").set(report.rounds)
             m.gauge("faults.drops").set(report.drops)
             m.gauge("faults.delay_s").set(report.delay_s)
             m.gauge("faults.backoff_s").set(report.backoff_s)
             if report.wasted_transfer_bytes:
                 m.counter("faults.wasted_transfer_bytes").inc(report.wasted_transfer_bytes)
-            for t in report.per_stripe_transfer_s.values():
-                m.histogram("repair.stripe_transfer_s").observe(t)
-        return report
+        return coord.round_result(
+            request, before, final_plans, makespan, per_stripe,
+            dict(self._replacements_all),
+            {
+                "rounds": report.rounds,
+                "replans": report.replans,
+                "retries": report.retries,
+                "wasted_transfer_bytes": report.wasted_transfer_bytes,
+            },
+            report=report,
+        )

@@ -21,10 +21,10 @@ Public surface:
 
 Typical use::
 
-    from repro.obs import Observability
+    from repro import Observability, RepairRequest
 
     obs = Observability().attach(coord)
-    coord.repair("hmbr")
+    coord.repair(RepairRequest(scheme="hmbr"))
     obs.detach(coord)
     obs.tracer.write_chrome_trace("repair.trace.json")
     print(obs.metrics.snapshot()["counters"]["bus.bytes"])

@@ -98,17 +98,14 @@ def build_twin(
             )
         )
     payload_rng = np.random.default_rng(payload_seed) if materialize else None
-    next_sid = 0
     for meta in metas:
         stripe = meta.to_stripe()
         coord.layout.add(stripe)
-        next_sid = max(next_sid, meta.stripe_id + 1)
         if materialize:
             blocks = payload_rng.integers(0, 256, size=(k, block_bytes), dtype=np.uint8)
             coded = coord.code.encode_stripe(blocks)
             for b, node in enumerate(stripe.placement):
                 coord.agents[node].store_block(block_name(stripe.stripe_id, b), coded[b])
-    coord._next_stripe_id = next_sid
     for d in dead:
         coord.crash_node(d)
     return coord

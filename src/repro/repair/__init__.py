@@ -5,6 +5,9 @@ This package is the paper's contribution.  Planners turn a
 new nodes are) into a :class:`~repro.repair.plan.RepairPlan` holding both a
 *timing view* (flow tasks for :mod:`repro.simnet`) and a *data view* (GF ops
 for :mod:`repro.repair.executor`, which repairs real bytes and verifies them).
+:mod:`repro.repair.planner` composes them into whole repair rounds:
+:data:`SCHEMES` is the scheme registry and :func:`plan_round` the single
+plan path every coordinator route calls.
 """
 
 from repro.repair.context import RepairContext, make_new_node_map
@@ -57,6 +60,7 @@ from repro.repair.batch import (
 from repro.repair.validate import validate_plan, PlanValidationError
 from repro.repair.selector import choose_scheme, SchemeChoice
 from repro.repair.singleblock import plan_star, plan_chain, plan_ppr, SINGLE_BLOCK_SCHEMES
+from repro.repair.planner import ADAPTIVE_SCHEMES, SCHEMES, RoundPlan, plan_round
 
 __all__ = [
     "RepairContext",
@@ -107,4 +111,8 @@ __all__ = [
     "plan_ppr",
     "SINGLE_BLOCK_SCHEMES",
     "reweighted",
+    "SCHEMES",
+    "ADAPTIVE_SCHEMES",
+    "RoundPlan",
+    "plan_round",
 ]

@@ -16,10 +16,8 @@ from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.ec.stripe import StripeLayout
 from repro.repair.context import RepairContext
-from repro.repair.hybrid import plan_hybrid
-from repro.repair.centralized import plan_centralized
-from repro.repair.independent import plan_independent
 from repro.repair.plan import RepairPlan, merge_plans
+from repro.repair.planner import check_scheme, common_split, plan_stripe
 
 
 class CenterScheduler:
@@ -130,6 +128,7 @@ def plan_multi_node(
     Returns the merged plan (all stripes repaired in parallel) and the
     per-stripe jobs.
     """
+    check_scheme(scheme, ("cr", "ir", "hmbr"))
     dead = set(dead_nodes)
     missing = dead - set(replacement_of)
     if missing:
@@ -197,33 +196,14 @@ def plan_multi_node(
 
     common_p: float | None = None
     if scheme == "hmbr" and split == "global-search":
-        from repro.repair._build import add_centralized, add_independent
-        from repro.repair.split import scaled_split_tasks, search_split
-        from repro.repair.topology import build_chain_paths
-
-        cr_all, ir_all = [], []
-        for ctx, center in work:
-            cr_t, _, _ = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center)
-            ir_t, _, _ = add_independent(
-                ctx, ctx.prefix("h.ir"), 0.0, 1.0, build_chain_paths(ctx)
-            )
-            cr_all.extend(cr_t)
-            ir_all.extend(ir_t)
-        common_p, _ = search_split(
-            lambda q: scaled_split_tasks(cr_all, ir_all, q), cluster
+        common_p = common_split(
+            cluster, [(ctx.stripe.stripe_id, ctx, center) for ctx, center in work]
         )
 
     plans: list[RepairPlan] = []
     jobs: list[MultiNodeRepairJob] = []
     for ctx, center in work:
-        if scheme == "hmbr":
-            plan = plan_hybrid(ctx, center=center, p=common_p)
-        elif scheme == "cr":
-            plan = plan_centralized(ctx, center=center)
-        elif scheme == "ir":
-            plan = plan_independent(ctx)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        plan = plan_stripe(ctx, center, scheme, common_p)
         plans.append(plan)
         jobs.append(
             MultiNodeRepairJob(

@@ -11,12 +11,13 @@ job's makespan is recovered from the single merged run via
 
 Key invariants:
 
-* **Sequential equivalence** — a single submitted job executes the exact
-  planning/dispatch code path of :meth:`Coordinator.repair
-  <repro.system.coordinator.Coordinator.repair>` (same center-scheduler
-  pick order, same common HMBR split, same data-plane ops), so repaired
-  bytes are bit-identical and the makespan matches to float precision
-  (task renaming does not perturb the fluid solve).
+* **Sequential equivalence** — a job plans through the same
+  :meth:`Coordinator.plan_round
+  <repro.system.coordinator.Coordinator.plan_round>` and dispatches through
+  the same :meth:`~repro.system.coordinator.Coordinator.dispatch_round` as
+  a plain :meth:`~repro.system.coordinator.Coordinator.repair` round, so
+  repaired bytes are bit-identical and the makespan matches to float
+  precision (task renaming does not perturb the fluid solve).
 * **Weighted sharing** — a job's priority class maps to a flow weight
   (:data:`~repro.sched.job.PRIORITY_WEIGHTS`); concurrent jobs split
   shared links in proportion to those weights, and jobs with disjoint
@@ -35,20 +36,21 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.faults.errors import RepairAborted, StripeUnrecoverable
 from repro.repair.plan import RepairPlan, rename_plan, reweighted
+from repro.repair.planner import assign_spares, dead_hosts
 from repro.sched.admission import AdmissionController, AdmissionPolicy
 from repro.sched.job import (
     ADMITTED,
     DONE,
     FAILED,
-    PRIORITY_ORDER,
-    QUEUED,
     RUNNING,
     RepairJob,
     weight_for,
 )
 from repro.simnet.fluid import FluidSimulator
 from repro.simnet.flows import DelayTask
+from repro.simnet.network import as_network
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from repro.system.coordinator import Coordinator
@@ -110,10 +112,9 @@ class RepairScheduler:
     """Admission-controlled concurrent repair-job scheduler.
 
     Obtain one via :attr:`Coordinator.sched
-    <repro.system.coordinator.Coordinator.sched>`; submit jobs with
-    :meth:`submit` (or :meth:`Coordinator.submit_repair
-    <repro.system.coordinator.Coordinator.submit_repair>`) and execute the
-    queue with :meth:`run_pending`.
+    <repro.system.coordinator.Coordinator.sched>`.  ``Coordinator.repair``
+    with a request list lands in :meth:`run_requests`; :meth:`submit` and
+    :meth:`run_pending` are the job-level API underneath it.
     """
 
     def __init__(
@@ -172,13 +173,43 @@ class RepairScheduler:
     # -------------------------------------------------------------- #
     # execution
     # -------------------------------------------------------------- #
+    def run_requests(self, requests, *, network=None, foreground=()):
+        """Queue one job per :class:`~repro.system.request.RepairRequest`, run all.
+
+        Per-job fields (scheme, stripes, priority, weight, arrival) come
+        from each request; run-global ones are folded once per run — at
+        most one request may carry faults (its retry/backoff knobs
+        configure the shared fault runtime), ``verify`` is the
+        conjunction, and the data plane batches if any request asks
+        (``workers`` = max).  Returns :meth:`run_pending`'s report.
+        """
+        from repro.faults.runtime import FaultRuntime
+
+        reqs = list(requests)
+        faulted = [r for r in reqs if r.faults is not None]
+        if len(faulted) > 1:
+            raise ValueError("at most one request per run may carry faults")
+        for r in reqs:
+            self.submit(
+                scheme=r.scheme, stripes=r.stripes, priority=r.priority,
+                weight=r.weight, arrival_s=r.arrival_s,
+            )
+        workers = max((r.workers for r in reqs), default=1)
+        return self.run_pending(
+            verify=all(r.verify for r in reqs),
+            faults=FaultRuntime.from_request(self.coord, faulted[0]) if faulted else None,
+            network=network,
+            workers=workers,
+            batched=any(r.batched for r in reqs) or workers > 1,
+            foreground=foreground,
+        )
+
     def run_pending(
         self,
         *,
         verify: bool = True,
         faults=None,
         network=None,
-        events=(),
         workers: int = 1,
         batched: bool = False,
         foreground=(),
@@ -194,13 +225,13 @@ class RepairScheduler:
         starts at the simulated instant wave ``i`` finished, so
         ``per_job_finish_s`` values live on one global clock.
 
-        ``faults`` (a :class:`~repro.faults.schedule.FaultSchedule` or
-        prepared :class:`~repro.faults.injector.FaultInjector`) routes each
+        ``faults`` (a :class:`~repro.faults.schedule.FaultSchedule`, a
+        prepared :class:`~repro.faults.injector.FaultInjector`, or a
+        configured :class:`~repro.faults.runtime.FaultRuntime`) routes each
         job's data plane through the fault runtime's journal/backoff/replan
         machinery.  ``network`` (anything :func:`~repro.simnet.network.
         as_network` accepts) supplies bandwidth events on the
-        scheduler-global clock; the legacy ``events=`` keyword still works
-        but emits a :class:`DeprecationWarning`.
+        scheduler-global clock.
 
         ``batched=True`` runs each healthy job's data plane through the
         pattern-grouped batch engine; ``workers > 1`` (implies batching)
@@ -223,43 +254,27 @@ class RepairScheduler:
             raise ValueError(f"workers must be >= 1, got {workers}")
         batched = batched or workers > 1
         coord = self.coord
-        from repro.simnet.network import as_network
-
-        if events:
-            from repro.system.request import warn_legacy
-
-            if network is not None:
-                raise ValueError("pass network= or the legacy events=, not both")
-            warn_legacy(
-                "RepairScheduler.run_pending(events=...)",
-                "run_pending(network=NetworkTrace.from_events(...))",
-            )
-            events = list(events)
-        else:
-            events = as_network(network).events_for(coord.cluster)
+        events = as_network(network).events_for(coord.cluster)
         obs = coord.obs
         run = list(self._queue)
         self._queue.clear()
 
-        runtime, injector = self._fault_runtime(faults)
-        root = None
-        if obs is not None:
-            root = obs.tracer.begin(
-                "sched.run_pending", actor="scheduler", cat="sched",
-                jobs=[j.job_id for j in run], faults=injector is not None,
-                workers=workers, batched=batched,
-            )
-        if injector is not None:
-            injector.attach(coord.bus)
-        try:
-            report = self._run_waves(
-                run, verify, runtime, events, workers, batched, foreground
-            )
-        finally:
+        runtime = self._fault_runtime(faults)
+        injector = runtime.injector if runtime is not None else None
+        with coord.span(
+            "sched.run_pending", "sched", actor="scheduler",
+            jobs=[j.job_id for j in run], faults=injector is not None,
+            workers=workers, batched=batched,
+        ):
             if injector is not None:
-                injector.detach(coord.bus)
-            if root is not None:
-                obs.tracer.unwind(root)
+                injector.attach(coord.bus)
+            try:
+                report = self._run_waves(
+                    run, verify, runtime, events, workers, batched, foreground
+                )
+            finally:
+                if injector is not None:
+                    injector.detach(coord.bus)
         if obs is not None:
             m = obs.metrics
             m.gauge("sched.queue_depth").set(len(self._queue))
@@ -275,112 +290,66 @@ class RepairScheduler:
     def estimate_finish_s(self, requests) -> RepairEta:
         """Estimate when each stripe's queued repair lands — planning only.
 
-        Mirrors one admission wave over ``requests`` (a sequence of
-        :class:`~repro.system.request.RepairRequest`): priority-rank
-        order, first-come stripe ownership between wave-mates, and the
-        coordinator's own spare-assignment / planning helpers, followed by
-        a repair-only fluid simulation of the planned flows at their
-        priority weights.  Nothing is mutated — no job is queued, no byte
-        moves, and the stateful LFS/LRS center scheduler is snapshotted
-        and restored, so a subsequent real run makes identical picks.
+        Runs one admission wave over ``requests`` (a sequence of
+        :class:`~repro.system.request.RepairRequest`) *dry*: the same
+        :meth:`_admit_wave` ordering, stripe ownership and spare sharing,
+        the same :meth:`Coordinator.plan_round
+        <repro.system.coordinator.Coordinator.plan_round>` and the same
+        :meth:`_sim_tasks` a real run uses, followed by a repair-only fluid
+        simulation of the planned flows at their priority weights.  Nothing
+        is mutated — no job is queued, no byte moves, and the stateful
+        LFS/LRS center scheduler is snapshotted and restored, so a
+        subsequent real run makes identical picks.
 
         The estimate is deliberately **optimistic**: it ignores admission
         caps (everything lands in wave one), fault schedules, and
         contention from foreground traffic, so real landings can only be
         later.  The serving plane uses it as the fast-path cutover clock,
         which is safe because payload bytes never depend on it.  Requests
-        that cannot be planned (unrecoverable stripes, not enough free
-        spares) are skipped: their stripes simply get no estimate.
+        with no free spare to repair onto are skipped: their stripes simply
+        get no estimate.
         """
-        cs = self.coord.center_scheduler
-        saved = cs.snapshot()
-        try:
-            return self._estimate(requests)
-        finally:
-            cs.restore(saved)
-
-    def _estimate(self, requests) -> RepairEta:
-        """The :meth:`estimate_finish_s` body (state save/restore aside)."""
-        from repro.faults.errors import RepairAborted, StripeUnrecoverable
-
         coord = self.coord
-        affected_all = coord.layout.stripes_with_failures(
-            coord.cluster.dead_ids()
-        )
-        order = sorted(
-            enumerate(requests),
-            key=lambda e: (PRIORITY_ORDER[e[1].priority], e[0]),
-        )
-        wave_replacements: dict[int, int] = {}
-        reserved: set[int] = set()
-        claimed: set[int] = set()
-        all_tasks: list = []
-        index: list[tuple[int, str]] = []
-        for j, req in order:
-            affected = {
-                sid: blocks
-                for sid, blocks in affected_all.items()
-                if (req.stripes is None or sid in req.stripes)
-                and sid not in claimed
-            }
-            if not affected:
-                continue
-            dead_wb = coord._dead_with_blocks(affected)
-            need = [d for d in dead_wb if d not in wave_replacements]
-            free = [s for s in coord._free_spares() if s not in reserved]
-            if len(need) > len(free):
-                continue
-            fresh = coord._assign_spares(need, free)
-            replacement_of = {
-                d: wave_replacements.get(d, fresh.get(d)) for d in dead_wb
-            }
-            try:
-                work = coord._build_work(affected, replacement_of)
-                common_p = (
-                    coord._common_hmbr_split(work)
-                    if req.scheme == "hmbr" else None
+        jobs = [
+            RepairJob(
+                job_id=f"est{j}", scheme=r.scheme, priority=r.priority,
+                weight=weight_for(r.priority, r.weight), stripes=r.stripes,
+                arrival_s=r.arrival_s, seq=j,
+            )
+            for j, r in enumerate(requests)
+        ]
+        saved = coord.center_scheduler.snapshot()
+        try:
+            admitted, _ = self._admit_wave(
+                sorted(jobs, key=RepairJob.priority_rank), dry=True
+            )
+            tasks: list = []
+            prefixes: list[tuple[int, str]] = []
+            for job, affected, replacement_of in admitted:
+                rnd = coord.plan_round(
+                    job.scheme, affected, replacement_of=replacement_of
                 )
-                planned = coord._plan_work(work, req.scheme, common_p)
-            except (RepairAborted, StripeUnrecoverable):
-                continue
-            wave_replacements.update(fresh)
-            reserved.update(fresh.values())
-            claimed.update(affected)
-            weight = weight_for(req.priority, req.weight)
-            arrival_id = None
-            if req.arrival_s > 0:
-                arrival_id = f"est{j}:arrival"
-                all_tasks.append(DelayTask(arrival_id, req.arrival_s, tag="sched"))
-            for i, (sid, plan, _ctx) in enumerate(planned):
-                p = reweighted(plan, weight) if weight != 1.0 else plan
-                p = rename_plan(p, f"est{j}:p{i}:")
-                index.append((sid, f"est{j}:p{i}"))
-                for t in p.tasks:
-                    if arrival_id is not None and not t.deps:
-                        t = dataclasses.replace(t, deps=(arrival_id,))
-                    all_tasks.append(t)
-        if not all_tasks:
-            return RepairEta(finish_s={}, replacement_of=dict(wave_replacements))
-        sim = FluidSimulator(coord.cluster).run(all_tasks)
+                tasks += self._sim_tasks(job, rnd.plans, prefixes)
+        finally:
+            coord.center_scheduler.restore(saved)
         finish: dict[int, float] = {}
-        for sid, prefix in index:
-            t = sim.finish_of(prefix)
-            finish[sid] = max(finish.get(sid, 0.0), t)
-        return RepairEta(finish_s=finish, replacement_of=dict(wave_replacements))
+        if tasks:
+            sim = FluidSimulator(coord.cluster).run(tasks)
+            for sid, prefix in prefixes:
+                finish[sid] = max(finish.get(sid, 0.0), sim.finish_of(prefix))
+        return RepairEta(
+            finish_s=finish,
+            replacement_of={d: s for _, _, repl in admitted for d, s in repl.items()},
+        )
 
     def _fault_runtime(self, faults):
-        """Build (FaultRuntime, FaultInjector) from ``faults`` (or Nones)."""
-        if faults is None:
-            return None, None
-        from repro.faults.injector import FaultInjector
+        """The :class:`FaultRuntime` behind ``run_pending(faults=...)``."""
         from repro.faults.runtime import FaultRuntime
-        from repro.faults.schedule import FaultSchedule
+        from repro.system.request import RepairRequest
 
-        if isinstance(faults, FaultSchedule):
-            injector = FaultInjector(faults, tick_s=0.001)
-        else:
-            injector = faults
-        return FaultRuntime(self.coord, injector), injector
+        if faults is None or isinstance(faults, FaultRuntime):
+            return faults
+        return FaultRuntime.from_request(self.coord, RepairRequest(faults=faults))
 
     def _run_waves(
         self, run, verify, runtime, events, workers=1, batched=False, foreground=()
@@ -397,13 +366,10 @@ class RepairScheduler:
             waves += 1
             if waves > _MAX_WAVES:  # pragma: no cover - safety net
                 raise RuntimeError("scheduler did not drain its queue")
-            wave_span = None
-            if obs is not None:
-                wave_span = obs.tracer.begin(
-                    f"sched.wave:{waves}", actor="scheduler", cat="sched",
-                    wave=waves, pending=[j.job_id for j in pending],
-                )
-            try:
+            with coord.span(
+                f"sched.wave:{waves}", "sched", actor="scheduler",
+                wave=waves, pending=[j.job_id for j in pending],
+            ):
                 admitted, pending = self._admit_wave(pending, waves, offset)
                 if obs is not None:
                     obs.metrics.gauge("sched.wave_admitted").set(len(admitted))
@@ -413,17 +379,12 @@ class RepairScheduler:
                     admitted, verify, runtime, events, offset, workers, batched,
                     extra,
                 )
+                self._finish_wave(admitted, sim, offset)
                 if sim is not None:
                     for t in extra:
                         fg_finish[t.task_id] = offset + sim.finish_times[t.task_id]
                     n_updates += sim.n_rate_updates
-                    self._finish_wave(admitted, sim, offset)
                     offset += sim.makespan
-                else:
-                    self._finish_wave(admitted, None, offset)
-            finally:
-                if wave_span is not None:
-                    obs.tracer.unwind(wave_span)
         return SchedulerReport(
             jobs=list(run),
             waves=waves,
@@ -441,77 +402,71 @@ class RepairScheduler:
     # -------------------------------------------------------------- #
     # one wave: admit -> plan/dispatch -> merged simulation
     # -------------------------------------------------------------- #
-    def _admit_wave(self, pending, wave, offset):
+    def _admit_wave(self, pending, wave=None, offset=0.0, dry: bool = False):
         """Admit as many pending jobs as the policy allows.
 
         Returns ``(admitted, still_pending)`` where each admitted entry is
         ``(job, affected, replacement_of)``.  Spare reservations are shared
         across the wave: two jobs repairing stripes hit by the same dead
         node use the same replacement, mirroring :meth:`Coordinator.repair`.
+        ``dry`` (the planning-only estimate) touches no job or admission
+        state, ignores the policy caps, and drops jobs with nothing to
+        repair or no spare to repair onto instead of admitting / raising.
         """
         coord = self.coord
-        self.admission.reset_wave()
-        dead = coord.cluster.dead_ids()
-        affected_all = coord.layout.stripes_with_failures(dead)
-        stripes_map = {s.stripe_id: s for s in coord.layout}
+        if not dry:
+            self.admission.reset_wave()
+        affected_all = coord.layout.stripes_with_failures(coord.cluster.dead_ids())
+        free = coord.free_spares()
 
         wave_replacements: dict[int, int] = {}
-        reserved: set[int] = set()
+        claimed: set[int] = set()
         admitted: list[tuple[RepairJob, dict[int, list[int]], dict[int, int]]] = []
         deferred: list[RepairJob] = []
         for job in pending:
+            # Stripes a previously admitted wave-mate already claimed are
+            # excluded: first-come ownership, no double repair.
             affected = {
                 sid: blocks
                 for sid, blocks in affected_all.items()
-                if job.stripes is None or sid in job.stripes
+                if (job.stripes is None or sid in job.stripes) and sid not in claimed
             }
-            # Exclude stripes a previously admitted wave-mate already
-            # claimed this wave: first-come ownership, no double repair.
-            for other, other_affected, _ in admitted:
-                for sid in other_affected:
-                    affected.pop(sid, None)
-            if not affected:
-                # Nothing (left) to repair: the job completes trivially.
+            replacement_of: dict[int, int] = {}
+            if affected:
+                try:
+                    replacement_of = assign_spares(
+                        coord.cluster, dead_hosts(coord.layout, affected), free,
+                        shared=wave_replacements,
+                    )
+                except RuntimeError as err:
+                    if dry:
+                        continue
+                    raise RuntimeError(f"job {job.job_id}: {err}") from None
+                footprint = self._footprint(affected, replacement_of, coord.layout)
+                if not dry and not self.admission.try_admit(job, footprint):
+                    job.queue_wait_waves += 1
+                    deferred.append(job)
+                    continue
+                wave_replacements.update(replacement_of)
+                claimed.update(affected)
+            if not dry:
                 job.transition(ADMITTED)
                 job.wave = wave
                 job.admitted_s = offset
-                admitted.append((job, affected, {}))
-                continue
-
-            dead_wb = coord._dead_with_blocks(affected)
-            need = [d for d in dead_wb if d not in wave_replacements]
-            free = [s for s in coord._free_spares() if s not in reserved]
-            if len(need) > len(free):
-                raise RuntimeError(
-                    f"job {job.job_id}: {len(need)} dead nodes need spares "
-                    f"but only {len(free)} are free"
-                )
-            fresh = coord._assign_spares(need, free)
-            replacement_of = {
-                d: wave_replacements.get(d, fresh.get(d)) for d in dead_wb
-            }
-            footprint = self._footprint(affected, replacement_of, stripes_map)
-            if not self.admission.try_admit(job, footprint):
-                job.queue_wait_waves += 1
-                deferred.append(job)
-                continue
-            wave_replacements.update(fresh)
-            reserved.update(fresh.values())
-            job.transition(ADMITTED)
-            job.wave = wave
-            job.admitted_s = offset
-            admitted.append((job, affected, replacement_of))
+            if affected or not dry:
+                # (really admitted, a job with nothing left to repair
+                # completes trivially; a dry run has no use for it)
+                admitted.append((job, affected, replacement_of))
         return admitted, deferred
 
     @staticmethod
-    def _footprint(affected, replacement_of, stripes_map) -> set[int]:
+    def _footprint(affected, replacement_of, layout) -> set[int]:
         """Every node a job's repair will touch: survivors + replacements."""
         nodes: set[int] = set(replacement_of.values())
         for sid, failed in affected.items():
-            placement = stripes_map[sid].placement
             failed_set = set(failed)
             nodes.update(
-                n for b, n in enumerate(placement) if b not in failed_set
+                n for b, n in enumerate(layout[sid].placement) if b not in failed_set
             )
         return nodes
 
@@ -535,7 +490,7 @@ class RepairScheduler:
         coord = self.coord
         obs = coord.obs
         all_tasks = list(extra_tasks)
-        finish_index: dict[str, list[tuple[int, str]]] = {}
+        planned: list[tuple[RepairJob, list[tuple[int, str]]]] = []
         for job, affected, replacement_of in admitted:
             job.transition(RUNNING)
             if not affected:
@@ -544,11 +499,8 @@ class RepairScheduler:
                 plans = self._dispatch_job(
                     job, affected, replacement_of, verify, runtime, workers, batched
                 )
-            except Exception as err:  # noqa: BLE001 - job isolation boundary
-                from repro.faults.errors import RepairAborted, StripeUnrecoverable
-
-                if not isinstance(err, (RepairAborted, StripeUnrecoverable)):
-                    raise
+            except (RepairAborted, StripeUnrecoverable) as err:
+                # the job isolation boundary: a doomed job fails alone
                 job.transition(FAILED)
                 job.error = f"{type(err).__name__}: {err}"
                 if obs is not None:
@@ -564,7 +516,8 @@ class RepairScheduler:
             )
             for sid, _ in plans:
                 job.attempts[sid] = job.attempts.get(sid, 0) + 1
-            all_tasks.extend(self._sim_tasks(job, plans, finish_index))
+            planned.append((job, []))
+            all_tasks.extend(self._sim_tasks(job, plans, planned[-1][1]))
         if not all_tasks:
             return None
         shifted = [
@@ -576,8 +529,7 @@ class RepairScheduler:
             tracer=obs.tracer if obs is not None else None,
             trace_label=f"sched.sim@{offset:g}",
         )
-        for job_id, prefixes in finish_index.items():
-            job = next(j for j, _, _ in admitted if j.job_id == job_id)
+        for job, prefixes in planned:
             for sid, prefix in prefixes:
                 t = sim.finish_of(prefix)
                 prev = job.per_stripe_transfer_s.get(sid)
@@ -587,58 +539,38 @@ class RepairScheduler:
     def _dispatch_job(
         self, job, affected, replacement_of, verify, runtime, workers=1, batched=False
     ) -> list[tuple[int, RepairPlan]]:
-        """Data plane for one job; returns its committed (sid, plan) pairs.
+        """Plan + data plane for one job; returns its committed (sid, plan) pairs.
 
-        With ``batched`` (healthy runs only — the fault runtime journals
-        per stripe) the job's stripes decode through the coordinator's
-        batched dispatch, fanning out to the shared worker pool when
-        ``workers > 1``; otherwise each stripe runs its plan ops.
+        A fault runtime journals per stripe; otherwise the job is one
+        planned round through the coordinator's healthy data plane
+        (``batched`` / ``workers`` as in :meth:`Coordinator.dispatch_round
+        <repro.system.coordinator.Coordinator.dispatch_round>`).
         """
         coord = self.coord
-        obs = coord.obs
-        job_span = None
-        if obs is not None:
-            job_span = obs.tracer.begin(
-                f"sched.job:{job.job_id}", actor="scheduler", cat="sched",
-                job=job.job_id, scheme=job.scheme, priority=job.priority,
-                stripes=sorted(affected), batched=batched and runtime is None,
-            )
-        try:
+        with coord.span(
+            f"sched.job:{job.job_id}", "sched", actor="scheduler",
+            job=job.job_id, scheme=job.scheme, priority=job.priority,
+            stripes=sorted(affected), batched=batched and runtime is None,
+        ):
             if runtime is not None:
                 return runtime.repair_stripes(
                     sorted(affected), scheme=job.scheme, verify=verify
                 )
-            stripes_map = {s.stripe_id: s for s in coord.layout}
-            work = coord._build_work(affected, replacement_of)
-            common_p = coord._common_hmbr_split(work) if job.scheme == "hmbr" else None
-            planned = coord._plan_work(work, job.scheme, common_p)
-            if batched:
-                centers = {sid: center for sid, _, center in work}
-                engine = coord._engine_for(workers) if workers > 1 else None
-                coord._dispatch_batched(
-                    planned, centers, stripes_map, verify, engine=engine
-                )
-            else:
-                for sid, plan, _ in planned:
-                    coord._commit_plan(sid, plan, stripes_map, verify)
-            for agent in coord.agents.values():
-                agent.clear_scratch()
-            return [(sid, plan) for sid, plan, _ in planned]
-        finally:
-            if job_span is not None:
-                obs.tracer.unwind(job_span)
+            rnd = coord.plan_round(job.scheme, affected, replacement_of=replacement_of)
+            coord.dispatch_round(rnd, verify, batched, workers)
+            return rnd.plans
 
-    def _sim_tasks(self, job, plans, finish_index):
+    def _sim_tasks(self, job, plans, prefixes):
         """Rename + reweight a job's plan tasks for the merged simulation.
 
         Task ids become ``<job_id>:p<i>:<original>`` so
         ``finish_of(job_id)`` recovers the job makespan and
-        ``finish_of(f"{job_id}:p{i}")`` each plan's.  A positive
+        ``finish_of(f"{job_id}:p{i}")`` each plan's (appended to
+        ``prefixes`` as ``(stripe id, prefix)``).  A positive
         ``arrival_s`` inserts a :class:`~repro.simnet.flows.DelayTask` that
         gates the job's root tasks.
         """
         tasks = []
-        prefixes = finish_index.setdefault(job.job_id, [])
         arrival_id = None
         if job.arrival_s > 0:
             arrival_id = f"{job.job_id}:arrival"

@@ -18,7 +18,7 @@ from repro.simnet.flows import Flow, PipelineFlow, DelayTask, Task
 from repro.simnet.fluid import FluidSimulator, SimulationResult
 from repro.simnet.slicesim import simulate_pipeline_slices
 from repro.simnet.static import StaticShareEvaluator, StaticResult
-from repro.simnet.dynamic import BandwidthEvent, degrade_nodes
+from repro.simnet.dynamic import BandwidthEvent
 from repro.simnet.network import NetworkTrace, as_network, cluster_at
 from repro.simnet.trace import bottleneck_report, node_throughput_timeline, peak_utilization
 
@@ -33,7 +33,6 @@ __all__ = [
     "StaticShareEvaluator",
     "StaticResult",
     "BandwidthEvent",
-    "degrade_nodes",
     "NetworkTrace",
     "as_network",
     "cluster_at",

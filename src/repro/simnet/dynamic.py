@@ -43,20 +43,3 @@ class BandwidthEvent:
         if self.cross_downlink is not None:
             out[f"xdown:{self.node}"] = self.cross_downlink
         return out
-
-
-def degrade_nodes(
-    nodes: list[int], at_time: float, factor: float, cluster
-) -> list[BandwidthEvent]:
-    """Deprecated shim: use :meth:`repro.simnet.network.NetworkTrace.degrade`.
-
-    Routes bit-exact through the facade (same events, same order).
-    """
-    from repro.simnet.network import NetworkTrace
-    from repro.system.request import warn_legacy
-
-    warn_legacy(
-        "degrade_nodes(nodes, at_time, factor, cluster)",
-        "NetworkTrace.degrade(nodes, at_time=..., factor=...).events_for(cluster)",
-    )
-    return NetworkTrace.degrade(nodes, at_time=at_time, factor=factor).events_for(cluster)

@@ -1,9 +1,8 @@
 """`NetworkTrace`: one value type for every way the network can change.
 
-Before this facade, callers threaded dynamics through three ad-hoc paths —
-hand-built :class:`~repro.simnet.dynamic.BandwidthEvent` lists, the
-``degrade_nodes`` convenience, and the OU trace generator in
-``cluster/timeseries.py``.  A :class:`NetworkTrace` captures the *intent*
+Hand-built :class:`~repro.simnet.dynamic.BandwidthEvent` lists, step
+degradations and the OU trace generator in ``cluster/timeseries.py`` all
+meet here.  A :class:`NetworkTrace` captures the *intent*
 (quiet / explicit events / seeded OU churn / step degradation) as an
 immutable value that can be stored on a :class:`~repro.system.request.RepairRequest`
 or ``ServeRequest``, compared, composed with ``+``, and lowered to concrete
@@ -12,7 +11,7 @@ simulator events against any cluster via :meth:`NetworkTrace.events_for`.
 Lowering is lazy and deterministic: an ``ou`` trace carries only its seed
 and parameters, so the same trace value replays bit-identically on any
 machine, and a ``degrade`` trace reads the target cluster's *current* rates
-when lowered (matching the old ``degrade_nodes`` semantics).
+when lowered.
 """
 
 from __future__ import annotations
@@ -175,9 +174,9 @@ class NetworkTrace:
         if self.kind == "ou":
             import numpy as np
 
-            from repro.cluster.timeseries import _trace_events
+            from repro.cluster.timeseries import ou_trace_events
 
-            return _trace_events(
+            return ou_trace_events(
                 cluster,
                 self.duration_s,
                 step_s=self.step_s,

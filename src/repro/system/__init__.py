@@ -13,13 +13,8 @@ from repro.system.blockstore import BlockStore
 from repro.system.bus import DataBus
 from repro.system.agent import Agent
 from repro.system.heartbeat import HeartbeatMonitor
-from repro.system.request import JobOutcome, RepairRequest, RepairResult
-from repro.system.coordinator import (
-    Coordinator,
-    RepairReport,
-    RepairTiming,
-    WriteReceipt,
-)
+from repro.system.request import JobOutcome, RepairRequest, RepairResult, RepairTiming
+from repro.system.coordinator import Coordinator, WriteReceipt
 
 __all__ = [
     "BlockStore",
@@ -28,7 +23,6 @@ __all__ = [
     "HeartbeatMonitor",
     "Coordinator",
     "JobOutcome",
-    "RepairReport",
     "RepairRequest",
     "RepairResult",
     "RepairTiming",

@@ -113,22 +113,31 @@ class Agent:
 
 
 def run_plan_ops(
-    ops: list[Op], agents: dict[int, Agent], bus: DataBus, journal=None
+    ops: list[Op], agents: dict[int, Agent], bus: DataBus, journal=None, before_op=None
 ) -> None:
     """Dispatch a plan's ops to agents in order (the coordinator's job).
 
-    ``journal`` (an :class:`repro.repair.executor.ExecutionJournal`, or any
-    object with a ``completed`` int) makes the run resumable: ops before
-    ``journal.completed`` are skipped and the counter advances as ops finish,
-    so a retried run never redoes completed work.
+    ``journal`` (an :class:`repro.repair.executor.ExecutionJournal`) makes
+    the run resumable: ops before ``journal.completed`` are skipped, the
+    counter advances as ops finish, and every transfer performed is
+    metered into ``journal.transfers`` / ``journal.transfer_bytes`` — so a
+    retried run never redoes (or double-counts) completed work.
+    ``before_op(op)`` runs ahead of each op and may raise to interrupt the
+    plan (the fault runtime's clock tick / timeout / liveness gate).
     """
     start = journal.completed if journal is not None else 0
     for i in range(start, len(ops)):
         op = ops[i]
+        if before_op is not None:
+            before_op(op)
         if isinstance(op, SliceOp):
             agents[op.node].do_slice(op)
         elif isinstance(op, TransferOp):
-            agents[op.src_node].send_to(agents[op.dst_node], op.name, op.rename, bus)
+            dst = agents[op.dst_node]
+            agents[op.src_node].send_to(dst, op.name, op.rename, bus)
+            if journal is not None:
+                journal.transfers += 1
+                journal.transfer_bytes += dst.scratch[op.rename or op.name].nbytes
         elif isinstance(op, CombineOp):
             agents[op.node].do_combine(op)
         elif isinstance(op, ConcatOp):

@@ -27,7 +27,8 @@ every instrumentation point is a no-op and behavior is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,28 +38,14 @@ from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe, StripeLayout, block_name
 from repro.gf.field import GF, gf8
 from repro.repair.batch import BatchRepairEngine, PlanCache, StripeBatchItem
-from repro.repair.centralized import plan_centralized
-from repro.repair.context import RepairContext
-from repro.repair.hybrid import plan_hybrid
-from repro.repair.independent import plan_independent
-from repro.repair.mlf import plan_mlf
 from repro.repair.multinode import CenterScheduler
-from repro.repair.plan import RepairPlan
-from repro.repair.rackaware import plan_rack_aware_hybrid
-from repro.repair.validate import validate_plan
+from repro.repair.planner import RoundPlan, check_scheme, plan_round
 from repro.simnet.fluid import FluidSimulator
+from repro.simnet.network import as_network
 from repro.system.agent import Agent, run_plan_ops
 from repro.system.bus import DataBus
 from repro.system.heartbeat import HeartbeatMonitor
-from repro.system.request import RepairRequest, RepairResult, warn_legacy
-
-_PLANNERS = {
-    "cr": lambda ctx, center: plan_centralized(ctx, center=center),
-    "ir": lambda ctx, center: plan_independent(ctx),
-    "hmbr": lambda ctx, center: plan_hybrid(ctx, center=center),
-    "mlf": lambda ctx, center: plan_mlf(ctx),
-    "rack-hmbr": lambda ctx, center: plan_rack_aware_hybrid(ctx, center=center),
-}
+from repro.system.request import RepairRequest, RepairResult, RepairTiming
 
 
 @dataclass
@@ -69,65 +56,6 @@ class WriteReceipt:
     nbytes: int
     stripe_ids: list[int]
     padded_bytes: int
-
-
-@dataclass
-class RepairReport:
-    """Outcome of one repair round."""
-
-    dead_nodes: list[int]
-    stripes_repaired: list[int]
-    scheme: str
-    simulated_transfer_s: float
-    compute_s_total: float
-    compute_s_critical: float
-    bytes_on_wire_mb_model: float
-    blocks_recovered: int
-    per_stripe_transfer_s: dict[int, float] = field(default_factory=dict)
-    replacements: dict[int, int] = field(default_factory=dict)
-    #: True when the data plane ran through the batched engine (one GF
-    #: kernel per pattern group) instead of per-stripe plan ops.
-    batched: bool = False
-    pattern_groups: int = 0
-    plan_cache_stats: dict = field(default_factory=dict)
-    #: decode worker processes the data plane fanned out to (1 = serial).
-    workers: int = 1
-    #: :class:`repro.parallel.PipelineReport` modeling chunk-level decode
-    #: overlap with transfer completion (parallel runs only).
-    pipeline: object | None = None
-
-
-@dataclass
-class RepairTiming:
-    """Planning/timing-only outcome of :meth:`Coordinator.plan_repair`.
-
-    The metadata fast path's answer: everything a caller needs to reason
-    about a repair round — per-stripe plans, the merged flow topology, and
-    the fluid makespan — without a single block byte having moved.  The
-    differential suite pins this against :class:`RepairReport` from a real
-    byte-materializing round: same plans, same flow graphs, and
-    ``makespan_s == simulated_transfer_s`` to 1e-9.
-    """
-
-    scheme: str
-    dead_nodes: list[int]
-    stripes: list[int]
-    makespan_s: float
-    per_stripe_s: dict[int, float]
-    bytes_on_wire_mb_model: float
-    blocks_recovered: int
-    replacement_of: dict[int, int]
-    #: (stripe id, plan) in planning order; tasks are un-renamed, exactly
-    #: as a real round would hand them to the merged fluid simulation.
-    plans: list[tuple[int, RepairPlan]] = field(default_factory=list)
-    #: True when the round's placement effects were applied to metadata.
-    committed: bool = False
-
-    def flow_signature(self) -> tuple:
-        """Canonical signature of the merged task DAG (all stripes)."""
-        from repro.repair.plan import flow_signature
-
-        return flow_signature([t for _, p in self.plans for t in p.tasks])
 
 
 class Coordinator:
@@ -151,6 +79,7 @@ class Coordinator:
         self.block_size_mb = block_size_mb
         self.field = field_
         self.rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
+        #: the stripe table: ``layout[sid]`` -> :class:`~repro.ec.stripe.Stripe`.
         self.layout = StripeLayout()
         self.files: dict[str, tuple[list[int], int]] = {}  # name -> (stripe ids, length)
         self.agents: dict[int, Agent] = {
@@ -171,15 +100,25 @@ class Coordinator:
         #: decode-plan LRU shared by every batched repair of this system, so
         #: repeated storms with recurring erasure patterns skip re-inversion.
         self.plan_cache = PlanCache()
-        self._next_stripe_id = 0
         #: optional :class:`repro.obs.Observability` session (see its
         #: ``attach``); ``None`` means every instrumentation point is a no-op.
         self.obs = None
-        #: lazily-created concurrent repair scheduler (see :attr:`sched`).
         self._sched = None
         #: worker-count -> cached :class:`repro.parallel.ParallelRepairEngine`,
         #: so repeated parallel requests reuse live pools (see :meth:`close`).
         self._parallel_engines: dict[int, object] = {}
+
+    @contextmanager
+    def span(self, name: str, cat: str, actor: str = "coordinator", **args):
+        """An ops-domain span on the attached obs session (``None`` without one)."""
+        if self.obs is None:
+            yield None
+            return
+        span = self.obs.tracer.begin(name, actor=actor, cat=cat, **args)
+        try:
+            yield span
+        finally:
+            self.obs.tracer.unwind(span)
 
     # -------------------------------------------------------------- #
     # membership
@@ -197,9 +136,32 @@ class Coordinator:
     def data_nodes(self) -> list[int]:
         return [i for i in self.cluster.alive_ids() if i not in self.spares]
 
+    def free_spares(self) -> list[int]:
+        """Alive, empty, un-reserved spares: the usable repair targets."""
+        return [
+            s
+            for s in self.spares
+            if self.cluster[s].alive
+            and self.agents[s].alive
+            and len(self.agents[s].store) == 0
+            and s not in self.reserved_spares
+        ]
+
     # -------------------------------------------------------------- #
     # client path
     # -------------------------------------------------------------- #
+    def _new_stripe(self, candidates: list[int], blocks: np.ndarray | None) -> int:
+        """Place one stripe on random ``candidates``; encode + store ``blocks``."""
+        sid = self.layout.next_id()
+        idx = self.rng.choice(len(candidates), size=self.code.n, replace=False)
+        placement = [candidates[i] for i in idx]
+        self.layout.add(Stripe(sid, self.code.k, self.code.m, placement))
+        if blocks is not None:
+            coded = self.code.encode_stripe(blocks)
+            for b, node in enumerate(placement):
+                self.agents[node].store_block(block_name(sid, b), coded[b])
+        return sid
+
     def write(self, name: str, data: bytes | np.ndarray) -> WriteReceipt:
         """Erasure-code ``data`` into stripes and distribute the blocks."""
         if name in self.files:
@@ -210,20 +172,13 @@ class Coordinator:
         padded = int(np.ceil(max(buf.size, 1) / stripe_payload)) * stripe_payload
         full = np.zeros(padded, dtype=np.uint8)
         full[: buf.size] = buf
-        stripe_ids = []
         candidates = self.data_nodes()
-        for off in range(0, padded, stripe_payload):
-            sid = self._next_stripe_id
-            self._next_stripe_id += 1
-            blocks = full[off : off + stripe_payload].reshape(k, self.block_bytes)
-            coded = self.code.encode_stripe(blocks)
-            idx = self.rng.choice(len(candidates), size=self.code.n, replace=False)
-            placement = [candidates[i] for i in idx]
-            stripe = Stripe(sid, k, self.code.m, placement)
-            self.layout.add(stripe)
-            for b, node in enumerate(placement):
-                self.agents[node].store_block(block_name(sid, b), coded[b])
-            stripe_ids.append(sid)
+        stripe_ids = [
+            self._new_stripe(
+                candidates, full[off : off + stripe_payload].reshape(k, self.block_bytes)
+            )
+            for off in range(0, padded, stripe_payload)
+        ]
         self.files[name] = (stripe_ids, buf.size)
         return WriteReceipt(name, buf.size, stripe_ids, padded)
 
@@ -249,40 +204,31 @@ class Coordinator:
         """
         if n_stripes < 0:
             raise ValueError(f"n_stripes must be >= 0, got {n_stripes}")
-        k = self.code.k
         candidates = self.data_nodes()
         if len(candidates) < self.code.n:
             raise ValueError(
                 f"{len(candidates)} data nodes cannot host width-{self.code.n} stripes"
             )
         payload_rng = np.random.default_rng(payload_seed) if materialize else None
-        stripe_ids = []
-        for _ in range(n_stripes):
-            sid = self._next_stripe_id
-            self._next_stripe_id += 1
-            idx = self.rng.choice(len(candidates), size=self.code.n, replace=False)
-            placement = [candidates[i] for i in idx]
-            stripe = Stripe(sid, k, self.code.m, placement)
-            self.layout.add(stripe)
-            if materialize:
-                blocks = payload_rng.integers(
-                    0, 256, size=(k, self.block_bytes), dtype=np.uint8
-                )
-                coded = self.code.encode_stripe(blocks)
-                for b, node in enumerate(placement):
-                    self.agents[node].store_block(block_name(sid, b), coded[b])
-            stripe_ids.append(sid)
-        return stripe_ids
+        shape = (self.code.k, self.block_bytes)
+        return [
+            self._new_stripe(
+                candidates,
+                payload_rng.integers(0, 256, size=shape, dtype=np.uint8)
+                if materialize
+                else None,
+            )
+            for _ in range(n_stripes)
+        ]
 
     def read(self, name: str) -> bytes:
         """Read a file back, transparently decoding around dead nodes."""
         if name not in self.files:
             raise KeyError(f"unknown file {name!r}")
         stripe_ids, length = self.files[name]
-        stripes = {s.stripe_id: s for s in self.layout}
         chunks = []
         for sid in stripe_ids:
-            stripe = stripes[sid]
+            stripe = self.layout[sid]
             available: dict[int, np.ndarray] = {}
             for b, node in enumerate(stripe.placement):
                 agent = self.agents[node]
@@ -358,23 +304,17 @@ class Coordinator:
         return dead
 
     # -------------------------------------------------------------- #
-    # repair
+    # repair: the facade and its routing
     # -------------------------------------------------------------- #
-    def repair(
-        self,
-        request: "RepairRequest | list[RepairRequest] | str | None" = None,
-        verify: bool = True,
-        batched: bool = False,
-        *,
-        scheme: str | None = None,
-    ):
+    def repair(self, request: "RepairRequest | list[RepairRequest]") -> RepairResult:
         """Repair every stripe that lost blocks to the current dead nodes.
 
         **The one entry point.**  Pass a :class:`~repro.system.request.
         RepairRequest` (or a list of them, queued as contending scheduler
         jobs) and get a :class:`~repro.system.request.RepairResult` back;
         the request's fields pick the route — healthy round, batched or
-        parallel data plane, fault runtime, or the concurrent scheduler::
+        parallel data plane, fault runtime, adaptive re-planning, or the
+        concurrent scheduler::
 
             coord.repair(RepairRequest())                        # hmbr round
             coord.repair(RepairRequest(scheme="cr", workers=4))  # pooled decode
@@ -382,317 +322,121 @@ class Coordinator:
             coord.repair([RepairRequest(priority="foreground"),
                           RepairRequest(priority="background")]) # scheduled
 
-        The pre-1.1 form ``repair(scheme_str, verify=..., batched=...)``
-        still works, emits a :class:`DeprecationWarning`, and returns the
-        legacy :class:`RepairReport` (see the migration table in
-        ``docs/API.md``).
+        Every route plans through :meth:`plan_round`, commits rebuilt
+        blocks through :meth:`commit_outputs` and reports through
+        :meth:`round_result` (see ``docs/ARCHITECTURE.md``).
         """
-        if isinstance(request, RepairRequest):
-            return self._repair_request(request)
-        if isinstance(request, (list, tuple)):
-            reqs = list(request)
-            if not reqs or not all(isinstance(r, RepairRequest) for r in reqs):
-                raise TypeError("repair() takes a RepairRequest or a non-empty list of them")
-            return self._repair_request_many(reqs)
-        if request is not None and not isinstance(request, str):
+        if (
+            isinstance(request, (list, tuple))
+            and request
+            and all(isinstance(r, RepairRequest) for r in request)
+        ):
+            return self._repair_request_many(list(request))
+        if not isinstance(request, RepairRequest):
             raise TypeError(
-                f"repair() takes a RepairRequest, a list of them, or a legacy "
-                f"scheme string; got {type(request).__name__}"
+                "repair() takes a RepairRequest or a non-empty list of them, e.g. "
+                f"repair(RepairRequest(scheme='hmbr')); got {request!r}"
             )
-        warn_legacy(
-            "Coordinator.repair(scheme, verify=..., batched=...)",
-            "Coordinator.repair(RepairRequest(...))",
-        )
-        return self._repair_round(request or scheme or "hmbr", verify, batched)
+        if request.needs_scheduler():
+            return self._repair_request_many([request])
+        if request.adaptive:
+            from repro.adaptive.runtime import AdaptiveRuntime
 
-    # -------------------------------------------------------------- #
-    # request routing (the new facade's internals)
-    # -------------------------------------------------------------- #
-    def _repair_request(self, req: RepairRequest) -> RepairResult:
-        """Route one request: scheduler, fault runtime, or plain round."""
-        if req.needs_scheduler():
-            return self._repair_request_many([req])
-        bytes_before = self.bus.total_bytes()
-        if req.adaptive:
-            report = self._repair_adaptive(req)
-            return RepairResult.from_adaptive(
-                report, req, self.bus.total_bytes() - bytes_before
-            )
-        from repro.simnet.network import as_network
+            return AdaptiveRuntime(self, request).repair()
+        events = as_network(request.network).events_for(self.cluster)
+        if request.faults is not None:
+            from repro.faults.runtime import FaultRuntime
 
-        events = as_network(req.network).events_for(self.cluster)
-        if req.faults is not None:
-            report = self._repair_faulted(req, events=events)
-            return RepairResult.from_fault(
-                report, req, self.bus.total_bytes() - bytes_before
-            )
-        report = self._repair_round(
-            req.scheme,
-            req.verify,
-            req.batched or req.workers > 1,
-            workers=req.workers,
-            events=events,
-            predict_network=req.predict_network,
-        )
-        return RepairResult.from_report(
-            report, req, self.bus.total_bytes() - bytes_before
-        )
-
-    def _repair_adaptive(self, req: RepairRequest):
-        """The adaptive route: drift-watched re-planning rounds.
-
-        Planning (spares, centers, common HMBR split) is byte-identical
-        to the static round; the :class:`~repro.adaptive.runtime.
-        AdaptiveRuntime` then re-plans the remaining volume whenever the
-        request's network trace makes observed flow rates drift past
-        ``req.drift_threshold``.  On a quiet trace this degenerates to
-        exactly one static round (bit-exact, same makespan).
-        """
-        from repro.adaptive import AdaptiveConfig, AdaptiveRuntime
-
-        runtime = AdaptiveRuntime(
-            self,
-            network=req.network,
-            config=AdaptiveConfig(
-                drift_threshold=req.drift_threshold,
-                max_replans=req.max_replans,
-            ),
-        )
-        return runtime.repair(scheme=req.scheme, verify=req.verify)
+            return FaultRuntime.from_request(self, request).repair(request, events)
+        return self._repair_round(request, events)
 
     def _repair_request_many(self, reqs: list[RepairRequest]) -> RepairResult:
         """Run requests as scheduler jobs sharing one admission queue.
 
         Per-job fields (scheme, stripes, priority, weight, arrival) come
         from each request; run-global fields (verify, faults, workers,
-        batching) must be expressible once per run — at most one request
-        may carry a fault schedule, ``verify`` is the conjunction, and the
-        data plane batches if any request asks (``workers`` = max).
+        batching) must be expressible once per run — see
+        :meth:`RepairScheduler.run_requests
+        <repro.sched.scheduler.RepairScheduler.run_requests>`.
         """
-        faulted = [r for r in reqs if r.faults is not None]
-        if len(faulted) > 1:
-            raise ValueError("at most one request per run may carry faults")
+        for name in ("adaptive", "predict_network"):
+            if any(getattr(r, name) for r in reqs):
+                raise ValueError(
+                    f"{name}=True does not compose with scheduled requests "
+                    "(a request list, or priority/weight/arrival_s/stripes)"
+                )
         nets = [r.network for r in reqs if r.network is not None]
         if any(n != nets[0] for n in nets[1:]):
             raise ValueError(
                 "requests in one scheduled run must share a network trace"
             )
-        bytes_before = self.bus.total_bytes()
-        compute_before = sum(a.compute_seconds for a in self.agents.values())
-        for r in reqs:
-            self.sched.submit(
-                scheme=r.scheme,
-                stripes=r.stripes,
-                priority=r.priority,
-                weight=r.weight,
-                arrival_s=r.arrival_s,
-            )
-        workers = max(r.workers for r in reqs)
-        report = self.sched.run_pending(
-            verify=all(r.verify for r in reqs),
-            faults=faulted[0].faults if faulted else None,
-            network=nets[0] if nets else None,
-            workers=workers,
-            batched=any(r.batched for r in reqs) or workers > 1,
-        )
+        bytes_before, compute_before = self.meter()
+        report = self.sched.run_requests(reqs, network=nets[0] if nets else None)
+        bytes_now, compute_now = self.meter()
         return RepairResult.from_scheduler(
             report,
             reqs[0],
-            self.bus.total_bytes() - bytes_before,
-            compute_s_total=sum(a.compute_seconds for a in self.agents.values())
-            - compute_before,
+            bytes_now - bytes_before,
+            compute_s_total=sum(compute_now.values()) - sum(compute_before.values()),
         )
 
-    def _repair_faulted(self, req: RepairRequest, events=()):
-        """The fault-runtime route (journaled retries; see docs/FAULTS.md)."""
-        from repro.faults.injector import FaultInjector
-        from repro.faults.runtime import DEFAULT_MAX_BACKOFF_S, FaultRuntime
-        from repro.faults.schedule import FaultSchedule
-
-        faults = req.faults
-        if isinstance(faults, FaultSchedule):
-            injector = FaultInjector(
-                faults, tick_s=req.tick_s if req.tick_s is not None else 0.001
-            )
-        else:
-            injector = faults
-            if req.tick_s is not None:
-                injector.tick_s = req.tick_s
-        runtime = FaultRuntime(
-            self,
-            injector,
-            max_retries=req.max_retries,
-            base_backoff_s=req.base_backoff_s,
-            plan_timeout_s=req.plan_timeout_s,
-            max_backoff_s=DEFAULT_MAX_BACKOFF_S
-            if req.max_backoff_s is None
-            else req.max_backoff_s,
-            backoff_jitter=req.backoff_jitter,
-            backoff_seed=req.backoff_seed,
-        )
-        return runtime.repair(scheme=req.scheme, verify=req.verify, events=events)
-
-    def _repair_round(
-        self,
-        scheme: str = "hmbr",
-        verify: bool = True,
-        batched: bool = False,
-        workers: int = 1,
-        events=(),
-        predict_network: bool = False,
-    ) -> RepairReport:
-        """One healthy repair round (the pre-request ``repair`` body).
-
-        ``events`` (:class:`~repro.simnet.dynamic.BandwidthEvent`\\ s,
-        usually materialized from a :class:`~repro.simnet.network.
-        NetworkTrace`) perturb the timing simulation; the repaired bytes
-        are unaffected.  ``predict_network=True`` additionally makes the
-        common HMBR split dynamics-aware — searched against the event
-        trajectory instead of the plan-time snapshot.
+    def _repair_round(self, req: RepairRequest, events) -> RepairResult:
+        """One healthy repair round.
 
         New nodes are drawn from the spare pool (one replacement per dead
         node).  Repairs of different stripes run in parallel: their plans are
         simulated together so shared links contend, and centers are spread
-        with the §IV-C LFS+LRS scheduler.  ``scheme="auto"`` scores every
-        candidate per stripe in the simulator and picks the fastest.
+        with the §IV-C LFS+LRS scheduler.  ``events`` (materialized from the
+        request's :class:`~repro.simnet.network.NetworkTrace`) perturb the
+        timing simulation only; ``predict_network`` additionally searches
+        the common HMBR split against them.
 
-        With ``batched=True`` the *data plane* runs through the
-        :class:`~repro.repair.batch.BatchRepairEngine`: stripes are grouped
-        by erasure pattern and each group decodes via one stacked GF kernel,
-        reusing inverted decode matrices from :attr:`plan_cache`.  Planning,
-        center scheduling, and the simulated timing plane are unchanged, and
-        the repaired bytes are bit-exact with the per-stripe path — only the
-        wall-clock compute (and its per-node attribution via
-        :meth:`~repro.system.agent.Agent.charge_compute`) gets cheaper.
-
-        ``workers > 1`` additionally fans the batched kernels out over a
-        :class:`repro.parallel.WorkerPool` (implies ``batched``) and models
-        chunk-level decode pipelining against the simulated transfer finish
-        times (the report's :attr:`~RepairReport.pipeline`).
+        ``batched`` runs the *data plane* through the
+        :class:`~repro.repair.batch.BatchRepairEngine` (one stacked GF
+        kernel per erasure-pattern group, decode matrices reused from
+        :attr:`plan_cache`); ``workers > 1`` additionally fans the kernels
+        out over a :class:`repro.parallel.WorkerPool` and models chunk-level
+        decode pipelining against the simulated transfer finishes.  Planning
+        and timing are unchanged and the repaired bytes bit-exact with the
+        per-stripe path — only the wall-clock compute gets cheaper.
         """
-        if scheme != "auto" and scheme not in _PLANNERS:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; choose from {sorted(_PLANNERS)} or 'auto'"
-            )
-        dead = self.cluster.dead_ids()
-        affected = self.layout.stripes_with_failures(dead)
-        if not affected:
-            return RepairReport(dead, [], scheme, 0.0, 0.0, 0.0, 0.0, 0)
-
-        obs = self.obs
-        root = None
-        if obs is not None:
-            root = obs.tracer.begin(
-                "repair", actor="coordinator", cat="repair",
-                scheme=scheme, dead_nodes=list(dead), stripes=sorted(affected),
-                batched=batched,
-            )
-        try:
-            dead_with_blocks = self._dead_with_blocks(affected)
-            free_spares = self._free_spares()
-            if len(dead_with_blocks) > len(free_spares):
-                raise RuntimeError(
-                    f"{len(dead_with_blocks)} dead nodes but only {len(free_spares)} free spares"
-                )
-            replacement_of = self._assign_spares(dead_with_blocks, free_spares)
-
-            plan_span = None
-            if obs is not None:
-                plan_span = obs.tracer.begin(
-                    "plan", actor="coordinator", cat="plan", scheme=scheme,
-                )
-            stripes = {s.stripe_id: s for s in self.layout}
-            work = self._build_work(affected, replacement_of)
-
-            # For HMBR with several stripes repairing in parallel, a per-stripe
-            # split is miscalibrated (it ignores the other stripes on the same
-            # links); search one common p over the merged task graph instead.
-            common_p = (
-                self._common_hmbr_split(
-                    work, events=events if predict_network else ()
-                )
-                if scheme == "hmbr"
-                else None
-            )
-
-            all_tasks = []
-            plans = self._plan_work(work, scheme, common_p)
-            for _, plan, _ in plans:
-                all_tasks.extend(plan.tasks)
-            if plan_span is not None:
-                obs.tracer.end(
-                    plan_span,
-                    stripes=len(plans),
-                    tasks=len(all_tasks),
-                    ops=sum(len(p.ops) for _, p, _ in plans),
-                    common_p=common_p,
-                )
-
-            # ---- data plane: dispatch ops to agents, commit repaired blocks
-            compute_before = {i: a.compute_seconds for i, a in self.agents.items()}
-            pattern_groups = 0
-            batch_res = None
-            if batched:
-                centers = {sid: center for sid, _, center in work}
-                engine = self._engine_for(workers) if workers > 1 else None
-                batch_res = self._dispatch_batched(
-                    plans, centers, stripes, verify, engine=engine
-                )
-                pattern_groups = batch_res.groups
-            else:
-                for sid, plan, ctx in plans:
-                    self._commit_plan(sid, plan, stripes, verify)
-            for agent in self.agents.values():
-                agent.clear_scratch()
-
-            # ---- timing plane: simulate all plans together
-            sim = FluidSimulator(self.cluster).run(
-                all_tasks,
-                events=list(events),
-                tracer=obs.tracer if obs is not None else None,
-            )
-            per_stripe = {}
-            for sid, plan, _ in plans:
-                per_stripe[sid] = max(sim.finish_times[t.task_id] for t in plan.tasks)
-            pipeline = None
-            if workers > 1 and batch_res is not None and per_stripe:
-                pipeline = self._pipeline_model(batch_res, per_stripe, workers)
-        finally:
-            if root is not None:
-                obs.tracer.unwind(root)
-
-        compute_by_node = {
-            i: a.compute_seconds - compute_before[i] for i, a in self.agents.items()
-        }
-        report = RepairReport(
-            dead_nodes=dead,
-            stripes_repaired=sorted(affected),
-            scheme=scheme,
-            simulated_transfer_s=sim.makespan,
-            compute_s_total=sum(compute_by_node.values()),
-            compute_s_critical=max(compute_by_node.values(), default=0.0),
-            bytes_on_wire_mb_model=sum(p.total_transfer_mb() for _, p, _ in plans),
-            blocks_recovered=sum(len(f) for f in affected.values()),
-            per_stripe_transfer_s=per_stripe,
-            replacements=replacement_of,
+        before = self.meter()
+        workers = req.workers
+        batched = req.batched or workers > 1
+        rnd, batch_res, makespan, per_stripe = self._run_round(
+            req.scheme,
+            ("repair", "repair"),
+            events=events,
+            split_events=events if req.predict_network else (),
+            dispatch=lambda rnd: self.dispatch_round(rnd, req.verify, batched, workers),
             batched=batched,
-            pattern_groups=pattern_groups,
-            plan_cache_stats=self.plan_cache.stats() if batched else {},
-            workers=workers,
-            pipeline=pipeline,
         )
-        if obs is not None:
-            m = obs.metrics
-            m.counter("repair.runs").inc()
-            m.counter("repair.blocks_recovered").inc(report.blocks_recovered)
-            m.gauge("repair.simulated_transfer_s").set(report.simulated_transfer_s)
-            m.gauge("repair.compute_s_total").set(report.compute_s_total)
-            m.gauge("repair.bytes_on_wire_mb_model").set(report.bytes_on_wire_mb_model)
-            for t in report.per_stripe_transfer_s.values():
-                m.histogram("repair.stripe_transfer_s").observe(t)
-            if pipeline is not None:
-                m.gauge("parallel.pipeline_saved_s").set(pipeline.saved_s)
-        return report
+        pipeline = None
+        if workers > 1 and batch_res is not None:
+            from repro.parallel.pipeline import repair_pipeline
+
+            # measured GF shares rescale from the stored ``block_bytes`` to
+            # the modeled ``block_size_mb`` (the planes' usual decoupling)
+            pipeline = repair_pipeline(
+                per_stripe,
+                batch_res.compute_seconds_by_stripe,
+                workers,
+                cost_scale=self.block_size_mb * (1 << 20) / self.block_bytes,
+                tracer=self.obs.tracer if self.obs is not None else None,
+            )
+        plan_summary = {
+            "batched": batched,
+            "pattern_groups": batch_res.groups if batch_res is not None else 0,
+            "plan_cache": self.plan_cache.stats() if batched else {},
+        }
+        if pipeline is not None:
+            plan_summary["pipeline_saved_s"] = pipeline.saved_s
+            if self.obs is not None:
+                self.obs.metrics.gauge("parallel.pipeline_saved_s").set(pipeline.saved_s)
+        return self.round_result(
+            req, before, rnd.plans, makespan, per_stripe, rnd.replacement_of,
+            plan_summary, batched=batched, workers=workers, pipeline=pipeline,
+        )
 
     def plan_repair(
         self,
@@ -732,79 +476,285 @@ class Coordinator:
         the reservation must be explicit).  Raises like :meth:`repair` on
         unknown schemes or insufficient spares.
         """
-        if scheme != "auto" and scheme not in _PLANNERS:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; choose from {sorted(_PLANNERS)} or 'auto'"
-            )
+        rnd, _, makespan, per_stripe = self._run_round(
+            scheme,
+            ("plan_repair", "plan"),
+            stripes=stripes,
+            events=as_network(network).events_for(self.cluster),
+            commit=commit,
+        )
+        timing = RepairTiming(
+            scheme=scheme,
+            dead_nodes=self.cluster.dead_ids(),
+            stripes=sorted(rnd.affected),
+            makespan_s=makespan,
+            per_stripe_s=per_stripe,
+            bytes_on_wire_mb_model=sum(p.total_transfer_mb() for _, p in rnd.plans),
+            blocks_recovered=sum(len(f) for f in rnd.affected.values()),
+            replacement_of=rnd.replacement_of,
+            plans=rnd.plans,
+            committed=commit,
+        )
+        if self.obs is not None and rnd.plans:
+            m = self.obs.metrics
+            m.counter("plan.fast_path_rounds").inc()
+            m.gauge("plan.fast_path_makespan_s").set(timing.makespan_s)
+        return timing
+
+    def _run_round(
+        self,
+        scheme: str,
+        span: tuple[str, str],
+        *,
+        stripes=None,
+        events=(),
+        split_events=(),
+        dispatch=None,
+        commit: bool = True,
+        **span_args,
+    ):
+        """Plan → dispatch → time one round: the body of every plain round.
+
+        ``dispatch(rnd)`` is the data plane; ``None`` switches it off (the
+        metadata-only fast path), in which case ``commit`` decides whether
+        the round's *metadata* effects apply — placements move, spares are
+        reserved, the center scheduler stays advanced — or everything is
+        rolled back.  Returns ``(round plan, dispatch result, makespan,
+        per-stripe finish)``; a round with nothing to repair is empty and
+        costs nothing.
+        """
+        check_scheme(scheme)
         dead = self.cluster.dead_ids()
         affected = self.layout.stripes_with_failures(dead)
         if stripes is not None:
             wanted = set(stripes)
             affected = {sid: b for sid, b in affected.items() if sid in wanted}
         if not affected:
-            return RepairTiming(
-                scheme, dead, [], 0.0, {}, 0.0, 0, {}, [], committed=commit
-            )
-
-        obs = self.obs
-        root = None
-        if obs is not None:
-            root = obs.tracer.begin(
-                "plan_repair", actor="coordinator", cat="plan",
-                scheme=scheme, dead_nodes=list(dead), stripes=sorted(affected),
-                commit=commit,
-            )
+            return RoundPlan({}, {}, []), None, 0.0, {}
+        name, cat = span
         snap = None if commit else self.center_scheduler.snapshot()
         try:
-            dead_with_blocks = self._dead_with_blocks(affected)
-            free_spares = self._free_spares()
-            if len(dead_with_blocks) > len(free_spares):
-                raise RuntimeError(
-                    f"{len(dead_with_blocks)} dead nodes but only "
-                    f"{len(free_spares)} free spares"
+            with self.span(
+                name, cat, scheme=scheme, dead_nodes=list(dead),
+                stripes=sorted(affected), **span_args,
+            ):
+                rnd = self.plan_round(scheme, affected, events=split_events)
+                out = dispatch(rnd) if dispatch is not None else None
+                makespan, per_stripe, _ = self.time_plans(
+                    rnd.plans, events, traced=dispatch is not None
                 )
-            replacement_of = self._assign_spares(dead_with_blocks, free_spares)
-            work = self._build_work(affected, replacement_of)
-            common_p = self._common_hmbr_split(work) if scheme == "hmbr" else None
-            plans = self._plan_work(work, scheme, common_p)
-            all_tasks = [t for _, p, _ in plans for t in p.tasks]
-            from repro.simnet.network import as_network
-
-            sim = FluidSimulator(self.cluster).run(
-                all_tasks, events=as_network(network).events_for(self.cluster)
-            )
-            per_stripe = {
-                sid: max(sim.finish_times[t.task_id] for t in plan.tasks)
-                for sid, plan, _ in plans
-            }
-            if commit:
-                stripes_map = {s.stripe_id: s for s in self.layout}
-                for sid, plan, _ in plans:
-                    for fb, (node, _buf) in plan.outputs.items():
-                        stripes_map[sid].placement[fb] = node
-                self.reserved_spares.update(replacement_of.values())
+                if dispatch is None and commit:
+                    for sid, plan in rnd.plans:
+                        for fb, (node, _buf) in plan.outputs.items():
+                            self.layout[sid].placement[fb] = node
+                    self.reserved_spares.update(rnd.replacement_of.values())
         finally:
             if snap is not None:
                 self.center_scheduler.restore(snap)
-            if root is not None:
-                obs.tracer.unwind(root)
-        timing = RepairTiming(
-            scheme=scheme,
-            dead_nodes=dead,
-            stripes=sorted(affected),
-            makespan_s=sim.makespan,
-            per_stripe_s=per_stripe,
-            bytes_on_wire_mb_model=sum(p.total_transfer_mb() for _, p, _ in plans),
-            blocks_recovered=sum(len(f) for f in affected.values()),
-            replacement_of=replacement_of,
-            plans=[(sid, plan) for sid, plan, _ in plans],
-            committed=commit,
+        return rnd, out, makespan, per_stripe
+
+    # -------------------------------------------------------------- #
+    # the repair core: plan -> commit -> time (shared by every route)
+    # -------------------------------------------------------------- #
+    def plan_round(
+        self,
+        scheme: str,
+        affected: dict[int, list[int]],
+        *,
+        replacement_of: dict[int, int] | None = None,
+        events=(),
+        lazy: bool = False,
+    ) -> RoundPlan:
+        """:func:`repro.repair.planner.plan_round` over this system's state.
+
+        Spares come from :meth:`free_spares` unless the caller brings its
+        own ``replacement_of``; the LFS/LRS :attr:`center_scheduler`
+        advances by one pick per stripe.
+        """
+        with self.span("plan", "plan", scheme=scheme) as span:
+            rnd = plan_round(
+                self.layout, self.cluster, self.code, self.center_scheduler,
+                scheme, affected,
+                block_size_mb=self.block_size_mb,
+                free_spares=self.free_spares() if replacement_of is None else (),
+                replacement_of=replacement_of,
+                events=events,
+                lazy=lazy,
+            )
+            if span is not None:
+                span.args.update(
+                    stripes=len(rnd.work),
+                    tasks=sum(len(p.tasks) for _, p in rnd.plans),
+                    ops=sum(len(p.ops) for _, p in rnd.plans),
+                    common_p=rnd.common_p,
+                )
+        return rnd
+
+    def commit_outputs(self, sid: int, outputs: dict, verify: bool = True) -> None:
+        """Store a stripe's rebuilt blocks, move their placement, verify.
+
+        ``outputs`` maps failed block index -> ``(new node, buffer)``,
+        the buffer being an array or the name of a scratch buffer on that
+        node (a plan's :attr:`~repro.repair.plan.RepairPlan.outputs`).
+        """
+        stripe = self.layout[sid]
+        for fb, (node, buf) in outputs.items():
+            agent = self.agents[node]
+            data = agent.scratch[buf] if isinstance(buf, str) else buf
+            agent.store_block(block_name(sid, fb), data, overwrite=True)
+            stripe.placement[fb] = node
+        if verify:
+            self.verify_stripe(sid)
+
+    def dispatch_round(
+        self, rnd: RoundPlan, verify: bool, batched: bool = False, workers: int = 1
+    ):
+        """Healthy data plane for a planned round: run ops, commit outputs.
+
+        Per stripe by default; ``batched`` decodes pattern groups through
+        the batch engine (fanned out to a worker pool when ``workers >
+        1``) and returns its :class:`~repro.repair.batch.BatchDecodeResult`.
+        """
+        res = None
+        if batched:
+            res = self._dispatch_batched(
+                rnd, verify, self._engine_for(workers) if workers > 1 else None
+            )
+        else:
+            for sid, plan in rnd.plans:
+                with self.span(
+                    f"stripe:{sid}", "dispatch",
+                    stripe=sid, scheme=plan.scheme, ops=len(plan.ops),
+                ):
+                    run_plan_ops(plan.ops, self.agents, self.bus)
+                    self.commit_outputs(sid, plan.outputs, verify)
+        for agent in self.agents.values():
+            agent.clear_scratch()
+        return res
+
+    def _dispatch_batched(self, rnd: RoundPlan, verify: bool, engine=None):
+        """Batched data plane: one stacked GF kernel per erasure-pattern group.
+
+        Each stripe's survivors ship to its center (metered on the bus like
+        the op-level path), pattern groups decode through the shared
+        :attr:`plan_cache`, repaired buffers land at the planned output
+        nodes, and each stripe's share of the group kernel cost is charged
+        to its center via :meth:`~repro.system.agent.Agent.charge_compute`.
+        ``engine`` swaps the decode engine (the parallel path passes a
+        :class:`repro.parallel.ParallelRepairEngine`); the default is the
+        serial :class:`~repro.repair.batch.BatchRepairEngine`.
+        """
+        if engine is None:
+            engine = BatchRepairEngine(self.code, cache=self.plan_cache, obs=self.obs)
+        with self.span("dispatch-batch", "dispatch", stripes=len(rnd.plans)):
+            items: list[StripeBatchItem] = []
+            for sid, ctx, center in rnd.work:
+                survivors = ctx.chosen_survivors()
+                sources = []
+                for b in survivors:
+                    host = ctx.stripe.placement[b]
+                    buf = self.agents[host].read_block(block_name(sid, b))
+                    if host != center:
+                        self.bus.check(host, center, buf.nbytes)
+                        self.bus.record(host, center, buf.nbytes)
+                    sources.append(buf)
+                items.append(
+                    StripeBatchItem(
+                        stripe_id=sid,
+                        survivors=tuple(survivors),
+                        failed=tuple(ctx.failed_blocks),
+                        sources=sources,
+                    )
+                )
+            res = engine.repair_items(items)
+            for (sid, _ctx, center), (_, plan) in zip(rnd.work, rnd.plans):
+                outputs = {}
+                for fb, (dest, _buf) in plan.outputs.items():
+                    out = res.outputs[sid][fb]
+                    if dest != center:
+                        self.bus.check(center, dest, out.nbytes)
+                        self.bus.record(center, dest, out.nbytes)
+                    outputs[fb] = (dest, out)
+                self.agents[center].charge_compute(
+                    res.compute_seconds_by_stripe[sid], res.gf_bytes_by_stripe[sid]
+                )
+                self.commit_outputs(sid, outputs, verify)
+            return res
+
+    def time_plans(self, plans, events=(), traced: bool = True):
+        """Simulate committed ``(stripe id, plan)`` pairs as one merged DAG.
+
+        Returns ``(makespan, per-stripe finish, simulation result)``; a
+        stripe that appears more than once (re-broken and re-repaired under
+        faults) reports its last finish.
+        """
+        if not plans:
+            return 0.0, {}, None
+        tracer = self.obs.tracer if traced and self.obs is not None else None
+        sim = FluidSimulator(self.cluster).run(
+            [t for _, plan in plans for t in plan.tasks],
+            events=list(events),
+            tracer=tracer,
         )
-        if obs is not None:
-            m = obs.metrics
-            m.counter("plan.fast_path_rounds").inc()
-            m.gauge("plan.fast_path_makespan_s").set(timing.makespan_s)
-        return timing
+        per_stripe: dict[int, float] = {}
+        for sid, plan in plans:
+            t = max(sim.finish_times[t.task_id] for t in plan.tasks)
+            per_stripe[sid] = max(per_stripe.get(sid, 0.0), t)
+        return sim.makespan, per_stripe, sim
+
+    def meter(self) -> tuple[int, dict[int, float]]:
+        """``(bus bytes, per-agent compute seconds)`` so far, to diff a run against."""
+        return self.bus.total_bytes(), {
+            i: a.compute_seconds for i, a in self.agents.items()
+        }
+
+    def round_result(
+        self,
+        req: RepairRequest,
+        before,
+        plans,
+        makespan_s: float,
+        per_stripe: dict[int, float],
+        replacements: dict[int, int],
+        plan_summary: dict,
+        **fields,
+    ) -> RepairResult:
+        """Assemble the :class:`RepairResult` of one un-scheduled round.
+
+        ``before`` is the :meth:`meter` reading taken when the round began;
+        ``plans`` the committed ``(stripe id, plan)`` pairs, whose summed
+        wire MB is the default ``bytes_on_wire_mb_model``.  Also feeds the
+        ``repair.*`` headline metrics of an attached obs session.
+        """
+        bytes_before, compute_before = before
+        fields.setdefault(
+            "bytes_on_wire_mb_model", sum(p.total_transfer_mb() for _, p in plans)
+        )
+        result = RepairResult.single(
+            req,
+            stripes_repaired=sorted({sid for sid, _ in plans}),
+            blocks_recovered=sum(len(p.outputs) for _, p in plans),
+            makespan_s=makespan_s,
+            bytes_moved=self.bus.total_bytes() - bytes_before,
+            compute_s_total=sum(
+                a.compute_seconds - compute_before.get(i, 0.0)
+                for i, a in self.agents.items()
+            ),
+            plan_summary=plan_summary,
+            per_stripe_transfer_s=per_stripe,
+            replacements=replacements,
+            **fields,
+        )
+        if self.obs is not None:
+            m = self.obs.metrics
+            m.counter("repair.runs").inc()
+            m.counter("repair.blocks_recovered").inc(result.blocks_recovered)
+            m.gauge("repair.simulated_transfer_s").set(result.makespan_s)
+            m.gauge("repair.compute_s_total").set(result.compute_s_total)
+            m.gauge("repair.bytes_on_wire_mb_model").set(result.bytes_on_wire_mb_model)
+            for t in per_stripe.values():
+                m.histogram("repair.stripe_transfer_s").observe(t)
+        return result
 
     def simulate_years(self, spec) -> "object":
         """Run the macro-scale durability simulator over this code shape.
@@ -834,42 +784,6 @@ class Coordinator:
             spec = dataclasses.replace(spec, **fills)
         return ReliabilitySimulator(spec, obs=self.obs).run()
 
-    def _pipeline_model(self, batch_res, per_stripe: dict, workers: int):
-        """Chunk-level pipelining: decode each stripe as its flows land.
-
-        Ready times are the stripes' simulated transfer finishes; costs are
-        their measured GF shares rescaled from the stored ``block_bytes``
-        to the modeled ``block_size_mb`` (the same scale decoupling the two
-        planes always use).  Emits one sim-domain ``parallel.decode`` span
-        per stripe so the pipelined landings show up on the trace timeline
-        next to the flows that gated them.
-        """
-        from repro.parallel.pipeline import pipeline_schedule
-
-        scale = (self.block_size_mb * (1 << 20)) / self.block_bytes
-        sids = sorted(per_stripe)
-        pipeline = pipeline_schedule(
-            sids,
-            [per_stripe[sid] for sid in sids],
-            [
-                batch_res.compute_seconds_by_stripe.get(sid, 0.0) * scale
-                for sid in sids
-            ],
-            workers,
-        )
-        if self.obs is not None:
-            for slot in pipeline.slots:
-                self.obs.tracer.add(
-                    f"parallel.decode:{slot.item}",
-                    actor=f"decode-lane{slot.lane}",
-                    cat="parallel.sim",
-                    t0=slot.start_s,
-                    t1=slot.done_s,
-                    stripe=slot.item,
-                    ready_s=slot.ready_s,
-                )
-        return pipeline
-
     def _engine_for(self, workers: int):
         """The cached parallel engine for a worker count (pools are dear)."""
         from repro.parallel.engine import ParallelRepairEngine
@@ -889,140 +803,13 @@ class Coordinator:
             engine.close()
         self._parallel_engines.clear()
 
-    # -------------------------------------------------------------- #
-    # repair planning/dispatch helpers (shared with repro.sched)
-    # -------------------------------------------------------------- #
-    def _free_spares(self) -> list[int]:
-        """Alive spares with empty stores, usable as repair targets."""
-        return [
-            s
-            for s in self.spares
-            if self.cluster[s].alive
-            and len(self.agents[s].store) == 0
-            and s not in self.reserved_spares
-        ]
-
-    def _dead_with_blocks(self, affected: dict[int, list[int]]) -> list[int]:
-        """Dead nodes that actually held blocks of the affected stripes."""
-        stripes = {s.stripe_id: s for s in self.layout}
-        return sorted(
-            {
-                stripes[sid].placement[b]
-                for sid, blocks in affected.items()
-                for b in blocks
-            }
-        )
-
-    def _build_work(
-        self, affected: dict[int, list[int]], replacement_of: dict[int, int]
-    ) -> list[tuple[int, RepairContext, int]]:
-        """Repair contexts + LFS/LRS centers for the affected stripes.
-
-        Stripes are visited in sorted id order so the stateful center
-        scheduler makes the same picks for the same failure set regardless
-        of which path (``repair`` or a scheduler job) asks.
-        """
-        stripes = {s.stripe_id: s for s in self.layout}
-        work: list[tuple[int, RepairContext, int]] = []
-        for sid, failed in sorted(affected.items()):
-            stripe = stripes[sid]
-            new_nodes = [replacement_of[stripe.placement[b]] for b in failed]
-            ctx = RepairContext(
-                cluster=self.cluster,
-                code=self.code,
-                stripe=stripe,
-                failed_blocks=failed,
-                new_nodes=new_nodes,
-                block_size_mb=self.block_size_mb,
-            )
-            center = self.center_scheduler.pick(new_nodes)
-            work.append((sid, ctx, center))
-        return work
-
-    def _common_hmbr_split(
-        self, work: list[tuple[int, RepairContext, int]], events=()
-    ) -> float | None:
-        """One shared HMBR split ratio over all stripes of a round (§IV-C).
-
-        Returns ``None`` for fewer than two stripes (the per-stripe split is
-        already exact there).  ``events`` makes the search dynamics-aware:
-        candidate splits are scored against the bandwidth-event trajectory
-        instead of the plan-time snapshot (``predict_network=True``).
-        """
-        if len(work) < 2:
-            return None
-        from repro.repair._build import add_centralized, add_independent
-        from repro.repair.split import scaled_split_tasks, search_split
-        from repro.repair.topology import build_chain_paths
-
-        cr_all, ir_all = [], []
-        for _, ctx, center in work:
-            cr_t, _, _ = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center)
-            ir_t, _, _ = add_independent(
-                ctx, ctx.prefix("h.ir"), 0.0, 1.0, build_chain_paths(ctx)
-            )
-            cr_all.extend(cr_t)
-            ir_all.extend(ir_t)
-        common_p, _ = search_split(
-            lambda q: scaled_split_tasks(cr_all, ir_all, q),
-            self.cluster,
-            events=events,
-        )
-        return common_p
-
-    def _plan_work(
-        self,
-        work: list[tuple[int, RepairContext, int]],
-        scheme: str,
-        common_p: float | None,
-    ) -> list[tuple[int, RepairPlan, RepairContext]]:
-        """Run the configured planner over the work list and validate."""
-        plans: list[tuple[int, RepairPlan, RepairContext]] = []
-        for sid, ctx, center in work:
-            if scheme == "hmbr" and common_p is not None:
-                plan = plan_hybrid(ctx, center=center, p=common_p)
-            elif scheme == "auto":
-                from repro.repair.selector import choose_scheme
-
-                plan = choose_scheme(ctx).plan
-            else:
-                plan = _PLANNERS[scheme](ctx, center)
-            validate_plan(plan, ctx)  # refuse to dispatch an inconsistent solution
-            plans.append((sid, plan, ctx))
-        return plans
-
-    def _commit_plan(self, sid: int, plan: RepairPlan, stripes: dict, verify: bool) -> None:
-        """Data plane for one stripe: run ops, commit outputs, verify parity."""
-        obs = self.obs
-        stripe_span = None
-        if obs is not None:
-            stripe_span = obs.tracer.begin(
-                f"stripe:{sid}", actor="coordinator", cat="dispatch",
-                stripe=sid, scheme=plan.scheme, ops=len(plan.ops),
-            )
-        try:
-            run_plan_ops(plan.ops, self.agents, self.bus)
-            for fb, (node, buf) in plan.outputs.items():
-                agent = self.agents[node]
-                repaired = agent.scratch[buf]
-                agent.store_block(block_name(sid, fb), repaired, overwrite=True)
-                stripes[sid].placement[fb] = node
-            if verify:
-                self._verify_stripe(sid)
-        finally:
-            if stripe_span is not None:
-                obs.tracer.end(stripe_span)
-
-    # -------------------------------------------------------------- #
-    # concurrent scheduler entry points (see repro.sched)
-    # -------------------------------------------------------------- #
     @property
     def sched(self):
         """The coordinator's :class:`~repro.sched.scheduler.RepairScheduler`.
 
         Created lazily on first use so un-scheduled workloads pay nothing;
-        replace it (or mutate ``sched.admission.policy``) to change the
-        admission policy.
+        assign a scheduler (or mutate ``sched.admission.policy``) to change
+        the admission policy.
         """
         if self._sched is None:
             from repro.sched.scheduler import RepairScheduler
@@ -1030,195 +817,9 @@ class Coordinator:
             self._sched = RepairScheduler(self)
         return self._sched
 
-    def submit_repair(
-        self,
-        scheme: str = "hmbr",
-        *,
-        stripes=None,
-        priority: str = "normal",
-        weight: float | None = None,
-        arrival_s: float = 0.0,
-    ):
-        """Queue a repair job on the concurrent scheduler (``repro.sched``).
-
-        .. deprecated:: 1.1
-            Pass a list of :class:`~repro.system.request.RepairRequest`\\ s
-            to :meth:`repair` instead; it queues, runs, and wraps the jobs
-            in one call.
-
-        ``stripes`` restricts the job to those stripe ids (``None`` repairs
-        everything affected at admission time); ``priority`` maps to a
-        weighted-fair-share weight via
-        :data:`repro.sched.job.PRIORITY_WEIGHTS` unless ``weight`` overrides
-        it; ``arrival_s`` delays the job's flows in simulated time.  Returns
-        the queued :class:`~repro.sched.job.RepairJob`; nothing executes
-        until :meth:`run_pending`.
-        """
-        warn_legacy(
-            "Coordinator.submit_repair(...)",
-            "Coordinator.repair([RepairRequest(...), ...])",
-        )
-        return self.sched.submit(
-            scheme=scheme,
-            stripes=stripes,
-            priority=priority,
-            weight=weight,
-            arrival_s=arrival_s,
-        )
-
-    def run_pending(self, *, verify: bool = True, faults=None, events=()):
-        """Admit and run every queued repair job; see
-        :meth:`repro.sched.scheduler.RepairScheduler.run_pending`.
-
-        .. deprecated:: 1.1
-            Pass a list of :class:`~repro.system.request.RepairRequest`\\ s
-            to :meth:`repair` instead.
-        """
-        warn_legacy(
-            "Coordinator.run_pending(...)",
-            "Coordinator.repair([RepairRequest(...), ...])",
-        )
-        from repro.simnet.network import NetworkTrace
-
-        network = NetworkTrace.from_events(events) if events else None
-        return self.sched.run_pending(verify=verify, faults=faults, network=network)
-
-    def repair_with_faults(
-        self,
-        faults,
-        scheme: str = "hmbr",
-        *,
-        verify: bool = True,
-        max_retries: int = 8,
-        base_backoff_s: float = 0.5,
-        plan_timeout_s: float | None = None,
-        tick_s: float | None = None,
-        max_backoff_s: float | None = None,
-        backoff_jitter: float = 0.0,
-        backoff_seed: int = 0,
-    ):
-        """Like :meth:`repair`, but resilient to faults injected mid-repair.
-
-        .. deprecated:: 1.1
-            Use ``repair(RepairRequest(faults=schedule, ...))`` instead;
-            this shim forwards there and returns the legacy
-            :class:`repro.faults.runtime.FaultRepairReport` (the request
-            path's ``result.report``).
-
-        ``faults`` is a :class:`repro.faults.schedule.FaultSchedule` (or an
-        already-constructed :class:`repro.faults.injector.FaultInjector`).
-        Helpers that die mid-transfer are confirmed through the heartbeat
-        monitor, the in-flight plan is aborted, and the stripe is re-planned
-        over the surviving helpers with exponential backoff between retries
-        (``base_backoff_s * 2**attempt``, clamped to ``max_backoff_s`` with
-        optional deterministic seed-derived jitter — see
-        :func:`repro.faults.runtime.backoff_delay`) and an optional per-plan
-        timeout.
-        Transient faults (drops, flaps) resume the same plan from its
-        execution journal.
-
-        With an empty schedule this performs exactly the op sequence of
-        :meth:`repair` — the fault machinery is pay-for-what-you-use.
-        """
-        warn_legacy(
-            "Coordinator.repair_with_faults(...)",
-            "Coordinator.repair(RepairRequest(faults=..., ...))",
-        )
-        req = RepairRequest(
-            scheme=scheme,
-            verify=verify,
-            faults=faults,
-            max_retries=max_retries,
-            base_backoff_s=base_backoff_s,
-            plan_timeout_s=plan_timeout_s,
-            tick_s=tick_s,
-            max_backoff_s=max_backoff_s,
-            backoff_jitter=backoff_jitter,
-            backoff_seed=backoff_seed,
-        )
-        return self._repair_request(req).report
-
-    def _dispatch_batched(self, plans, centers, stripes, verify: bool, engine=None):
-        """Batched data plane: one stacked GF kernel per erasure-pattern group.
-
-        Each stripe's survivors ship to its center (metered on the bus like
-        the op-level path), pattern groups decode through the shared
-        :attr:`plan_cache`, repaired buffers land at the planned output
-        nodes, and each stripe's share of the group kernel cost is charged
-        to its center via :meth:`~repro.system.agent.Agent.charge_compute`.
-        ``engine`` swaps the decode engine (the parallel path passes a
-        :class:`repro.parallel.ParallelRepairEngine`); the default is the
-        serial :class:`~repro.repair.batch.BatchRepairEngine`.  Returns the
-        engine's :class:`~repro.repair.batch.BatchDecodeResult`.
-        """
-        obs = self.obs
-        if engine is None:
-            engine = BatchRepairEngine(self.code, cache=self.plan_cache, obs=obs)
-        span = None
-        if obs is not None:
-            span = obs.tracer.begin(
-                "dispatch-batch", actor="coordinator", cat="dispatch",
-                stripes=len(plans),
-            )
-        try:
-            items: list[StripeBatchItem] = []
-            for sid, plan, ctx in plans:
-                center = centers[sid]
-                survivors = ctx.chosen_survivors()
-                sources = []
-                for b in survivors:
-                    host = ctx.stripe.placement[b]
-                    buf = self.agents[host].read_block(block_name(sid, b))
-                    if host != center:
-                        self.bus.check(host, center, buf.nbytes)
-                        self.bus.record(host, center, buf.nbytes)
-                    sources.append(buf)
-                items.append(
-                    StripeBatchItem(
-                        stripe_id=sid,
-                        survivors=tuple(survivors),
-                        failed=tuple(ctx.failed_blocks),
-                        sources=sources,
-                    )
-                )
-            res = engine.repair_items(items)
-            for sid, plan, ctx in plans:
-                center = centers[sid]
-                for fb, (dest, _buf) in plan.outputs.items():
-                    out = res.outputs[sid][fb]
-                    if dest != center:
-                        self.bus.check(center, dest, out.nbytes)
-                        self.bus.record(center, dest, out.nbytes)
-                    self.agents[dest].store_block(block_name(sid, fb), out, overwrite=True)
-                    stripes[sid].placement[fb] = dest
-                self.agents[center].charge_compute(
-                    res.compute_seconds_by_stripe[sid], res.gf_bytes_by_stripe[sid]
-                )
-                if verify:
-                    self._verify_stripe(sid)
-            return res
-        finally:
-            if span is not None:
-                obs.tracer.end(span)
-
-    def _assign_spares(self, dead_nodes: list[int], free_spares: list[int]) -> dict[int, int]:
-        """Match each dead node to a replacement spare.
-
-        Preference order: a spare in the dead node's rack (preserves
-        rack-aware placement invariants), then the spare with the fastest
-        downlink (it is about to receive every repaired block).  Greedy in
-        dead-node order, which is deterministic.
-        """
-        remaining = list(free_spares)
-        out: dict[int, int] = {}
-        for dead in dead_nodes:
-            rack = self.cluster[dead].rack
-            same_rack = [s for s in remaining if self.cluster[s].rack == rack]
-            pool = same_rack if same_rack else remaining
-            pick = max(pool, key=lambda s: (self.cluster[s].downlink, -s))
-            out[dead] = pick
-            remaining.remove(pick)
-        return out
+    @sched.setter
+    def sched(self, scheduler) -> None:
+        self._sched = scheduler
 
     def update(self, name: str, offset: int, patch: bytes) -> dict:
         """In-place update with delta parity maintenance.
@@ -1234,7 +835,6 @@ class Coordinator:
         stripe_ids, length = self.files[name]
         if offset < 0 or offset + len(patch) > length:
             raise ValueError("update range outside the file")
-        stripes = {s.stripe_id: s for s in self.layout}
         patch_arr = np.frombuffer(patch, dtype=np.uint8)
         k = self.code.k
         stripe_payload = k * self.block_bytes
@@ -1245,7 +845,7 @@ class Coordinator:
             abs_off = offset + pos
             stripe_idx = abs_off // stripe_payload
             sid = stripe_ids[stripe_idx]
-            stripe = stripes[sid]
+            stripe = self.layout[sid]
             block_idx = (abs_off % stripe_payload) // self.block_bytes
             block_off = abs_off % self.block_bytes
             span = min(self.block_bytes - block_off, len(patch_arr) - pos)
@@ -1284,19 +884,13 @@ class Coordinator:
         if name not in self.files:
             raise KeyError(f"unknown file {name!r}")
         stripe_ids, _ = self.files.pop(name)
-        sids = set(stripe_ids)
         freed = 0
-        keep = []
-        for stripe in self.layout:
-            if stripe.stripe_id not in sids:
-                keep.append(stripe)
-                continue
-            for b, node in enumerate(stripe.placement):
+        for sid in stripe_ids:
+            for b, node in enumerate(self.layout.remove(sid).placement):
                 agent = self.agents[node]
                 if agent.alive:
-                    agent.store.delete(block_name(stripe.stripe_id, b))
+                    agent.store.delete(block_name(sid, b))
                     freed += 1
-        self.layout.stripes = keep
         return freed
 
     def rebalance(self, max_moves: int | None = None, tolerance: int = 1) -> dict:
@@ -1362,7 +956,7 @@ class Coordinator:
         out: dict[int, bool] = {}
         for stripe in self.layout:
             try:
-                self._verify_stripe(stripe.stripe_id)
+                self.verify_stripe(stripe.stripe_id)
             except (AssertionError, KeyError):
                 out[stripe.stripe_id] = False
             else:
@@ -1371,15 +965,10 @@ class Coordinator:
 
     def stats(self) -> dict:
         """Operational snapshot: capacity, placement, traffic, health."""
-        alive = self.cluster.alive_ids()
         return {
-            "nodes_alive": len(alive),
+            "nodes_alive": len(self.cluster.alive_ids()),
             "nodes_dead": len(self.cluster.dead_ids()),
-            "spares_free": sum(
-                1
-                for s in self.spares
-                if self.cluster[s].alive and len(self.agents[s].store) == 0
-            ),
+            "spares_free": len(self.free_spares()),
             "files": len(self.files),
             "stripes": len(self.layout),
             "blocks_stored": sum(len(a.store) for a in self.agents.values()),
@@ -1389,17 +978,19 @@ class Coordinator:
             "bus_cross_rack_bytes": self.bus.cross_rack_bytes,
         }
 
-    def _verify_stripe(self, sid: int) -> None:
-        """Re-check stripe consistency: parity rows match re-encoded data."""
-        stripe = next(s for s in self.layout if s.stripe_id == sid)
+    def verify_stripe(self, sid: int) -> None:
+        """Re-check stripe consistency: parity rows match re-encoded data.
+
+        Raises ``AssertionError`` on a mismatch or a block on a dead node
+        and ``KeyError`` for an unknown stripe id or a missing block.
+        """
         blocks = []
-        for b, node in enumerate(stripe.placement):
+        for b, node in enumerate(self.layout[sid].placement):
             agent = self.agents[node]
             if not agent.alive:
                 raise AssertionError(f"stripe {sid} block {b} maps to a dead node")
             blocks.append(agent.read_block(block_name(sid, b)))
         data = np.stack(blocks[: self.code.k])
         parity = np.stack(blocks[self.code.k :])
-        expect = self.code.encode(data)
-        if not np.array_equal(parity, expect):
+        if not np.array_equal(parity, self.code.encode(data)):
             raise AssertionError(f"stripe {sid} failed post-repair parity verification")

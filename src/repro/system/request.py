@@ -1,12 +1,8 @@
 """The unified repair facade: :class:`RepairRequest` in, :class:`RepairResult` out.
 
-The coordinator grew three entry points as the system grew — ``repair``
-(healthy rounds, later with ``batched=``), ``repair_with_faults`` (the
-journaled degraded path), and ``submit_repair``/``run_pending`` (the
-concurrent scheduler) — each with its own kwargs and its own report type.
-This module collapses them: describe *what* to repair in one
-:class:`RepairRequest` value, call ``Coordinator.repair(request)``, and
-get one :class:`RepairResult` back no matter which machinery ran.
+Describe *what* to repair in one :class:`RepairRequest` value, call
+``Coordinator.repair(request)``, and get one :class:`RepairResult` back no
+matter which machinery ran.
 
 Routing is derived from the request, never named by the caller:
 
@@ -14,34 +10,23 @@ Routing is derived from the request, never named by the caller:
 * ``priority`` / ``weight`` / ``arrival_s`` / ``stripes`` set → the
   concurrent scheduler (one job per request; pass a *list* of requests
   for a contending batch);
+* ``adaptive`` → drift-watched re-planning rounds;
 * otherwise → a plain healthy round, per-stripe or batched/parallel
   according to ``batched`` / ``workers``.
 
-The legacy entry points survive as deprecation shims that build the
-equivalent request, forward, and return their historical report types —
-bit-exact with the old code by construction (the shim-equivalence tests
-assert it).
+Every route plans through :func:`repro.repair.planner.plan_round`; see
+``docs/ARCHITECTURE.md`` for the three calls each route makes.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Any
 
-_SCHEMES = ("cr", "ir", "hmbr", "mlf", "rack-hmbr", "auto")
-#: schemes the adaptive re-planner can decompose and re-solve.
-_ADAPTIVE_SCHEMES = ("cr", "ir", "hmbr", "mlf")
+from repro.repair.plan import RepairPlan, flow_signature
+from repro.repair.planner import ADAPTIVE_SCHEMES, check_scheme
+
 _PRIORITIES = ("foreground", "normal", "background")
-
-
-def warn_legacy(old: str, new: str) -> None:
-    """Emit the one deprecation message every legacy shim uses."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see docs/API.md migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -104,10 +89,7 @@ class RepairRequest:
     predict_network: bool = False
 
     def __post_init__(self) -> None:
-        if self.scheme not in _SCHEMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; choose from {sorted(_SCHEMES)}"
-            )
+        check_scheme(self.scheme)
         if self.priority not in _PRIORITIES:
             raise ValueError(
                 f"unknown priority {self.priority!r}; choose from {sorted(_PRIORITIES)}"
@@ -140,9 +122,9 @@ class RepairRequest:
         if self.max_replans < 0:
             raise ValueError("max_replans must be >= 0")
         if self.adaptive:
-            if self.scheme not in _ADAPTIVE_SCHEMES:
+            if self.scheme not in ADAPTIVE_SCHEMES:
                 raise ValueError(
-                    f"adaptive repair supports {_ADAPTIVE_SCHEMES}, "
+                    f"adaptive repair supports {ADAPTIVE_SCHEMES}, "
                     f"not {self.scheme!r}"
                 )
             if self.batched or self.workers > 1:
@@ -209,9 +191,9 @@ class RepairResult:
     """What one ``Coordinator.repair(request)`` call accomplished.
 
     The same shape comes back from every route; route-specific detail
-    stays reachable through :attr:`report` (the legacy
-    ``RepairReport`` / ``FaultRepairReport`` / ``SchedulerReport``
-    the run produced internally).
+    stays reachable through :attr:`report` (the fault runtime's
+    ``FaultRepairReport``, the adaptive engine's ``AdaptiveReport``, the
+    scheduler's ``SchedulerReport``; ``None`` for a plain healthy round).
     """
 
     request: RepairRequest
@@ -226,7 +208,8 @@ class RepairResult:
     bytes_on_wire_mb_model: float
     #: measured GF compute seconds across all agents.
     compute_s_total: float
-    #: batching/caching accounting: pattern groups, plan-cache stats, shards.
+    #: route accounting: pattern groups and plan-cache stats (batched),
+    #: rounds/replans/retries (faulted, adaptive), waves (scheduled).
     plan_summary: dict = dc_field(default_factory=dict)
     #: per-job outcomes (exactly one entry unless the scheduler ran).
     jobs: list[JobOutcome] = dc_field(default_factory=list)
@@ -245,118 +228,39 @@ class RepairResult:
         return all(j.state != "failed" for j in self.jobs)
 
     # -------------------------------------------------------------- #
-    # constructors, one per route
+    # constructors: one single-round shape, one scheduler shape
     # -------------------------------------------------------------- #
     @classmethod
-    def from_report(cls, report, request: RepairRequest, bytes_moved: int) -> "RepairResult":
-        """Wrap a healthy-round ``RepairReport``."""
-        plan_summary = {
-            "batched": report.batched,
-            "pattern_groups": report.pattern_groups,
-            "plan_cache": dict(report.plan_cache_stats),
-        }
-        pipeline = getattr(report, "pipeline", None)
-        if pipeline is not None:
-            plan_summary["pipeline_saved_s"] = pipeline.saved_s
+    def single(
+        cls,
+        request: RepairRequest,
+        *,
+        stripes_repaired: list[int],
+        blocks_recovered: int,
+        makespan_s: float,
+        job_id: str = "round0",
+        **fields,
+    ) -> "RepairResult":
+        """One un-scheduled round (healthy, faulted or adaptive) as a result."""
         return cls(
             request=request,
-            scheme=report.scheme,
-            stripes_repaired=list(report.stripes_repaired),
-            blocks_recovered=report.blocks_recovered,
-            makespan_s=report.simulated_transfer_s,
-            bytes_moved=bytes_moved,
-            bytes_on_wire_mb_model=report.bytes_on_wire_mb_model,
-            compute_s_total=report.compute_s_total,
-            plan_summary=plan_summary,
+            scheme=request.scheme,
+            stripes_repaired=stripes_repaired,
+            blocks_recovered=blocks_recovered,
+            makespan_s=makespan_s,
             jobs=[
                 JobOutcome(
-                    job_id="round0",
+                    job_id=job_id,
                     state="done",
-                    scheme=report.scheme,
+                    scheme=request.scheme,
                     priority=request.priority,
-                    stripes=tuple(report.stripes_repaired),
-                    blocks_recovered=report.blocks_recovered,
+                    stripes=tuple(stripes_repaired),
+                    blocks_recovered=blocks_recovered,
                     wave=None,
-                    finish_s=report.simulated_transfer_s,
+                    finish_s=makespan_s,
                 )
             ],
-            per_stripe_transfer_s=dict(report.per_stripe_transfer_s),
-            replacements=dict(report.replacements),
-            batched=report.batched,
-            workers=getattr(report, "workers", 1),
-            pipeline=pipeline,
-            report=report,
-        )
-
-    @classmethod
-    def from_fault(cls, report, request: RepairRequest, bytes_moved: int) -> "RepairResult":
-        """Wrap a fault-runtime ``FaultRepairReport``."""
-        return cls(
-            request=request,
-            scheme=report.scheme,
-            stripes_repaired=list(report.stripes_repaired),
-            blocks_recovered=report.blocks_recovered,
-            makespan_s=report.simulated_transfer_s,
-            bytes_moved=bytes_moved,
-            bytes_on_wire_mb_model=report.bytes_on_wire_mb_model,
-            compute_s_total=report.compute_s_total,
-            plan_summary={
-                "rounds": report.rounds,
-                "replans": report.replans,
-                "retries": report.retries,
-                "wasted_transfer_bytes": report.wasted_transfer_bytes,
-            },
-            jobs=[
-                JobOutcome(
-                    job_id="round0",
-                    state="done",
-                    scheme=report.scheme,
-                    priority=request.priority,
-                    stripes=tuple(report.stripes_repaired),
-                    blocks_recovered=report.blocks_recovered,
-                    wave=None,
-                    finish_s=report.simulated_transfer_s,
-                )
-            ],
-            per_stripe_transfer_s=dict(report.per_stripe_transfer_s),
-            replacements=dict(report.replacements),
-            report=report,
-        )
-
-    @classmethod
-    def from_adaptive(cls, report, request: "RepairRequest", bytes_moved: int) -> "RepairResult":
-        """Wrap an :class:`~repro.adaptive.runtime.AdaptiveRepairReport`."""
-        return cls(
-            request=request,
-            scheme=report.scheme,
-            stripes_repaired=list(report.stripes_repaired),
-            blocks_recovered=report.blocks_recovered,
-            makespan_s=report.simulated_transfer_s,
-            bytes_moved=bytes_moved,
-            bytes_on_wire_mb_model=report.bytes_on_wire_mb_model,
-            compute_s_total=report.compute_s_total,
-            plan_summary={
-                "adaptive": True,
-                "rounds": report.rounds,
-                "replans": report.replans,
-                "wasted_mb": report.wasted_mb,
-                "pieces_per_stripe": dict(report.pieces_per_stripe),
-            },
-            jobs=[
-                JobOutcome(
-                    job_id="adaptive0",
-                    state="done",
-                    scheme=report.scheme,
-                    priority=request.priority,
-                    stripes=tuple(report.stripes_repaired),
-                    blocks_recovered=report.blocks_recovered,
-                    wave=None,
-                    finish_s=report.simulated_transfer_s,
-                )
-            ],
-            per_stripe_transfer_s=dict(report.per_stripe_transfer_s),
-            replacements=dict(report.replacements),
-            report=report,
+            **fields,
         )
 
     @classmethod
@@ -387,3 +291,34 @@ class RepairResult:
             },
             report=report,
         )
+
+
+@dataclass
+class RepairTiming:
+    """Planning/timing-only outcome of :meth:`Coordinator.plan_repair`.
+
+    The metadata fast path's answer: everything a caller needs to reason
+    about a repair round — per-stripe plans, the merged flow topology, and
+    the fluid makespan — without a single block byte having moved.  The
+    differential suite pins this against the :class:`RepairResult` of a
+    real byte-materializing round: same plans, same flow graphs, and equal
+    ``makespan_s`` to 1e-9.
+    """
+
+    scheme: str
+    dead_nodes: list[int]
+    stripes: list[int]
+    makespan_s: float
+    per_stripe_s: dict[int, float]
+    bytes_on_wire_mb_model: float
+    blocks_recovered: int
+    replacement_of: dict[int, int]
+    #: (stripe id, plan) in planning order; tasks are un-renamed, exactly
+    #: as a real round would hand them to the merged fluid simulation.
+    plans: list[tuple[int, RepairPlan]] = dc_field(default_factory=list)
+    #: True when the round's placement effects were applied to metadata.
+    committed: bool = False
+
+    def flow_signature(self) -> tuple:
+        """Canonical signature of the merged task DAG (all stripes)."""
+        return flow_signature([t for _, p in self.plans for t in p.tasks])

@@ -322,12 +322,11 @@ class ServingPlane:
         code = coord.code
         k = code.k
         stripe_ids, length = coord.files[name]
-        stripes = {s.stripe_id: s for s in coord.layout}
         obs = coord.obs
         parts = []
         stats = {"degraded": 0, "fast": 0, "metered": 0, "chunk_plans": []}
         for sid in stripe_ids:
-            stripe = stripes[sid]
+            stripe = coord.layout[sid]
             available: dict[int, int] = {}
             for b, node in enumerate(stripe.placement):
                 agent = coord.agents[node]
@@ -463,7 +462,7 @@ class ServingPlane:
         stripe_payload = k * bb
         patch = self.gen.patch_bytes(op)
         stripe_ids, _ = coord.files[op.obj]
-        stripes = {s.stripe_id: s for s in coord.layout}
+        stripes = coord.layout
         touched: list[tuple[int, int, int]] = []
         pos = 0
         while pos < len(patch):
@@ -576,33 +575,15 @@ class ServingPlane:
                         )
                 records.append(rec)
 
-            report = self._run_merged(repair, fg_tasks)
+            # the timing plane: every foreground task and every storm job
+            # through one merged scheduler pass
+            report = coord.sched.run_requests(
+                reqs, network=self.network, foreground=tuple(fg_tasks)
+            )
         finally:
             if root is not None:
                 obs.tracer.unwind(root)
         return self._assemble(records, report, fg_bytes, bus_before)
-
-    def _run_merged(self, repair, fg_tasks):
-        """Queue the storm requests and run one merged scheduler pass."""
-        coord = self.coord
-        reqs = list(repair)
-        faulted = [r for r in reqs if r.faults is not None]
-        if len(faulted) > 1:
-            raise ValueError("at most one repair request per run may carry faults")
-        for r in reqs:
-            coord.sched.submit(
-                scheme=r.scheme, stripes=r.stripes, priority=r.priority,
-                weight=r.weight, arrival_s=r.arrival_s,
-            )
-        workers = max((r.workers for r in reqs), default=1)
-        return coord.sched.run_pending(
-            verify=all(r.verify for r in reqs),
-            faults=faulted[0].faults if faulted else None,
-            network=self.network,
-            workers=workers,
-            batched=any(r.batched for r in reqs) or workers > 1,
-            foreground=tuple(fg_tasks),
-        )
 
     def _assemble(self, records, report, fg_bytes, bus_before) -> ServeResult:
         """Resolve per-op finishes from the merged sim and summarize."""

@@ -82,7 +82,7 @@ def test_adaptive_repair_under_random_churn(chaos_system, chaos_seed):
     assert coord.scrub() == {s.stripe_id: True for s in coord.layout}
 
     # the range journal tiles [0, 1) exactly once per repaired stripe
-    journal = res.report.engine.journal
+    journal = res.report.journal
     assert sorted(journal.keys()) == [f"s{sid:04d}" for sid in sorted(res.stripes_repaired)]
     for key in journal.keys():
         assert journal.is_complete(key), f"seed {chaos_seed}: {key} journal has gaps"

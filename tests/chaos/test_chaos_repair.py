@@ -21,6 +21,7 @@ import pytest
 
 from repro.ec.stripe import block_name
 from repro.faults import FaultSchedule
+from repro.system.request import RepairRequest
 
 pytestmark = pytest.mark.chaos
 
@@ -71,9 +72,10 @@ def test_randomized_schedules(chaos_system, chaos_seed):
         max_kills=coord.code.m - 1,  # 1 crash + m-1 kills stays recoverable
     )
     bus_before = coord.bus.total_bytes()
-    report = coord.repair_with_faults(
-        schedule, scheme="hmbr", max_retries=10, base_backoff_s=0.25
+    res = coord.repair(
+        RepairRequest(faults=schedule, scheme="hmbr", max_retries=10, base_backoff_s=0.25)
     )
+    report = res.report
 
     # the repair completed: every block restored, bit-for-bit
     _assert_bit_exact(coord, originals)
@@ -85,7 +87,7 @@ def test_randomized_schedules(chaos_system, chaos_seed):
         f"schedule seed {chaos_seed}: bus/journal byte mismatch"
     )
     # conservation: fluid-sim bytes == committed plans' model-scale bytes
-    assert report.sim_bytes_mb == pytest.approx(report.bytes_on_wire_mb_model), (
+    assert report.sim_bytes_mb == pytest.approx(res.bytes_on_wire_mb_model), (
         f"schedule seed {chaos_seed}: sim/model byte mismatch"
     )
     # every scheduled kill fired and was confirmed dead via heartbeats
@@ -106,7 +108,7 @@ def test_helper_killed_mid_transfer_replans(chaos_system):
     helper = next(n for n in stripe.placement if n != 0)
     schedule = FaultSchedule.from_tuples([(0.01, "kill", helper)])
 
-    report = coord.repair_with_faults(schedule, scheme="hmbr")
+    report = coord.repair(RepairRequest(faults=schedule, scheme="hmbr")).report
 
     assert report.replans >= 1, "the kill must abort a plan and force a re-plan"
     assert helper in report.detections, "death must be confirmed via heartbeats"
@@ -132,7 +134,9 @@ def test_transient_storm_resumes_without_redoing_work(chaos_system):
         ]
     )
     bus_before = coord.bus.total_bytes()
-    report = coord.repair_with_faults(schedule, scheme="hmbr", base_backoff_s=0.1)
+    report = coord.repair(
+        RepairRequest(faults=schedule, scheme="hmbr", base_backoff_s=0.1)
+    ).report
 
     assert report.retries >= 2
     assert report.drops == 2
@@ -155,15 +159,15 @@ def test_inactive_faults_zero_behavior_change(chaos_system):
             plain.crash_node(node)
             faulty.crash_node(node)
 
-        ref = plain.repair(scheme=scheme)
-        rep = faulty.repair_with_faults(FaultSchedule.empty(), scheme=scheme)
+        ref = plain.repair(RepairRequest(scheme=scheme))
+        rep = faulty.repair(RepairRequest(faults=FaultSchedule.empty(), scheme=scheme))
 
         assert plain.bus.total_bytes() == faulty.bus.total_bytes()
         assert plain.bus.sent_bytes == faulty.bus.sent_bytes
         assert plain.bus.received_bytes == faulty.bus.received_bytes
         assert plain.bus.transfer_count == faulty.bus.transfer_count
         assert ref.bytes_on_wire_mb_model == rep.bytes_on_wire_mb_model
-        assert ref.simulated_transfer_s == pytest.approx(rep.simulated_transfer_s)
+        assert ref.makespan_s == pytest.approx(rep.makespan_s)
         placements = lambda c: {s.stripe_id: list(s.placement) for s in c.layout}
         assert placements(plain) == placements(faulty)
         assert plain.read("f") == faulty.read("f") == data

@@ -83,7 +83,7 @@ def test_serving_survives_fault_storm(chaos_system, chaos_seed):
             coord.crash_node(int(v))
         # run a background repair alongside the traffic when spares allow it
         repair = ()
-        if len(coord._free_spares()) >= len(coord.cluster.dead_ids()):
+        if len(coord.free_spares()) >= len(coord.cluster.dead_ids()):
             repair = (RepairRequest(scheme="hmbr", batched=True, priority="background"),)
         # a random chunk geometry and kernel backend per round: the
         # pipelined degraded path must produce identical bytes for every

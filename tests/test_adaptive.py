@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.adaptive import (
-    ADAPTIVE_SCHEMES,
     AdaptiveConfig,
     AdaptiveEngine,
     AdaptiveEntry,
@@ -27,6 +26,7 @@ from repro.cluster.bandwidth import make_wld
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
+from repro.repair import ADAPTIVE_SCHEMES
 from repro.simnet import NetworkTrace
 from repro.system.coordinator import Coordinator
 from repro.system.request import RepairRequest
@@ -151,7 +151,7 @@ def test_adaptive_journal_tiles_unit_interval():
     res = c.repair(RepairRequest(scheme="hmbr", network=collapse_trace(), adaptive=True))
     assert c.read("f") == data
 
-    engine_report = res.report.engine
+    engine_report = res.report
     journal = engine_report.journal
     assert journal.keys()
     for key in journal.keys():
@@ -177,8 +177,10 @@ def test_adaptive_execution_journals_complete():
     coord = make_system(block_size_mb=64.0)
     coord.write("f", data)
     coord.crash_node(0)
-    runtime = AdaptiveRuntime(coord, network=collapse_trace())
-    report = runtime.repair(scheme="hmbr")
+    runtime = AdaptiveRuntime(
+        coord, RepairRequest(adaptive=True, network=collapse_trace())
+    )
+    report = runtime.repair()
     assert coord.read("f") == data
     assert report.blocks_recovered > 0
     assert runtime.journals
@@ -197,11 +199,7 @@ def test_resumed_ops_never_resend_journaled_transfers():
         coord.crash_node(0)
         dead = coord.cluster.dead_ids()
         affected = coord.layout.stripes_with_failures(dead)
-        dead_with_blocks = coord._dead_with_blocks(affected)
-        replacement_of = coord._assign_spares(dead_with_blocks, coord._free_spares())
-        work = coord._build_work(affected, replacement_of)
-        plans = coord._plan_work(work, "hmbr", None)
-        return coord, plans[0][1].ops
+        return coord, coord.plan_round("hmbr", affected).plans[0][1].ops
 
     # uninterrupted reference
     coord_a, ops_a = build()

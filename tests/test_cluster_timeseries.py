@@ -89,17 +89,6 @@ def test_trace_restricted_to_nodes():
     assert {e.node for e in events} == {1, 2}
 
 
-def test_bandwidth_trace_events_shim_warns_and_matches_facade():
-    """The legacy helper warns and lowers to the exact same event list."""
-    from repro.cluster.timeseries import bandwidth_trace_events
-
-    cl = Cluster([Node(0, 100, 100), Node(1, 80, 120)])
-    with pytest.warns(DeprecationWarning, match="bandwidth_trace_events"):
-        legacy = bandwidth_trace_events(cl, duration_s=5.0, step_s=1.0, rng=2)
-    facade = NetworkTrace.ou(5.0, step_s=1.0, seed=2).events_for(cl)
-    assert legacy == facade
-
-
 def test_simulation_under_churn_completes():
     """A repair-shaped transfer under OU churn still conserves bytes."""
     cl = Cluster([Node(i, 100, 100) for i in range(6)])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import exp_dynamic, exp_reliability
 from repro.experiments.report import _md_table, _section
+from repro.system.request import RepairRequest
 
 
 def test_exp_dynamic_rows():
@@ -54,6 +55,6 @@ def test_coordinator_rack_hmbr_scheme():
     coord.write("f", data)
     victim = coord.layout.stripes[0].placement[0]  # a node that holds a block
     coord.crash_node(victim)
-    report = coord.repair(scheme="rack-hmbr")
+    report = coord.repair(RepairRequest(scheme="rack-hmbr"))
     assert report.blocks_recovered >= 1
     assert coord.read("f") == data

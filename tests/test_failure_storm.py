@@ -8,6 +8,7 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
 
 
 def storm_system(n_data=20, n_spare=6, k=6, m=3, seed=0):
@@ -33,7 +34,7 @@ def test_sequential_failure_waves():
         for v in wave:
             if coord.cluster[v].alive:
                 coord.crash_node(v)
-        coord.repair(scheme="hmbr")
+        coord.repair(RepairRequest(scheme="hmbr"))
         assert coord.read("f") == data
         assert all(coord.scrub().values())
     # six nodes died in total; data survived every wave
@@ -49,11 +50,11 @@ def test_repaired_spare_can_fail_too():
     coord.write("f", data)
     victim = coord.layout.stripes[0].placement[0]
     coord.crash_node(victim)
-    report1 = coord.repair()
+    report1 = coord.repair(RepairRequest())
     spare_used = report1.replacements[victim]
     # now the spare itself dies
     coord.crash_node(spare_used)
-    report2 = coord.repair()
+    report2 = coord.repair(RepairRequest())
     assert spare_used in report2.replacements
     assert coord.read("f") == data
     assert all(coord.scrub().values())
@@ -66,10 +67,10 @@ def test_storm_exhausts_spares_cleanly():
     coord.write("f", data)
     held = sorted({n for s in coord.layout for n in s.placement})
     coord.crash_node(held[0])
-    coord.repair()
+    coord.repair(RepairRequest())
     coord.crash_node(held[1])
     with pytest.raises(RuntimeError):
-        coord.repair()
+        coord.repair(RepairRequest())
     # degraded but alive: reads still work within tolerance
     assert coord.read("f") == data
 
@@ -85,4 +86,4 @@ def test_beyond_tolerance_data_loss_detected():
     with pytest.raises(IOError):
         coord.read("f")
     with pytest.raises(ValueError):
-        coord.repair()  # planner reports the stripe beyond tolerance
+        coord.repair(RepairRequest())  # planner reports the stripe beyond tolerance

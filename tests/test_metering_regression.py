@@ -21,6 +21,7 @@ from repro.gf.field import gf8
 from repro.repair.plan import CombineOp
 from repro.system.agent import Agent
 from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
 
 K, M, F, BLOCK_BYTES = 4, 2, 2, 8192
 
@@ -88,7 +89,7 @@ def test_bus_accounting_pinned(scheme):
     for v in victims:
         coord.crash_node(v)
 
-    report = coord.repair(scheme=scheme)
+    report = coord.repair(RepairRequest(scheme=scheme))
 
     assert coord.bus.total_bytes() == expect_total
     assert coord.bus.transfer_count == expect_count

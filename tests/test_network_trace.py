@@ -138,32 +138,30 @@ def test_serve_request_accepts_network():
     assert res is not None
 
 
-# ------------------------------------------------------------------ #
-# deprecation shims route bit-exact
-# ------------------------------------------------------------------ #
-def test_scheduler_events_kwarg_warns_and_matches_network():
+def test_request_list_network_reaches_the_scheduler():
+    """``run_pending(network=)`` and a request list's trace are one path."""
     from repro.sched import RepairScheduler
 
     data = payload(60_000, seed=9)
-    events = [BandwidthEvent(time=0.1, node=i, uplink=8.0) for i in range(2, 8)]
+    trace = NetworkTrace.from_events(
+        [BandwidthEvent(time=0.1, node=i, uplink=8.0) for i in range(2, 8)]
+    )
 
-    def run(**kw):
+    def system():
         coord = make_system()
         coord.write("f", data)
         coord.crash_node(0)
-        sched = RepairScheduler(coord)
-        sched.submit("hmbr")
-        report = sched.run_pending(**kw)
-        assert coord.read("f") == data
-        return report
+        return coord
 
-    with pytest.warns(DeprecationWarning, match="run_pending"):
-        legacy = run(events=list(events))
-    modern = run(network=NetworkTrace.from_events(events))
-    assert legacy.per_job_finish_s == modern.per_job_finish_s
-
-    coord = make_system()
-    sched = RepairScheduler(coord)
+    direct = system()
+    sched = RepairScheduler(direct)
     sched.submit("hmbr")
-    with pytest.raises(ValueError):
-        sched.run_pending(network=NetworkTrace.quiet(), events=list(events))
+    report = sched.run_pending(network=trace)
+    assert direct.read("f") == data
+
+    facade = system()
+    res = facade.repair([RepairRequest(network=trace)])
+    assert res.report.per_job_finish_s == report.per_job_finish_s
+    assert res.makespan_s > system().repair([RepairRequest()]).makespan_s
+    with pytest.raises(TypeError):
+        sched.run_pending(events=[])  # the pre-1.1 keyword is gone

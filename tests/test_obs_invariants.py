@@ -23,6 +23,7 @@ from repro.ec.rs import RSCode
 from repro.faults.schedule import FaultSchedule
 from repro.obs import Observability, OPS_DOMAIN, SIM_DOMAIN
 from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
 
 K, M, BLOCK_BYTES = 4, 2, 8192
 
@@ -61,14 +62,19 @@ def _schedule():
     )
 
 
-# Deterministic FaultRepairReport fields (everything except wall-clock
-# compute_s_total, and events_fired whose dataclass instances compare fine).
+# Deterministic RepairResult fields (everything except wall-clock
+# compute_s_total) ...
+_RESULT_FIELDS = [
+    "scheme", "stripes_repaired", "blocks_recovered", "makespan_s",
+    "bytes_moved", "bytes_on_wire_mb_model", "per_stripe_transfer_s",
+    "replacements",
+]
+# ... and every FaultRepairReport field (events_fired's dataclass
+# instances compare fine).
 _FAULT_REPORT_FIELDS = [
-    "scheme", "dead_nodes", "stripes_repaired", "blocks_recovered", "rounds",
-    "attempts", "replans", "retries", "drops", "delay_s", "backoff_s",
-    "detections", "events_fired", "executed_transfer_bytes",
-    "wasted_transfer_bytes", "simulated_transfer_s", "sim_bytes_mb",
-    "per_stripe_transfer_s", "bytes_on_wire_mb_model", "replacements",
+    "dead_nodes", "rounds", "attempts", "replans", "retries", "drops",
+    "delay_s", "backoff_s", "detections", "events_fired",
+    "executed_transfer_bytes", "wasted_transfer_bytes", "sim_bytes_mb",
 ]
 
 
@@ -77,17 +83,16 @@ def test_disabled_hooks_are_bit_exact(scheme):
     """An attached session must not change a healthy repair's outputs at all."""
     c1, data = _build()
     _crash_two(c1)
-    r1 = c1.repair(scheme=scheme)
+    r1 = c1.repair(RepairRequest(scheme=scheme))
 
     c2, _ = _build()
     _crash_two(c2)
     Observability().attach(c2)
-    r2 = c2.repair(scheme=scheme)
+    r2 = c2.repair(RepairRequest(scheme=scheme))
 
-    for f in ("scheme", "dead_nodes", "stripes_repaired", "blocks_recovered",
-              "simulated_transfer_s", "bytes_on_wire_mb_model",
-              "per_stripe_transfer_s", "replacements"):
+    for f in _RESULT_FIELDS:
         assert getattr(r1, f) == getattr(r2, f), f
+    assert c1.cluster.dead_ids() == c2.cluster.dead_ids()
     assert c1.bus.total_bytes() == c2.bus.total_bytes()
     assert c1.bus.sent_bytes == c2.bus.sent_bytes
     assert c1.bus.received_bytes == c2.bus.received_bytes
@@ -98,14 +103,16 @@ def test_disabled_hooks_are_bit_exact(scheme):
 def test_disabled_hooks_are_bit_exact_under_faults():
     """Same guarantee through the fault runtime's retry/replan machinery."""
     c1, data = _build()
-    r1 = c1.repair_with_faults(_schedule(), scheme="hmbr")
+    r1 = c1.repair(RepairRequest(faults=_schedule(), scheme="hmbr"))
 
     c2, _ = _build()
     Observability().attach(c2)
-    r2 = c2.repair_with_faults(_schedule(), scheme="hmbr")
+    r2 = c2.repair(RepairRequest(faults=_schedule(), scheme="hmbr"))
 
-    for f in _FAULT_REPORT_FIELDS:
+    for f in _RESULT_FIELDS:
         assert getattr(r1, f) == getattr(r2, f), f
+    for f in _FAULT_REPORT_FIELDS:
+        assert getattr(r1.report, f) == getattr(r2.report, f), f
     assert c1.bus.total_bytes() == c2.bus.total_bytes()
     assert c2.read("f") == data
 
@@ -115,7 +122,7 @@ def test_transfer_spans_conserve_bus_bytes(scheme):
     coord, _ = _build()
     obs = Observability().attach(coord)
     _crash_two(coord)
-    coord.repair(scheme=scheme)
+    coord.repair(RepairRequest(scheme=scheme))
 
     spans = obs.tracer.find(cat="transfer", domain=OPS_DOMAIN)
     assert spans, "repair produced no transfer spans"
@@ -130,7 +137,7 @@ def test_transfer_spans_conserve_bus_bytes(scheme):
 def test_transfer_spans_conserve_bus_bytes_under_faults():
     coord, _ = _build()
     obs = Observability().attach(coord)
-    coord.repair_with_faults(_schedule(), scheme="hmbr")
+    coord.repair(RepairRequest(faults=_schedule(), scheme="hmbr"))
 
     spans = obs.tracer.find(cat="transfer", domain=OPS_DOMAIN)
     assert sum(s.args["bytes"] for s in spans) == coord.bus.total_bytes()
@@ -146,7 +153,7 @@ def test_compute_spans_match_agent_meters_exactly():
     coord, _ = _build()
     obs = Observability().attach(coord)
     _crash_two(coord)
-    coord.repair(scheme="hmbr")
+    coord.repair(RepairRequest(scheme="hmbr"))
 
     by_node: dict[int, float] = {}
     for s in obs.tracer.find(cat="compute", domain=OPS_DOMAIN):
@@ -159,7 +166,7 @@ def test_trace_is_well_formed_and_nested():
     coord, _ = _build()
     obs = Observability().attach(coord)
     _crash_two(coord)
-    coord.repair(scheme="hmbr")
+    coord.repair(RepairRequest(scheme="hmbr"))
 
     t = obs.tracer
     t.validate()  # closure + per-actor nesting
@@ -178,7 +185,7 @@ def test_trace_is_well_formed_and_nested():
 def test_trace_is_well_formed_under_faults():
     coord, _ = _build()
     obs = Observability().attach(coord)
-    coord.repair_with_faults(_schedule(), scheme="hmbr")
+    coord.repair(RepairRequest(faults=_schedule(), scheme="hmbr"))
 
     t = obs.tracer
     t.validate()
@@ -193,7 +200,7 @@ def test_chrome_trace_structure(tmp_path):
     coord, _ = _build()
     obs = Observability().attach(coord)
     _crash_two(coord)
-    coord.repair(scheme="hmbr")
+    coord.repair(RepairRequest(scheme="hmbr"))
 
     path = tmp_path / "trace.json"
     obs.tracer.write_chrome_trace(path)
@@ -228,7 +235,7 @@ def test_spans_jsonl_round_trips(tmp_path):
     coord, _ = _build()
     obs = Observability().attach(coord)
     _crash_two(coord)
-    coord.repair(scheme="cr")
+    coord.repair(RepairRequest(scheme="cr"))
 
     path = tmp_path / "spans.jsonl"
     obs.tracer.write_jsonl(path)
@@ -268,7 +275,6 @@ def test_spares_added_after_attach_are_hooked():
 # ------------------------------------------------------------------ #
 # the serving plane holds the same three guarantees (ISSUE 6)
 # ------------------------------------------------------------------ #
-from repro.system.request import RepairRequest  # noqa: E402
 from repro.workload import ServingPlane, WorkloadSpec  # noqa: E402
 
 _SERVE_SPEC = WorkloadSpec(

@@ -102,7 +102,7 @@ def test_commit_reproduces_byte_repair_metadata(scheme):
     byte_stripes = {s.stripe_id: s for s in byte_coord.layout}
     for sid in range(len(case["metas"])):
         assert meta_stripes[sid].placement == byte_stripes[sid].placement
-    assert meta_coord._free_spares() == byte_coord._free_spares()
+    assert meta_coord.free_spares() == byte_coord.free_spares()
 
 
 def test_simulator_meta_vs_bytes_identical_event_stream():

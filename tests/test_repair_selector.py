@@ -4,7 +4,7 @@ import pytest
 
 from repro.repair.hybrid import plan_hybrid
 from repro.repair.selector import choose_scheme
-from repro.simnet.dynamic import degrade_nodes
+from repro.simnet.network import NetworkTrace
 from repro.simnet.fluid import FluidSimulator
 from tests.conftest import make_repair_ctx
 
@@ -55,7 +55,7 @@ def test_selector_is_dynamics_aware():
     """With survivor uplinks about to collapse, the choice shifts toward CR."""
     ctx = make_repair_ctx(k=16, m=8, f=2, block_size_mb=64.0)
     survivors = ctx.survivor_nodes()
-    events = degrade_nodes(survivors, at_time=0.5, factor=16.0, cluster=ctx.cluster)
+    events = NetworkTrace.degrade(survivors, at_time=0.5, factor=16.0).events_for(ctx.cluster)
     static_choice = choose_scheme(ctx)
     dynamic_choice = choose_scheme(ctx, events=events)
     # under the collapse, IR must look much worse than it did statically

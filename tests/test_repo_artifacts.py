@@ -75,3 +75,63 @@ def test_every_example_has_a_main_guard():
         text = path.read_text()
         assert '__main__' in text, path
         assert text.startswith("#!/usr/bin/env python"), path
+
+
+# ------------------------------------------------------------------ #
+# structure: one repair core behind public seams (ISSUE 12)
+# ------------------------------------------------------------------ #
+def _src_modules():
+    src = REPO / "src" / "repro"
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src)
+        package = rel.parts[0] if len(rel.parts) > 1 else ""
+        yield rel, package, path.read_text()
+
+
+def test_no_private_coordinator_access_outside_system():
+    """Other packages drive the coordinator through its public seams only."""
+    import re
+
+    private_attr = re.compile(r"\b(?:coord|coordinator)\._[a-z]\w*")
+    offenders = [
+        f"{rel}: {hit}"
+        for rel, package, text in _src_modules()
+        if package != "system"
+        for hit in private_attr.findall(text)
+    ]
+    assert not offenders, offenders
+
+
+def test_no_private_names_imported_across_packages():
+    """``from repro.<pkg>... import _name`` never crosses a package boundary."""
+    import re
+
+    private_import = re.compile(
+        r"^\s*from repro\.(\w+)[\w.]* import ([^\n(]+|\([^)]*\))", re.MULTILINE
+    )
+    offenders = []
+    for rel, package, text in _src_modules():
+        for source_pkg, names in private_import.findall(text):
+            if source_pkg == package:
+                continue
+            for name in re.findall(r"[\w.]+(?=\s*(?:,|\)|$|\s+as\b))", names, re.MULTILINE):
+                if name.startswith("_"):
+                    offenders.append(f"{rel}: from repro.{source_pkg} import {name}")
+    assert not offenders, offenders
+
+
+def test_scheme_registry_is_public_and_single():
+    import repro.repair
+    import repro.system.coordinator as coordinator
+    import repro.system.request as request
+
+    assert not hasattr(coordinator, "_PLANNERS")
+    assert not hasattr(request, "_SCHEMES")
+    assert set(repro.repair.ADAPTIVE_SCHEMES) < set(repro.repair.SCHEMES)
+    # the planning pipeline lives in exactly one module
+    pipeline = [
+        str(rel)
+        for rel, _, text in _src_modules()
+        if "RepairContext(" in text and ".pick(" in text and "search_split(" in text
+    ]
+    assert pipeline == ["repair/planner.py"], pipeline

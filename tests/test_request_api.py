@@ -1,17 +1,19 @@
-"""The unified facade: RepairRequest validation, shim equivalence, invariants.
+"""The unified facade: RepairRequest validation, route equivalence, invariants.
 
-Every pre-1.1 call form (``repair(scheme_str)``, ``repair_with_faults``,
-``submit_repair``/``run_pending``) must keep working behind a
-``DeprecationWarning`` and stay bit-exact with the request path that
-replaced it — same stored bytes, same placements, same simulated makespan.
+``Coordinator.repair`` takes requests only, and every route a request can
+pick — plain round, metadata-only ``plan_repair``, a scheduler job, the
+fault runtime, the adaptive runtime — is the same plan → commit → time
+core: same flow graph, same spares, same makespan, same stored bytes.
 :class:`~repro.system.request.RepairResult` invariants are pinned against
 externally-measured ground truth (the ``DataBus`` byte ledger).
 """
 
 import pytest
 
+from repro.ec.stripe import block_name
 from repro.faults.schedule import FaultSchedule
-from repro.system.request import JobOutcome, RepairRequest, RepairResult
+from repro.simnet import NetworkTrace
+from repro.system.request import JobOutcome, RepairRequest
 
 from tests.test_system_batch import build_system, snapshot
 
@@ -70,6 +72,8 @@ def test_repair_rejects_non_request_values():
         coord.repair([])
     with pytest.raises(TypeError):
         coord.repair([RepairRequest(), "hmbr"])
+    with pytest.raises(TypeError):
+        coord.repair(None)
 
 
 def test_repair_many_allows_at_most_one_fault_carrier():
@@ -85,111 +89,156 @@ def test_repair_many_allows_at_most_one_fault_carrier():
 
 
 # ------------------------------------------------------------------ #
-# shim equivalence: healthy round
+# one repair core: every route plans, commits and times identically
 # ------------------------------------------------------------------ #
-def test_legacy_repair_warns_and_matches_request_path():
-    a, b = build_system(), build_system()
-    for coord in (a, b):
-        coord.crash_node(3)
-        coord.crash_node(7)
-    with pytest.warns(DeprecationWarning, match="Coordinator.repair"):
-        ra = a.repair(scheme="hmbr")
-    rb = b.repair(RepairRequest())
-    assert isinstance(rb, RepairResult)
-    assert snapshot(a) == snapshot(b)
-    assert rb.makespan_s == pytest.approx(ra.simulated_transfer_s, abs=1e-12)
-    assert rb.per_stripe_transfer_s == ra.per_stripe_transfer_s
-    assert rb.blocks_recovered == ra.blocks_recovered
-    assert rb.bytes_on_wire_mb_model == pytest.approx(ra.bytes_on_wire_mb_model)
-    assert rb.compute_s_total == pytest.approx(ra.compute_s_total, rel=0.5)
-    assert rb.replacements == ra.replacements
-    assert rb.report.scheme == "hmbr"  # the legacy report stays reachable
-    assert rb.ok and [j.state for j in rb.jobs] == ["done"]
+def _twin():
+    coord = build_system()
+    coord.crash_node(3)
+    coord.crash_node(7)
+    return coord
 
 
-def test_legacy_positional_scheme_string_still_routes():
+def _store_bytes(coord):
+    return {
+        (s.stripe_id, b): coord.agents[node].read_block(block_name(s.stripe_id, b)).tobytes()
+        for s in coord.layout
+        for b, node in enumerate(s.placement)
+    }
+
+
+@pytest.mark.parametrize("scheme", ["cr", "ir", "hmbr", "mlf"])
+def test_five_routes_are_one_repair(scheme):
+    """plain / plan_repair / one scheduler job / empty faults / quiet adaptive.
+
+    Same seeded failure set on twin systems: identical merged flow graph,
+    spare assignment, makespan (1e-9) and — for the four byte-moving
+    routes — byte-identical stores.
+    """
+    planned = _twin().plan_repair(scheme)
+    reference = None
+    for request in (
+        RepairRequest(scheme=scheme),
+        RepairRequest(scheme=scheme, priority="foreground"),
+        RepairRequest(scheme=scheme, faults=FaultSchedule.empty()),
+        RepairRequest(scheme=scheme, adaptive=True, network=NetworkTrace.quiet()),
+    ):
+        coord = _twin()
+        # the flow graph this route is about to run (planning only: the
+        # stateful center scheduler is rolled back)
+        signature = coord.plan_repair(scheme).flow_signature()
+        res = coord.repair(request)
+        assert res.ok and res.request is request
+        assert signature == planned.flow_signature()
+        assert res.makespan_s == pytest.approx(planned.makespan_s, abs=1e-9)
+        assert res.per_stripe_transfer_s == pytest.approx(planned.per_stripe_s, abs=1e-9)
+        assert res.stripes_repaired == planned.stripes
+        assert res.blocks_recovered == planned.blocks_recovered
+        assert res.bytes_on_wire_mb_model == pytest.approx(planned.bytes_on_wire_mb_model)
+        if not request.needs_scheduler():  # (the scheduler keeps spares per job)
+            assert res.replacements == planned.replacement_of
+        state = (snapshot(coord), _store_bytes(coord), res.bytes_moved)
+        if reference is None:
+            reference = state
+        assert state == reference
+        assert all(coord.scrub().values())
+
+
+def test_repair_takes_requests_only():
     coord = build_system()
     coord.crash_node(2)
-    with pytest.warns(DeprecationWarning):
-        report = coord.repair("cr")
-    assert report.scheme == "cr"
-    assert all(coord.scrub().values())
+    with pytest.raises(TypeError, match="RepairRequest"):
+        coord.repair("hmbr")
+    with pytest.raises(TypeError):
+        coord.repair()
+    assert not hasattr(coord, "repair_with_faults")
+    assert not hasattr(coord, "submit_repair")
+    assert not hasattr(coord, "run_pending")
 
 
-def test_legacy_batched_matches_request_batched():
+def test_batched_request_reports_its_data_plane():
     a, b = build_system(), build_system()
     for coord in (a, b):
         coord.crash_node(3)
-    with pytest.warns(DeprecationWarning):
-        ra = a.repair(scheme="hmbr", batched=True)
+    ra = a.repair(RepairRequest())
     rb = b.repair(RepairRequest(batched=True))
     assert snapshot(a) == snapshot(b)
     assert rb.batched and rb.workers == 1 and rb.pipeline is None
-    assert rb.makespan_s == pytest.approx(ra.simulated_transfer_s, abs=1e-12)
-    assert rb.plan_summary["pattern_groups"] == ra.pattern_groups
-    assert rb.plan_summary["plan_cache"] == ra.plan_cache_stats
+    assert not ra.batched and ra.report is None
+    assert rb.makespan_s == pytest.approx(ra.makespan_s, abs=1e-12)
+    assert rb.plan_summary["pattern_groups"] >= 1
+    assert rb.plan_summary["plan_cache"] == b.plan_cache.stats()
+    assert ra.ok and [j.state for j in ra.jobs] == ["done"]
 
 
-# ------------------------------------------------------------------ #
-# shim equivalence: fault runtime
-# ------------------------------------------------------------------ #
-def test_legacy_repair_with_faults_matches_request_faults():
+def test_fault_request_exposes_the_runtime_report():
     schedule = FaultSchedule.random(
         seed=20230717, targets=list(range(8)), n_events=4, max_kills=1
     )
-    a, b = build_system(seed=3), build_system(seed=3)
-    for coord in (a, b):
-        coord.crash_node(1)
-    with pytest.warns(DeprecationWarning, match="repair_with_faults"):
-        ra = a.repair_with_faults(schedule, scheme="hmbr")
-    rb = b.repair(RepairRequest(faults=schedule))
-    assert snapshot(a) == snapshot(b)
-    assert rb.makespan_s == pytest.approx(ra.simulated_transfer_s, abs=1e-12)
-    assert rb.blocks_recovered == ra.blocks_recovered
-    assert rb.plan_summary["rounds"] == ra.rounds
-    assert rb.plan_summary["retries"] == ra.retries
-    assert rb.plan_summary["replans"] == ra.replans
-    assert rb.report.attempts == ra.attempts
-    # the shim itself returns the historical report type, via the new path
-    c = build_system(seed=3)
-    c.crash_node(1)
-    with pytest.warns(DeprecationWarning):
-        rc = c.repair_with_faults(schedule, scheme="hmbr")
-    assert type(rc) is type(ra)
-    assert rc.simulated_transfer_s == pytest.approx(ra.simulated_transfer_s, abs=1e-12)
+    coord = build_system(seed=3)
+    coord.crash_node(1)
+    res = coord.repair(RepairRequest(faults=schedule))
+    assert res.plan_summary["rounds"] == res.report.rounds
+    assert res.plan_summary["retries"] == res.report.retries
+    assert res.plan_summary["replans"] == res.report.replans
+    assert set(res.report.attempts) == set(res.stripes_repaired)
 
 
 # ------------------------------------------------------------------ #
-# shim equivalence: the scheduler
+# request lists: the scheduler route
 # ------------------------------------------------------------------ #
-def test_legacy_submit_run_matches_request_list():
-    a, b = build_system(), build_system()
-    for coord in (a, b):
-        coord.crash_node(3)
-        coord.crash_node(7)
-    affected = sorted(a.layout.stripes_with_failures(a.cluster.dead_ids()))
+def test_request_list_runs_contending_jobs():
+    coord = build_system()
+    coord.crash_node(3)
+    coord.crash_node(7)
+    affected = sorted(coord.layout.stripes_with_failures(coord.cluster.dead_ids()))
     assert len(affected) >= 2
     first, second = tuple(affected[::2]), tuple(affected[1::2])
-    with pytest.warns(DeprecationWarning, match="submit_repair"):
-        a.submit_repair(stripes=first, priority="foreground")
-    with pytest.warns(DeprecationWarning):
-        a.submit_repair(stripes=second, priority="background")
-    with pytest.warns(DeprecationWarning, match="run_pending"):
-        ra = a.run_pending()
-    rb = b.repair(
+    res = coord.repair(
         [
             RepairRequest(stripes=first, priority="foreground"),
             RepairRequest(stripes=second, priority="background"),
         ]
     )
-    assert snapshot(a) == snapshot(b)
-    assert rb.makespan_s == pytest.approx(ra.makespan_s, abs=1e-12)
-    assert rb.blocks_recovered == ra.blocks_recovered
-    assert rb.plan_summary["waves"] == ra.waves
-    assert rb.ok and len(rb.jobs) == 2
-    assert {j.priority for j in rb.jobs} == {"foreground", "background"}
-    assert all(isinstance(j, JobOutcome) and j.state == "done" for j in rb.jobs)
-    assert sorted(rb.stripes_repaired) == affected
+    assert res.makespan_s == pytest.approx(res.report.makespan_s, abs=1e-12)
+    assert res.blocks_recovered == res.report.blocks_recovered
+    assert res.plan_summary["waves"] == res.report.waves
+    assert res.ok and len(res.jobs) == 2
+    assert {j.priority for j in res.jobs} == {"foreground", "background"}
+    assert all(isinstance(j, JobOutcome) and j.state == "done" for j in res.jobs)
+    assert sorted(res.stripes_repaired) == affected
+
+
+@pytest.mark.parametrize("field", ["adaptive", "predict_network"])
+def test_request_list_rejects_round_only_fields(field):
+    """Neither composes with scheduler jobs: refuse, never silently ignore."""
+    coord = build_system()
+    coord.crash_node(3)
+    req = RepairRequest(network=NetworkTrace.quiet(), **{field: True})
+    with pytest.raises(ValueError, match=field):
+        coord.repair([req])
+    with pytest.raises(ValueError, match=field):
+        coord.repair([RepairRequest(), req])
+    assert coord.sched.queue_depth == 0  # rejected before anything queued
+
+
+def test_scheduled_faults_keep_the_requests_retry_knobs():
+    """``max_retries`` & co. reach the fault runtime on the scheduler route."""
+    from repro.faults.errors import RepairAborted
+
+    drops = FaultSchedule.from_tuples([(0.0, "drop", n) for n in range(8)])
+    plain = build_system()
+    plain.crash_node(3)
+    with pytest.raises(RepairAborted):
+        plain.repair(RepairRequest(faults=drops, max_retries=0))
+
+    queued = build_system()
+    queued.crash_node(3)
+    res = queued.repair(
+        RepairRequest(faults=drops, max_retries=0, priority="background")
+    )
+    assert not res.ok
+    assert [j.state for j in res.jobs] == ["failed"]
+    assert "RepairAborted" in res.jobs[0].error
 
 
 def test_single_scheduled_request_routes_through_scheduler():

@@ -38,7 +38,10 @@ from repro.sched.job import (
 )
 from repro.sched.scheduler import RepairScheduler
 from repro.simnet.fluid import FluidSimulator
-from repro.system.coordinator import Coordinator, _PLANNERS
+from repro.repair import SCHEMES
+from repro.repair.planner import assign_spares
+from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
 
 
 # --------------------------------------------------------------------- #
@@ -65,8 +68,7 @@ def place_stripe(coord, placement, seed):
     rng = np.random.default_rng(seed)
     blocks = rng.integers(0, 256, size=(k, coord.block_bytes), dtype=np.uint8)
     coded = coord.code.encode_stripe(blocks)
-    sid = coord._next_stripe_id
-    coord._next_stripe_id += 1
+    sid = coord.layout.next_id()
     coord.layout.add(Stripe(sid, k, m, list(placement)))
     for b, node in enumerate(placement):
         coord.agents[node].store_block(block_name(sid, b), coded[b])
@@ -211,17 +213,17 @@ def test_single_job_matches_plain_repair():
     counts = a.layout.blocks_per_node()
     victim = max(counts, key=counts.get)
     a.crash_node(victim)
-    report_a = a.repair()
+    report_a = a.repair(RepairRequest())
 
     b = wld_system()
     b.write("f1", payload(120_000, 1))
     b.crash_node(victim)
-    job = b.submit_repair()
-    report_b = b.run_pending()
+    report_b = b.repair([RepairRequest()]).report
+    (job,) = report_b.jobs
 
     assert job.state == DONE
     assert report_b.waves == 1
-    assert report_b.makespan_s == pytest.approx(report_a.simulated_transfer_s, abs=1e-9)
+    assert report_b.makespan_s == pytest.approx(report_a.makespan_s, abs=1e-9)
     assert job.per_stripe_transfer_s == pytest.approx(report_a.per_stripe_transfer_s, abs=1e-9)
     assert report_b.blocks_recovered == report_a.blocks_recovered
     assert report_b.bytes_on_wire_mb_model == pytest.approx(report_a.bytes_on_wire_mb_model)
@@ -238,7 +240,7 @@ def test_single_job_matches_plain_repair():
 
 def test_empty_queue_is_a_noop():
     coord = uniform_system()
-    report = coord.run_pending()
+    report = coord.sched.run_pending()
     assert report.waves == 0
     assert report.jobs == []
     assert report.makespan_s == 0.0
@@ -247,8 +249,8 @@ def test_empty_queue_is_a_noop():
 def test_job_with_nothing_to_repair_completes_trivially():
     coord = uniform_system()
     place_stripe(coord, range(6), seed=1)
-    job = coord.submit_repair()  # no dead nodes anywhere
-    report = coord.run_pending()
+    report = coord.repair([RepairRequest()]).report  # no dead nodes anywhere
+    (job,) = report.jobs
     assert job.state == DONE
     assert job.finish_s == 0.0
     assert job.stripes_repaired == []
@@ -269,17 +271,17 @@ def _disjoint_pair_system():
 
 def test_disjoint_equal_priority_jobs_finish_as_if_alone():
     coord, s0, s1 = _disjoint_pair_system()
-    j0 = coord.submit_repair(stripes=[s0])
-    j1 = coord.submit_repair(stripes=[s1])
-    report = coord.run_pending()
+    report = coord.repair(
+        [RepairRequest(stripes=[s0]), RepairRequest(stripes=[s1])]
+    ).report
+    j0, j1 = report.jobs
     assert report.waves == 1 and j0.state == DONE and j1.state == DONE
 
     # twin A repairs only stripe 0; twin B only stripe 1
     alone = {}
     for sid in (s0, s1):
         twin, t0, t1 = _disjoint_pair_system()
-        job = twin.submit_repair(stripes=[sid])
-        twin.run_pending()
+        (job,) = twin.repair(RepairRequest(stripes=[sid])).jobs
         alone[sid] = job.finish_s
     assert j0.finish_s == pytest.approx(alone[s0], abs=1e-9)
     assert j1.finish_s == pytest.approx(alone[s1], abs=1e-9)
@@ -300,23 +302,24 @@ def test_weighted_jobs_match_reference_merged_simulation():
 
     coord, sids = build()
     sch = RepairScheduler(coord, AdmissionPolicy(max_inflight_per_node=None))
-    coord._sched = sch
+    coord.sched = sch
     priorities = ["foreground", "normal", "normal", "normal"]
-    jobs = [
-        coord.submit_repair(stripes=[sid], priority=pri)
-        for sid, pri in zip(sids, priorities)
-    ]
-    report = coord.run_pending()
+    report = coord.repair(
+        [
+            RepairRequest(stripes=[sid], priority=pri)
+            for sid, pri in zip(sids, priorities)
+        ]
+    ).report
+    jobs = report.jobs
     assert report.waves == 1
     assert all(j.state == DONE for j in jobs)
 
     # reference: identical contexts/plans merged by hand, simulated directly
     ref, ref_sids = build()
-    free = ref._free_spares()
-    replacement_of = ref._assign_spares([0], free)
+    replacement_of = assign_spares(ref.cluster, [0], ref.free_spares())
     merged = []
     for i, sid in enumerate(ref_sids):
-        stripe = next(s for s in ref.layout if s.stripe_id == sid)
+        stripe = ref.layout[sid]
         failed = stripe.failed_blocks([0])
         ctx = RepairContext(
             cluster=ref.cluster, code=ref.code, stripe=stripe,
@@ -325,7 +328,7 @@ def test_weighted_jobs_match_reference_merged_simulation():
             block_size_mb=ref.block_size_mb,
         )
         center = ref.center_scheduler.pick(ctx.new_nodes)
-        plan = _PLANNERS["hmbr"](ctx, center)
+        plan = SCHEMES["hmbr"](ctx, center)
         plan = reweighted(plan, weight_for(priorities[i]))
         merged.extend(rename_plan(plan, f"job{i}:p0:").tasks)
     sim = FluidSimulator(ref.cluster).run(merged)
@@ -355,7 +358,7 @@ def test_total_cap_serializes_jobs_and_respects_priority():
     sids = [place_stripe(coord, range(6), seed=20 + i) for i in range(2)]
     coord.crash_node(0)
     sch = RepairScheduler(coord, AdmissionPolicy(max_inflight_total=1))
-    coord._sched = sch
+    coord.sched = sch
     jn = sch.submit(stripes=[sids[0]])                      # normal, submitted first
     jf = sch.submit(stripes=[sids[1]], priority="foreground")
     report = sch.run_pending()
@@ -373,7 +376,7 @@ def test_per_node_cap_defers_overlapping_jobs():
     sids = [place_stripe(coord, range(6), seed=30 + i) for i in range(3)]
     coord.crash_node(0)
     sch = RepairScheduler(coord, AdmissionPolicy(max_inflight_per_node=2))
-    coord._sched = sch
+    coord.sched = sch
     jobs = [sch.submit(stripes=[sid]) for sid in sids]
     report = sch.run_pending()
     assert report.waves == 2
@@ -387,9 +390,9 @@ def test_duplicate_stripe_claims_resolve_first_come():
     coord = uniform_system(n_data=6, n_spare=2)
     sid = place_stripe(coord, range(6), seed=40)
     coord.crash_node(0)
-    j0 = coord.submit_repair(stripes=[sid])
-    j1 = coord.submit_repair(stripes=[sid])
-    coord.run_pending()
+    j0, j1 = coord.repair(
+        [RepairRequest(stripes=[sid]), RepairRequest(stripes=[sid])]
+    ).report.jobs
     assert j0.state == DONE and j0.stripes_repaired == [sid]
     assert j1.state == DONE and j1.stripes_repaired == []
     assert_all_repaired(coord)
@@ -399,14 +402,13 @@ def test_arrival_delay_gates_a_jobs_flows():
     coord = uniform_system(n_data=6, n_spare=2)
     sid = place_stripe(coord, range(6), seed=50)
     coord.crash_node(0)
-    job = coord.submit_repair(stripes=[sid], arrival_s=3.0)
-    report = coord.run_pending()
+    report = coord.repair(RepairRequest(stripes=[sid], arrival_s=3.0)).report
+    (job,) = report.jobs
 
     twin = uniform_system(n_data=6, n_spare=2)
     tsid = place_stripe(twin, range(6), seed=50)
     twin.crash_node(0)
-    tjob = twin.submit_repair(stripes=[tsid])
-    twin.run_pending()
+    (tjob,) = twin.repair(RepairRequest(stripes=[tsid])).jobs
 
     assert job.finish_s == pytest.approx(3.0 + tjob.finish_s, abs=1e-9)
     assert report.makespan_s >= 3.0
@@ -425,10 +427,14 @@ def test_jobs_survive_helper_death_via_replan():
     coord.crash_node(victim)
     sids = sorted(coord.layout.stripes_with_failures(coord.cluster.dead_ids()))
     half = len(sids) // 2
-    j0 = coord.submit_repair(stripes=sids[:half])
-    j1 = coord.submit_repair(stripes=sids[half:])
     faults = FaultSchedule.from_tuples([(0.0005, "kill", helper)])
-    report = coord.run_pending(faults=faults)
+    report = coord.repair(
+        [
+            RepairRequest(stripes=sids[:half], faults=faults),
+            RepairRequest(stripes=sids[half:]),
+        ]
+    ).report
+    j0, j1 = report.jobs
     assert j0.state == DONE and j1.state == DONE
     assert_bit_exact_surviving(coord, originals)
     assert coord.read("f1") == payload(120_000, 2)
@@ -457,12 +463,16 @@ def test_unrecoverable_job_fails_without_sinking_its_peers():
     healthy = place_stripe(coord, [6, 7, 8, 9, 10, 11], seed=61)
     coord.crash_node(0)
     coord.crash_node(6)
-    j_doomed = coord.submit_repair(stripes=[doomed])
-    j_ok = coord.submit_repair(stripes=[healthy])
     # two more of the doomed stripe's nodes die before any transfer: three
     # lost blocks with m=2 is unrecoverable
     faults = FaultSchedule.from_tuples([(0.0, "kill", 1), (0.0, "kill", 2)])
-    report = coord.run_pending(faults=faults)
+    report = coord.repair(
+        [
+            RepairRequest(stripes=[doomed], faults=faults),
+            RepairRequest(stripes=[healthy]),
+        ]
+    ).report
+    j_doomed, j_ok = report.jobs
     assert j_doomed.state == FAILED
     assert "StripeUnrecoverable" in j_doomed.error
     assert j_ok.state == DONE and j_ok.stripes_repaired == [healthy]
@@ -474,10 +484,9 @@ def test_unrecoverable_job_fails_without_sinking_its_peers():
 # --------------------------------------------------------------------- #
 def test_sched_property_is_lazy_and_sticky():
     coord = uniform_system()
-    assert coord._sched is None
     sch = coord.sched
     assert coord.sched is sch
-    job = coord.submit_repair(stripes=[])
+    job = sch.submit(stripes=[])
     assert sch.jobs == [job] and sch.queue_depth == 1
 
 
@@ -486,9 +495,7 @@ def test_obs_spans_and_metrics():
     sids = [place_stripe(coord, range(6), seed=70 + i) for i in range(2)]
     coord.crash_node(0)
     obs = Observability().attach(coord)
-    for sid in sids:
-        coord.submit_repair(stripes=[sid])
-    report = coord.run_pending()
+    report = coord.repair([RepairRequest(stripes=[sid]) for sid in sids]).report
 
     snap = obs.metrics.snapshot()
     assert snap["counters"]["sched.jobs_submitted"] == 2
@@ -516,9 +523,7 @@ def test_report_aggregates():
     coord = uniform_system(n_data=6, n_spare=2)
     sids = [place_stripe(coord, range(6), seed=80 + i) for i in range(2)]
     coord.crash_node(0)
-    for sid in sids:
-        coord.submit_repair(stripes=[sid])
-    report = coord.run_pending()
+    report = coord.repair([RepairRequest(stripes=[sid]) for sid in sids]).report
     assert report.blocks_recovered == 2
     assert report.bytes_on_wire_mb_model > 0
     assert report.queue_depth_after == 0

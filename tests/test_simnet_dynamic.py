@@ -109,17 +109,6 @@ def test_degrade_trace_lowering():
         NetworkTrace.degrade([0], at_time=1.0, factor=0.0)
 
 
-def test_degrade_nodes_shim_warns_and_matches_facade():
-    """The legacy helper still works, warns once, and is event-identical."""
-    from repro.simnet.dynamic import degrade_nodes
-
-    cl = Cluster([Node(0, 100, 200, cross_uplink=20), Node(1, 100, 100)])
-    with pytest.warns(DeprecationWarning, match="degrade_nodes"):
-        legacy = degrade_nodes([0, 1], at_time=2.0, factor=4.0, cluster=cl)
-    facade = NetworkTrace.degrade([0, 1], at_time=2.0, factor=4.0).events_for(cl)
-    assert legacy == facade
-
-
 def test_dynamics_aware_hybrid_never_worse_than_stale():
     """Searching p against the event schedule beats the stale search."""
     from repro.experiments.common import build_scenario

@@ -22,6 +22,7 @@ from repro.repair.executor import BatchRepairRequest, PlanExecutor, Workspace
 from repro.repair.multinode import plan_multi_node
 from repro.simnet.fluid import FluidSimulator
 from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
 
 BLOCK = 1 << 12
 
@@ -48,38 +49,38 @@ def test_batched_repair_bit_exact_with_per_stripe(scheme):
     for coord in (a, b):
         coord.crash_node(3)
         coord.crash_node(7)
-    ra = a.repair(scheme=scheme)
-    rb = b.repair(scheme=scheme, batched=True)
+    ra = a.repair(RepairRequest(scheme=scheme))
+    rb = b.repair(RepairRequest(scheme=scheme, batched=True))
     data_a, place_a = snapshot(a)
     data_b, place_b = snapshot(b)
     assert data_a == data_b
     assert place_a == place_b
     # planning and the timing plane are untouched by batching
-    assert rb.simulated_transfer_s == pytest.approx(ra.simulated_transfer_s, abs=1e-12)
+    assert rb.makespan_s == pytest.approx(ra.makespan_s, abs=1e-12)
     assert rb.per_stripe_transfer_s == ra.per_stripe_transfer_s
     assert rb.blocks_recovered == ra.blocks_recovered
     assert rb.batched and not ra.batched
-    assert rb.pattern_groups >= 1
-    assert rb.plan_cache_stats["misses"] >= 1
+    assert rb.plan_summary["pattern_groups"] >= 1
+    assert rb.plan_summary["plan_cache"]["misses"] >= 1
 
 
 def test_batched_repair_verifies_stripes():
     coord = build_system()
     coord.crash_node(2)
-    coord.repair(batched=True, verify=True)
+    coord.repair(RepairRequest(batched=True, verify=True))
     assert all(coord.scrub().values())
 
 
 def test_plan_cache_reused_across_storms():
     coord = build_system()
     coord.crash_node(3)
-    r1 = coord.repair(batched=True)
-    assert r1.plan_cache_stats["hits"] == 0
+    r1 = coord.repair(RepairRequest(batched=True))
+    assert r1.plan_summary["plan_cache"]["hits"] == 0
     # same node layout failing again elsewhere: some patterns recur
     coord.crash_node(5)
-    r2 = coord.repair(batched=True)
-    stats = r2.plan_cache_stats
-    assert stats["misses"] >= r1.plan_cache_stats["misses"]
+    r2 = coord.repair(RepairRequest(batched=True))
+    stats = r2.plan_summary["plan_cache"]
+    assert stats["misses"] >= r1.plan_summary["plan_cache"]["misses"]
     assert coord.plan_cache.stats() == stats  # report mirrors the live cache
 
 
@@ -92,13 +93,13 @@ def test_batched_repair_bit_exact_after_fault_storm():
     a, b = build_system(seed=3), build_system(seed=3)
     for coord in (a, b):
         coord.crash_node(1)
-        coord.repair_with_faults(schedule, scheme="hmbr")
+        coord.repair(RepairRequest(faults=schedule, scheme="hmbr"))
     # the storm left both systems in the same state; now another node dies
     for coord in (a, b):
         victim = next(i for i in (4, 6, 8) if coord.cluster[i].alive)
         coord.crash_node(victim)
-    a.repair(scheme="hmbr")
-    b.repair(scheme="hmbr", batched=True)
+    a.repair(RepairRequest(scheme="hmbr"))
+    b.repair(RepairRequest(scheme="hmbr", batched=True))
     data_a, place_a = snapshot(a)
     data_b, place_b = snapshot(b)
     assert data_a == data_b
@@ -111,14 +112,14 @@ def test_batched_repair_emits_obs_spans_and_metrics():
     obs = Observability()
     obs.attach(coord)
     coord.crash_node(3)
-    report = coord.repair(batched=True)
+    report = coord.repair(RepairRequest(batched=True))
     names = [s.name for s in obs.tracer.spans]
     assert "dispatch-batch" in names
     assert any(n.startswith("batch:") for n in names)
     m = obs.metrics
-    assert m.counter("batch.groups").value == report.pattern_groups
+    assert m.counter("batch.groups").value == report.plan_summary["pattern_groups"]
     assert m.counter("batch.stripes").value == len(report.stripes_repaired)
-    assert m.counter("batch.plan_misses").value == report.plan_cache_stats["misses"]
+    assert m.counter("batch.plan_misses").value == report.plan_summary["plan_cache"]["misses"]
     assert m.counter("batch.gf_bytes").value > 0
 
 
@@ -126,7 +127,7 @@ def test_batched_compute_charged_to_centers():
     coord = build_system()
     coord.crash_node(3)
     before = {i: agent.compute_seconds for i, agent in coord.agents.items()}
-    report = coord.repair(batched=True)
+    report = coord.repair(RepairRequest(batched=True))
     charged = {
         i: agent.compute_seconds - before[i]
         for i, agent in coord.agents.items()

@@ -8,6 +8,7 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
 
 
 def make_system(n_data=18, n_spare=4, k=4, m=2, seed=0, rack_size=None, block_bytes=2048):
@@ -93,10 +94,10 @@ def test_repair_restores_redundancy(scheme):
     coord.write("f1", data)
     coord.crash_node(0)  # crash_node marks the cluster node dead directly;
     coord.crash_node(1)  # heartbeat detection is covered in its own test
-    report = coord.repair(scheme=scheme)
+    report = coord.repair(RepairRequest(scheme=scheme))
     assert report.scheme == scheme
     assert report.blocks_recovered >= 1
-    assert report.simulated_transfer_s > 0
+    assert report.makespan_s > 0
     assert coord.read("f1") == data
     # repaired blocks now live on (previously) spare nodes
     for sid in report.stripes_repaired:
@@ -108,8 +109,8 @@ def test_repair_is_idempotent():
     coord = make_system(seed=4)
     coord.write("f1", payload(20_000, seed=4))
     coord.crash_node(2)
-    first = coord.repair(scheme="hmbr")
-    second = coord.repair(scheme="hmbr")
+    first = coord.repair(RepairRequest(scheme="hmbr"))
+    second = coord.repair(RepairRequest(scheme="hmbr"))
     assert first.blocks_recovered >= 0
     assert second.blocks_recovered == 0
     assert second.stripes_repaired == []
@@ -118,7 +119,7 @@ def test_repair_is_idempotent():
 def test_repair_unknown_scheme():
     coord = make_system()
     with pytest.raises(ValueError):
-        coord.repair(scheme="bogus")
+        coord.repair(RepairRequest(scheme="bogus"))
 
 
 def test_repair_requires_enough_spares():
@@ -127,7 +128,7 @@ def test_repair_requires_enough_spares():
     coord.crash_node(0)
     coord.crash_node(1)
     with pytest.raises(RuntimeError):
-        coord.repair()
+        coord.repair(RepairRequest())
 
 
 def test_repair_after_rack_failure_with_rack_layout():
@@ -137,7 +138,7 @@ def test_repair_after_rack_failure_with_rack_layout():
     # kill two nodes of one rack (within m = 2)
     coord.crash_node(0)
     coord.crash_node(1)
-    report = coord.repair(scheme="hmbr")
+    report = coord.repair(RepairRequest(scheme="hmbr"))
     assert coord.read("f1") == data
     assert report.compute_s_total >= 0
 

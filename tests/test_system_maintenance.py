@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ec.stripe import block_name
+from repro.system.request import RepairRequest
 from tests.test_system_coordinator import make_system, payload
 
 
@@ -13,7 +14,7 @@ def test_auto_scheme_repair():
     coord.write("f1", data)
     coord.crash_node(0)
     coord.crash_node(1)
-    report = coord.repair(scheme="auto")
+    report = coord.repair(RepairRequest(scheme="auto"))
     assert report.blocks_recovered >= 1
     assert coord.read("f1") == data
 
@@ -77,7 +78,7 @@ def test_stats_snapshot():
     assert s0["files"] == 0 and s0["stripes"] == 0
     coord.write("f1", payload(10_000, seed=15))
     coord.crash_node(0)
-    coord.repair()
+    coord.repair(RepairRequest())
     s1 = coord.stats()
     assert s1["files"] == 1
     assert s1["nodes_dead"] == 1

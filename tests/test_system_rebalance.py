@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.system.request import RepairRequest
+
 from tests.test_system_coordinator import make_system, payload
 
 
@@ -18,7 +20,7 @@ def test_rebalance_reduces_spread_after_repair():
     # two failure/repair cycles pile blocks onto ex-spares
     coord.crash_node(0)
     coord.crash_node(1)
-    coord.repair()
+    coord.repair(RepairRequest())
     before = spread(coord)
     stats = coord.rebalance()
     after = spread(coord)
@@ -33,7 +35,7 @@ def test_rebalance_respects_stripe_distinctness():
     coord = make_system(n_data=12, n_spare=3, seed=42, k=4, m=2)
     coord.write("f", payload(50_000, seed=42))
     coord.crash_node(2)
-    coord.repair()
+    coord.repair(RepairRequest())
     coord.rebalance()
     for stripe in coord.layout:
         assert len(set(stripe.placement)) == stripe.n
@@ -43,7 +45,7 @@ def test_rebalance_move_budget():
     coord = make_system(n_data=12, n_spare=3, seed=43, k=4, m=2)
     coord.write("f", payload(80_000, seed=43))
     coord.crash_node(0)
-    coord.repair()
+    coord.repair(RepairRequest())
     stats = coord.rebalance(max_moves=1)
     assert stats["moves"] <= 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tests.test_system_coordinator import make_system, payload
+from repro.system.request import RepairRequest
 
 
 def test_update_roundtrip_and_parity_consistency():
@@ -55,7 +56,7 @@ def test_update_then_repair_preserves_new_content():
     # crash the node holding the stripe-0 block that starts at offset 0
     victim = coord.layout.stripes[0].placement[0]
     coord.crash_node(victim)
-    coord.repair(scheme="hmbr")
+    coord.repair(RepairRequest(scheme="hmbr"))
     assert coord.read("f") == bytes(data)
 
 
@@ -72,6 +73,6 @@ def test_update_survives_degraded_parity_node():
     coord.update("f", offset=100, patch=patch)
     data[100:400] = patch
     assert coord.read("f") == bytes(data)
-    coord.repair(scheme="cr")
+    coord.repair(RepairRequest(scheme="cr"))
     assert all(coord.scrub().values())
     assert coord.read("f") == bytes(data)

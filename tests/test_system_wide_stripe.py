@@ -8,6 +8,7 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
 
 
 def wide_system(k=32, m=8, n_data=48, n_spare=8, seed=0):
@@ -33,7 +34,7 @@ def test_wide_stripe_write_repair_cycle():
     victims = list(coord.layout.stripes[0].placement[:4])
     for v in victims:
         coord.crash_node(v)
-    report = coord.repair(scheme="hmbr")
+    report = coord.repair(RepairRequest(scheme="hmbr"))
     assert report.blocks_recovered >= 4
     assert coord.read("wide") == data
     assert all(coord.scrub().values())
@@ -49,7 +50,7 @@ def test_wide_stripe_repair_beats_cr_in_system():
         victims = list(coord.layout.stripes[0].placement[:4])
         for v in victims:
             coord.crash_node(v)
-        results[scheme] = coord.repair(scheme=scheme).simulated_transfer_s
+        results[scheme] = coord.repair(RepairRequest(scheme=scheme)).makespan_s
     assert results["hmbr"] <= results["cr"] + 1e-9
 
 
