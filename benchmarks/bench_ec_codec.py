@@ -2,11 +2,17 @@
 
 The ``batched`` tests time per-stripe ``code.decode`` against
 :class:`repro.repair.batch.BatchRepairEngine` on a 16-stripe node-failure
-batch and record a perf-trajectory point into ``BENCH_batch.json`` — the
-selected GF kernel backend lands in the artifact's ``env`` block, and the
-``batched_backend`` test additionally pits the native C tier against the
-NumPy tier on the same workload (>= 5x is the full-fidelity acceptance
-floor, enforced here and re-checked by ``tools/check_bench_schema.py``).
+batch (same kernel backend on both sides, so the ratio is what stacking
+saves in dispatch) and record a perf-trajectory point into
+``BENCH_batch.json`` — the selected GF kernel backend lands in the
+artifact's ``env`` block, and the ``batched_backend`` test additionally
+pits the native C tier against the NumPy tier on the same workload (>= 5x
+is the full-fidelity acceptance floor, enforced here and re-checked by
+``tools/check_bench_schema.py``).
+``encode_seam`` pins what the write path and post-repair verify pay: one
+RS(32,8) parity encode of 64 KiB blocks through the data-plane seam
+(:func:`repro.gf.matmul`, the selected backend) against the ``gf_matmul``
+LUT reference it replaced there (>= 4x full-fidelity, same two gates).
 ``BENCH_SMOKE=1`` shrinks sizes (and drops the speedup floors) so CI can
 run them as a smoke test on shared runners.
 """
@@ -19,7 +25,8 @@ import pytest
 
 from benchmarks.conftest import attach, record_batch_point, set_batch_env
 from repro.ec.rs import get_code
-from repro.gf.backend import available_backends, get_backend
+from repro.gf import gf_matmul
+from repro.gf.backend import available_backends, get_backend, select_backend
 from repro.repair.batch import BatchRepairEngine, StripeBatchItem
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -27,6 +34,10 @@ SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 #: the full-fidelity floor for the native tier vs NumPy on GF(2^8); the
 #: schema check re-asserts this from the committed artifact.
 NATIVE_SPEEDUP_FLOOR = 5.0
+
+#: the full-fidelity floor for a seam encode vs the ``gf_matmul`` reference
+#: (the NumPy fallback alone measures ~4.4x); re-asserted by the schema check.
+ENCODE_SEAM_FLOOR = 4.0
 
 
 def stripe_inputs(k, block_bytes, seed=0):
@@ -45,10 +56,14 @@ def _best_of(fn, repeats):
 
 @pytest.mark.parametrize("w", [8, 16])
 def test_batched_repair_speedup_f4(w):
-    """16 same-pattern stripes, f=4: one plane matmul must beat 16 decodes.
+    """16 same-pattern stripes, f=4: one plane matmul vs 16 decodes.
 
-    The GF(2^8) configuration is the acceptance gate (>= 3x in full mode);
-    GF(2^16) is recorded for the trajectory without a hard floor.
+    Both sides run the selected kernel backend since ``RSCode.decode``
+    moved onto the data-plane seam (the 3x floor this test used to hold
+    measured the LUT reference path per-stripe decode no longer takes), so
+    what is left is dispatch amortization: batching must not lose.  The
+    GF(2^8) configuration is the gate in full mode; GF(2^16) is recorded
+    for the trajectory without a hard floor.
     """
     k, m, f, n_stripes = 8, 4, 4, 16
     block = (1 << 12) if SMOKE else (1 << 16)
@@ -104,7 +119,7 @@ def test_batched_repair_speedup_f4(w):
         },
     )
     if w == 8 and not SMOKE:
-        assert speedup >= 3.0, f"batched GF(2^8) repair only {speedup:.2f}x"
+        assert speedup >= 1.0, f"batched GF(2^8) repair only {speedup:.2f}x"
     else:
         assert speedup > 0.0
 
@@ -180,6 +195,45 @@ def test_batched_backend_tiers_f4(w):
         assert native_x > 0.0
 
 
+def test_encode_seam_vs_reference():
+    """RS(32,8) parity encode, 64 KiB blocks: the seam vs the LUT reference.
+
+    This is the product the write path runs per stripe and post-repair
+    verify / scrub re-run per stripe; before the seam it went through
+    ``gf_matmul``'s 3-D ``GF.mul`` gather.
+    """
+    k, m = 32, 8
+    block = (1 << 12) if SMOKE else (1 << 16)
+    repeats = 2 if SMOKE else 5
+    code = get_code(k, m)
+    data = stripe_inputs(k, block, seed=32)
+    parity = code.encode(data)  # warms the backend's tables
+    reference = gf_matmul(code.generator[k:], data, code.field)
+    assert np.array_equal(parity, reference)
+
+    t_seam = _best_of(lambda: code.encode(data), repeats)
+    t_ref = _best_of(lambda: gf_matmul(code.generator[k:], data, code.field), repeats)
+    backend = select_backend(code.field.w).name
+    set_batch_env(backend=backend)
+    record_batch_point(
+        "ec_codec.encode_seam.gf8",
+        params={
+            "k": k, "m": m, "block_symbols": block, "field_w": 8,
+            "smoke": SMOKE, "backend": backend,
+        },
+        metrics={
+            "encode_s": t_seam,
+            "encode_mbps": data.nbytes / t_seam / 2**20,
+            "reference_mbps": data.nbytes / t_ref / 2**20,
+            "vs_reference_x": t_ref / t_seam,
+        },
+    )
+    if not SMOKE:
+        assert t_ref / t_seam >= ENCODE_SEAM_FLOOR, (
+            f"seam encode only {t_ref / t_seam:.2f}x the gf_matmul reference"
+        )
+
+
 @pytest.mark.parametrize("k,m", [(6, 3), (64, 8)])
 def test_encode_throughput(benchmark, k, m):
     code = get_code(k, m)
@@ -203,14 +257,9 @@ def test_decode_throughput(benchmark, k, m, f):
 
 
 def test_repair_matrix_setup_cost(benchmark):
-    """Repair-matrix computation for a wide stripe, cache-cold each round."""
+    """Repair-matrix derivation for a wide stripe (the uncached slow path)."""
     code = get_code(64, 16)
-
-    def run():
-        code._repair_cache.clear()
-        return code.repair_matrix(list(range(16, 80)), list(range(8)))
-
-    r = benchmark(run)
+    r = benchmark(code.derive_repair_matrix, list(range(16, 80)), list(range(8)))
     assert r.shape == (8, 64)
 
 

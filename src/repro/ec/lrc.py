@@ -24,8 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ec.matrices import cauchy_parity_matrix
+from repro.gf import matmul
 from repro.gf.field import GF, gf8
-from repro.gf.matrix import gf_matmul, gf_rank
+from repro.gf.matrix import gf_inv, gf_rank
 
 
 class LRCCode:
@@ -91,7 +92,7 @@ class LRCCode:
         data = np.asarray(data_blocks, dtype=self.field.dtype)
         if data.shape[0] != self.k:
             raise ValueError(f"expected {self.k} data blocks")
-        parity = gf_matmul(self.generator[self.k :], data, self.field)
+        parity = matmul(self.generator[self.k :], data, self.field)
         return np.concatenate([data, parity], axis=0)
 
     # -------------------------------------------------------------- #
@@ -131,8 +132,6 @@ class LRCCode:
         rows, then re-encodes the failed blocks.  Raises ``ValueError`` when
         the failure pattern is information-theoretically unrecoverable.
         """
-        from repro.gf.matrix import gf_solve
-
         failed = [int(b) for b in failed_ids]
         avail_ids = sorted(set(available) - set(failed))
         rows = self.generator[avail_ids]
@@ -152,7 +151,7 @@ class LRCCode:
             if len(chosen) == self.k:
                 break
         src = np.stack([np.asarray(available[b], dtype=self.field.dtype) for b in chosen])
-        data = gf_solve(mat, src, self.field)
+        data = matmul(gf_inv(mat, self.field), src, self.field)
         full = self.encode_stripe(data)
         return {b: full[b] for b in failed}
 

@@ -7,13 +7,22 @@ Blocks are 1-D ``uint8``/``uint16`` NumPy buffers of equal length.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
 
+from repro.gf import matmul
 from repro.gf.field import GF, gf8
 from repro.gf.matrix import gf_inv, gf_matmul
 from repro.ec.matrices import systematic_cauchy_generator, systematic_vandermonde_generator
+
+#: repair matrices memoized per code (LRU).  Codes are process-wide
+#: singletons (:func:`get_code`) and long runs see an open-ended stream of
+#: erasure patterns, so the memo must not grow with them; 256 patterns of a
+#: (32, 8) code are ~64 KiB.
+REPAIR_CACHE_CAPACITY = 256
 
 
 class RSCode:
@@ -43,7 +52,12 @@ class RSCode:
         else:
             raise ValueError(f"unknown construction {construction!r}")
         self.generator.setflags(write=False)
-        self._repair_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
+        self._repair_cache: OrderedDict[
+            tuple[tuple[int, ...], tuple[int, ...]], np.ndarray
+        ] = OrderedDict()
+        #: codes are shared across threads (:func:`get_code`); an unlocked
+        #: OrderedDict corrupts under concurrent LRU reordering/eviction.
+        self._repair_cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def _as_block_matrix(self, blocks) -> np.ndarray:
@@ -60,7 +74,7 @@ class RSCode:
         data = self._as_block_matrix(data_blocks)
         if data.shape[0] != self.k:
             raise ValueError(f"expected {self.k} data blocks, got {data.shape[0]}")
-        return gf_matmul(self.generator[self.k :], data, self.field)
+        return matmul(self.generator[self.k :], data, self.field)
 
     def encode_stripe(self, data_blocks) -> np.ndarray:
         """Return the full (k+m, B) stripe: data rows followed by parity rows."""
@@ -76,9 +90,10 @@ class RSCode:
         submatrix A of generator rows for the survivors is invertible and
         ``R = G[failed] @ A^{-1}``.
 
-        Results are cached per (survivors, failed) pair, mirroring how a real
-        coordinator would reuse repair solutions across stripes with the same
-        erasure pattern.
+        Results are memoized per (survivors, failed) pair in a bounded LRU
+        (:data:`REPAIR_CACHE_CAPACITY`), mirroring how a real coordinator
+        would reuse repair solutions across stripes with the same erasure
+        pattern.
         """
         survivors = tuple(sorted(int(i) for i in survivor_ids))
         failed = tuple(int(i) for i in failed_ids)
@@ -90,14 +105,29 @@ class RSCode:
             if not 0 <= i < self.n:
                 raise ValueError(f"block index {i} out of range 0..{self.n - 1}")
         key = (survivors, failed)
-        cached = self._repair_cache.get(key)
-        if cached is not None:
-            return cached
-        a = self.generator[list(survivors)]
-        a_inv = gf_inv(a, self.field)
+        with self._repair_cache_lock:
+            cached = self._repair_cache.get(key)
+            if cached is not None:
+                self._repair_cache.move_to_end(key)
+                return cached
+        r = self.derive_repair_matrix(survivors, failed)
+        with self._repair_cache_lock:
+            self._repair_cache[key] = r
+            while len(self._repair_cache) > REPAIR_CACHE_CAPACITY:
+                self._repair_cache.popitem(last=False)
+        return r
+
+    def derive_repair_matrix(self, survivors, failed) -> np.ndarray:
+        """``G[failed] @ inv(G[survivors])``, uncached and unvalidated.
+
+        The one derivation of the decode matrix: :meth:`repair_matrix`
+        memoizes it per code, :class:`repro.repair.batch.PlanCache` per
+        system.  Coefficient algebra, so it runs on the LUT reference
+        (``gf_inv``/``gf_matmul``), not the data-plane seam.  Read-only.
+        """
+        a_inv = gf_inv(self.generator[list(survivors)], self.field)
         r = gf_matmul(self.generator[list(failed)], a_inv, self.field)
         r.setflags(write=False)
-        self._repair_cache[key] = r
         return r
 
     def decode(self, available: dict[int, np.ndarray], failed_ids) -> dict[int, np.ndarray]:
@@ -115,7 +145,7 @@ class RSCode:
         chosen = avail_ids[: self.k]
         r = self.repair_matrix(chosen, failed)
         src = np.stack([np.asarray(available[i], dtype=self.field.dtype) for i in chosen])
-        out = gf_matmul(r, src, self.field)
+        out = matmul(r, src, self.field)
         return {fid: out[row] for row, fid in enumerate(failed)}
 
     def decode_stripe(self, available: dict[int, np.ndarray]) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Galois-field arithmetic substrate.
 
 This subpackage replaces Intel ISA-L from the paper's prototype: it provides
-bit-exact GF(2^w) arithmetic (w = 8 or 16) with NumPy-vectorized kernels, and
-dense matrix algebra over the field (multiplication, Gauss-Jordan inversion)
-used to build Reed-Solomon generator and repair matrices.
+bit-exact GF(2^w) arithmetic (w = 8 or 16), dense matrix algebra over the
+field (multiplication, Gauss-Jordan inversion) used to build Reed-Solomon
+generator and repair matrices, and :func:`matmul` — the one entry point every
+operation over *block bytes* (encode, decode, verify, agent combines, parity
+deltas) goes through, running on the selected kernel backend.
 """
 
 from repro.gf.field import GF, GF8, GF16, gf8
@@ -22,6 +24,7 @@ from repro.gf.batch import (
     scale_lut,
     lut_cache_clear,
 )
+from repro.gf.backend.base import matmul
 from repro.gf.backend import (
     BackendUnavailable,
     KernelBackend,
@@ -44,6 +47,7 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "select_backend",
+    "matmul",
     "gf_matmul",
     "gf_matvec",
     "gf_inv",

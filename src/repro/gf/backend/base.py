@@ -22,7 +22,9 @@ operation — ``mat @ plane`` over GF(2^w) (the
   available backend for a word size, unless the ``REPRO_GF_BACKEND``
   environment variable (or an explicit argument) overrides it.
   :func:`resolve_backend` is the engine-facing wrapper accepting a name,
-  an instance, or ``None``.
+  an instance, or ``None``; :func:`matmul` is the library-facing one —
+  select, then multiply — behind every byte the codes, agents and
+  coordinator touch.
 
 See ``docs/KERNELS.md`` for the selection order, measured throughput, and
 how to add a backend.
@@ -164,6 +166,21 @@ def select_backend(w: int = 8, override: str | None = None) -> KernelBackend:
         if b.capabilities(w) and b.available():
             return b
     raise BackendUnavailable(f"no registered backend supports GF(2^{w})")
+
+
+def matmul(mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray:
+    """``mat @ plane`` over the field: the one data-plane kernel entry point.
+
+    Every GF operation over *block bytes* — encode, decode, verify, agent
+    combines, parity deltas — is this call: the :func:`select_backend`
+    choice for the field's word size, looked up per call so a changed
+    ``REPRO_GF_BACKEND`` takes effect at once.  ``mat`` is an (f, k)
+    coefficient matrix and ``plane`` a (k, N) stack of block buffers; the
+    (f, N) result is a fresh array, bit-exact with
+    :func:`repro.gf.matrix.gf_matmul`, which stays the LUT reference for
+    coefficient algebra and the oracle the differential suite compares to.
+    """
+    return select_backend(field.w).plane_matmul(mat, plane, field)
 
 
 def resolve_backend(spec, field_or_w) -> KernelBackend:

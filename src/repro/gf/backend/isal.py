@@ -21,12 +21,15 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 import threading
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.gf.backend.base import KernelBackend
-from repro.gf.field import GF
 from repro.gf.tables import PRIMITIVE_POLY
+
+if TYPE_CHECKING:  # pragma: no cover - repro.gf.field imports this package
+    from repro.gf.field import GF
 
 #: sonames probed after ctypes.util.find_library comes up empty.
 _CANDIDATE_LIBS = ("libisal.so.2", "libisal.so", "libisal.2.dylib", "libisal.dylib")

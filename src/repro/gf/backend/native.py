@@ -40,11 +40,14 @@ import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.gf.backend.base import KernelBackend
-from repro.gf.field import GF
+
+if TYPE_CHECKING:  # pragma: no cover - repro.gf.field imports this package
+    from repro.gf.field import GF
 
 #: kernel ABI version — bump when _C_SOURCE's signatures change so stale
 #: cached builds from older checkouts are never dlopen'ed.

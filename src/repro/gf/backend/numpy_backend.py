@@ -11,10 +11,14 @@ always *something* to select when no compiler or library exists.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.gf.backend.base import KernelBackend
-from repro.gf.field import GF
+
+if TYPE_CHECKING:  # pragma: no cover - repro.gf.field imports this package
+    from repro.gf.field import GF
 
 
 class NumpyBackend(KernelBackend):

@@ -75,7 +75,7 @@ def _pair_lut8(field: GF, coeff: int) -> np.ndarray:
 
 
 def _word_lut16(field: GF, coeff: int) -> np.ndarray:
-    """The uint16 element table for ``coeff`` in GF(2^16) (field.scale's LUT)."""
+    """The uint16 element table for ``coeff`` in GF(2^16)."""
     lut = field.exp[
         (int(field.log[coeff]) + field.log[: field.size]) % field.order
     ].astype(field.dtype)

@@ -1,15 +1,20 @@
 """GF(2^w) field objects with vectorized arithmetic kernels.
 
-The hot operation in erasure-coded repair is ``dst ^= coeff * src`` over large
-byte buffers.  For w=8 this is a single LUT gather (``MUL[coeff][src]``)
-followed by an in-place XOR — the NumPy equivalent of ISA-L's
-``gf_vect_mad``.  Fields are cached singletons: ``GF(8) is GF(8)``.
+Two kinds of operand, two paths.  *Coefficient* algebra — scalars and small
+matrices: generator construction, inversion, repair matrices — runs on the
+log/exp and multiply tables here (:meth:`GF.mul` and friends; also the
+reference the kernel backends are tested against).  *Block buffers* — the
+``dst ^= coeff * src`` of ISA-L's ``gf_vect_mad`` over large byte arrays —
+go through :func:`repro.gf.matmul`, the selected kernel backend
+(:meth:`GF.scale`, :meth:`GF.addmul`, :meth:`GF.combine` are 1 x n
+products).  Fields are cached singletons: ``GF(8) is GF(8)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.gf.backend.base import matmul
 from repro.gf.tables import PRIMITIVE_POLY, build_inv_table, build_log_exp, build_mul_table
 
 _FIELD_CACHE: dict[int, "GF"] = {}
@@ -106,32 +111,15 @@ class GF:
         return int(self.exp[e])
 
     # ------------------------------------------------------------------ #
-    # vector kernels (the ISA-L replacements)
+    # vector kernels over block buffers (the ISA-L replacements): each is
+    # a 1 x n product through the data-plane seam, repro.gf.matmul
     # ------------------------------------------------------------------ #
     def scale(self, coeff: int, src: np.ndarray) -> np.ndarray:
-        """Return ``coeff * src`` elementwise for a buffer ``src``."""
-        src = np.asarray(src, dtype=self.dtype)
-        coeff = int(coeff)
-        if coeff == 0:
-            return np.zeros_like(src)
-        if coeff == 1:
-            return src.copy()
-        if self.mul_table is not None:
-            return self.mul_table[coeff][src]
-        lut = self.exp[(int(self.log[coeff]) + self.log[: self.size]) % self.order].astype(
-            self.dtype
-        )
-        lut[0] = 0
-        return lut[src]
+        """Return ``coeff * src`` elementwise for a buffer ``src`` (a copy)."""
+        return self.combine([coeff], [src])
 
     def addmul(self, dst: np.ndarray, coeff: int, src: np.ndarray) -> np.ndarray:
         """In-place ``dst ^= coeff * src`` (the gf_vect_mad kernel)."""
-        coeff = int(coeff)
-        if coeff == 0:
-            return dst
-        if coeff == 1:
-            np.bitwise_xor(dst, src, out=dst)
-            return dst
         np.bitwise_xor(dst, self.scale(coeff, src), out=dst)
         return dst
 
@@ -146,10 +134,9 @@ class GF:
             raise ValueError("coeffs and blocks length mismatch")
         if not blocks:
             raise ValueError("empty linear combination")
-        out = np.zeros_like(blocks[0])
-        for c, b in zip(coeffs, blocks):
-            self.addmul(out, int(c), b)
-        return out
+        mat = np.asarray(coeffs, dtype=self.dtype).reshape(1, -1)
+        plane = np.stack(blocks).reshape(len(blocks), -1)
+        return matmul(mat, plane, self)[0].reshape(blocks[0].shape)
 
     def random_elements(self, shape, rng: np.random.Generator, nonzero: bool = False):
         """Uniform random field elements, optionally excluding zero."""

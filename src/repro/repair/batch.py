@@ -8,16 +8,16 @@ the inverted decode matrix and can be repaired together:
 
 * :class:`PlanCache` — a bounded LRU of :class:`DecodePlan` objects keyed
   by :class:`PatternKey` (code params + surviving-helper set + failed set),
-  with hit/miss/eviction/invalidation accounting.  It is the system-level,
-  bounded replacement for :class:`repro.ec.rs.RSCode`'s unbounded private
-  repair-matrix memo.
+  with hit/miss/eviction/invalidation accounting — the system-level
+  cache over the one decode-matrix derivation,
+  :meth:`repro.ec.rs.RSCode.derive_repair_matrix`.
 * :func:`group_by_pattern` — deterministic grouping of per-stripe repair
   items into :class:`PatternGroup` lists.
 * :class:`BatchRepairEngine` — stacks each group's survivor buffers into
-  one source plane and runs a single LUT-indexed matmul per group
-  (:func:`repro.gf.batch.gf_plane_matmul`) instead of one decode per
-  stripe.  Bit-exact with the per-stripe path by construction; the
-  property/differential tests assert it over randomized patterns.
+  one source plane and runs a single kernel-backend matmul per group
+  instead of one decode per stripe.  Bit-exact with the per-stripe path
+  by construction; the property/differential tests assert it over
+  randomized patterns.
 
 The engine is observable: given an :class:`repro.obs.Observability`
 session it emits one ``batch`` span per pattern group and ``batch.*``
@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.ec.rs import RSCode
 from repro.gf.backend import resolve_backend
-from repro.gf.matrix import gf_inv, gf_matmul
 
 
 @dataclass(frozen=True)
@@ -102,11 +101,9 @@ class DecodePlan:
 def build_decode_plan(code: RSCode, survivor_ids, failed_ids) -> DecodePlan:
     """Invert the survivor submatrix and derive R (cache-miss slow path)."""
     key = pattern_key(code, survivor_ids, failed_ids)
-    a = code.generator[list(key.survivors)]
-    a_inv = gf_inv(a, code.field)
-    r = gf_matmul(code.generator[list(key.failed)], a_inv, code.field)
-    r.setflags(write=False)
-    return DecodePlan(key=key, matrix=r)
+    return DecodePlan(
+        key=key, matrix=code.derive_repair_matrix(key.survivors, key.failed)
+    )
 
 
 class PlanCache:

@@ -17,17 +17,21 @@ class BlockStore:
         self.node_id = node_id
         self.capacity_bytes = capacity_bytes
         self._blocks: dict[str, np.ndarray] = {}
+        #: running sum of stored buffer sizes, kept by put/delete/clear so
+        #: provisioning a node is linear in its block count.
+        self._used_bytes = 0
 
     def put(self, name: str, data: np.ndarray, overwrite: bool = False) -> None:
         if name in self._blocks and not overwrite:
             raise KeyError(f"block {name!r} already stored on node {self.node_id}")
         arr = np.asarray(data)
-        new_usage = self.used_bytes() - self._nbytes(name) + arr.nbytes
+        new_usage = self._used_bytes - self._nbytes(name) + arr.nbytes
         if self.capacity_bytes is not None and new_usage > self.capacity_bytes:
             raise MemoryError(
                 f"node {self.node_id}: storing {name!r} would exceed capacity"
             )
         self._blocks[name] = arr
+        self._used_bytes = new_usage
 
     def get(self, name: str) -> np.ndarray:
         if name not in self._blocks:
@@ -38,6 +42,7 @@ class BlockStore:
         return name in self._blocks
 
     def delete(self, name: str) -> None:
+        self._used_bytes -= self._nbytes(name)
         self._blocks.pop(name, None)
 
     def names(self) -> list[str]:
@@ -45,13 +50,14 @@ class BlockStore:
 
     def clear(self) -> None:
         self._blocks.clear()
+        self._used_bytes = 0
 
     def _nbytes(self, name: str) -> int:
         arr = self._blocks.get(name)
         return 0 if arr is None else arr.nbytes
 
     def used_bytes(self) -> int:
-        return sum(a.nbytes for a in self._blocks.values())
+        return self._used_bytes
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -36,6 +36,7 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe, StripeLayout, block_name
+from repro.gf import matmul
 from repro.gf.field import GF, gf8
 from repro.repair.batch import BatchRepairEngine, PlanCache, StripeBatchItem
 from repro.repair.multinode import CenterScheduler
@@ -826,8 +827,9 @@ class Coordinator:
 
         Overwrite ``patch`` at byte ``offset`` of the file.  Instead of
         re-encoding whole stripes, each touched data block sends only the
-        GF *delta* to the parity nodes: ``P_j ^= alpha_{i,j} * (new - old)``
-        — the standard parity-delta update the related work (§VI) optimizes.
+        GF *delta* of the patched span to the parity nodes:
+        ``P_j[span] ^= alpha_{i,j} * (new - old)[span]`` — the standard
+        parity-delta update the related work (§VI) optimizes.
         Returns accounting: blocks patched and parity deltas applied.
         """
         if name not in self.files:
@@ -854,22 +856,25 @@ class Coordinator:
             if not agent.alive:
                 raise IOError(f"cannot update block on dead node {node}")
             bname = block_name(sid, block_idx)
-            old = agent.read_block(bname)
-            new = old.copy()
-            new[block_off : block_off + span] = patch_arr[pos : pos + span]
-            delta = old ^ new
+            lo, hi = block_off, block_off + span
+            new = agent.read_block(bname).copy()
+            delta = new[lo:hi] ^ patch_arr[pos : pos + span]
+            new[lo:hi] = patch_arr[pos : pos + span]
             agent.store_block(bname, new, overwrite=True)
             touched_blocks += 1
-            # ship the scaled delta to every parity node
+            # only the patched span travels: one (m, 1) x (1, span) product
+            # scales the delta for every parity node at once
+            scaled = matmul(
+                self.code.generator[k:, block_idx : block_idx + 1], delta[None, :], self.field
+            )
             for j in range(self.code.m):
-                coeff = int(self.code.generator[k + j, block_idx])
                 pnode = stripe.placement[k + j]
                 pagent = self.agents[pnode]
                 if not pagent.alive:
                     continue  # parity will be rebuilt by repair later
                 pname = block_name(sid, k + j)
                 parity = pagent.read_block(pname).copy()
-                self.field.addmul(parity, coeff, delta)
+                parity[lo:hi] ^= scaled[j]
                 pagent.store_block(pname, parity, overwrite=True)
                 self.bus.record(node, pnode, delta.nbytes)
                 parity_deltas += 1

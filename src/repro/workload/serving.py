@@ -473,7 +473,8 @@ class ServingPlane:
             pos += min(bb - abs_off % bb, len(patch) - pos)
         if any(not coord.agents[n].alive for _, _, n in touched):
             return False, 0
-        res = coord.update(op.obj, op.offset, patch)
+        bus_before = coord.bus.total_bytes()
+        coord.update(op.obj, op.offset, patch)
         if tasks is not None:
             for sid, bi, node in touched:
                 for j in range(coord.code.m):
@@ -488,7 +489,9 @@ class ServingPlane:
                             weight=self.foreground_weight,
                         )
                     )
-        return True, res["parity_deltas"] * bb
+        # update() ships only the patched span of each delta, so the
+        # metered bytes are read back off the bus, not derived from bb
+        return True, coord.bus.total_bytes() - bus_before
 
     # -------------------------------------------------------------- #
     # the run

@@ -168,14 +168,21 @@ def test_committed_reliability_artifact_is_schema_valid():
     assert res.returncode == 0, res.stdout + res.stderr
 
 
-def _batch_doc(env=None, native_metrics=None):
+def _batch_doc(env=None, native_metrics=None, seam_metrics=None):
     """A minimal schema-valid batch artifact, optionally with a native point."""
     points = [
         {
             "bench": "ec_codec.backend_numpy.gf8",
             "params": {"k": 8, "backend": "numpy"},
             "metrics": {"speedup_x": 3.5, "decode_mbps": 250.0, "vs_numpy_x": 1.0},
-        }
+        },
+        {
+            "bench": "ec_codec.encode_seam.gf8",
+            "params": {"k": 32, "m": 8, "backend": "native"},
+            "metrics": {"encode_mbps": 1800.0, "vs_reference_x": 50.0}
+            if seam_metrics is None
+            else seam_metrics,
+        },
     ]
     if native_metrics is not None:
         points.append(
@@ -194,8 +201,9 @@ def _batch_doc(env=None, native_metrics=None):
 
 
 def test_bench_schema_enforces_batch_backend_rules(tmp_path):
-    """The batch artifact must name its kernel tier, carry a decode_mbps
-    point, and hold the native tier to the 5x floor at full fidelity."""
+    """The batch artifact must name its kernel tier, carry decode_mbps and
+    encode_mbps points, and hold the native tier to the 5x floor and the
+    seam encode to the 4x floor at full fidelity."""
     import json
 
     good = tmp_path / "good.json"
@@ -211,12 +219,33 @@ def test_bench_schema_enforces_batch_backend_rules(tmp_path):
     res = _run("tools/check_bench_schema.py", str(smoky))
     assert res.returncode == 0, res.stdout + res.stderr
 
+    # ... and from the seam-vs-reference encode floor
+    smoky.write_text(
+        json.dumps(
+            _batch_doc(
+                env={"smoke": True},
+                seam_metrics={"encode_mbps": 300.0, "vs_reference_x": 1.2},
+            )
+        )
+    )
+    res = _run("tools/check_bench_schema.py", str(smoky))
+    assert res.returncode == 0, res.stdout + res.stderr
+
     cases = {
         # the selected kernel tier must be recorded
         "no_backend.json": _batch_doc(env={"backend": ""}),
         # a full-fidelity native point below the floor must fail
         "slow_native.json": _batch_doc(native_metrics={"vs_numpy_x": 4.9}),
         "untracked_native.json": _batch_doc(native_metrics={}),
+        # the seam must beat the gf_matmul reference 4x at full fidelity,
+        # and its encode throughput must be positive
+        "slow_seam.json": _batch_doc(
+            seam_metrics={"encode_mbps": 300.0, "vs_reference_x": 3.9}
+        ),
+        "untracked_seam.json": _batch_doc(seam_metrics={"encode_mbps": 300.0}),
+        "zero_encode.json": _batch_doc(
+            seam_metrics={"encode_mbps": 0.0, "vs_reference_x": 50.0}
+        ),
     }
     for name, doc in cases.items():
         bad = tmp_path / name

@@ -95,6 +95,33 @@ def test_repair_matrix_cached():
     assert not a.flags.writeable
 
 
+def test_repair_matrix_cache_is_a_bounded_lru():
+    """Regression: the memo on a ``get_code``-shared code grew by one entry
+    per erasure pattern for the life of the process."""
+    from itertools import combinations, islice
+
+    from repro.ec.rs import REPAIR_CACHE_CAPACITY
+
+    code = RSCode(8, 4)
+    patterns = [
+        (surv, (lost,))
+        for surv in combinations(range(12), 8)
+        for lost in sorted(set(range(12)) - set(surv))
+    ]
+    assert len(patterns) > 1000
+    for surv, failed in islice(patterns, 1000):
+        r = code.repair_matrix(surv, failed)
+        assert np.array_equal(r, code.derive_repair_matrix(surv, failed))
+        assert not r.flags.writeable
+    assert len(code._repair_cache) == REPAIR_CACHE_CAPACITY
+    # least-recently-used goes first: a re-touched old entry outlives newer ones
+    oldest, second = list(code._repair_cache)[:2]
+    kept = code.repair_matrix(*oldest)
+    code.repair_matrix(*patterns[1000])
+    assert code.repair_matrix(*oldest) is kept
+    assert second not in code._repair_cache
+
+
 def test_code_parameter_validation():
     with pytest.raises(ValueError):
         RSCode(0, 2)

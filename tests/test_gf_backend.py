@@ -343,3 +343,237 @@ def test_engine_reports_selected_backend(monkeypatch):
 def test_engine_honors_env_override(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "numpy")
     assert BatchRepairEngine(RSCode(4, 2)).stats()["backend"] == "numpy"
+
+
+# ------------------------------------------------------------------ #
+# the data-plane seam: every call site, every selectable backend
+# ------------------------------------------------------------------ #
+#: (word size, selection) pairs: each available tier forced through
+#: ``REPRO_GF_BACKEND``, plus auto-selection on a host whose C compiler
+#: (and build cache) is gone — the fallback nothing else in tier-1 runs.
+SEAM_CASES = (
+    [(8, n) for n in BACKENDS_8]
+    + [(16, n) for n in BACKENDS_16]
+    + [(8, "no-compiler"), (16, "no-compiler")]
+)
+
+
+@pytest.fixture(params=SEAM_CASES, ids=lambda c: f"w{c[0]}-{c[1]}")
+def seam_field(request, monkeypatch, tmp_path):
+    """A field whose seam (:func:`repro.gf.matmul`) runs the named tier."""
+    import repro.gf.backend.native as native_mod
+
+    w, name = request.param
+    if name == "no-compiler":
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        monkeypatch.setenv("REPRO_GF_NATIVE_CACHE", str(tmp_path / "empty"))
+        monkeypatch.setattr(native_mod, "_find_compiler", lambda: None)
+        probed = get_backend("native")
+        register_backend(NativeBackend(), replace=True)  # fresh = unprobed
+        request.addfinalizer(lambda: register_backend(probed, replace=True))
+        assert "native" not in available_backends(w)
+    else:
+        monkeypatch.setenv(ENV_VAR, name)
+        assert select_backend(w).name == name
+    return GF(w)
+
+
+def _blocks(rng, field, rows, length, hostile=False):
+    """Random block rows; ``hostile`` = non-contiguous and read-only views."""
+    if not hostile:
+        return rng.integers(0, field.size, size=(rows, length)).astype(field.dtype)
+    big = rng.integers(0, field.size, size=(rows, 2 * length + 3)).astype(field.dtype)
+    big.setflags(write=False)
+    return big[:, 1 : 2 * length + 1 : 2]
+
+
+def _ref_matmul(mat, plane, field):
+    plane = np.ascontiguousarray(plane, dtype=field.dtype)
+    if plane.shape[1] == 0:
+        return np.zeros((mat.shape[0], 0), dtype=field.dtype)
+    return gf_matmul(np.asarray(mat, dtype=field.dtype), plane, field)
+
+
+#: block lengths: empty (a degenerate split fraction's slice), odd, SIMD
+#: tails, and a few KiB.
+LENGTHS = (0, 1, 7, 33, 640, 4099)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_seam_rs_encode_decode_match_reference(seam_field, seed):
+    field = seam_field
+    rng = np.random.default_rng(seed)
+    for length in LENGTHS:
+        k, m = int(rng.integers(2, 10)), int(rng.integers(1, 5))
+        f = int(rng.integers(1, m + 1))
+        code = RSCode(k, m, field=field)
+        data = _blocks(rng, field, k, length, hostile=bool(length % 2))
+        parity = code.encode(data)
+        assert parity.dtype == field.dtype
+        assert np.array_equal(parity, _ref_matmul(code.generator[k:], data, field))
+        full = code.encode_stripe(data)
+        assert np.array_equal(full[:k], data) and np.array_equal(full[k:], parity)
+
+        failed = sorted(rng.choice(k + m, size=f, replace=False).tolist())
+        available = {}
+        for b in range(k + m):
+            if b in failed:
+                continue
+            if b % 2 and length:  # same bytes, strided + read-only storage
+                big = np.zeros(2 * length, dtype=field.dtype)
+                big[::2] = full[b]
+                big.setflags(write=False)
+                available[b] = big[::2]
+            else:
+                available[b] = full[b]
+        chosen = sorted(available)[:k]
+        want = _ref_matmul(
+            code.derive_repair_matrix(chosen, failed),
+            np.stack([full[b] for b in chosen]),
+            field,
+        )
+        got = code.decode(available, failed)
+        for row, b in enumerate(failed):
+            assert np.array_equal(got[b], want[row])
+            assert np.array_equal(got[b], full[b])
+        assert np.array_equal(code.decode_stripe(available), full)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_seam_lrc_and_combine_match_reference(seam_field, seed):
+    from repro.ec.lrc import LRCCode
+
+    field = seam_field
+    rng = np.random.default_rng(seed)
+    for length in LENGTHS:
+        l = int(rng.integers(1, 4))
+        k, g = l * int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        code = LRCCode(k, l, g, field=field)
+        data = _blocks(rng, field, k, length, hostile=bool(length % 2))
+        full = code.encode_stripe(data)
+        assert np.array_equal(full[k:], _ref_matmul(code.generator[k:], data, field))
+        failed = sorted(rng.choice(code.n, size=g + 1, replace=False).tolist())
+        available = {b: full[b] for b in range(code.n) if b not in failed}
+        try:
+            got = code.decode(available, failed)
+        except ValueError:  # g+1 erasures inside one group can be unrecoverable
+            continue
+        for b in failed:
+            assert np.array_equal(got[b], full[b])
+
+        n = int(rng.integers(1, 9))
+        coeffs = rng.integers(0, field.size, size=n).tolist()
+        coeffs[int(rng.integers(0, n))] = 0
+        coeffs[int(rng.integers(0, n))] = 1
+        rows = _blocks(rng, field, n, length, hostile=True)
+        out = field.combine(coeffs, list(rows))
+        assert out.shape == (length,) and out.dtype == field.dtype
+        assert np.array_equal(out, _ref_matmul(np.array([coeffs]), rows, field)[0])
+        acc = out.copy()
+        assert field.addmul(acc, coeffs[0], rows[0]) is acc
+        assert np.array_equal(acc ^ out, _ref_matmul(np.array([coeffs[:1]]), rows[:1], field)[0])
+
+
+def _seam_system(field, k, m, f, block_bytes, seed):
+    from repro.cluster.node import Node
+    from repro.cluster.topology import Cluster
+    from repro.system.coordinator import Coordinator
+
+    rng = np.random.default_rng(seed)
+    n_data = k + m + 3
+    nodes = [
+        Node(i, float(rng.uniform(40, 200)), float(rng.uniform(40, 200)))
+        for i in range(n_data + f)
+    ]
+    coord = Coordinator(
+        Cluster(nodes[:n_data]), RSCode(k, m, field=field),
+        block_bytes=block_bytes, block_size_mb=8.0, field_=field, rng=seed,
+    )
+    for node in nodes[n_data:]:
+        coord.add_spare(node)
+    coord.write("obj", rng.integers(0, 256, 3 * k * block_bytes - 5, dtype=np.uint8).tobytes())
+    return coord, rng
+
+
+def _stored_stripes(coord):
+    from repro.ec.stripe import block_name
+
+    return {
+        s.stripe_id: np.stack(
+            [coord.agents[n].read_block(block_name(s.stripe_id, b)) for b, n in enumerate(s.placement)]
+        )
+        for s in coord.layout
+    }
+
+
+def _assert_reference_parity(coord, stripes):
+    k = coord.code.k
+    for sid, blocks in stripes.items():
+        want = _ref_matmul(coord.code.generator[k:], blocks[:k], coord.field)
+        assert np.array_equal(blocks[k:], want), f"stripe {sid} parity drifted"
+
+
+@pytest.mark.parametrize("scheme", ["hmbr", "cr", "ir", "mlf"])
+def test_seam_per_stripe_repair_rebuilds_reference_bytes(seam_field, scheme):
+    """A full non-batched repair: agent combines, verify, commit — all seam."""
+    from repro.system.request import RepairRequest
+
+    k, m, f = 5, 3, 2
+    coord, rng = _seam_system(seam_field, k, m, f, block_bytes=1 << 10, seed=len(scheme))
+    before = _stored_stripes(coord)
+    _assert_reference_parity(coord, before)
+    for v in rng.choice(coord.data_nodes(), size=f, replace=False):
+        coord.crash_node(int(v))
+    result = coord.repair(RepairRequest(scheme=scheme))
+    assert result.ok and result.blocks_recovered > 0
+    after = _stored_stripes(coord)
+    for sid in before:
+        assert np.array_equal(after[sid], before[sid]), f"stripe {sid} rebuilt wrong"
+    assert all(coord.scrub().values())
+
+
+def test_seam_update_keeps_reference_parity(seam_field):
+    coord, rng = _seam_system(seam_field, 4, 3, 0, block_bytes=512, seed=5)
+    for _ in range(6):
+        offset = int(rng.integers(0, 3 * 4 * 512 - 5 - 700))
+        patch = rng.integers(0, 256, int(rng.integers(1, 700)), dtype=np.uint8).tobytes()
+        coord.update("obj", offset, patch)
+    _assert_reference_parity(coord, _stored_stripes(coord))
+    assert all(coord.scrub().values())
+
+
+def test_seam_verify_catches_a_corrupt_rebuilt_block(seam_field, monkeypatch):
+    """One flipped byte in a rebuilt block, before commit: repair refuses."""
+    from repro.system.coordinator import Coordinator
+    from repro.system.request import RepairRequest
+
+    coord, rng = _seam_system(seam_field, 5, 3, 2, block_bytes=1 << 10, seed=11)
+    for v in rng.choice(coord.data_nodes(), size=2, replace=False):
+        coord.crash_node(int(v))
+    victim = sorted(coord.layout.stripes_with_failures(coord.cluster.dead_ids()))[-1]
+    commit = Coordinator.commit_outputs
+
+    def corrupting_commit(self, sid, outputs, verify=True):
+        if sid == victim:
+            node, buf = next(iter(outputs.values()))
+            self.agents[node].scratch[buf][17] ^= 0x40
+        return commit(self, sid, outputs, verify)
+
+    monkeypatch.setattr(Coordinator, "commit_outputs", corrupting_commit)
+    with pytest.raises(AssertionError, match=f"stripe {victim} failed"):
+        coord.repair(RepairRequest(scheme="cr"))
+
+
+def test_seam_scrub_flags_exactly_the_corrupt_stripe(seam_field):
+    from repro.ec.stripe import block_name
+
+    coord, rng = _seam_system(seam_field, 4, 2, 0, block_bytes=512, seed=13)
+    stripes = coord.layout.stripes
+    victim = stripes[int(rng.integers(0, len(stripes)))]
+    b = int(rng.integers(0, victim.n))
+    agent = coord.agents[victim.placement[b]]
+    bad = agent.read_block(block_name(victim.stripe_id, b)).copy()
+    bad[int(rng.integers(0, bad.size))] ^= 1
+    agent.store_block(block_name(victim.stripe_id, b), bad, overwrite=True)
+    health = coord.scrub()
+    assert [sid for sid, ok in health.items() if not ok] == [victim.stripe_id]

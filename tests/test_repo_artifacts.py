@@ -135,3 +135,33 @@ def test_scheme_registry_is_public_and_single():
         if "RepairContext(" in text and ".pick(" in text and "search_split(" in text
     ]
     assert pipeline == ["repair/planner.py"], pipeline
+
+
+def test_block_bytes_never_take_the_lut_reference_path():
+    """``gf_matmul`` / ``GF.mul`` are for coefficient algebra only.
+
+    Everything over block buffers goes through the one seam,
+    ``repro.gf.matmul``.  Outside ``repro.gf`` itself (the reference, the
+    backends' table builders) the LUT path may be called from exactly two
+    places, both coefficient-matrix x coefficient-matrix: generator
+    construction and the decode-matrix derivation.
+    """
+    import re
+
+    lut_call = re.compile(r"\b(?:gf_matmul|gf_matvec|gf_solve)\(|\.mul\(|\.mul_table\b")
+    calls = {
+        str(rel): len(lut_call.findall(text))
+        for rel, package, text in _src_modules()
+        if package != "gf" and lut_call.search(text)
+    }
+    assert calls == {"ec/matrices.py": 1, "ec/rs.py": 1}, calls
+    rs = (REPO / "src" / "repro" / "ec" / "rs.py").read_text()
+    derive = rs[rs.index("def derive_repair_matrix") : rs.index("def decode(")]
+    assert "gf_matmul(" in derive
+    # and the seam has exactly one definition, which selects per call
+    seam = [
+        str(rel) for rel, _, text in _src_modules() if re.search(r"^def matmul\(", text, re.M)
+    ]
+    assert seam == ["gf/backend/base.py"], seam
+    for user in ("gf/field.py", "ec/rs.py", "ec/lrc.py", "system/coordinator.py"):
+        assert " matmul(" in (REPO / "src" / "repro" / user).read_text(), user

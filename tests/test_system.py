@@ -45,6 +45,57 @@ def test_blockstore_capacity_enforced():
     assert bs.used_bytes() == 16
 
 
+def test_blockstore_running_byte_count_matches_recomputed_sum():
+    def recomputed(store):
+        return sum(store.get(n).nbytes for n in store.names())
+
+    agent = Agent(0)
+    bs = agent.store
+    assert bs.used_bytes() == 0
+    bs.put("a", np.zeros(12, dtype=np.uint8))
+    bs.put("b", np.zeros(5, dtype=np.uint16))
+    assert bs.used_bytes() == recomputed(bs) == 22
+    bs.put("a", np.zeros(40, dtype=np.uint8), overwrite=True)
+    assert bs.used_bytes() == recomputed(bs) == 50
+    with pytest.raises(KeyError):
+        bs.put("b", np.zeros(99, dtype=np.uint8))  # refused: count untouched
+    assert bs.used_bytes() == 50
+    bs.delete("b")
+    bs.delete("never-stored")
+    assert bs.used_bytes() == recomputed(bs) == 40
+    bs.clear()
+    assert bs.used_bytes() == recomputed(bs) == 0
+    bs.put("c", np.zeros(8, dtype=np.uint8))
+    agent.fail()
+    assert bs.used_bytes() == recomputed(bs) == 0
+
+
+def test_blockstore_capacity_fires_on_the_same_put():
+    bs = BlockStore(0, capacity_bytes=64)
+    for i in range(8):
+        bs.put(f"b{i}", np.zeros(8, dtype=np.uint8))  # exactly full: accepted
+    with pytest.raises(MemoryError):
+        bs.put("one-more", np.zeros(1, dtype=np.uint8))
+    assert bs.used_bytes() == 64 and not bs.has("one-more")
+    bs.delete("b0")
+    bs.put("fits-again", np.zeros(8, dtype=np.uint8))
+
+
+def test_blockstore_puts_are_linear_in_block_count():
+    """Regression: every put re-summed the whole store, so provisioning a
+    node was quadratic (20k puts took ~10 s; linear is tens of ms)."""
+    import time
+
+    bs = BlockStore(0)
+    block = np.zeros(16, dtype=np.uint8)
+    t0 = time.perf_counter()
+    for i in range(20_000):
+        bs.put(f"s{i}", block)
+    elapsed = time.perf_counter() - t0
+    assert bs.used_bytes() == 20_000 * 16
+    assert elapsed < 2.0, f"20k puts took {elapsed:.1f}s - quadratic again?"
+
+
 # ------------------------------------------------------------------ #
 # data bus
 # ------------------------------------------------------------------ #

@@ -76,3 +76,35 @@ def test_update_survives_degraded_parity_node():
     coord.repair(RepairRequest(scheme="cr"))
     assert all(coord.scrub().values())
     assert coord.read("f") == bytes(data)
+
+
+def test_update_ships_only_the_patched_span():
+    """Regression: a small patch moved (and GF-multiplied) a whole block per
+    parity node.  The bus must grow by alive parities x span x itemsize."""
+    bb = 2048
+    coord = make_system(seed=41, block_bytes=bb)
+    k, m = coord.code.k, coord.code.m
+    itemsize = np.dtype(coord.field.dtype).itemsize
+    data = bytearray(payload(3 * k * bb, seed=41))
+    coord.write("f", bytes(data))
+    cases = [
+        (100, 64, 1),  # inside one block
+        (bb - 10, 30, 2),  # straddles a block boundary
+        (k * bb - 7, 20, 2),  # straddles a stripe boundary
+        (2 * bb, bb, 1),  # exactly one whole block
+    ]
+    for i, (offset, size, blocks) in enumerate(cases):
+        patch = payload(size, seed=42 + i)
+        sent, transfers = coord.bus.total_bytes(), coord.bus.transfer_count
+        stats = coord.update("f", offset, patch)
+        data[offset : offset + size] = patch
+        assert stats == {"blocks_patched": blocks, "parity_deltas": blocks * m}
+        assert coord.bus.total_bytes() - sent == m * size * itemsize
+        assert coord.bus.transfer_count - transfers == blocks * m
+    assert coord.read("f") == bytes(data)
+    assert all(coord.scrub().values())
+    # a dead parity node receives nothing
+    coord.crash_node(coord.layout.stripes[0].placement[k])
+    sent = coord.bus.total_bytes()
+    coord.update("f", 5, payload(40, seed=50))
+    assert coord.bus.total_bytes() - sent == (m - 1) * 40 * itemsize

@@ -23,7 +23,10 @@ uploaded:
   one point with a positive ``decode_mbps`` metric, and — when a full-
   fidelity (``env.smoke`` false) ``ec_codec.backend_native.gf8`` point is
   present — holds the native tier's ``vs_numpy_x`` to the >= 5x
-  acceptance floor;
+  acceptance floor; it also carries at least one point with a positive
+  ``encode_mbps`` metric, and a full-fidelity ``ec_codec.encode_seam.gf8``
+  point holds the data-plane seam's ``vs_reference_x`` to >= 4x the
+  ``gf_matmul`` LUT reference;
 * suite ``online-serving-plane`` additionally carries a
   ``serving.chunk_sweep`` point whose ``p99_ratio_c{chunks}`` metrics
   (at least two) fall strictly as ``chunks`` grows and never dip below
@@ -124,6 +127,17 @@ def check_doc(doc, errors):
 NATIVE_SPEEDUP_FLOOR = 5.0
 
 
+#: full-fidelity floor for an encode through the data-plane seam vs the
+#: ``gf_matmul`` LUT reference (mirrors benchmarks/bench_ec_codec.py).
+ENCODE_SEAM_FLOOR = 4.0
+
+#: batch-suite bench -> (ratio metric, full-fidelity floor).
+BATCH_FLOORS = {
+    "ec_codec.backend_native.gf8": ("vs_numpy_x", NATIVE_SPEEDUP_FLOOR),
+    "ec_codec.encode_seam.gf8": ("vs_reference_x", ENCODE_SEAM_FLOOR),
+}
+
+
 def check_batch_backend(doc, points, errors):
     """The batch suite must name its kernel tier and pin its throughput."""
     env = doc.get("env")
@@ -131,33 +145,26 @@ def check_batch_backend(doc, points, errors):
     if not (isinstance(backend, str) and backend):
         errors.append("batch suite env needs a non-empty 'backend' string")
     numeric = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)  # noqa: E731
-    mbps = [
-        p["metrics"]["decode_mbps"]
+    metrics_of = {
+        p.get("bench"): p["metrics"]
         for p in points
-        if isinstance(p, dict)
-        and isinstance(p.get("metrics"), dict)
-        and numeric(p["metrics"].get("decode_mbps"))
-    ]
-    if not any(v > 0 for v in mbps):
-        errors.append("batch suite needs a point with a positive decode_mbps metric")
-    smoke = env.get("smoke") if isinstance(env, dict) else None
-    native = next(
-        (
-            p
-            for p in points
-            if isinstance(p, dict) and p.get("bench") == "ec_codec.backend_native.gf8"
-        ),
-        None,
-    )
-    if native is not None and smoke is False:
-        metrics = native.get("metrics")
-        ratio = metrics.get("vs_numpy_x") if isinstance(metrics, dict) else None
+        if isinstance(p, dict) and isinstance(p.get("metrics"), dict)
+    }
+    for name in ("decode_mbps", "encode_mbps"):
+        values = [m[name] for m in metrics_of.values() if numeric(m.get(name))]
+        if not any(v > 0 for v in values):
+            errors.append(f"batch suite needs a point with a positive {name} metric")
+    if not (isinstance(env, dict) and env.get("smoke") is False):
+        return  # smoke sizes are too small to hold a speedup floor
+    for bench, (metric, floor) in BATCH_FLOORS.items():
+        if bench not in metrics_of:
+            continue
+        ratio = metrics_of[bench].get(metric)
         if not numeric(ratio):
-            errors.append("ec_codec.backend_native.gf8 needs a numeric vs_numpy_x")
-        elif ratio < NATIVE_SPEEDUP_FLOOR:
+            errors.append(f"{bench} needs a numeric {metric}")
+        elif ratio < floor:
             errors.append(
-                f"ec_codec.backend_native.gf8 vs_numpy_x ({ratio}) below the "
-                f"{NATIVE_SPEEDUP_FLOOR}x native-tier acceptance floor"
+                f"{bench} {metric} ({ratio}) below the {floor}x acceptance floor"
             )
 
 
