@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from benchmarks.conftest import record_adaptive_point, set_adaptive_env
+from benchmarks.conftest import record_point, set_env
 from repro.adaptive import AdaptiveConfig, AdaptiveEngine, AdaptiveEntry
 from repro.experiments.common import build_scenario
 from repro.repair.hybrid import plan_hybrid
@@ -57,8 +57,8 @@ def test_adaptive_vs_static_under_churn():
         t_adaptive = float(np.mean([r[1] for r in rows]))
         speedup = t_static / t_adaptive
         speedups.append(speedup)
-        record_adaptive_point(
-            f"adaptive.replan.k{k}m{m}f{f}",
+        record_point(
+            "adaptive", f"adaptive.replan.k{k}m{m}f{f}",
             {"k": k, "m": m, "f": f, "seeds": len(SEEDS), "scheme": "hmbr",
              "smoke": SMOKE},
             {
@@ -70,7 +70,7 @@ def test_adaptive_vs_static_under_churn():
             },
         )
         assert t_adaptive < t_static, (k, m, f)
-    set_adaptive_env(adaptive_speedup_x=float(np.exp(np.mean(np.log(speedups)))))
+    set_env("adaptive", adaptive_speedup_x=float(np.exp(np.mean(np.log(speedups)))))
 
 
 def test_adaptive_quiet_overhead_is_zero():
@@ -84,8 +84,8 @@ def test_adaptive_quiet_overhead_is_zero():
     )
     assert abs(report.makespan_s - t_static) <= 1e-9
     assert report.replans == 0 and report.wasted_mb == 0.0
-    record_adaptive_point(
-        "adaptive.quiet_overhead",
+    record_point(
+        "adaptive", "adaptive.quiet_overhead",
         {"k": k, "m": m, "f": f, "scheme": "hmbr", "smoke": SMOKE},
         {
             "t_static_s": t_static,

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import attach, record_batch_point, set_batch_env
+from benchmarks.conftest import attach, record_point, set_env
 from repro.ec.rs import get_code
 from repro.gf import gf_matmul
 from repro.gf.backend import available_backends, get_backend, select_backend
@@ -102,9 +102,9 @@ def test_batched_repair_speedup_f4(w):
     t_batch = _best_of(lambda: engine.repair_items(items), repeats)
     speedup = t_single / t_batch
     nbytes = n_stripes * k * block * code.field.dtype().itemsize
-    set_batch_env(backend=engine.stats()["backend"])
-    record_batch_point(
-        f"ec_codec.batched_repair.gf{w}",
+    set_env("batch", backend=engine.stats()["backend"])
+    record_point(
+        "batch", f"ec_codec.batched_repair.gf{w}",
         params={
             "k": k, "m": m, "f": f, "stripes": n_stripes,
             "block_symbols": block, "field_w": w, "smoke": SMOKE,
@@ -171,8 +171,8 @@ def test_batched_backend_tiers_f4(w):
 
     assert "numpy" in decode_s
     for name, t in decode_s.items():
-        record_batch_point(
-            f"ec_codec.backend_{name}.gf{w}",
+        record_point(
+            "batch", f"ec_codec.backend_{name}.gf{w}",
             params={
                 "k": k, "m": m, "f": f, "stripes": n_stripes,
                 "block_symbols": block, "field_w": w, "smoke": SMOKE,
@@ -214,9 +214,9 @@ def test_encode_seam_vs_reference():
     t_seam = _best_of(lambda: code.encode(data), repeats)
     t_ref = _best_of(lambda: gf_matmul(code.generator[k:], data, code.field), repeats)
     backend = select_backend(code.field.w).name
-    set_batch_env(backend=backend)
-    record_batch_point(
-        "ec_codec.encode_seam.gf8",
+    set_env("batch", backend=backend)
+    record_point(
+        "batch", "ec_codec.encode_seam.gf8",
         params={
             "k": k, "m": m, "block_symbols": block, "field_w": 8,
             "smoke": SMOKE, "backend": backend,

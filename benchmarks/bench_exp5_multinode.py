@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import attach, record_batch_point
+from benchmarks.conftest import attach, record_point
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import get_code
@@ -83,8 +83,8 @@ def test_exp5_batched_node_repair_data_plane():
     assert coord_a.read("f") == coord_b.read("f")
     assert rb.batched and rb.plan_summary["pattern_groups"] >= 1
     assert rb.plan_summary["plan_cache"]["misses"] >= 1
-    record_batch_point(
-        "exp5.batched_node_repair",
+    record_point(
+        "batch", "exp5.batched_node_repair",
         params={
             "k": 8, "m": 4, "stripes": n_stripes,
             "block_bytes": block, "scheme": "hmbr", "smoke": SMOKE,
@@ -137,8 +137,8 @@ def test_exp5_batched_plan_grouping():
     assert sorted(j.stripe_id for j in jobs_plain) == sorted(j.stripe_id for j in jobs_grp)
     assert groups and sum(len(g["stripes"]) for g in groups) == len(jobs_grp)
     assert merged_grp.meta["plan_cache"]["misses"] == len(groups) == len(cache)
-    record_batch_point(
-        "exp5.batched_plan_grouping",
+    record_point(
+        "batch", "exp5.batched_plan_grouping",
         params={
             "k": k, "m": m, "n_dead": n_dead, "stripes": n_stripes, "smoke": SMOKE,
         },

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import record_parallel_point, set_parallel_env
+from benchmarks.conftest import record_point, set_env
 from repro.ec.rs import get_code
 from repro.parallel import ParallelRepairEngine, pipeline_schedule
 from repro.repair.batch import BatchRepairEngine, StripeBatchItem
@@ -101,11 +101,11 @@ def test_pooled_decode_speedup_vs_serial():
         t_inline = _best_of(lambda: serial_engine.repair_items(items), REPEATS)
         t_pooled = _best_of(lambda: engine.repair_items(items), REPEATS)
         stats = engine.stats()
-        set_parallel_env(backend=stats["backend"])
+        set_env("parallel", backend=stats["backend"])
 
     speedup = t_single / t_pooled
-    record_parallel_point(
-        f"parallel.pooled_decode.gf{W}",
+    record_point(
+        "parallel", f"parallel.pooled_decode.gf{W}",
         params={
             "k": K, "m": M, "f": F, "stripes": N_STRIPES,
             "block_symbols": BLOCK, "field_w": W, "workers": WORKERS,
@@ -135,8 +135,8 @@ def test_pipeline_model_savings():
     rep = pipeline_schedule(list(range(n)), ready, cost, workers=WORKERS)
     assert rep.makespan_s < rep.barrier_makespan_s
     assert rep.saved_s > 0.0
-    record_parallel_point(
-        "parallel.pipeline_model",
+    record_point(
+        "parallel", "parallel.pipeline_model",
         params={"items": n, "workers": WORKERS, "smoke": SMOKE},
         metrics={
             "pipelined_makespan_s": rep.makespan_s,

@@ -27,7 +27,7 @@ import dataclasses
 import os
 import time
 
-from benchmarks.conftest import record_reliability_point, set_reliability_env
+from benchmarks.conftest import record_point, set_env
 from repro.reliability import ReliabilitySimulator, ReliabilitySpec
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -98,9 +98,9 @@ def test_nines_ordering_across_schemes():
         "HMBR must buy strictly more nines than CR at these rates"
     )
     assert lost["hmbr"] < lost["cr"]
-    record_reliability_point("reliability.nines", _params(NINES_SPEC), metrics)
-    set_reliability_env(
-        nines_hmbr=metrics["nines_hmbr"],
+    record_point("reliability", "reliability.nines", _params(NINES_SPEC), metrics)
+    set_env(
+        "reliability", nines_hmbr=metrics["nines_hmbr"],
         nines_cr=metrics["nines_cr"],
     )
 
@@ -120,8 +120,8 @@ def test_fastpath_speedup_over_byte_materializing():
 
     speedup = t_bytes / t_fast
     n_repairs = sum(t.n_repairs for t in fast.trials)
-    record_reliability_point(
-        "reliability.fastpath",
+    record_point(
+        "reliability", "reliability.fastpath",
         _params(FASTPATH_SPEC),
         {
             "speedup_x": speedup,
@@ -130,7 +130,7 @@ def test_fastpath_speedup_over_byte_materializing():
             "repairs": n_repairs,
         },
     )
-    set_reliability_env(fastpath_speedup_x=speedup)
+    set_env("reliability", fastpath_speedup_x=speedup)
     assert n_repairs > 0
     if not SMOKE:
         assert speedup >= 50.0, (

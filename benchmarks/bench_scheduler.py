@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import record_sched_point
+from benchmarks.conftest import record_point
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
@@ -89,8 +89,8 @@ def test_sched_throughput_scales_with_concurrency(cap):
     speedup = baseline.makespan_s / report.makespan_s
     # disjoint footprints: concurrency must buy near-linear speedup
     assert speedup > 0.9 * cap
-    record_sched_point(
-        f"sched.concurrency_{cap}",
+    record_point(
+        "sched", f"sched.concurrency_{cap}",
         params={
             "jobs": N_JOBS, "stripes_per_job": STRIPES_PER_JOB,
             "k": K, "m": M, "concurrency": cap,
@@ -147,8 +147,8 @@ def test_sched_weighted_contention_point():
     slowest_bg = max(j.finish_s for j in jobs[1:])
     # 4.0 vs 0.25 weights on shared links: foreground must clearly win
     assert jobs[0].finish_s < slowest_bg
-    record_sched_point(
-        "sched.weighted_mix",
+    record_point(
+        "sched", "sched.weighted_mix",
         params={
             "jobs": N_JOBS, "stripes_per_job": STRIPES_PER_JOB,
             "k": K, "m": M, "smoke": SMOKE,

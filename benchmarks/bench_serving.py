@@ -29,7 +29,7 @@ trace.
 import os
 import time
 
-from benchmarks.conftest import record_serving_point
+from benchmarks.conftest import record_point
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
@@ -99,7 +99,7 @@ def _point(bench, res, wall_s, **extra):
         "wall_s": wall_s,
     }
     metrics.update(extra)
-    record_serving_point(bench, params=_PARAMS, metrics=metrics)
+    record_point("serving", bench, params=_PARAMS, metrics=metrics)
 
 
 def test_serving_healthy_and_degraded_regimes():
@@ -159,7 +159,7 @@ def test_serving_pipeline_chunk_sweep():
             "wall_s": wall,
         }
     )
-    record_serving_point("serving.chunk_sweep", params=_PARAMS, metrics=metrics)
+    record_point("serving", "serving.chunk_sweep", params=_PARAMS, metrics=metrics)
 
 
 def test_serving_storm_policy_tradeoff():
@@ -182,8 +182,8 @@ def test_serving_storm_policy_tradeoff():
 
     _point("serving.storm_weighted", weighted, wall_w, repair_makespan_s=rm_w)
     _point("serving.storm_equal", equal, wall_e, repair_makespan_s=rm_e)
-    record_serving_point(
-        "serving.policy_tradeoff",
+    record_point(
+        "serving", "serving.policy_tradeoff",
         params=_PARAMS,
         metrics={
             # the protection: how much foreground p99 the weighted policy saves

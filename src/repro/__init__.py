@@ -54,14 +54,14 @@ from repro.repair import (
     plan_rack_aware_hybrid,
     plan_multi_node,
     repair_model,
-    PlanExecutor,
-    Workspace,
 )
 from repro.system import (
     Coordinator,
     JobOutcome,
+    PlanExecutor,
     RepairRequest,
     RepairResult,
+    Workspace,
 )
 from repro.sched import AdmissionPolicy, RepairJob, RepairScheduler, SchedulerReport
 from repro.parallel import ParallelRepairEngine, PipelineReport, WorkerPool

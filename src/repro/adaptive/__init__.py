@@ -9,7 +9,7 @@ end (:class:`RangeJournal` — committed ranges are never re-sent), and
 re-solves the remaining volume against the current capacities, choosing
 among CR / IR / HMBR / MLF.  :class:`AdaptiveRuntime` executes the
 committed pieces through the coordinator's agents with a resumable
-:class:`~repro.repair.executor.ExecutionJournal` cursor.
+:class:`~repro.system.agent.ExecutionJournal` cursor.
 
 Entry points: ``Coordinator.repair(RepairRequest(adaptive=True,
 network=NetworkTrace...))``, or :class:`AdaptiveRuntime` directly.

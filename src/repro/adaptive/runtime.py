@@ -7,7 +7,7 @@ agents: it runs the *exact* planning phase of a static healthy round
 split), hands the resulting plans to the engine for drift-triggered
 re-planning, then executes each journaled piece's GF/transfer ops
 exactly once through the agents — resumable via the fault runtime's
-:class:`~repro.repair.executor.ExecutionJournal` cursor, so an
+:class:`~repro.system.agent.ExecutionJournal` cursor, so an
 interrupted data plane never re-sends bytes it already moved.
 
 Every failed block is finally assembled from its pieces with one
@@ -25,10 +25,9 @@ from repro.adaptive.engine import (
     AdaptiveReport,
 )
 from repro.repair._build import repaired_name
-from repro.repair.executor import ExecutionJournal
 from repro.repair.plan import ConcatOp
 from repro.simnet.network import as_network
-from repro.system.agent import run_plan_ops
+from repro.system.agent import ExecutionJournal, run_plan_ops
 
 
 class AdaptiveRuntime:
@@ -89,10 +88,11 @@ class AdaptiveRuntime:
             ).run(entries)
 
             # ---- data plane: each journaled piece's ops run exactly once
-            for sid, ctx, _ in rnd.work:
-                self._execute_key(key_of[sid], sid, ctx, report, req.verify)
-            for agent in coord.agents.values():
-                agent.clear_scratch()
+            try:
+                for sid, ctx, _ in rnd.work:
+                    self._execute_key(key_of[sid], sid, ctx, report, req.verify)
+            finally:
+                coord.clear_scratch()
 
         pieces = {sid: len(report.pieces[key]) for sid, key in key_of.items()}
         if coord.obs is not None:

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.repair.context import RepairContext
-from repro.repair.executor import ExecutionReport
 from repro.repair.plan import RepairPlan
 from repro.simnet.fluid import FluidSimulator
+from repro.system.executor import ExecutionReport
 
 
 @dataclass
@@ -57,6 +57,27 @@ class RepairBreakdown:
         return self.transfer_s / self.total_s if self.total_s else 0.0
 
 
+def _row(
+    ctx: RepairContext, scheme: str, transfer_s: float, gf_bytes_by_node: dict[int, int],
+    python_compute_s: float, test_block_bytes: int, cost: CostModel | None,
+) -> RepairBreakdown:
+    """Charge measured per-node GF bytes (at test size) to the cost model."""
+    cost = cost or CostModel()
+    scale = (ctx.block_size_mb * 2**20) / test_block_bytes
+    max_node_bytes = max(gf_bytes_by_node.values(), default=0) * scale
+    compute_s = max_node_bytes / (cost.gf_throughput_gbps * 2**30)
+    disk_s = ctx.block_size_mb / cost.disk_read_mbps + ctx.block_size_mb / cost.disk_write_mbps
+    return RepairBreakdown(
+        scheme=scheme,
+        k=ctx.code.k,
+        m=ctx.code.m,
+        f=ctx.f,
+        transfer_s=transfer_s,
+        other_s=compute_s + disk_s + cost.fixed_overhead_s,
+        python_compute_s=python_compute_s,
+    )
+
+
 def breakdown_for_plan(
     ctx: RepairContext,
     plan: RepairPlan,
@@ -70,20 +91,10 @@ def breakdown_for_plan(
     ``test_block_bytes`` bytes; GF byte counts are scaled up to the modeled
     ``ctx.block_size_mb``.
     """
-    cost = cost or CostModel()
     sim = FluidSimulator(ctx.cluster).run(plan.tasks)
-    scale = (ctx.block_size_mb * 2**20) / test_block_bytes
-    max_node_bytes = max(report.gf_bytes_by_node.values(), default=0) * scale
-    compute_s = max_node_bytes / (cost.gf_throughput_gbps * 2**30)
-    disk_s = ctx.block_size_mb / cost.disk_read_mbps + ctx.block_size_mb / cost.disk_write_mbps
-    return RepairBreakdown(
-        scheme=plan.scheme,
-        k=ctx.code.k,
-        m=ctx.code.m,
-        f=ctx.f,
-        transfer_s=sim.makespan,
-        other_s=compute_s + disk_s + cost.fixed_overhead_s,
-        python_compute_s=report.total_compute_seconds,
+    return _row(
+        ctx, plan.scheme, sim.makespan, report.gf_bytes_by_node,
+        report.total_compute_seconds, test_block_bytes, cost,
     )
 
 
@@ -104,7 +115,7 @@ def breakdown_from_trace(
       tracer);
     * GF bytes per node are summed from the ops-domain ``compute`` spans
       inside the most recent ``execute`` span (recorded by
-      :class:`~repro.repair.executor.PlanExecutor`), then scaled and charged
+      :class:`~repro.system.executor.PlanExecutor`), then scaled and charged
       to the same :class:`CostModel`;
     * the scheme is read off the ``execute`` span itself.
 
@@ -113,40 +124,25 @@ def breakdown_from_trace(
     returned row is exactly the one :func:`breakdown_for_plan` computes —
     the trace-vs-live equivalence tests assert it field for field.
     """
-    cost = cost or CostModel()
-    executes = [s for s in tracer.spans if s.cat == "execute" and s.closed]
+    executes = [s for s in tracer.find(cat="execute") if s.closed]
     if not executes:
         raise ValueError("trace contains no completed 'execute' span")
     root = executes[-1]
-    sims = [
-        s for s in tracer.spans
-        if s.cat == "sim" and s.name == sim_label and s.closed
-    ]
+    sims = [s for s in tracer.find(cat="sim", name=sim_label) if s.closed]
     if not sims:
         raise ValueError(f"trace contains no sim-domain root span named {sim_label!r}")
     makespan = sims[-1].args.get("makespan", sims[-1].t1)
 
     gf_by_node: dict[int, int] = {}
     python_s = 0.0
-    for s in tracer.spans:
-        if s.cat != "compute" or not s.closed:
-            continue
-        if s.t0 < root.t0 or s.t1 > root.t1:
-            continue  # belongs to an earlier execution on this tracer
+    for s in tracer.find(cat="compute"):
+        if not s.closed or s.t0 < root.t0 or s.t1 > root.t1:
+            continue  # open, or belongs to an earlier execution on this tracer
         node = s.args["node"]
         gf_by_node[node] = gf_by_node.get(node, 0) + s.args["bytes"]
         python_s += s.args["seconds"]
 
-    scale = (ctx.block_size_mb * 2**20) / test_block_bytes
-    max_node_bytes = max(gf_by_node.values(), default=0) * scale
-    compute_s = max_node_bytes / (cost.gf_throughput_gbps * 2**30)
-    disk_s = ctx.block_size_mb / cost.disk_read_mbps + ctx.block_size_mb / cost.disk_write_mbps
-    return RepairBreakdown(
-        scheme=root.args.get("scheme", root.name.partition(":")[2]),
-        k=ctx.code.k,
-        m=ctx.code.m,
-        f=ctx.f,
-        transfer_s=makespan,
-        other_s=compute_s + disk_s + cost.fixed_overhead_s,
-        python_compute_s=python_s,
+    return _row(
+        ctx, root.args.get("scheme", root.name.partition(":")[2]), makespan,
+        gf_by_node, python_s, test_block_bytes, cost,
     )

@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.breakdown import CostModel, breakdown_from_trace
-from repro.ec.stripe import block_name
 from repro.experiments.common import build_scenario, format_table, plan_for
 from repro.obs import Tracer
-from repro.repair.executor import PlanExecutor, Workspace
 from repro.simnet.fluid import FluidSimulator
+from repro.system.executor import PlanExecutor, Workspace
 
 DEFAULT_CASES = [(32, 4), (64, 8)]
 SCHEMES = ["cr", "ir", "hmbr"]

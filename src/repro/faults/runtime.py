@@ -36,10 +36,9 @@ from repro.faults.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultEvent, FaultSchedule
-from repro.repair.executor import ExecutionJournal
 from repro.repair.plan import RepairPlan, TransferOp, rename_plan
 from repro.repair.planner import RoundPlan, assign_spares, dead_hosts, plan_stripe
-from repro.system.agent import run_plan_ops
+from repro.system.agent import ExecutionJournal, run_plan_ops
 
 _MAX_ROUNDS = 32  # safety net: schedules are finite, rounds must terminate
 
@@ -301,11 +300,6 @@ class FaultRuntime:
             if not self.coord.agents[node].alive:
                 raise DeadAgent(node)
 
-    def _clear_scratch(self) -> None:
-        for agent in self.coord.agents.values():
-            if agent.alive:
-                agent.clear_scratch()
-
     def _plan_touches_dead(self, plan: RepairPlan) -> bool:
         return any(
             not self.coord.agents[node].alive
@@ -345,7 +339,7 @@ class FaultRuntime:
                     continue
                 self.wasted_bytes += journal.transfer_bytes
                 journal.reset()
-                self._clear_scratch()
+                coord.clear_scratch()
                 attempt_start = self.injector.now
             att_span = None
             if obs is not None:
@@ -431,10 +425,13 @@ class FaultRuntime:
         self._replacements = None
         rnd = self._prepare(sids, scheme)
         committed = []
-        for sid, ctx, center in rnd.work if rnd is not None else ():
-            plan = self._repair_stripe(sid, scheme, verify, (ctx, center), rnd.common_p)
-            if plan is not None:
-                committed.append((sid, plan))
+        try:
+            for sid, ctx, center in rnd.work if rnd is not None else ():
+                plan = self._repair_stripe(sid, scheme, verify, (ctx, center), rnd.common_p)
+                if plan is not None:
+                    committed.append((sid, plan))
+        finally:
+            self.coord.clear_scratch()
         return committed
 
     def _rounds(self, scheme: str, verify: bool, wanted=None):
@@ -515,7 +512,6 @@ class FaultRuntime:
                 final_plans, rounds = self._rounds(request.scheme, request.verify)
             finally:
                 injector.detach(coord.bus)
-                self._clear_scratch()
 
         # ---- timing plane: simulate the committed plans together (renamed:
         # a stripe re-broken by a later fault commits more than one plan)

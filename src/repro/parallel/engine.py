@@ -5,8 +5,7 @@ whose GF plane matmul runs through a :class:`repro.parallel.pool.WorkerPool`
 instead of inline.  Everything else — pattern grouping, plan caching,
 per-stripe accounting, the batch spans — is inherited unchanged, so the
 engine drops into every seam that accepts a ``BatchRepairEngine``
-(``PlanExecutor.execute_batch``, ``Coordinator._dispatch_batched``, the
-scheduler's wave dispatch).
+(``Coordinator._dispatch_batched``, the scheduler's wave dispatch).
 
 Bit-exactness contract: each worker decodes its column shard with the very
 kernel tier the serial engine selected (see :mod:`repro.gf.backend` — the

@@ -4,7 +4,7 @@ This package is the paper's contribution.  Planners turn a
 :class:`~repro.repair.context.RepairContext` (who failed, who survives, where
 new nodes are) into a :class:`~repro.repair.plan.RepairPlan` holding both a
 *timing view* (flow tasks for :mod:`repro.simnet`) and a *data view* (GF ops
-for :mod:`repro.repair.executor`, which repairs real bytes and verifies them).
+for the agents of :mod:`repro.system`, which repair real bytes and verify them).
 :mod:`repro.repair.planner` composes them into whole repair rounds:
 :data:`SCHEMES` is the scheme registry and :func:`plan_round` the single
 plan path every coordinator route calls.
@@ -39,13 +39,6 @@ from repro.repair.rackaware import (
     LinkUsageTracker,
 )
 from repro.repair.multinode import CenterScheduler, MultiNodeRepairJob, plan_multi_node
-from repro.repair.executor import (
-    BatchExecutionReport,
-    BatchRepairRequest,
-    ExecutionReport,
-    PlanExecutor,
-    Workspace,
-)
 from repro.repair.batch import (
     BatchRepairEngine,
     DecodePlan,
@@ -88,12 +81,7 @@ __all__ = [
     "CenterScheduler",
     "MultiNodeRepairJob",
     "plan_multi_node",
-    "PlanExecutor",
-    "Workspace",
-    "ExecutionReport",
     "BatchRepairEngine",
-    "BatchExecutionReport",
-    "BatchRepairRequest",
     "DecodePlan",
     "PatternGroup",
     "PatternKey",

@@ -4,9 +4,9 @@ A plan carries two synchronized views of the same repair:
 
 * ``tasks`` — :mod:`repro.simnet` flow tasks, consumed by the fluid
   simulator to obtain the repair *transfer* time;
-* ``ops`` — data-level GF operations in topological order, consumed by
-  :class:`repro.repair.executor.PlanExecutor` to repair actual bytes (and
-  measure the compute component of Table II).
+* ``ops`` — data-level GF operations in topological order, run by the
+  storage agents (:func:`repro.system.agent.run_plan_ops`) to repair actual
+  bytes (and measure the compute component of Table II).
 
 Buffer naming: every op reads/writes named buffers in per-node workspaces.
 Planners use hierarchical names like ``"h.ir/lo/b03"`` so views stay

@@ -351,10 +351,12 @@ class FluidSimulator:
 
         import numpy as np
 
-        task_resources = {tid: [r for r, _ in self._resources_of(t)] for tid, t in by_id.items()}
+        task_resources: dict[str, list[str]] = {}
         res_caps: dict[str, _Resource] = {}
         for tid, t in by_id.items():
-            for key, cap in self._resources_of(t):
+            pairs = self._resources_of(t)
+            task_resources[tid] = [key for key, _ in pairs]
+            for key, cap in pairs:
                 if key not in res_caps:
                     res_caps[key] = _Resource(cap)
         flow_tids = [tid for tid, t in by_id.items() if not isinstance(t, DelayTask)]

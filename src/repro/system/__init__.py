@@ -12,6 +12,7 @@ coordinator breaks them into per-agent commands exactly as OpenEC does.
 from repro.system.blockstore import BlockStore
 from repro.system.bus import DataBus
 from repro.system.agent import Agent
+from repro.system.executor import ExecutionReport, PlanExecutor, Workspace
 from repro.system.heartbeat import HeartbeatMonitor
 from repro.system.request import JobOutcome, RepairRequest, RepairResult, RepairTiming
 from repro.system.coordinator import Coordinator, WriteReceipt
@@ -22,9 +23,12 @@ __all__ = [
     "Agent",
     "HeartbeatMonitor",
     "Coordinator",
+    "ExecutionReport",
     "JobOutcome",
+    "PlanExecutor",
     "RepairRequest",
     "RepairResult",
     "RepairTiming",
+    "Workspace",
     "WriteReceipt",
 ]

@@ -10,6 +10,7 @@ this is the system's share of the Table II ``T_o`` column.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,16 +113,37 @@ class Agent:
         self.scratch.clear()
 
 
+@dataclass
+class ExecutionJournal:
+    """Progress cursor for resumable plan execution.
+
+    ``completed`` counts ops already executed; a resumed run starts there
+    and never redoes finished work.  ``transfer_bytes`` meters the transfer
+    ops actually performed through this journal, which is what the fault
+    runtime reconciles against the data-bus byte counters.
+    """
+
+    completed: int = 0
+    transfer_bytes: int = 0
+
+    def reset(self) -> None:
+        self.completed = 0
+        self.transfer_bytes = 0
+
+
 def run_plan_ops(
-    ops: list[Op], agents: dict[int, Agent], bus: DataBus, journal=None, before_op=None
+    ops: list[Op], agents: dict[int, Agent], bus: DataBus,
+    journal: ExecutionJournal | None = None, before_op=None,
 ) -> None:
     """Dispatch a plan's ops to agents in order (the coordinator's job).
 
-    ``journal`` (an :class:`repro.repair.executor.ExecutionJournal`) makes
-    the run resumable: ops before ``journal.completed`` are skipped, the
-    counter advances as ops finish, and every transfer performed is
-    metered into ``journal.transfers`` / ``journal.transfer_bytes`` — so a
-    retried run never redoes (or double-counts) completed work.
+    This is the one interpreter of the four op kinds: the healthy round,
+    the fault and adaptive runtimes and the coordinator-less
+    :class:`~repro.system.executor.PlanExecutor` all run plans through it.
+    ``journal`` makes the run resumable: ops before ``journal.completed``
+    are skipped, the counter advances as ops finish, and every transfer
+    performed is metered into ``journal.transfer_bytes`` — so a retried run
+    never redoes (or double-counts) completed work.
     ``before_op(op)`` runs ahead of each op and may raise to interrupt the
     plan (the fault runtime's clock tick / timeout / liveness gate).
     """
@@ -136,7 +158,6 @@ def run_plan_ops(
             dst = agents[op.dst_node]
             agents[op.src_node].send_to(dst, op.name, op.rename, bus)
             if journal is not None:
-                journal.transfers += 1
                 journal.transfer_bytes += dst.scratch[op.rename or op.name].nbytes
         elif isinstance(op, CombineOp):
             agents[op.node].do_combine(op)

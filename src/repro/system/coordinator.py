@@ -616,12 +616,11 @@ class Coordinator:
         the batch engine (fanned out to a worker pool when ``workers >
         1``) and returns its :class:`~repro.repair.batch.BatchDecodeResult`.
         """
-        res = None
-        if batched:
-            res = self._dispatch_batched(
-                rnd, verify, self._engine_for(workers) if workers > 1 else None
-            )
-        else:
+        try:
+            if batched:
+                return self._dispatch_batched(
+                    rnd, verify, self._engine_for(workers) if workers > 1 else None
+                )
             for sid, plan in rnd.plans:
                 with self.span(
                     f"stripe:{sid}", "dispatch",
@@ -629,9 +628,15 @@ class Coordinator:
                 ):
                     run_plan_ops(plan.ops, self.agents, self.bus)
                     self.commit_outputs(sid, plan.outputs, verify)
+        finally:
+            self.clear_scratch()
+
+    def clear_scratch(self) -> None:
+        """Drop every agent's in-flight buffers.  Scratch shadows stored blocks,
+        so each data-plane loop calls this in a ``finally``: a repair that
+        raises must not leave survivor copies behind for a later plan."""
         for agent in self.agents.values():
             agent.clear_scratch()
-        return res
 
     def _dispatch_batched(self, rnd: RoundPlan, verify: bool, engine=None):
         """Batched data plane: one stacked GF kernel per erasure-pattern group.
@@ -840,28 +845,31 @@ class Coordinator:
         patch_arr = np.frombuffer(patch, dtype=np.uint8)
         k = self.code.k
         stripe_payload = k * self.block_bytes
-        touched_blocks = 0
-        parity_deltas = 0
+        # validate every touched data block's host before mutating anything,
+        # so a patch straddling a dead node fails without a partial write
+        spans = []  # (stripe, data block index, block byte range, new bytes)
         pos = 0
         while pos < len(patch_arr):
             abs_off = offset + pos
-            stripe_idx = abs_off // stripe_payload
-            sid = stripe_ids[stripe_idx]
-            stripe = self.layout[sid]
+            stripe = self.layout[stripe_ids[abs_off // stripe_payload]]
             block_idx = (abs_off % stripe_payload) // self.block_bytes
-            block_off = abs_off % self.block_bytes
-            span = min(self.block_bytes - block_off, len(patch_arr) - pos)
+            lo = abs_off % self.block_bytes
+            hi = min(self.block_bytes, lo + len(patch_arr) - pos)
+            node = stripe.placement[block_idx]
+            if not self.agents[node].alive:
+                raise IOError(f"cannot update block on dead node {node}")
+            spans.append((stripe, block_idx, lo, hi, patch_arr[pos : pos + hi - lo]))
+            pos += hi - lo
+        parity_deltas = 0
+        for stripe, block_idx, lo, hi, piece in spans:
+            sid = stripe.stripe_id
             node = stripe.placement[block_idx]
             agent = self.agents[node]
-            if not agent.alive:
-                raise IOError(f"cannot update block on dead node {node}")
             bname = block_name(sid, block_idx)
-            lo, hi = block_off, block_off + span
             new = agent.read_block(bname).copy()
-            delta = new[lo:hi] ^ patch_arr[pos : pos + span]
-            new[lo:hi] = patch_arr[pos : pos + span]
+            delta = new[lo:hi] ^ piece
+            new[lo:hi] = piece
             agent.store_block(bname, new, overwrite=True)
-            touched_blocks += 1
             # only the patched span travels: one (m, 1) x (1, span) product
             # scales the delta for every parity node at once
             scaled = matmul(
@@ -878,8 +886,7 @@ class Coordinator:
                 pagent.store_block(pname, parity, overwrite=True)
                 self.bus.record(node, pnode, delta.nbytes)
                 parity_deltas += 1
-            pos += span
-        return {"blocks_patched": touched_blocks, "parity_deltas": parity_deltas}
+        return {"blocks_patched": len(spans), "parity_deltas": parity_deltas}
 
     # -------------------------------------------------------------- #
     # maintenance

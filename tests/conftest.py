@@ -56,7 +56,7 @@ def fig2():
 @pytest.fixture
 def stripe_data():
     """Callable producing (full stripe array, loaded workspace) for a ctx."""
-    from repro.repair.executor import Workspace
+    from repro.system.executor import Workspace
 
     def make(ctx, length=512, seed=0):
         rng = np.random.default_rng(seed)

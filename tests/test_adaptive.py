@@ -190,7 +190,7 @@ def test_adaptive_execution_journals_complete():
 
 def test_resumed_ops_never_resend_journaled_transfers():
     """The executor machinery adaptive reuses counts each transfer once."""
-    from repro.repair.executor import ExecutionJournal
+    from repro.system.agent import ExecutionJournal
     from repro.system.agent import run_plan_ops
 
     def build():

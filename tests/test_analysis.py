@@ -75,7 +75,7 @@ def test_table1_grid_shapes_and_methods():
 # ------------------------------------------------------------------ #
 def test_breakdown_transfer_dominates():
     from repro.experiments.common import build_scenario, plan_for
-    from repro.repair.executor import PlanExecutor, Workspace
+    from repro.system.executor import PlanExecutor, Workspace
 
     sc = build_scenario(16, 4, 4, wld="WLD-8x", seed=1, block_size_mb=64.0)
     ctx = sc.ctx

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.repair.centralized import plan_centralized
-from repro.repair.executor import PlanExecutor, Workspace
+from repro.system.executor import PlanExecutor, Workspace
 from repro.repair.hybrid import plan_hybrid
 from repro.repair.independent import plan_independent
 from repro.repair.validate import validate_plan

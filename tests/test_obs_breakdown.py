@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.breakdown import CostModel, breakdown_for_plan, breakdown_from_trace
 from repro.experiments.common import build_scenario, plan_for
 from repro.obs import Tracer
-from repro.repair.executor import PlanExecutor, Workspace
+from repro.system.executor import PlanExecutor, Workspace
 from repro.simnet.fluid import FluidSimulator
 
 TEST_BLOCK_BYTES = 1 << 14

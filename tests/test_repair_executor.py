@@ -5,8 +5,11 @@ import pytest
 
 from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe
-from repro.repair.executor import PlanExecutor, Workspace
+from repro.repair.hybrid import plan_hybrid
 from repro.repair.plan import CombineOp, ConcatOp, RepairPlan, SliceOp, TransferOp
+from repro.repair.rackaware import plan_rack_aware_hybrid
+from repro.system.executor import PlanExecutor, Workspace
+from tests.conftest import make_repair_ctx
 
 
 def empty_plan(ops, outputs=None):
@@ -106,3 +109,31 @@ def test_compute_time_accounted_per_node():
     report = PlanExecutor(ws).execute(empty_plan(ops))
     assert set(report.compute_seconds) == {0, 1}
     assert report.total_compute_seconds >= report.critical_compute_seconds > 0
+
+
+@pytest.mark.parametrize("planner", [plan_hybrid, plan_rack_aware_hybrid])
+def test_executed_plan_rebuilds_the_original_blocks(planner, stripe_data):
+    """The harness runs on the agents' op path: a planner's plan must come
+    out as the original bytes, and the report must agree with the bus."""
+    ctx = make_repair_ctx(k=6, m=3, f=2, rack_size=3, cross=30.0)
+    full, ws = stripe_data(ctx, length=256, seed=1)
+    report = PlanExecutor(ws).execute(planner(ctx))
+    assert sorted(report.outputs) == sorted(ctx.failed_blocks)
+    for fb, rebuilt in report.outputs.items():
+        assert np.array_equal(rebuilt, full[fb])
+    assert report.transfer_mb_equiv * 2**20 == ws.bus.total_bytes() > 0
+    assert sum(report.per_node_mb_sent.values()) == report.transfer_mb_equiv
+
+
+def test_execute_meters_only_its_own_run():
+    """A second plan on the same workspace reports its own work, and the
+    hooks come off afterwards."""
+    ws = Workspace()
+    ws.put(0, "a", np.arange(16, dtype=np.uint8))
+    plan = empty_plan([TransferOp(0, 1, "a"), CombineOp(1, "out", (2,), ("a",))])
+    first = PlanExecutor(ws).execute(plan)
+    second = PlanExecutor(ws).execute(plan)
+    assert first.transfer_mb_equiv == second.transfer_mb_equiv == 16 / 2**20
+    assert first.gf_bytes_by_node == second.gf_bytes_by_node == {1: 16}
+    assert ws.bus.obs_hook is None
+    assert all(agent.obs_hook is None for agent in ws.agents.values())

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.repair._build import mlf_children
-from repro.repair.executor import PlanExecutor, Workspace
+from repro.system.executor import PlanExecutor, Workspace
 from repro.repair.mlf import plan_mlf
 from repro.repair.validate import validate_plan
 from repro.simnet.fluid import FluidSimulator

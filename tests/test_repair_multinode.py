@@ -9,7 +9,7 @@ from repro.cluster.placement import place_stripes_random
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.ec.stripe import block_name
-from repro.repair.executor import PlanExecutor, Workspace
+from repro.system.executor import PlanExecutor, Workspace
 from repro.repair.multinode import CenterScheduler, plan_multi_node
 from repro.simnet.fluid import FluidSimulator
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.repair.centralized import plan_centralized
-from repro.repair.executor import PlanExecutor
+from repro.system.executor import PlanExecutor
 from repro.repair.hybrid import plan_hybrid
 from repro.repair.rackaware import (
     LinkUsageTracker,

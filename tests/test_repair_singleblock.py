@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.repair.executor import PlanExecutor
+from repro.system.executor import PlanExecutor
 from repro.repair.singleblock import SINGLE_BLOCK_SCHEMES, plan_chain, plan_ppr, plan_star
 from repro.repair.validate import validate_plan
 from repro.simnet.fluid import FluidSimulator

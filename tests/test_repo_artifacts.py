@@ -165,3 +165,60 @@ def test_block_bytes_never_take_the_lut_reference_path():
     assert seam == ["gf/backend/base.py"], seam
     for user in ("gf/field.py", "ec/rs.py", "ec/lrc.py", "system/coordinator.py"):
         assert " matmul(" in (REPO / "src" / "repro" / user).read_text(), user
+
+
+# ------------------------------------------------------------------ #
+# structure: one plan interpreter (ISSUE 15)
+# ------------------------------------------------------------------ #
+def test_one_module_executes_plan_ops():
+    """Only ``run_plan_ops`` branches on the op kinds to run them.
+
+    ``repair/validate.py`` interprets ops symbolically (the checker) and the
+    fault runtime asks one op kind for its nodes; everything that *executes*
+    a plan — the coordinator's rounds, the fault and adaptive runtimes, the
+    ``PlanExecutor`` harness — calls the interpreter in ``system/agent.py``.
+    """
+    import re
+
+    branch = re.compile(r"isinstance\(\w+, (SliceOp|TransferOp|CombineOp|ConcatOp)\)")
+    interpreters = [
+        str(rel)
+        for rel, _, text in _src_modules()
+        if str(rel) != "repair/validate.py" and len(set(branch.findall(text))) > 1
+    ]
+    assert interpreters == ["system/agent.py"], interpreters
+    callers = sorted(str(rel) for rel, _, text in _src_modules() if "run_plan_ops(" in text)
+    assert callers == [
+        "adaptive/runtime.py", "faults/runtime.py", "system/agent.py",
+        "system/coordinator.py", "system/executor.py",
+    ], callers
+    assert not (REPO / "src" / "repro" / "repair" / "executor.py").exists()
+    harness = (REPO / "src" / "repro" / "system" / "executor.py").read_text()
+    assert "isinstance(" not in harness and "tick_span" not in harness
+
+
+def test_repair_package_never_imports_the_system():
+    """``repro.system`` sits on ``repro.repair``, never the other way round."""
+    import re
+
+    offenders = [
+        str(rel)
+        for rel, package, text in _src_modules()
+        if package == "repair" and re.search(r"^\s*(?:from|import) repro\.system\b", text, re.M)
+    ]
+    assert not offenders, offenders
+
+
+def test_executor_batch_api_is_gone():
+    """Production batching is ``Coordinator._dispatch_batched``; the
+    workspace copy and its two types were deleted, not deprecated."""
+    gone = ("execute_" + "batch", "Batch" + "RepairRequest", "Batch" + "ExecutionReport")
+    hits = [
+        f"{path.relative_to(REPO)}: {name}"
+        for top in ("src", "tests", "benchmarks", "examples", "docs")
+        for path in sorted((REPO / top).rglob("*"))
+        if path.suffix in (".py", ".md", ".json", ".txt")
+        for name in gone
+        if name in path.read_text()
+    ]
+    assert not hits, hits

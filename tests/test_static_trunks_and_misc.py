@@ -5,10 +5,11 @@ import pytest
 
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
-from repro.repair.executor import Workspace
+from repro.repair.plan import RepairPlan, SliceOp
 from repro.simnet.flows import Flow
 from repro.simnet.fluid import FluidSimulator
 from repro.simnet.static import StaticShareEvaluator
+from repro.system.executor import PlanExecutor, Workspace
 
 
 def trunked_cluster():
@@ -42,10 +43,10 @@ def test_static_inner_rack_ignores_trunk():
 
 def test_workspace_custom_word_size():
     ws = Workspace(word_bytes=16)
-    buf = np.arange(64, dtype=np.uint8)
-    ws.put(0, "b", buf)
-    half = ws.word_slice(buf, 0.0, 0.5)
-    assert half.size == 32
+    ws.put(0, "b", np.arange(64, dtype=np.uint8))
+    plan = RepairPlan("test", [], [SliceOp(0, "third", "b", 0.0, 1 / 3)], {})
+    PlanExecutor(ws).execute(plan)
+    assert ws.get(0, "third").size == 16  # 64/3 B rounded to a 16-byte word
     with pytest.raises(ValueError):
         ws.put(0, "bad", np.zeros(24, dtype=np.uint8))  # not 16-aligned
 

@@ -4,8 +4,7 @@ Twin-system differentials: two identically-seeded coordinators suffer the
 same failures, one repairs per-stripe and one batched — stored bytes,
 placements, and simulated repair times must come out identical, healthy
 *and* after a `repro.faults` storm.  Plus: the pattern-grouped multi-node
-scheduler, the workspace executor's batch mode, and the observability
-spans/metrics the batched plane emits.
+scheduler and the observability spans/metrics the batched plane emits.
 """
 
 import numpy as np
@@ -14,11 +13,9 @@ import pytest
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import get_code
-from repro.ec.stripe import Stripe, block_name
 from repro.faults.schedule import FaultSchedule
 from repro.obs import Observability
-from repro.repair.batch import BatchRepairEngine, PlanCache
-from repro.repair.executor import BatchRepairRequest, PlanExecutor, Workspace
+from repro.repair.batch import PlanCache
 from repro.repair.multinode import plan_multi_node
 from repro.simnet.fluid import FluidSimulator
 from repro.system.coordinator import Coordinator
@@ -193,65 +190,3 @@ def test_plan_multi_node_grouped_same_coverage_and_makespan_class():
     t_plain = FluidSimulator(cluster).run(merged_plain.tasks).makespan
     t_grp = FluidSimulator(cluster).run(merged_grp.tasks).makespan
     assert t_grp > 0 and t_plain > 0
-
-
-# --------------------------------------------------------------------- #
-# workspace executor: batch mode
-# --------------------------------------------------------------------- #
-def test_executor_batch_bit_exact_and_metered():
-    code = get_code(6, 3, 8)
-    ex = PlanExecutor(Workspace())
-    rng = np.random.default_rng(5)
-    requests, expect = [], {}
-    for sid in range(5):
-        placement = list(range(10 + sid, 10 + sid + code.n))
-        stripe = Stripe(sid, code.k, code.m, placement)
-        data = rng.integers(0, 256, size=(code.k, 1024)).astype(np.uint8)
-        blocks = code.encode_stripe(data)
-        failed = [1, 4] if sid % 2 == 0 else [2]
-        survivors = [i for i in range(code.n) if i not in failed][: code.k]
-        for b in survivors:
-            ex.ws.put(placement[b], block_name(sid, b), blocks[b])
-        dest = {fb: 200 + sid * 4 + i for i, fb in enumerate(failed)}
-        requests.append(
-            BatchRepairRequest(stripe=stripe, survivors=survivors, failed=failed, dest=dest)
-        )
-        expect[sid] = {fb: blocks[fb] for fb in failed}
-    engine = BatchRepairEngine(code)
-    report = ex.execute_batch(requests, engine, verify_against=expect)
-    assert report.stripes == 5
-    assert report.pattern_groups == 2  # {1,4} x3 and {2} x2
-    assert report.plan_misses == 2 and report.plan_hits == 0
-    assert report.total_compute_seconds > 0
-    assert report.critical_compute_seconds <= report.total_compute_seconds
-    assert report.gf_bytes_processed == 5 * code.k * 1024
-    # repaired blocks landed at their destination nodes
-    for req in requests:
-        for fb, dest in req.dest.items():
-            got = ex.ws.get(dest, block_name(req.stripe.stripe_id, fb))
-            assert np.array_equal(got, expect[req.stripe.stripe_id][fb])
-    # second identical round hits the warmed cache
-    report2 = ex.execute_batch(requests, engine)
-    assert report2.plan_hits == 2 and report2.plan_misses == 0
-
-
-def test_executor_batch_detects_corruption():
-    code = get_code(4, 2, 8)
-    ex = PlanExecutor(Workspace())
-    rng = np.random.default_rng(6)
-    data = rng.integers(0, 256, size=(4, 64)).astype(np.uint8)
-    blocks = code.encode_stripe(data)
-    stripe = Stripe(0, 4, 2, list(range(6)))
-    for b in range(4):
-        ex.ws.put(b, block_name(0, b), blocks[b])
-    req = BatchRepairRequest(stripe=stripe, survivors=[0, 1, 2, 3], failed=[4], dest={4: 50})
-    engine = BatchRepairEngine(code)
-    wrong = {0: {4: np.zeros(64, dtype=np.uint8)}}
-    with pytest.raises(AssertionError):
-        ex.execute_batch([req], engine, verify_against=wrong)
-
-
-def test_executor_batch_rejects_non_engine():
-    ex = PlanExecutor(Workspace())
-    with pytest.raises(TypeError):
-        ex.execute_batch([], engine=object())

@@ -147,3 +147,54 @@ def test_block_bytes_must_be_word_aligned():
     cluster = Cluster([Node(i, 100, 100) for i in range(8)])
     with pytest.raises(ValueError):
         Coordinator(cluster, RSCode(4, 2), block_bytes=1001)
+
+
+# --------------------------------------------------------------------- #
+# a dispatch that raises must not leak scratch (it shadows stored blocks)
+# --------------------------------------------------------------------- #
+def _held_scratch(coord):
+    return sum(len(agent.scratch) for agent in coord.agents.values())
+
+
+def _one_stripe_down(seed):
+    coord = make_system(seed=seed, block_bytes=64)
+    coord.write("f", payload(coord.code.k * 64, seed=seed))
+    coord.crash_node(coord.layout.stripes[0].placement[0])
+    return coord
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-stripe", "batched"])
+def test_failed_verify_leaves_no_scratch_behind(batched):
+    coord = _one_stripe_down(seed=51)
+    survivor = coord.layout.stripes[0].placement[1]
+    coord.agents[survivor].read_block("s0000/b01")[0] ^= 0xFF  # silent corruption
+    with pytest.raises(AssertionError, match="stripe 0"):
+        coord.repair(RepairRequest(batched=batched))
+    assert _held_scratch(coord) == 0
+
+
+@pytest.mark.parametrize(
+    "request_", [RepairRequest(), RepairRequest(adaptive=True)], ids=["plain", "adaptive"]
+)
+def test_bus_fault_mid_plan_leaves_no_scratch_behind(request_):
+    coord = _one_stripe_down(seed=52)
+    calls = []
+
+    def hook(src, dst, nbytes):
+        calls.append(src)
+        if len(calls) == 3:
+            raise ConnectionError("link down")
+
+    coord.bus.fault_hook = hook
+    with pytest.raises(ConnectionError):
+        coord.repair(request_)
+    assert _held_scratch(coord) == 0
+
+
+def test_scheduled_fault_route_leaves_no_scratch_behind():
+    from repro.faults.schedule import FaultSchedule
+
+    coord = _one_stripe_down(seed=53)
+    result = coord.repair([RepairRequest(faults=FaultSchedule.empty())])
+    assert [job.state for job in result.jobs] == ["done"]
+    assert _held_scratch(coord) == 0

@@ -18,7 +18,7 @@ from repro.faults import (
     TransferDropped,
 )
 from repro.gf.field import gf8
-from repro.repair.executor import ExecutionJournal
+from repro.system.agent import ExecutionJournal
 from repro.repair.plan import CombineOp, TransferOp
 from repro.system.agent import Agent, run_plan_ops
 from repro.system.bus import DataBus
@@ -182,9 +182,9 @@ def test_run_plan_ops_resumes_from_journal():
 
 
 def test_journal_reset():
-    j = ExecutionJournal(completed=5, transfers=2, transfer_bytes=1024)
+    j = ExecutionJournal(completed=5, transfer_bytes=1024)
     j.reset()
-    assert (j.completed, j.transfers, j.transfer_bytes) == (0, 0, 0)
+    assert (j.completed, j.transfer_bytes) == (0, 0)
 
 
 # --------------------------------------------------------------------- #

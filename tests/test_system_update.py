@@ -108,3 +108,20 @@ def test_update_ships_only_the_patched_span():
     sent = coord.bus.total_bytes()
     coord.update("f", 5, payload(40, seed=50))
     assert coord.bus.total_bytes() - sent == (m - 1) * 40 * itemsize
+
+
+def test_update_straddling_a_dead_node_changes_nothing():
+    """Regression: hosts were checked per span *after* earlier spans had
+    committed, so a patch over a live block and one on a dead node rewrote
+    the first block and its parities before raising."""
+    bb = 64
+    coord = make_system(seed=43, block_bytes=bb)
+    data = payload(coord.code.k * bb, seed=43)  # exactly one stripe
+    coord.write("f", data)
+    coord.crash_node(coord.layout.stripes[0].placement[1])
+    verdicts, sent = coord.scrub(), coord.bus.total_bytes()
+    with pytest.raises(IOError):
+        coord.update("f", bb // 2, b"\xaa" * bb)  # tail of block 0, head of block 1
+    assert coord.read("f") == data  # degraded read: block 1 is decoded
+    assert coord.bus.total_bytes() == sent
+    assert coord.scrub() == verdicts

@@ -14,7 +14,7 @@ from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe
 from repro.gf.field import GF
 from repro.repair.context import RepairContext
-from repro.repair.executor import PlanExecutor, Workspace
+from repro.system.executor import PlanExecutor, Workspace
 from repro.repair.hybrid import plan_hybrid
 from repro.simnet.fluid import FluidSimulator
 
