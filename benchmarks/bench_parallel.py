@@ -1,12 +1,14 @@
 """Parallel repair data-plane bench: pooled decode versus the serial engine.
 
 The headline test repairs a 16-stripe same-pattern batch (f=4, GF(2^16))
-three ways — the per-stripe serial decode the non-batched data plane runs,
+three ways — a per-stripe serial ``code.decode``,
 the inline :class:`~repro.repair.batch.BatchRepairEngine`, and the pooled
 :class:`~repro.parallel.ParallelRepairEngine` at ``workers=4`` — asserts
 the pooled output bit-exact against the serial one, and requires the pool
 to finish >= 2x faster than the per-stripe baseline (full mode).  A second
-test records the deterministic chunk-pipelining model's savings.  Points
+test records the deterministic chunk-pipelining model's savings, a third
+the inline and the pooled kernel on the one-stripe planes a repair round
+forms (the evidence for rounds combining inline; no floor).  Points
 land in ``BENCH_parallel.json`` (suite ``parallel-repair-data-plane``),
 validated by ``tools/check_bench_schema.py`` in CI.
 
@@ -22,7 +24,8 @@ import numpy as np
 
 from benchmarks.conftest import record_point, set_env
 from repro.ec.rs import get_code
-from repro.parallel import ParallelRepairEngine, pipeline_schedule
+from repro.gf import matmul
+from repro.parallel import ParallelRepairEngine, WorkerPool, pipeline_schedule
 from repro.repair.batch import BatchRepairEngine, StripeBatchItem
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
@@ -71,9 +74,8 @@ def _make_batch(code, seed=20230717):
 def test_pooled_decode_speedup_vs_serial():
     """The acceptance gate: pooled workers=4 beats per-stripe serial >= 2x.
 
-    The per-stripe baseline is what an un-batched ``RepairRequest`` runs
-    for each stripe — ``code.decode`` rebuilding the GF(2^16) scale
-    LUTs per call.  The pool amortizes those LUTs across one plane matmul
+    The per-stripe baseline is ``code.decode`` per stripe, rebuilding the
+    GF(2^16) scale LUTs per call.  The pool amortizes those LUTs across one plane matmul
     per pattern group, which is where the wall-clock win comes from even on
     a single core; the inline batched engine is recorded alongside so the
     trajectory shows both effects.
@@ -145,3 +147,35 @@ def test_pipeline_model_savings():
             "speedup_x": rep.barrier_makespan_s / rep.makespan_s,
         },
     )
+
+
+def test_per_stripe_plane_inline_vs_pooled():
+    """Why repair rounds combine inline: one stripe's plane, the largest
+    product ``run_plan_ops`` ever forms, through ``repro.gf.matmul`` and
+    through a warm pool.  Shapes are ``wide_repair``'s (k=32, f=4, 64 KiB
+    blocks): CR's fused center product and one row of it."""
+    code = get_code(32, 8, 8)
+    field = code.field
+    n = (1 << 12) if SMOKE else (1 << 16)
+    workers = 2
+    rng = np.random.default_rng(20230717)
+    plane = rng.integers(0, field.size, size=(code.k, n)).astype(field.dtype)
+    with WorkerPool(workers=workers) as pool:
+        for rows in (F, 1):
+            mat = rng.integers(1, field.size, size=(rows, code.k)).astype(field.dtype)
+            expected = matmul(mat, plane, field)
+            assert np.array_equal(pool.decode_plane(mat, plane, field)[0], expected)
+            t_inline = _best_of(lambda: matmul(mat, plane, field), 5)
+            t_pooled = _best_of(lambda: pool.decode_plane(mat, plane, field), 5)
+            record_point(
+                "parallel", f"parallel.per_stripe_plane.rows{rows}",
+                params={
+                    "k": code.k, "rows": rows, "block_symbols": n, "field_w": 8,
+                    "workers": workers, "smoke": SMOKE,
+                },
+                metrics={
+                    "inline_s": t_inline,
+                    "pooled_s": t_pooled,
+                    "pooled_over_inline_x": t_pooled / t_inline,
+                },
+            )

@@ -9,7 +9,7 @@ served several ways on identically-seeded fresh systems:
   (so the surcharge dominates), served at ``chunks`` in {1, 2, 4, 8}:
   the degraded-p99 / healthy-p99 ratio falls toward 1 as chunked decode
   overlaps the survivor fetches (ISSUE 7);
-* **storm / weighted** — same failures plus a whole-cluster batched
+* **storm / weighted** — same failures plus a whole-cluster
   repair at background weight (0.25) against foreground flows at 4.0;
 * **storm / equal** — the same storm with everything contending at 1.0.
 
@@ -164,12 +164,12 @@ def test_serving_pipeline_chunk_sweep():
 
 def test_serving_storm_policy_tradeoff():
     """The artifact's headline: weighted sharing protects foreground p99."""
-    storm = (RepairRequest(scheme="hmbr", batched=True, priority="background"),)
+    storm = (RepairRequest(scheme="hmbr", priority="background"),)
     weighted, wall_w = _serve(foreground_weight=4.0, kill=2, repair=storm)
     equal, wall_e = _serve(
         foreground_weight=1.0,
         kill=2,
-        repair=(RepairRequest(scheme="hmbr", batched=True, weight=1.0),),
+        repair=(RepairRequest(scheme="hmbr", weight=1.0),),
     )
     for res in (weighted, equal):
         assert res.repair is not None and not res.repair.failed

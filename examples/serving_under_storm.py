@@ -90,7 +90,7 @@ def main() -> None:
         digests = got
 
     print("\n== act 3: a repair storm, with and without the fast path ==")
-    storm = (RepairRequest(scheme="hmbr", batched=True, priority="background"),)
+    storm = (RepairRequest(scheme="hmbr", priority="background"),)
     contended = serve(kill=2, repair=storm, chunks=4, fast_path=False)
     rescued = serve(kill=2, repair=storm, chunks=4, fast_path=True)
     assert [o.digest for o in rescued.outcomes] == digests, "fast path changed bytes!"

@@ -42,45 +42,21 @@ from repro.system.agent import ExecutionJournal, run_plan_ops
 
 _MAX_ROUNDS = 32  # safety net: schedules are finite, rounds must terminate
 
-#: default ceiling on one exponential-backoff delay (seconds).  Without a cap
+#: ceiling on one exponential-backoff delay (seconds).  Without a cap
 #: ``base * 2**attempt`` reaches minutes within a handful of retries and a
 #: single flaky stripe can stall a whole storm round.
 DEFAULT_MAX_BACKOFF_S = 30.0
 
 
-def backoff_delay(
-    attempt: int,
-    base_s: float,
-    max_s: float = DEFAULT_MAX_BACKOFF_S,
-    jitter_frac: float = 0.0,
-    seed: int = 0,
-    key: int = 0,
-) -> float:
-    """Capped exponential backoff with deterministic seed-derived jitter.
-
-    ``attempt`` is 1-based; the un-jittered sequence is
-    ``min(base_s * 2**(attempt-1), max_s)``.  With ``jitter_frac > 0`` the
-    delay is scaled by a factor drawn uniformly from
-    ``[1 - jitter_frac, 1 + jitter_frac]`` using a generator seeded from
-    ``(seed, key, attempt)`` — the same inputs always produce the same
-    delay, so fault-injected runs stay replayable, while different stripes
-    (different ``key``) desynchronize instead of retrying in lockstep.
-    The ceiling is strict: jitter never pushes a delay above ``max_s``.
-    """
+def backoff_delay(attempt: int, base_s: float) -> float:
+    """Capped exponential backoff (``attempt`` is 1-based):
+    ``min(base_s * 2**(attempt-1), DEFAULT_MAX_BACKOFF_S)``."""
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")
-    if base_s < 0 or max_s < 0:
+    if base_s < 0:
         raise ValueError("backoff times must be non-negative")
-    if not 0.0 <= jitter_frac < 1.0:
-        raise ValueError(f"jitter_frac must be in [0, 1), got {jitter_frac}")
     # cap the exponent too: 2**attempt overflows floats near attempt ~ 1024
-    delay = max_s if base_s and attempt > 64 else min(base_s * 2 ** (attempt - 1), max_s)
-    if jitter_frac:
-        import numpy as np
-
-        u = np.random.default_rng([seed, key, attempt]).random()
-        delay *= 1.0 + jitter_frac * (2.0 * u - 1.0)
-    return min(delay, max_s)
+    return min(base_s * 2 ** (min(attempt, 64) - 1), DEFAULT_MAX_BACKOFF_S)
 
 
 @dataclass
@@ -121,18 +97,12 @@ class FaultRuntime:
         max_retries: int = 8,
         base_backoff_s: float = 0.5,
         plan_timeout_s: float | None = None,
-        max_backoff_s: float = DEFAULT_MAX_BACKOFF_S,
-        backoff_jitter: float = 0.0,
-        backoff_seed: int = 0,
     ):
         self.coord = coord
         self.injector = injector
         self.max_retries = max_retries
         self.base_backoff_s = base_backoff_s
         self.plan_timeout_s = plan_timeout_s
-        self.max_backoff_s = max_backoff_s
-        self.backoff_jitter = backoff_jitter
-        self.backoff_seed = backoff_seed
         self._replacements: dict[int, int] | None = None
         self._replacements_all: dict[int, int] = {}
         self._events: list[FaultEvent] = []
@@ -166,11 +136,6 @@ class FaultRuntime:
             max_retries=req.max_retries,
             base_backoff_s=req.base_backoff_s,
             plan_timeout_s=req.plan_timeout_s,
-            max_backoff_s=DEFAULT_MAX_BACKOFF_S
-            if req.max_backoff_s is None
-            else req.max_backoff_s,
-            backoff_jitter=req.backoff_jitter,
-            backoff_seed=req.backoff_seed,
         )
 
     @property
@@ -378,14 +343,7 @@ class FaultRuntime:
                 self.retries += 1
                 if attempt > self.max_retries:
                     raise RepairAborted(sid, attempt, err) from err
-                backoff = backoff_delay(
-                    attempt,
-                    self.base_backoff_s,
-                    max_s=self.max_backoff_s,
-                    jitter_frac=self.backoff_jitter,
-                    seed=self.backoff_seed,
-                    key=sid,
-                )
+                backoff = backoff_delay(attempt, self.base_backoff_s)
                 flap_until = getattr(err, "until", None)
                 if flap_until is not None:
                     # no point retrying inside the flap window

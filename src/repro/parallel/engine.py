@@ -4,8 +4,9 @@
 whose GF plane matmul runs through a :class:`repro.parallel.pool.WorkerPool`
 instead of inline.  Everything else — pattern grouping, plan caching,
 per-stripe accounting, the batch spans — is inherited unchanged, so the
-engine drops into every seam that accepts a ``BatchRepairEngine``
-(``Coordinator._dispatch_batched``, the scheduler's wave dispatch).
+engine drops into every seam that accepts a ``BatchRepairEngine``.  It is
+library API beside the repair path: repair rounds combine inline, one
+stripe's plane never repays pool dispatch (``docs/PARALLEL.md``).
 
 Bit-exactness contract: each worker decodes its column shard with the very
 kernel tier the serial engine selected (see :mod:`repro.gf.backend` — the

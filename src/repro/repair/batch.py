@@ -9,8 +9,8 @@ the inverted decode matrix and can be repaired together:
 * :class:`PlanCache` — a bounded LRU of :class:`DecodePlan` objects keyed
   by :class:`PatternKey` (code params + surviving-helper set + failed set),
   with hit/miss/eviction/invalidation accounting — the system-level
-  cache over the one decode-matrix derivation,
-  :meth:`repro.ec.rs.RSCode.derive_repair_matrix`.
+  cache over :meth:`repro.ec.rs.RSCode.repair_matrix`, so a pattern is
+  inverted once however many planners and caches ask for it.
 * :func:`group_by_pattern` — deterministic grouping of per-stripe repair
   items into :class:`PatternGroup` lists.
 * :class:`BatchRepairEngine` — stacks each group's survivor buffers into
@@ -99,11 +99,10 @@ class DecodePlan:
 
 
 def build_decode_plan(code: RSCode, survivor_ids, failed_ids) -> DecodePlan:
-    """Invert the survivor submatrix and derive R (cache-miss slow path)."""
+    """The pattern's R through the code's own LRU (cache-miss slow path):
+    a pattern a planner already inverted is not inverted again."""
     key = pattern_key(code, survivor_ids, failed_ids)
-    return DecodePlan(
-        key=key, matrix=code.derive_repair_matrix(key.survivors, key.failed)
-    )
+    return DecodePlan(key=key, matrix=code.repair_matrix(key.survivors, key.failed))
 
 
 class PlanCache:
@@ -279,10 +278,6 @@ class BatchDecodeResult:
     compute_seconds: float
     plan_hits: int
     plan_misses: int
-    #: each kernel call's cost split evenly over the stripes it repaired, so
-    #: callers can charge compute/bytes to whichever node hosted each stripe.
-    compute_seconds_by_stripe: dict[int, float] = field(default_factory=dict)
-    gf_bytes_by_stripe: dict[int, int] = field(default_factory=dict)
 
 
 class BatchRepairEngine:
@@ -290,8 +285,9 @@ class BatchRepairEngine:
 
     The engine owns no buffers and mutates nothing outside its
     :class:`PlanCache`; callers hand it survivor bytes and receive repaired
-    blocks, making it equally usable from the coordinator's agent-backed
-    data plane, the executor's workspace, and bare benchmarks.
+    blocks: the library's stacked-decode API (the serving plane's degraded
+    reads, bare benchmarks).  Repair rounds do not come through here — they
+    execute their plans op by op (:func:`repro.system.agent.run_plan_ops`).
 
     ``backend`` selects the GF kernel tier running the plane matmul: a
     :mod:`repro.gf.backend` name (``"numpy"``, ``"native"``, ``"isal"``),
@@ -362,8 +358,6 @@ class BatchRepairEngine:
         outputs: dict[int, dict[int, np.ndarray]] = {}
         gf_bytes = 0
         compute_s = 0.0
-        compute_by_stripe: dict[int, float] = {}
-        bytes_by_stripe: dict[int, int] = {}
         groups = group_by_pattern(self.code, items)
         obs = self.obs
         for gi, grp in enumerate(groups):
@@ -397,15 +391,7 @@ class BatchRepairEngine:
                     compute_s += dt
                     nbytes = plane.size * plane.itemsize
                     gf_bytes += nbytes
-                    dt_share = dt / len(subitems)
-                    bytes_share = nbytes // len(subitems)
                     for s, it in enumerate(subitems):
-                        compute_by_stripe[it.stripe_id] = (
-                            compute_by_stripe.get(it.stripe_id, 0.0) + dt_share
-                        )
-                        bytes_by_stripe[it.stripe_id] = (
-                            bytes_by_stripe.get(it.stripe_id, 0) + bytes_share
-                        )
                         per_stripe = outputs.setdefault(it.stripe_id, {})
                         for row, fb in enumerate(it.failed):
                             per_stripe[fb] = np.ascontiguousarray(
@@ -429,8 +415,6 @@ class BatchRepairEngine:
             compute_seconds=compute_s,
             plan_hits=self.cache.hits - hits0,
             plan_misses=self.cache.misses - misses0,
-            compute_seconds_by_stripe=compute_by_stripe,
-            gf_bytes_by_stripe=bytes_by_stripe,
         )
 
     # -------------------------------------------------------------- #

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.ec.stripe import StripeLayout
-from repro.repair.context import RepairContext
 from repro.repair.plan import RepairPlan, merge_plans
-from repro.repair.planner import check_scheme, common_split, plan_stripe
+from repro.repair.planner import check_scheme, plan_round, plan_stripe
 
 
 class CenterScheduler:
@@ -80,9 +79,6 @@ class MultiNodeRepairJob:
     new_nodes: list[int]
     center: int
     plan: RepairPlan = field(repr=False, default=None)
-    #: erasure pattern (a :class:`repro.repair.batch.PatternKey`) when the
-    #: repair was planned with ``group_patterns=True``; ``None`` otherwise.
-    pattern: object = None
 
 
 def plan_multi_node(
@@ -94,27 +90,15 @@ def plan_multi_node(
     block_size_mb: float = 64.0,
     scheme: str = "hmbr",
     enhanced: bool = True,
-    survivor_policy: str = "first",
     split: str = "global-search",
-    group_patterns: bool = False,
-    plan_cache=None,
 ) -> tuple[RepairPlan, list[MultiNodeRepairJob]]:
-    """Plan the repair of every stripe hit by ``dead_nodes``.
+    """Plan the repair of every stripe hit by ``dead_nodes``: exp5's variants
+    of the one round planner, :func:`repro.repair.planner.plan_round`.
 
     ``replacement_of`` maps each dead node to the fresh node that re-hosts
     its blocks.  With ``enhanced=True`` centers are spread via LFS+LRS; the
     baseline always lets each stripe pick its fastest-downlink new node
     (which concentrates stripes on the same center and congests it).
-
-    With ``group_patterns=True`` stripes are bucketed by erasure pattern
-    (code params + surviving-helper set + failed set) *before* center
-    scheduling, so LFS+LRS walks pattern groups rather than individual
-    stripes and the batched data plane can decode each group with one
-    stacked kernel.  Jobs then carry their
-    :class:`~repro.repair.batch.PatternKey` and the merged plan's meta
-    gains ``pattern_groups``.  A :class:`~repro.repair.batch.PlanCache`
-    passed as ``plan_cache`` is warmed with one decode plan per group
-    (its accounting lands in ``merged.meta["plan_cache"]``).
 
     For ``scheme="hmbr"``, ``split`` controls the CR/IR ratio:
 
@@ -129,96 +113,32 @@ def plan_multi_node(
     per-stripe jobs.
     """
     check_scheme(scheme, ("cr", "ir", "hmbr"))
-    dead = set(dead_nodes)
-    missing = dead - set(replacement_of)
+    missing = set(dead_nodes) - set(replacement_of)
     if missing:
         raise ValueError(f"no replacement for dead nodes {sorted(missing)}")
-    scheduler = CenterScheduler()
-    contexts: list[RepairContext] = []
-    for stripe in layout:
-        failed = stripe.failed_blocks(dead)
-        if not failed:
-            continue
-        if len(failed) > code.m:
-            raise ValueError(f"stripe {stripe.stripe_id} lost {len(failed)} > m blocks")
-        new_nodes = [replacement_of[stripe.placement[b]] for b in failed]
-        contexts.append(
-            RepairContext(
-                cluster=cluster,
-                code=code,
-                stripe=stripe,
-                failed_blocks=failed,
-                new_nodes=new_nodes,
-                block_size_mb=block_size_mb,
-                survivor_policy=survivor_policy,
-            )
-        )
-    if not contexts:
+    affected = layout.stripes_with_failures(set(dead_nodes))
+    if not affected:
         raise ValueError("no stripe was affected by the given dead nodes")
-
-    pattern_of: dict[int, object] = {}
-    pattern_groups_meta: list[dict] = []
-    if group_patterns:
-        from repro.repair.batch import pattern_key
-
-        # Bucket stripes by erasure pattern (first-occurrence order), then
-        # schedule group-major: LFS+LRS walks whole pattern groups, keeping
-        # each group's stripes adjacent for the batched data plane.
-        buckets: dict[object, list[RepairContext]] = {}
-        order: list[object] = []
-        for ctx in contexts:
-            key = pattern_key(code, ctx.chosen_survivors(), ctx.failed_blocks)
-            pattern_of[ctx.stripe.stripe_id] = key
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append(ctx)
-        contexts = [ctx for key in order for ctx in buckets[key]]
-        for key in order:
-            pattern_groups_meta.append(
-                {
-                    "survivors": list(key.survivors),
-                    "failed": list(key.failed),
-                    "stripes": [c.stripe.stripe_id for c in buckets[key]],
-                }
-            )
-            if plan_cache is not None:
-                plan_cache.plan_for(code, key.survivors, key.failed)
-
-    work: list[tuple[RepairContext, int]] = []
-    for ctx in contexts:
-        center = (
-            scheduler.pick(ctx.new_nodes)
-            if enhanced
-            else ctx.pick_center("fastest-downlink")
+    # a lazy round reads its scheme only to decide whether to search the
+    # common p, which the per-stripe ablation must not pay for
+    rnd = plan_round(
+        layout, cluster, code, CenterScheduler() if enhanced else None,
+        scheme if split == "global-search" else "cr", affected,
+        block_size_mb=block_size_mb, replacement_of=replacement_of, lazy=True,
+    )
+    common_p = rnd.common_p
+    jobs = [
+        MultiNodeRepairJob(
+            stripe_id=sid,
+            failed_blocks=ctx.failed_blocks,
+            new_nodes=ctx.new_nodes,
+            center=center,
+            plan=plan_stripe(ctx, center, scheme, common_p),
         )
-        work.append((ctx, center))
-
-    common_p: float | None = None
-    if scheme == "hmbr" and split == "global-search":
-        common_p = common_split(
-            cluster, [(ctx.stripe.stripe_id, ctx, center) for ctx, center in work]
-        )
-
-    plans: list[RepairPlan] = []
-    jobs: list[MultiNodeRepairJob] = []
-    for ctx, center in work:
-        plan = plan_stripe(ctx, center, scheme, common_p)
-        plans.append(plan)
-        jobs.append(
-            MultiNodeRepairJob(
-                stripe_id=ctx.stripe.stripe_id,
-                failed_blocks=ctx.failed_blocks,
-                new_nodes=ctx.new_nodes,
-                center=center,
-                plan=plan,
-                pattern=pattern_of.get(ctx.stripe.stripe_id),
-            )
-        )
-    merged = merge_plans(plans, scheme=f"multi-node/{scheme}{'+sched' if enhanced else ''}")
+        for sid, ctx, center in rnd.work
+    ]
+    merged = merge_plans(
+        [j.plan for j in jobs], scheme=f"multi-node/{scheme}{'+sched' if enhanced else ''}"
+    )
     merged.meta["common_p"] = common_p
-    if group_patterns:
-        merged.meta["pattern_groups"] = pattern_groups_meta
-        if plan_cache is not None:
-            merged.meta["plan_cache"] = plan_cache.stats()
     return merged, jobs

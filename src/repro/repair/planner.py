@@ -166,9 +166,10 @@ def plan_round(
 
     ``layout`` is the stripe table, ``centers`` the stateful LFS/LRS
     :class:`~repro.repair.multinode.CenterScheduler` (advanced by one
-    pick per stripe).  Spares come from ``free_spares`` unless the caller
-    already holds a ``replacement_of`` map (a scheduler wave sharing
-    spares between jobs).  ``events`` makes the common HMBR split
+    pick per stripe; ``None`` = each stripe's fastest-downlink new node,
+    exp5's unscheduled baseline).  Spares come from ``free_spares`` unless
+    the caller already holds a ``replacement_of`` map (a scheduler wave
+    sharing spares between jobs).  ``events`` makes the common HMBR split
     dynamics-aware.  ``lazy`` stops short of the per-stripe planners and
     leaves :attr:`RoundPlan.plans` for the caller to fill through
     :func:`plan_stripe` as late as possible (the fault runtime: helpers
@@ -195,7 +196,8 @@ def plan_round(
             new_nodes=new_nodes,
             block_size_mb=block_size_mb,
         )
-        work.append((sid, ctx, centers.pick(new_nodes)))
+        center = centers.pick(new_nodes) if centers is not None else ctx.pick_center()
+        work.append((sid, ctx, center))
     common_p = common_split(cluster, work, events) if scheme == "hmbr" else None
     rnd = RoundPlan(affected, replacement_of, work, common_p)
     if not lazy:

@@ -179,9 +179,8 @@ class RepairScheduler:
         Per-job fields (scheme, stripes, priority, weight, arrival) come
         from each request; run-global ones are folded once per run — at
         most one request may carry faults (its retry/backoff knobs
-        configure the shared fault runtime), ``verify`` is the
-        conjunction, and the data plane batches if any request asks
-        (``workers`` = max).  Returns :meth:`run_pending`'s report.
+        configure the shared fault runtime) and ``verify`` is the
+        conjunction.  Returns :meth:`run_pending`'s report.
         """
         from repro.faults.runtime import FaultRuntime
 
@@ -194,13 +193,10 @@ class RepairScheduler:
                 scheme=r.scheme, stripes=r.stripes, priority=r.priority,
                 weight=r.weight, arrival_s=r.arrival_s,
             )
-        workers = max((r.workers for r in reqs), default=1)
         return self.run_pending(
             verify=all(r.verify for r in reqs),
             faults=FaultRuntime.from_request(self.coord, faulted[0]) if faulted else None,
             network=network,
-            workers=workers,
-            batched=any(r.batched for r in reqs) or workers > 1,
             foreground=foreground,
         )
 
@@ -210,8 +206,6 @@ class RepairScheduler:
         verify: bool = True,
         faults=None,
         network=None,
-        workers: int = 1,
-        batched: bool = False,
         foreground=(),
     ):
         """Admit and run every queued job; returns a :class:`SchedulerReport`.
@@ -233,13 +227,6 @@ class RepairScheduler:
         as_network` accepts) supplies bandwidth events on the
         scheduler-global clock.
 
-        ``batched=True`` runs each healthy job's data plane through the
-        pattern-grouped batch engine; ``workers > 1`` (implies batching)
-        additionally fans every admitted wave's kernels out to the
-        coordinator's shared :class:`repro.parallel.WorkerPool`.  Both are
-        bit-exact with the per-stripe plane and ignored for fault-injected
-        runs, whose journaled runtime is inherently per-stripe.
-
         ``foreground`` is a sequence of extra simulator tasks (client
         traffic — see :mod:`repro.workload`) merged into the **first**
         wave's simulation, so foreground flows and that wave's repair flows
@@ -249,10 +236,6 @@ class RepairScheduler:
         foreground-only wave still runs, so the serving plane's healthy
         regime goes through the exact simulator path the storm regime uses.
         """
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        batched = batched or workers > 1
         coord = self.coord
         events = as_network(network).events_for(coord.cluster)
         obs = coord.obs
@@ -264,14 +247,11 @@ class RepairScheduler:
         with coord.span(
             "sched.run_pending", "sched", actor="scheduler",
             jobs=[j.job_id for j in run], faults=injector is not None,
-            workers=workers, batched=batched,
         ):
             if injector is not None:
                 injector.attach(coord.bus)
             try:
-                report = self._run_waves(
-                    run, verify, runtime, events, workers, batched, foreground
-                )
+                report = self._run_waves(run, verify, runtime, events, foreground)
             finally:
                 if injector is not None:
                     injector.detach(coord.bus)
@@ -351,9 +331,7 @@ class RepairScheduler:
             return faults
         return FaultRuntime.from_request(self.coord, RepairRequest(faults=faults))
 
-    def _run_waves(
-        self, run, verify, runtime, events, workers=1, batched=False, foreground=()
-    ) -> SchedulerReport:
+    def _run_waves(self, run, verify, runtime, events, foreground=()) -> SchedulerReport:
         coord = self.coord
         obs = coord.obs
         pending = sorted(run, key=RepairJob.priority_rank)
@@ -375,10 +353,7 @@ class RepairScheduler:
                     obs.metrics.gauge("sched.wave_admitted").set(len(admitted))
                     obs.metrics.counter("sched.jobs_admitted").inc(len(admitted))
                 extra, fg_tasks = fg_tasks, []
-                sim = self._run_wave(
-                    admitted, verify, runtime, events, offset, workers, batched,
-                    extra,
-                )
+                sim = self._run_wave(admitted, verify, runtime, events, offset, extra)
                 self._finish_wave(admitted, sim, offset)
                 if sim is not None:
                     for t in extra:
@@ -477,8 +452,6 @@ class RepairScheduler:
         runtime,
         events,
         offset,
-        workers=1,
-        batched=False,
         extra_tasks=(),
     ):
         """Plan + dispatch every admitted job, then simulate them merged.
@@ -496,9 +469,7 @@ class RepairScheduler:
             if not affected:
                 continue
             try:
-                plans = self._dispatch_job(
-                    job, affected, replacement_of, verify, runtime, workers, batched
-                )
+                plans = self._dispatch_job(job, affected, replacement_of, verify, runtime)
             except (RepairAborted, StripeUnrecoverable) as err:
                 # the job isolation boundary: a doomed job fails alone
                 job.transition(FAILED)
@@ -537,27 +508,27 @@ class RepairScheduler:
         return sim
 
     def _dispatch_job(
-        self, job, affected, replacement_of, verify, runtime, workers=1, batched=False
+        self, job, affected, replacement_of, verify, runtime
     ) -> list[tuple[int, RepairPlan]]:
         """Plan + data plane for one job; returns its committed (sid, plan) pairs.
 
         A fault runtime journals per stripe; otherwise the job is one
         planned round through the coordinator's healthy data plane
-        (``batched`` / ``workers`` as in :meth:`Coordinator.dispatch_round
+        (:meth:`Coordinator.dispatch_round
         <repro.system.coordinator.Coordinator.dispatch_round>`).
         """
         coord = self.coord
         with coord.span(
             f"sched.job:{job.job_id}", "sched", actor="scheduler",
             job=job.job_id, scheme=job.scheme, priority=job.priority,
-            stripes=sorted(affected), batched=batched and runtime is None,
+            stripes=sorted(affected),
         ):
             if runtime is not None:
                 return runtime.repair_stripes(
                     sorted(affected), scheme=job.scheme, verify=verify
                 )
             rnd = coord.plan_round(job.scheme, affected, replacement_of=replacement_of)
-            coord.dispatch_round(rnd, verify, batched, workers)
+            coord.dispatch_round(rnd, verify)
             return rnd.plans
 
     def _sim_tasks(self, job, plans, prefixes):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ec.subblock import DEFAULT_WORD_BYTES, word_slice
+from repro.gf import matmul
 from repro.gf.field import GF, gf8
 from repro.repair.plan import CombineOp, ConcatOp, Op, SliceOp, TransferOp
 from repro.system.blockstore import BlockStore
@@ -66,27 +67,33 @@ class Agent:
         src = self._resolve(op.src)
         self.scratch[op.out] = word_slice(src, op.start, op.stop, self.word_bytes)
 
-    def do_combine(self, op: CombineOp) -> None:
-        srcs = [self._resolve(s) for s in op.srcs]
+    def gf_rows(self, coeffs, srcs: list[np.ndarray]) -> tuple[list, float]:
+        """``coeffs @ stack(srcs)`` in one kernel call: a block-shaped row per
+        coefficient row, plus the metered seconds split evenly per row."""
+        mat = np.array(coeffs, dtype=self.field.dtype)
         t0 = time.perf_counter()
-        self.scratch[op.out] = self.field.combine(op.coeffs, srcs)
-        dt = (time.perf_counter() - t0) * self.slowdown
-        self.compute_seconds += dt
-        if self.obs_hook is not None:
-            self.obs_hook(self.node_id, dt, sum(s.nbytes for s in srcs))
+        # the stacked plane is a temporary of this statement on purpose: it
+        # is k blocks wide and must be gone before anything that outlives
+        # the stripe is allocated (a block landing above it pins its hole
+        # in the heap: +4% peak RSS on 128 KiB blocks)
+        rows = matmul(mat, np.stack(srcs).reshape(len(srcs), -1), self.field)
+        dt = (time.perf_counter() - t0) * self.slowdown / len(mat)
+        rows = rows.reshape(len(mat), *srcs[0].shape)
+        # rows sharing a product are copied apart: a block stored as a view
+        # would pin the whole product for as long as the block lives
+        return [r.copy() for r in rows] if len(mat) > 1 else [rows[0]], dt
 
-    def charge_compute(self, seconds: float, nbytes: int) -> None:
-        """Meter GF work done on this node's behalf outside :meth:`do_combine`.
-
-        The batched repair engine runs one kernel per pattern group and
-        splits the cost across the stripes it repaired; each stripe's share
-        is charged here to its center so per-node compute accounting (and
-        the observability tap) stays equivalent to the per-stripe path.
-        """
-        dt = seconds * self.slowdown
-        self.compute_seconds += dt
+    def do_combine(self, op: CombineOp, row=None, seconds: float = 0.0) -> None:
+        """Run ``op``, or land the ``row`` a same-source combine's
+        :meth:`gf_rows` call already produced for it in ``seconds``; either
+        way the op meters (and reports to :attr:`obs_hook`) once, here."""
+        srcs = [self._resolve(s) for s in op.srcs]
+        if row is None:
+            (row,), seconds = self.gf_rows([op.coeffs], srcs)
+        self.scratch[op.out] = row
+        self.compute_seconds += seconds
         if self.obs_hook is not None:
-            self.obs_hook(self.node_id, dt, nbytes)
+            self.obs_hook(self.node_id, seconds, sum(s.nbytes for s in srcs))
 
     def do_concat(self, op: ConcatOp) -> None:
         parts = [self._resolve(p) for p in op.parts]
@@ -146,8 +153,21 @@ def run_plan_ops(
     never redoes (or double-counts) completed work.
     ``before_op(op)`` runs ahead of each op and may raise to interrupt the
     plan (the fault runtime's clock tick / timeout / liveness gate).
+
+    Combines on one node over the same ``srcs`` (CR's center: f ops over
+    the same k slices) are computed by one :meth:`Agent.gf_rows` call, over
+    a plane stacked once, when the first of them comes up.  Each still
+    takes its own turn in the op order, so ``before_op``, the journal
+    cursor and the agents' hooks see every op exactly as written; a row
+    computed ahead is used only while every source buffer is still the
+    array it was computed from.
     """
     start = journal.completed if journal is not None else 0
+    mates: dict[tuple, list[int]] = {}
+    for i in range(start, len(ops)):
+        if isinstance(ops[i], CombineOp):
+            mates.setdefault((ops[i].node, ops[i].srcs), []).append(i)
+    ahead: dict[int, tuple] = {}  # op index -> (source buffers, row, seconds)
     for i in range(start, len(ops)):
         op = ops[i]
         if before_op is not None:
@@ -160,7 +180,17 @@ def run_plan_ops(
             if journal is not None:
                 journal.transfer_bytes += dst.scratch[op.rename or op.name].nbytes
         elif isinstance(op, CombineOp):
-            agents[op.node].do_combine(op)
+            agent = agents[op.node]
+            srcs = [agent._resolve(s) for s in op.srcs]
+            hit = ahead.pop(i, None)
+            if hit is not None and any(a is not b for a, b in zip(srcs, hit[0])):
+                hit = None
+            group = [j for j in mates[op.node, op.srcs] if j >= i]
+            if hit is None and len(group) > 1:
+                rows, dt = agent.gf_rows([ops[j].coeffs for j in group], srcs)
+                ahead.update((j, (srcs, row, dt)) for j, row in zip(group, rows))
+                hit = ahead.pop(i)
+            agent.do_combine(op, *(hit[1:] if hit else ()))
         elif isinstance(op, ConcatOp):
             agents[op.node].do_concat(op)
         else:  # pragma: no cover - defensive

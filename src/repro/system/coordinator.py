@@ -38,7 +38,7 @@ from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe, StripeLayout, block_name
 from repro.gf import matmul
 from repro.gf.field import GF, gf8
-from repro.repair.batch import BatchRepairEngine, PlanCache, StripeBatchItem
+from repro.repair.batch import PlanCache
 from repro.repair.multinode import CenterScheduler
 from repro.repair.planner import RoundPlan, check_scheme, plan_round
 from repro.simnet.fluid import FluidSimulator
@@ -98,16 +98,13 @@ class Coordinator:
         #: explicit.  Always empty on pure byte-plane systems.
         self.reserved_spares: set[int] = set()
         self.center_scheduler = CenterScheduler()
-        #: decode-plan LRU shared by every batched repair of this system, so
-        #: repeated storms with recurring erasure patterns skip re-inversion.
+        #: decode-plan LRU shared by this system's stacked decodes (degraded
+        #: reads), so recurring erasure patterns skip re-inversion.
         self.plan_cache = PlanCache()
         #: optional :class:`repro.obs.Observability` session (see its
         #: ``attach``); ``None`` means every instrumentation point is a no-op.
         self.obs = None
         self._sched = None
-        #: worker-count -> cached :class:`repro.parallel.ParallelRepairEngine`,
-        #: so repeated parallel requests reuse live pools (see :meth:`close`).
-        self._parallel_engines: dict[int, object] = {}
 
     @contextmanager
     def span(self, name: str, cat: str, actor: str = "coordinator", **args):
@@ -313,12 +310,11 @@ class Coordinator:
         **The one entry point.**  Pass a :class:`~repro.system.request.
         RepairRequest` (or a list of them, queued as contending scheduler
         jobs) and get a :class:`~repro.system.request.RepairResult` back;
-        the request's fields pick the route — healthy round, batched or
-        parallel data plane, fault runtime, adaptive re-planning, or the
-        concurrent scheduler::
+        the request's fields pick the route — healthy round, fault runtime,
+        adaptive re-planning, or the concurrent scheduler::
 
             coord.repair(RepairRequest())                        # hmbr round
-            coord.repair(RepairRequest(scheme="cr", workers=4))  # pooled decode
+            coord.repair(RepairRequest(scheme="cr", workers=4))  # + pipelining model
             coord.repair(RepairRequest(faults=schedule))         # degraded
             coord.repair([RepairRequest(priority="foreground"),
                           RepairRequest(priority="background")]) # scheduled
@@ -355,8 +351,8 @@ class Coordinator:
         """Run requests as scheduler jobs sharing one admission queue.
 
         Per-job fields (scheme, stripes, priority, weight, arrival) come
-        from each request; run-global fields (verify, faults, workers,
-        batching) must be expressible once per run — see
+        from each request; run-global fields (verify, faults) must be
+        expressible once per run — see
         :meth:`RepairScheduler.run_requests
         <repro.sched.scheduler.RepairScheduler.run_requests>`.
         """
@@ -392,51 +388,41 @@ class Coordinator:
         timing simulation only; ``predict_network`` additionally searches
         the common HMBR split against them.
 
-        ``batched`` runs the *data plane* through the
-        :class:`~repro.repair.batch.BatchRepairEngine` (one stacked GF
-        kernel per erasure-pattern group, decode matrices reused from
-        :attr:`plan_cache`); ``workers > 1`` additionally fans the kernels
-        out over a :class:`repro.parallel.WorkerPool` and models chunk-level
-        decode pipelining against the simulated transfer finishes.  Planning
-        and timing are unchanged and the repaired bytes bit-exact with the
-        per-stripe path — only the wall-clock compute gets cheaper.
+        ``workers > 1`` additionally models chunk-level decode pipelining
+        on that many decode workers against the simulated transfer finishes,
+        from the GF seconds the agents metered per stripe.  The byte plane
+        does not read it: a per-stripe plane never repays a process pool's
+        dispatch (see ``docs/PARALLEL.md``), so combines always run inline.
         """
         before = self.meter()
         workers = req.workers
-        batched = req.batched or workers > 1
-        rnd, batch_res, makespan, per_stripe = self._run_round(
+        rnd, compute_s, makespan, per_stripe = self._run_round(
             req.scheme,
             ("repair", "repair"),
             events=events,
             split_events=events if req.predict_network else (),
-            dispatch=lambda rnd: self.dispatch_round(rnd, req.verify, batched, workers),
-            batched=batched,
+            dispatch=lambda rnd: self.dispatch_round(rnd, req.verify),
         )
         pipeline = None
-        if workers > 1 and batch_res is not None:
+        plan_summary = {}
+        if workers > 1 and compute_s:
             from repro.parallel.pipeline import repair_pipeline
 
-            # measured GF shares rescale from the stored ``block_bytes`` to
+            # measured GF seconds rescale from the stored ``block_bytes`` to
             # the modeled ``block_size_mb`` (the planes' usual decoupling)
             pipeline = repair_pipeline(
                 per_stripe,
-                batch_res.compute_seconds_by_stripe,
+                compute_s,
                 workers,
                 cost_scale=self.block_size_mb * (1 << 20) / self.block_bytes,
                 tracer=self.obs.tracer if self.obs is not None else None,
             )
-        plan_summary = {
-            "batched": batched,
-            "pattern_groups": batch_res.groups if batch_res is not None else 0,
-            "plan_cache": self.plan_cache.stats() if batched else {},
-        }
-        if pipeline is not None:
             plan_summary["pipeline_saved_s"] = pipeline.saved_s
             if self.obs is not None:
                 self.obs.metrics.gauge("parallel.pipeline_saved_s").set(pipeline.saved_s)
         return self.round_result(
             req, before, rnd.plans, makespan, per_stripe, rnd.replacement_of,
-            plan_summary, batched=batched, workers=workers, pipeline=pipeline,
+            plan_summary, workers=workers, pipeline=pipeline,
         )
 
     def plan_repair(
@@ -512,7 +498,6 @@ class Coordinator:
         split_events=(),
         dispatch=None,
         commit: bool = True,
-        **span_args,
     ):
         """Plan → dispatch → time one round: the body of every plain round.
 
@@ -536,8 +521,7 @@ class Coordinator:
         snap = None if commit else self.center_scheduler.snapshot()
         try:
             with self.span(
-                name, cat, scheme=scheme, dead_nodes=list(dead),
-                stripes=sorted(affected), **span_args,
+                name, cat, scheme=scheme, dead_nodes=list(dead), stripes=sorted(affected)
             ):
                 rnd = self.plan_round(scheme, affected, events=split_events)
                 out = dispatch(rnd) if dispatch is not None else None
@@ -607,29 +591,26 @@ class Coordinator:
         if verify:
             self.verify_stripe(sid)
 
-    def dispatch_round(
-        self, rnd: RoundPlan, verify: bool, batched: bool = False, workers: int = 1
-    ):
-        """Healthy data plane for a planned round: run ops, commit outputs.
+    def dispatch_round(self, rnd: RoundPlan, verify: bool) -> dict[int, float]:
+        """Healthy data plane for a planned round, one stripe at a time:
+        run the plan's ops, commit its outputs, drop its scratch.
 
-        Per stripe by default; ``batched`` decodes pattern groups through
-        the batch engine (fanned out to a worker pool when ``workers >
-        1``) and returns its :class:`~repro.repair.batch.BatchDecodeResult`.
+        Returns stripe id -> the GF seconds the agents metered for it.
         """
-        try:
-            if batched:
-                return self._dispatch_batched(
-                    rnd, verify, self._engine_for(workers) if workers > 1 else None
-                )
-            for sid, plan in rnd.plans:
+        compute_s: dict[int, float] = {}
+        for sid, plan in rnd.plans:
+            metered = sum(a.compute_seconds for a in self.agents.values())
+            try:
                 with self.span(
                     f"stripe:{sid}", "dispatch",
                     stripe=sid, scheme=plan.scheme, ops=len(plan.ops),
                 ):
                     run_plan_ops(plan.ops, self.agents, self.bus)
                     self.commit_outputs(sid, plan.outputs, verify)
-        finally:
-            self.clear_scratch()
+            finally:
+                self.clear_scratch()
+            compute_s[sid] = sum(a.compute_seconds for a in self.agents.values()) - metered
+        return compute_s
 
     def clear_scratch(self) -> None:
         """Drop every agent's in-flight buffers.  Scratch shadows stored blocks,
@@ -637,55 +618,6 @@ class Coordinator:
         raises must not leave survivor copies behind for a later plan."""
         for agent in self.agents.values():
             agent.clear_scratch()
-
-    def _dispatch_batched(self, rnd: RoundPlan, verify: bool, engine=None):
-        """Batched data plane: one stacked GF kernel per erasure-pattern group.
-
-        Each stripe's survivors ship to its center (metered on the bus like
-        the op-level path), pattern groups decode through the shared
-        :attr:`plan_cache`, repaired buffers land at the planned output
-        nodes, and each stripe's share of the group kernel cost is charged
-        to its center via :meth:`~repro.system.agent.Agent.charge_compute`.
-        ``engine`` swaps the decode engine (the parallel path passes a
-        :class:`repro.parallel.ParallelRepairEngine`); the default is the
-        serial :class:`~repro.repair.batch.BatchRepairEngine`.
-        """
-        if engine is None:
-            engine = BatchRepairEngine(self.code, cache=self.plan_cache, obs=self.obs)
-        with self.span("dispatch-batch", "dispatch", stripes=len(rnd.plans)):
-            items: list[StripeBatchItem] = []
-            for sid, ctx, center in rnd.work:
-                survivors = ctx.chosen_survivors()
-                sources = []
-                for b in survivors:
-                    host = ctx.stripe.placement[b]
-                    buf = self.agents[host].read_block(block_name(sid, b))
-                    if host != center:
-                        self.bus.check(host, center, buf.nbytes)
-                        self.bus.record(host, center, buf.nbytes)
-                    sources.append(buf)
-                items.append(
-                    StripeBatchItem(
-                        stripe_id=sid,
-                        survivors=tuple(survivors),
-                        failed=tuple(ctx.failed_blocks),
-                        sources=sources,
-                    )
-                )
-            res = engine.repair_items(items)
-            for (sid, _ctx, center), (_, plan) in zip(rnd.work, rnd.plans):
-                outputs = {}
-                for fb, (dest, _buf) in plan.outputs.items():
-                    out = res.outputs[sid][fb]
-                    if dest != center:
-                        self.bus.check(center, dest, out.nbytes)
-                        self.bus.record(center, dest, out.nbytes)
-                    outputs[fb] = (dest, out)
-                self.agents[center].charge_compute(
-                    res.compute_seconds_by_stripe[sid], res.gf_bytes_by_stripe[sid]
-                )
-                self.commit_outputs(sid, outputs, verify)
-            return res
 
     def time_plans(self, plans, events=(), traced: bool = True):
         """Simulate committed ``(stripe id, plan)`` pairs as one merged DAG.
@@ -790,25 +722,6 @@ class Coordinator:
             spec = dataclasses.replace(spec, **fills)
         return ReliabilitySimulator(spec, obs=self.obs).run()
 
-    def _engine_for(self, workers: int):
-        """The cached parallel engine for a worker count (pools are dear)."""
-        from repro.parallel.engine import ParallelRepairEngine
-
-        engine = self._parallel_engines.get(workers)
-        if engine is None:
-            engine = ParallelRepairEngine(
-                self.code, cache=self.plan_cache, obs=self.obs, workers=workers
-            )
-            self._parallel_engines[workers] = engine
-        engine.obs = self.obs  # track attach/detach since creation
-        return engine
-
-    def close(self) -> None:
-        """Reap any live worker pools (idempotent; serial systems no-op)."""
-        for engine in self._parallel_engines.values():
-            engine.close()
-        self._parallel_engines.clear()
-
     @property
     def sched(self):
         """The coordinator's :class:`~repro.sched.scheduler.RepairScheduler`.
@@ -835,7 +748,10 @@ class Coordinator:
         GF *delta* of the patched span to the parity nodes:
         ``P_j[span] ^= alpha_{i,j} * (new - old)[span]`` — the standard
         parity-delta update the related work (§VI) optimizes.
-        Returns accounting: blocks patched and parity deltas applied.
+        Atomic: a patch touching a block on a dead node raises ``IOError``
+        before anything is written.  Returns accounting: blocks patched,
+        parity deltas applied, and each delta as ``(stripe id, data block,
+        parity index, data host, parity host)``.
         """
         if name not in self.files:
             raise KeyError(f"unknown file {name!r}")
@@ -860,7 +776,7 @@ class Coordinator:
                 raise IOError(f"cannot update block on dead node {node}")
             spans.append((stripe, block_idx, lo, hi, patch_arr[pos : pos + hi - lo]))
             pos += hi - lo
-        parity_deltas = 0
+        deltas = []
         for stripe, block_idx, lo, hi, piece in spans:
             sid = stripe.stripe_id
             node = stripe.placement[block_idx]
@@ -885,8 +801,12 @@ class Coordinator:
                 parity[lo:hi] ^= scaled[j]
                 pagent.store_block(pname, parity, overwrite=True)
                 self.bus.record(node, pnode, delta.nbytes)
-                parity_deltas += 1
-        return {"blocks_patched": len(spans), "parity_deltas": parity_deltas}
+                deltas.append((sid, block_idx, j, node, pnode))
+        return {
+            "blocks_patched": len(spans),
+            "parity_deltas": len(deltas),
+            "deltas": deltas,
+        }
 
     # -------------------------------------------------------------- #
     # maintenance

@@ -11,8 +11,8 @@ Routing is derived from the request, never named by the caller:
   concurrent scheduler (one job per request; pass a *list* of requests
   for a contending batch);
 * ``adaptive`` → drift-watched re-planning rounds;
-* otherwise → a plain healthy round, per-stripe or batched/parallel
-  according to ``batched`` / ``workers``.
+* otherwise → a plain healthy round; ``workers > 1`` adds the decode
+  pipelining model to its report.
 
 Every route plans through :func:`repro.repair.planner.plan_round`; see
 ``docs/ARCHITECTURE.md`` for the three calls each route makes.
@@ -33,14 +33,19 @@ _PRIORITIES = ("foreground", "normal", "background")
 class RepairRequest:
     """Everything one repair should do, as a single immutable value.
 
-    Only ``scheme`` is commonly set; the rest defaults to today's
-    ``Coordinator.repair()`` behavior (healthy, per-stripe, verified,
-    serial).  Field groups:
+    Only ``scheme`` is commonly set; the rest defaults to a healthy,
+    verified, serial round.  Field groups:
 
     * **what** — ``scheme``, ``stripes`` (``None`` = everything affected);
-    * **data plane** — ``batched`` (pattern-grouped GF kernels),
-      ``workers`` (process-pool decode; ``>1`` implies batching),
-      ``verify`` (post-repair parity check);
+    * **data plane** — ``verify`` (post-repair parity check).  Every
+      request executes its scheme's plan op by op with inline combines, so
+      bytes on the bus and repaired blocks are the plan's, whatever else is
+      set.  ``workers > 1`` adds the chunk-level decode pipelining model on
+      that many decode workers to a plain round's report
+      (:attr:`RepairResult.pipeline`); scheduled rounds do not read it.
+      ``batched`` is accepted and selects nothing: it once switched to a
+      CR-shaped bypass that is gone, and stays only because
+      ``benchmarks/e2e/workloads.py`` still passes it;
     * **scheduling** — ``priority``/``weight``/``arrival_s`` route through
       the concurrent scheduler (as does restricting ``stripes``);
     * **faults** — a :class:`~repro.faults.schedule.FaultSchedule` or
@@ -55,12 +60,12 @@ class RepairRequest:
       plan static but searches HMBR's split against the predicted
       trajectory.
 
-    ``faults`` routes the data plane through the journaled per-stripe
-    fault runtime, so it composes with scheduling but not with
-    ``batched``/``workers > 1`` (validation rejects the combination
-    rather than silently decoding serially).  ``adaptive`` likewise
-    rejects ``batched``/``workers > 1``/``faults``/scheduler fields: the
-    re-planner owns its own round structure.
+    ``faults`` routes the data plane through the journaled fault runtime,
+    so it composes with scheduling but not with ``workers > 1``
+    (validation rejects the combination rather than silently dropping the
+    pipelining model).  ``adaptive`` likewise rejects ``workers > 1``/
+    ``faults``/scheduler fields: the re-planner owns its own round
+    structure.
     """
 
     scheme: str = "hmbr"
@@ -78,9 +83,6 @@ class RepairRequest:
     base_backoff_s: float = 0.5
     plan_timeout_s: float | None = None
     tick_s: float | None = None
-    max_backoff_s: float | None = None
-    backoff_jitter: float = 0.0
-    backoff_seed: int = 0
     # ---- network dynamics ----
     network: Any = None
     adaptive: bool = False
@@ -105,11 +107,10 @@ class RepairRequest:
             object.__setattr__(
                 self, "stripes", tuple(int(s) for s in self.stripes)
             )
-        if self.faults is not None and (self.batched or self.workers > 1):
+        if self.faults is not None and self.workers > 1:
             raise ValueError(
-                "faults route through the journaled per-stripe runtime; "
-                "they do not compose with batched/parallel decode "
-                "(use workers=1, batched=False)"
+                "faults route through the journaled fault runtime; it has no "
+                "decode pipelining model (use workers=1)"
             )
         if self.network is not None:
             from repro.simnet.network import as_network
@@ -127,10 +128,10 @@ class RepairRequest:
                     f"adaptive repair supports {ADAPTIVE_SCHEMES}, "
                     f"not {self.scheme!r}"
                 )
-            if self.batched or self.workers > 1:
+            if self.workers > 1:
                 raise ValueError(
-                    "adaptive repair re-plans per stripe; it does not "
-                    "compose with batched/parallel decode"
+                    "adaptive repair re-plans per stripe; it has no decode "
+                    "pipelining model (use workers=1)"
                 )
             if self.faults is not None:
                 raise ValueError(
@@ -208,14 +209,13 @@ class RepairResult:
     bytes_on_wire_mb_model: float
     #: measured GF compute seconds across all agents.
     compute_s_total: float
-    #: route accounting: pattern groups and plan-cache stats (batched),
-    #: rounds/replans/retries (faulted, adaptive), waves (scheduled).
+    #: route accounting: rounds/replans/retries (faulted, adaptive), waves
+    #: (scheduled), ``pipeline_saved_s`` (pooled).
     plan_summary: dict = dc_field(default_factory=dict)
     #: per-job outcomes (exactly one entry unless the scheduler ran).
     jobs: list[JobOutcome] = dc_field(default_factory=list)
     per_stripe_transfer_s: dict[int, float] = dc_field(default_factory=dict)
     replacements: dict[int, int] = dc_field(default_factory=dict)
-    batched: bool = False
     workers: int = 1
     #: chunk-level decode pipelining model (parallel runs only).
     pipeline: Any = None

@@ -452,43 +452,27 @@ class ServingPlane:
     def _write_plan(self, op, tasks, task_prefix):
         """Apply one write op; returns (ok, metered_bytes).
 
-        Pre-checks every touched data-block host so a doomed write fails
-        without mutating anything (:meth:`Coordinator.update` would raise
-        mid-stripe otherwise).  Timing: one foreground flow per applied
-        parity delta — exactly the transfers the data plane metered.
+        A write touching a block on a dead node is refused whole
+        (:meth:`Coordinator.update` is atomic).  Timing: one foreground
+        flow per applied parity delta — exactly the transfers the data
+        plane metered.
         """
         coord = self.coord
-        k, bb = coord.code.k, coord.block_bytes
-        stripe_payload = k * bb
-        patch = self.gen.patch_bytes(op)
-        stripe_ids, _ = coord.files[op.obj]
-        stripes = coord.layout
-        touched: list[tuple[int, int, int]] = []
-        pos = 0
-        while pos < len(patch):
-            abs_off = op.offset + pos
-            sid = stripe_ids[abs_off // stripe_payload]
-            bi = (abs_off % stripe_payload) // bb
-            touched.append((sid, bi, stripes[sid].placement[bi]))
-            pos += min(bb - abs_off % bb, len(patch) - pos)
-        if any(not coord.agents[n].alive for _, _, n in touched):
-            return False, 0
         bus_before = coord.bus.total_bytes()
-        coord.update(op.obj, op.offset, patch)
+        try:
+            report = coord.update(op.obj, op.offset, self.gen.patch_bytes(op))
+        except IOError:
+            return False, 0
         if tasks is not None:
-            for sid, bi, node in touched:
-                for j in range(coord.code.m):
-                    pnode = stripes[sid].placement[k + j]
-                    if not coord.agents[pnode].alive:
-                        continue
-                    tasks.append(
-                        Flow(
-                            f"{task_prefix}w{sid}:{bi}:p{j}",
-                            node, pnode, coord.block_size_mb,
-                            deps=(f"{task_prefix}arr",), tag="fg",
-                            weight=self.foreground_weight,
-                        )
+            for sid, bi, j, node, pnode in report["deltas"]:
+                tasks.append(
+                    Flow(
+                        f"{task_prefix}w{sid}:{bi}:p{j}",
+                        node, pnode, coord.block_size_mb,
+                        deps=(f"{task_prefix}arr",), tag="fg",
+                        weight=self.foreground_weight,
                     )
+                )
         # update() ships only the patched span of each delta, so the
         # metered bytes are read back off the bus, not derived from bb
         return True, coord.bus.total_bytes() - bus_before

@@ -84,7 +84,7 @@ def test_serving_survives_fault_storm(chaos_system, chaos_seed):
         # run a background repair alongside the traffic when spares allow it
         repair = ()
         if len(coord.free_spares()) >= len(coord.cluster.dead_ids()):
-            repair = (RepairRequest(scheme="hmbr", batched=True, priority="background"),)
+            repair = (RepairRequest(scheme="hmbr", priority="background"),)
         # a random chunk geometry and kernel backend per round: the
         # pipelined degraded path must produce identical bytes for every
         # chunk count and every GF kernel tier

@@ -5,8 +5,9 @@ Three layers of guarantees:
 * `PlanCache` bookkeeping — hit/miss accounting, LRU eviction at capacity,
   and surviving-helper invalidation (driven by real `repro.faults` kill
   schedules, mirroring a helper dying mid-storm);
-* decode plans — `build_decode_plan` matches `RSCode.repair_matrix`
-  bit-for-bit, so a cached plan can never drift from the per-stripe path;
+* decode plans — `build_decode_plan` matches the one derivation
+  (`RSCode.derive_repair_matrix`) bit-for-bit and goes through the code's
+  own LRU, so a pattern a planner already inverted is not inverted again;
 * the engine — batched decode vs per-stripe `RSCode.decode` over
   seeded-random (k, m, f, erasure pattern, block size) samples in GF(2^8)
   and GF(2^16), including degenerate single-stripe batches and batches
@@ -84,9 +85,42 @@ def test_decode_plan_matches_repair_matrix():
         for _ in range(4):
             survivors, failed = random_pattern(rng, code)
             plan = build_decode_plan(code, survivors, failed)
-            assert np.array_equal(plan.matrix, code.repair_matrix(survivors, failed))
+            assert np.array_equal(
+                plan.matrix, code.derive_repair_matrix(sorted(survivors), failed)
+            )
             assert not plan.matrix.flags.writeable
             assert plan.f == len(failed)
+
+
+def test_one_inversion_per_pattern_across_planner_and_plan_cache(monkeypatch):
+    """A pattern planned by a repair round and then decoded through the
+    `PlanCache` (a degraded read during the storm) is inverted once."""
+    import repro.ec.rs as rs
+    from repro.cluster.node import Node
+    from repro.cluster.topology import Cluster
+    from repro.system.coordinator import Coordinator
+
+    calls = []
+    real_inv = rs.gf_inv
+    monkeypatch.setattr(rs, "gf_inv", lambda *a, **kw: calls.append(1) or real_inv(*a, **kw))
+    code = RSCode(4, 3)  # a fresh code: nothing memoized yet
+    coord = Coordinator(Cluster([Node(i, 1.0, 1.0) for i in range(7)]), code, block_bytes=64)
+    coord.add_spare(Node(100, 1.0, 1.0))
+    coord.write("f", bytes(range(256)))
+    coord.crash_node(coord.layout[0].placement[1])
+    rnd = coord.plan_round("cr", coord.layout.stripes_with_failures(coord.cluster.dead_ids()))
+    (_, ctx, _), = rnd.work
+    assert len(calls) == 1
+    survivors = ctx.chosen_survivors()
+    stacked = np.stack(
+        [coord.agents[ctx.stripe.placement[b]].read_block(f"s0000/b{b:02d}") for b in survivors]
+    )[None]
+    out = BatchRepairEngine(code, cache=coord.plan_cache).decode_batch(
+        survivors, ctx.failed_blocks, stacked
+    )
+    assert coord.plan_cache.misses == 1 and len(calls) == 1
+    assert np.array_equal(out[0, 0], code.encode_stripe(
+        np.frombuffer(bytes(range(256)), dtype=np.uint8).reshape(4, 64))[1])
 
 
 # --------------------------------------------------------------------- #
@@ -329,14 +363,37 @@ def test_engine_accounting_and_helper_loss():
     res = engine.repair_items([item])
     assert res.gf_bytes == 4 * 128
     assert res.compute_seconds > 0
-    assert res.compute_seconds_by_stripe[0] == pytest.approx(res.compute_seconds)
-    assert res.gf_bytes_by_stripe[0] == res.gf_bytes
     # a helper dies: its plans leave the cache, stats reflect it
     assert engine.on_helper_lost(2) == 1
     assert engine.stats()["invalidations"] == 1
     res2 = engine.repair_items([item])
     assert res2.plan_misses == 1  # rebuilt after invalidation
     assert np.array_equal(res2.outputs[0][4], blocks[4])
+
+
+def test_engine_obs_spans_and_metrics():
+    """One ``batch`` span per (pattern, length) group plus the ``batch.*`` series."""
+    from repro.obs import Observability
+
+    code = get_code(4, 2, 8)
+    obs = Observability()
+    engine = BatchRepairEngine(code, obs=obs)
+    blocks = code.encode_stripe(
+        np.random.default_rng(14).integers(0, 256, size=(4, 64)).astype(np.uint8)
+    )
+    items = [
+        StripeBatchItem(sid, (0, 1, 2, 3), (4,), [blocks[i] for i in range(4)])
+        for sid in (0, 1)
+    ] + [StripeBatchItem(2, (1, 2, 3, 4), (0,), [blocks[i] for i in (1, 2, 3, 4)])]
+    res = engine.repair_items(items)
+    spans = obs.tracer.find(cat="batch")
+    assert [s.name for s in spans] == ["batch:g0", "batch:g1"]
+    assert spans[0].args["stripes"] == [0, 1] and spans[1].args["stripes"] == [2]
+    m = obs.metrics
+    assert m.counter("batch.groups").value == res.groups == 2
+    assert m.counter("batch.stripes").value == 3
+    assert m.counter("batch.plan_misses").value == res.plan_misses == 2
+    assert m.counter("batch.gf_bytes").value == res.gf_bytes == 3 * 4 * 64
 
 
 def test_engine_rejects_wrong_row_count():

@@ -315,7 +315,7 @@ def test_serving_merged_wave_conserves_bytes():
     with no foreground traffic (the data planes are independent, so its
     bus delta *is* the repair's share of the merged run).
     """
-    storm = (RepairRequest(scheme="hmbr", batched=True, priority="background"),)
+    storm = (RepairRequest(scheme="hmbr", priority="background"),)
     c1, p1 = _build_serving(kill=2)
     res = p1.run(repair=storm)
     assert res.degraded_reads > 0
@@ -323,7 +323,7 @@ def test_serving_merged_wave_conserves_bytes():
     c2, _ = _build_serving(kill=2)  # same seed -> same placement, same kills
     before = c2.bus.total_bytes()
     c2.sched.submit(scheme="hmbr", priority="background")
-    c2.sched.run_pending(batched=True)
+    c2.sched.run_pending()
     repair_share = c2.bus.total_bytes() - before
 
     assert res.bus_bytes_delta == res.foreground_bytes + repair_share
@@ -332,7 +332,7 @@ def test_serving_merged_wave_conserves_bytes():
 
 def test_serving_attached_session_is_value_identical():
     """Percentiles, outcomes, and bytes match bit-exactly attached/detached."""
-    storm = (RepairRequest(scheme="hmbr", batched=True, priority="background"),)
+    storm = (RepairRequest(scheme="hmbr", priority="background"),)
     _, p1 = _build_serving(kill=2)
     r1 = p1.run(repair=storm)
 
@@ -358,7 +358,7 @@ def test_serving_trace_is_well_formed_in_both_domains():
     coord, plane = _build_serving(kill=2)
     obs = Observability().attach(coord)
     res = plane.run(
-        repair=(RepairRequest(scheme="hmbr", batched=True, priority="background"),)
+        repair=(RepairRequest(scheme="hmbr", priority="background"),)
     )
 
     t = obs.tracer

@@ -247,27 +247,23 @@ def test_parallel_repair_bit_exact_with_serial_twin():
     for coord in (a, b):
         coord.crash_node(3)
         coord.crash_node(7)
-    ra = a.repair(RepairRequest(batched=True))
+    ra = a.repair(RepairRequest())
     rb = b.repair(RepairRequest(workers=WORKERS))
-    try:
-        data_a, place_a = snapshot(a)
-        data_b, place_b = snapshot(b)
-        assert data_a == data_b
-        assert place_a == place_b
-        # the timing plane is decoupled from the data-plane worker count
-        assert rb.makespan_s == pytest.approx(ra.makespan_s, abs=1e-12)
-        assert rb.per_stripe_transfer_s == ra.per_stripe_transfer_s
-        assert rb.blocks_recovered == ra.blocks_recovered
-        assert rb.batched and rb.workers == WORKERS
-        assert rb.pipeline is not None and len(rb.pipeline) == len(rb.stripes_repaired)
-        assert rb.pipeline.saved_s >= 0.0
-        assert rb.plan_summary["pipeline_saved_s"] == rb.pipeline.saved_s
-        # pipelined landings can only improve on the wave barrier
-        assert rb.pipeline.makespan_s <= rb.pipeline.barrier_makespan_s + 1e-12
-        assert all(b.scrub().values())
-    finally:
-        a.close()
-        b.close()
+    data_a, place_a = snapshot(a)
+    data_b, place_b = snapshot(b)
+    assert data_a == data_b
+    assert place_a == place_b
+    # the timing plane is decoupled from the pipelining model's lane count
+    assert rb.makespan_s == pytest.approx(ra.makespan_s, abs=1e-12)
+    assert rb.per_stripe_transfer_s == ra.per_stripe_transfer_s
+    assert rb.blocks_recovered == ra.blocks_recovered
+    assert rb.workers == WORKERS
+    assert rb.pipeline is not None and len(rb.pipeline) == len(rb.stripes_repaired)
+    assert rb.pipeline.saved_s >= 0.0
+    assert rb.plan_summary["pipeline_saved_s"] == rb.pipeline.saved_s
+    # pipelined landings can only improve on the wave barrier
+    assert rb.pipeline.makespan_s <= rb.pipeline.barrier_makespan_s + 1e-12
+    assert all(b.scrub().values())
 
 
 def test_parallel_repair_bit_exact_after_fault_storm():
@@ -277,23 +273,19 @@ def test_parallel_repair_bit_exact_after_fault_storm():
         seed=20230717, targets=list(range(8)), n_events=4, max_kills=1
     )
     a, b = build_system(seed=3), build_system(seed=3)
-    try:
-        for coord in (a, b):
-            coord.crash_node(1)
-            coord.repair(RepairRequest(faults=schedule))
-        for coord in (a, b):
-            victim = next(i for i in (4, 6, 8) if coord.cluster[i].alive)
-            coord.crash_node(victim)
-        a.repair(RepairRequest(batched=True))
-        b.repair(RepairRequest(workers=WORKERS))
-        data_a, place_a = snapshot(a)
-        data_b, place_b = snapshot(b)
-        assert data_a == data_b
-        assert place_a == place_b
-        assert all(b.scrub().values())
-    finally:
-        a.close()
-        b.close()
+    for coord in (a, b):
+        coord.crash_node(1)
+        coord.repair(RepairRequest(faults=schedule))
+    for coord in (a, b):
+        victim = next(i for i in (4, 6, 8) if coord.cluster[i].alive)
+        coord.crash_node(victim)
+    a.repair(RepairRequest())
+    b.repair(RepairRequest(workers=WORKERS))
+    data_a, place_a = snapshot(a)
+    data_b, place_b = snapshot(b)
+    assert data_a == data_b
+    assert place_a == place_b
+    assert all(b.scrub().values())
 
 
 def test_scheduler_route_with_workers_bit_exact():
@@ -303,23 +295,20 @@ def test_scheduler_route_with_workers_bit_exact():
     affected = sorted(a.layout.stripes_with_failures(a.cluster.dead_ids()))
     ra = a.repair([RepairRequest(stripes=tuple(affected))])
     rb = b.repair([RepairRequest(stripes=tuple(affected), workers=WORKERS)])
-    try:
-        assert snapshot(a) == snapshot(b)
-        assert rb.makespan_s == pytest.approx(ra.makespan_s, abs=1e-12)
-        assert rb.ok and len(rb.jobs) == 1 and rb.jobs[0].state == "done"
-    finally:
-        a.close()
-        b.close()
+    assert snapshot(a) == snapshot(b)
+    assert rb.makespan_s == pytest.approx(ra.makespan_s, abs=1e-12)
+    assert rb.ok and len(rb.jobs) == 1 and rb.jobs[0].state == "done"
 
 
-def test_coordinator_caches_and_closes_engines():
+def test_repair_rounds_never_touch_the_pool(monkeypatch):
+    """``workers`` is the pipelining model's lane count: a per-stripe plane
+    never repays pool dispatch (docs/PARALLEL.md), so combines stay inline."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a repair round dispatched to the worker pool")
+
+    monkeypatch.setattr(WorkerPool, "decode_plane", refuse)
     coord = build_system()
     coord.crash_node(3)
-    coord.repair(RepairRequest(workers=WORKERS))
-    engine = coord._parallel_engines[WORKERS]
-    coord.crash_node(7)
-    coord.repair(RepairRequest(workers=WORKERS))
-    assert coord._parallel_engines[WORKERS] is engine  # one pool per count
-    coord.close()
-    assert coord._parallel_engines == {}
-    coord.close()  # idempotent
+    res = coord.repair(RepairRequest(workers=WORKERS))
+    assert res.pipeline is not None and all(coord.scrub().values())

@@ -209,10 +209,13 @@ def test_repair_package_never_imports_the_system():
     assert not offenders, offenders
 
 
-def test_executor_batch_api_is_gone():
-    """Production batching is ``Coordinator._dispatch_batched``; the
-    workspace copy and its two types were deleted, not deprecated."""
-    gone = ("execute_" + "batch", "Batch" + "RepairRequest", "Batch" + "ExecutionReport")
+def test_deleted_data_plane_names_are_gone():
+    """The workspace batch executor (PR 15) and the coordinator's batched
+    bypass with its compute back-charge (PR 16) were deleted, not deprecated."""
+    gone = (
+        "execute_" + "batch", "Batch" + "RepairRequest", "Batch" + "ExecutionReport",
+        "_dispatch_" + "batched", "charge_" + "compute",
+    )
     hits = [
         f"{path.relative_to(REPO)}: {name}"
         for top in ("src", "tests", "benchmarks", "examples", "docs")
@@ -222,3 +225,9 @@ def test_executor_batch_api_is_gone():
         if name in path.read_text()
     ]
     assert not hits, hits
+
+
+def test_only_the_interpreter_moves_repair_bytes_between_agents():
+    """``Agent.send_to`` has one caller: ``run_plan_ops``."""
+    senders = sorted(str(rel) for rel, _, text in _src_modules() if ".send_to(" in text)
+    assert senders == ["system/agent.py"], senders

@@ -23,7 +23,7 @@ from tests.test_system_batch import build_system, snapshot
 # ------------------------------------------------------------------ #
 def test_request_defaults_are_todays_behavior():
     req = RepairRequest()
-    assert req.scheme == "hmbr" and req.verify and not req.batched
+    assert req.scheme == "hmbr" and req.verify
     assert req.workers == 1 and req.priority == "normal"
     assert not req.needs_scheduler()
 
@@ -36,7 +36,6 @@ def test_request_defaults_are_todays_behavior():
         {"workers": 0},
         {"arrival_s": -1.0},
         {"weight": 0.0},
-        {"faults": object(), "batched": True},
         {"faults": object(), "workers": 2},
     ],
 )
@@ -46,7 +45,7 @@ def test_request_rejects_bad_fields(kwargs):
 
 
 def test_request_normalizes_stripes_and_workers():
-    req = RepairRequest(stripes=[3, 1], workers=2.0, batched=False)
+    req = RepairRequest(stripes=[3, 1], workers=2.0)
     assert req.stripes == (3, 1) and isinstance(req.workers, int)
     assert req.needs_scheduler()  # restricting stripes implies queueing
 
@@ -155,19 +154,49 @@ def test_repair_takes_requests_only():
     assert not hasattr(coord, "run_pending")
 
 
-def test_batched_request_reports_its_data_plane():
-    a, b = build_system(), build_system()
-    for coord in (a, b):
-        coord.crash_node(3)
-    ra = a.repair(RepairRequest())
-    rb = b.repair(RepairRequest(batched=True))
-    assert snapshot(a) == snapshot(b)
-    assert rb.batched and rb.workers == 1 and rb.pipeline is None
-    assert not ra.batched and ra.report is None
-    assert rb.makespan_s == pytest.approx(ra.makespan_s, abs=1e-12)
-    assert rb.plan_summary["pattern_groups"] >= 1
-    assert rb.plan_summary["plan_cache"] == b.plan_cache.stats()
-    assert ra.ok and [j.state for j in ra.jobs] == ["done"]
+def _plan_transfer_bytes(plans, block_bytes, word_bytes=8):
+    """Bytes a round's ``TransferOp``s move, sized from the ops alone."""
+    import numpy as np
+
+    from repro.ec.subblock import word_slice
+    from repro.repair.plan import CombineOp, ConcatOp, SliceOp, TransferOp
+
+    block = np.empty(block_bytes, dtype=np.uint8)
+    total = 0
+    for _, plan in plans:
+        size = {}  # (node, buffer) -> bytes
+        for op in plan.ops:
+            if isinstance(op, SliceOp):
+                size[op.node, op.out] = word_slice(block, op.start, op.stop, word_bytes).nbytes
+            elif isinstance(op, CombineOp):
+                size[op.node, op.out] = size[op.node, op.srcs[0]]
+            elif isinstance(op, ConcatOp):
+                size[op.node, op.out] = sum(size[op.node, p] for p in op.parts)
+            elif isinstance(op, TransferOp):
+                moved = size[op.src_node, op.name]
+                size[op.dst_node, op.rename or op.name] = moved
+                total += moved
+    return total
+
+
+@pytest.mark.parametrize("scheme", ["cr", "ir", "hmbr", "mlf", "rack-hmbr"])
+def test_every_request_moves_its_plans_bytes(scheme):
+    """The agents execute the scheme's plan, whatever ``batched`` / ``workers``
+    say: the bus carries exactly the plan's transfers (CR-shaped shipping
+    for every scheme was the deleted bypass) and the stores end identical."""
+    reference = None
+    for batched in (False, True):
+        for workers in (1, 2):
+            coord = _twin()
+            planned = coord.plan_repair(scheme)
+            res = coord.repair(RepairRequest(scheme=scheme, batched=batched, workers=workers))
+            assert res.bytes_moved == _plan_transfer_bytes(planned.plans, coord.block_bytes)
+            assert res.makespan_s == pytest.approx(planned.makespan_s, abs=1e-9)
+            assert res.workers == workers and (res.pipeline is not None) == (workers > 1)
+            assert all(coord.scrub().values())
+            state = (snapshot(coord), _store_bytes(coord), res.bytes_moved)
+            reference = reference or state
+            assert state == reference
 
 
 def test_fault_request_exposes_the_runtime_report():

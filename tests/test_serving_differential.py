@@ -148,8 +148,8 @@ def test_degraded_read_bit_exact_mid_storm(seed):
     coord.plan_cache.invalidate_survivor(0)
     for name, want in baselines.items():  # re-decode through rebuilt plans
         assert plane.read_object(name, gateway=gw) == want
-    # the storm lands: batched repair through the same shared cache
-    coord.repair(RepairRequest(scheme="hmbr", batched=True))
+    # the storm lands: the repair rebuilds what the reads decoded around
+    coord.repair(RepairRequest(scheme="hmbr"))
     for name, want in baselines.items():  # healthy again, still bit-exact
         assert plane.read_object(name, gateway=gw) == want
 

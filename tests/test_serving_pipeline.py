@@ -295,7 +295,7 @@ def _failed_system(seed=5):
 def test_estimate_finish_s_is_deterministic_and_stateless():
     """Repeat estimates agree, and the center scheduler is untouched."""
     coord = _failed_system()
-    req = (RepairRequest(scheme="hmbr", batched=True, priority="background"),)
+    req = (RepairRequest(scheme="hmbr", priority="background"),)
     cs = coord.center_scheduler
     state0 = (dict(cs.counts), dict(cs.last_selected), cs._clock)
     a = coord.sched.estimate_finish_s(req)
@@ -312,7 +312,7 @@ def test_estimate_finish_s_is_deterministic_and_stateless():
 def test_estimate_does_not_perturb_the_real_repair():
     """A repair preceded by an estimate is bit-identical to one without."""
     ca, cb = _failed_system(), _failed_system()
-    req = RepairRequest(scheme="hmbr", batched=True)
+    req = RepairRequest(scheme="hmbr")
     ca.sched.estimate_finish_s((req,))  # only system A estimates first
     ra, rb = ca.repair(req), cb.repair(req)
     assert ra.stripes_repaired == rb.stripes_repaired

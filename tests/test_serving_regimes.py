@@ -69,8 +69,8 @@ def _run(*, foreground_weight=4.0, kill=0, repair=(), chunks=1,
 
 
 def _storm():
-    """A whole-cluster batched repair submitted next to the traffic."""
-    return (RepairRequest(scheme="hmbr", batched=True, priority="background"),)
+    """A whole-cluster repair submitted next to the traffic."""
+    return (RepairRequest(scheme="hmbr", priority="background"),)
 
 
 def _finite(table):
@@ -141,7 +141,7 @@ def test_storm_hurts_foreground_less_under_weighted_sharing():
     equal = _run(
         foreground_weight=1.0,
         kill=2,
-        repair=(RepairRequest(scheme="hmbr", batched=True, weight=1.0),),
+        repair=(RepairRequest(scheme="hmbr", weight=1.0),),
         fast_path=False,
     )
     # the storm hurts in both policies...

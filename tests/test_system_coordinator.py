@@ -163,13 +163,12 @@ def _one_stripe_down(seed):
     return coord
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["per-stripe", "batched"])
-def test_failed_verify_leaves_no_scratch_behind(batched):
+def test_failed_verify_leaves_no_scratch_behind():
     coord = _one_stripe_down(seed=51)
     survivor = coord.layout.stripes[0].placement[1]
     coord.agents[survivor].read_block("s0000/b01")[0] ^= 0xFF  # silent corruption
     with pytest.raises(AssertionError, match="stripe 0"):
-        coord.repair(RepairRequest(batched=batched))
+        coord.repair(RepairRequest())
     assert _held_scratch(coord) == 0
 
 
@@ -188,6 +187,26 @@ def test_bus_fault_mid_plan_leaves_no_scratch_behind(request_):
     coord.bus.fault_hook = hook
     with pytest.raises(ConnectionError):
         coord.repair(request_)
+    assert _held_scratch(coord) == 0
+
+
+def test_scratch_is_released_stripe_by_stripe():
+    """At each commit only the committing stripe's buffers are in flight, and
+    a finished round holds none: a round's peak memory is one stripe's."""
+    coord = make_system(seed=54, block_bytes=64)
+    coord.write("f", payload(4 * coord.code.k * 64, seed=54))
+    coord.crash_node(coord.layout.stripes[0].placement[0])
+    commit, seen = coord.commit_outputs, []
+
+    def watching(sid, outputs, verify=True):
+        held = {name for agent in coord.agents.values() for name in agent.scratch}
+        assert held and all(f"s{sid:04d}" in name for name in held), (sid, held)
+        seen.append(sid)
+        commit(sid, outputs, verify)
+
+    coord.commit_outputs = watching
+    result = coord.repair(RepairRequest(scheme="cr"))
+    assert len(seen) > 1 and seen == result.stripes_repaired
     assert _held_scratch(coord) == 0
 
 

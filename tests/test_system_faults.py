@@ -188,6 +188,76 @@ def test_journal_reset():
 
 
 # --------------------------------------------------------------------- #
+# fused combines: same (node, srcs) -> one kernel call, ops keep their turns
+# --------------------------------------------------------------------- #
+def _center_ops():
+    """CR's shape: two combines over the same sources, a transfer between."""
+    return [
+        CombineOp(node=0, srcs=("x", "y"), coeffs=(3, 7), out="p"),
+        TransferOp(src_node=0, dst_node=1, name="p"),
+        CombineOp(node=0, srcs=("x", "y"), coeffs=(5, 1), out="q"),
+    ]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Shapes of the coefficient matrices the agents hand to the GF kernel."""
+    from repro.gf import matmul
+
+    shapes = []
+
+    def kernel(mat, plane, field):
+        shapes.append(mat.shape)
+        return matmul(mat, plane, field)
+
+    monkeypatch.setattr("repro.system.agent.matmul", kernel)
+    return shapes
+
+
+def test_same_source_combines_share_one_kernel_call(calls):
+    a, b = _two_agents_with_data()
+    hooks, order = [], []
+    a.obs_hook = lambda node, seconds, nbytes: hooks.append(nbytes)
+    ops = _center_ops()
+    run_plan_ops(ops, {0: a, 1: b}, DataBus(), before_op=order.append)
+    assert calls == [(2, 2)], "both rows in one product over a plane stacked once"
+    assert order == ops and hooks == [64, 64], "every op still takes its own turn"
+    x, y = a.scratch["x"], a.scratch["y"]
+    assert np.array_equal(a.scratch["p"], gf8.combine((3, 7), [x, y]))
+    assert np.array_equal(a.scratch["q"], gf8.combine((5, 1), [x, y]))
+    assert a.scratch["q"].base is None, "rows are stored apart, not as views of the product"
+
+
+def test_fused_row_is_dropped_when_a_source_is_rewritten(calls):
+    """A row computed ahead is only valid for the buffers it was computed from."""
+    a, b = _two_agents_with_data()
+    b.scratch["x"] = np.full(32, 9, dtype=gf8.dtype)
+    ops = _center_ops()
+    ops[1] = TransferOp(src_node=1, dst_node=0, name="x")  # overwrites a source
+    run_plan_ops(ops, {0: a, 1: b}, DataBus())
+    assert calls == [(2, 2), (1, 2)]
+    assert np.array_equal(a.scratch["q"], gf8.combine((5, 1), [b.scratch["x"], a.scratch["y"]]))
+
+
+def test_interrupted_fused_group_resumes_from_the_journal(calls):
+    a, b = _two_agents_with_data()
+    bus, journal = DataBus(), ExecutionJournal()
+
+    def drop(src, dst, nbytes):
+        raise TransferDropped(src, dst)
+
+    bus.fault_hook = drop
+    ops = _center_ops()
+    with pytest.raises(TransferDropped):
+        run_plan_ops(ops, {0: a, 1: b}, bus, journal=journal)
+    assert journal.completed == 1 and "q" not in a.scratch
+    bus.fault_hook = None
+    run_plan_ops(ops, {0: a, 1: b}, bus, journal=journal)
+    assert journal.completed == 3 and calls == [(2, 2), (1, 2)]
+    assert np.array_equal(a.scratch["q"], gf8.combine((5, 1), [a.scratch["x"], a.scratch["y"]]))
+
+
+# --------------------------------------------------------------------- #
 # DataBus.record strictness (satellite: reject nonsense byte counts)
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("nbytes", [0, -1, -4096])
@@ -221,7 +291,7 @@ def test_empty_buffer_send_delivers_but_meters_nothing():
 
 
 # --------------------------------------------------------------------- #
-# backoff: capped exponential with deterministic jitter
+# backoff: capped exponential
 # --------------------------------------------------------------------- #
 def test_backoff_delay_sequence_is_capped_exponential():
     from repro.faults.runtime import DEFAULT_MAX_BACKOFF_S, backoff_delay
@@ -230,26 +300,8 @@ def test_backoff_delay_sequence_is_capped_exponential():
     # doubles until the 30 s default ceiling, then stays pinned there
     assert delays[:7] == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0]
     assert all(d == DEFAULT_MAX_BACKOFF_S for d in delays[6:])
-    # a custom ceiling clamps earlier
-    assert backoff_delay(10, 0.5, max_s=2.0) == 2.0
     # huge attempt counts must not overflow float exponentiation
     assert backoff_delay(5000, 0.5) == DEFAULT_MAX_BACKOFF_S
-
-
-def test_backoff_delay_jitter_is_deterministic_bounded_and_keyed():
-    from repro.faults.runtime import backoff_delay
-
-    base = backoff_delay(3, 0.5)  # 2.0 un-jittered
-    a = backoff_delay(3, 0.5, jitter_frac=0.25, seed=7, key=11)
-    b = backoff_delay(3, 0.5, jitter_frac=0.25, seed=7, key=11)
-    assert a == b, "same (seed, key, attempt) must replay the same delay"
-    assert base * 0.75 <= a <= base * 1.25
-    # different stripes (keys) desynchronize
-    c = backoff_delay(3, 0.5, jitter_frac=0.25, seed=7, key=12)
-    assert a != c
-    # jitter never pierces the ceiling
-    for attempt in range(1, 20):
-        assert backoff_delay(attempt, 4.0, max_s=10.0, jitter_frac=0.5, seed=1) <= 10.0
 
 
 def test_backoff_delay_validation():
@@ -259,5 +311,32 @@ def test_backoff_delay_validation():
         backoff_delay(0, 1.0)
     with pytest.raises(ValueError, match="non-negative"):
         backoff_delay(1, -1.0)
-    with pytest.raises(ValueError, match="jitter_frac"):
-        backoff_delay(1, 1.0, jitter_frac=1.0)
+
+
+# --------------------------------------------------------------------- #
+# plan timeout: a stalled attempt is abandoned and the stripe re-planned
+# --------------------------------------------------------------------- #
+def test_delay_past_plan_timeout_replans_the_stripe():
+    from repro.system.request import RepairRequest
+    from tests.test_system_batch import build_system
+
+    def run(plan_timeout_s):
+        coord = build_system()
+        original = coord.read("f")
+        coord.crash_node(3)
+        # stall the first transfer of the first stripe's plan
+        first_plan = coord.plan_repair("hmbr").plans[0][1]
+        sender = next(op.src_node for op in first_plan.ops if isinstance(op, TransferOp))
+        stall = FaultSchedule.from_tuples([(0.0, "delay", sender, 5.0)])
+        res = coord.repair(RepairRequest(faults=stall, plan_timeout_s=plan_timeout_s))
+        assert res.ok and res.report.delay_s == pytest.approx(5.0)
+        assert coord.read("f") == original and all(coord.scrub().values())
+        assert not any(agent.scratch for agent in coord.agents.values())
+        return res
+
+    patient = run(None)  # no timeout: the stalled attempt just finishes late
+    assert patient.plan_summary["replans"] == 0
+    assert set(patient.report.attempts.values()) == {1}
+    hasty = run(1.0)  # the 5 s stall blows a 1 s budget: PlanTimeout, re-plan
+    assert hasty.plan_summary["replans"] >= 1
+    assert max(hasty.report.attempts.values()) == 2

@@ -133,9 +133,9 @@ def gen_serving() -> str:
         return plane
 
     storm = lambda w=None: (  # noqa: E731
-        RepairRequest(scheme="hmbr", batched=True, priority="background")
+        RepairRequest(scheme="hmbr", priority="background")
         if w is None
-        else RepairRequest(scheme="hmbr", batched=True, weight=w),
+        else RepairRequest(scheme="hmbr", weight=w),
     )
     regimes = {
         "healthy": build().run().summary(),
