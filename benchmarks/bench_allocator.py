@@ -1,40 +1,8 @@
-"""Allocator and evaluator performance benchmarks (vectorized vs reference)."""
+"""Evaluator performance benchmarks: the static-share shortcut against the
+fluid solver on the same plan."""
 
-import numpy as np
-import pytest
-
-from benchmarks.conftest import attach
-from repro.simnet.fluid import FluidSimulator, _Resource
+from repro.simnet.fluid import FluidSimulator
 from repro.simnet.static import StaticShareEvaluator
-
-
-def build_instance(n_flows=400, n_res=300, seed=0):
-    rng = np.random.default_rng(seed)
-    res_keys = [f"r{i}" for i in range(n_res)]
-    caps = {r: float(rng.uniform(10, 200)) for r in res_keys}
-    flows = {
-        f"f{i}": [res_keys[j] for j in rng.choice(n_res, size=3, replace=False)]
-        for i in range(n_flows)
-    }
-    return res_keys, caps, flows
-
-
-def test_reference_allocator(benchmark):
-    res_keys, caps, flows = build_instance()
-    resources = {r: _Resource(caps[r]) for r in res_keys}
-    rates = benchmark(FluidSimulator._allocate, dict(flows), resources)
-    assert len(rates) == len(flows)
-
-
-def test_vectorized_allocator(benchmark):
-    res_keys, caps, flows = build_instance()
-    tids = sorted(flows)
-    alloc = FluidSimulator._VectorAllocator(tids, flows, res_keys)
-    caps_arr = np.array([caps[r] for r in res_keys])
-    mask = np.ones(len(tids), dtype=bool)
-    rates = benchmark(alloc.allocate, mask, caps_arr)
-    assert rates.shape == (len(tids),)
-    attach(benchmark, flows=len(tids), resources=len(res_keys))
 
 
 def test_fluid_vs_static_evaluator_speed(benchmark):

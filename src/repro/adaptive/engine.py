@@ -43,7 +43,7 @@ from repro.repair._build import add_centralized, add_independent, add_multilevel
 from repro.repair.context import RepairContext
 from repro.repair.plan import RepairPlan
 from repro.repair.planner import ADAPTIVE_SCHEMES
-from repro.repair.split import scaled_split_tasks, search_split
+from repro.repair.split import search_split
 from repro.repair.topology import build_chain_paths
 from repro.simnet.fluid import FluidSimulator
 from repro.simnet.network import cluster_at
@@ -596,10 +596,7 @@ class AdaptiveEngine:
                 per.append((lv, ctx, center, paths, crp, irp, cr_full, ir_full))
             cr_all = [tk for entry in per for tk in entry[6]]
             ir_all = [tk for entry in per for tk in entry[7]]
-            q, _ = search_split(
-                lambda frac: scaled_split_tasks(cr_all, ir_all, frac),
-                cluster_now, events=shifted,
-            )
+            q, _ = search_split(cr_all, ir_all, cluster_now, events=shifted)
             out = []
             for lv, ctx, center, paths, crp, irp, _cr, _ir in per:
                 mid = lv.lo + q * (lv.hi - lv.lo)

@@ -13,7 +13,7 @@ from repro.repair._build import add_centralized, add_independent, repaired_name
 from repro.repair.context import RepairContext
 from repro.repair.model import repair_model, volume_split
 from repro.repair.plan import ConcatOp, RepairPlan
-from repro.repair.split import scaled_split_tasks, search_split
+from repro.repair.split import search_split
 from repro.repair.topology import build_chain_paths, default_center
 
 
@@ -53,9 +53,7 @@ def plan_hybrid(
     elif split == "search":
         cr_full, _, _ = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center)
         ir_full, _, _ = add_independent(ctx, ctx.prefix("h.ir"), 0.0, 1.0, paths_for_search)
-        p0, _ = search_split(
-            lambda q: scaled_split_tasks(cr_full, ir_full, q), ctx.cluster, events=events
-        )
+        p0, _ = search_split(cr_full, ir_full, ctx.cluster, events=events)
     elif split == "volume":
         p0 = volume_split(ctx, center=center, chain_order=chain_order)
     elif split == "theorem1":

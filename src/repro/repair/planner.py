@@ -27,7 +27,7 @@ from repro.repair.mlf import plan_mlf
 from repro.repair.plan import RepairPlan
 from repro.repair.rackaware import plan_rack_aware_hybrid
 from repro.repair.selector import choose_scheme
-from repro.repair.split import scaled_split_tasks, search_split
+from repro.repair.split import search_split
 from repro.repair.topology import build_chain_paths
 from repro.repair.validate import validate_plan
 
@@ -132,9 +132,7 @@ def common_split(cluster, work, events=()) -> float | None:
         )
         cr_all.extend(cr_t)
         ir_all.extend(ir_t)
-    p, _ = search_split(
-        lambda q: scaled_split_tasks(cr_all, ir_all, q), cluster, events=events
-    )
+    p, _ = search_split(cr_all, ir_all, cluster, events=events)
     return p
 
 

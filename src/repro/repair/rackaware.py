@@ -361,7 +361,7 @@ def plan_rack_aware_hybrid(
     pure rack-aware sub-schemes) or the Theorem 1 formula applied to the two
     sub-schemes' simulated full-block times (``split="sim-theorem1"``).
     """
-    from repro.repair.split import scaled_split_tasks, search_split
+    from repro.repair.split import search_split
     from repro.simnet.fluid import FluidSimulator
 
     if center is None:
@@ -373,9 +373,7 @@ def plan_rack_aware_hybrid(
             ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, intermediate_policy
         )
         ir_full, _, _ = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, None, max_children)
-        p0, _ = search_split(
-            lambda q: scaled_split_tasks(cr_full, ir_full, q), ctx.cluster
-        )
+        p0, _ = search_split(cr_full, ir_full, ctx.cluster)
     elif split == "sim-theorem1":
         sim = FluidSimulator(ctx.cluster)
         tcr = sim.run(

@@ -16,36 +16,16 @@ Three ways to choose the CR/IR split ratio p, strongest last:
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
-import dataclasses
-
 from repro.cluster.topology import Cluster
-from repro.simnet.flows import DelayTask, Task
+from repro.simnet.flows import Task
 from repro.simnet.fluid import FluidSimulator
 
 
-def scaled_split_tasks(
-    cr_full: list[Task], ir_full: list[Task], p: float
-) -> list[Task]:
-    """Tasks for split ``p`` from full-block reference sub-plans.
-
-    Transfer sizes are linear in the sub-block fraction, so the CR sub-plan
-    built for the whole block scales by ``p`` and the IR one by ``1 - p`` —
-    no need to re-plan per candidate p during the search.
-    """
-    out: list[Task] = []
-    for t in cr_full:
-        out.append(t if isinstance(t, DelayTask) else dataclasses.replace(t, size_mb=t.size_mb * p))
-    for t in ir_full:
-        out.append(t if isinstance(t, DelayTask) else dataclasses.replace(t, size_mb=t.size_mb * (1.0 - p)))
-    return out
-
-
 def search_split(
-    build_tasks: Callable[[float], list[Task]],
+    cr_full: list[Task],
+    ir_full: list[Task],
     cluster: Cluster,
     coarse_points: int = 9,
     refine_rounds: int = 2,
@@ -54,14 +34,24 @@ def search_split(
 ) -> tuple[float, float]:
     """Grid-and-refine minimization of simulated makespan over p in [0, 1].
 
+    ``cr_full`` / ``ir_full`` are the two sub-plans built for the *whole*
+    block.  Transfer sizes are linear in the sub-block fraction, so split p
+    is the same task graph with CR sizes scaled by ``p`` and IR sizes by
+    ``1 - p`` (delays unscaled): the graph is compiled once and every
+    candidate only rescales its size vector — no re-planning, no rebuilt
+    tasks.
+
     Returns ``(best_p, best_makespan)``.  T(p) is piecewise smooth but not
     guaranteed convex under fair sharing, hence grid search instead of
     golden section; total simulations = coarse + rounds * refine.
     """
     sim = FluidSimulator(cluster)
+    problem = sim.compile(cr_full + ir_full)
+    is_cr = np.arange(len(problem)) < len(cr_full)
 
     def t_of(p: float) -> float:
-        return sim.run(build_tasks(p), events=events).makespan
+        scale = np.where(problem.is_delay, 1.0, np.where(is_cr, p, 1.0 - p))
+        return sim.run(problem, events=events, sizes=problem.base * scale).makespan
 
     ps = list(np.linspace(0.0, 1.0, coarse_points))
     ts = [t_of(p) for p in ps]

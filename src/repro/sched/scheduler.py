@@ -315,8 +315,9 @@ class RepairScheduler:
         finish: dict[int, float] = {}
         if tasks:
             sim = FluidSimulator(coord.cluster).run(tasks)
+            latest = sim.finish_of_each(prefix for _, prefix in prefixes)
             for sid, prefix in prefixes:
-                finish[sid] = max(finish.get(sid, 0.0), sim.finish_of(prefix))
+                finish[sid] = max(finish.get(sid, 0.0), latest[prefix])
         return RepairEta(
             finish_s=finish,
             replacement_of={d: s for _, _, repl in admitted for d, s in repl.items()},
@@ -500,9 +501,12 @@ class RepairScheduler:
             tracer=obs.tracer if obs is not None else None,
             trace_label=f"sched.sim@{offset:g}",
         )
+        latest = sim.finish_of_each(
+            prefix for _, prefixes in planned for _, prefix in prefixes
+        )
         for job, prefixes in planned:
             for sid, prefix in prefixes:
-                t = sim.finish_of(prefix)
+                t = latest[prefix]
                 prev = job.per_stripe_transfer_s.get(sid)
                 job.per_stripe_transfer_s[sid] = t if prev is None else max(prev, t)
         return sim

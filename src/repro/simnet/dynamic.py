@@ -33,13 +33,12 @@ class BandwidthEvent:
 
     def capacity_updates(self) -> dict[str, float]:
         """Resource-key -> new capacity map for the simulator."""
-        out: dict[str, float] = {}
-        if self.uplink is not None:
-            out[f"up:{self.node}"] = self.uplink
-        if self.downlink is not None:
-            out[f"down:{self.node}"] = self.downlink
-        if self.cross_uplink is not None:
-            out[f"xup:{self.node}"] = self.cross_uplink
-        if self.cross_downlink is not None:
-            out[f"xdown:{self.node}"] = self.cross_downlink
-        return out
+        rates = {
+            "up": self.uplink,
+            "down": self.downlink,
+            "xup": self.cross_uplink,
+            "xdown": self.cross_downlink,
+        }
+        return {
+            f"{kind}:{self.node}": rate for kind, rate in rates.items() if rate is not None
+        }

@@ -10,6 +10,13 @@ per-node cross-rack capacities (the ``tc`` shaping of Experiment 4).
 This is the standard fluid approximation of TCP-fair sharing used by
 flow-level datacenter simulators; on the paper's plan shapes it reproduces
 the closed-form times of §III-B exactly (see tests).
+
+A task list is compiled once (:meth:`FluidSimulator.compile`) to integer ids,
+CSR dependency and flow x resource structures; the event loop and the
+allocator then work on arrays over tasks and resources.  Simulated times
+depend on the float operation order fixed here — docs/ARCHITECTURE.md,
+"One compiled problem, one array loop" — and are pinned bit for bit against
+the predecessor solver by ``tests/test_fluid_differential.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster.topology import Cluster
-from repro.simnet.flows import DelayTask, Flow, PipelineFlow, Task, validate_tasks
+from repro.simnet.flows import DelayTask, Task, validate_tasks
 
 _EPS = 1e-12
 
@@ -49,15 +58,26 @@ class SimulationResult:
         never collects ``"cr2:..."`` or ``"cr_local:..."`` tasks the way a
         bare prefix match would.
         """
-        prefix = tag if tag.endswith(":") else tag + ":"
-        times = [
-            t
-            for tid, t in self.finish_times.items()
-            if tid == tag or tid.startswith(prefix)
-        ]
-        if not times:
-            raise KeyError(f"no task ids in the {tag!r} namespace")
-        return max(times)
+        return self.finish_of_each((tag,))[tag]
+
+    def finish_of_each(self, tags) -> dict[str, float]:
+        """:meth:`finish_of` for every tag of ``tags`` in one pass over the
+        finish times (a scheduler wave asks for one per job and stripe)."""
+        wanted = set(tags)
+        latest: dict[str, float] = {}
+        for tid, t in self.finish_times.items():
+            # the namespaces of "a:b:c": itself, "a", "a:", "a:b", "a:b:"
+            names = [tid]
+            cut = tid.find(":")
+            while cut >= 0:
+                names += (tid[:cut], tid[: cut + 1])
+                cut = tid.find(":", cut + 1)
+            for name in wanted.intersection(names):
+                latest[name] = max(latest.get(name, t), t)
+        missing = wanted.difference(latest)
+        if missing:
+            raise KeyError(f"no task ids in the {min(missing)!r} namespace")
+        return latest
 
     def tag_finish(self, tasks: list[Task], tag: str) -> float:
         times = [self.finish_times[t.task_id] for t in tasks if t.tag == tag]
@@ -66,12 +86,166 @@ class SimulationResult:
         return max(times)
 
 
-class _Resource:
-    __slots__ = ("capacity", "flows")
+class _Incidence:
+    """Flow x resource incidence (with multiplicity) and its max-min allocator.
 
-    def __init__(self, capacity: float):
-        self.capacity = capacity
-        self.flows: set[str] = set()
+    One entry per unit a flow occupies on a resource, **flow-major**
+    (``entry_flow`` non-decreasing): a flow crossing a resource twice has two
+    entries and counts twice.  ``weights[f]`` implements weighted fair
+    sharing: a flow of weight w receives w times the rate of a weight-1
+    competitor at a shared bottleneck (background repair is throttled this
+    way).  Entry order and the ascending flow order within a resource fix the
+    float operation order of :meth:`rates`, and with it every simulated time
+    (docs/ARCHITECTURE.md, "Fluid simulation").
+    """
+
+    def __init__(self, entry_flow, entry_res, weights, n_res: int):
+        self.entry_flow = np.asarray(entry_flow, dtype=np.int64)
+        self.entry_res = np.asarray(entry_res, dtype=np.int64)
+        self.weights = np.asarray(weights, dtype=float)
+        self.entry_weight = self.weights[self.entry_flow]
+        self.n_res = n_res
+        # CSR by flow: entries of flow f are flow_ptr[f]:flow_ptr[f + 1]
+        self.flow_ptr = _offsets(self.entry_flow, len(self.weights))
+        # CSC by resource: the flows on resource r, ascending, each once
+        order = np.argsort(self.entry_res, kind="stable")
+        res, flow = self.entry_res[order], self.entry_flow[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (res[1:] != res[:-1]) | (flow[1:] != flow[:-1])
+        self.res_flows = flow[first]
+        self.res_ptr = _offsets(res[first], n_res)
+
+    def rates(self, active, caps):
+        """Weighted max-min rates (indexed like ``weights``) by progressive
+        filling: repeatedly take the resource with the smallest fair share
+        per unit weight, fix every unfixed ``active`` flow crossing it at
+        that share, and subtract what they consume everywhere they go.
+        Every active flow must have at least one entry; none active gives
+        all zeros.
+        """
+        on = active[self.entry_flow]
+        wsum = np.bincount(
+            self.entry_res[on], weights=self.entry_weight[on], minlength=self.n_res
+        )
+        left = caps.astype(float)
+        rates = np.zeros(len(self.weights))
+        unfixed = active.copy()
+        n_unfixed = int(np.count_nonzero(unfixed))
+        while n_unfixed:
+            share = np.where(wsum > _EPS, left / np.maximum(wsum, _EPS), math.inf)
+            r = int(share.argmin())
+            s = float(share[r])
+            if not math.isfinite(s):
+                raise AssertionError("unfixed flows but no contended resource")
+            fl = self.res_flows[self.res_ptr[r] : self.res_ptr[r + 1]]
+            fl = fl[unfixed[fl]]
+            if fl.size == 0:  # pragma: no cover - defensive against stale counts
+                wsum[r] = 0.0
+                continue
+            s = max(s, 0.0)
+            rates[fl] = s * self.weights[fl]
+            unfixed[fl] = False
+            n_unfixed -= fl.size
+            # the entries of those flows, concatenated in flow order; each
+            # consumes rate(f) = s * w(f).  subtract.at applies them one by
+            # one: k sequential ``-s`` differ from one ``-k*s`` in the last ulp
+            entries = _gather(self.flow_ptr, fl)
+            res_idx, entry_w = self.entry_res[entries], self.entry_weight[entries]
+            np.subtract.at(left, res_idx, s * entry_w)
+            np.maximum(left, 0.0, out=left)
+            np.subtract.at(wsum, res_idx, entry_w)
+        return rates
+
+
+def _offsets(keys, n: int):
+    """CSR row pointer of ``n`` rows over sorted integer ``keys``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+
+
+def _gather(ptr, rows):
+    """Concatenated CSR column positions of ``rows``, in the given order."""
+    lens = ptr[rows + 1] - ptr[rows]
+    offsets = lens.cumsum() - lens  # where each row's run starts in the output
+    return (ptr[rows] - offsets).repeat(lens) + np.arange(lens.sum())
+
+
+class _Problem:
+    """A task list compiled to arrays; see :meth:`FluidSimulator.compile`."""
+
+    def __init__(self, tasks: list[Task], cluster: Cluster):
+        index = {tid: i for i, tid in enumerate(validate_tasks(tasks))}
+        n = len(tasks)
+        self.tasks = list(tasks)
+        self.ids = list(index)
+        self.is_delay = np.fromiter((isinstance(t, DelayTask) for t in tasks), bool, n)
+        #: MB to move, or seconds to wait for a delay (which then advances as
+        #: a rate-1.0 flow: ``x * 1.0`` and ``x / 1.0`` are exact)
+        self.base = np.fromiter(
+            (t.duration_s if isinstance(t, DelayTask) else t.size_mb for t in tasks),
+            float, n,
+        )
+        # dependency DAG: in-degrees plus the dependents of each task as CSR
+        dep_of = np.fromiter((index[d] for t in tasks for d in t.deps), np.int64)
+        dep_by = np.repeat(np.arange(n), [len(t.deps) for t in tasks])
+        self.n_deps = np.bincount(dep_by, minlength=n)
+        order = np.argsort(dep_of, kind="stable")
+        self.dependents = dep_by[order]
+        self.dep_ptr = _offsets(dep_of[order], n)
+        # resources get integer ids in first-appearance order (tasks in input
+        # order, hops in path order, up/down/xup/xdown/rup/rdown within a
+        # hop): the order decides argmin ties between equally loaded links
+        trunks = getattr(cluster, "rack_trunks", {})
+        res_id: dict[tuple[str, int], int] = {}
+        caps: list[float] = []
+        entry_task: list[int] = []
+        entry_res: list[int] = []
+        hops: list[tuple[int, int, int, bool]] = []
+        for i, t in enumerate(tasks):
+            if isinstance(t, DelayTask):
+                continue
+            for src, dst in t.hops:
+                node_s, node_d = cluster[src], cluster[dst]
+                cross = node_s.rack != node_d.rack
+                used = [("up", src, node_s.uplink), ("down", dst, node_d.downlink)]
+                if cross and node_s.cross_uplink is not None:
+                    used.append(("xup", src, node_s.cross_uplink))
+                if cross and node_d.cross_downlink is not None:
+                    used.append(("xdown", dst, node_d.cross_downlink))
+                if cross and node_s.rack in trunks:
+                    used.append(("rup", node_s.rack, trunks[node_s.rack][0]))
+                if cross and node_d.rack in trunks:
+                    used.append(("rdown", node_d.rack, trunks[node_d.rack][1]))
+                for kind, ident, cap in used:
+                    r = res_id.setdefault((kind, ident), len(caps))
+                    if r == len(caps):
+                        caps.append(cap)
+                    entry_task.append(i)
+                    entry_res.append(r)
+                hops.append((i, src, dst, cross))
+        self.res_names = list(res_id)
+        self.caps = np.array(caps, dtype=float)
+        weights = np.fromiter((getattr(t, "weight", 1.0) for t in tasks), float, n)
+        self.incidence = _Incidence(entry_task, entry_res, weights, len(caps))
+        # per-hop (task, src, dst, crosses a rack boundary) for byte accounting
+        self.hop_task, self.hop_src, self.hop_dst, hop_cross = (
+            np.array(hops, dtype=np.int64).reshape(-1, 4).T
+        )
+        self.hop_cross = hop_cross.astype(bool)
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+
+def _by_id(ids: list[str], values, keep) -> dict[str, float]:
+    """task id -> Python float for the tasks selected by the ``keep`` mask."""
+    values = values.tolist()
+    return {ids[i]: values[i] for i in np.flatnonzero(keep).tolist()}
+
+
+def _per_node(nodes, mb) -> dict[int, float]:
+    """node -> MB summed in input order (bincount accumulates sequentially)."""
+    ids, pos = np.unique(nodes, return_inverse=True)
+    return dict(zip(ids.tolist(), np.bincount(pos, weights=mb, minlength=len(ids)).tolist()))
 
 
 class FluidSimulator:
@@ -80,185 +254,18 @@ class FluidSimulator:
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
 
-    # -------------------------------------------------------------- #
-    def _resources_of(self, task: Task) -> list[tuple[str, float]]:
-        """(resource key, capacity) pairs the task occupies, one unit each."""
-        out: list[tuple[str, float]] = []
-        if isinstance(task, DelayTask):
-            return out
-        trunks = getattr(self.cluster, "rack_trunks", {})
-        for src, dst in task.hops:
-            node_s, node_d = self.cluster[src], self.cluster[dst]
-            cross = node_s.rack != node_d.rack
-            out.append((f"up:{src}", node_s.uplink))
-            out.append((f"down:{dst}", node_d.downlink))
-            if cross and node_s.cross_uplink is not None:
-                out.append((f"xup:{src}", node_s.cross_uplink))
-            if cross and node_d.cross_downlink is not None:
-                out.append((f"xdown:{dst}", node_d.cross_downlink))
-            if cross and node_s.rack in trunks:
-                out.append((f"rup:{node_s.rack}", trunks[node_s.rack][0]))
-            if cross and node_d.rack in trunks:
-                out.append((f"rdown:{node_d.rack}", trunks[node_d.rack][1]))
-        return out
+    def compile(self, tasks: list[Task]) -> _Problem:
+        """Validate ``tasks`` and lower them to the solver's array form.
 
-    @staticmethod
-    def _allocate(
-        active: dict[str, list[str]],
-        resources: dict[str, _Resource],
-        weights: dict[str, float] | None = None,
-    ) -> dict[str, float]:
-        """Progressive-filling (weighted) max-min rates for the active flows.
-
-        ``active`` maps flow id -> list of resource keys it occupies (with
-        multiplicity; a flow occupying a resource twice counts twice).
-        ``weights`` implements weighted fair sharing: a flow of weight w
-        receives w times the rate of a weight-1 competitor at a shared
-        bottleneck (used to throttle background repair traffic).
-        Reference implementation; the vectorized allocator must match it.
+        The result can be passed to :meth:`run` any number of times (runs
+        share no state); it captures link capacities as of now.  Raises
+        ``ValueError`` on duplicate ids or unknown dependencies.
         """
-        weights = weights or {}
-        remaining = {r: res.capacity for r, res in resources.items()}
-        # count[r] = total weighted units of unfixed flows on r
-        count: dict[str, float] = {}
-        units: dict[str, dict[str, int]] = {}
-        for fid, rkeys in active.items():
-            w = weights.get(fid, 1.0)
-            u: dict[str, int] = {}
-            for r in rkeys:
-                u[r] = u.get(r, 0) + 1
-            units[fid] = u
-            for r, n in u.items():
-                count[r] = count.get(r, 0.0) + n * w
-        rates: dict[str, float] = {}
-        unfixed = set(active)
-        # Flows with no network resources (shouldn't happen) get infinite rate.
-        for fid in list(unfixed):
-            if not units[fid]:
-                rates[fid] = math.inf
-                unfixed.discard(fid)
-        while unfixed:
-            # fair share per unit weight on each still-contended resource
-            best_r, best_share = None, math.inf
-            for r, n in count.items():
-                if n <= _EPS:
-                    continue
-                share = remaining[r] / n
-                if share < best_share - _EPS:
-                    best_r, best_share = r, share
-            if best_r is None:
-                raise AssertionError("unfixed flows but no contended resource")
-            # fix every unfixed flow occupying the bottleneck resource
-            fixed_now = [fid for fid in unfixed if best_r in units[fid]]
-            for fid in fixed_now:
-                w = weights.get(fid, 1.0)
-                rates[fid] = max(best_share * w, 0.0)
-                unfixed.discard(fid)
-                for r, n in units[fid].items():
-                    remaining[r] -= rates[fid] * n
-                    if remaining[r] < 0:
-                        remaining[r] = 0.0
-                    count[r] -= n * w
-        return rates
-
-    # -------------------------------------------------------------- #
-    class _VectorAllocator:
-        """Vectorized progressive filling over a fixed task set.
-
-        The incidence structure (flow x resource, with multiplicity) is
-        built once per ``run``; each allocation round then works on NumPy
-        arrays — profiling showed the dict-based reference implementation
-        (:meth:`FluidSimulator._allocate`) dominating simulation time on
-        wide-stripe plans (hundreds of flows x hundreds of resources).
-        """
-
-        def __init__(
-            self,
-            flow_tids: list[str],
-            task_resources: dict[str, list[str]],
-            res_keys: list[str],
-            weights: dict[str, float] | None = None,
-        ):
-            import numpy as np
-
-            self.np = np
-            self.flow_tids = flow_tids
-            self.flow_index = {tid: i for i, tid in enumerate(flow_tids)}
-            self.res_index = {r: i for i, r in enumerate(res_keys)}
-            self.n_flows = len(flow_tids)
-            self.n_res = len(res_keys)
-            weights = weights or {}
-            self.weights = np.array(
-                [float(weights.get(tid, 1.0)) for tid in flow_tids]
-            )
-            ef, er = [], []
-            for tid in flow_tids:
-                fi = self.flow_index[tid]
-                for r in task_resources[tid]:
-                    ef.append(fi)
-                    er.append(self.res_index[r])
-            self.entry_flow = np.asarray(ef, dtype=np.int64)
-            self.entry_res = np.asarray(er, dtype=np.int64)
-            # CSR by flow (entries grouped per flow)
-            order = np.argsort(self.entry_flow, kind="stable")
-            self.flow_sorted_res = self.entry_res[order]
-            counts = np.bincount(self.entry_flow, minlength=self.n_flows)
-            self.flow_ptr = np.concatenate([[0], np.cumsum(counts)])
-            # CSC by resource (entries grouped per resource)
-            rorder = np.argsort(self.entry_res, kind="stable")
-            self.res_sorted_flow = self.entry_flow[rorder]
-            rcounts = np.bincount(self.entry_res, minlength=self.n_res)
-            self.res_ptr = np.concatenate([[0], np.cumsum(rcounts)])
-
-        def allocate(self, active_mask, caps):
-            """Weighted max-min rates (array indexed like flow_tids)."""
-            np = self.np
-            if self.entry_flow.size:
-                act_entries = active_mask[self.entry_flow]
-                wsum = np.bincount(
-                    self.entry_res[act_entries],
-                    weights=self.weights[self.entry_flow[act_entries]],
-                    minlength=self.n_res,
-                )
-            else:
-                wsum = np.zeros(self.n_res)
-            remaining = caps.astype(float).copy()
-            rates = np.zeros(self.n_flows)
-            unfixed = active_mask.copy()
-            n_unfixed = int(unfixed.sum())
-            while n_unfixed:
-                share = np.where(wsum > _EPS, remaining / np.maximum(wsum, _EPS), math.inf)
-                r = int(np.argmin(share))
-                s = float(share[r])
-                if not math.isfinite(s):
-                    raise AssertionError("unfixed flows but no contended resource")
-                fl = np.unique(self.res_sorted_flow[self.res_ptr[r] : self.res_ptr[r + 1]])
-                fl = fl[unfixed[fl]]
-                if fl.size == 0:  # pragma: no cover - defensive against stale counts
-                    wsum[r] = 0.0
-                    continue
-                s = max(s, 0.0)
-                rates[fl] = s * self.weights[fl]
-                unfixed[fl] = False
-                n_unfixed -= int(fl.size)
-                res_idx = np.concatenate(
-                    [self.flow_sorted_res[self.flow_ptr[f] : self.flow_ptr[f + 1]] for f in fl]
-                )
-                # each entry of flow f consumes rate(f) = s * w(f)
-                entry_w = np.concatenate(
-                    [
-                        np.full(self.flow_ptr[f + 1] - self.flow_ptr[f], self.weights[f])
-                        for f in fl
-                    ]
-                )
-                np.subtract.at(remaining, res_idx, s * entry_w)
-                np.maximum(remaining, 0.0, out=remaining)
-                np.subtract.at(wsum, res_idx, entry_w)
-            return rates
+        return _Problem(tasks, self.cluster)
 
     # -------------------------------------------------------------- #
     @staticmethod
-    def _emit_spans(tracer, label, by_id, start_times, finish_times, makespan) -> None:
+    def _emit_spans(tracer, label, prob, volume, start_times, finish_times, makespan) -> None:
         """Record a finished schedule as sim-domain spans on ``tracer``.
 
         Flows are attributed to their first hop's source node; overlap is
@@ -267,34 +274,41 @@ class FluidSimulator:
         """
         root = tracer.add(
             label, actor="net", cat="sim", t0=0.0, t1=makespan,
-            makespan=makespan, tasks=len(by_id),
+            makespan=makespan, tasks=len(prob),
         )
-        for tid, t in by_id.items():
+        for t, size in zip(prob.tasks, volume.tolist()):
             if isinstance(t, DelayTask):
                 actor, cat = "net", "sim-delay"
-                args = {"duration_s": t.duration_s}
+                args = {"duration_s": size}
             else:
                 actor, cat = f"node:{t.hops[0][0]}", "sim-transfer"
                 args = {
-                    "size_mb": t.size_mb,
+                    "size_mb": size,
                     "hops": [list(h) for h in t.hops],
                     "tag": getattr(t, "tag", ""),
                 }
             tracer.add(
-                tid, actor=actor, cat=cat,
-                t0=start_times[tid], t1=finish_times[tid], parent=root, **args,
+                t.task_id, actor=actor, cat=cat,
+                t0=start_times[t.task_id], t1=finish_times[t.task_id], parent=root, **args,
             )
 
     def run(
         self,
-        tasks: list[Task],
+        tasks: list[Task] | _Problem,
         events=(),
         record_trace: bool = False,
         tracer=None,
         trace_label: str = "simulate",
         horizon_s: float | None = None,
+        sizes=None,
     ) -> SimulationResult:
         """Simulate all tasks; returns completion times and traffic stats.
+
+        ``tasks`` is a task list or the result of :meth:`compile` on one.
+        ``sizes`` (one non-negative float per task, in task order) replaces
+        every task's volume — ``size_mb``, or ``duration_s`` for a delay —
+        for this run only: split search scores one compiled DAG at many
+        split ratios this way instead of rebuilding the tasks.
 
         ``events`` is an optional iterable of
         :class:`repro.simnet.dynamic.BandwidthEvent`; rates are re-solved at
@@ -313,6 +327,16 @@ class FluidSimulator:
         its simulated start/finish times.  The simulation itself is
         unaffected — timestamps are read from the finished schedule.
         """
+        prob = tasks if isinstance(tasks, _Problem) else self.compile(tasks)
+        n = len(prob)
+        if sizes is None:
+            volume = prob.base
+        else:
+            volume = np.asarray(sizes, dtype=float)
+            if volume.shape != (n,):
+                raise ValueError(f"sizes has shape {volume.shape}, expected ({n},)")
+            if not (volume >= 0).all():
+                raise ValueError("sizes must be non-negative")
         trace: list[tuple[float, float, dict[str, float]]] | None = (
             [] if record_trace else None
         )
@@ -321,157 +345,91 @@ class FluidSimulator:
         # scheduler emits (one boundary per job arrival / bandwidth change)
         pending_events = sorted(events, key=lambda e: e.time)
         next_event = 0
-        by_id = validate_tasks(tasks)
-        n_deps_left = {tid: len(t.deps) for tid, t in by_id.items()}
-        dependents: dict[str, list[str]] = {tid: [] for tid in by_id}
-        for tid, t in by_id.items():
-            for d in t.deps:
-                dependents[d].append(tid)
-
-        remaining: dict[str, float] = {}
-        for tid, t in by_id.items():
-            if isinstance(t, DelayTask):
-                remaining[tid] = t.duration_s
-            else:
-                remaining[tid] = t.size_mb
-
-        start_times: dict[str, float] = {}
-        finish_times: dict[str, float] = {}
-        active: set[str] = set()
+        # BandwidthEvent.capacity_updates speaks string keys ("up:3")
+        res_of_key = (
+            {f"{kind}:{ident}": r for r, (kind, ident) in enumerate(prob.res_names)}
+            if pending_events
+            else {}
+        )
+        caps = prob.caps.copy()
+        is_delay, ids = prob.is_delay, prob.ids
+        is_flow = ~is_delay
+        remaining = volume.copy()
+        n_deps_left = prob.n_deps.copy()
+        active = n_deps_left == 0
+        start = np.full(n, np.nan)
+        start[active] = 0.0
+        finish = np.full(n, np.nan)
         now = 0.0
-
-        def activate(tid: str) -> None:
-            active.add(tid)
-            start_times[tid] = now
-            # zero-size tasks complete instantly; handled in the loop below.
-
-        for tid in by_id:
-            if n_deps_left[tid] == 0:
-                activate(tid)
-
-        import numpy as np
-
-        task_resources: dict[str, list[str]] = {}
-        res_caps: dict[str, _Resource] = {}
-        for tid, t in by_id.items():
-            pairs = self._resources_of(t)
-            task_resources[tid] = [key for key, _ in pairs]
-            for key, cap in pairs:
-                if key not in res_caps:
-                    res_caps[key] = _Resource(cap)
-        flow_tids = [tid for tid, t in by_id.items() if not isinstance(t, DelayTask)]
-        res_keys = list(res_caps)
-        task_weights = {
-            tid: getattr(t, "weight", 1.0) for tid, t in by_id.items()
-        }
-        allocator = self._VectorAllocator(flow_tids, task_resources, res_keys, task_weights)
-        caps_array = np.array([res_caps[r].capacity for r in res_keys], dtype=float)
-        res_pos = {r: i for i, r in enumerate(res_keys)}
-
-        bytes_sent: dict[int, float] = {}
-        bytes_received: dict[int, float] = {}
-        cross_rack_mb = 0.0
         n_updates = 0
 
-        def account(t: Task) -> None:
-            nonlocal cross_rack_mb
-            if isinstance(t, DelayTask):
-                return
-            for src, dst in t.hops:
-                bytes_sent[src] = bytes_sent.get(src, 0.0) + t.size_mb
-                bytes_received[dst] = bytes_received.get(dst, 0.0) + t.size_mb
-                if self.cluster[src].rack != self.cluster[dst].rack:
-                    cross_rack_mb += t.size_mb
-
-        while active:
+        act = np.flatnonzero(active)
+        while act.size:
             if horizon_s is not None and now >= horizon_s - _EPS:
                 break
             # apply any bandwidth events that are due
             while next_event < len(pending_events) and pending_events[next_event].time <= now + _EPS:
-                event = pending_events[next_event]
+                for key, cap in pending_events[next_event].capacity_updates().items():
+                    if key in res_of_key:
+                        caps[res_of_key[key]] = cap
                 next_event += 1
-                for key, cap in event.capacity_updates().items():
-                    if key in res_caps:
-                        res_caps[key].capacity = cap
-                        caps_array[res_pos[key]] = cap
             # complete all zero-remaining tasks immediately (no time passes)
-            zero = [tid for tid in active if remaining[tid] <= _EPS]
-            if zero:
-                for tid in zero:
-                    active.discard(tid)
-                    finish_times[tid] = now
-                    account(by_id[tid])
-                    for dep in dependents[tid]:
-                        n_deps_left[dep] -= 1
-                        if n_deps_left[dep] == 0:
-                            activate(dep)
+            # and start the dependents they were the last to block
+            done = act[remaining[act] <= _EPS]
+            if done.size:
+                active[done] = False
+                finish[done] = now
+                unblocked = prob.dependents[_gather(prob.dep_ptr, done)]
+                np.subtract.at(n_deps_left, unblocked, 1)
+                ready = unblocked[n_deps_left[unblocked] == 0]
+                active[ready] = True
+                start[ready] = now
+                act = np.flatnonzero(active)
                 continue
-            active_mask = np.zeros(len(flow_tids), dtype=bool)
-            any_flow = False
-            for tid in active:
-                idx = allocator.flow_index.get(tid)
-                if idx is not None:
-                    active_mask[idx] = True
-                    any_flow = True
-            if any_flow:
-                rate_vec = allocator.allocate(active_mask, caps_array)
-                rates = {
-                    tid: rate_vec[allocator.flow_index[tid]]
-                    for tid in active
-                    if tid in allocator.flow_index
-                }
-            else:
-                rates = {}
+            flows = active & is_flow
+            rate = prob.incidence.rates(flows, caps)
+            rate[is_delay] = 1.0
             n_updates += 1
-            # time to the first completion
-            dt = math.inf
-            for tid in active:
-                t = by_id[tid]
-                if isinstance(t, DelayTask):
-                    dt = min(dt, remaining[tid])
-                else:
-                    r = rates[tid]
-                    if r <= _EPS:
-                        continue  # starved this round; another completion frees capacity
-                    dt = min(dt, remaining[tid] / r)
-            if not math.isfinite(dt):
+            # time to the first completion; a starved flow (rate 0) waits for
+            # another completion to free capacity
+            left, speed = remaining[act], rate[act]
+            moving = speed > _EPS
+            if not moving.any():
                 raise AssertionError("deadlock: active flows but no progress possible")
+            dt = float((left[moving] / speed[moving]).min())
             # never integrate past the next bandwidth event or the horizon
             if next_event < len(pending_events):
                 dt = min(dt, max(pending_events[next_event].time - now, _EPS))
             if horizon_s is not None:
                 dt = min(dt, max(horizon_s - now, _EPS))
             if trace is not None:
-                trace.append((now, now + dt, dict(rates)))
+                trace.append((now, now + dt, _by_id(ids, rate, flows)))
             # advance
-            for tid in list(active):
-                t = by_id[tid]
-                if isinstance(t, DelayTask):
-                    remaining[tid] -= dt
-                else:
-                    remaining[tid] -= rates[tid] * dt
-                if remaining[tid] < _EPS:
-                    remaining[tid] = 0.0
+            left = left - speed * dt
+            left[left < _EPS] = 0.0
+            remaining[act] = left
             now += dt
 
-        if horizon_s is None and len(finish_times) != len(by_id):
+        finished = ~np.isnan(finish)
+        if horizon_s is None and not finished.all():
             raise AssertionError("simulation ended with unscheduled tasks (dependency cycle?)")
 
+        finish_times = _by_id(ids, finish, finished)
+        start_times = _by_id(ids, start, ~np.isnan(start))
         if tracer is not None:
-            self._emit_spans(tracer, trace_label, by_id, start_times, finish_times, now)
+            self._emit_spans(tracer, trace_label, prob, volume, start_times, finish_times, now)
 
+        # traffic of the finished tasks, summed in task order
+        sent = finished[prob.hop_task]
+        mb = volume[prob.hop_task[sent]]
         return SimulationResult(
             makespan=now,
             finish_times=finish_times,
             start_times=start_times,
-            bytes_sent=bytes_sent,
-            bytes_received=bytes_received,
-            cross_rack_mb=cross_rack_mb,
+            bytes_sent=_per_node(prob.hop_src[sent], mb),
+            bytes_received=_per_node(prob.hop_dst[sent], mb),
+            cross_rack_mb=float(mb[prob.hop_cross[sent]].sum()),
             n_rate_updates=n_updates,
             trace=trace,
-            remaining_mb=(
-                {tid: remaining[tid] for tid in by_id if tid not in finish_times}
-                if horizon_s is not None
-                else {}
-            ),
+            remaining_mb=_by_id(ids, remaining, ~finished) if horizon_s is not None else {},
         )

@@ -577,19 +577,17 @@ class ServingPlane:
         coord = self.coord
         obs = coord.obs
         fin = report.foreground_finish_s
+        # latest finish per op, bucketed in one pass: ids are ``fg:<op_id>:...``
+        last_finish: dict[int, float] = {}
+        for tid, t in fin.items():
+            op_id = int(tid.split(":", 2)[1])
+            last_finish[op_id] = max(last_finish.get(op_id, t), t)
         outcomes: list[OpOutcome] = []
         for rec in records:
             op = rec["op"]
-            prefix = f"fg:{op.op_id}:"
             # clamped at t_s: the sim's arrival-task finish can drift a
             # last ulp below the exact arrival time it was given.
-            finish = max(
-                max(
-                    (t for tid, t in fin.items() if tid.startswith(prefix)),
-                    default=op.t_s,
-                ),
-                op.t_s,
-            )
+            finish = max(last_finish.get(op.op_id, op.t_s), op.t_s)
             outcomes.append(
                 OpOutcome(
                     op_id=op.op_id, kind=op.kind, obj=op.obj, t_s=op.t_s,

@@ -1,6 +1,6 @@
-"""Parity between the reference and vectorized max-min allocators, plus a
-seeded topology sweep pinning the fluid simulator against the §III-B1
-static-share model on real repair plans."""
+"""Parity between the dict reference allocator (``tests/fluid_reference.py``)
+and the library's array allocator, plus a seeded topology sweep pinning the
+fluid simulator against the §III-B1 static-share model on real repair plans."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from repro.repair.centralized import plan_centralized
 from repro.repair.hybrid import plan_hybrid
 from repro.repair.independent import plan_independent
-from repro.simnet.fluid import FluidSimulator, _Resource
+from repro.simnet.fluid import FluidSimulator
 from repro.simnet.static import StaticShareEvaluator
 from tests.conftest import make_repair_ctx
+from tests.fluid_reference import ReferenceFluidSimulator, _Resource, array_rates
 from tests.seeds import DEFAULT_MASTER_SEED, seed_fanout
 
 
@@ -37,14 +38,10 @@ def allocation_instance(draw):
 def test_vectorized_matches_reference(instance):
     res_keys, caps, flows = instance
     resources = {r: _Resource(caps[r]) for r in res_keys}
-    reference = FluidSimulator._allocate(dict(flows), resources)
-
-    tids = sorted(flows)
-    alloc = FluidSimulator._VectorAllocator(tids, flows, res_keys)
-    caps_arr = np.array([caps[r] for r in res_keys])
-    vec = alloc.allocate(np.ones(len(tids), dtype=bool), caps_arr)
-    for tid in tids:
-        assert vec[alloc.flow_index[tid]] == pytest.approx(reference[tid], rel=1e-9)
+    reference = ReferenceFluidSimulator._allocate(dict(flows), resources)
+    vec = array_rates(res_keys, caps, flows)
+    for tid in flows:
+        assert vec[tid] == pytest.approx(reference[tid], rel=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -52,19 +49,16 @@ def test_vectorized_matches_reference(instance):
 def test_allocation_is_feasible_and_maxmin(instance):
     """No resource over-subscribed; every flow is pinned by a saturated one."""
     res_keys, caps, flows = instance
-    tids = sorted(flows)
-    alloc = FluidSimulator._VectorAllocator(tids, flows, res_keys)
-    caps_arr = np.array([caps[r] for r in res_keys])
-    vec = alloc.allocate(np.ones(len(tids), dtype=bool), caps_arr)
+    vec = array_rates(res_keys, caps, flows)
 
     usage = {r: 0.0 for r in res_keys}
-    for tid in tids:
+    for tid in flows:
         for r in flows[tid]:
-            usage[r] += vec[alloc.flow_index[tid]]
+            usage[r] += vec[tid]
     for r in res_keys:
         assert usage[r] <= caps[r] * (1 + 1e-9)
     # max-min: each flow touches at least one (nearly) saturated resource
-    for tid in tids:
+    for tid in flows:
         saturated = any(usage[r] >= caps[r] * (1 - 1e-6) for r in flows[tid])
         assert saturated, tid
 
@@ -101,35 +95,27 @@ def test_vectorized_matches_reference_weighted(instance):
     including flows starved by zero-capacity resources."""
     res_keys, caps, flows, weights = instance
     resources = {r: _Resource(caps[r]) for r in res_keys}
-    reference = FluidSimulator._allocate(dict(flows), resources, weights)
-
-    tids = sorted(flows)
-    alloc = FluidSimulator._VectorAllocator(tids, flows, res_keys, weights)
-    caps_arr = np.array([caps[r] for r in res_keys])
-    vec = alloc.allocate(np.ones(len(tids), dtype=bool), caps_arr)
-    for tid in tids:
-        assert vec[alloc.flow_index[tid]] == pytest.approx(
-            reference[tid], rel=1e-9, abs=1e-12
-        )
+    reference = ReferenceFluidSimulator._allocate(dict(flows), resources, weights)
+    vec = array_rates(res_keys, caps, flows, weights)
+    for tid in flows:
+        assert vec[tid] == pytest.approx(reference[tid], rel=1e-9, abs=1e-12)
     # starved flows: anything crossing a zero-capacity resource gets rate 0
-    for tid in tids:
+    for tid in flows:
         if any(caps[r] == 0.0 for r in flows[tid]):
             assert reference[tid] == 0.0
-            assert vec[alloc.flow_index[tid]] == 0.0
+            assert vec[tid] == 0.0
 
 
 def test_weighted_shares_split_single_bottleneck_by_weight():
     """Weights 4:1 on one shared link -> 80/20 in both implementations."""
     flows = {"fg": ["r0"], "bg": ["r0"]}
     weights = {"fg": 4.0, "bg": 1.0}
-    reference = FluidSimulator._allocate(
+    reference = ReferenceFluidSimulator._allocate(
         dict(flows), {"r0": _Resource(100.0)}, weights
     )
     assert reference == {"fg": pytest.approx(80.0), "bg": pytest.approx(20.0)}
-    alloc = FluidSimulator._VectorAllocator(["bg", "fg"], flows, ["r0"], weights)
-    vec = alloc.allocate(np.ones(2, dtype=bool), np.array([100.0]))
-    assert vec[alloc.flow_index["fg"]] == pytest.approx(80.0)
-    assert vec[alloc.flow_index["bg"]] == pytest.approx(20.0)
+    vec = array_rates(["r0"], {"r0": 100.0}, flows, weights)
+    assert vec == {"fg": pytest.approx(80.0), "bg": pytest.approx(20.0)}
 
 
 # --------------------------------------------------------------------- #

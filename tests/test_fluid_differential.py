@@ -1,0 +1,255 @@
+"""Bit-exact differential: the array solver against its predecessor.
+
+``tests/fluid_reference.py`` holds the dict-and-set solver the library ran
+before ``FluidSimulator`` was rewritten around one compiled problem.  The
+rewrite kept every float operation in the same order, so all *times* must be
+``==`` — not ``approx`` — on arbitrary task graphs; only the per-node byte
+counters, which the predecessor summed in ``set[str]`` iteration order, get a
+1e-9 tolerance.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.node import Node
+from repro.cluster.topology import Cluster
+from repro.experiments.common import build_scenario
+from repro.repair.centralized import add_centralized
+from repro.repair.independent import add_independent, build_chain_paths
+from repro.repair.rackaware import _build_rack_aware_cr, _build_tree_ir
+from repro.repair.split import search_split
+from repro.simnet.dynamic import BandwidthEvent
+from repro.simnet.flows import DelayTask, Flow, PipelineFlow
+from repro.simnet.fluid import FluidSimulator
+from tests.fluid_reference import (
+    ReferenceFluidSimulator,
+    reference_search_split,
+    scaled_split_tasks,
+)
+from tests.seeds import DEFAULT_MASTER_SEED, seed_fanout
+
+
+def random_instance(seed: int):
+    """A random cluster, task DAG, event list and horizon from one seed.
+
+    Bandwidths and sizes are drawn from small grids on purpose: equal shares
+    and simultaneous completions are where ``argmin`` ties, the ``< 1e-12``
+    snap and the zero-remaining path decide the outcome.
+    """
+    rng = np.random.default_rng(seed)
+    n_nodes = int(rng.integers(3, 10))
+    n_racks = int(rng.integers(1, 4))
+    cross = float(rng.choice([20.0, 50.0])) if n_racks > 1 and rng.random() < 0.5 else None
+    cluster = Cluster(
+        Node(
+            i,
+            uplink=float(rng.choice([40.0, 100.0, 100.0, 250.0])),
+            downlink=float(rng.choice([40.0, 100.0, 100.0, 250.0])),
+            rack=i % n_racks,
+            cross_uplink=cross,
+            cross_downlink=cross if rng.random() < 0.8 else None,
+        )
+        for i in range(n_nodes)
+    )
+    for rack in range(n_racks):
+        if n_racks > 1 and rng.random() < 0.4:
+            cluster.rack_trunks[rack] = (float(rng.choice([60.0, 150.0])),) * 2
+    tasks = []
+    for i in range(int(rng.integers(1, 30))):
+        earlier = [t.task_id for t in tasks]
+        n_deps = int(rng.integers(0, 3)) if earlier else 0
+        deps = tuple(rng.choice(earlier, size=min(n_deps, len(earlier)), replace=False))
+        size = float(rng.choice([0.0, 1e-13, 8.0, 8.0, 16.0, 64.0, 37.5]))
+        weight = float(rng.choice([0.25, 1.0, 1.0, 4.0]))
+        kind = rng.random()
+        if kind < 0.15:
+            tasks.append(DelayTask(f"d{i}", float(rng.choice([0.0, 0.25, 1.0])), deps=deps))
+        elif kind < 0.45 and n_nodes >= 3:
+            path = rng.choice(n_nodes, size=int(rng.integers(3, min(n_nodes, 5) + 1)), replace=False)
+            tasks.append(
+                PipelineFlow(f"job{i % 3}:p{i}", tuple(int(v) for v in path), size, deps=deps, weight=weight)
+            )
+        else:
+            src, dst = (int(v) for v in rng.choice(n_nodes, size=2, replace=False))
+            tasks.append(Flow(f"job{i % 3}:f{i}", src, dst, size, deps=deps, weight=weight))
+    events = [
+        BandwidthEvent(
+            time=float(rng.choice([0.0, 0.1, 0.5, 1.0, 2.5])),
+            node=int(rng.integers(0, n_nodes + 1)),  # may name a node no task uses
+            uplink=float(rng.choice([10.0, 100.0, 400.0])) if rng.random() < 0.7 else None,
+            downlink=float(rng.choice([10.0, 100.0, 400.0])) if rng.random() < 0.7 else None,
+            cross_uplink=float(rng.choice([5.0, 80.0])) if rng.random() < 0.3 else None,
+            cross_downlink=float(rng.choice([5.0, 80.0])) if rng.random() < 0.3 else None,
+        )
+        for _ in range(int(rng.integers(0, 5)))
+    ]
+    horizon = float(rng.choice([0.05, 0.4, 1.0, 3.0])) if rng.random() < 0.3 else None
+    return cluster, tasks, events, horizon
+
+
+def assert_same_run(cluster, tasks, events=(), horizon=None):
+    ref = ReferenceFluidSimulator(cluster).run(
+        tasks, events=events, record_trace=True, horizon_s=horizon
+    )
+    new = FluidSimulator(cluster).run(
+        tasks, events=events, record_trace=True, horizon_s=horizon
+    )
+    assert new.makespan == ref.makespan
+    assert new.finish_times == ref.finish_times
+    assert new.start_times == ref.start_times
+    assert new.n_rate_updates == ref.n_rate_updates
+    assert new.remaining_mb == ref.remaining_mb
+    assert new.trace == ref.trace
+    assert new.bytes_sent == pytest.approx(ref.bytes_sent, rel=1e-9, abs=1e-9)
+    assert new.bytes_received == pytest.approx(ref.bytes_received, rel=1e-9, abs=1e-9)
+    assert new.cross_rack_mb == pytest.approx(ref.cross_rack_mb, rel=1e-9, abs=1e-9)
+    return new
+
+
+@pytest.mark.parametrize("seed", seed_fanout(DEFAULT_MASTER_SEED, 60))
+def test_random_dags_match_the_reference_bit_for_bit(seed):
+    assert_same_run(*random_instance(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_random_dags_match_the_reference_property(seed):
+    assert_same_run(*random_instance(seed))
+
+
+def test_results_are_python_floats_in_task_order():
+    """No NumPy scalar leaks into a result (``repr`` shows up in reports)."""
+    cluster, tasks, events, _ = random_instance(7)
+    res = FluidSimulator(cluster).run(tasks, events=events, record_trace=True, horizon_s=0.4)
+    assert type(res.makespan) is float
+    assert type(res.cross_rack_mb) is float
+    for mapping in (res.finish_times, res.start_times, res.remaining_mb,
+                    res.bytes_sent, res.bytes_received):
+        assert all(type(v) is float for v in mapping.values())
+    assert all(type(k) is int for k in res.bytes_sent)
+    for t0, t1, rates in res.trace:
+        assert type(t0) is float and type(t1) is float
+        assert all(type(v) is float for v in rates.values())
+    order = [t.task_id for t in tasks]
+    assert list(res.finish_times) == [tid for tid in order if tid in res.finish_times]
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from repro.experiments.common import build_scenario, plan_for
+from repro.simnet.fluid import FluidSimulator
+
+ctx = build_scenario(32, 8, 4, wld="WLD-4x", seed=2023).ctx
+res = FluidSimulator(ctx.cluster).run(plan_for(ctx, "hmbr").tasks, record_trace=True)
+print(hashlib.sha256(repr(res).encode()).hexdigest())
+"""
+
+
+def test_result_does_not_depend_on_the_hash_seed():
+    """One HMBR (32, 8, 4) result, ``repr`` and all (dict orders, byte-counter
+    sums, trace), is the same under two string-hash seeds: nothing is summed
+    or emitted in ``set[str]`` iteration order any more."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+# --------------------------------------------------------------------- #
+# compiled problems: rescaling and re-running
+# --------------------------------------------------------------------- #
+def test_compiled_problem_reruns_without_leaking_state():
+    cluster, tasks, events, _ = random_instance(11)
+    sim = FluidSimulator(cluster)
+    problem = sim.compile(tasks)
+    assert len(problem) == len(tasks)
+    first = sim.run(problem, events=events, record_trace=True)
+    sim.run(problem, events=events, horizon_s=0.1, sizes=np.full(len(tasks), 3.0))
+    again = sim.run(problem, events=events, record_trace=True)
+    assert again == first == sim.run(tasks, events=events, record_trace=True)
+
+
+def test_sizes_rescale_exactly_like_rebuilt_tasks():
+    cluster, tasks, events, _ = random_instance(23)
+    cr, ir = tasks[: len(tasks) // 2], tasks[len(tasks) // 2 :]
+    sim = FluidSimulator(cluster)
+    problem = sim.compile(tasks)
+    for p in np.linspace(0.0, 1.0, 7):
+        rebuilt = scaled_split_tasks(cr, ir, p)
+        sizes = [
+            t.duration_s if isinstance(t, DelayTask) else t.size_mb for t in rebuilt
+        ]
+        assert_same_run(cluster, rebuilt, events)
+        assert sim.run(problem, events=events, sizes=sizes) == sim.run(rebuilt, events=events)
+
+
+def test_bad_sizes_are_rejected():
+    cluster, tasks, _, _ = random_instance(5)
+    sim = FluidSimulator(cluster)
+    problem = sim.compile(tasks)
+    with pytest.raises(ValueError, match="shape"):
+        sim.run(problem, sizes=np.ones(len(tasks) + 1))
+    bad = np.ones(len(tasks))
+    bad[-1] = -1e-9
+    with pytest.raises(ValueError, match="non-negative"):
+        sim.run(problem, sizes=bad)
+    bad[-1] = np.nan
+    with pytest.raises(ValueError, match="non-negative"):
+        sim.run(tasks, sizes=bad)
+
+
+def test_compile_still_validates_the_task_list():
+    sim = FluidSimulator(Cluster.homogeneous(3, 100.0))
+    with pytest.raises(ValueError, match="duplicate"):
+        sim.compile([Flow("a", 0, 1, 1.0), Flow("a", 1, 2, 1.0)])
+    with pytest.raises(ValueError, match="unknown"):
+        sim.run([Flow("a", 0, 1, 1.0, deps=("ghost",))])
+    with pytest.raises(AssertionError, match="cycle"):
+        sim.run([Flow("a", 0, 1, 1.0, deps=("b",)), Flow("b", 1, 2, 1.0, deps=("a",))])
+
+
+# --------------------------------------------------------------------- #
+# split search: rescale-one-problem == rebuild-per-candidate
+# --------------------------------------------------------------------- #
+def _wide_repair_subplans():
+    """Full-block CR / IR sub-plans on the ``wide_repair`` geometry."""
+    ctx = build_scenario(32, 8, 4, wld="WLD-4x", seed=20230717).ctx
+    center = ctx.pick_center("fastest-downlink")
+    cr, _, _ = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center)
+    ir, _, _ = add_independent(ctx, ctx.prefix("h.ir"), 0.0, 1.0, build_chain_paths(ctx))
+    return ctx, cr, ir
+
+
+def _rack_hmbr_subplans():
+    ctx = build_scenario(16, 8, 4, wld="WLD-4x", seed=2023, rack_size=4, cross_factor=4.0).ctx
+    center = ctx.pick_center("fastest-downlink")
+    cr, _, _ = _build_rack_aware_cr(ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, "paper")
+    ir, _, _ = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, None, 2)
+    return ctx, cr, ir
+
+
+@pytest.mark.parametrize("subplans", [_wide_repair_subplans, _rack_hmbr_subplans])
+def test_search_split_matches_the_rebuilding_search(subplans):
+    ctx, cr, ir = subplans()
+    events = [BandwidthEvent(time=0.5, node=ctx.cluster.alive_ids()[0], uplink=25.0)]
+    for ev in ((), events):
+        want = reference_search_split(
+            lambda q: scaled_split_tasks(cr, ir, q), ctx.cluster, events=ev
+        )
+        got = search_split(cr, ir, ctx.cluster, events=ev)
+        assert got == want
+        assert all(type(v) is float for v in got)

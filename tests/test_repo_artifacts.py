@@ -231,3 +231,36 @@ def test_only_the_interpreter_moves_repair_bytes_between_agents():
     """``Agent.send_to`` has one caller: ``run_plan_ops``."""
     senders = sorted(str(rel) for rel, _, text in _src_modules() if ".send_to(" in text)
     assert senders == ["system/agent.py"], senders
+
+
+# ------------------------------------------------------------------ #
+# structure: one fluid solver (ISSUE 17)
+# ------------------------------------------------------------------ #
+def test_one_fluid_solver_by_construction():
+    """The dict allocator, its first NumPy port, the string-keyed resource
+    table and the rebuild-per-candidate split helper live on only as the
+    test oracle (``tests/fluid_reference.py``); the compiled problem that
+    replaced them is private."""
+    import repro.simnet
+    from repro.simnet import fluid
+
+    gone = (
+        "_Vector" + "Allocator", "_Resource", "_resources" + "_of",
+        "scaled_" + "split_tasks", 'f"up' + ":{",
+    )
+    hits = [
+        f"{rel}: {name}" for rel, _, text in _src_modules() for name in gone if name in text
+    ]
+    assert not hits, hits
+    assert repro.simnet.__all__ == [
+        "Flow", "PipelineFlow", "DelayTask", "Task", "FluidSimulator",
+        "SimulationResult", "simulate_pipeline_slices", "StaticShareEvaluator",
+        "StaticResult", "BandwidthEvent", "NetworkTrace", "as_network",
+        "cluster_at", "bottleneck_report", "node_throughput_timeline",
+        "peak_utilization",
+    ]
+    solver_classes = sorted(
+        name for name, obj in vars(fluid).items()
+        if isinstance(obj, type) and obj.__module__ == fluid.__name__
+    )
+    assert solver_classes == ["FluidSimulator", "SimulationResult", "_Incidence", "_Problem"]

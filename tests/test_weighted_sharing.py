@@ -7,7 +7,8 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.repair.plan import reweighted
 from repro.simnet.flows import Flow, PipelineFlow
-from repro.simnet.fluid import FluidSimulator, _Resource
+from repro.simnet.fluid import FluidSimulator
+from tests.fluid_reference import ReferenceFluidSimulator, _Resource, array_rates
 
 
 def two_senders_one_link():
@@ -50,13 +51,12 @@ def test_weighted_flow_still_capped_elsewhere():
 def test_reference_allocator_weighted():
     resources = {"up": _Resource(100.0)}
     active = {"x": ["up"], "y": ["up"]}
-    rates = FluidSimulator._allocate(active, resources, weights={"x": 1.0, "y": 4.0})
+    rates = ReferenceFluidSimulator._allocate(active, resources, weights={"x": 1.0, "y": 4.0})
     assert rates["x"] == pytest.approx(20.0)
     assert rates["y"] == pytest.approx(80.0)
 
 
 def test_vectorized_matches_reference_with_weights():
-    rng = np.random.default_rng(0)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         res_keys = [f"r{i}" for i in range(6)]
@@ -67,12 +67,10 @@ def test_vectorized_matches_reference_with_weights():
         }
         weights = {f: float(rng.uniform(0.2, 4.0)) for f in flows}
         resources = {r: _Resource(caps[r]) for r in res_keys}
-        ref = FluidSimulator._allocate(dict(flows), resources, weights)
-        tids = sorted(flows)
-        alloc = FluidSimulator._VectorAllocator(tids, flows, res_keys, weights)
-        vec = alloc.allocate(np.ones(len(tids), dtype=bool), np.array([caps[r] for r in res_keys]))
-        for tid in tids:
-            assert vec[alloc.flow_index[tid]] == pytest.approx(ref[tid], rel=1e-9)
+        ref = ReferenceFluidSimulator._allocate(dict(flows), resources, weights)
+        vec = array_rates(res_keys, caps, flows, weights)
+        for tid in flows:
+            assert vec[tid] == pytest.approx(ref[tid], rel=1e-9)
 
 
 def test_reweighted_plan_helper():
