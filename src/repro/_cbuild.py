@@ -1,0 +1,126 @@
+"""Lazily compiled C kernels: build once, cache, ``dlopen`` — or record why not.
+
+The package has no build step; its C kernels (:mod:`repro.gf.backend.native`,
+:mod:`repro.simnet.fluid`) are source strings compiled on first use and driven
+through :mod:`ctypes`.  Each is one :class:`CLibrary` — its own translation
+unit and flag sets — cached in one per-user directory under a digest of ABI
+version, flags and source, and published atomically.  Nothing here raises to
+the caller: any failure leaves ``load()`` returning ``None`` with the reason
+kept for ``build_info()``, and the caller runs its NumPy path — same results,
+only slower.  docs/KERNELS.md, "One build helper".
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+
+
+def _find_compiler() -> str | None:
+    """The first C compiler on PATH ($CC, cc, gcc, clang) or None."""
+    candidates = [os.environ.get("CC"), "cc", "gcc", "clang"]
+    for cand in candidates:
+        if cand and shutil.which(cand):
+            return cand
+    return None
+
+
+def _cache_dir() -> Path:
+    """Where compiled kernels live (override: REPRO_GF_NATIVE_CACHE)."""
+    override = os.environ.get("REPRO_GF_NATIVE_CACHE")
+    if override:
+        return Path(override)
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = Path(xdg) if xdg else Path.home() / ".cache"
+    return base / "repro-gf-native"
+
+
+def _publish(path: Path, produce) -> None:
+    """Atomically create ``path``: ``produce(tmp)`` fills a private temp file
+    beside it, ``os.replace`` publishes it; the temp never outlives the call."""
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=path.suffix + ".tmp")
+    os.close(fd)
+    try:
+        produce(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+class CLibrary:
+    """One C translation unit, compiled and loaded at most once per process.
+
+    ``flag_sets`` are tried in order until the compiler accepts one (a kernel
+    whose results depend on its flags passes exactly one).  ``bind(lib)``
+    declares the entry points and may run a self-check; if it raises, the
+    library counts as unavailable like any build failure.
+    """
+
+    def __init__(self, name: str, source: str, abi: int, flag_sets, bind):
+        self.name, self.source, self.bind = name, source, bind
+        self.flag_sets = [list(flags) for flags in flag_sets]
+        digest = hashlib.sha256(f"abi{abi}\0{self.flag_sets}\0{source}".encode())
+        self.stem = f"{name}-{digest.hexdigest()[:16]}"
+        self.lib: ctypes.CDLL | None = None
+        self.path: Path | None = None
+        self.error: str | None = None
+        self._probed = False
+        self._lock = threading.Lock()
+
+    def load(self) -> ctypes.CDLL | None:
+        """The bound library, built on first use; None when unavailable."""
+        if self._probed:
+            return self.lib
+        with self._lock:
+            if not self._probed:
+                try:
+                    self.path = self._build()
+                    lib = ctypes.CDLL(str(self.path))
+                    self.bind(lib)
+                    self.lib = lib
+                except Exception as exc:  # noqa: BLE001 - any failure = unavailable
+                    self.error = f"{type(exc).__name__}: {exc}"
+                self._probed = True
+        return self.lib
+
+    def _build(self) -> Path:
+        cache = _cache_dir()
+        cache.mkdir(parents=True, exist_ok=True)
+        so_path = cache / f"{self.stem}.so"
+        if so_path.exists():
+            return so_path
+        cc = _find_compiler()
+        if cc is None:
+            raise RuntimeError("no C compiler on PATH (tried $CC, cc, gcc, clang)")
+        src_path = cache / f"{self.stem}.c"
+        if not src_path.exists():
+            _publish(src_path, lambda tmp: Path(tmp).write_text(self.source))
+
+        def compile_to(tmp: str) -> None:
+            for flags in self.flag_sets:
+                proc = subprocess.run(
+                    [cc, *flags, "-o", tmp, str(src_path)], capture_output=True, text=True
+                )
+                if proc.returncode == 0:
+                    return
+            raise RuntimeError(
+                f"{cc} failed: {proc.stderr.strip()[:500] or 'unknown compiler error'}"
+            )
+
+        _publish(so_path, compile_to)
+        return so_path
+
+    def build_info(self) -> dict:
+        """Diagnostics: availability, the cached .so path, any build error."""
+        return {
+            "available": self.load() is not None,
+            "path": str(self.path) if self.path else None,
+            "error": self.error,
+        }

@@ -15,35 +15,22 @@ the compiler targets AVX2/SSSE3, runs the classic SIMD table layout:
   decomposes again into nibble tables for the SIMD path;
 * coefficient 1 degrades to a vectorized XOR, coefficient 0 to a skip.
 
-**Build caching:** the shared object is compiled at most once per (source,
-flags) digest into a per-user cache directory (override with
-``REPRO_GF_NATIVE_CACHE``) and memory-mapped thereafter, so the first
-selection on a new host pays one ~1 s compile and every later process —
-including forked pool workers — just ``dlopen``\\ s the cached file.  The
-compile is atomic (build to a temp name, ``os.replace``), so concurrent
-first-builds cannot race each other into a torn library.
-
-**Fallback:** no compiler, a failed compile, or a failed load simply mark
-the backend unavailable (``build_info()`` keeps the error text for
-diagnosis) and auto-selection falls back to the NumPy tier — behavior,
-results, and tests are identical either way, only throughput changes.
+**Build caching and fallback** are :mod:`repro._cbuild`'s: one ~1 s compile
+per host into a per-user cache (``REPRO_GF_NATIVE_CACHE``), then a ``dlopen``;
+no compiler or a failed build marks the backend unavailable (``build_info()``
+keeps the error) and auto-selection falls back to the bit-identical NumPy tier.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro._cbuild import CLibrary
 from repro.gf.backend.base import KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - repro.gf.field imports this package
@@ -221,57 +208,16 @@ _BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
 _NATIVE_FLAG = "-march=native"
 
 
-def _find_compiler() -> str | None:
-    """The first C compiler on PATH ($CC, cc, gcc, clang) or None."""
-    candidates = [os.environ.get("CC"), "cc", "gcc", "clang"]
-    for cand in candidates:
-        if cand and shutil.which(cand):
-            return cand
-    return None
-
-
-def _cache_dir() -> Path:
-    """Where compiled kernels live (override: REPRO_GF_NATIVE_CACHE)."""
-    override = os.environ.get("REPRO_GF_NATIVE_CACHE")
-    if override:
-        return Path(override)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro-gf-native"
-
-
-def _source_digest() -> str:
-    h = hashlib.sha256()
-    h.update(f"abi{_ABI_VERSION}".encode())
-    h.update(_C_SOURCE.encode())
-    return h.hexdigest()[:16]
-
-
-def _compile(cc: str, src_path: Path, out_path: Path) -> None:
-    """Compile the kernel, atomically publishing ``out_path``.
-
-    Tries ``-march=native`` first for the SIMD paths, retrying without it
-    when the compiler objects.  Concurrent builders race harmlessly: each
-    compiles to a private temp name and the final ``os.replace`` is atomic.
-    """
-    fd, tmp = tempfile.mkstemp(dir=str(out_path.parent), suffix=".so.tmp")
-    os.close(fd)
-    try:
-        for flags in ([*_BASE_FLAGS, _NATIVE_FLAG], _BASE_FLAGS):
-            proc = subprocess.run(
-                [cc, *flags, "-o", tmp, str(src_path)],
-                capture_output=True,
-                text=True,
-            )
-            if proc.returncode == 0:
-                os.replace(tmp, out_path)
-                return
-        raise RuntimeError(
-            f"{cc} failed: {proc.stderr.strip()[:500] or 'unknown compiler error'}"
-        )
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+def _bind(lib: ctypes.CDLL) -> None:
+    """Declare the kernels' signatures on a freshly loaded library."""
+    ptr, size = ctypes.c_void_p, ctypes.c_size_t
+    lib.repro_xor_into.argtypes = [ptr, ptr, size]
+    lib.repro_xor_into.restype = None
+    matmul_sig = [ptr, size, size, ptr, ptr, size, ptr]
+    lib.repro_gf8_plane_matmul.argtypes = matmul_sig
+    lib.repro_gf8_plane_matmul.restype = None
+    lib.repro_gf16_plane_matmul.argtypes = matmul_sig
+    lib.repro_gf16_plane_matmul.restype = None
 
 
 class NativeBackend(KernelBackend):
@@ -282,69 +228,20 @@ class NativeBackend(KernelBackend):
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._lib: ctypes.CDLL | None = None
-        self._probed = False
-        self._error: str | None = None
-        self._lib_path: Path | None = None
+        #: ``-march=native`` first for the SIMD paths, retried without it
+        #: when the compiler objects
+        self._kernel = CLibrary(
+            "gfkern", _C_SOURCE, _ABI_VERSION,
+            [[*_BASE_FLAGS, _NATIVE_FLAG], _BASE_FLAGS], _bind,
+        )
         #: bounded memo of native LUT blocks keyed by (w, coeff); entries
         #: are 256-byte (w=8) or 512-word (w=16) per-coefficient tables.
         self._luts: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
         self._luts_capacity = 512
 
-    # -------------------------------------------------------------- #
-    # build / load
-    # -------------------------------------------------------------- #
-    def _load(self) -> ctypes.CDLL | None:
-        """The kernel library, building it on first use (cached forever)."""
-        if self._probed:
-            return self._lib
-        with self._lock:
-            if self._probed:
-                return self._lib
-            try:
-                self._lib = self._build_and_bind()
-            except Exception as exc:  # noqa: BLE001 - any failure = unavailable
-                self._error = f"{type(exc).__name__}: {exc}"
-                self._lib = None
-            self._probed = True
-        return self._lib
-
-    def _build_and_bind(self) -> ctypes.CDLL:
-        cache = _cache_dir()
-        cache.mkdir(parents=True, exist_ok=True)
-        digest = _source_digest()
-        so_path = cache / f"gfkern-{digest}.so"
-        if not so_path.exists():
-            cc = _find_compiler()
-            if cc is None:
-                raise RuntimeError("no C compiler on PATH (tried $CC, cc, gcc, clang)")
-            src_path = cache / f"gfkern-{digest}.c"
-            if not src_path.exists():
-                tmp = src_path.with_suffix(f".c.tmp{os.getpid()}")
-                tmp.write_text(_C_SOURCE)
-                os.replace(tmp, src_path)
-            _compile(cc, src_path, so_path)
-        lib = ctypes.CDLL(str(so_path))
-        ptr, size = ctypes.c_void_p, ctypes.c_size_t
-        lib.repro_xor_into.argtypes = [ptr, ptr, size]
-        lib.repro_xor_into.restype = None
-        matmul_sig = [ptr, size, size, ptr, ptr, size, ptr]
-        lib.repro_gf8_plane_matmul.argtypes = matmul_sig
-        lib.repro_gf8_plane_matmul.restype = None
-        lib.repro_gf16_plane_matmul.argtypes = matmul_sig
-        lib.repro_gf16_plane_matmul.restype = None
-        self._lib_path = so_path
-        return lib
-
     def build_info(self) -> dict:
         """Diagnostics: availability, the cached .so path, any build error."""
-        available = self.available()
-        return {
-            "backend": self.name,
-            "available": available,
-            "path": str(self._lib_path) if self._lib_path else None,
-            "error": self._error,
-        }
+        return {"backend": self.name, **self._kernel.build_info()}
 
     # -------------------------------------------------------------- #
     # backend protocol
@@ -354,7 +251,7 @@ class NativeBackend(KernelBackend):
         return w in (8, 16)
 
     def available(self) -> bool:
-        return self._load() is not None
+        return self._kernel.load() is not None
 
     def _lut_for(self, field: GF, coeff: int) -> np.ndarray:
         """The native per-coefficient table (LRU-cached, lock-guarded)."""
@@ -384,16 +281,16 @@ class NativeBackend(KernelBackend):
 
     def warm(self, field: GF, coeffs) -> None:
         """Build the library and the tables a decode matrix will gather."""
-        if self._load() is None:
+        if self._kernel.load() is None:
             return
         for c in coeffs:
             if int(c) > 1:
                 self._lut_for(field, int(c))
 
     def plane_matmul(self, mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray:
-        lib = self._load()
+        lib = self._kernel.load()
         if lib is None:
-            raise RuntimeError(f"native backend unavailable: {self._error}")
+            raise RuntimeError(f"native backend unavailable: {self._kernel.error}")
         if not self.capabilities(field.w):
             raise RuntimeError(f"native backend does not support GF(2^{field.w})")
         mat = np.asarray(mat, dtype=field.dtype)

@@ -21,11 +21,13 @@ the predecessor solver by ``tests/test_fluid_differential.py``.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._cbuild import CLibrary
 from repro.cluster.topology import Cluster
 from repro.simnet.flows import DelayTask, Task, validate_tasks
 
@@ -100,9 +102,15 @@ class _Incidence:
     """
 
     def __init__(self, entry_flow, entry_res, weights, n_res: int):
-        self.entry_flow = np.asarray(entry_flow, dtype=np.int64)
-        self.entry_res = np.asarray(entry_res, dtype=np.int64)
-        self.weights = np.asarray(weights, dtype=float)
+        self.entry_flow = np.ascontiguousarray(entry_flow, dtype=np.int64)
+        self.entry_res = np.ascontiguousarray(entry_res, dtype=np.int64)
+        self.weights = np.ascontiguousarray(weights, dtype=float)
+        # the compiled kernel indexes with these unchecked
+        for ids, bound in ((self.entry_flow, len(self.weights)), (self.entry_res, n_res)):
+            if ids.size and not 0 <= ids.min() <= ids.max() < bound:
+                raise ValueError(f"incidence id outside [0, {bound})")
+        if (self.entry_flow[1:] < self.entry_flow[:-1]).any():
+            raise ValueError("incidence entries must be flow-major")
         self.entry_weight = self.weights[self.entry_flow]
         self.n_res = n_res
         # CSR by flow: entries of flow f are flow_ptr[f]:flow_ptr[f + 1]
@@ -114,6 +122,13 @@ class _Incidence:
         first[1:] = (res[1:] != res[:-1]) | (flow[1:] != flow[:-1])
         self.res_flows = flow[first]
         self.res_ptr = _offsets(res[first], n_res)
+        # what the compiled kernel reads, as its leading C arguments (the
+        # int64 / float64 arrays above own the memory and are never rebound)
+        self._c_args = (len(self.weights), n_res) + tuple(
+            a.ctypes.data
+            for a in (self.flow_ptr, self.entry_res, self.entry_weight,
+                      self.weights, self.res_ptr, self.res_flows)
+        )
 
     def rates(self, active, caps):
         """Weighted max-min rates (indexed like ``weights``) by progressive
@@ -122,7 +137,31 @@ class _Incidence:
         that share, and subtract what they consume everywhere they go.
         Every active flow must have at least one entry; none active gives
         all zeros.
+
+        Runs the compiled kernel when this host built it and it passed its
+        self-check, else the NumPy loop — bit-identical, nothing selects.
         """
+        lib = _KERNEL.load()
+        return self._fill_numpy(active, caps) if lib is None else self._fill_c(lib, active, caps)
+
+    def _fill_c(self, lib, active, caps):
+        rates = np.zeros(len(self.weights))
+        # scratch belongs to the call: the mask and the capacities are
+        # copied, then consumed in place as ``unfixed`` and ``left``
+        unfixed = np.array(active, dtype=bool)
+        left = np.array(caps, dtype=float)
+        wsum = np.empty(self.n_res)
+        if unfixed.shape != rates.shape or left.shape != wsum.shape:
+            raise ValueError("active / caps do not match the incidence")
+        stuck = lib.repro_fill(
+            *self._c_args,
+            unfixed.ctypes.data, left.ctypes.data, wsum.ctypes.data, rates.ctypes.data,
+        )
+        if stuck:
+            raise AssertionError("unfixed flows but no contended resource")
+        return rates
+
+    def _fill_numpy(self, active, caps):
         on = active[self.entry_flow]
         wsum = np.bincount(
             self.entry_res[on], weights=self.entry_weight[on], minlength=self.n_res
@@ -159,7 +198,7 @@ class _Incidence:
 
 def _offsets(keys, n: int):
     """CSR row pointer of ``n`` rows over sorted integer ``keys``."""
-    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))), dtype=np.int64)
 
 
 def _gather(ptr, rows):
@@ -167,6 +206,107 @@ def _gather(ptr, rows):
     lens = ptr[rows + 1] - ptr[rows]
     offsets = lens.cumsum() - lens  # where each row's run starts in the output
     return (ptr[rows] - offsets).repeat(lens) + np.arange(lens.sum())
+
+
+#: progressive filling in C, walking ``_Incidence``'s arrays in the float
+#: operation order of ``_Incidence._fill_numpy``: each product and each
+#: subtraction is its own IEEE double operation.  ``left`` and ``wsum`` never
+#: read each other, so updating both per entry equals NumPy's two passes.
+_C_SOURCE = r"""
+#include <float.h>
+#include <math.h>
+#include <stdint.h>
+
+#if FLT_EVAL_METHOD != 0
+#error "simulated times need plain IEEE double evaluation (FLT_EVAL_METHOD == 0)"
+#endif
+
+/* in: unfixed = the active mask, left = link capacities, rates = zeros;
+ * wsum is scratch.  Returns 1 for "unfixed flows but no contended resource". */
+int repro_fill(int64_t n_flows, int64_t n_res, const int64_t *flow_ptr,
+               const int64_t *entry_res, const double *entry_weight,
+               const double *weights, const int64_t *res_ptr,
+               const int64_t *res_flows, uint8_t *unfixed, double *left,
+               double *wsum, double *rates) {
+    int64_t n_unfixed = 0;
+    for (int64_t r = 0; r < n_res; r++)
+        wsum[r] = 0.0;
+    for (int64_t f = 0; f < n_flows; f++) {
+        if (!unfixed[f])
+            continue;
+        n_unfixed++;
+        for (int64_t e = flow_ptr[f]; e < flow_ptr[f + 1]; e++)
+            wsum[entry_res[e]] += entry_weight[e];
+    }
+    while (n_unfixed) {
+        int64_t best = -1, fixed = 0;
+        double s = INFINITY;
+        for (int64_t r = 0; r < n_res; r++) { /* argmin: first minimum, NaN wins */
+            double share = wsum[r] > 1e-12 ? left[r] / wsum[r] : INFINITY;
+            if (share != share) {
+                best = r;
+                s = share;
+                break;
+            }
+            if (best < 0 || share < s) {
+                best = r;
+                s = share;
+            }
+        }
+        if (!isfinite(s))
+            return 1;
+        if (s < 0.0)
+            s = 0.0;
+        for (int64_t j = res_ptr[best]; j < res_ptr[best + 1]; j++) {
+            int64_t f = res_flows[j];
+            if (!unfixed[f])
+                continue;
+            unfixed[f] = 0;
+            fixed++;
+            rates[f] = s * weights[f];
+            for (int64_t e = flow_ptr[f]; e < flow_ptr[f + 1]; e++) {
+                left[entry_res[e]] -= s * entry_weight[e];
+                wsum[entry_res[e]] -= entry_weight[e];
+            }
+        }
+        if (!fixed) { /* stale count: nothing unfixed crosses this resource */
+            wsum[best] = 0.0;
+            continue;
+        }
+        n_unfixed -= fixed;
+        for (int64_t r = 0; r < n_res; r++)
+            if (left[r] < 0.0)
+                left[r] = 0.0;
+    }
+    return 0;
+}
+"""
+#: the only flag set.  ``-ffp-contract=off`` forbids fusing ``left -= s * w``
+#: into one FMA, which rounds once instead of twice and moves finish times
+#: whenever a product is inexact; ``-march=native`` / ``-O3`` / ``-ffast-math``
+#: license exactly that fusion or reassociation (docs/ARCHITECTURE.md)
+_C_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+
+
+def _bind_kernel(lib) -> None:
+    """Declare ``repro_fill``, then prove it on this host: one fixed problem
+    with non-dyadic weights (inexact products, so a fused or reordered build
+    shows) must solve ``==`` to the NumPy loop or the kernel stays unbound."""
+    lib.repro_fill.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
+    lib.repro_fill.restype = ctypes.c_int
+    flow = np.arange(24)
+    inc = _Incidence(
+        np.repeat(flow, 3),
+        np.stack([flow % 7, (3 * flow + 1) % 7, flow // 4]).T.ravel(),
+        np.array([0.3, 1.0, 1.7])[flow % 3],
+        n_res=7,
+    )
+    active, caps = flow % 5 != 0, 10.0 + 7.3 * np.arange(7)
+    if not np.array_equal(inc._fill_c(lib, active, caps), inc._fill_numpy(active, caps)):
+        raise RuntimeError("self-check failed: kernel and NumPy rates differ")
+
+
+_KERNEL = CLibrary("fluidfill", _C_SOURCE, 1, [_C_FLAGS], _bind_kernel)
 
 
 class _Problem:
@@ -262,6 +402,14 @@ class FluidSimulator:
         ``ValueError`` on duplicate ids or unknown dependencies.
         """
         return _Problem(tasks, self.cluster)
+
+    @staticmethod
+    def allocator_info() -> dict:
+        """Which allocator serves this process — ``kind`` is ``"c"`` or
+        ``"numpy"`` — with the kernel's ``.so`` path and, after a silent
+        fallback, the build / load / self-check error that caused it."""
+        info = _KERNEL.build_info()
+        return {"kind": "c" if info["available"] else "numpy", **info}
 
     # -------------------------------------------------------------- #
     @staticmethod

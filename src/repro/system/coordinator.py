@@ -224,7 +224,7 @@ class Coordinator:
         if name not in self.files:
             raise KeyError(f"unknown file {name!r}")
         stripe_ids, length = self.files[name]
-        chunks = []
+        blocks: list[np.ndarray] = []  # the file's data blocks, in order
         for sid in stripe_ids:
             stripe = self.layout[sid]
             available: dict[int, np.ndarray] = {}
@@ -233,18 +233,20 @@ class Coordinator:
                 bname = block_name(sid, b)
                 if agent.alive and agent.store.has(bname):
                     available[b] = agent.read_block(bname)
-            data_blocks: list[np.ndarray] = []
             missing = [b for b in range(self.code.k) if b not in available]
             if missing:  # degraded read
                 if len(available) < self.code.k:
                     raise IOError(f"stripe {sid} unrecoverable: {len(available)} blocks left")
-                repaired = self.code.decode(available, missing)
-                for b in range(self.code.k):
-                    data_blocks.append(available.get(b, repaired.get(b)))
-            else:
-                data_blocks = [available[b] for b in range(self.code.k)]
-            chunks.append(np.concatenate(data_blocks))
-        return np.concatenate(chunks)[:length].tobytes()
+                available.update(self.code.decode(available, missing))
+            blocks += (available[b] for b in range(self.code.k))
+        # one pass, one copy: join the block buffers, the tail cut at ``length``
+        parts, left = [], length
+        for block in blocks:
+            if left <= 0:
+                break
+            parts.append(np.ascontiguousarray(block[:left]))
+            left -= len(block)
+        return b"".join(parts)
 
     def serve(self, request):
         """Run a client workload (optionally merged with a repair storm).

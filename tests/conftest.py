@@ -6,6 +6,8 @@ including ``tests/chaos`` — draws from the same helper instead of repeating
 the ``SeedSequence`` recipe.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,37 @@ from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe
 from repro.repair.context import RepairContext
 from tests.seeds import DEFAULT_MASTER_SEED, seed_fanout  # noqa: F401  (re-export)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _probe_solver_kernel():
+    """Build and bind the fluid solver kernel once, up front: its first use
+    must not fall inside a test that hides the compiler or moves the cache."""
+    from repro.simnet.fluid import FluidSimulator
+
+    FluidSimulator.allocator_info()
+
+
+@contextmanager
+def unbound_kernel():
+    """Run the body on the NumPy allocator: the fluid solver kernel's handle
+    is unbound — the state of a host without a C compiler — then restored.
+    No option selects the allocator, so this is the only way to force it."""
+    from repro.simnet import fluid
+
+    fluid._KERNEL.load()  # probe first, or the next ``rates`` call would bind it
+    lib, fluid._KERNEL.lib = fluid._KERNEL.lib, None
+    try:
+        yield
+    finally:
+        fluid._KERNEL.lib = lib
+
+
+@pytest.fixture
+def numpy_allocator():
+    """This test's fluid runs use the NumPy filling loop."""
+    with unbound_kernel():
+        yield
 
 
 @pytest.fixture

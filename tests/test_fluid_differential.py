@@ -6,11 +6,18 @@ rewrite kept every float operation in the same order, so all *times* must be
 ``==`` — not ``approx`` — on arbitrary task graphs; only the per-node byte
 counters, which the predecessor summed in ``set[str]`` iteration order, get a
 1e-9 tolerance.
+
+Every such comparison runs once per allocator behind ``_Incidence.rates``: the
+compiled kernel when this host bound it, and the NumPy loop with the kernel's
+handle unbound (``tests.conftest.unbound_kernel``).  Weights include 0.3 and
+1.7: with dyadic weights every ``s * w`` is exact and a kernel that fuses
+``left -= s * w`` into one FMA would pass.
 """
 
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +34,42 @@ from repro.repair.rackaware import _build_rack_aware_cr, _build_tree_ir
 from repro.repair.split import search_split
 from repro.simnet.dynamic import BandwidthEvent
 from repro.simnet.flows import DelayTask, Flow, PipelineFlow
-from repro.simnet.fluid import FluidSimulator
+from repro.simnet.fluid import FluidSimulator, _Incidence
+from tests.conftest import unbound_kernel
 from tests.fluid_reference import (
     ReferenceFluidSimulator,
     reference_search_split,
     scaled_split_tasks,
 )
 from tests.seeds import DEFAULT_MASTER_SEED, seed_fanout
+
+
+KERNEL = FluidSimulator.allocator_info()
+#: allocator kind -> context that makes ``_Incidence.rates`` run it
+ALLOCATORS = {"numpy": unbound_kernel} | ({"c": nullcontext} if KERNEL["available"] else {})
+needs_kernel = pytest.mark.skipif(
+    not KERNEL["available"], reason=f"solver kernel unavailable: {KERNEL['error']}"
+)
+
+
+@needs_kernel
+def test_the_kernel_is_the_bound_allocator(monkeypatch):
+    """On a host with a C compiler the comparisons below cover both
+    allocators; without one this skip carries the recorded build error."""
+    monkeypatch.setattr(_Incidence, "_fill_numpy", lambda *a: pytest.fail("NumPy loop ran"))
+    assert KERNEL["kind"] == "c" and os.path.exists(KERNEL["path"])
+    assert FluidSimulator.allocator_info() == KERNEL
+    cluster, tasks, events, _ = random_instance(3)
+    assert FluidSimulator(cluster).run(tasks, events=events).n_rate_updates > 0
+
+
+def test_unbinding_the_kernel_runs_the_numpy_loop(numpy_allocator, monkeypatch):
+    """What every "numpy" half below relies on: with the handle unbound the
+    C body is never entered, and ``allocator_info`` says so."""
+    monkeypatch.setattr(_Incidence, "_fill_c", lambda *a: pytest.fail("kernel ran"))
+    assert FluidSimulator.allocator_info()["kind"] == "numpy"
+    cluster, tasks, events, _ = random_instance(3)
+    assert FluidSimulator(cluster).run(tasks, events=events).n_rate_updates > 0
 
 
 def random_instance(seed: int):
@@ -67,7 +103,7 @@ def random_instance(seed: int):
         n_deps = int(rng.integers(0, 3)) if earlier else 0
         deps = tuple(rng.choice(earlier, size=min(n_deps, len(earlier)), replace=False))
         size = float(rng.choice([0.0, 1e-13, 8.0, 8.0, 16.0, 64.0, 37.5]))
-        weight = float(rng.choice([0.25, 1.0, 1.0, 4.0]))
+        weight = float(rng.choice([0.25, 0.3, 1.0, 1.0, 1.7, 4.0]))
         kind = rng.random()
         if kind < 0.15:
             tasks.append(DelayTask(f"d{i}", float(rng.choice([0.0, 0.25, 1.0])), deps=deps))
@@ -98,18 +134,20 @@ def assert_same_run(cluster, tasks, events=(), horizon=None):
     ref = ReferenceFluidSimulator(cluster).run(
         tasks, events=events, record_trace=True, horizon_s=horizon
     )
-    new = FluidSimulator(cluster).run(
-        tasks, events=events, record_trace=True, horizon_s=horizon
-    )
-    assert new.makespan == ref.makespan
-    assert new.finish_times == ref.finish_times
-    assert new.start_times == ref.start_times
-    assert new.n_rate_updates == ref.n_rate_updates
-    assert new.remaining_mb == ref.remaining_mb
-    assert new.trace == ref.trace
-    assert new.bytes_sent == pytest.approx(ref.bytes_sent, rel=1e-9, abs=1e-9)
-    assert new.bytes_received == pytest.approx(ref.bytes_received, rel=1e-9, abs=1e-9)
-    assert new.cross_rack_mb == pytest.approx(ref.cross_rack_mb, rel=1e-9, abs=1e-9)
+    for kind, bound in ALLOCATORS.items():
+        with bound():
+            new = FluidSimulator(cluster).run(
+                tasks, events=events, record_trace=True, horizon_s=horizon
+            )
+        assert new.makespan == ref.makespan, kind
+        assert new.finish_times == ref.finish_times, kind
+        assert new.start_times == ref.start_times, kind
+        assert new.n_rate_updates == ref.n_rate_updates, kind
+        assert new.remaining_mb == ref.remaining_mb, kind
+        assert new.trace == ref.trace, kind
+        assert new.bytes_sent == pytest.approx(ref.bytes_sent, rel=1e-9, abs=1e-9)
+        assert new.bytes_received == pytest.approx(ref.bytes_received, rel=1e-9, abs=1e-9)
+        assert new.cross_rack_mb == pytest.approx(ref.cross_rack_mb, rel=1e-9, abs=1e-9)
     return new
 
 
@@ -250,6 +288,80 @@ def test_search_split_matches_the_rebuilding_search(subplans):
         want = reference_search_split(
             lambda q: scaled_split_tasks(cr, ir, q), ctx.cluster, events=ev
         )
-        got = search_split(cr, ir, ctx.cluster, events=ev)
-        assert got == want
-        assert all(type(v) is float for v in got)
+        for kind, bound in ALLOCATORS.items():
+            with bound():
+                got = search_split(cr, ir, ctx.cluster, events=ev)
+            assert got == want, kind
+            assert all(type(v) is float for v in got)
+
+
+# --------------------------------------------------------------------- #
+# the allocator seam: compiled kernel == NumPy loop, call by call
+# --------------------------------------------------------------------- #
+def _outcome(fill, active, caps):
+    try:
+        return fill(active, caps).tolist()
+    except AssertionError as exc:
+        return str(exc)
+
+
+def random_filling_problem(seed: int):
+    """Incidence + active mask + capacities from one seed, degenerate on
+    purpose: repeated entries, a flow without entries, zero-weight flows (a
+    resource whose weight sum is zero is never contended), zero / tiny /
+    infinite / NaN capacities, an empty active set.  Weights and capacities
+    are otherwise uniform floats, so nearly every ``s * w`` is inexact."""
+    rng = np.random.default_rng(seed)
+    n_flows, n_res = int(rng.integers(0, 40)), int(rng.integers(1, 10))
+    n_entries = rng.integers(1, 4, n_flows)
+    if n_flows and rng.random() < 0.15:
+        n_entries[rng.integers(n_flows)] = 0
+    weights = rng.uniform(0.1, 5.0, n_flows)
+    weights[rng.random(n_flows) < rng.choice([0.0, 0.0, 0.3])] = 0.0
+    caps = rng.uniform(1.0, 400.0, n_res)
+    odd = rng.random(n_res) < rng.choice([0.0, 0.2])
+    caps[odd] = rng.choice([0.0, 1e-13, np.inf, np.nan], int(odd.sum()))
+    inc = _Incidence(
+        np.repeat(np.arange(n_flows), n_entries),
+        rng.integers(0, n_res, int(n_entries.sum())),
+        weights, n_res,
+    )
+    return inc, rng.random(n_flows) < rng.choice([0.0, 0.5, 0.8, 1.0]), caps
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_kernel_rates_equal_numpy_rates(seed):
+    """Same rate vector, bit for bit, or the same ``AssertionError`` (an
+    active flow that crosses no contended resource) from both."""
+    from repro.simnet.fluid import _KERNEL
+
+    inc, active, caps = random_filling_problem(seed)
+    kernel = _outcome(lambda a, c: inc._fill_c(_KERNEL.lib, a, c), active, caps)
+    assert kernel == _outcome(inc._fill_numpy, active, caps)
+    assert kernel == _outcome(inc.rates, active, caps)
+    if not active.any():
+        assert kernel == [0.0] * len(active)
+
+
+@needs_kernel
+def test_a_flow_without_entries_is_the_same_error_on_both_allocators():
+    inc = _Incidence([0, 0], [0, 1], [1.0, 1.0], n_res=2)  # flow 1: no entries
+    active, caps = np.array([True, True]), np.array([10.0, 10.0])
+    for kind, bound in ALLOCATORS.items():
+        with bound(), pytest.raises(AssertionError, match="no contended resource"):
+            inc.rates(active, caps)
+
+
+def test_incidence_rejects_what_the_kernel_would_read_out_of_bounds():
+    """The C loop indexes unchecked, so ids and shapes are checked in Python."""
+    for flows, res in (([0, 2], [0, 0]), ([0, 1], [0, 3]), ([0, 1], [-1, 0])):
+        with pytest.raises(ValueError, match="outside"):
+            _Incidence(flows, res, [1.0, 1.0], n_res=2)
+    with pytest.raises(ValueError, match="flow-major"):
+        _Incidence([1, 0], [0, 0], [1.0, 1.0], n_res=2)
+    inc = _Incidence([0, 1], [0, 1], [1.0, 1.0], n_res=2)
+    for active, caps in ((np.ones(3, bool), np.ones(2)), (np.ones(2, bool), np.ones(1))):
+        with pytest.raises(ValueError, match="do not match"):
+            inc._fill_c(None, active, caps)  # rejected before the library is touched

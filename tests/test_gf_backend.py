@@ -132,10 +132,10 @@ def test_register_backend_rejects_duplicates_and_anonymous():
 
 def test_native_fallback_without_compiler(monkeypatch, tmp_path):
     """No compiler + no cached build = unavailable, never an exception."""
-    import repro.gf.backend.native as native_mod
+    import repro._cbuild as cbuild
 
     monkeypatch.setenv("REPRO_GF_NATIVE_CACHE", str(tmp_path / "empty"))
-    monkeypatch.setattr(native_mod, "_find_compiler", lambda: None)
+    monkeypatch.setattr(cbuild, "_find_compiler", lambda: None)
     nb = NativeBackend()  # fresh instance: the registered one may be probed
     assert nb.available() is False
     info = nb.build_info()
@@ -361,13 +361,13 @@ SEAM_CASES = (
 @pytest.fixture(params=SEAM_CASES, ids=lambda c: f"w{c[0]}-{c[1]}")
 def seam_field(request, monkeypatch, tmp_path):
     """A field whose seam (:func:`repro.gf.matmul`) runs the named tier."""
-    import repro.gf.backend.native as native_mod
+    import repro._cbuild as cbuild
 
     w, name = request.param
     if name == "no-compiler":
         monkeypatch.delenv(ENV_VAR, raising=False)
         monkeypatch.setenv("REPRO_GF_NATIVE_CACHE", str(tmp_path / "empty"))
-        monkeypatch.setattr(native_mod, "_find_compiler", lambda: None)
+        monkeypatch.setattr(cbuild, "_find_compiler", lambda: None)
         probed = get_backend("native")
         register_backend(NativeBackend(), replace=True)  # fresh = unprobed
         request.addfinalizer(lambda: register_backend(probed, replace=True))

@@ -264,3 +264,31 @@ def test_one_fluid_solver_by_construction():
         if isinstance(obj, type) and obj.__module__ == fluid.__name__
     )
     assert solver_classes == ["FluidSimulator", "SimulationResult", "_Incidence", "_Problem"]
+
+    # ISSUE 19: one compiled filling kernel beside the one NumPy loop, built
+    # with flags that cannot fuse or reorder a float operation
+    flags = fluid._C_FLAGS
+    assert "-ffp-contract=off" in flags and fluid._KERNEL.flag_sets == [flags]
+    loose = ("-march", "-O3", "-Ofast", "-ffast-math")
+    assert not [f for f in flags if f.startswith(loose)], flags
+    simnet = "".join(text for _, package, text in _src_modules() if package == "simnet")
+    assert simnet.count("#include <stdint.h>") == 1 and simnet.count('= r"""') == 1
+    assert simnet.count("while n_unfixed") == 1 and simnet.count("np.subtract.at(left") == 1
+
+
+def test_src_reads_no_new_environment_variable():
+    """Nothing selects the fluid allocator (ISSUE 19) — and in general a new
+    switch in the environment is a reviewed change to this list."""
+    import re
+
+    from repro.gf.backend.base import ENV_VAR
+
+    keyed = re.compile(r"(?:os\.environ(?:\.get)?|getenv)\s*[\[(]\s*([\w\"']+)")
+    mention = re.compile(r"\bos\.environ\b|\bgetenv\b")
+    keys = set()
+    for rel, _, text in _src_modules():
+        found = keyed.findall(text)
+        assert len(found) == len(mention.findall(text)), f"{rel}: unkeyed environment access"
+        keys.update(found)
+    assert keys == {'"CC"', '"REPRO_GF_NATIVE_CACHE"', '"XDG_CACHE_HOME"', "ENV_VAR"}
+    assert ENV_VAR == "REPRO_GF_BACKEND"

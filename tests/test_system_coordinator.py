@@ -76,6 +76,42 @@ def test_read_fails_beyond_m_failures():
         coord.read("f1")
 
 
+@pytest.mark.parametrize(
+    "nbytes",
+    [0, 1, 2047, 2048, 4 * 2048 - 1, 4 * 2048, 4 * 2048 + 1, 3 * 4 * 2048, 30_001],
+    ids=lambda n: f"{n}B",
+)
+def test_read_assembles_exactly_the_written_bytes(nbytes):
+    """``read`` joins the block buffers in one pass: whatever the length is
+    against the block (2048) and stripe (k * 2048) sizes, healthy and degraded
+    reads return the written bytes — nothing of the padding, nothing short."""
+    coord = make_system()
+    data = payload(nbytes, seed=nbytes)
+    coord.write("f1", data)
+    assert coord.read("f1") == data
+    dead = coord.layout.stripes[-1].placement[:2]  # two data blocks of the tail stripe
+    for node in dead:
+        coord.crash_node(node)
+    got = coord.read("f1")
+    assert type(got) is bytes and got == data
+    coord.crash_node(coord.layout.stripes[-1].placement[2])  # 3 > m: unrecoverable
+    with pytest.raises(IOError, match="unrecoverable"):
+        coord.read("f1")
+
+
+def test_read_does_not_alias_or_modify_the_stored_blocks():
+    coord = make_system()
+    data = payload(3 * 2048 + 5, seed=9)
+    coord.write("f1", data)
+    stored = {
+        (n, name): agent.store.get(name).copy()
+        for n, agent in coord.agents.items() for name in agent.store.names()
+    }
+    assert coord.read("f1") == coord.read("f1") == data
+    for (n, name), before in stored.items():
+        assert np.array_equal(coord.agents[n].store.get(name), before)
+
+
 def test_heartbeat_failure_detection_flow():
     coord = make_system()
     coord.write("f1", payload(5_000))
