@@ -1,9 +1,8 @@
 """Backend protocol, registry, and auto-selection for the GF plane matmul.
 
-Every repair data plane in the system funnels its hot loop through one
-operation — ``mat @ plane`` over GF(2^w) (the
-:meth:`~repro.repair.batch.BatchRepairEngine._plane_matmul` seam).  A
-*kernel backend* is one implementation of that operation:
+Every byte path in the system funnels its hot loop through one
+operation — ``mat @ plane`` over GF(2^w) (:func:`matmul`, one inline call
+per plane).  A *kernel backend* is one implementation of that operation:
 
 * :class:`KernelBackend` — the contract: a ``name``, a
   :meth:`~KernelBackend.capabilities` predicate saying which word sizes
@@ -15,9 +14,8 @@ operation — ``mat @ plane`` over GF(2^w) (the
   the same field arithmetic runs (the differential suite pins every
   registered backend against the reference and against each other).
 * the **registry** — :func:`register_backend` / :func:`get_backend` /
-  :func:`available_backends`.  Registration is how pooled workers find
-  the same kernel the parent selected: only the backend *name* crosses
-  the process boundary.
+  :func:`available_backends`.  Registration is what makes a backend
+  selectable by *name* (``REPRO_GF_BACKEND``, an engine's ``backend=``).
 * **selection** — :func:`select_backend` picks the highest-priority
   available backend for a word size, unless the ``REPRO_GF_BACKEND``
   environment variable (or an explicit argument) overrides it.
@@ -79,9 +77,6 @@ class KernelBackend(abc.ABC):
     def plane_matmul(self, mat: np.ndarray, plane: np.ndarray, field: "GF") -> np.ndarray:
         """``mat @ plane`` over the field — bit-exact with ``gf_matmul``."""
 
-    def warm(self, field: "GF", coeffs) -> None:
-        """Pre-build per-coefficient tables (pool-initializer hook)."""
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -92,9 +87,7 @@ _REGISTRY: dict[str, KernelBackend] = {}
 def register_backend(backend: KernelBackend, *, replace: bool = False) -> KernelBackend:
     """Add a backend to the registry (the name becomes selectable).
 
-    Registration is required for the pooled data plane: worker processes
-    re-resolve the parent's backend by name.  Returns the backend for
-    chaining.
+    Returns the backend for chaining.
     """
     if not backend.name:
         raise ValueError("backend must carry a non-empty name")
@@ -188,8 +181,7 @@ def resolve_backend(spec, field_or_w) -> KernelBackend:
 
     ``spec`` may be ``None`` (auto-select, honoring ``REPRO_GF_BACKEND``),
     a registered name, or a :class:`KernelBackend` instance (validated for
-    capability but not required to be registered — though only registered
-    backends can cross into pooled workers).
+    capability but not required to be registered).
     """
     w = int(getattr(field_or_w, "w", field_or_w))
     if spec is None:

@@ -279,14 +279,6 @@ class NativeBackend(KernelBackend):
                 self._luts.popitem(last=False)
         return lut
 
-    def warm(self, field: GF, coeffs) -> None:
-        """Build the library and the tables a decode matrix will gather."""
-        if self._kernel.load() is None:
-            return
-        for c in coeffs:
-            if int(c) > 1:
-                self._lut_for(field, int(c))
-
     def plane_matmul(self, mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray:
         lib = self._kernel.load()
         if lib is None:

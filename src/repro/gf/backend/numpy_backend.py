@@ -4,9 +4,9 @@ This is the original kernel tier, unchanged: it delegates to
 :func:`repro.gf.batch.gf_plane_matmul` (pair-byte uint16 tables for byte
 fields on little-endian hosts, per-element word tables for GF(2^16),
 bytewise fallback elsewhere).  It exists as a backend object so the
-selection machinery, the pooled workers, and the differential tests treat
-the reference tier exactly like every native tier — and so there is
-always *something* to select when no compiler or library exists.
+selection machinery and the differential tests treat the reference tier
+exactly like every native tier — and so there is always *something* to
+select when no compiler or library exists.
 """
 
 from __future__ import annotations
@@ -35,11 +35,3 @@ class NumpyBackend(KernelBackend):
         from repro.gf.batch import gf_plane_matmul
 
         return gf_plane_matmul(mat, plane, field)
-
-    def warm(self, field: GF, coeffs) -> None:
-        """Pre-build the memoized scale LUTs for a decode matrix's coeffs."""
-        from repro.gf.batch import scale_lut
-
-        for c in coeffs:
-            if int(c) > 1:
-                scale_lut(field, int(c))

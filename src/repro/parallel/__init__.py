@@ -1,43 +1,24 @@
-"""Multi-core parallel repair data plane.
+"""Decode pipelining: the simulated-time model of overlapping decode with transfer.
 
-The serial data plane decodes every admission wave on one core; for wide
-stripes (k >= 64, GF(2^16)) that compute — the paper's Table II rows — is
-what bounds wall-clock throughput, not the simulated network.  This
-package overlaps it:
+Transfer is 87.5% of a wide-stripe repair (the paper's Table II), so the
+system does not parallelise decode — every GF plane product is one inline
+call on the selected kernel backend (:func:`repro.gf.matmul`).  What this
+package models is ECPipe's alternative: *overlap* decode with the transfers
+still in flight.
 
-* :class:`WorkerPool` — a lazily-forked process pool decoding
-  shared-memory planes (zero-copy NumPy views, per-worker pre-warmed GF
-  LUTs, stripe-aligned column shards).
-* :class:`ParallelRepairEngine` — the drop-in
-  :class:`~repro.repair.batch.BatchRepairEngine` subclass whose plane
-  matmul fans out over the pool; ``workers=1`` is bit-exact serial.
-* :func:`pipeline_schedule` / :class:`PipelineReport` — the simulated-time
-  model of chunk-level decode pipelining: stripes decode as their CR/IR
-  flows land instead of at the wave barrier.
+* :func:`pipeline_schedule` / :class:`PipelineReport` /
+  :class:`PipelineSlot` — stripes decode as their CR/IR flows land instead
+  of at the wave barrier, on ``workers`` decode lanes
+  (:attr:`repro.system.request.RepairRequest.workers`); the serving plane
+  replays its chunked degraded reads through the same model with one lane.
 
-See ``docs/PARALLEL.md`` for the design and the bit-exactness contract.
+See ``docs/PARALLEL.md`` for the model and for why there is no process pool.
 """
 
-from .pool import (
-    DEFAULT_MIN_PARALLEL_COLS,
-    PoolStats,
-    ShardStat,
-    WorkerPool,
-    resolve_workers,
-    shard_bounds,
-)
-from .engine import ParallelRepairEngine
 from .pipeline import PipelineReport, PipelineSlot, pipeline_schedule
 
 __all__ = [
-    "DEFAULT_MIN_PARALLEL_COLS",
-    "ParallelRepairEngine",
     "PipelineReport",
     "PipelineSlot",
-    "PoolStats",
-    "ShardStat",
-    "WorkerPool",
     "pipeline_schedule",
-    "resolve_workers",
-    "shard_bounds",
 ]

@@ -309,21 +309,6 @@ class BatchRepairEngine:
     # -------------------------------------------------------------- #
     # core kernels
     # -------------------------------------------------------------- #
-    def _plane_matmul(
-        self, mat: np.ndarray, plane: np.ndarray, item_len: int | None = None
-    ) -> np.ndarray:
-        """The one kernel seam subclasses may re-route.
-
-        ``item_len`` is the per-stripe column width of ``plane`` (when the
-        caller knows it), letting sharded implementations keep each
-        stripe's columns on a single worker.  The base engine decodes
-        inline through the selected :attr:`backend`;
-        :class:`repro.parallel.ParallelRepairEngine` overrides this to fan
-        out across a process pool — nothing else differs between the
-        serial and parallel engines.
-        """
-        return self.backend.plane_matmul(mat, plane, self.code.field)
-
     def decode_batch(self, survivor_ids, failed_ids, stacked: np.ndarray) -> np.ndarray:
         """Decode S same-pattern stripes at once: (S, k, B) -> (S, f, B).
 
@@ -339,7 +324,7 @@ class BatchRepairEngine:
         if k != self.code.k:
             raise ValueError(f"stacked has {k} source rows, need k={self.code.k}")
         plane = stacked.transpose(1, 0, 2).reshape(k, s * b)
-        out = self._plane_matmul(plan.matrix, plane, item_len=b)
+        out = self.backend.plane_matmul(plan.matrix, plane, self.code.field)
         return np.ascontiguousarray(
             out.reshape(plan.f, s, b).transpose(1, 0, 2)
         )
@@ -386,7 +371,7 @@ class BatchRepairEngine:
                         self.code, grp.key.survivors, grp.key.failed
                     )
                     t0 = time.perf_counter()
-                    decoded = self._plane_matmul(plan.matrix, plane, item_len=length)
+                    decoded = self.backend.plane_matmul(plan.matrix, plane, field_)
                     dt = time.perf_counter() - t0
                     compute_s += dt
                     nbytes = plane.size * plane.itemsize
@@ -397,9 +382,11 @@ class BatchRepairEngine:
                             per_stripe[fb] = np.ascontiguousarray(
                                 decoded[row, s * length : (s + 1) * length]
                             )
+                    if span is not None:
+                        span.args.update(seconds=dt, bytes=nbytes)
                 finally:
                     if span is not None:
-                        obs.tracer.end(span, seconds=dt, bytes=nbytes)
+                        obs.tracer.unwind(span)
         if obs is not None:
             m = obs.metrics
             m.counter("batch.groups").inc(len(groups))

@@ -150,6 +150,10 @@ class Coordinator:
     # -------------------------------------------------------------- #
     def _new_stripe(self, candidates: list[int], blocks: np.ndarray | None) -> int:
         """Place one stripe on random ``candidates``; encode + store ``blocks``."""
+        if len(candidates) < self.code.n:
+            raise ValueError(
+                f"{len(candidates)} data nodes cannot host width-{self.code.n} stripes"
+            )
         sid = self.layout.next_id()
         idx = self.rng.choice(len(candidates), size=self.code.n, replace=False)
         placement = [candidates[i] for i in idx]
@@ -203,10 +207,6 @@ class Coordinator:
         if n_stripes < 0:
             raise ValueError(f"n_stripes must be >= 0, got {n_stripes}")
         candidates = self.data_nodes()
-        if len(candidates) < self.code.n:
-            raise ValueError(
-                f"{len(candidates)} data nodes cannot host width-{self.code.n} stripes"
-            )
         payload_rng = np.random.default_rng(payload_seed) if materialize else None
         shape = (self.code.k, self.block_bytes)
         return [
@@ -393,8 +393,7 @@ class Coordinator:
         ``workers > 1`` additionally models chunk-level decode pipelining
         on that many decode workers against the simulated transfer finishes,
         from the GF seconds the agents metered per stripe.  The byte plane
-        does not read it: a per-stripe plane never repays a process pool's
-        dispatch (see ``docs/PARALLEL.md``), so combines always run inline.
+        does not read it: combines always run inline (``docs/PARALLEL.md``).
         """
         before = self.meter()
         workers = req.workers

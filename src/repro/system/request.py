@@ -210,14 +210,14 @@ class RepairResult:
     #: measured GF compute seconds across all agents.
     compute_s_total: float
     #: route accounting: rounds/replans/retries (faulted, adaptive), waves
-    #: (scheduled), ``pipeline_saved_s`` (pooled).
+    #: (scheduled), ``pipeline_saved_s`` (``workers > 1``).
     plan_summary: dict = dc_field(default_factory=dict)
     #: per-job outcomes (exactly one entry unless the scheduler ran).
     jobs: list[JobOutcome] = dc_field(default_factory=list)
     per_stripe_transfer_s: dict[int, float] = dc_field(default_factory=dict)
     replacements: dict[int, int] = dc_field(default_factory=dict)
     workers: int = 1
-    #: chunk-level decode pipelining model (parallel runs only).
+    #: chunk-level decode pipelining model (``workers > 1`` only).
     pipeline: Any = None
     #: the route-specific report the run produced internally.
     report: Any = None

@@ -11,9 +11,7 @@ decode tail to a single chunk's worth.
 
 This module holds the three reusable pieces the serving plane composes:
 
-* :func:`chunk_slices` — word-aligned column geometry (via
-  :func:`repro.parallel.shard_bounds`, the same splitter the worker pool
-  shards decode with);
+* :func:`chunk_slices` — word-aligned column geometry (even-column cuts);
 * :func:`decode_chunked` — the data plane: per-slice
   :meth:`~repro.repair.batch.BatchRepairEngine.decode_batch` calls that
   are **bit-exact** with one whole-block decode, because the GF plane
@@ -40,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.parallel.pipeline import PipelineReport, pipeline_schedule
-from repro.parallel.pool import shard_bounds
 from repro.simnet.flows import DelayTask, Flow
 
 
@@ -64,16 +61,22 @@ class ChunkSlice:
 def chunk_slices(block_len: int, chunks: int) -> tuple[ChunkSlice, ...]:
     """Split ``[0, block_len)`` into at most ``chunks`` word-aligned slices.
 
-    Delegates to :func:`repro.parallel.shard_bounds`, so cuts snap to even
-    columns (safe for the pair-byte GF(2^16) kernel) and degenerate
-    requests (``chunks`` > ``block_len``) collapse to fewer, non-empty
-    slices instead of erroring.  ``chunks=1`` yields the whole block.
+    Cuts snap down to even columns (safe for the pair-byte GF(2^16)
+    kernel) and degenerate requests (``chunks`` > ``block_len``) collapse
+    to fewer, non-empty slices instead of erroring.  ``chunks=1`` yields
+    the whole block.
     """
     if block_len < 1:
         raise ValueError(f"block_len must be >= 1, got {block_len}")
     if chunks < 1:
         raise ValueError(f"chunks must be >= 1, got {chunks}")
-    bounds = shard_bounds(block_len, chunks)
+    bounds = [0]
+    for i in range(1, chunks):
+        cut = (block_len * i) // chunks
+        cut -= cut % 2
+        if cut > bounds[-1]:
+            bounds.append(cut)
+    bounds.append(block_len)
     return tuple(
         ChunkSlice(i, lo, hi)
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))

@@ -396,6 +396,23 @@ def test_engine_obs_spans_and_metrics():
     assert m.counter("batch.gf_bytes").value == res.gf_bytes == 3 * 4 * 64
 
 
+def test_engine_error_is_the_same_attached_and_detached():
+    """A group that fails to stack raises its own error and closes its span."""
+    from repro.obs import Observability
+
+    code = get_code(4, 2, 8)
+    blocks = code.encode_stripe(
+        np.random.default_rng(15).integers(0, 256, size=(4, 64)).astype(np.uint8)
+    )
+    ragged = StripeBatchItem(0, (0, 1, 2, 3), (4,), [*blocks[:3], blocks[3][:32]])
+    obs = Observability()
+    for engine in (BatchRepairEngine(code), BatchRepairEngine(code, obs=obs)):
+        with pytest.raises(ValueError, match="could not broadcast"):
+            engine.repair_items([ragged])
+    assert obs.tracer.open_spans() == []
+    assert [s.name for s in obs.tracer.find(cat="batch")] == ["batch:g0"]
+
+
 def test_engine_rejects_wrong_row_count():
     code = get_code(4, 2, 8)
     engine = BatchRepairEngine(code)

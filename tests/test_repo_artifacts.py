@@ -210,11 +210,15 @@ def test_repair_package_never_imports_the_system():
 
 
 def test_deleted_data_plane_names_are_gone():
-    """The workspace batch executor (PR 15) and the coordinator's batched
-    bypass with its compute back-charge (PR 16) were deleted, not deprecated."""
+    """The workspace batch executor (PR 15), the coordinator's batched bypass
+    with its compute back-charge (PR 16) and the process pool with its engine
+    and knobs (PR 20) were deleted, not deprecated."""
     gone = (
         "execute_" + "batch", "Batch" + "RepairRequest", "Batch" + "ExecutionReport",
         "_dispatch_" + "batched", "charge_" + "compute",
+        "Worker" + "Pool", "Parallel" + "RepairEngine", "Pool" + "Stats", "Shard" + "Stat",
+        "resolve_" + "workers", "DEFAULT_MIN_" + "PARALLEL_COLS", "shard_" + "bounds",
+        "min_parallel_" + "cols",
     )
     hits = [
         f"{path.relative_to(REPO)}: {name}"
@@ -225,6 +229,17 @@ def test_deleted_data_plane_names_are_gone():
         if name in path.read_text()
     ]
     assert not hits, hits
+    # every GF plane product is an inline call: nothing in src/ starts a process
+    import re
+
+    forks = [
+        str(rel) for rel, _, text in _src_modules()
+        if re.search(r"^\s*(?:from|import) multiprocessing\b", text, re.M)
+    ]
+    assert not forks, forks
+    from repro.gf.backend import KernelBackend
+
+    assert not hasattr(KernelBackend, "warm")
 
 
 def test_only_the_interpreter_moves_repair_bytes_between_agents():

@@ -26,8 +26,10 @@ behaviour lives now that `batched` selects nothing:
   centers of `plan_multi_node` are `tests/test_repair_multinode.py`.
 * `test_coordinator_caches_and_closes_engines` (`tests/test_parallel_engine.py`):
   the coordinator owns no pool any more (`Coordinator.close` and its engine
-  cache are deleted); `test_repair_rounds_never_touch_the_pool` there pins
-  that a `workers > 1` round stays inline.
+  cache are deleted), and since PR 20 neither does anything else: the process
+  pool is gone and `tests/test_repo_artifacts.py::
+  test_deleted_data_plane_names_are_gone` pins that nothing under `src/`
+  imports `multiprocessing`, so a `workers > 1` round is inline by construction.
 """
 
 import numpy as np

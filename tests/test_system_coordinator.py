@@ -48,6 +48,25 @@ def test_write_duplicate_name_rejected():
         coord.read("nope")
 
 
+def test_write_without_enough_data_nodes_is_refused_before_any_state_changes():
+    """`write` and `place_stripes` refuse a too-narrow system the same way."""
+    coord = make_system(n_data=6)
+    coord.write("kept", payload(100))
+    coord.crash_node(0)
+    files, placements = dict(coord.files), [list(s.placement) for s in coord.layout]
+    stored = {i: len(a.store) for i, a in coord.agents.items()}
+    for refused in (
+        lambda: coord.write("f1", payload(100)),
+        lambda: coord.place_stripes(1),
+    ):
+        with pytest.raises(ValueError, match="5 data nodes cannot host width-6 stripes"):
+            refused()
+    assert coord.files == files
+    assert [list(s.placement) for s in coord.layout] == placements
+    assert {i: len(a.store) for i, a in coord.agents.items()} == stored
+    assert coord.layout.next_id() == len(placements)  # no stripe id was consumed
+
+
 def test_write_distributes_blocks_to_distinct_nodes():
     coord = make_system()
     coord.write("f1", payload(10_000))

@@ -6,8 +6,8 @@ Usage::
     python tools/check_bench_schema.py [path ...]
 
 Defaults to the repo-root ``BENCH_batch.json``, ``BENCH_sched.json``,
-``BENCH_parallel.json``, ``BENCH_serving.json``,
-``BENCH_reliability.json``, and ``BENCH_adaptive.json``.
+``BENCH_serving.json``, ``BENCH_reliability.json``, and
+``BENCH_adaptive.json``.
 Exits non-zero (listing every violation) if a document does not match the
 schema the benchmarks emit, so CI catches a drifting artifact before it is
 uploaded:
@@ -303,7 +303,6 @@ def main(argv: list[str]) -> int:
     paths = [Path(a) for a in argv] or [
         REPO / "BENCH_batch.json",
         REPO / "BENCH_sched.json",
-        REPO / "BENCH_parallel.json",
         REPO / "BENCH_serving.json",
         REPO / "BENCH_reliability.json",
         REPO / "BENCH_adaptive.json",
