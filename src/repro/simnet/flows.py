@@ -15,6 +15,7 @@ analyses group tasks (e.g. ``"cr"`` vs ``"ir"`` sub-plans of HMBR).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -32,12 +33,12 @@ class Flow:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.size_mb < 0:
-            raise ValueError(f"flow {self.task_id}: negative size")
+        if not 0 <= self.size_mb < math.inf:
+            raise ValueError(f"flow {self.task_id}: non-finite or negative size")
         if self.src == self.dst:
             raise ValueError(f"flow {self.task_id}: src == dst == {self.src}")
-        if self.weight <= 0:
-            raise ValueError(f"flow {self.task_id}: weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"flow {self.task_id}: weight must be positive and finite")
         self.deps = tuple(self.deps)
 
     @property
@@ -66,10 +67,10 @@ class PipelineFlow:
             raise ValueError(f"pipeline {self.task_id}: needs >= 2 nodes")
         if len(set(self.path)) != len(self.path):
             raise ValueError(f"pipeline {self.task_id}: repeated node in path")
-        if self.size_mb < 0:
-            raise ValueError(f"pipeline {self.task_id}: negative size")
-        if self.weight <= 0:
-            raise ValueError(f"pipeline {self.task_id}: weight must be positive")
+        if not 0 <= self.size_mb < math.inf:
+            raise ValueError(f"pipeline {self.task_id}: non-finite or negative size")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"pipeline {self.task_id}: weight must be positive and finite")
         self.deps = tuple(self.deps)
 
     @property
@@ -88,8 +89,8 @@ class DelayTask:
     tag: str = ""
 
     def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise ValueError(f"delay {self.task_id}: negative duration")
+        if not 0 <= self.duration_s < math.inf:
+            raise ValueError(f"delay {self.task_id}: non-finite or negative duration")
         self.deps = tuple(self.deps)
 
 

@@ -28,8 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._cbuild import CLibrary
+from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
-from repro.simnet.flows import DelayTask, Task, validate_tasks
+from repro.simnet.dynamic import BandwidthEvent
+from repro.simnet.flows import DelayTask, Flow, PipelineFlow, Task, validate_tasks
 
 _EPS = 1e-12
 
@@ -89,7 +91,7 @@ class SimulationResult:
 
 
 class _Incidence:
-    """Flow x resource incidence (with multiplicity) and its max-min allocator.
+    """Flow x resource incidence (with multiplicity) and the NumPy allocator.
 
     One entry per unit a flow occupies on a resource, **flow-major**
     (``entry_flow`` non-decreasing): a flow crossing a resource twice has two
@@ -97,15 +99,15 @@ class _Incidence:
     sharing: a flow of weight w receives w times the rate of a weight-1
     competitor at a shared bottleneck (background repair is throttled this
     way).  Entry order and the ascending flow order within a resource fix the
-    float operation order of :meth:`rates`, and with it every simulated time
-    (docs/ARCHITECTURE.md, "Fluid simulation").
+    float operation order of :meth:`_fill_numpy`, and with it every simulated
+    time (docs/ARCHITECTURE.md, "Fluid simulation").
     """
 
     def __init__(self, entry_flow, entry_res, weights, n_res: int):
         self.entry_flow = np.ascontiguousarray(entry_flow, dtype=np.int64)
         self.entry_res = np.ascontiguousarray(entry_res, dtype=np.int64)
         self.weights = np.ascontiguousarray(weights, dtype=float)
-        # the compiled kernel indexes with these unchecked
+        # the compiled loop indexes with these unchecked
         for ids, bound in ((self.entry_flow, len(self.weights)), (self.entry_res, n_res)):
             if ids.size and not 0 <= ids.min() <= ids.max() < bound:
                 raise ValueError(f"incidence id outside [0, {bound})")
@@ -122,46 +124,13 @@ class _Incidence:
         first[1:] = (res[1:] != res[:-1]) | (flow[1:] != flow[:-1])
         self.res_flows = flow[first]
         self.res_ptr = _offsets(res[first], n_res)
-        # what the compiled kernel reads, as its leading C arguments (the
-        # int64 / float64 arrays above own the memory and are never rebound)
-        self._c_args = (len(self.weights), n_res) + tuple(
-            a.ctypes.data
-            for a in (self.flow_ptr, self.entry_res, self.entry_weight,
-                      self.weights, self.res_ptr, self.res_flows)
-        )
-
-    def rates(self, active, caps):
-        """Weighted max-min rates (indexed like ``weights``) by progressive
-        filling: repeatedly take the resource with the smallest fair share
-        per unit weight, fix every unfixed ``active`` flow crossing it at
-        that share, and subtract what they consume everywhere they go.
-        Every active flow must have at least one entry; none active gives
-        all zeros.
-
-        Runs the compiled kernel when this host built it and it passed its
-        self-check, else the NumPy loop — bit-identical, nothing selects.
-        """
-        lib = _KERNEL.load()
-        return self._fill_numpy(active, caps) if lib is None else self._fill_c(lib, active, caps)
-
-    def _fill_c(self, lib, active, caps):
-        rates = np.zeros(len(self.weights))
-        # scratch belongs to the call: the mask and the capacities are
-        # copied, then consumed in place as ``unfixed`` and ``left``
-        unfixed = np.array(active, dtype=bool)
-        left = np.array(caps, dtype=float)
-        wsum = np.empty(self.n_res)
-        if unfixed.shape != rates.shape or left.shape != wsum.shape:
-            raise ValueError("active / caps do not match the incidence")
-        stuck = lib.repro_fill(
-            *self._c_args,
-            unfixed.ctypes.data, left.ctypes.data, wsum.ctypes.data, rates.ctypes.data,
-        )
-        if stuck:
-            raise AssertionError("unfixed flows but no contended resource")
-        return rates
 
     def _fill_numpy(self, active, caps):
+        """Weighted max-min rates (indexed like ``weights``) of the flows in
+        the ``active`` mask by progressive filling: repeatedly take the
+        resource with the smallest fair share per unit weight, fix every
+        unfixed active flow crossing it at that share, and subtract what
+        they consume everywhere they go."""
         on = active[self.entry_flow]
         wsum = np.bincount(
             self.entry_res[on], weights=self.entry_weight[on], minlength=self.n_res
@@ -175,7 +144,7 @@ class _Incidence:
             r = int(share.argmin())
             s = float(share[r])
             if not math.isfinite(s):
-                raise AssertionError("unfixed flows but no contended resource")
+                raise AssertionError(_STUCK)
             fl = self.res_flows[self.res_ptr[r] : self.res_ptr[r + 1]]
             fl = fl[unfixed[fl]]
             if fl.size == 0:  # pragma: no cover - defensive against stale counts
@@ -208,41 +177,82 @@ def _gather(ptr, rows):
     return (ptr[rows] - offsets).repeat(lens) + np.arange(lens.sum())
 
 
-#: progressive filling in C, walking ``_Incidence``'s arrays in the float
-#: operation order of ``_Incidence._fill_numpy``: each product and each
+_STUCK = "unfixed flows but no contended resource"
+_DEADLOCK = "deadlock: active flows but no progress possible"
+
+#: the event loop in C: ``_loop_numpy`` step for step over a sorted
+#: active-id list, in the same float operation order — each product and each
 #: subtraction is its own IEEE double operation.  ``left`` and ``wsum`` never
 #: read each other, so updating both per entry equals NumPy's two passes.
 _C_SOURCE = r"""
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #if FLT_EVAL_METHOD != 0
 #error "simulated times need plain IEEE double evaluation (FLT_EVAL_METHOD == 0)"
 #endif
 
-/* in: unfixed = the active mask, left = link capacities, rates = zeros;
- * wsum is scratch.  Returns 1 for "unfixed flows but no contended resource". */
-int repro_fill(int64_t n_flows, int64_t n_res, const int64_t *flow_ptr,
-               const int64_t *entry_res, const double *entry_weight,
-               const double *weights, const int64_t *res_ptr,
-               const int64_t *res_flows, uint8_t *unfixed, double *left,
-               double *wsum, double *rates) {
+#define EPS 1e-12
+
+/* repro_run's return codes; _loop_c mirrors them */
+enum { RUN_DONE, RUN_HORIZON, RUN_EVENT, RUN_STUCK, RUN_DEADLOCK };
+
+static int ascending(const void *a, const void *b) {
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Progressive filling over the flows of act[0..n_act) (ascending; delays
+ * skipped): sets rate[f] of each.  A counting sort over the ascending list
+ * buckets the active flows by resource, ascending and each once, so a call
+ * costs O(active entries + rounds x resources).  Returns 1 for "unfixed
+ * flows but no contended resource". */
+static int fill(int64_t n_res, const int64_t *act, int64_t n_act,
+                const uint8_t *is_delay, const int64_t *flow_ptr,
+                const int64_t *entry_res, const double *entry_weight,
+                const double *weights, const double *caps, double *rate,
+                uint8_t *unfixed, double *left, double *wsum, int64_t *bptr,
+                int64_t *bend, int64_t *bflows) {
     int64_t n_unfixed = 0;
-    for (int64_t r = 0; r < n_res; r++)
+    bptr[0] = 0;
+    for (int64_t r = 0; r < n_res; r++) {
+        left[r] = caps[r];
         wsum[r] = 0.0;
-    for (int64_t f = 0; f < n_flows; f++) {
-        if (!unfixed[f])
+        bptr[r + 1] = 0;
+    }
+    for (int64_t i = 0; i < n_act; i++) {
+        int64_t f = act[i];
+        if (is_delay[f])
             continue;
+        unfixed[f] = 1;
         n_unfixed++;
-        for (int64_t e = flow_ptr[f]; e < flow_ptr[f + 1]; e++)
+        for (int64_t e = flow_ptr[f]; e < flow_ptr[f + 1]; e++) {
             wsum[entry_res[e]] += entry_weight[e];
+            bptr[entry_res[e] + 1]++;
+        }
+    }
+    for (int64_t r = 0; r < n_res; r++) {
+        bptr[r + 1] += bptr[r];
+        bend[r] = bptr[r];
+    }
+    for (int64_t i = 0; i < n_act; i++) {
+        int64_t f = act[i];
+        if (is_delay[f])
+            continue;
+        /* a flow's entries are walked together: a repeat is the bucket's last */
+        for (int64_t e = flow_ptr[f]; e < flow_ptr[f + 1]; e++) {
+            int64_t r = entry_res[e];
+            if (bend[r] == bptr[r] || bflows[bend[r] - 1] != f)
+                bflows[bend[r]++] = f;
+        }
     }
     while (n_unfixed) {
         int64_t best = -1, fixed = 0;
         double s = INFINITY;
         for (int64_t r = 0; r < n_res; r++) { /* argmin: first minimum, NaN wins */
-            double share = wsum[r] > 1e-12 ? left[r] / wsum[r] : INFINITY;
+            double share = wsum[r] > EPS ? left[r] / wsum[r] : INFINITY;
             if (share != share) {
                 best = r;
                 s = share;
@@ -257,13 +267,13 @@ int repro_fill(int64_t n_flows, int64_t n_res, const int64_t *flow_ptr,
             return 1;
         if (s < 0.0)
             s = 0.0;
-        for (int64_t j = res_ptr[best]; j < res_ptr[best + 1]; j++) {
-            int64_t f = res_flows[j];
+        for (int64_t j = bptr[best]; j < bend[best]; j++) {
+            int64_t f = bflows[j];
             if (!unfixed[f])
                 continue;
             unfixed[f] = 0;
             fixed++;
-            rates[f] = s * weights[f];
+            rate[f] = s * weights[f];
             for (int64_t e = flow_ptr[f]; e < flow_ptr[f + 1]; e++) {
                 left[entry_res[e]] -= s * entry_weight[e];
                 wsum[entry_res[e]] -= entry_weight[e];
@@ -280,33 +290,142 @@ int repro_fill(int64_t n_flows, int64_t n_res, const int64_t *flow_ptr,
     }
     return 0;
 }
+
+/* Advance the run until the active set empties (RUN_DONE), the clock
+ * reaches the horizon (RUN_HORIZON) or an event is due (RUN_EVENT) — all
+ * three at the loop top, where re-entry resumes.  st = [n_act, n_updates];
+ * clock = [now, next event time, horizon], a NaN time being none: it
+ * compares false, so it neither fires nor clamps. */
+int repro_run(int64_t n_res, const uint8_t *is_delay, const int64_t *dep_ptr,
+              const int64_t *dependents, const int64_t *flow_ptr,
+              const int64_t *entry_res, const double *entry_weight,
+              const double *weights, const double *caps, double *remaining,
+              int64_t *n_deps_left, double *start, double *finish,
+              int64_t *act, int64_t *st, double *clock, double *rate,
+              uint8_t *unfixed, double *left, double *wsum, int64_t *bptr,
+              int64_t *bend, int64_t *bflows, int64_t *ready) {
+    int64_t n_act = st[0];
+    double now = clock[0];
+    const double t_event = clock[1], horizon = clock[2];
+    int code;
+    for (;;) {
+        if (!n_act) {
+            code = RUN_DONE;
+            break;
+        }
+        if (now >= horizon - EPS) {
+            code = RUN_HORIZON;
+            break;
+        }
+        if (t_event <= now + EPS) {
+            code = RUN_EVENT;
+            break;
+        }
+        /* complete the zero-remaining tasks (stable compaction, never a
+         * swap) and merge the dependents they were the last to block */
+        int64_t kept = 0, n_ready = 0;
+        for (int64_t i = 0; i < n_act; i++) {
+            int64_t f = act[i];
+            if (!(remaining[f] <= EPS)) {
+                act[kept++] = f;
+                continue;
+            }
+            finish[f] = now;
+            for (int64_t j = dep_ptr[f]; j < dep_ptr[f + 1]; j++) {
+                int64_t g = dependents[j];
+                if (--n_deps_left[g] == 0) {
+                    start[g] = now;
+                    ready[n_ready++] = g;
+                }
+            }
+        }
+        if (kept < n_act) {
+            qsort(ready, (size_t)n_ready, sizeof *ready, ascending);
+            for (int64_t i = kept - 1, j = n_ready - 1, k = kept + n_ready - 1; j >= 0; k--)
+                act[k] = (i >= 0 && act[i] > ready[j]) ? act[i--] : ready[j--];
+            n_act = kept + n_ready;
+            continue;
+        }
+        if (fill(n_res, act, n_act, is_delay, flow_ptr, entry_res, entry_weight,
+                 weights, caps, rate, unfixed, left, wsum, bptr, bend, bflows)) {
+            code = RUN_STUCK;
+            break;
+        }
+        st[1]++;
+        /* time to the first completion; a starved flow waits */
+        double dt = INFINITY;
+        int moving = 0;
+        for (int64_t i = 0; i < n_act; i++) {
+            int64_t f = act[i];
+            double speed = is_delay[f] ? 1.0 : rate[f];
+            if (speed > EPS) {
+                double t = remaining[f] / speed;
+                if (!moving || t < dt)
+                    dt = t;
+                moving = 1;
+            }
+        }
+        if (!moving) {
+            code = RUN_DEADLOCK;
+            break;
+        }
+        /* dt = min(dt, max(limit - now, EPS)), Python's min / max exactly */
+        double cap = t_event - now;
+        cap = EPS > cap ? EPS : cap;
+        if (cap < dt)
+            dt = cap;
+        cap = horizon - now;
+        cap = EPS > cap ? EPS : cap;
+        if (cap < dt)
+            dt = cap;
+        for (int64_t i = 0; i < n_act; i++) {
+            int64_t f = act[i];
+            double left_f = remaining[f] - (is_delay[f] ? 1.0 : rate[f]) * dt;
+            remaining[f] = left_f < EPS ? 0.0 : left_f;
+        }
+        now += dt;
+    }
+    st[0] = n_act;
+    clock[0] = now;
+    return code;
+}
 """
 #: the only flag set.  ``-ffp-contract=off`` forbids fusing ``left -= s * w``
 #: into one FMA, which rounds once instead of twice and moves finish times
 #: whenever a product is inexact; ``-march=native`` / ``-O3`` / ``-ffast-math``
 #: license exactly that fusion or reassociation (docs/ARCHITECTURE.md)
 _C_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+_RUN_EVENT = 2
+_RUN_ERRORS = {3: _STUCK, 4: _DEADLOCK}
 
 
 def _bind_kernel(lib) -> None:
-    """Declare ``repro_fill``, then prove it on this host: one fixed problem
-    with non-dyadic weights (inexact products, so a fused or reordered build
-    shows) must solve ``==`` to the NumPy loop or the kernel stays unbound."""
-    lib.repro_fill.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
-    lib.repro_fill.restype = ctypes.c_int
-    flow = np.arange(24)
-    inc = _Incidence(
-        np.repeat(flow, 3),
-        np.stack([flow % 7, (3 * flow + 1) % 7, flow // 4]).T.ravel(),
-        np.array([0.3, 1.0, 1.7])[flow % 3],
-        n_res=7,
-    )
-    active, caps = flow % 5 != 0, 10.0 + 7.3 * np.arange(7)
-    if not np.array_equal(inc._fill_c(lib, active, caps), inc._fill_numpy(active, caps)):
-        raise RuntimeError("self-check failed: kernel and NumPy rates differ")
+    """Declare ``repro_run``, then prove it on this host: one fixed problem
+    must solve ``==`` to the NumPy loop or the kernel stays unbound.  Its
+    weights are non-dyadic (inexact products, so a fused or reordered build
+    shows); it has a delay, a two-level dependency chain, a task whose two
+    dependencies finish at the same instant, a bandwidth event and a horizon.
+    """
+    lib.repro_run.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 23
+    lib.repro_run.restype = ctypes.c_int
+    cluster = Cluster(Node(i, 100.0 + 7.3 * (i % 3), 90.0 + 3.1 * i) for i in range(6))
+    tasks = [
+        Flow("a", 0, 2, 24.0, weight=0.3),  # a and b are mirror images
+        Flow("b", 3, 2, 24.0, weight=0.3),
+        Flow("c", 0, 4, 40.0, weight=1.7),
+        Flow("d", 3, 5, 40.0, weight=1.7),
+        DelayTask("z", 0.37, deps=("c",)),
+        PipelineFlow("e", (2, 1, 5), 11.1, deps=("a", "b")),
+        Flow("f", 1, 0, 7.7, deps=("e", "z"), weight=0.3),
+    ]
+    prob = _Problem(tasks, cluster)
+    events = [BandwidthEvent(0.21, 2, downlink=55.5)]
+    want = _solve(prob, prob.base, events, 1.25, False, None)
+    if _solve(prob, prob.base, events, 1.25, False, lib) != want:
+        raise RuntimeError("self-check failed: compiled and NumPy loops differ")
 
 
-_KERNEL = CLibrary("fluidfill", _C_SOURCE, 1, [_C_FLAGS], _bind_kernel)
+_KERNEL = CLibrary("fluidloop", _C_SOURCE, 1, [_C_FLAGS], _bind_kernel)
 
 
 class _Problem:
@@ -326,8 +445,8 @@ class _Problem:
         )
         # dependency DAG: in-degrees plus the dependents of each task as CSR
         dep_of = np.fromiter((index[d] for t in tasks for d in t.deps), np.int64)
-        dep_by = np.repeat(np.arange(n), [len(t.deps) for t in tasks])
-        self.n_deps = np.bincount(dep_by, minlength=n)
+        dep_by = np.repeat(np.arange(n, dtype=np.int64), [len(t.deps) for t in tasks])
+        self.n_deps = np.bincount(dep_by, minlength=n).astype(np.int64)
         order = np.argsort(dep_of, kind="stable")
         self.dependents = dep_by[order]
         self.dep_ptr = _offsets(dep_of[order], n)
@@ -375,6 +494,147 @@ class _Problem:
     def __len__(self) -> int:
         return len(self.tasks)
 
+    def c_args(self) -> tuple:
+        """``repro_run``'s leading arguments: the resource count and the
+        problem's read-only arrays (which own the memory and are never
+        rebound), looked up once per problem."""
+        if "_c_args" not in vars(self):
+            inc = self.incidence
+            self._c_args = (len(self.caps),) + tuple(
+                a.ctypes.data
+                for a in (self.is_delay, self.dep_ptr, self.dependents, inc.flow_ptr,
+                          inc.entry_res, inc.entry_weight, inc.weights)
+            )
+        return self._c_args
+
+
+class _Run:
+    """The state one run advances, which both loop bodies read and write:
+    per-task ``remaining / n_deps_left / start / finish``, the capacities,
+    the clock, the event cursor and the trace."""
+
+    def __init__(self, prob: _Problem, volume, events, horizon_s, record_trace: bool):
+        n = len(prob)
+        self.caps = prob.caps.copy()
+        self.remaining = volume.copy()
+        self.n_deps_left = prob.n_deps.copy()
+        self.start = np.full(n, np.nan)
+        self.start[self.n_deps_left == 0] = 0.0
+        self.finish = np.full(n, np.nan)
+        self.now = 0.0
+        self.n_updates = 0
+        self.horizon_s = horizon_s
+        self.trace: list[tuple[float, float, dict[str, float]]] | None = (
+            [] if record_trace else None
+        )
+        # events are drained through an index cursor: ``list.pop(0)`` is
+        # O(n) per event, quadratic over the dense event streams the repair
+        # scheduler emits (one boundary per job arrival / bandwidth change)
+        self.events = sorted(events, key=lambda e: e.time)
+        self.next_event = 0
+        # BandwidthEvent.capacity_updates speaks string keys ("up:3")
+        self.res_of_key = (
+            {f"{kind}:{ident}": r for r, (kind, ident) in enumerate(prob.res_names)}
+            if self.events
+            else {}
+        )
+
+    def next_event_time(self) -> float | None:
+        """When the next unapplied event fires; None when none is left."""
+        return self.events[self.next_event].time if self.next_event < len(self.events) else None
+
+    def apply_due_events(self) -> None:
+        """Apply every bandwidth event due at ``now``."""
+        while self.next_event < len(self.events) and self.events[self.next_event].time <= self.now + _EPS:
+            for key, cap in self.events[self.next_event].capacity_updates().items():
+                if key in self.res_of_key:
+                    self.caps[self.res_of_key[key]] = cap
+            self.next_event += 1
+
+
+def _loop_numpy(prob: _Problem, run: _Run) -> None:
+    """The event loop on a host without the compiled one, and for a traced
+    run: each step is a vector expression over the active set."""
+    is_delay, horizon_s, remaining = prob.is_delay, run.horizon_s, run.remaining
+    is_flow = ~is_delay
+    active = run.n_deps_left == 0
+    act = np.flatnonzero(active)
+    while act.size:
+        if horizon_s is not None and run.now >= horizon_s - _EPS:
+            break
+        run.apply_due_events()
+        now = run.now
+        # complete all zero-remaining tasks immediately (no time passes)
+        # and start the dependents they were the last to block
+        done = act[remaining[act] <= _EPS]
+        if done.size:
+            active[done] = False
+            run.finish[done] = now
+            unblocked = prob.dependents[_gather(prob.dep_ptr, done)]
+            np.subtract.at(run.n_deps_left, unblocked, 1)
+            ready = unblocked[run.n_deps_left[unblocked] == 0]
+            active[ready] = True
+            run.start[ready] = now
+            act = np.flatnonzero(active)
+            continue
+        flows = active & is_flow
+        rate = prob.incidence._fill_numpy(flows, run.caps)
+        rate[is_delay] = 1.0
+        run.n_updates += 1
+        # time to the first completion; a starved flow (rate 0) waits for
+        # another completion to free capacity
+        left, speed = remaining[act], rate[act]
+        moving = speed > _EPS
+        if not moving.any():
+            raise AssertionError(_DEADLOCK)
+        dt = float((left[moving] / speed[moving]).min())
+        # never integrate past the next bandwidth event or the horizon
+        t_event = run.next_event_time()
+        if t_event is not None:
+            dt = min(dt, max(t_event - now, _EPS))
+        if horizon_s is not None:
+            dt = min(dt, max(horizon_s - now, _EPS))
+        if run.trace is not None:
+            run.trace.append((now, now + dt, _by_id(prob.ids, rate, flows)))
+        # advance
+        left = left - speed * dt
+        left[left < _EPS] = 0.0
+        remaining[act] = left
+        run.now = now + dt
+
+
+def _loop_c(lib, prob: _Problem, run: _Run) -> None:
+    """The event loop in ``repro_run``, re-entered from Python only to apply
+    due events."""
+    n, n_res = len(prob), len(prob.caps)
+    first = np.flatnonzero(run.n_deps_left == 0)
+    act = np.zeros(n, np.int64)  # room for every task; the C loop keeps it sorted
+    act[: first.size] = first
+    st = np.array([first.size, 0], dtype=np.int64)
+    clock = np.array([run.now, math.nan, math.nan if run.horizon_s is None else run.horizon_s])
+    scratch = (  # rate, unfixed, left, wsum, bucket ptr / end / flows, ready
+        np.empty(n), np.zeros(n, np.uint8), np.empty(n_res), np.empty(n_res),
+        np.empty(n_res + 1, np.int64), np.empty(n_res, np.int64),
+        np.empty(len(prob.incidence.entry_res), np.int64), np.empty(n, np.int64),
+    )
+    args = prob.c_args() + tuple(
+        a.ctypes.data
+        for a in (run.caps, run.remaining, run.n_deps_left, run.start, run.finish,
+                  act, st, clock, *scratch)
+    )
+    while True:
+        t_event = run.next_event_time()
+        clock[1] = math.nan if t_event is None else t_event
+        code = lib.repro_run(*args)
+        run.now = float(clock[0])
+        if code == _RUN_EVENT:
+            run.apply_due_events()
+        elif code in _RUN_ERRORS:
+            raise AssertionError(_RUN_ERRORS[code])
+        else:
+            break
+    run.n_updates = int(st[1])
+
 
 def _by_id(ids: list[str], values, keep) -> dict[str, float]:
     """task id -> Python float for the tasks selected by the ``keep`` mask."""
@@ -386,6 +646,34 @@ def _per_node(nodes, mb) -> dict[int, float]:
     """node -> MB summed in input order (bincount accumulates sequentially)."""
     ids, pos = np.unique(nodes, return_inverse=True)
     return dict(zip(ids.tolist(), np.bincount(pos, weights=mb, minlength=len(ids)).tolist()))
+
+
+def _solve(prob: _Problem, volume, events, horizon_s, record_trace: bool, lib) -> SimulationResult:
+    """One run of ``prob`` at ``volume``: the compiled loop when ``lib`` is
+    the bound kernel, else the NumPy loop — bit-identical.  A traced run
+    takes the NumPy loop, which builds the trace as it goes."""
+    run = _Run(prob, volume, events, horizon_s, record_trace)
+    if lib is None or record_trace:
+        _loop_numpy(prob, run)
+    else:
+        _loop_c(lib, prob, run)
+    finished = ~np.isnan(run.finish)
+    if horizon_s is None and not finished.all():
+        raise AssertionError("simulation ended with unscheduled tasks (dependency cycle?)")
+    # traffic of the finished tasks, summed in task order
+    sent = finished[prob.hop_task]
+    mb = volume[prob.hop_task[sent]]
+    return SimulationResult(
+        makespan=run.now,
+        finish_times=_by_id(prob.ids, run.finish, finished),
+        start_times=_by_id(prob.ids, run.start, ~np.isnan(run.start)),
+        bytes_sent=_per_node(prob.hop_src[sent], mb),
+        bytes_received=_per_node(prob.hop_dst[sent], mb),
+        cross_rack_mb=float(mb[prob.hop_cross[sent]].sum()),
+        n_rate_updates=run.n_updates,
+        trace=run.trace,
+        remaining_mb=_by_id(prob.ids, run.remaining, ~finished) if horizon_s is not None else {},
+    )
 
 
 class FluidSimulator:
@@ -476,108 +764,17 @@ class FluidSimulator:
         unaffected — timestamps are read from the finished schedule.
         """
         prob = tasks if isinstance(tasks, _Problem) else self.compile(tasks)
-        n = len(prob)
         if sizes is None:
             volume = prob.base
         else:
             volume = np.asarray(sizes, dtype=float)
-            if volume.shape != (n,):
-                raise ValueError(f"sizes has shape {volume.shape}, expected ({n},)")
-            if not (volume >= 0).all():
-                raise ValueError("sizes must be non-negative")
-        trace: list[tuple[float, float, dict[str, float]]] | None = (
-            [] if record_trace else None
-        )
-        # events are drained through an index cursor: ``list.pop(0)`` is
-        # O(n) per event, quadratic over the dense event streams the repair
-        # scheduler emits (one boundary per job arrival / bandwidth change)
-        pending_events = sorted(events, key=lambda e: e.time)
-        next_event = 0
-        # BandwidthEvent.capacity_updates speaks string keys ("up:3")
-        res_of_key = (
-            {f"{kind}:{ident}": r for r, (kind, ident) in enumerate(prob.res_names)}
-            if pending_events
-            else {}
-        )
-        caps = prob.caps.copy()
-        is_delay, ids = prob.is_delay, prob.ids
-        is_flow = ~is_delay
-        remaining = volume.copy()
-        n_deps_left = prob.n_deps.copy()
-        active = n_deps_left == 0
-        start = np.full(n, np.nan)
-        start[active] = 0.0
-        finish = np.full(n, np.nan)
-        now = 0.0
-        n_updates = 0
-
-        act = np.flatnonzero(active)
-        while act.size:
-            if horizon_s is not None and now >= horizon_s - _EPS:
-                break
-            # apply any bandwidth events that are due
-            while next_event < len(pending_events) and pending_events[next_event].time <= now + _EPS:
-                for key, cap in pending_events[next_event].capacity_updates().items():
-                    if key in res_of_key:
-                        caps[res_of_key[key]] = cap
-                next_event += 1
-            # complete all zero-remaining tasks immediately (no time passes)
-            # and start the dependents they were the last to block
-            done = act[remaining[act] <= _EPS]
-            if done.size:
-                active[done] = False
-                finish[done] = now
-                unblocked = prob.dependents[_gather(prob.dep_ptr, done)]
-                np.subtract.at(n_deps_left, unblocked, 1)
-                ready = unblocked[n_deps_left[unblocked] == 0]
-                active[ready] = True
-                start[ready] = now
-                act = np.flatnonzero(active)
-                continue
-            flows = active & is_flow
-            rate = prob.incidence.rates(flows, caps)
-            rate[is_delay] = 1.0
-            n_updates += 1
-            # time to the first completion; a starved flow (rate 0) waits for
-            # another completion to free capacity
-            left, speed = remaining[act], rate[act]
-            moving = speed > _EPS
-            if not moving.any():
-                raise AssertionError("deadlock: active flows but no progress possible")
-            dt = float((left[moving] / speed[moving]).min())
-            # never integrate past the next bandwidth event or the horizon
-            if next_event < len(pending_events):
-                dt = min(dt, max(pending_events[next_event].time - now, _EPS))
-            if horizon_s is not None:
-                dt = min(dt, max(horizon_s - now, _EPS))
-            if trace is not None:
-                trace.append((now, now + dt, _by_id(ids, rate, flows)))
-            # advance
-            left = left - speed * dt
-            left[left < _EPS] = 0.0
-            remaining[act] = left
-            now += dt
-
-        finished = ~np.isnan(finish)
-        if horizon_s is None and not finished.all():
-            raise AssertionError("simulation ended with unscheduled tasks (dependency cycle?)")
-
-        finish_times = _by_id(ids, finish, finished)
-        start_times = _by_id(ids, start, ~np.isnan(start))
+            if volume.shape != (len(prob),):
+                raise ValueError(f"sizes has shape {volume.shape}, expected ({len(prob)},)")
+            if not np.isfinite(volume).all() or (volume < 0).any():
+                raise ValueError("sizes must be non-negative and finite")
+        res = _solve(prob, volume, events, horizon_s, record_trace, _KERNEL.load())
         if tracer is not None:
-            self._emit_spans(tracer, trace_label, prob, volume, start_times, finish_times, now)
-
-        # traffic of the finished tasks, summed in task order
-        sent = finished[prob.hop_task]
-        mb = volume[prob.hop_task[sent]]
-        return SimulationResult(
-            makespan=now,
-            finish_times=finish_times,
-            start_times=start_times,
-            bytes_sent=_per_node(prob.hop_src[sent], mb),
-            bytes_received=_per_node(prob.hop_dst[sent], mb),
-            cross_rack_mb=float(mb[prob.hop_cross[sent]].sum()),
-            n_rate_updates=n_updates,
-            trace=trace,
-            remaining_mb=_by_id(ids, remaining, ~finished) if horizon_s is not None else {},
-        )
+            self._emit_spans(
+                tracer, trace_label, prob, volume, res.start_times, res.finish_times, res.makespan
+            )
+        return res

@@ -169,18 +169,21 @@ class Coordinator:
         if name in self.files:
             raise KeyError(f"file {name!r} already exists")
         buf = np.frombuffer(data, dtype=np.uint8) if isinstance(data, bytes) else np.asarray(data, dtype=np.uint8)
+        buf = buf.reshape(-1)
         k = self.code.k
         stripe_payload = k * self.block_bytes
         padded = int(np.ceil(max(buf.size, 1) / stripe_payload)) * stripe_payload
-        full = np.zeros(padded, dtype=np.uint8)
-        full[: buf.size] = buf
         candidates = self.data_nodes()
-        stripe_ids = [
-            self._new_stripe(
-                candidates, full[off : off + stripe_payload].reshape(k, self.block_bytes)
+        stripe_ids = []
+        # stripe-sized views of the caller's buffer (encoding copies them);
+        # only a short tail stripe is zero-padded into its own array
+        for off in range(0, padded, stripe_payload):
+            chunk = buf[off : off + stripe_payload]
+            if chunk.size < stripe_payload:
+                chunk = np.concatenate((chunk, np.zeros(stripe_payload - chunk.size, np.uint8)))
+            stripe_ids.append(
+                self._new_stripe(candidates, chunk.reshape(k, self.block_bytes))
             )
-            for off in range(0, padded, stripe_payload)
-        ]
         self.files[name] = (stripe_ids, buf.size)
         return WriteReceipt(name, buf.size, stripe_ids, padded)
 

@@ -415,7 +415,7 @@ def array_rates(res_keys, caps, flows, weights=None) -> dict[str, float]:
         [(weights or {}).get(tid, 1.0) for tid in tids],
         len(res_keys),
     )
-    rates = incidence.rates(
+    rates = incidence._fill_numpy(
         np.ones(len(tids), dtype=bool), np.array([caps[r] for r in res_keys])
     )
     return dict(zip(tids, rates.tolist()))

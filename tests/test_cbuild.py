@@ -1,6 +1,6 @@
 """Losing the C toolchain never changes a result (ROADMAP 5(b)).
 
-Both compiled kernels — the GF plane product and the fluid solver's filling
+Both compiled kernels — the GF plane product and the fluid solver's event
 loop — are built, cached and loaded by ``repro._cbuild.CLibrary``.  Every way
 that can fail must end on the NumPy path with bit-identical results, the
 reason kept for ``build_info()``, no temp file left in the cache and nothing
@@ -30,7 +30,7 @@ needs_cc = pytest.mark.skipif(cbuild._find_compiler() is None, reason="no C comp
 # --------------------------------------------------------------------- #
 def _fluid_result():
     cluster, tasks, events, _ = random_instance(11)
-    return FluidSimulator(cluster).run(tasks, events=events, record_trace=True)
+    return FluidSimulator(cluster).run(tasks, events=events)  # untraced: the compiled loop
 
 
 class _FluidKernel:
@@ -39,7 +39,7 @@ class _FluidKernel:
     def __init__(self, monkeypatch, request):
         self.want = _fluid_result()  # on whatever this host bound
         self.lib = cbuild.CLibrary(
-            "fluidfill", fluid._C_SOURCE, 1, [fluid._C_FLAGS], fluid._bind_kernel
+            fluid._KERNEL.name, fluid._C_SOURCE, 1, [fluid._C_FLAGS], fluid._bind_kernel
         )
         monkeypatch.setattr(fluid, "_KERNEL", self.lib)
 

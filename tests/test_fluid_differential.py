@@ -7,13 +7,14 @@ rewrite kept every float operation in the same order, so all *times* must be
 counters, which the predecessor summed in ``set[str]`` iteration order, get a
 1e-9 tolerance.
 
-Every such comparison runs once per allocator behind ``_Incidence.rates``: the
-compiled kernel when this host bound it, and the NumPy loop with the kernel's
+Every such comparison runs once per event-loop body: the compiled loop
+(``repro_run``) when this host bound it, and the NumPy loop with the kernel's
 handle unbound (``tests.conftest.unbound_kernel``).  Weights include 0.3 and
 1.7: with dyadic weights every ``s * w`` is exact and a kernel that fuses
 ``left -= s * w`` into one FMA would pass.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from repro.repair.rackaware import _build_rack_aware_cr, _build_tree_ir
 from repro.repair.split import search_split
 from repro.simnet.dynamic import BandwidthEvent
 from repro.simnet.flows import DelayTask, Flow, PipelineFlow
+from repro.simnet import fluid
 from repro.simnet.fluid import FluidSimulator, _Incidence
 from tests.conftest import unbound_kernel
 from tests.fluid_reference import (
@@ -45,8 +47,8 @@ from tests.seeds import DEFAULT_MASTER_SEED, seed_fanout
 
 
 KERNEL = FluidSimulator.allocator_info()
-#: allocator kind -> context that makes ``_Incidence.rates`` run it
-ALLOCATORS = {"numpy": unbound_kernel} | ({"c": nullcontext} if KERNEL["available"] else {})
+#: loop body kind -> context that makes ``FluidSimulator.run`` use it
+BODIES = {"numpy": unbound_kernel} | ({"c": nullcontext} if KERNEL["available"] else {})
 needs_kernel = pytest.mark.skipif(
     not KERNEL["available"], reason=f"solver kernel unavailable: {KERNEL['error']}"
 )
@@ -54,9 +56,10 @@ needs_kernel = pytest.mark.skipif(
 
 @needs_kernel
 def test_the_kernel_is_the_bound_allocator(monkeypatch):
-    """On a host with a C compiler the comparisons below cover both
-    allocators; without one this skip carries the recorded build error."""
-    monkeypatch.setattr(_Incidence, "_fill_numpy", lambda *a: pytest.fail("NumPy loop ran"))
+    """On a host with a C compiler the comparisons below cover both loop
+    bodies; without one this skip carries the recorded build error."""
+    monkeypatch.setattr(fluid, "_loop_numpy", lambda *a: pytest.fail("NumPy loop ran"))
+    monkeypatch.setattr(_Incidence, "_fill_numpy", lambda *a: pytest.fail("NumPy fill ran"))
     assert KERNEL["kind"] == "c" and os.path.exists(KERNEL["path"])
     assert FluidSimulator.allocator_info() == KERNEL
     cluster, tasks, events, _ = random_instance(3)
@@ -66,7 +69,7 @@ def test_the_kernel_is_the_bound_allocator(monkeypatch):
 def test_unbinding_the_kernel_runs_the_numpy_loop(numpy_allocator, monkeypatch):
     """What every "numpy" half below relies on: with the handle unbound the
     C body is never entered, and ``allocator_info`` says so."""
-    monkeypatch.setattr(_Incidence, "_fill_c", lambda *a: pytest.fail("kernel ran"))
+    monkeypatch.setattr(fluid, "_loop_c", lambda *a: pytest.fail("kernel ran"))
     assert FluidSimulator.allocator_info()["kind"] == "numpy"
     cluster, tasks, events, _ = random_instance(3)
     assert FluidSimulator(cluster).run(tasks, events=events).n_rate_updates > 0
@@ -131,29 +134,87 @@ def random_instance(seed: int):
 
 
 def assert_same_run(cluster, tasks, events=(), horizon=None):
+    """Each loop body, untraced, and a traced run (which takes the NumPy
+    loop) against the reference."""
     ref = ReferenceFluidSimulator(cluster).run(
         tasks, events=events, record_trace=True, horizon_s=horizon
     )
-    for kind, bound in ALLOCATORS.items():
-        with bound():
-            new = FluidSimulator(cluster).run(
-                tasks, events=events, record_trace=True, horizon_s=horizon
-            )
+    runs = {"traced": lambda: FluidSimulator(cluster).run(
+        tasks, events=events, record_trace=True, horizon_s=horizon
+    )}
+    for kind, bound in BODIES.items():
+        def untraced(bound=bound):
+            with bound():
+                return FluidSimulator(cluster).run(tasks, events=events, horizon_s=horizon)
+        runs[kind] = untraced
+    for kind, run in runs.items():
+        new = run()
         assert new.makespan == ref.makespan, kind
         assert new.finish_times == ref.finish_times, kind
         assert new.start_times == ref.start_times, kind
         assert new.n_rate_updates == ref.n_rate_updates, kind
         assert new.remaining_mb == ref.remaining_mb, kind
-        assert new.trace == ref.trace, kind
+        assert new.trace == (ref.trace if kind == "traced" else None), kind
         assert new.bytes_sent == pytest.approx(ref.bytes_sent, rel=1e-9, abs=1e-9)
         assert new.bytes_received == pytest.approx(ref.bytes_received, rel=1e-9, abs=1e-9)
         assert new.cross_rack_mb == pytest.approx(ref.cross_rack_mb, rel=1e-9, abs=1e-9)
-    return new
 
 
 @pytest.mark.parametrize("seed", seed_fanout(DEFAULT_MASTER_SEED, 60))
 def test_random_dags_match_the_reference_bit_for_bit(seed):
     assert_same_run(*random_instance(seed))
+
+
+def serve_shaped_instance():
+    """A serving wave in miniature: hundreds of no-dependency arrival delays,
+    each fanning into chunk flows to a gateway and a decode delay, beside
+    chains of background repair flows at weights below 1.  The active set
+    is mostly delays."""
+    rng = np.random.default_rng(7)
+    cluster = Cluster.homogeneous(10, 100.0)
+    tasks = []
+    for op in range(240):
+        gateway = int(rng.integers(10))
+        arrival = f"op{op}:arr"
+        tasks.append(DelayTask(arrival, float(np.round(rng.uniform(0.0, 30.0), 2))))
+        chunks = []
+        for c, src in enumerate(rng.choice([n for n in range(10) if n != gateway], 2, replace=False)):
+            chunks.append(f"op{op}:c{c}")
+            tasks.append(Flow(chunks[-1], int(src), gateway, 0.25, deps=(arrival,)))
+        tasks.append(DelayTask(f"op{op}:dec", 0.003, node=gateway, deps=tuple(chunks)))
+    for j in range(12):
+        prev = ()
+        for b in range(4):
+            src, dst = (int(v) for v in rng.choice(10, 2, replace=False))
+            tasks.append(Flow(f"bg{j}:{b}", src, dst, 64.0, deps=prev, weight=(0.25, 0.3)[j % 2]))
+            prev = (f"bg{j}:{b}",)
+    return cluster, tasks
+
+
+def _shaped(name):
+    if name == "serve-shaped":
+        return (*serve_shaped_instance(), (), None)
+    if name == "events-horizon-trace":
+        cluster, tasks = serve_shaped_instance()
+        events = [BandwidthEvent(time=t, node=n, uplink=u, downlink=u)
+                  for t, n, u in ((0.0, 3, 40.0), (2.5, 7, 12.5), (9.0, 3, 250.0))]
+        return cluster, tasks, events, 11.3
+    cluster, tasks, events, _ = random_instance(3)
+    if name == "all-zero-sizes":
+        zero = [dataclasses.replace(t, **{"duration_s" if isinstance(t, DelayTask) else "size_mb": 0.0})
+                for t in tasks]
+        return cluster, zero, events, None
+    assert name == "delays-only"
+    delays = [DelayTask(f"d{i}", 0.1 * (i % 4), deps=(f"d{i // 2}",) if i else ()) for i in range(20)]
+    return cluster, delays, events, None
+
+
+@pytest.mark.parametrize(
+    "name", ["serve-shaped", "events-horizon-trace", "all-zero-sizes", "delays-only"]
+)
+def test_shaped_instances_match_the_reference(name):
+    """Shapes the random generator rarely draws, through both loop bodies."""
+    assert_same_run(*_shaped(name))
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,13 +226,14 @@ def test_random_dags_match_the_reference_property(seed):
 def test_results_are_python_floats_in_task_order():
     """No NumPy scalar leaks into a result (``repr`` shows up in reports)."""
     cluster, tasks, events, _ = random_instance(7)
-    res = FluidSimulator(cluster).run(tasks, events=events, record_trace=True, horizon_s=0.4)
-    assert type(res.makespan) is float
-    assert type(res.cross_rack_mb) is float
-    for mapping in (res.finish_times, res.start_times, res.remaining_mb,
-                    res.bytes_sent, res.bytes_received):
-        assert all(type(v) is float for v in mapping.values())
-    assert all(type(k) is int for k in res.bytes_sent)
+    for traced in (False, True):  # the loop bodies both write results
+        res = FluidSimulator(cluster).run(tasks, events=events, record_trace=traced, horizon_s=0.4)
+        assert type(res.makespan) is float
+        assert type(res.cross_rack_mb) is float
+        for mapping in (res.finish_times, res.start_times, res.remaining_mb,
+                        res.bytes_sent, res.bytes_received):
+            assert all(type(v) is float for v in mapping.values())
+        assert all(type(k) is int for k in res.bytes_sent)
     for t0, t1, rates in res.trace:
         assert type(t0) is float and type(t1) is float
         assert all(type(v) is float for v in rates.values())
@@ -215,10 +277,11 @@ def test_compiled_problem_reruns_without_leaking_state():
     sim = FluidSimulator(cluster)
     problem = sim.compile(tasks)
     assert len(problem) == len(tasks)
-    first = sim.run(problem, events=events, record_trace=True)
-    sim.run(problem, events=events, horizon_s=0.1, sizes=np.full(len(tasks), 3.0))
-    again = sim.run(problem, events=events, record_trace=True)
-    assert again == first == sim.run(tasks, events=events, record_trace=True)
+    for traced in (False, True):  # the compiled loop, then the NumPy one
+        first = sim.run(problem, events=events, record_trace=traced)
+        sim.run(problem, events=events, horizon_s=0.1, sizes=np.full(len(tasks), 3.0))
+        again = sim.run(problem, events=events, record_trace=traced)
+        assert again == first == sim.run(tasks, events=events, record_trace=traced)
 
 
 def test_sizes_rescale_exactly_like_rebuilt_tasks():
@@ -245,9 +308,32 @@ def test_bad_sizes_are_rejected():
     bad[-1] = -1e-9
     with pytest.raises(ValueError, match="non-negative"):
         sim.run(problem, sizes=bad)
-    bad[-1] = np.nan
-    with pytest.raises(ValueError, match="non-negative"):
-        sim.run(tasks, sizes=bad)
+    for value in (np.nan, np.inf):
+        bad[-1] = value
+        with pytest.raises(ValueError, match="non-negative"):
+            sim.run(tasks, sizes=bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda v: Flow("f", 0, 1, v), "negative size"),
+        (lambda v: PipelineFlow("p", (0, 1, 2), v), "negative size"),
+        (lambda v: DelayTask("d", v), "negative duration"),
+        (lambda v: Flow("f", 0, 1, 1.0, weight=v), "weight must be positive"),
+        (lambda v: PipelineFlow("p", (0, 1, 2), 1.0, weight=v), "weight must be positive"),
+        (lambda v: FluidSimulator(Cluster.homogeneous(2, 100.0)).run(
+            [Flow("f", 0, 1, 1.0)], sizes=[v]), "non-negative"),
+    ],
+    ids=["flow-size", "pipeline-size", "delay", "flow-weight", "pipeline-weight", "sizes"],
+)
+def test_non_finite_inputs_are_rejected(make, match, value):
+    """A NaN or infinite volume never completes and a non-finite weight
+    poisons every share: each is the constructor's (or ``run``'s)
+    ``ValueError``, not a loop that never returns."""
+    with pytest.raises(ValueError, match=match):
+        make(value)
 
 
 def test_compile_still_validates_the_task_list():
@@ -288,7 +374,7 @@ def test_search_split_matches_the_rebuilding_search(subplans):
         want = reference_search_split(
             lambda q: scaled_split_tasks(cr, ir, q), ctx.cluster, events=ev
         )
-        for kind, bound in ALLOCATORS.items():
+        for kind, bound in BODIES.items():
             with bound():
                 got = search_split(cr, ir, ctx.cluster, events=ev)
             assert got == want, kind
@@ -296,13 +382,24 @@ def test_search_split_matches_the_rebuilding_search(subplans):
 
 
 # --------------------------------------------------------------------- #
-# the allocator seam: compiled kernel == NumPy loop, call by call
+# the loop seam: compiled loop == NumPy loop on degenerate incidences
 # --------------------------------------------------------------------- #
-def _outcome(fill, active, caps):
-    try:
-        return fill(active, caps).tolist()
-    except AssertionError as exc:
-        return str(exc)
+def run_incidence(inc, active, caps, kind):
+    """One loop body's whole run over a bare incidence — or its
+    ``AssertionError``'s message.  The tasks are real flows, compiled, with
+    the incidence and capacities swapped in; an inactive flow has size 0,
+    so it completes at time 0 before the first fill.  Sizes differ per flow,
+    so every rate shows in some finish time."""
+    n = len(inc.weights)
+    sim = FluidSimulator(Cluster.homogeneous(2, 100.0))
+    prob = sim.compile([Flow(f"f{i}", 0, 1, 1.0) for i in range(n)])
+    prob.incidence, prob.caps = inc, caps
+    sizes = np.where(active, 1.0 + np.arange(n) / 7.0, 0.0)
+    with BODIES[kind]():
+        try:
+            return sim.run(prob, sizes=sizes)
+        except AssertionError as exc:
+            return str(exc)
 
 
 def random_filling_problem(seed: int):
@@ -333,35 +430,51 @@ def random_filling_problem(seed: int):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_kernel_rates_equal_numpy_rates(seed):
-    """Same rate vector, bit for bit, or the same ``AssertionError`` (an
-    active flow that crosses no contended resource) from both."""
-    from repro.simnet.fluid import _KERNEL
-
+    """The same run, bit for bit, or the same error (an active flow that
+    crosses no contended resource; every active flow starved) from both."""
     inc, active, caps = random_filling_problem(seed)
-    kernel = _outcome(lambda a, c: inc._fill_c(_KERNEL.lib, a, c), active, caps)
-    assert kernel == _outcome(inc._fill_numpy, active, caps)
-    assert kernel == _outcome(inc.rates, active, caps)
+    kernel = run_incidence(inc, active, caps, "c")
+    assert kernel == run_incidence(inc, active, caps, "numpy")
     if not active.any():
-        assert kernel == [0.0] * len(active)
+        assert kernel.n_rate_updates == 0
 
 
 @needs_kernel
 def test_a_flow_without_entries_is_the_same_error_on_both_allocators():
     inc = _Incidence([0, 0], [0, 1], [1.0, 1.0], n_res=2)  # flow 1: no entries
     active, caps = np.array([True, True]), np.array([10.0, 10.0])
-    for kind, bound in ALLOCATORS.items():
-        with bound(), pytest.raises(AssertionError, match="no contended resource"):
-            inc.rates(active, caps)
+    for kind in BODIES:
+        assert run_incidence(inc, active, caps, kind) == fluid._STUCK
+
+
+def _errors_on_both_bodies(cluster, tasks):
+    outcomes = []
+    for kind, bound in BODIES.items():
+        with bound(), pytest.raises(AssertionError) as info:
+            FluidSimulator(cluster).run(tasks)
+        outcomes.append((kind, type(info.value), str(info.value)))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "uplink, message",
+    [(1e-13, "deadlock: active flows but no progress possible"),
+     (np.nan, "unfixed flows but no contended resource")],
+    ids=["deadlock", "stuck"],
+)
+def test_solver_errors_are_the_same_on_both_bodies(uplink, message):
+    """A link too slow to move anything deadlocks; a NaN capacity leaves no
+    contended resource.  Both loop bodies raise the same type and text."""
+    cluster = Cluster([Node(0, uplink, 100.0), Node(1, 100.0, 100.0), Node(2, 100.0, 100.0)])
+    tasks = [Flow("a", 0, 1, 5.0), DelayTask("d", 0.5), Flow("b", 2, 1, 5.0, deps=("d",))]
+    outcomes = _errors_on_both_bodies(cluster, tasks)
+    assert {(t, m) for _, t, m in outcomes} == {(AssertionError, message)}, outcomes
 
 
 def test_incidence_rejects_what_the_kernel_would_read_out_of_bounds():
-    """The C loop indexes unchecked, so ids and shapes are checked in Python."""
+    """The C loop indexes unchecked, so ids are checked in Python."""
     for flows, res in (([0, 2], [0, 0]), ([0, 1], [0, 3]), ([0, 1], [-1, 0])):
         with pytest.raises(ValueError, match="outside"):
             _Incidence(flows, res, [1.0, 1.0], n_res=2)
     with pytest.raises(ValueError, match="flow-major"):
         _Incidence([1, 0], [0, 0], [1.0, 1.0], n_res=2)
-    inc = _Incidence([0, 1], [0, 1], [1.0, 1.0], n_res=2)
-    for active, caps in ((np.ones(3, bool), np.ones(2)), (np.ones(2, bool), np.ones(1))):
-        with pytest.raises(ValueError, match="do not match"):
-            inc._fill_c(None, active, caps)  # rejected before the library is touched

@@ -256,6 +256,8 @@ def test_one_fluid_solver_by_construction():
     table and the rebuild-per-candidate split helper live on only as the
     test oracle (``tests/fluid_reference.py``); the compiled problem that
     replaced them is private."""
+    import re
+
     import repro.simnet
     from repro.simnet import fluid
 
@@ -278,10 +280,11 @@ def test_one_fluid_solver_by_construction():
         name for name, obj in vars(fluid).items()
         if isinstance(obj, type) and obj.__module__ == fluid.__name__
     )
-    assert solver_classes == ["FluidSimulator", "SimulationResult", "_Incidence", "_Problem"]
+    assert solver_classes == ["FluidSimulator", "SimulationResult", "_Incidence", "_Problem", "_Run"]
 
-    # ISSUE 19: one compiled filling kernel beside the one NumPy loop, built
-    # with flags that cannot fuse or reorder a float operation
+    # one compiled event loop beside the one NumPy loop, built with flags
+    # that cannot fuse or reorder a float operation; the per-call filling
+    # entry point it replaced is gone
     flags = fluid._C_FLAGS
     assert "-ffp-contract=off" in flags and fluid._KERNEL.flag_sets == [flags]
     loose = ("-march", "-O3", "-Ofast", "-ffast-math")
@@ -289,6 +292,9 @@ def test_one_fluid_solver_by_construction():
     simnet = "".join(text for _, package, text in _src_modules() if package == "simnet")
     assert simnet.count("#include <stdint.h>") == 1 and simnet.count('= r"""') == 1
     assert simnet.count("while n_unfixed") == 1 and simnet.count("np.subtract.at(left") == 1
+    assert simnet.count("while act.size") == 1 and "repro_fill" not in simnet
+    assert re.findall(r"^int (\w+)\(", fluid._C_SOURCE, re.M) == ["repro_run"]
+    assert not hasattr(fluid._Incidence, "rates") and not hasattr(fluid._Incidence, "_fill_c")
 
 
 def test_src_reads_no_new_environment_variable():

@@ -67,6 +67,27 @@ def test_write_without_enough_data_nodes_is_refused_before_any_state_changes():
     assert coord.layout.next_id() == len(placements)  # no stripe id was consumed
 
 
+def test_write_allocates_what_it_stores_plus_under_two_stripes():
+    """``write`` encodes stripe-sized views of the caller's buffer and pads
+    only the short tail stripe: no zero-filled copy of the whole file sits
+    beside the stored blocks while it runs."""
+    import tracemalloc
+
+    coord = make_system(block_bytes=64 * 1024)
+    data = payload(30 * 4 * 64 * 1024 + 1000)  # 30 full stripes and a short tail
+    tracemalloc.start()
+    try:
+        receipt = coord.write("f1", data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stripe_bytes = coord.code.n * coord.block_bytes
+    stored = len(receipt.stripe_ids) * stripe_bytes
+    assert len(receipt.stripe_ids) == 31
+    assert peak < stored + 2 * stripe_bytes, (peak, stored)
+    assert coord.read("f1") == data
+
+
 def test_write_distributes_blocks_to_distinct_nodes():
     coord = make_system()
     coord.write("f1", payload(10_000))
