@@ -4,10 +4,11 @@ The package has no build step; its C kernels (:mod:`repro.gf.backend.native`,
 :mod:`repro.simnet.fluid`) are source strings compiled on first use and driven
 through :mod:`ctypes`.  Each is one :class:`CLibrary` — its own translation
 unit and flag sets — cached in one per-user directory under a digest of ABI
-version, flags and source, and published atomically.  Nothing here raises to
-the caller: any failure leaves ``load()`` returning ``None`` with the reason
-kept for ``build_info()``, and the caller runs its NumPy path — same results,
-only slower.  docs/KERNELS.md, "One build helper".
+version, flags and source (plus the host CPU when a flag set says
+``-march=native``), one file per flag set, and published atomically.  Nothing
+here raises to the caller: any failure leaves ``load()`` returning ``None``
+with the reason kept for ``build_info()``, and the caller runs its NumPy path
+— same results, only slower.  docs/KERNELS.md, "One build helper".
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -39,6 +41,19 @@ def _cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro-gf-native"
+
+
+def _host_cpu() -> str:
+    """What a ``-march=native`` build is tuned to: the CPU flags line of
+    ``/proc/cpuinfo`` on Linux, else the platform's machine and processor."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}"
 
 
 def _publish(path: Path, produce) -> None:
@@ -66,10 +81,16 @@ class CLibrary:
     def __init__(self, name: str, source: str, abi: int, flag_sets, bind):
         self.name, self.source, self.bind = name, source, bind
         self.flag_sets = [list(flags) for flags in flag_sets]
-        digest = hashlib.sha256(f"abi{abi}\0{self.flag_sets}\0{source}".encode())
-        self.stem = f"{name}-{digest.hexdigest()[:16]}"
+        key = f"abi{abi}\0{self.flag_sets}\0{source}"
+        if any("-march=native" in flags for flags in self.flag_sets):
+            # such a build runs only on CPUs like this one: a cache shared
+            # between hosts must not hand it to another CPU (SIGILL)
+            key += f"\0{_host_cpu()}"
+        self.stem = f"{name}-{hashlib.sha256(key.encode()).hexdigest()[:16]}"
         self.lib: ctypes.CDLL | None = None
         self.path: Path | None = None
+        #: the flag set that built ``path``
+        self.flags: list[str] | None = None
         self.error: str | None = None
         self._probed = False
         self._lock = threading.Lock()
@@ -93,9 +114,15 @@ class CLibrary:
     def _build(self) -> Path:
         cache = _cache_dir()
         cache.mkdir(parents=True, exist_ok=True)
-        so_path = cache / f"{self.stem}.so"
-        if so_path.exists():
-            return so_path
+        # one library file per flag set, so a cached file says what built it
+        builds = [
+            (flags, cache / f"{self.stem}{f'.{i}' if i else ''}.so")
+            for i, flags in enumerate(self.flag_sets)
+        ]
+        for flags, so_path in builds:
+            if so_path.exists():
+                self.flags = flags
+                return so_path
         cc = _find_compiler()
         if cc is None:
             raise RuntimeError("no C compiler on PATH (tried $CC, cc, gcc, clang)")
@@ -103,24 +130,26 @@ class CLibrary:
         if not src_path.exists():
             _publish(src_path, lambda tmp: Path(tmp).write_text(self.source))
 
-        def compile_to(tmp: str) -> None:
-            for flags in self.flag_sets:
-                proc = subprocess.run(
-                    [cc, *flags, "-o", tmp, str(src_path)], capture_output=True, text=True
-                )
-                if proc.returncode == 0:
-                    return
-            raise RuntimeError(
-                f"{cc} failed: {proc.stderr.strip()[:500] or 'unknown compiler error'}"
-            )
-
-        _publish(so_path, compile_to)
-        return so_path
+        stderr = ""
+        for flags, so_path in builds:
+            try:
+                _publish(so_path, lambda tmp, flags=flags: subprocess.run(
+                    [cc, *flags, "-o", tmp, str(src_path)], capture_output=True, text=True,
+                    check=True,
+                ))
+            except subprocess.CalledProcessError as exc:
+                stderr = exc.stderr
+                continue
+            self.flags = flags
+            return so_path
+        raise RuntimeError(f"{cc} failed: {stderr.strip()[:500] or 'unknown compiler error'}")
 
     def build_info(self) -> dict:
-        """Diagnostics: availability, the cached .so path, any build error."""
+        """Diagnostics: availability, the cached .so path, the flag set that
+        built it, any build error."""
         return {
             "available": self.load() is not None,
             "path": str(self.path) if self.path else None,
+            "flags": self.flags,
             "error": self.error,
         }

@@ -13,9 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.gf import matmul
+from repro.gf import matmul, matmul_rows
 from repro.gf.field import GF, gf8
-from repro.gf.matrix import gf_inv, gf_matmul
+from repro.gf.matrix import gf_identity, gf_inv, gf_matmul
 from repro.ec.matrices import systematic_cauchy_generator, systematic_vandermonde_generator
 
 #: repair matrices memoized per code (LRU).  Codes are process-wide
@@ -122,11 +122,36 @@ class RSCode:
 
         The one derivation of the decode matrix: :meth:`repair_matrix`
         memoizes it per code, :class:`repro.repair.batch.PlanCache` per
-        system.  Coefficient algebra, so it runs on the LUT reference
+        system.  Column j of the result weights ``survivors[j]``, in the
+        order given.  Coefficient algebra, so it runs on the LUT reference
         (``gf_inv``/``gf_matmul``), not the data-plane seam.  Read-only.
+
+        Only the erased core is inverted.  With ``G = [I; C]``, a surviving
+        data block is its own row of ``inv(G[survivors])``; the e erased data
+        blocks E follow from the e surviving parities P as
+        ``inv(C[P, E]) @ (P + C[P, surviving data])``.  That e x e inverse is
+        the whole Gauss-Jordan (none when e = 0), where the full survivor
+        matrix is k x k, and the result is the same matrix: the inverse is
+        unique and the field arithmetic exact.
         """
-        a_inv = gf_inv(self.generator[list(survivors)], self.field)
-        r = gf_matmul(self.generator[list(failed)], a_inv, self.field)
+        k, field = self.k, self.field
+        survivors = [int(s) for s in survivors]
+        pos_data = [j for j, s in enumerate(survivors) if s < k]
+        pos_parity = [j for j, s in enumerate(survivors) if s >= k]
+        held = [survivors[j] for j in pos_data]
+        erased = sorted(set(range(k)) - set(held))
+        g_failed = self.generator[list(failed)]
+        r = np.zeros((len(g_failed), k), dtype=field.dtype)
+        r[:, pos_data] = g_failed[:, held]
+        if erased:
+            c_parity = self.generator[[survivors[j] for j in pos_parity]]
+            # rows E of inv(G[survivors]): M^-1 on the parity columns and
+            # M^-1 @ C[P, surviving data] on the data columns, M = C[P, E]
+            rhs = np.zeros((len(erased), k), dtype=field.dtype)
+            rhs[:, pos_parity] = gf_identity(len(erased), field)
+            rhs[:, pos_data] = c_parity[:, held]
+            core_inv = gf_inv(c_parity[:, erased], field)
+            r ^= gf_matmul(gf_matmul(g_failed[:, erased], core_inv, field), rhs, field)
         r.setflags(write=False)
         return r
 
@@ -134,7 +159,8 @@ class RSCode:
         """Reconstruct the blocks in ``failed_ids`` from any k available blocks.
 
         ``available`` maps block index -> buffer.  If more than k blocks are
-        supplied, the k smallest indices are used (deterministic).
+        supplied, the k smallest indices are used (deterministic).  The
+        survivors are read in place and each rebuilt block is its own array.
         """
         failed = [int(i) for i in failed_ids]
         avail_ids = sorted(available)
@@ -144,9 +170,8 @@ class RSCode:
             )
         chosen = avail_ids[: self.k]
         r = self.repair_matrix(chosen, failed)
-        src = np.stack([np.asarray(available[i], dtype=self.field.dtype) for i in chosen])
-        out = matmul(r, src, self.field)
-        return {fid: out[row] for row, fid in enumerate(failed)}
+        srcs = [np.asarray(available[i], dtype=self.field.dtype) for i in chosen]
+        return dict(zip(failed, matmul_rows(r, srcs, self.field)))
 
     def decode_stripe(self, available: dict[int, np.ndarray]) -> np.ndarray:
         """Reconstruct the full stripe (k+m, B) from any k available blocks."""

@@ -5,7 +5,8 @@ bit-exact GF(2^w) arithmetic (w = 8 or 16), dense matrix algebra over the
 field (multiplication, Gauss-Jordan inversion) used to build Reed-Solomon
 generator and repair matrices, and :func:`matmul` — the one entry point every
 operation over *block bytes* (encode, decode, verify, agent combines, parity
-deltas) goes through, running on the selected kernel backend.
+deltas) goes through, running on the selected kernel backend; its rows form
+:func:`matmul_rows` takes the sources as separate buffers.
 """
 
 from repro.gf.field import GF, GF8, GF16, gf8
@@ -24,7 +25,7 @@ from repro.gf.batch import (
     scale_lut,
     lut_cache_clear,
 )
-from repro.gf.backend.base import matmul
+from repro.gf.backend.base import matmul, matmul_rows
 from repro.gf.backend import (
     BackendUnavailable,
     KernelBackend,
@@ -48,6 +49,7 @@ __all__ = [
     "resolve_backend",
     "select_backend",
     "matmul",
+    "matmul_rows",
     "gf_matmul",
     "gf_matvec",
     "gf_inv",

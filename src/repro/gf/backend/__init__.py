@@ -7,9 +7,10 @@ transfer balance.  This package makes the kernel a pluggable tier:
 
 * ``numpy`` — the original pair-byte/word LUT path; always available;
 * ``native`` — a small C extension (compiled lazily through ``cc``,
-  cached per user, driven via :mod:`ctypes`) implementing fused
-  XOR/table-gather kernels with the classic split-nibble SIMD layout;
-  ~13x the NumPy tier on GF(2^8) planes where AVX2 is available;
+  cached per user, driven via :mod:`ctypes`) implementing one ISA-L-style
+  dot-product kernel per field over k source pointers, with the classic
+  split-nibble SIMD layout; ~13x the NumPy tier on GF(2^8) planes where
+  AVX2 is available;
 * ``isal`` — bindings to a host ``libisal`` when one exists (GF(2^8));
   auto-detected, never required.
 

@@ -8,8 +8,10 @@ per plane).  A *kernel backend* is one implementation of that operation:
   :meth:`~KernelBackend.capabilities` predicate saying which word sizes
   the backend handles, an :meth:`~KernelBackend.available` probe (may be
   expensive once — e.g. compiling a C extension — and must be cached by
-  the implementation), and the kernel itself,
-  :meth:`~KernelBackend.plane_matmul`.  Every backend is **bit-exact**
+  the implementation), and the kernel itself in two forms,
+  :meth:`~KernelBackend.plane_matmul` over a stacked (k, N) plane and
+  :meth:`~KernelBackend.rows_matmul` over k separate buffers (by default a
+  stack, then the plane form).  Every backend is **bit-exact**
   with :func:`repro.gf.matrix.gf_matmul`; backends only change how fast
   the same field arithmetic runs (the differential suite pins every
   registered backend against the reference and against each other).
@@ -20,9 +22,9 @@ per plane).  A *kernel backend* is one implementation of that operation:
   available backend for a word size, unless the ``REPRO_GF_BACKEND``
   environment variable (or an explicit argument) overrides it.
   :func:`resolve_backend` is the engine-facing wrapper accepting a name,
-  an instance, or ``None``; :func:`matmul` is the library-facing one —
-  select, then multiply — behind every byte the codes, agents and
-  coordinator touch.
+  an instance, or ``None``; :func:`matmul` and :func:`matmul_rows` are the
+  library-facing ones — select, then multiply — behind every byte the
+  codes, agents and coordinator touch.
 
 See ``docs/KERNELS.md`` for the selection order, measured throughput, and
 how to add a backend.
@@ -76,6 +78,19 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def plane_matmul(self, mat: np.ndarray, plane: np.ndarray, field: "GF") -> np.ndarray:
         """``mat @ plane`` over the field — bit-exact with ``gf_matmul``."""
+
+    def rows_matmul(self, mat: np.ndarray, rows, field: "GF") -> list[np.ndarray]:
+        """``mat @ rows`` for k equal-length 1-D source buffers: f fresh rows.
+
+        The rows form of :meth:`plane_matmul`, for callers that hold their
+        sources as separate buffers.  This default stacks them into a plane
+        and copies the product's rows apart (a kept row must not pin the
+        whole product); a backend that can read the sources in place
+        overrides it.
+        """
+        mat, rows = _checked_rows(mat, rows, field)
+        product = self.plane_matmul(mat, np.stack(rows), field)
+        return [r.copy() for r in product] if len(product) > 1 else list(product)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<{type(self).__name__} {self.name!r}>"
@@ -174,6 +189,36 @@ def matmul(mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray:
     coefficient algebra and the oracle the differential suite compares to.
     """
     return select_backend(field.w).plane_matmul(mat, plane, field)
+
+
+def matmul_rows(mat: np.ndarray, rows, field: GF) -> list[np.ndarray]:
+    """:func:`matmul` over k separate source buffers, read in place.
+
+    ``rows`` are k equal-length 1-D arrays of the field's dtype; the result
+    is a list of f separately allocated rows — what a caller that stores or
+    ships each product row needs, without stacking its sources first.
+    Same selection, same bits as :func:`matmul`.
+    """
+    return select_backend(field.w).rows_matmul(mat, rows, field)
+
+
+def _checked_rows(mat, rows, field: GF) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Validate a rows-form call before any kernel sees a pointer.
+
+    A compiled kernel reads N elements from every source without bounds
+    checks, so each must be a 1-D array of exactly the field's dtype and the
+    same length, and there must be one per matrix column.
+    """
+    mat = np.asarray(mat, dtype=field.dtype)
+    rows = list(rows)
+    if mat.ndim != 2 or mat.shape[1] != len(rows) or not rows:
+        raise ValueError(f"matrix {mat.shape} does not fit {len(rows)} source rows")
+    for r in rows:
+        if not isinstance(r, np.ndarray) or r.dtype != field.dtype or r.ndim != 1:
+            raise ValueError(f"source rows must be 1-D {np.dtype(field.dtype)} arrays")
+        if r.shape != rows[0].shape:
+            raise ValueError("source rows must have equal lengths")
+    return mat, rows
 
 
 def resolve_backend(spec, field_or_w) -> KernelBackend:

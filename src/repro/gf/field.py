@@ -7,14 +7,15 @@ reference the kernel backends are tested against).  *Block buffers* — the
 ``dst ^= coeff * src`` of ISA-L's ``gf_vect_mad`` over large byte arrays —
 go through :func:`repro.gf.matmul`, the selected kernel backend
 (:meth:`GF.scale`, :meth:`GF.addmul`, :meth:`GF.combine` are 1 x n
-products).  Fields are cached singletons: ``GF(8) is GF(8)``.
+products in its rows form, :func:`repro.gf.matmul_rows`).  Fields are cached
+singletons: ``GF(8) is GF(8)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.backend.base import matmul
+from repro.gf.backend.base import matmul_rows
 from repro.gf.tables import PRIMITIVE_POLY, build_inv_table, build_log_exp, build_mul_table
 
 _FIELD_CACHE: dict[int, "GF"] = {}
@@ -112,7 +113,7 @@ class GF:
 
     # ------------------------------------------------------------------ #
     # vector kernels over block buffers (the ISA-L replacements): each is
-    # a 1 x n product through the data-plane seam, repro.gf.matmul
+    # a 1 x n product through the data-plane seam's rows form
     # ------------------------------------------------------------------ #
     def scale(self, coeff: int, src: np.ndarray) -> np.ndarray:
         """Return ``coeff * src`` elementwise for a buffer ``src`` (a copy)."""
@@ -134,9 +135,11 @@ class GF:
             raise ValueError("coeffs and blocks length mismatch")
         if not blocks:
             raise ValueError("empty linear combination")
+        if any(b.shape != blocks[0].shape for b in blocks):
+            raise ValueError("blocks must have equal shapes")
         mat = np.asarray(coeffs, dtype=self.dtype).reshape(1, -1)
-        plane = np.stack(blocks).reshape(len(blocks), -1)
-        return matmul(mat, plane, self)[0].reshape(blocks[0].shape)
+        (out,) = matmul_rows(mat, [b.reshape(-1) for b in blocks], self)
+        return out.reshape(blocks[0].shape)
 
     def random_elements(self, shape, rng: np.random.Generator, nonzero: bool = False):
         """Uniform random field elements, optionally excluding zero."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ec.subblock import DEFAULT_WORD_BYTES, word_slice
-from repro.gf import matmul
+from repro.gf import matmul_rows
 from repro.gf.field import GF, gf8
 from repro.repair.plan import CombineOp, ConcatOp, Op, SliceOp, TransferOp
 from repro.system.blockstore import BlockStore
@@ -68,20 +68,13 @@ class Agent:
         self.scratch[op.out] = word_slice(src, op.start, op.stop, self.word_bytes)
 
     def gf_rows(self, coeffs, srcs: list[np.ndarray]) -> tuple[list, float]:
-        """``coeffs @ stack(srcs)`` in one kernel call: a block-shaped row per
-        coefficient row, plus the metered seconds split evenly per row."""
+        """``coeffs @ srcs`` in one kernel call that reads the source buffers
+        in place: a separately allocated row per coefficient row, plus the
+        metered seconds split evenly per row."""
         mat = np.array(coeffs, dtype=self.field.dtype)
         t0 = time.perf_counter()
-        # the stacked plane is a temporary of this statement on purpose: it
-        # is k blocks wide and must be gone before anything that outlives
-        # the stripe is allocated (a block landing above it pins its hole
-        # in the heap: +4% peak RSS on 128 KiB blocks)
-        rows = matmul(mat, np.stack(srcs).reshape(len(srcs), -1), self.field)
-        dt = (time.perf_counter() - t0) * self.slowdown / len(mat)
-        rows = rows.reshape(len(mat), *srcs[0].shape)
-        # rows sharing a product are copied apart: a block stored as a view
-        # would pin the whole product for as long as the block lives
-        return [r.copy() for r in rows] if len(mat) > 1 else [rows[0]], dt
+        rows = matmul_rows(mat, srcs, self.field)
+        return rows, (time.perf_counter() - t0) * self.slowdown / len(mat)
 
     def do_combine(self, op: CombineOp, row=None, seconds: float = 0.0) -> None:
         """Run ``op``, or land the ``row`` a same-source combine's
@@ -155,8 +148,9 @@ def run_plan_ops(
     plan (the fault runtime's clock tick / timeout / liveness gate).
 
     Combines on one node over the same ``srcs`` (CR's center: f ops over
-    the same k slices) are computed by one :meth:`Agent.gf_rows` call, over
-    a plane stacked once, when the first of them comes up.  Each still
+    the same k slices) are computed by one :meth:`Agent.gf_rows` call, which
+    reads each slice once per group of output rows, when the first of them
+    comes up.  Each still
     takes its own turn in the op order, so ``before_op``, the journal
     cursor and the agents' hooks see every op exactly as written; a row
     computed ahead is used only while every source buffer is still the

@@ -160,6 +160,7 @@ def test_healthy_build_binds_and_matches(kernel, tmp_path):
     assert os.path.dirname(info["path"]) == str(tmp_path / "cache")
     assert kernel.check_results() is True
     assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".c", ".so"]
+    assert info["flags"] == kernel.lib.flag_sets[0]
 
 
 @needs_cc
@@ -195,3 +196,40 @@ def test_digest_covers_abi_source_and_flags():
         for src in ("int a;", "int b;") for abi in (1, 2) for flags in ([["-O2"]], [["-O3"]])
     }
     assert len(stems) == 8 and all(s.startswith("k-") for s in stems)
+
+
+def test_native_builds_are_keyed_by_the_host_cpu(monkeypatch):
+    """A cache shared between machines never hands a ``-march=native`` build
+    to another CPU (it would die of SIGILL, not fall back); builds without
+    that flag, like the fluid kernel's, keep one stem everywhere."""
+    from repro.gf.backend import native
+
+    assert cbuild._host_cpu()
+    stems = []
+    for cpu in ("fpu sse2 ssse3 avx2", "fpu sse2"):
+        monkeypatch.setattr(cbuild, "_host_cpu", lambda cpu=cpu: cpu)
+        gf = cbuild.CLibrary(
+            "gfkern", native._C_SOURCE, native._ABI_VERSION,
+            [[*native._BASE_FLAGS, native._NATIVE_FLAG], native._BASE_FLAGS], bind=None,
+        )
+        plain = cbuild.CLibrary("gfkern", native._C_SOURCE, native._ABI_VERSION,
+                                [native._BASE_FLAGS], bind=None)
+        solver = cbuild.CLibrary(fluid._KERNEL.name, fluid._C_SOURCE, 1, [fluid._C_FLAGS], bind=None)
+        stems.append((gf.stem, plain.stem, solver.stem))
+    (gf_a, plain_a, solver_a), (gf_b, plain_b, solver_b) = stems
+    assert gf_a != gf_b
+    assert plain_a == plain_b
+    assert solver_a == solver_b == fluid._KERNEL.stem
+
+
+@needs_cc
+def test_a_fallback_flag_set_has_its_own_file(monkeypatch, tmp_path):
+    """When the first flag set is rejected, the library the next one builds
+    is cached under a name of its own, and a later load reports that set."""
+    monkeypatch.setenv("REPRO_GF_NATIVE_CACHE", str(tmp_path))
+    sets = [["-fPIC", "-shared", "-fno-such-flag"], ["-fPIC", "-shared"]]
+    first = cbuild.CLibrary("k", "int repro_k(void) { return 7; }", 1, sets, bind=lambda lib: None)
+    assert first.build_info()["flags"] == sets[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{first.stem}.1.so", f"{first.stem}.c"]
+    again = cbuild.CLibrary("k", "int repro_k(void) { return 7; }", 1, sets, bind=lambda lib: None)
+    assert again.build_info() == first.build_info()

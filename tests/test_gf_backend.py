@@ -242,6 +242,127 @@ def test_backend_shape_validation(w):
 
 
 # ------------------------------------------------------------------ #
+# the rows form: k separate sources read in place, f fresh rows out
+# ------------------------------------------------------------------ #
+@pytest.fixture(scope="module")
+def scalar_native(tmp_path_factory):
+    """The native kernel built with the base flags only: no ``-march=native``,
+    so every element goes through the scalar body (with AVX2 only the
+    < 32-element tails do)."""
+    import repro._cbuild as cbuild
+    from repro.gf.backend import native
+
+    if cbuild._find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    backend = NativeBackend()
+    backend._kernel = cbuild.CLibrary(
+        "gfkern", native._C_SOURCE, native._ABI_VERSION, [native._BASE_FLAGS], native._bind
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_GF_NATIVE_CACHE", str(tmp_path_factory.mktemp("scalar-gfkern")))
+        info = backend.build_info()
+    assert info["available"], info
+    assert info["flags"] == native._BASE_FLAGS
+    return backend
+
+
+@pytest.fixture(
+    params=sorted(
+        {(w, n) for w in (8, 16) for n in available_backends(w)} | {(8, "scalar"), (16, "scalar")}
+    ),
+    ids=lambda c: f"w{c[0]}-{c[1]}",
+)
+def rows_backend(request):
+    """(field, backend): every available tier, plus the scalar native build."""
+    w, name = request.param
+    if name == "scalar":
+        return GF(w), request.getfixturevalue("scalar_native")
+    return GF(w), get_backend(name)
+
+
+def _rows_cases(rng, field):
+    """(mat, rows) pairs over the shapes a kernel can get wrong."""
+    def block(n):
+        return rng.integers(0, field.size, size=n).astype(field.dtype)
+
+    for f in range(1, 10):  # crosses the 4-row group, twice
+        for n in (0, 1, 31, 33, 64, 95, 1000):
+            k = int(rng.integers(1, 7))
+            mat = rng.integers(0, field.size, size=(f, k)).astype(field.dtype)
+            mat.flat[rng.integers(0, mat.size)] = 0
+            mat.flat[rng.integers(0, mat.size)] = 1
+            yield mat, [block(n) for _ in range(k)]
+    n = 333
+    base = block(4 * n + 7)
+    base.setflags(write=False)
+    shared = [base[:n], base[n : 2 * n], base[2 * n + 7 : 3 * n + 7]]  # one base array
+    strided = [block(2 * n)[::2], base[1 : 2 * n + 1 : 2]]  # non-contiguous views
+    once = block(n)
+    for rows in (shared, strided, [once, once, shared[0]], [once]):  # one buffer twice, k = 1
+        yield rng.integers(0, field.size, size=(5, len(rows))).astype(field.dtype), rows
+    for coeff in (0, 1):
+        yield np.full((3, 4), coeff, dtype=field.dtype), [block(100) for _ in range(4)]
+
+
+def test_rows_form_matches_reference_and_allocates_apart(rows_backend):
+    field, backend = rows_backend
+    rng = np.random.default_rng(field.w)
+    for mat, rows in _rows_cases(rng, field):
+        before = [r.copy() for r in rows]
+        out = backend.rows_matmul(mat, rows, field)
+        want = _ref_matmul(mat, np.stack(rows), field)
+        assert len(out) == mat.shape[0]
+        for i, row in enumerate(out):
+            assert row.dtype == field.dtype and row.shape == rows[0].shape
+            assert np.array_equal(row, want[i]), (backend.name, mat.shape, rows[0].shape, i)
+            assert row.flags.writeable and row.flags.c_contiguous
+            if row.size:
+                assert not any(np.shares_memory(row, r) for r in rows)
+                assert not any(np.shares_memory(row, o) for o in out[:i])
+        assert all(np.array_equal(r, b) for r, b in zip(rows, before)), "a source changed"
+
+
+def test_rows_form_rejects_bad_sources_before_any_kernel(rows_backend, monkeypatch):
+    """The compiled kernel reads N elements of every source unchecked: a bad
+    source is a ValueError raised before any kernel body runs."""
+    field, backend = rows_backend
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran on unchecked sources")
+
+    for attr in ("plane_matmul", "_dot"):
+        if hasattr(backend, attr):
+            monkeypatch.setattr(backend, attr, no_kernel)
+    ok = np.zeros(64, dtype=field.dtype)
+    other = np.uint16 if field.dtype == np.uint8 else np.uint8
+    mat = np.ones((2, 2), dtype=field.dtype)
+    for rows in (
+        [ok, np.zeros(63, dtype=field.dtype)],  # unequal lengths
+        [ok, np.zeros((2, 32), dtype=field.dtype)],  # 2-D
+        [ok, np.zeros(64, dtype=other)],  # wrong dtype
+        [ok, list(range(64))],  # not an array
+        [ok],  # fewer rows than matrix columns
+    ):
+        with pytest.raises(ValueError):
+            backend.rows_matmul(mat, rows, field)
+    with pytest.raises(ValueError):
+        backend.rows_matmul(np.ones((2, 0), dtype=field.dtype), [], field)
+
+
+def test_matmul_rows_is_the_selected_backends_rows_form(monkeypatch):
+    from repro.gf import matmul_rows
+
+    field = GF(8)
+    rng = np.random.default_rng(3)
+    mat = rng.integers(0, 256, size=(3, 4)).astype(np.uint8)
+    rows = list(rng.integers(0, 256, size=(4, 77)).astype(np.uint8))
+    for name in BACKENDS_8:
+        monkeypatch.setenv(ENV_VAR, name)
+        out = matmul_rows(mat, rows, field)
+        assert all(np.array_equal(o, w) for o, w in zip(out, gf_matmul(mat, np.stack(rows), field)))
+
+
+# ------------------------------------------------------------------ #
 # repair-path differentials: healthy and post-fault-storm
 # ------------------------------------------------------------------ #
 def _encode_batch(code, rng, stripes, ncols):

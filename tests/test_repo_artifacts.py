@@ -144,7 +144,8 @@ def test_block_bytes_never_take_the_lut_reference_path():
     ``repro.gf.matmul``.  Outside ``repro.gf`` itself (the reference, the
     backends' table builders) the LUT path may be called from exactly two
     places, both coefficient-matrix x coefficient-matrix: generator
-    construction and the decode-matrix derivation.
+    construction and the decode-matrix derivation (the erased-core products,
+    all of them inside ``derive_repair_matrix``).
     """
     import re
 
@@ -154,17 +155,53 @@ def test_block_bytes_never_take_the_lut_reference_path():
         for rel, package, text in _src_modules()
         if package != "gf" and lut_call.search(text)
     }
-    assert calls == {"ec/matrices.py": 1, "ec/rs.py": 1}, calls
+    assert sorted(calls) == ["ec/matrices.py", "ec/rs.py"], calls
+    assert calls["ec/matrices.py"] == 1 and calls["ec/rs.py"] > 1, calls
     rs = (REPO / "src" / "repro" / "ec" / "rs.py").read_text()
     derive = rs[rs.index("def derive_repair_matrix") : rs.index("def decode(")]
-    assert "gf_matmul(" in derive
-    # and the seam has exactly one definition, which selects per call
-    seam = [
-        str(rel) for rel, _, text in _src_modules() if re.search(r"^def matmul\(", text, re.M)
-    ]
-    assert seam == ["gf/backend/base.py"], seam
+    assert len(lut_call.findall(derive)) == calls["ec/rs.py"]
+    # and the seam has exactly one definition per form, which selects per call
+    for form in ("matmul", "matmul_rows"):
+        seam = [
+            str(rel) for rel, _, text in _src_modules()
+            if re.search(rf"^def {form}\(", text, re.M)
+        ]
+        assert seam == ["gf/backend/base.py"], (form, seam)
     for user in ("gf/field.py", "ec/rs.py", "ec/lrc.py", "system/coordinator.py"):
-        assert " matmul(" in (REPO / "src" / "repro" / user).read_text(), user
+        text = (REPO / "src" / "repro" / user).read_text()
+        assert re.search(r" matmul(?:_rows)?\(", text), user
+
+
+def test_separate_sources_reach_the_seam_unstacked():
+    """The three callers that hold k separate source buffers hand them to
+    the rows form as they are: none stacks them into a plane first."""
+    src = REPO / "src" / "repro"
+    rs = (src / "ec" / "rs.py").read_text()
+    field = (src / "gf" / "field.py").read_text()
+    callers = {
+        "Agent": (src / "system" / "agent.py").read_text(),
+        "GF.combine": field[field.index("def combine(") : field.index("def random_elements(")],
+        "RSCode.decode": rs[rs.index("def decode(") : rs.index("def decode_stripe(")],
+    }
+    for name, text in callers.items():
+        assert "np.stack" not in text, name
+        assert "matmul_rows(" in text, name
+
+
+def test_one_native_multiply_entry_per_field():
+    """The native tier exports one dot-product entry point per field; the
+    plane-product entries and the Python-side table cache they needed are
+    gone, and both seam forms call the one entry."""
+    import re
+
+    from repro.gf.backend import native
+
+    exported = re.findall(r"^void (\w+)\(", native._C_SOURCE, re.M)
+    assert exported == ["repro_gf8_dot", "repro_gf16_dot"], exported
+    assert "plane_matmul" not in native._C_SOURCE and "xor_into" not in native._C_SOURCE
+    assert not hasattr(native.NativeBackend, "_lut_for")
+    text = (REPO / "src" / "repro" / "gf" / "backend" / "native.py").read_text()
+    assert text.count("lib.repro_gf8_dot(") == 1 and text.count("lib.repro_gf16_dot(") == 1
 
 
 # ------------------------------------------------------------------ #

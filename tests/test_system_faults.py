@@ -202,15 +202,15 @@ def _center_ops():
 @pytest.fixture
 def calls(monkeypatch):
     """Shapes of the coefficient matrices the agents hand to the GF kernel."""
-    from repro.gf import matmul
+    from repro.gf import matmul_rows
 
     shapes = []
 
-    def kernel(mat, plane, field):
+    def kernel(mat, rows, field):
         shapes.append(mat.shape)
-        return matmul(mat, plane, field)
+        return matmul_rows(mat, rows, field)
 
-    monkeypatch.setattr("repro.system.agent.matmul", kernel)
+    monkeypatch.setattr("repro.system.agent.matmul_rows", kernel)
     return shapes
 
 
@@ -220,7 +220,7 @@ def test_same_source_combines_share_one_kernel_call(calls):
     a.obs_hook = lambda node, seconds, nbytes: hooks.append(nbytes)
     ops = _center_ops()
     run_plan_ops(ops, {0: a, 1: b}, DataBus(), before_op=order.append)
-    assert calls == [(2, 2)], "both rows in one product over a plane stacked once"
+    assert calls == [(2, 2)], "both rows in one kernel call"
     assert order == ops and hooks == [64, 64], "every op still takes its own turn"
     x, y = a.scratch["x"], a.scratch["y"]
     assert np.array_equal(a.scratch["p"], gf8.combine((3, 7), [x, y]))
