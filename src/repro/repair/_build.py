@@ -17,6 +17,21 @@ from repro.repair.plan import CombineOp, Op, SliceOp, TransferOp
 from repro.simnet.flows import Flow, PipelineFlow, Task
 
 
+def refraction(part, frac_start: float, frac_stop: float):
+    """A CR, IR or rack-aware ``(tasks, ops, outputs)`` built over the whole
+    block, cut to ``[frac_start, frac_stop)``: ``==`` to a build of that range,
+    as each builder sizes tasks ``frac * B`` and ``(1.0 * B) * p == p * B``.
+    Transfers, combines and outputs carry no fraction and are shared."""
+    tasks, ops, outputs = part
+    frac = frac_stop - frac_start
+    if frac < 0:
+        raise ValueError("empty fraction range")
+    tasks = [type(t)(**{**vars(t), "size_mb": t.size_mb * frac}) for t in tasks]
+    ops = [SliceOp(o.node, o.out, o.src, frac_start, frac_stop) if type(o) is SliceOp else o
+           for o in ops]
+    return tasks, ops, outputs
+
+
 def _slice_name(prefix: str, block: int) -> str:
     return f"{prefix}/in/b{block:02d}"
 

@@ -50,6 +50,8 @@ class RepairContext:
     block_size_mb: float = 64.0
     survivor_policy: str = "first"
     _new_node_map: dict[int, int] = field(init=False, repr=False)
+    #: a kept HMBR whole-block build (:func:`repro.repair.hybrid.whole_block`)
+    _template: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.failed_blocks = [int(b) for b in self.failed_blocks]

@@ -9,12 +9,30 @@ run in parallel and each new node concatenates its two repaired sub-blocks
 
 from __future__ import annotations
 
-from repro.repair._build import add_centralized, add_independent, repaired_name
+from repro.repair._build import add_centralized, add_independent, refraction, repaired_name
 from repro.repair.context import RepairContext
 from repro.repair.model import repair_model, volume_split
 from repro.repair.plan import ConcatOp, RepairPlan
 from repro.repair.split import search_split
 from repro.repair.topology import build_chain_paths, default_center
+
+
+def whole_block(ctx: RepairContext, center: int, chain_order: str = "index", keep=False):
+    """HMBR's CR and IR sub-plans ``(tasks, ops, outputs)`` over the whole
+    block, which split search scores and every split's plan re-fractions.
+    ``keep`` leaves the build on ``ctx``; the next call takes it back instead
+    of building while the chosen survivors, center and chain order match (a
+    helper can die before a lazily planned stripe runs), else drops it."""
+    key = (tuple(ctx.chosen_survivors()), center, chain_order)
+    kept, ctx._template = ctx._template, None
+    if kept is None or kept[0] != key:
+        kept = key, (
+            add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center),
+            add_independent(ctx, ctx.prefix("h.ir"), 0.0, 1.0, build_chain_paths(ctx, chain_order)),
+        )
+    if keep:
+        ctx._template = kept
+    return kept[1]
 
 
 def plan_hybrid(
@@ -47,13 +65,11 @@ def plan_hybrid(
     if center is None:
         center = default_center(ctx, center_policy)
     model = repair_model(ctx, center=center, chain_order=chain_order)
-    paths_for_search = build_chain_paths(ctx, chain_order)
+    cr_part, ir_part = whole_block(ctx, center, chain_order)
     if p is not None:
         p0 = float(p)
     elif split == "search":
-        cr_full, _, _ = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center)
-        ir_full, _, _ = add_independent(ctx, ctx.prefix("h.ir"), 0.0, 1.0, paths_for_search)
-        p0, _ = search_split(cr_full, ir_full, ctx.cluster, events=events)
+        p0, _ = search_split(cr_part[0], ir_part[0], ctx.cluster, events=events)
     elif split == "volume":
         p0 = volume_split(ctx, center=center, chain_order=chain_order)
     elif split == "theorem1":
@@ -63,9 +79,8 @@ def plan_hybrid(
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"split ratio {p0} outside [0, 1]")
 
-    cr_tasks, cr_ops, cr_out = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, p0, center)
-    paths = build_chain_paths(ctx, chain_order)
-    ir_tasks, ir_ops, ir_out = add_independent(ctx, ctx.prefix("h.ir"), p0, 1.0, paths)
+    cr_tasks, cr_ops, cr_out = refraction(cr_part, 0.0, p0)
+    ir_tasks, ir_ops, ir_out = refraction(ir_part, p0, 1.0)
 
     ops = cr_ops + ir_ops
     outputs: dict[int, tuple[int, str]] = {}

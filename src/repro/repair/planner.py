@@ -18,17 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.repair._build import add_centralized, add_independent
 from repro.repair.centralized import plan_centralized
 from repro.repair.context import RepairContext
-from repro.repair.hybrid import plan_hybrid
+from repro.repair.hybrid import plan_hybrid, whole_block
 from repro.repair.independent import plan_independent
 from repro.repair.mlf import plan_mlf
 from repro.repair.plan import RepairPlan
 from repro.repair.rackaware import plan_rack_aware_hybrid
 from repro.repair.selector import choose_scheme
 from repro.repair.split import search_split
-from repro.repair.topology import build_chain_paths
 from repro.repair.validate import validate_plan
 
 #: scheme name -> ``planner(ctx, center)``; ``"auto"`` scores every
@@ -120,16 +118,14 @@ def common_split(cluster, work, events=()) -> float | None:
     ``None`` for fewer than two stripes (the per-stripe split is already
     exact there).  ``events`` makes the search dynamics-aware: candidate
     splits are scored against the bandwidth-event trajectory instead of
-    the plan-time snapshot.
+    the plan-time snapshot.  The whole-block builds it scores stay on the
+    contexts for :func:`plan_stripe` to re-fraction at the searched p.
     """
     if len(work) < 2:
         return None
     cr_all, ir_all = [], []
     for _, ctx, center in work:
-        cr_t, _, _ = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center)
-        ir_t, _, _ = add_independent(
-            ctx, ctx.prefix("h.ir"), 0.0, 1.0, build_chain_paths(ctx)
-        )
+        (cr_t, _, _), (ir_t, _, _) = whole_block(ctx, center, keep=True)
         cr_all.extend(cr_t)
         ir_all.extend(ir_t)
     p, _ = search_split(cr_all, ir_all, cluster, events=events)

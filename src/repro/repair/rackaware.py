@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ec.stripe import block_name
-from repro.repair._build import repaired_name
+from repro.repair._build import refraction, repaired_name
 from repro.repair.context import RepairContext
 from repro.repair.plan import CombineOp, ConcatOp, Op, RepairPlan, SliceOp, TransferOp
 from repro.repair.topology import default_center
@@ -366,28 +366,22 @@ def plan_rack_aware_hybrid(
 
     if center is None:
         center = default_center(ctx)
+    # built once over the whole block; the plan re-fractions it at p0
+    cr_part = _build_rack_aware_cr(ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, intermediate_policy)
+    ir_part = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, None, max_children)
     if p is not None:
         p0 = float(p)
     elif split == "search":
-        cr_full, _, _ = _build_rack_aware_cr(
-            ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, intermediate_policy
-        )
-        ir_full, _, _ = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, None, max_children)
-        p0, _ = search_split(cr_full, ir_full, ctx.cluster)
+        p0, _ = search_split(cr_part[0], ir_part[0], ctx.cluster)
     elif split == "sim-theorem1":
         sim = FluidSimulator(ctx.cluster)
-        tcr = sim.run(
-            plan_rack_aware_centralized(ctx, center, intermediate_policy).tasks
-        ).makespan
-        tir = sim.run(plan_tree_independent(ctx, max_children=max_children).tasks).makespan
+        tcr, tir = sim.run(cr_part[0]).makespan, sim.run(ir_part[0]).makespan
         p0 = tir / (tcr + tir) if (tcr + tir) > 0 else 0.5
     else:
         raise ValueError(f"unknown split {split!r} (use 'search' or 'sim-theorem1')")
 
-    cr_tasks, cr_ops, cr_out = _build_rack_aware_cr(
-        ctx, ctx.prefix("rh.cr"), 0.0, p0, center, intermediate_policy
-    )
-    ir_tasks, ir_ops, ir_out = _build_tree_ir(ctx, ctx.prefix("rh.ir"), p0, 1.0, None, max_children)
+    cr_tasks, cr_ops, cr_out = refraction(cr_part, 0.0, p0)
+    ir_tasks, ir_ops, ir_out = refraction(ir_part, p0, 1.0)
 
     ops = cr_ops + ir_ops
     outputs: dict[int, tuple[int, str]] = {}

@@ -33,6 +33,7 @@ Key invariants:
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -120,12 +121,16 @@ class RepairScheduler:
     def __init__(
         self, coord: "Coordinator", policy: AdmissionPolicy | None = None
     ) -> None:
-        self.coord = coord
+        # weak: a coordinator holds its scheduler, and refcounting alone
+        # must free the pair (the caller keeps the coordinator alive)
+        self._coord = weakref.ref(coord)
         self.admission = AdmissionController(coord.cluster, policy)
         self._seq = 0
         self._queue: list[RepairJob] = []
         #: every job ever submitted, for inspection.
         self.jobs: list[RepairJob] = []
+
+    coord = property(lambda self: self._coord(), doc="The coordinator it repairs.")
 
     # -------------------------------------------------------------- #
     # submission
@@ -304,20 +309,19 @@ class RepairScheduler:
                 sorted(jobs, key=RepairJob.priority_rank), dry=True
             )
             tasks: list = []
-            prefixes: list[tuple[int, str]] = []
+            owned: list[tuple[int, list[str]]] = []
             for job, affected, replacement_of in admitted:
                 rnd = coord.plan_round(
                     job.scheme, affected, replacement_of=replacement_of
                 )
-                tasks += self._sim_tasks(job, rnd.plans, prefixes)
+                tasks += self._sim_tasks(job, rnd.plans, owned)
         finally:
             coord.center_scheduler.restore(saved)
         finish: dict[int, float] = {}
         if tasks:
-            sim = FluidSimulator(coord.cluster).run(tasks)
-            latest = sim.finish_of_each(prefix for _, prefix in prefixes)
-            for sid, prefix in prefixes:
-                finish[sid] = max(finish.get(sid, 0.0), latest[prefix])
+            done = FluidSimulator(coord.cluster).run(tasks).finish_times
+            for sid, ids in owned:
+                finish[sid] = max(finish.get(sid, 0.0), max(map(done.__getitem__, ids)))
         return RepairEta(
             finish_s=finish,
             replacement_of={d: s for _, _, repl in admitted for d, s in repl.items()},
@@ -464,7 +468,7 @@ class RepairScheduler:
         coord = self.coord
         obs = coord.obs
         all_tasks = list(extra_tasks)
-        planned: list[tuple[RepairJob, list[tuple[int, str]]]] = []
+        planned: list[tuple[RepairJob, list[tuple[int, list[str]]]]] = []
         for job, affected, replacement_of in admitted:
             job.transition(RUNNING)
             if not affected:
@@ -501,12 +505,10 @@ class RepairScheduler:
             tracer=obs.tracer if obs is not None else None,
             trace_label=f"sched.sim@{offset:g}",
         )
-        latest = sim.finish_of_each(
-            prefix for _, prefixes in planned for _, prefix in prefixes
-        )
-        for job, prefixes in planned:
-            for sid, prefix in prefixes:
-                t = latest[prefix]
+        done = sim.finish_times
+        for job, owned in planned:
+            for sid, ids in owned:
+                t = max(map(done.__getitem__, ids))
                 prev = job.per_stripe_transfer_s.get(sid)
                 job.per_stripe_transfer_s[sid] = t if prev is None else max(prev, t)
         return sim
@@ -535,13 +537,13 @@ class RepairScheduler:
             coord.dispatch_round(rnd, verify)
             return rnd.plans
 
-    def _sim_tasks(self, job, plans, prefixes):
+    def _sim_tasks(self, job, plans, owned):
         """Rename + reweight a job's plan tasks for the merged simulation.
 
         Task ids become ``<job_id>:p<i>:<original>`` so
-        ``finish_of(job_id)`` recovers the job makespan and
-        ``finish_of(f"{job_id}:p{i}")`` each plan's (appended to
-        ``prefixes`` as ``(stripe id, prefix)``).  A positive
+        ``finish_of(job_id)`` recovers the job makespan; each plan's ids are
+        appended to ``owned`` as ``(stripe id, ids)``, their latest finish
+        being the plan's (no scan of the merged run).  A positive
         ``arrival_s`` inserts a :class:`~repro.simnet.flows.DelayTask` that
         gates the job's root tasks.
         """
@@ -553,7 +555,7 @@ class RepairScheduler:
         for i, (sid, plan) in enumerate(plans):
             p = reweighted(plan, job.weight) if job.weight != 1.0 else plan
             p = rename_plan(p, f"{job.job_id}:p{i}:")
-            prefixes.append((sid, f"{job.job_id}:p{i}"))
+            owned.append((sid, p.task_ids()))
             for t in p.tasks:
                 if arrival_id is not None and not t.deps:
                     t = dataclasses.replace(t, deps=(arrival_id,))

@@ -345,6 +345,30 @@ def test_weighted_jobs_match_reference_merged_simulation():
     assert_all_repaired(coord)
 
 
+def test_each_plans_finish_is_the_latest_of_its_own_tasks():
+    """A wave reads each plan's finish off the ids ``_sim_tasks`` gave its
+    tasks: the value ``finish_of_each`` finds by scanning every id of the
+    merged run for the plan's namespace."""
+    coord = uniform_system(n_data=6, n_spare=2)
+    for i in range(3):
+        place_stripe(coord, range(6), seed=30 + i)
+    coord.crash_node(0)
+    rnd = coord.plan_round("hmbr", coord.layout.stripes_with_failures([0]))
+    jobs = [
+        RepairJob(job_id="job1", weight=weight_for("background"), arrival_s=0.25),
+        RepairJob(job_id="job2"),
+    ]
+    owned, tasks = [], []
+    for job in jobs:
+        tasks += coord.sched._sim_tasks(job, rnd.plans, owned)
+    assert [sid for sid, _ in owned] == [sid for sid, _ in rnd.plans] * 2
+    sim = FluidSimulator(coord.cluster).run(tasks)
+    prefixes = [f"{job.job_id}:p{i}" for job in jobs for i in range(len(rnd.plans))]
+    latest = sim.finish_of_each(prefixes)
+    got = [max(sim.finish_times[t] for t in ids) for _, ids in owned]
+    assert got == [latest[p] for p in prefixes]
+
+
 def assert_all_repaired(coord):
     dead = coord.cluster.dead_ids()
     assert coord.layout.stripes_with_failures(dead) == {}

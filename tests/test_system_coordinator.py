@@ -293,3 +293,77 @@ def test_scheduled_fault_route_leaves_no_scratch_behind():
     result = coord.repair([RepairRequest(faults=FaultSchedule.empty())])
     assert [job.state for job in result.jobs] == ["done"]
     assert _held_scratch(coord) == 0
+
+
+# ------------------------------------------------------------------ #
+# reference counting alone frees a coordinator
+# ------------------------------------------------------------------ #
+def _serve(coord):
+    from repro.workload import ServeRequest, WorkloadSpec
+
+    spec = WorkloadSpec(n_objects=2, object_bytes=2 * coord.code.k * 2048, duration_s=2.0,
+                        rate_ops_s=4.0, seed=1)
+    return coord.serve(ServeRequest(spec=spec, repair=(RepairRequest(),)))
+
+
+def _crashed(call):
+    def run(coord):
+        coord.crash_node(coord.layout.stripes[0].placement[0])
+        return call(coord)
+
+    return run
+
+
+def _custom_scheduler(coord):
+    """The documented way to set an admission policy: assign a scheduler."""
+    from repro.sched.scheduler import AdmissionPolicy, RepairScheduler
+
+    coord.sched = RepairScheduler(coord, AdmissionPolicy(max_inflight_per_node=2))
+    result = coord.repair([RepairRequest()])
+    assert [job.state for job in result.jobs] == ["done"]
+    return result
+
+
+_ROUTES = {
+    "write": lambda c: c.write("g", payload(3000, seed=2)),
+    "read": lambda c: c.read("f"),
+    "update": lambda c: c.update("f", 10, b"abc"),
+    "scrub": lambda c: c.scrub(),
+    **{
+        f"repair-{scheme}-verify-{verify}": _crashed(
+            lambda c, s=scheme, v=verify: c.repair(RepairRequest(scheme=s, verify=v))
+        )
+        for scheme in ("cr", "ir", "hmbr")
+        for verify in (True, False)
+    },
+    "plan_repair": _crashed(lambda c: c.plan_repair("hmbr", commit=False)),
+    "plan_repair-commit": _crashed(lambda c: c.plan_repair("hmbr", commit=True)),
+    "serve": _serve,
+    "repair-list": _crashed(
+        lambda c: c.repair([RepairRequest(priority="background"), RepairRequest()])
+    ),
+    "custom-policy-scheduler": _crashed(_custom_scheduler),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_reference_counting_alone_frees_the_coordinator(route):
+    """No call leaves a reference cycle through its coordinator: the last
+    reference going frees the whole system at once, with the cycle
+    collector off.  A cycle would keep a retired system's blocks alive
+    until some later collection — through the next one's peak memory."""
+    import gc
+    import weakref
+
+    coord = make_system(seed=61)
+    coord.write("f", payload(6 * coord.code.k * 2048, seed=61))
+    gc.collect()
+    gc.disable()
+    try:
+        _ROUTES[route](coord)
+        ref = weakref.ref(coord)
+        del coord
+        assert ref() is None
+    finally:
+        gc.enable()
+
