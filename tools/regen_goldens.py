@@ -179,7 +179,85 @@ def gen_reliability() -> str:
     return canonical_json(out)
 
 
+def gen_adaptive() -> str:
+    """Adaptive re-planning through the facade, every adaptive scheme.
+
+    Each of ``hmbr`` / ``cr`` / ``ir`` / ``mlf`` repairs a seeded
+    two-node failure under a step collapse and under OU churn plus a
+    collapse, on a fresh identically-seeded system.  Pins the engine's
+    whole decision trail — every round's cut instant, drift, tripping
+    flow and scheme, every committed piece — plus a digest of the stored
+    bytes, which must equal the healthy write's.
+    """
+    import hashlib
+
+    from repro.cluster.bandwidth import make_wld
+    from repro.cluster.node import Node
+    from repro.cluster.topology import Cluster
+    from repro.ec.rs import RSCode
+    from repro.ec.stripe import block_name
+    from repro.simnet import NetworkTrace
+    from repro.system.coordinator import Coordinator
+    from repro.system.request import RepairRequest
+
+    def build():
+        ds = make_wld(22, "WLD-4x", seed=2023)
+        bw = lambda i: (float(ds.uplinks[i]), float(ds.downlinks[i]))  # noqa: E731
+        coord = Coordinator(
+            Cluster(Node(i, *bw(i)) for i in range(18)), RSCode(6, 3),
+            block_bytes=1024, block_size_mb=64.0, rng=2023,
+        )
+        for i in range(18, 22):
+            coord.add_spare(Node(i, *bw(i)))
+        return coord
+
+    payload = np.random.default_rng(2023).integers(0, 256, 40_000, dtype=np.uint8).tobytes()
+    traces = {
+        "degrade": NetworkTrace.degrade(list(range(2, 12)), at_time=0.6, factor=20.0),
+        "ou_collapse": NetworkTrace.ou(duration_s=20.0, step_s=0.5, rel_sigma=0.3, seed=7)
+        + NetworkTrace.degrade([3, 5, 7, 9, 11], at_time=0.4, factor=8.0),
+    }
+    out = {}
+    for trace_name, trace in traces.items():
+        for scheme in ("hmbr", "cr", "ir", "mlf"):
+            coord = build()
+            coord.write("f", payload)
+            coord.crash_node(0)
+            coord.crash_node(1)
+            res = coord.repair(RepairRequest(scheme=scheme, network=trace, adaptive=True))
+            assert coord.read("f") == payload
+            rep = res.report
+            digest = hashlib.sha256()
+            for s in coord.layout:
+                for b, n in enumerate(s.placement):
+                    digest.update(coord.agents[n].read_block(block_name(s.stripe_id, b)).tobytes())
+            out[f"{trace_name}/{scheme}"] = {
+                "makespan_s": rep.makespan_s,
+                "replans": rep.replans,
+                "rounds": [
+                    {
+                        "boundary_s": r.boundary_s,
+                        "drift": r.drift,
+                        "drift_task": r.drift_task,
+                        "scheme_by_key": r.scheme_by_key,
+                        "wasted_mb": r.wasted_mb,
+                    }
+                    for r in rep.rounds
+                ],
+                "pieces": {
+                    key: [
+                        {"lo": p.lo, "hi": p.hi, "scheme": p.scheme, "piece_id": p.piece_id}
+                        for p in pieces
+                    ]
+                    for key, pieces in rep.pieces.items()
+                },
+                "bytes_sha256": digest.hexdigest(),
+            }
+    return canonical_json(out)
+
+
 GENERATORS = {
+    "adaptive": gen_adaptive,
     "exp1": gen_exp1,
     "exp5": gen_exp5,
     "exp6": gen_exp6,
