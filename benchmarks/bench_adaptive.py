@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from benchmarks.conftest import record_point, set_env
-from repro.adaptive import AdaptiveConfig, AdaptiveEngine, AdaptiveEntry
+from repro.adaptive import AdaptiveEngine, AdaptiveEntry
 from repro.experiments.common import build_scenario
 from repro.repair.hybrid import plan_hybrid
 from repro.simnet import NetworkTrace
@@ -41,7 +41,7 @@ def _one(k, m, f, seed):
     events = trace.events_for(ctx.cluster)
     stale = plan_hybrid(ctx)
     t_static = FluidSimulator(ctx.cluster).run(stale.tasks, events=events).makespan
-    engine = AdaptiveEngine(ctx.cluster, events=events, config=AdaptiveConfig())
+    engine = AdaptiveEngine(ctx.cluster, events=events)
     report = engine.run(
         [AdaptiveEntry(key=f"s{seed}", ctx=ctx, scheme="hmbr", plan=stale)]
     )

@@ -69,7 +69,7 @@ from repro.faults import FaultInjector, FaultSchedule
 from repro.repair import BatchRepairEngine, PlanCache
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.simnet import NetworkTrace, as_network
-from repro.adaptive import AdaptiveConfig, AdaptiveEngine, AdaptiveReport, RangeJournal
+from repro.adaptive import AdaptiveEngine, AdaptiveReport, RangeJournal
 from repro.workload import ServeRequest, ServeResult, ServingPlane, WorkloadSpec
 from repro.reliability import (
     ReliabilityReport,
@@ -122,7 +122,6 @@ __all__ = [
     "Tracer",
     "NetworkTrace",
     "as_network",
-    "AdaptiveConfig",
     "AdaptiveEngine",
     "AdaptiveReport",
     "RangeJournal",

@@ -19,7 +19,6 @@ static path; the adaptive-capable schemes are
 """
 
 from repro.adaptive.engine import (
-    AdaptiveConfig,
     AdaptiveEngine,
     AdaptiveEntry,
     AdaptivePiece,
@@ -30,7 +29,6 @@ from repro.adaptive.journal import CommittedRange, OverlapError, RangeJournal
 from repro.adaptive.runtime import AdaptiveRuntime
 
 __all__ = [
-    "AdaptiveConfig",
     "AdaptiveEngine",
     "AdaptiveEntry",
     "AdaptivePiece",

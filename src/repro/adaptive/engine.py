@@ -9,18 +9,18 @@ closes the loop:
 
 1. Round 0 simulates the *exact static plans* (built by the coordinator's
    own planning helpers) against the bandwidth-event trace, alongside a
-   quiet reference run — the plan-time rate prediction.
-2. At every event boundary it compares observed vs predicted per-flow
-   rates.  The first boundary where some flow drifts past
-   ``drift_threshold`` triggers a re-plan.
-3. The round is cut at that boundary (a horizon-bounded fluid run); the
-   volume each sub-plan completed *end to end* is committed into a
-   :class:`~repro.adaptive.journal.RangeJournal` as a word-aligned
+   quiet reference run of the same compiled tasks — the plan-time rate
+   prediction.
+2. The observed run pauses at every event boundary, where its per-flow
+   rates are compared with the prediction's.  The first boundary where
+   some flow drifts past ``drift_threshold`` triggers a re-plan.
+3. The round is cut there — the paused run *is* the round's state at the
+   cut.  The volume each sub-plan completed *end to end* is committed
+   into a :class:`~repro.adaptive.journal.RangeJournal` as a word-aligned
    fraction-range piece, and only the remaining range is re-planned —
    helpers, center, forwarding shape and HMBR's ``p0`` are all re-chosen
    against the *current* capacities (and the still-pending future
-   events), picking the best of the candidate schemes (``cr`` / ``ir`` /
-   ``hmbr`` / ``mlf``).
+   events), picking the best of :data:`CANDIDATES`.
 4. Repeat until a round runs to completion undisturbed.
 
 The engine never moves bytes — it produces :class:`AdaptivePiece`\\ s
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable
 
 from repro.adaptive.journal import RangeJournal
 from repro.repair._build import add_centralized, add_independent, add_multilevel
@@ -51,41 +50,37 @@ from repro.simnet.network import cluster_at
 _TINY = 1e-12
 #: a remaining range narrower than this is "done at the boundary".
 _DONE_FRAC = 1e-9
+#: below this remaining fraction a re-plan keeps the incumbent scheme
+#: instead of scoring the candidates.
+MIN_REMAINING_FRAC = 0.02
+#: the schemes a re-plan round scores, in tie-breaking order.
+CANDIDATES = ("hmbr", "mlf", "cr", "ir")
+#: the MLF tree fan-out of re-planned rounds (None = ~sqrt(k)).
+MLF_DEGREE = None
+#: re-plan rounds choose the k survivors that upload fastest right now.
+REPLAN_SURVIVORS = "best-uplink"
+
+#: sub-plan kind -> builder, called ``(ctx, prefix, lo, hi, *shape)``.
+_BUILDERS = {"cr": add_centralized, "ir": add_independent, "mlf": add_multilevel}
+#: scheme -> its sub-plans as (kind, task-id tag), bottom of the range first.
+_PARTS = {
+    "cr": (("cr", "cr"),),
+    "ir": (("ir", "ir"),),
+    "mlf": (("mlf", "mlf"),),
+    "hmbr": (("cr", "h.cr"), ("ir", "h.ir")),
+}
 
 
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Tuning knobs for the re-planning loop.
-
-    ``drift_threshold`` is the relative per-flow rate error that arms a
-    re-plan (0.2 = a flow running 20% off its plan-time prediction).
-    ``max_replans`` bounds the loop; once spent, the current plans run to
-    completion.  ``min_remaining_frac`` skips the candidate-scheme search
-    when almost nothing is left (the incumbent scheme just finishes).
-    ``candidates`` is the scheme pool re-plan rounds choose from;
-    ``mlf_degree`` fixes the MLF tree fan-out (``None`` = ~sqrt(k)).
-    ``repick_survivors`` lets re-plan rounds choose the currently
-    fastest-uploading k survivors instead of keeping round 0's helpers.
-    """
-
-    drift_threshold: float = 0.2
-    max_replans: int = 8
-    min_remaining_frac: float = 0.02
-    candidates: tuple[str, ...] = ("hmbr", "mlf", "cr", "ir")
-    mlf_degree: int | None = None
-    repick_survivors: bool = True
-
-    def __post_init__(self) -> None:
-        if self.drift_threshold <= 0:
-            raise ValueError("drift_threshold must be positive")
-        if self.max_replans < 0:
-            raise ValueError("max_replans must be >= 0")
-        bad = [c for c in self.candidates if c not in ADAPTIVE_SCHEMES]
-        if bad:
-            raise ValueError(
-                f"unsupported candidate scheme(s) {bad}; "
-                f"choose from {ADAPTIVE_SCHEMES}"
-            )
+def _shape(kind: str, ctx: RepairContext, meta: dict | None) -> tuple:
+    """Sub-plan ``kind``'s builder arguments after ``lo, hi`` (CR's center,
+    IR's chain paths, MLF's degree and order): the static plan's own, read
+    from its ``meta``, or with ``meta`` None picked afresh on ``ctx``."""
+    if kind == "cr":
+        return (ctx.pick_center("fastest-downlink") if meta is None else meta["center"],)
+    if kind == "ir":
+        order = "uplink-desc" if meta is None else meta.get("chain_order", "index")
+        return (build_chain_paths(ctx, order),)
+    return (MLF_DEGREE, "uplink-desc") if meta is None else (meta["degree"], meta["order"])
 
 
 @dataclass(frozen=True)
@@ -95,15 +90,13 @@ class AdaptiveEntry:
     ``plan`` must be the plan the *static* path would run (built by the
     coordinator's own helpers, common HMBR split included) — round 0
     simulates it verbatim, which is what makes quiet-network adaptivity a
-    bit-exact no-op.  ``weight`` scales the entry's flows in the shared
-    fluid solve (scheduler-style priorities).
+    bit-exact no-op.
     """
 
     key: str
     ctx: RepairContext
     scheme: str
     plan: RepairPlan
-    weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -170,20 +163,26 @@ class AdaptiveReport:
 
 @dataclass
 class _Sub:
-    """One scheme-homogeneous slice of an entry's current round plan."""
+    """One scheme-homogeneous slice ``[lo, hi)`` of an entry's round plan."""
 
     kind: str
+    ctx: RepairContext
     prefix: str
+    #: the builder's arguments after ``lo, hi`` (see :func:`_shape`)
+    shape: tuple
     lo: float
     hi: float
-    #: which end of ``[lo, hi)`` the committed range grows from.  The last
-    #: sub-plan of an entry anchors at the top so the entry's remaining
-    #: range stays a single contiguous interval across commits.
-    anchor: str
-    tasks: list
-    ops: list | None
-    outputs: dict | None
-    build: Callable[[float, float], tuple]
+    #: the committed range grows down from ``hi`` (HMBR's IR part, so the
+    #: entry's remaining range stays one interval), else up from ``lo``
+    top: bool
+    tasks: list = dc_field(default_factory=list)
+    #: the ops and outputs of a build over exactly ``[lo, hi)``, if kept
+    ops: list | None = None
+    outputs: dict | None = None
+
+    def build(self, lo: float, hi: float) -> tuple:
+        """``(tasks, ops, outputs)`` of this sub-plan over ``[lo, hi)``."""
+        return _BUILDERS[self.kind](self.ctx, self.prefix, lo, hi, *self.shape)
 
 
 @dataclass
@@ -204,16 +203,27 @@ class _Live:
 class AdaptiveEngine:
     """Drift-triggered re-planner over one bandwidth-event trace.
 
-    ``cluster`` is never mutated: re-plan rounds look at capacity
-    snapshots built by :func:`repro.simnet.network.cluster_at`.  ``obs``
-    (an :class:`repro.obs.Observability`, optional) receives per-round
-    spans and ``adaptive.*`` metrics.
+    ``drift_threshold`` is the relative per-flow rate error that arms a
+    re-plan (0.2 = a flow running 20% off its plan-time prediction);
+    ``max_replans`` bounds the loop, after which the current plans run to
+    completion.  ``cluster`` is never mutated: re-plan rounds look at
+    capacity snapshots built by :func:`repro.simnet.network.cluster_at`.
+    ``obs`` (an :class:`repro.obs.Observability`, optional) receives
+    per-round spans and ``adaptive.*`` metrics.
     """
 
-    def __init__(self, cluster, *, events=(), config=None, obs=None) -> None:
+    def __init__(
+        self, cluster, *, events=(), drift_threshold: float = 0.2,
+        max_replans: int = 8, obs=None,
+    ) -> None:
+        if drift_threshold <= 0:
+            raise ValueError("drift_threshold must be positive")
+        if max_replans < 0:
+            raise ValueError("max_replans must be >= 0")
         self.cluster = cluster
         self.events = sorted(events, key=lambda e: e.time)
-        self.config = config or AdaptiveConfig()
+        self.drift_threshold = drift_threshold
+        self.max_replans = max_replans
         self.obs = obs
 
     # ------------------------------------------------------------------ #
@@ -221,26 +231,12 @@ class AdaptiveEngine:
     # ------------------------------------------------------------------ #
     def run(self, entries: list[AdaptiveEntry]) -> AdaptiveReport:
         """Plan, watch, cut, re-plan; returns the full timing report."""
-        cfg = self.config
         journal = RangeJournal()
         pieces: dict[str, list[AdaptivePiece]] = {e.key: [] for e in entries}
         finish_s: dict[str, float] = {}
         rounds: list[AdaptiveRound] = []
-        quiet = not self.events
-        live: list[_Live] = []
-        for e in entries:
-            if e.scheme not in ADAPTIVE_SCHEMES:
-                raise ValueError(
-                    f"scheme {e.scheme!r} is not adaptive-capable; "
-                    f"choose from {ADAPTIVE_SCHEMES}"
-                )
-            live.append(self._decompose(e))
-        scheme0 = entries[0].scheme if entries else "hmbr"
-
-        t = 0.0
-        replans = 0
-        wasted_mb = 0.0
-        wire_mb = 0.0
+        live = [self._decompose(e) for e in entries]
+        t, replans, wasted_mb, wire_mb = 0.0, 0, 0.0, 0.0
         while live:
             r = len(rounds)
             span = None
@@ -251,39 +247,31 @@ class AdaptiveEngine:
                     schemes=sorted({lv.scheme for lv in live}),
                 )
             try:
-                base = self._cluster_at(t)
-                shifted = [
-                    dataclasses.replace(ev, time=ev.time - t)
-                    for ev in self.events
-                    if ev.time > t + _TINY
-                ]
-                tasks = [tk for lv in live for tk in self._weighted(lv)]
-                obs_run = FluidSimulator(base).run(
-                    tasks, events=shifted, record_trace=True
-                )
+                base, shifted = self._future(t)
+                tasks = [tk for lv in live for tk in lv.tasks]
+                sim = FluidSimulator(base)
+                prob = sim.compile(tasks)
+                run = sim.start(prob, events=shifted)
                 boundary, drift, drift_task = None, 0.0, None
-                if shifted and replans < cfg.max_replans:
-                    ref_run = FluidSimulator(base).run(tasks, record_trace=True)
+                if shifted and replans < self.max_replans:
                     boundary, drift, drift_task = self._first_drift(
-                        obs_run, ref_run, shifted, cfg.drift_threshold
+                        run, sim.start(prob).advance(), shifted
                     )
+                scheme_by_key = {lv.entry.key: lv.scheme for lv in live}
                 if boundary is None:
                     # undisturbed (or out of re-plan budget): finish here
+                    part = run.advance().result()
                     for lv in live:
-                        self._finalize(lv, obs_run, t, r, journal, pieces, finish_s)
-                    wire_mb += sum(self._wire(tk, 1.0) for tk in tasks)
+                        self._finalize(lv, part, t, r, journal, pieces, finish_s)
+                    wire_mb += sum(_wire(tk, 1.0) for tk in tasks)
                     rounds.append(AdaptiveRound(
-                        index=r, t_start_s=t, duration_s=obs_run.makespan,
+                        index=r, t_start_s=t, duration_s=part.makespan,
                         boundary_s=None, drift=drift, drift_task=drift_task,
-                        scheme_by_key={lv.entry.key: lv.scheme for lv in live},
-                        wasted_mb=0.0,
+                        scheme_by_key=scheme_by_key, wasted_mb=0.0,
                     ))
-                    live = []
-                    continue
-                # drift: cut the round at the offending event boundary
-                part = FluidSimulator(base).run(
-                    tasks, events=shifted, horizon_s=boundary
-                )
+                    break
+                # drift: the run is paused at the offending event boundary
+                part = run.result()
                 round_waste = 0.0
                 still: list[_Live] = []
                 for lv in live:
@@ -298,8 +286,7 @@ class AdaptiveEngine:
                 rounds.append(AdaptiveRound(
                     index=r, t_start_s=t, duration_s=boundary,
                     boundary_s=t + boundary, drift=drift, drift_task=drift_task,
-                    scheme_by_key={lv.entry.key: lv.scheme for lv in live},
-                    wasted_mb=round_waste,
+                    scheme_by_key=scheme_by_key, wasted_mb=round_waste,
                 ))
                 t += boundary
                 live = still
@@ -319,7 +306,7 @@ class AdaptiveEngine:
             m.gauge("adaptive.makespan_s").set(makespan)
             m.gauge("adaptive.wasted_mb").set(wasted_mb)
         return AdaptiveReport(
-            scheme=scheme0,
+            scheme=entries[0].scheme if entries else "hmbr",
             makespan_s=makespan,
             finish_s=finish_s,
             replans=replans,
@@ -328,8 +315,8 @@ class AdaptiveEngine:
             bytes_on_wire_mb_model=wire_mb,
             pieces=pieces,
             journal=journal,
-            drift_threshold=cfg.drift_threshold,
-            quiet=quiet,
+            drift_threshold=self.drift_threshold,
+            quiet=not self.events,
         )
 
     # ------------------------------------------------------------------ #
@@ -337,51 +324,21 @@ class AdaptiveEngine:
     # ------------------------------------------------------------------ #
     def _decompose(self, e: AdaptiveEntry) -> _Live:
         """Split the static plan into anchored, rebuildable sub-plans."""
-        ctx, meta = e.ctx, e.plan.meta
-        if e.scheme == "cr":
-            prefix = ctx.prefix("cr")
-            center = meta["center"]
-            subs = [_Sub(
-                "cr", prefix, 0.0, 1.0, "bottom", list(e.plan.tasks),
-                None, None,
-                lambda lo, hi, c=ctx, p=prefix, n=center: add_centralized(c, p, lo, hi, n),
-            )]
-        elif e.scheme == "ir":
-            prefix = ctx.prefix("ir")
-            paths = build_chain_paths(ctx, meta.get("chain_order", "index"))
-            subs = [_Sub(
-                "ir", prefix, 0.0, 1.0, "bottom", list(e.plan.tasks),
-                None, None,
-                lambda lo, hi, c=ctx, p=prefix, pa=paths: add_independent(c, p, lo, hi, pa),
-            )]
-        elif e.scheme == "mlf":
-            prefix = ctx.prefix("mlf")
-            degree, order = meta["degree"], meta["order"]
-            subs = [_Sub(
-                "mlf", prefix, 0.0, 1.0, "bottom", list(e.plan.tasks),
-                None, None,
-                lambda lo, hi, c=ctx, p=prefix, d=degree, o=order: add_multilevel(
-                    c, p, lo, hi, degree=d, order=o
-                ),
-            )]
-        elif e.scheme == "hmbr":
-            p0, center = meta["p0"], meta["center"]
-            paths = build_chain_paths(ctx, meta.get("chain_order", "index"))
-            crp, irp = ctx.prefix("h.cr"), ctx.prefix("h.ir")
-            cr_tasks = [tk for tk in e.plan.tasks if tk.task_id.startswith(crp + ":")]
-            ir_tasks = [tk for tk in e.plan.tasks if tk.task_id.startswith(irp + ":")]
-            subs = [
-                _Sub(
-                    "cr", crp, 0.0, p0, "bottom", cr_tasks, None, None,
-                    lambda lo, hi, c=ctx, p=crp, n=center: add_centralized(c, p, lo, hi, n),
-                ),
-                _Sub(
-                    "ir", irp, p0, 1.0, "top", ir_tasks, None, None,
-                    lambda lo, hi, c=ctx, p=irp, pa=paths: add_independent(c, p, lo, hi, pa),
-                ),
-            ]
-        else:  # pragma: no cover - guarded by run()
-            raise ValueError(f"cannot decompose scheme {e.scheme!r}")
+        if e.scheme not in ADAPTIVE_SCHEMES:
+            raise ValueError(
+                f"scheme {e.scheme!r} is not adaptive-capable; "
+                f"choose from {ADAPTIVE_SCHEMES}"
+            )
+        parts = _PARTS[e.scheme]
+        cuts = (0.0, e.plan.meta["p0"], 1.0) if len(parts) > 1 else (0.0, 1.0)
+        subs = []
+        for i, (kind, tag) in enumerate(parts):
+            prefix = e.ctx.prefix(tag)
+            subs.append(_Sub(
+                kind, e.ctx, prefix, _shape(kind, e.ctx, e.plan.meta),
+                cuts[i], cuts[i + 1], i > 0,
+                [tk for tk in e.plan.tasks if tk.task_id.startswith(prefix + ":")],
+            ))
         return _Live(
             entry=e, scheme=e.scheme, subs=subs,
             tasks=list(e.plan.tasks), plan0=e.plan,
@@ -390,45 +347,32 @@ class AdaptiveEngine:
     # ------------------------------------------------------------------ #
     # drift detection
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _rates_at(trace, t: float) -> dict[str, float]:
-        """Per-flow rates of the trace segment containing instant ``t``."""
-        for t0, t1, rates in trace:
-            if t0 <= t < t1:
-                return rates
-        return {}
+    def _first_drift(self, run, ref, shifted):
+        """Advance ``run`` to the first event boundary where a flow drifts.
 
-    def _first_drift(self, obs_run, ref_run, shifted, threshold):
-        """First event boundary where an active flow's rate drifts too far.
-
-        ``obs_run`` is the simulation under the event trace, ``ref_run``
-        the quiet run of the same tasks — the plan-time prediction.  At
-        each boundary, every flow still active in the observed run is
-        compared against its predicted rate; a flow the prediction says
-        should already be finished counts as fully drifted (1.0).
-        Returns ``(boundary, worst_drift, worst_task)`` or
+        ``run`` is the observed run under the event trace, ``ref`` the
+        finished quiet run of the same tasks — the plan-time prediction.
+        The observed run pauses at each event boundary it lives to see,
+        and every flow in progress there is compared against its
+        predicted rate; a flow the prediction says should already be
+        finished counts as fully drifted (1.0).  Returns ``(boundary,
+        worst_drift, worst_task)`` with ``run`` paused at the boundary, or
         ``(None, last_worst, last_task)`` when nothing trips.
         """
-        boundaries = sorted({
-            ev.time for ev in shifted
-            if _TINY < ev.time < obs_run.makespan - _TINY
-        })
         worst, worst_tid = 0.0, None
-        for tb in boundaries:
-            obs_rates = self._rates_at(obs_run.trace, tb)
-            ref_rates = self._rates_at(ref_run.trace, tb)
+        for tb in sorted({ev.time for ev in shifted if ev.time > _TINY}):
+            if run.advance(tb).done:
+                break
+            ref_rates = ref.rates_at(tb)
             tb_worst, tb_tid = 0.0, None
-            for tid, ro in obs_rates.items():
+            for tid, ro in run.rates_at(tb).items():
                 rr = ref_rates.get(tid, 0.0)
-                if rr <= _TINY:
-                    d = 1.0 if ro > _TINY else 0.0
-                else:
-                    d = abs(ro - rr) / rr
+                d = abs(ro - rr) / rr if rr > _TINY else float(ro > _TINY)
                 if d > tb_worst:
                     tb_worst, tb_tid = d, tid
             if tb_worst > worst:
                 worst, worst_tid = tb_worst, tb_tid
-            if tb_worst > threshold:
+            if tb_worst > self.drift_threshold:
                 return tb, tb_worst, tb_tid
         return None, worst, worst_tid
 
@@ -500,7 +444,7 @@ class AdaptiveEngine:
                 else:
                     p = 1.0 - rem / size
             progress[tid] = min(max(p, 0.0), 1.0)
-        moved = sum(self._wire(tk, progress[tk.task_id]) for tk in lv.tasks)
+        moved = sum(_wire(tk, progress[tk.task_id]) for tk in lv.tasks)
         if all(p >= 1.0 - _DONE_FRAC for p in progress.values()):
             self._finalize(lv, part, t, r, journal, pieces, finish_s)
             return True, 0.0, moved
@@ -510,11 +454,11 @@ class AdaptiveEngine:
         for sub in lv.subs:
             c = min((progress[tk.task_id] for tk in sub.tasks), default=1.0)
             waste += sum(
-                self._wire(tk, max(0.0, progress[tk.task_id] - c))
+                _wire(tk, max(0.0, progress[tk.task_id] - c))
                 for tk in sub.tasks
             )
             width = sub.hi - sub.lo
-            if sub.anchor == "bottom":
+            if not sub.top:
                 cut = sub.lo + c * width
                 self._sub_piece(lv, sub, sub.lo, cut, r, journal, pieces)
                 cut_lo = max(cut_lo, cut)
@@ -541,33 +485,20 @@ class AdaptiveEngine:
         fluid run against the still-pending future events; the smallest
         predicted makespan wins, ties keeping candidate order.
         """
-        cfg = self.config
-        cluster_now = self._cluster_at(t)
-        shifted = [
-            dataclasses.replace(ev, time=ev.time - t)
-            for ev in self.events
-            if ev.time > t + _TINY
-        ]
-        if max(lv.hi - lv.lo for lv in live) < cfg.min_remaining_frac:
-            cands = [live[0].scheme]
-        else:
-            cands = list(dict.fromkeys(cfg.candidates))
+        cluster_now, shifted = self._future(t)
+        small = max(lv.hi - lv.lo for lv in live) < MIN_REMAINING_FRAC
+        cands = (live[0].scheme,) if small else CANDIDATES
         best = None
         for cand in cands:
             builds = self._build_candidate(live, cand, cluster_now, shifted, r)
-            tasks = [
-                tk
-                for lv, (_subs, raw) in zip(live, builds)
-                for tk in self._weighted_tasks(raw, lv.entry.weight)
-            ]
+            tasks = [tk for subs in builds for sub in subs for tk in sub.tasks]
             score = FluidSimulator(cluster_now).run(tasks, events=shifted).makespan
             if best is None or score < best[0] - _TINY:
                 best = (score, cand, builds)
         _, cand, builds = best
-        for lv, (subs, raw) in zip(live, builds):
-            lv.scheme = cand
-            lv.subs = subs
-            lv.tasks = raw
+        for lv, subs in zip(live, builds):
+            lv.scheme, lv.subs = cand, subs
+            lv.tasks = [tk for sub in subs for tk in sub.tasks]
         if self.obs is not None:
             self.obs.tracer.instant(
                 f"adaptive.replan:{r}", actor="adaptive", cat="adaptive",
@@ -575,103 +506,52 @@ class AdaptiveEngine:
                 remaining={lv.entry.key: lv.hi - lv.lo for lv in live},
             )
 
-    def _build_candidate(self, live, cand, cluster_now, shifted, r):
+    def _build_candidate(self, live, cand, cluster_now, shifted, r) -> list[list[_Sub]]:
         """Build ``cand`` over each live entry's remaining range.
 
-        Returns ``[(subs, tasks), ...]`` aligned with ``live``.  HMBR uses
-        one *common* relative split across the entries (searched against
-        the predicted future events, like the static common split); the
-        other schemes build independently per entry.
+        Returns each entry's sub-plans, aligned with ``live``, on a context
+        re-based onto the current capacities with freshly picked survivors.
+        HMBR splits every entry at one *common* relative split, searched
+        against the predicted future events like the static common split.
         """
-        if cand == "hmbr":
-            per = []
-            for lv in live:
-                ctx = self._ctx_now(lv, cluster_now)
-                center = ctx.pick_center("fastest-downlink")
-                paths = build_chain_paths(ctx, "uplink-desc")
-                crp = ctx.prefix(f"a{r}.h.cr")
-                irp = ctx.prefix(f"a{r}.h.ir")
-                cr_full, _, _ = add_centralized(ctx, crp, lv.lo, lv.hi, center)
-                ir_full, _, _ = add_independent(ctx, irp, lv.lo, lv.hi, paths)
-                per.append((lv, ctx, center, paths, crp, irp, cr_full, ir_full))
-            cr_all = [tk for entry in per for tk in entry[6]]
-            ir_all = [tk for entry in per for tk in entry[7]]
-            q, _ = search_split(cr_all, ir_all, cluster_now, events=shifted)
-            out = []
-            for lv, ctx, center, paths, crp, irp, _cr, _ir in per:
-                mid = lv.lo + q * (lv.hi - lv.lo)
-                cr_tasks, cr_ops, cr_out = add_centralized(ctx, crp, lv.lo, mid, center)
-                ir_tasks, ir_ops, ir_out = add_independent(ctx, irp, mid, lv.hi, paths)
-                subs = [
-                    _Sub(
-                        "cr", crp, lv.lo, mid, "bottom", cr_tasks, cr_ops, cr_out,
-                        lambda lo, hi, c=ctx, p=crp, n=center: add_centralized(c, p, lo, hi, n),
-                    ),
-                    _Sub(
-                        "ir", irp, mid, lv.hi, "top", ir_tasks, ir_ops, ir_out,
-                        lambda lo, hi, c=ctx, p=irp, pa=paths: add_independent(c, p, lo, hi, pa),
-                    ),
-                ]
-                out.append((subs, cr_tasks + ir_tasks))
-            return out
-        out = []
+        parts = _PARTS[cand]
+        builds = []
         for lv in live:
-            ctx = self._ctx_now(lv, cluster_now)
-            if cand == "cr":
-                prefix = ctx.prefix(f"a{r}.cr")
-                center = ctx.pick_center("fastest-downlink")
-                tasks, ops, outs = add_centralized(ctx, prefix, lv.lo, lv.hi, center)
-                build = lambda lo, hi, c=ctx, p=prefix, n=center: add_centralized(c, p, lo, hi, n)
-            elif cand == "ir":
-                prefix = ctx.prefix(f"a{r}.ir")
-                paths = build_chain_paths(ctx, "uplink-desc")
-                tasks, ops, outs = add_independent(ctx, prefix, lv.lo, lv.hi, paths)
-                build = lambda lo, hi, c=ctx, p=prefix, pa=paths: add_independent(c, p, lo, hi, pa)
-            else:  # mlf
-                prefix = ctx.prefix(f"a{r}.mlf")
-                degree = self.config.mlf_degree
-                tasks, ops, outs = add_multilevel(
-                    ctx, prefix, lv.lo, lv.hi, degree=degree, order="uplink-desc"
-                )
-                build = lambda lo, hi, c=ctx, p=prefix, d=degree: add_multilevel(
-                    c, p, lo, hi, degree=d, order="uplink-desc"
-                )
-            subs = [_Sub(cand, prefix, lv.lo, lv.hi, "bottom", tasks, ops, outs, build)]
-            out.append((subs, list(tasks)))
-        return out
+            ctx = dataclasses.replace(
+                lv.entry.ctx, cluster=cluster_now, survivor_policy=REPLAN_SURVIVORS
+            )
+            builds.append([
+                _Sub(kind, ctx, ctx.prefix(f"a{r}.{tag}"), _shape(kind, ctx, None),
+                     lv.lo, lv.hi, i > 0)
+                for i, (kind, tag) in enumerate(parts)
+            ])
+        if len(parts) > 1:
+            cr, ir = (
+                [tk for subs in builds for tk in subs[i].build(subs[i].lo, subs[i].hi)[0]]
+                for i in (0, 1)
+            )
+            q, _ = search_split(cr, ir, cluster_now, events=shifted)
+            for lv, (low, high) in zip(live, builds):
+                low.hi = high.lo = lv.lo + q * (lv.hi - lv.lo)
+        for subs in builds:
+            for sub in subs:
+                sub.tasks, sub.ops, sub.outputs = sub.build(sub.lo, sub.hi)
+        return builds
 
-    def _ctx_now(self, lv, cluster_now) -> RepairContext:
-        """The entry's context re-based onto the current capacity snapshot."""
-        policy = (
-            "best-uplink" if self.config.repick_survivors
-            else lv.entry.ctx.survivor_policy
-        )
-        return dataclasses.replace(
-            lv.entry.ctx, cluster=cluster_now, survivor_policy=policy
-        )
-
-    # ------------------------------------------------------------------ #
-    # small helpers
-    # ------------------------------------------------------------------ #
-    def _cluster_at(self, t: float):
-        """Capacity snapshot at instant ``t`` (the base cluster at 0)."""
-        if t <= 0.0 and not any(ev.time <= _TINY for ev in self.events):
-            return self.cluster
-        return cluster_at(self.cluster, self.events, t)
-
-    def _weighted(self, lv) -> list:
-        return self._weighted_tasks(lv.tasks, lv.entry.weight)
-
-    @staticmethod
-    def _weighted_tasks(tasks, weight: float) -> list:
-        if weight == 1.0:
-            return list(tasks)
-        return [
-            dataclasses.replace(tk, weight=tk.weight * weight) for tk in tasks
+    def _future(self, t: float):
+        """The capacity snapshot at instant ``t`` (the base cluster at 0)
+        and the events still to come, re-timed to start at ``t``."""
+        shifted = [
+            dataclasses.replace(ev, time=ev.time - t)
+            for ev in self.events
+            if ev.time > t + _TINY
         ]
+        if t <= 0.0 and not any(ev.time <= _TINY for ev in self.events):
+            return self.cluster, shifted
+        return cluster_at(self.cluster, self.events, t), shifted
 
-    @staticmethod
-    def _wire(task, frac: float) -> float:
-        """Modeled wire MB of ``frac`` of a task (pipeline hops each count)."""
-        hops = getattr(task, "hops", ())
-        return getattr(task, "size_mb", 0.0) * len(hops) * frac
+
+def _wire(task, frac: float) -> float:
+    """Modeled wire MB of ``frac`` of a task (pipeline hops each count)."""
+    hops = getattr(task, "hops", ())
+    return getattr(task, "size_mb", 0.0) * len(hops) * frac

@@ -18,12 +18,7 @@ ranges, so concatenation is exact), stored, and — when ``verify`` is on
 
 from __future__ import annotations
 
-from repro.adaptive.engine import (
-    AdaptiveConfig,
-    AdaptiveEngine,
-    AdaptiveEntry,
-    AdaptiveReport,
-)
+from repro.adaptive.engine import AdaptiveEngine, AdaptiveEntry, AdaptiveReport
 from repro.repair._build import repaired_name
 from repro.repair.plan import ConcatOp
 from repro.simnet.network import as_network
@@ -37,17 +32,12 @@ class AdaptiveRuntime:
     served: its ``scheme`` / ``verify`` drive the round, its ``network``
     (a :class:`~repro.simnet.network.NetworkTrace`; ``None`` = quiet) is
     the trace the engine watches, and its ``drift_threshold`` /
-    ``max_replans`` tune the engine unless an explicit ``config``
-    (:class:`~repro.adaptive.engine.AdaptiveConfig`) overrides them.
+    ``max_replans`` tune the engine.
     """
 
-    def __init__(self, coord, request, *, config: AdaptiveConfig | None = None):
+    def __init__(self, coord, request):
         self.coord = coord
         self.request = request
-        self.config = config or AdaptiveConfig(
-            drift_threshold=request.drift_threshold,
-            max_replans=request.max_replans,
-        )
         #: stripe id -> resumable data-plane cursor (the never-re-send ledger).
         self.journals: dict[int, ExecutionJournal] = {}
 
@@ -72,7 +62,7 @@ class AdaptiveRuntime:
         with coord.span(
             "repair.adaptive", "repair",
             scheme=req.scheme, dead_nodes=list(dead), stripes=sorted(affected),
-            quiet=not events, drift_threshold=self.config.drift_threshold,
+            quiet=not events, drift_threshold=req.drift_threshold,
         ):
             # ---- planning: byte-identical to the static healthy round
             rnd = coord.plan_round(req.scheme, affected)
@@ -84,7 +74,8 @@ class AdaptiveRuntime:
 
             # ---- timing plane: drift-watched rounds over the event trace
             report = AdaptiveEngine(
-                coord.cluster, events=events, config=self.config, obs=coord.obs
+                coord.cluster, events=events, drift_threshold=req.drift_threshold,
+                max_replans=req.max_replans, obs=coord.obs,
             ).run(entries)
 
             # ---- data plane: each journaled piece's ops run exactly once

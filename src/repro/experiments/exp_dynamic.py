@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adaptive import AdaptiveConfig, AdaptiveEngine, AdaptiveEntry
+from repro.adaptive import AdaptiveEngine, AdaptiveEntry
 from repro.experiments.common import build_scenario, format_table, plan_for
 from repro.repair.hybrid import plan_hybrid
 from repro.simnet import NetworkTrace
@@ -57,7 +57,7 @@ def run_one(
     aware = plan_hybrid(ctx, events=events)
     t_stale = sim.run(stale.tasks, events=events).makespan
     t_aware = sim.run(aware.tasks, events=events).makespan
-    engine = AdaptiveEngine(ctx.cluster, events=events, config=AdaptiveConfig())
+    engine = AdaptiveEngine(ctx.cluster, events=events)
     adaptive = engine.run([AdaptiveEntry(key="s0", ctx=ctx, scheme="hmbr", plan=stale)])
     t_adapt = adaptive.makespan_s
     return {

@@ -10,9 +10,10 @@ transfer balance.  This package makes the kernel a pluggable tier:
   cached per user, driven via :mod:`ctypes`) implementing one ISA-L-style
   dot-product kernel per field over k source pointers, with the classic
   split-nibble SIMD layout; ~13x the NumPy tier on GF(2^8) planes where
-  AVX2 is available;
-* ``isal`` — bindings to a host ``libisal`` when one exists (GF(2^8));
-  auto-detected, never required.
+  AVX2 is available.
+
+A host-specific tier (a vendor library's bindings, say) plugs in by
+subclassing :class:`KernelBackend` and calling :func:`register_backend`.
 
 Selection is ``REPRO_GF_BACKEND`` override → best available
 (:func:`select_backend`); every engine seam accepts a ``backend=`` name
@@ -33,12 +34,10 @@ from repro.gf.backend.base import (
     resolve_backend,
     select_backend,
 )
-from repro.gf.backend.isal import IsalBackend
 from repro.gf.backend.native import NativeBackend
 from repro.gf.backend.numpy_backend import NumpyBackend
 
 #: the singleton instances selection picks from, registered best-first.
-register_backend(IsalBackend())
 register_backend(NativeBackend())
 register_backend(NumpyBackend())
 
@@ -48,7 +47,6 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "NativeBackend",
-    "IsalBackend",
     "available_backends",
     "get_backend",
     "register_backend",

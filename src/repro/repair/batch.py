@@ -290,7 +290,7 @@ class BatchRepairEngine:
     execute their plans op by op (:func:`repro.system.agent.run_plan_ops`).
 
     ``backend`` selects the GF kernel tier running the plane matmul: a
-    :mod:`repro.gf.backend` name (``"numpy"``, ``"native"``, ``"isal"``),
+    :mod:`repro.gf.backend` name (``"numpy"``, ``"native"``),
     a :class:`~repro.gf.backend.KernelBackend` instance, or ``None`` for
     auto-selection (``REPRO_GF_BACKEND`` override → best available).
     Every backend is bit-exact, so the choice only moves throughput.

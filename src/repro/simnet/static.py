@@ -12,10 +12,11 @@ finish together — which is exactly the situation in the paper's CR and IR
 formulas, so on those plans the two backends agree (see tests).
 
 It is cheaper than the fluid simulator — one pass, no events — but not by
-much once the solver runs on arrays: 0.38 ms against 0.70 ms on
-``benchmarks/bench_allocator.py``'s RS(64,8) 8-failure IR plan (8 chains,
-512 hops), 1.8x.  Its use is as a closed-form cross-check of the paper's
-§III-B1 arithmetic, not as a faster search backend.
+much once the solver runs on arrays: 0.73 ms against 1.42 ms (1.9x, on a
+2-core Xeon VM) for the RS(64,8) 8-failure IR plan of
+``build_scenario(64, 8, 8, wld="WLD-8x", seed=2023)`` (8 chains, 512
+hops).  Its use is as a closed-form cross-check of the paper's §III-B1
+arithmetic, not as a faster search backend.
 """
 
 from __future__ import annotations

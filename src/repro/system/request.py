@@ -65,7 +65,8 @@ class RepairRequest:
     (validation rejects the combination rather than silently dropping the
     pipelining model).  ``adaptive`` likewise rejects ``workers > 1``/
     ``faults``/scheduler fields: the re-planner owns its own round
-    structure.
+    structure.  ``predict_network`` is rejected beside ``adaptive`` or
+    ``faults`` for the same reason: neither route reads it.
     """
 
     scheme: str = "hmbr"
@@ -111,6 +112,11 @@ class RepairRequest:
             raise ValueError(
                 "faults route through the journaled fault runtime; it has no "
                 "decode pipelining model (use workers=1)"
+            )
+        if self.predict_network and (self.adaptive or self.faults is not None):
+            raise ValueError(
+                "predict_network=True searches a plain round's HMBR split; "
+                "the adaptive and fault routes plan their own rounds"
             )
         if self.network is not None:
             from repro.simnet.network import as_network

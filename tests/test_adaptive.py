@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.adaptive import (
-    AdaptiveConfig,
     AdaptiveEngine,
     AdaptiveEntry,
     OverlapError,
@@ -143,6 +142,38 @@ def test_adaptive_beats_static_under_collapse():
     assert adaptive.makespan_s < static.makespan_s
 
 
+def test_a_drift_watched_round_simulates_its_tasks_twice(monkeypatch):
+    """One observed run, paused at boundaries and committed from, plus one
+    quiet reference, both over the round's one compiled problem; the only
+    other fluid runs (split search, candidate scoring) are plain ones."""
+    from repro.simnet.fluid import FluidSimulator
+
+    starts, runs = [], []
+    real_start, real_run = FluidSimulator.start, FluidSimulator.run
+
+    def start(self, tasks, *args, **kwargs):
+        starts.append(tasks)
+        return real_start(self, tasks, *args, **kwargs)
+
+    def run(self, tasks, *args, **kwargs):
+        runs.append(kwargs)
+        return real_run(self, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(FluidSimulator, "start", start)
+    monkeypatch.setattr(FluidSimulator, "run", run)
+    c = make_system(block_size_mb=64.0)
+    c.write("f", payload(60_000, seed=4))
+    c.crash_node(0)
+    report = c.repair(RepairRequest(scheme="hmbr", network=collapse_trace(), adaptive=True)).report
+
+    # round 0 is watched and cut at the collapse; round 1 sees no event left
+    assert [rd.boundary_s for rd in report.rounds] == [0.6, None]
+    assert len(starts) == 3 and starts[0] is starts[1] is not starts[2]
+    assert runs and all(
+        not kw.get("record_trace") and kw.get("horizon_s") is None for kw in runs
+    )
+
+
 def test_adaptive_journal_tiles_unit_interval():
     data = payload(200_000, seed=5)
     c = make_system(block_size_mb=64.0)
@@ -237,12 +268,12 @@ def test_adaptive_request_validation():
 
 
 def test_adaptive_config_validation():
-    with pytest.raises(ValueError):
-        AdaptiveConfig(drift_threshold=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(max_replans=-1)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(candidates=("nope",))
+    """The engine's two knobs are validated where they are set."""
+    cluster = Cluster.homogeneous(4, 100.0)
+    with pytest.raises(ValueError, match="drift_threshold"):
+        AdaptiveEngine(cluster, drift_threshold=0.0)
+    with pytest.raises(ValueError, match="max_replans"):
+        AdaptiveEngine(cluster, max_replans=-1)
 
 
 def test_engine_rejects_unknown_scheme():

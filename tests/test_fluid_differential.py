@@ -478,3 +478,139 @@ def test_incidence_rejects_what_the_kernel_would_read_out_of_bounds():
             _Incidence(flows, res, [1.0, 1.0], n_res=2)
     with pytest.raises(ValueError, match="flow-major"):
         _Incidence([1, 0], [0, 0], [1.0, 1.0], n_res=2)
+
+
+# --------------------------------------------------------------------- #
+# a run that stops and goes on: FluidSimulator.start
+# --------------------------------------------------------------------- #
+def segment_rates(trace, t):
+    """The rates of the traced interval containing ``t`` ({} past the end)."""
+    return next((rates for t0, t1, rates in trace if t0 <= t < t1), {})
+
+
+def completion_at_an_event():
+    """Flow ``a`` completes exactly when the event at 0.1 fires, releasing
+    a zero-size flow and a dependent; a delay gates a third flow."""
+    cluster = Cluster([Node(i, 100.0, 100.0) for i in range(4)])
+    tasks = [
+        Flow("a", 0, 1, 10.0),
+        Flow("c", 2, 3, 30.0, weight=1.7),
+        Flow("z", 1, 3, 0.0, deps=("a",)),
+        Flow("b", 1, 2, 5.0, deps=("a",), weight=0.3),
+        DelayTask("d", 0.25),
+        Flow("e", 3, 0, 8.0, deps=("d", "z")),
+    ]
+    events = [BandwidthEvent(0.1, 1, downlink=40.0), BandwidthEvent(0.3, 3, uplink=25.0)]
+    return cluster, tasks, events
+
+
+def resumable_instances():
+    yield "completion-at-event", (*completion_at_an_event(), None)
+    for seed in seed_fanout(DEFAULT_MASTER_SEED + 1, 25):
+        yield f"seed{seed}", random_instance(seed)
+
+
+@pytest.mark.parametrize("name, instance", list(resumable_instances()))
+def test_start_advance_result_equals_run(name, instance):
+    cluster, tasks, events, horizon = instance
+    sim = FluidSimulator(cluster)
+    for kind, bound in BODIES.items():
+        with bound():
+            for h in {horizon, 0.4, None}:
+                assert sim.start(tasks, events=events).advance(h).result() == sim.run(
+                    tasks, events=events, horizon_s=h
+                ), (kind, h)
+
+
+@pytest.mark.parametrize("name, instance", list(resumable_instances()))
+def test_advancing_through_every_event_time_equals_one_run(name, instance):
+    """Pausing at event times adds no interval: every time, rate-update
+    count and byte counter is ``==`` to the run that never stopped."""
+    cluster, tasks, events, _ = instance
+    sim = FluidSimulator(cluster)
+    for kind, bound in BODIES.items():
+        with bound():
+            run = sim.start(tasks, events=events)
+            for ev in sorted(events, key=lambda e: e.time):
+                run.advance(ev.time)
+            assert run.advance().result() == sim.run(tasks, events=events), kind
+
+
+@pytest.mark.parametrize("name, instance", list(resumable_instances()))
+def test_rates_at_equals_the_traced_interval(name, instance):
+    """At every pause: each interval so far reads its traced rates, before
+    and after the zero-time work at the clock is settled; the clock itself
+    reads the interval that starts there."""
+    cluster, tasks, events, _ = instance
+    sim = FluidSimulator(cluster)
+    trace = sim.run(tasks, events=events, record_trace=True).trace
+    probes = [t for t0, t1, _ in trace if t1 - t0 > 1e-9 for t in (t0, (t0 + t1) / 2)]
+    for kind, bound in BODIES.items():
+        with bound():
+            run = sim.start(tasks, events=events)
+            for ev in sorted(events, key=lambda e: e.time):
+                run.advance(ev.time)
+                past = [t for t in probes if t < run.now]
+                before = [run.rates_at(t) for t in past]
+                assert before == [segment_rates(trace, t) for t in past], kind
+                assert run.rates_at(run.now) == segment_rates(trace, run.now), kind
+                assert [run.rates_at(t) for t in past] == before, kind
+            run.advance()
+            for t in probes + [run.now]:
+                assert run.rates_at(t) == segment_rates(trace, t), (kind, t)
+
+
+def test_settling_at_a_pause_retires_what_completes_there():
+    """A task that completes exactly at the pause is unfinished volume 0.0
+    until the pause is settled, then finished at the pause; the tasks it
+    released start there."""
+    cluster, tasks, events = completion_at_an_event()
+    sim = FluidSimulator(cluster)
+    for kind, bound in BODIES.items():
+        with bound():
+            run = sim.start(tasks, events=events).advance(0.1)
+            cut = run.result()
+            assert cut == sim.run(tasks, events=events, horizon_s=0.1), kind
+            assert cut.makespan == 0.1 and cut.remaining_mb["a"] == 0.0, kind
+            assert set(run.rates_at(0.1)) == {"b", "c"}, kind
+            settled = run.result()
+            assert settled.finish_times == {**cut.finish_times, "a": 0.1, "z": 0.1}, kind
+            assert settled.start_times["b"] == settled.start_times["z"] == 0.1, kind
+            assert not {"a", "z"} & set(settled.remaining_mb), kind
+            assert settled.remaining_mb["b"] == 5.0 and "e" not in settled.start_times, kind
+            assert run.advance().result() == sim.run(tasks, events=events), kind
+
+
+def test_advancing_a_finished_run_is_a_no_op():
+    cluster, tasks, events, _ = random_instance(3)
+    sim = FluidSimulator(cluster)
+    for kind, bound in BODIES.items():
+        with bound():
+            run = sim.start(tasks, events=events).advance()
+            done = run.result()
+            assert run.done
+            assert run.advance().advance(done.makespan + 5.0).result() == done, kind
+            assert run.rates_at(done.makespan + 5.0) == {}, kind
+
+
+def test_rates_past_the_clock_of_a_paused_run_are_refused():
+    cluster, tasks, events = completion_at_an_event()
+    run = FluidSimulator(cluster).start(tasks, events=events).advance(0.05)
+    with pytest.raises(ValueError, match="past the run's clock"):
+        run.rates_at(0.2)
+
+
+def test_resumable_run_raises_what_run_raises():
+    """A deadlock or a dependency cycle surfaces from ``advance`` with
+    ``run``'s error, on both loop bodies."""
+    stuck = Cluster([Node(0, 1e-13, 100.0), Node(1, 100.0, 100.0), Node(2, 100.0, 100.0)])
+    stalled = [Flow("a", 0, 1, 5.0), DelayTask("d", 0.5), Flow("b", 2, 1, 5.0, deps=("d",))]
+    cycle = [Flow("a", 0, 1, 1.0, deps=("b",)), Flow("b", 1, 2, 1.0, deps=("a",))]
+    for kind, bound in BODIES.items():
+        with bound():
+            with pytest.raises(AssertionError, match="deadlock"):
+                FluidSimulator(stuck).start(stalled).advance(0.2).advance()
+            run = FluidSimulator(Cluster.homogeneous(3, 100.0)).start(cycle)
+            assert run.advance(1.0).done, kind  # a horizon forgives, as in run
+            with pytest.raises(AssertionError, match="cycle"):
+                run.advance()

@@ -45,8 +45,7 @@ from repro.workload.pipeline import decode_chunked
 
 SEEDS = [int(s) for s in np.random.SeedSequence(909).generate_state(6)]
 
-#: the tiers this host can actually run, per word size (isal rides along
-#: automatically when a libisal is present).
+#: the tiers this host can actually run, per word size.
 BACKENDS_8 = available_backends(8)
 BACKENDS_16 = available_backends(16)
 
@@ -56,7 +55,7 @@ BACKENDS_16 = available_backends(16)
 # ------------------------------------------------------------------ #
 def test_registry_contains_all_tiers_best_first():
     names = registered_backends()
-    assert {"numpy", "native", "isal"} <= set(names)
+    assert {"numpy", "native"} <= set(names)
     prios = [get_backend(n).priority for n in names]
     assert prios == sorted(prios, reverse=True)
 
@@ -74,7 +73,7 @@ def test_unknown_backend_raises():
 
 
 def test_w4_falls_back_to_numpy():
-    """Neither the native C kernels nor ISA-L cover GF(2^4)."""
+    """The native C kernels do not cover GF(2^4)."""
     assert available_backends(4) == ["numpy"]
     assert select_backend(4).name == "numpy"
 

@@ -37,6 +37,9 @@ def test_request_defaults_are_todays_behavior():
         {"arrival_s": -1.0},
         {"weight": 0.0},
         {"faults": object(), "workers": 2},
+        # neither route reads predict_network: refuse it, never drop it
+        {"adaptive": True, "predict_network": True},
+        {"faults": FaultSchedule.empty(), "predict_network": True},
     ],
 )
 def test_request_rejects_bad_fields(kwargs):
