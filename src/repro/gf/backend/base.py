@@ -97,6 +97,10 @@ class KernelBackend(abc.ABC):
 
 
 _REGISTRY: dict[str, KernelBackend] = {}
+#: (w, forced name or ``None``) -> :func:`select_backend`'s answer.  A
+#: backend caches its own availability, so only :func:`register_backend`
+#: can change an answer; it empties this.
+_SELECTED: dict[tuple[int, str | None], KernelBackend] = {}
 
 
 def register_backend(backend: KernelBackend, *, replace: bool = False) -> KernelBackend:
@@ -109,6 +113,7 @@ def register_backend(backend: KernelBackend, *, replace: bool = False) -> Kernel
     if backend.name in _REGISTRY and not replace:
         raise ValueError(f"backend {backend.name!r} already registered")
     _REGISTRY[backend.name] = backend
+    _SELECTED.clear()
     return backend
 
 
@@ -156,8 +161,20 @@ def select_backend(w: int = 8, override: str | None = None) -> KernelBackend:
     An override naming an unknown, unavailable, or incapable backend
     raises :class:`BackendUnavailable` — a forced backend silently
     degrading to another kernel would defeat the point of forcing it.
+
+    The answer is memoised per ``(w, forced name)``; the environment is
+    read on every call, so a changed ``REPRO_GF_BACKEND`` takes effect at
+    once.
     """
     name = override if override is not None else os.environ.get(ENV_VAR) or None
+    backend = _SELECTED.get((w, name))
+    if backend is None:
+        backend = _SELECTED[w, name] = _select(w, name)
+    return backend
+
+
+def _select(w: int, name: str | None) -> KernelBackend:
+    """:func:`select_backend` without the memo."""
     if name:
         backend = get_backend(name)
         if not backend.capabilities(w):

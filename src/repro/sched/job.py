@@ -84,6 +84,8 @@ class RepairJob:
     stripes_repaired: list[int] = field(default_factory=list)
     blocks_recovered: int = 0
     bytes_on_wire_mb_model: float = 0.0
+    #: stripe -> simulated instant its repair landed, on the same global
+    #: clock as ``finish_s`` (which is the latest of these).
     per_stripe_transfer_s: dict[int, float] = field(default_factory=dict)
     #: stripe -> data-plane attempts (only > 1 under fault injection).
     attempts: dict[int, int] = field(default_factory=dict)

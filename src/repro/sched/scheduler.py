@@ -4,10 +4,10 @@
 runs them in admission *waves*: every job admitted into a wave has its
 repair plans merged into one task DAG and simulated together, so jobs
 contend for shared links under the fluid simulator's weighted max-min
-allocator.  Per-job task ids are namespaced (``job0:p0:...``) so each
-job's makespan is recovered from the single merged run via
-:meth:`SimulationResult.finish_of
-<repro.simnet.fluid.SimulationResult.finish_of>`.
+allocator.  Per-job task ids are namespaced (``job0:p0:...``); each plan's
+finish is the latest finish among the ids :meth:`RepairScheduler._sim_tasks`
+gave it, and a job's finish is the latest of its plans' — no scan of the
+merged run.
 
 Key invariants:
 
@@ -17,7 +17,10 @@ Key invariants:
   the same :meth:`~repro.system.coordinator.Coordinator.dispatch_round` as
   a plain :meth:`~repro.system.coordinator.Coordinator.repair` round, so
   repaired bytes are bit-identical and the makespan matches to float
-  precision (task renaming does not perturb the fluid solve).
+  precision (task renaming does not perturb the fluid solve).  A round
+  :meth:`RepairScheduler.estimate_finish_s` already planned is handed to
+  the real wave only when every input it was planned from compares equal,
+  so it is the round the real call would have built.
 * **Weighted sharing** — a job's priority class maps to a flow weight
   (:data:`~repro.sched.job.PRIORITY_WEIGHTS`); concurrent jobs split
   shared links in proportion to those weights, and jobs with disjoint
@@ -39,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from repro.faults.errors import RepairAborted, StripeUnrecoverable
 from repro.repair.plan import RepairPlan, rename_plan, reweighted
-from repro.repair.planner import assign_spares, dead_hosts
+from repro.repair.planner import RoundPlan, assign_spares, dead_hosts
 from repro.sched.admission import AdmissionController, AdmissionPolicy
 from repro.sched.job import (
     ADMITTED,
@@ -107,6 +110,21 @@ class RepairEta:
     finish_s: dict
     #: dead node -> the spare its lost blocks are planned to rebuild onto.
     replacement_of: dict
+    #: the rounds the estimate planned, for ``run_pending(eta=)`` to take
+    #: back; emptied when that call returns.
+    rounds: list = field(default_factory=list, init=False, compare=False, repr=False)
+
+
+@dataclass
+class _HandedRound:
+    """One round :meth:`RepairScheduler.estimate_finish_s` planned, kept with
+    every input :func:`~repro.repair.planner.plan_round` read to build it."""
+
+    rnd: RoundPlan
+    #: :meth:`RepairScheduler._round_inputs` just before the round's picks.
+    inputs: tuple
+    #: the center scheduler's snapshot just after them.
+    centers_after: tuple
 
 
 class RepairScheduler:
@@ -178,14 +196,15 @@ class RepairScheduler:
     # -------------------------------------------------------------- #
     # execution
     # -------------------------------------------------------------- #
-    def run_requests(self, requests, *, network=None, foreground=()):
+    def run_requests(self, requests, *, network=None, foreground=(), eta=None):
         """Queue one job per :class:`~repro.system.request.RepairRequest`, run all.
 
         Per-job fields (scheme, stripes, priority, weight, arrival) come
         from each request; run-global ones are folded once per run — at
         most one request may carry faults (its retry/backoff knobs
         configure the shared fault runtime) and ``verify`` is the
-        conjunction.  Returns :meth:`run_pending`'s report.
+        conjunction.  ``eta`` is passed on to :meth:`run_pending`.  Returns
+        :meth:`run_pending`'s report.
         """
         from repro.faults.runtime import FaultRuntime
 
@@ -203,6 +222,7 @@ class RepairScheduler:
             faults=FaultRuntime.from_request(self.coord, faulted[0]) if faulted else None,
             network=network,
             foreground=foreground,
+            eta=eta,
         )
 
     def run_pending(
@@ -212,6 +232,7 @@ class RepairScheduler:
         faults=None,
         network=None,
         foreground=(),
+        eta: RepairEta | None = None,
     ):
         """Admit and run every queued job; returns a :class:`SchedulerReport`.
 
@@ -240,7 +261,18 @@ class RepairScheduler:
         :attr:`~SchedulerReport.foreground_finish_s`; with an empty queue a
         foreground-only wave still runs, so the serving plane's healthy
         regime goes through the exact simulator path the storm regime uses.
+
+        ``eta`` is what :meth:`estimate_finish_s` returned for these jobs:
+        a job on the healthy route dispatches the round the estimate
+        planned instead of planning it again, when every input that round
+        was planned from compares equal at that moment (see
+        :meth:`_round_inputs`); otherwise it plans afresh.  Either way the
+        estimate's rounds are dropped when this call returns.
         """
+        if eta is not None and not isinstance(eta, RepairEta):
+            raise TypeError(
+                f"eta must be what estimate_finish_s returned, got {type(eta).__name__}"
+            )
         coord = self.coord
         events = as_network(network).events_for(coord.cluster)
         obs = coord.obs
@@ -256,8 +288,13 @@ class RepairScheduler:
             if injector is not None:
                 injector.attach(coord.bus)
             try:
-                report = self._run_waves(run, verify, runtime, events, foreground)
+                report = self._run_waves(
+                    run, verify, runtime, events, foreground,
+                    eta.rounds if eta is not None else [],
+                )
             finally:
+                if eta is not None:
+                    eta.rounds.clear()
                 if injector is not None:
                     injector.detach(coord.bus)
         if obs is not None:
@@ -284,7 +321,9 @@ class RepairScheduler:
         simulation of the planned flows at their priority weights.  Nothing
         is mutated — no job is queued, no byte moves, and the stateful
         LFS/LRS center scheduler is snapshotted and restored, so a
-        subsequent real run makes identical picks.
+        subsequent real run makes identical picks.  The planned rounds ride
+        on the returned :class:`RepairEta`, with every input each was
+        planned from, so ``run_pending(eta=)`` can dispatch them unplanned.
 
         The estimate is deliberately **optimistic**: it ignores admission
         caps (everything lands in wave one), fault schedules, and
@@ -310,9 +349,14 @@ class RepairScheduler:
             )
             tasks: list = []
             owned: list[tuple[int, list[str]]] = []
+            rounds: list[_HandedRound] = []
             for job, affected, replacement_of in admitted:
+                inputs = self._round_inputs(job.scheme, affected, replacement_of)
                 rnd = coord.plan_round(
                     job.scheme, affected, replacement_of=replacement_of
+                )
+                rounds.append(
+                    _HandedRound(rnd, inputs, coord.center_scheduler.snapshot())
                 )
                 tasks += self._sim_tasks(job, rnd.plans, owned)
         finally:
@@ -322,10 +366,58 @@ class RepairScheduler:
             done = FluidSimulator(coord.cluster).run(tasks).finish_times
             for sid, ids in owned:
                 finish[sid] = max(finish.get(sid, 0.0), max(map(done.__getitem__, ids)))
-        return RepairEta(
+        eta = RepairEta(
             finish_s=finish,
             replacement_of={d: s for _, _, repl in admitted for d, s in repl.items()},
         )
+        eta.rounds.extend(rounds)
+        return eta
+
+    def _round_inputs(self, scheme, affected, replacement_of) -> tuple:
+        """Everything :func:`~repro.repair.planner.plan_round` reads to plan
+        ``affected``, as one value a later call compares with ``==``.
+
+        The scheme, the stripes and their spares, the LFS/LRS center
+        scheduler's state, the affected stripes' placements, and the
+        cluster's whole link view — every node's alive flag, rack, up/down
+        and cross-rack caps, plus the rack trunks.  That is a superset of
+        what the planners and the split search's simulator read, at a cost
+        of microseconds.  The cluster itself enters by identity, so a round
+        never crosses systems.
+        """
+        coord = self.coord
+        cluster = coord.cluster
+        return (
+            cluster,
+            coord.block_size_mb,
+            scheme,
+            {sid: list(blocks) for sid, blocks in affected.items()},
+            dict(replacement_of),
+            coord.center_scheduler.snapshot(),
+            {sid: tuple(coord.layout[sid].placement) for sid in affected},
+            [
+                (n.node_id, n.alive, n.rack, n.uplink, n.downlink,
+                 n.cross_uplink, n.cross_downlink)
+                for n in cluster.nodes.values()
+            ],
+            dict(cluster.rack_trunks),
+        )
+
+    def _take_round(self, handed, scheme, affected, replacement_of) -> RoundPlan | None:
+        """The handed round planned from exactly these inputs, or ``None``.
+
+        A round is taken at most once; taking it advances the center
+        scheduler to where the round's own picks left it.
+        """
+        if not handed:
+            return None
+        inputs = self._round_inputs(scheme, affected, replacement_of)
+        for i, h in enumerate(handed):
+            if h.inputs == inputs:
+                del handed[i]
+                self.coord.center_scheduler.restore(h.centers_after)
+                return h.rnd
+        return None
 
     def _fault_runtime(self, faults):
         """The :class:`FaultRuntime` behind ``run_pending(faults=...)``."""
@@ -336,7 +428,9 @@ class RepairScheduler:
             return faults
         return FaultRuntime.from_request(self.coord, RepairRequest(faults=faults))
 
-    def _run_waves(self, run, verify, runtime, events, foreground=()) -> SchedulerReport:
+    def _run_waves(
+        self, run, verify, runtime, events, foreground, handed
+    ) -> SchedulerReport:
         coord = self.coord
         obs = coord.obs
         pending = sorted(run, key=RepairJob.priority_rank)
@@ -358,8 +452,10 @@ class RepairScheduler:
                     obs.metrics.gauge("sched.wave_admitted").set(len(admitted))
                     obs.metrics.counter("sched.jobs_admitted").inc(len(admitted))
                 extra, fg_tasks = fg_tasks, []
-                sim = self._run_wave(admitted, verify, runtime, events, offset, extra)
-                self._finish_wave(admitted, sim, offset)
+                sim = self._run_wave(
+                    admitted, verify, runtime, events, offset, extra, handed
+                )
+                self._finish_wave(admitted, offset)
                 if sim is not None:
                     for t in extra:
                         fg_finish[t.task_id] = offset + sim.finish_times[t.task_id]
@@ -457,13 +553,16 @@ class RepairScheduler:
         runtime,
         events,
         offset,
-        extra_tasks=(),
+        extra_tasks,
+        handed,
     ):
         """Plan + dispatch every admitted job, then simulate them merged.
 
         ``extra_tasks`` (foreground client traffic) join the wave's merged
         task DAG verbatim — they were never planned as repair work, so they
-        only contribute flows/delays to the shared fluid solve.
+        only contribute flows/delays to the shared fluid solve.  Each plan's
+        finish, on the global clock, lands in its job's
+        :attr:`~repro.sched.job.RepairJob.per_stripe_transfer_s`.
         """
         coord = self.coord
         obs = coord.obs
@@ -474,7 +573,9 @@ class RepairScheduler:
             if not affected:
                 continue
             try:
-                plans = self._dispatch_job(job, affected, replacement_of, verify, runtime)
+                plans = self._dispatch_job(
+                    job, affected, replacement_of, verify, runtime, handed
+                )
             except (RepairAborted, StripeUnrecoverable) as err:
                 # the job isolation boundary: a doomed job fails alone
                 job.transition(FAILED)
@@ -508,19 +609,20 @@ class RepairScheduler:
         done = sim.finish_times
         for job, owned in planned:
             for sid, ids in owned:
-                t = max(map(done.__getitem__, ids))
+                t = offset + max(map(done.__getitem__, ids))
                 prev = job.per_stripe_transfer_s.get(sid)
                 job.per_stripe_transfer_s[sid] = t if prev is None else max(prev, t)
         return sim
 
     def _dispatch_job(
-        self, job, affected, replacement_of, verify, runtime
+        self, job, affected, replacement_of, verify, runtime, handed
     ) -> list[tuple[int, RepairPlan]]:
         """Plan + data plane for one job; returns its committed (sid, plan) pairs.
 
         A fault runtime journals per stripe; otherwise the job is one
-        planned round through the coordinator's healthy data plane
-        (:meth:`Coordinator.dispatch_round
+        planned round — a ``handed`` one from the estimate when its inputs
+        match (:meth:`_take_round`) — through the coordinator's healthy
+        data plane (:meth:`Coordinator.dispatch_round
         <repro.system.coordinator.Coordinator.dispatch_round>`).
         """
         coord = self.coord
@@ -533,15 +635,18 @@ class RepairScheduler:
                 return runtime.repair_stripes(
                     sorted(affected), scheme=job.scheme, verify=verify
                 )
-            rnd = coord.plan_round(job.scheme, affected, replacement_of=replacement_of)
+            rnd = self._take_round(handed, job.scheme, affected, replacement_of)
+            if rnd is None:
+                rnd = coord.plan_round(
+                    job.scheme, affected, replacement_of=replacement_of
+                )
             coord.dispatch_round(rnd, verify)
             return rnd.plans
 
     def _sim_tasks(self, job, plans, owned):
         """Rename + reweight a job's plan tasks for the merged simulation.
 
-        Task ids become ``<job_id>:p<i>:<original>`` so
-        ``finish_of(job_id)`` recovers the job makespan; each plan's ids are
+        Task ids become ``<job_id>:p<i>:<original>``; each plan's ids are
         appended to ``owned`` as ``(stripe id, ids)``, their latest finish
         being the plan's (no scan of the merged run).  A positive
         ``arrival_s`` inserts a :class:`~repro.simnet.flows.DelayTask` that
@@ -562,24 +667,19 @@ class RepairScheduler:
                 tasks.append(t)
         return tasks
 
-    def _finish_wave(self, admitted, sim, offset) -> None:
-        """Record per-job finish times from the wave's merged simulation."""
+    def _finish_wave(self, admitted, offset) -> None:
+        """Record per-job finish times: the latest of each job's plan
+        finishes, which :meth:`_run_wave` put on the global clock."""
         coord = self.coord
         obs = coord.obs
-        for job, affected, _ in admitted:
+        for job, _, _ in admitted:
             if job.state != RUNNING:
                 if job.state == ADMITTED:  # trivially-empty job
                     job.transition(RUNNING)
                     job.transition(DONE)
                     job.finish_s = offset
                 continue
-            if sim is not None and affected:
-                try:
-                    job.finish_s = offset + sim.finish_of(job.job_id)
-                except KeyError:  # pragma: no cover - defensive
-                    job.finish_s = offset
-            else:
-                job.finish_s = offset
+            job.finish_s = max(job.per_stripe_transfer_s.values(), default=offset)
             job.transition(DONE)
             if obs is not None:
                 obs.tracer.add(

@@ -493,10 +493,12 @@ class ServingPlane:
         obs = coord.obs
         self._eta, self._repl = {}, {}
         reqs = tuple(repair)
+        est = None
         if reqs and self.fast_path and all(r.faults is None for r in reqs):
             # Planning-only landing clock for the fast path: which stripes
             # the queued storm will have rebuilt by when (state-free; the
-            # real run's center picks are unaffected).
+            # real run's center picks are unaffected).  Its rounds go back
+            # to the real wave, which dispatches them if nothing changed.
             est = coord.sched.estimate_finish_s(reqs)
             self._eta, self._repl = est.finish_s, est.replacement_of
         ops = self.gen.ops()
@@ -565,7 +567,7 @@ class ServingPlane:
             # the timing plane: every foreground task and every storm job
             # through one merged scheduler pass
             report = coord.sched.run_requests(
-                reqs, network=self.network, foreground=tuple(fg_tasks)
+                reqs, network=self.network, foreground=tuple(fg_tasks), eta=est
             )
         finally:
             if root is not None:

@@ -113,6 +113,44 @@ def test_resolve_backend_accepts_name_instance_none(monkeypatch):
         resolve_backend(get_backend("native"), 4)
 
 
+def test_flipping_the_env_var_between_two_matmuls_switches_tier(monkeypatch, request):
+    """Selection is memoised, yet a changed ``REPRO_GF_BACKEND`` takes effect
+    at the very next :func:`repro.gf.matmul`."""
+    import repro.gf
+    from repro.gf.backend import base
+
+    used = []
+
+    class Probe(KernelBackend):
+        name = "flip-probe"
+        priority = -100  # never auto-selected
+
+        def capabilities(self, w):
+            return True
+
+        def plane_matmul(self, mat, plane, field):
+            used.append(self.name)
+            return gf_matmul(mat, plane, field)
+
+    numpy_tier = get_backend("numpy")
+    real = numpy_tier.plane_matmul
+    monkeypatch.setattr(
+        numpy_tier, "plane_matmul",
+        lambda mat, plane, field: used.append("numpy") or real(mat, plane, field),
+    )
+    monkeypatch.setitem(base._REGISTRY, Probe.name, Probe())
+    request.addfinalizer(base._SELECTED.clear)
+    rng = np.random.default_rng(3)
+    mat = rng.integers(0, 256, size=(2, 3)).astype(np.uint8)
+    plane = rng.integers(0, 256, size=(3, 64)).astype(np.uint8)
+    want = gf_matmul(mat, plane, GF(8))
+    flips = ["numpy", "flip-probe", "numpy", "flip-probe"]
+    for name in flips:
+        monkeypatch.setenv(ENV_VAR, name)
+        assert np.array_equal(repro.gf.matmul(mat, plane, GF(8)), want)
+    assert used == flips
+
+
 def test_register_backend_rejects_duplicates_and_anonymous():
     class Anon(KernelBackend):
         name = ""

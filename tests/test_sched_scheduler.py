@@ -375,6 +375,146 @@ def assert_all_repaired(coord):
 
 
 # --------------------------------------------------------------------- #
+# the estimate's rounds, handed to the real wave
+# --------------------------------------------------------------------- #
+def _storm_system(seed=71, policy=None):
+    """Six stripes on a heterogeneous cluster, one node down."""
+    coord = wld_system(seed=seed)
+    if policy is not None:
+        coord.sched = RepairScheduler(coord, policy)
+    coord.write("f", payload(6 * coord.code.k * 2048, seed=seed))
+    coord.crash_node(coord.layout.stripes[0].placement[0])
+    return coord
+
+
+def _storm_requests(coord):
+    """Two background storm jobs over disjoint halves of the affected stripes."""
+    sids = sorted(coord.layout.stripes_with_failures(coord.cluster.dead_ids()))
+    assert len(sids) >= 2
+    half = len(sids) // 2
+    return (
+        RepairRequest(stripes=sids[:half], priority="background"),
+        RepairRequest(stripes=sids[half:], priority="background"),
+    )
+
+
+def _counting_plan_rounds(monkeypatch) -> list:
+    calls = []
+    real = Coordinator.plan_round
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Coordinator, "plan_round", counting)
+    return calls
+
+
+def _run_state(coord, report) -> tuple:
+    """Everything a scheduler run decides or leaves behind."""
+    jobs = [
+        (j.job_id, j.state, j.wave, j.admitted_s, j.finish_s, j.stripes_repaired,
+         j.blocks_recovered, j.bytes_on_wire_mb_model, j.per_stripe_transfer_s)
+        for j in report.jobs
+    ]
+    stored = {
+        (nid, name): agent.store.get(name).tobytes()
+        for nid, agent in coord.agents.items()
+        for name in agent.store.names()
+    }
+    return (
+        jobs, report.waves, report.makespan_s, report.per_job_finish_s,
+        report.n_rate_updates, {s.stripe_id: list(s.placement) for s in coord.layout},
+        coord.center_scheduler.snapshot(), coord.bus.total_bytes(), stored,
+    )
+
+
+def test_an_unchanged_estimate_is_dispatched_without_planning_again(monkeypatch):
+    handed, fresh = _storm_system(), _storm_system()
+    reqs = _storm_requests(handed)
+    eta = handed.sched.estimate_finish_s(reqs)
+    assert len(eta.rounds) == 2
+    calls = _counting_plan_rounds(monkeypatch)
+    a = handed.sched.run_requests(reqs, eta=eta)
+    assert calls == [] and eta.rounds == []
+    b = fresh.sched.run_requests(reqs)
+    assert len(calls) == 2
+    assert _run_state(handed, a) == _run_state(fresh, b)
+    assert_all_repaired(handed)
+
+
+def _crash_a_survivor(coord):
+    coord.crash_node(coord.layout.stripes[0].placement[1])
+
+
+def _queue_a_job_ahead(coord):
+    sid = min(coord.layout.stripes_with_failures(coord.cluster.dead_ids()))
+    coord.sched.submit(stripes=[sid], priority="foreground")
+
+
+def _halve_an_uplink(coord):
+    node = coord.cluster[coord.layout.stripes[0].placement[2]]
+    node.uplink /= 2
+
+
+def _commit_a_metadata_repair(coord):
+    sid = min(coord.layout.stripes_with_failures(coord.cluster.dead_ids()))
+    coord.plan_repair("hmbr", stripes=[sid], commit=True)
+
+
+def _advance_the_center_scheduler(coord):
+    coord.center_scheduler.pick(coord.free_spares())
+
+
+_MISMATCHES = {
+    "center-pick": _advance_the_center_scheduler,
+    "node-crash": _crash_a_survivor,
+    "job-queued-ahead": _queue_a_job_ahead,
+    "bandwidth-change": _halve_an_uplink,
+    "committed-plan-repair": _commit_a_metadata_repair,
+}
+
+
+@pytest.mark.parametrize("change", sorted(_MISMATCHES))
+def test_a_changed_input_plans_afresh_like_a_run_without_an_estimate(change, monkeypatch):
+    handed, fresh = _storm_system(), _storm_system()
+    reqs = _storm_requests(handed)
+    eta = handed.sched.estimate_finish_s(reqs)
+    assert len(eta.rounds) == 2
+    for coord in (handed, fresh):
+        _MISMATCHES[change](coord)
+    calls = _counting_plan_rounds(monkeypatch)
+    a = handed.sched.run_requests(reqs, eta=eta)
+    n_handed = len(calls)
+    b = fresh.sched.run_requests(reqs)
+    assert n_handed == len(calls) - n_handed > 0, "no handed round was taken"
+    assert eta.rounds == []
+    assert _run_state(handed, a) == _run_state(fresh, b)
+
+
+def test_a_job_deferred_to_wave_two_plans_afresh(monkeypatch):
+    """The estimate ignores admission caps; the job a cap defers finds the
+    center scheduler moved on by wave 1 and plans again, while the wave-1
+    job still takes its round."""
+    policy = AdmissionPolicy(max_inflight_total=1)
+    handed, fresh = _storm_system(policy=policy), _storm_system(policy=policy)
+    reqs = _storm_requests(handed)
+    eta = handed.sched.estimate_finish_s(reqs)
+    calls = _counting_plan_rounds(monkeypatch)
+    a = handed.sched.run_requests(reqs, eta=eta)
+    assert a.waves == 2 and len(calls) == 1
+    b = fresh.sched.run_requests(reqs)
+    assert len(calls) == 3
+    assert _run_state(handed, a) == _run_state(fresh, b)
+
+
+def test_eta_takes_only_an_estimate():
+    coord = _storm_system()
+    with pytest.raises(TypeError, match="estimate_finish_s"):
+        coord.sched.run_requests((RepairRequest(),), eta={"finish_s": {}})
+
+
+# --------------------------------------------------------------------- #
 # waves, caps, and priority ordering
 # --------------------------------------------------------------------- #
 def test_total_cap_serializes_jobs_and_respects_priority():
@@ -393,6 +533,23 @@ def test_total_cap_serializes_jobs_and_respects_priority():
     assert jn.finish_s > jf.finish_s
     assert jn.admitted_s == pytest.approx(jf.finish_s, abs=1e-9)
     assert_all_repaired(coord)
+
+
+def test_per_stripe_landings_share_the_global_clock():
+    """A job admitted in wave 2 reports its stripes' landings on the clock
+    ``finish_s`` and ``makespan_s`` use, not from its wave's start."""
+    coord = uniform_system(n_data=6, n_spare=2)
+    sids = [place_stripe(coord, range(6), seed=20 + i) for i in range(2)]
+    coord.crash_node(0)
+    coord.sched = RepairScheduler(coord, AdmissionPolicy(max_inflight_total=1))
+    result = coord.repair([RepairRequest(stripes=[sid]) for sid in sids])
+    assert result.plan_summary["waves"] == 2
+    assert max(result.per_stripe_transfer_s.values()) == result.makespan_s
+    for job in result.report.jobs:
+        assert job.per_stripe_transfer_s
+        for t in job.per_stripe_transfer_s.values():
+            assert job.admitted_s <= t <= job.finish_s
+        assert job.finish_s == max(job.per_stripe_transfer_s.values())
 
 
 def test_per_node_cap_defers_overlapping_jobs():

@@ -16,8 +16,11 @@ Plus the fast-path foundation: :meth:`RepairScheduler.estimate_finish_s
 <repro.sched.scheduler.RepairScheduler.estimate_finish_s>` must be
 planning-only — identical on repeat, center-scheduler state restored,
 and a subsequent real repair bit-identical to one never preceded by an
-estimate.
+estimate — and a served storm dispatches the estimate's rounds instead of
+planning them again, with the same result.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,10 +31,12 @@ from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe, block_name
 from repro.gf.field import GF
 from repro.repair.batch import BatchRepairEngine, PlanCache
+from repro.sched.scheduler import RepairScheduler
 from repro.system.coordinator import Coordinator
 from repro.system.request import RepairRequest
 from repro.workload import (
     ServeRequest,
+    ServeResult,
     ServingPlane,
     WorkloadSpec,
     chunk_slices,
@@ -334,6 +339,44 @@ def test_estimate_skips_unplannable_requests():
     eta = coord.sched.estimate_finish_s((RepairRequest(),))
     assert eta.finish_s == {} and eta.replacement_of == {}
     assert coord.sched.queue_depth == 0
+
+
+def _served_storm():
+    """A storm of two background jobs over disjoint stripes, served with
+    the fast path on (its default)."""
+    rng = np.random.default_rng(11)
+    coord = _build_system(rng, K, M, BLOCK_BYTES, n_spare=4)
+    ServingPlane(coord, SPEC).provision()
+    stripe0 = next(s for s in coord.layout if s.stripe_id == 0)
+    for v in stripe0.placement[:2]:
+        coord.crash_node(v)
+    sids = sorted(coord.layout.stripes_with_failures(coord.cluster.dead_ids()))
+    half = len(sids) // 2
+    storm = tuple(
+        RepairRequest(stripes=part, priority="background")
+        for part in (sids[:half], sids[half:])
+    )
+    return coord.serve(ServeRequest(spec=SPEC, repair=storm, chunks=4))
+
+
+def test_a_served_storm_is_planned_once_per_job(monkeypatch):
+    """The real wave dispatches the rounds the estimate planned; the result
+    is field for field the one of a run that plans every round twice."""
+    calls = []
+    plan_round = Coordinator.plan_round
+    monkeypatch.setattr(
+        Coordinator, "plan_round",
+        lambda self, *a, **kw: calls.append(a[0]) or plan_round(self, *a, **kw),
+    )
+    handed = _served_storm()
+    assert len(calls) == 2
+    assert handed.fast_path_reads > 0 and handed.writes > 0
+    # refusing every handed round is what the serving plane did before
+    monkeypatch.setattr(RepairScheduler, "_take_round", lambda self, *a: None)
+    replanned = _served_storm()
+    assert len(calls) == 2 + 4
+    for f in dataclasses.fields(ServeResult):
+        assert getattr(handed, f.name) == getattr(replanned, f.name), f.name
 
 
 # ------------------------------------------------------------------ #

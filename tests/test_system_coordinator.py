@@ -306,6 +306,45 @@ def _serve(coord):
     return coord.serve(ServeRequest(spec=spec, repair=(RepairRequest(),)))
 
 
+def _serve_handing(refuse: bool):
+    """A crashed system serves a storm with the fast path on: the estimate
+    hands its rounds to the real wave, which takes one, or refuses it after
+    an uplink changed.  Either way no handed round outlives the call."""
+
+    def run(coord):
+        import weakref
+
+        from repro.sched.scheduler import RepairScheduler
+
+        estimate, take = RepairScheduler.estimate_finish_s, RepairScheduler._take_round
+        seen = {}
+
+        def estimating(sched, requests):
+            eta = estimate(sched, requests)
+            seen["round"] = weakref.ref(eta.rounds[0].rnd)
+            if refuse:
+                sched.coord.cluster[sched.coord.layout.stripes[0].placement[1]].uplink /= 2
+            return eta
+
+        def taking(sched, *args):
+            rnd = take(sched, *args)
+            seen["taken"] = rnd is not None
+            return rnd
+
+        RepairScheduler.estimate_finish_s = estimating
+        RepairScheduler._take_round = taking
+        try:
+            result = _serve(coord)
+        finally:
+            RepairScheduler.estimate_finish_s = estimate
+            RepairScheduler._take_round = take
+        assert seen["taken"] is not refuse
+        assert seen["round"]() is None
+        return result
+
+    return run
+
+
 def _crashed(call):
     def run(coord):
         coord.crash_node(coord.layout.stripes[0].placement[0])
@@ -339,6 +378,8 @@ _ROUTES = {
     "plan_repair": _crashed(lambda c: c.plan_repair("hmbr", commit=False)),
     "plan_repair-commit": _crashed(lambda c: c.plan_repair("hmbr", commit=True)),
     "serve": _serve,
+    "serve-storm-handed-round-taken": _crashed(_serve_handing(refuse=False)),
+    "serve-storm-handed-round-refused": _crashed(_serve_handing(refuse=True)),
     "repair-list": _crashed(
         lambda c: c.repair([RepairRequest(priority="background"), RepairRequest()])
     ),
