@@ -32,6 +32,11 @@ def refraction(part, frac_start: float, frac_stop: float):
     return tasks, ops, outputs
 
 
+def _coefficient_rows(ctx: RepairContext, survivors: list[int]) -> list[list[int]]:
+    """The f x k repair coefficients over ``survivors`` as Python ints."""
+    return np.asarray(ctx.code.repair_matrix(survivors, ctx.failed_blocks)).tolist()
+
+
 def _slice_name(prefix: str, block: int) -> str:
     return f"{prefix}/in/b{block:02d}"
 
@@ -58,7 +63,7 @@ def add_centralized(
         raise ValueError("empty fraction range")
     size = frac * ctx.block_size_mb
     survivors = ctx.chosen_survivors()
-    rmat = np.asarray(ctx.repair_matrix())
+    rows = _coefficient_rows(ctx, survivors)
     sid = ctx.stripe.stripe_id
 
     tasks: list[Task] = []
@@ -83,7 +88,7 @@ def add_centralized(
             CombineOp(
                 node=center,
                 out=out,
-                coeffs=tuple(int(c) for c in rmat[row]),
+                coeffs=tuple(rows[row]),
                 srcs=tuple(sliced_names),
             )
         )
@@ -143,7 +148,7 @@ def add_multilevel(
         raise ValueError("empty fraction range")
     size = frac * ctx.block_size_mb
     survivors = ctx.chosen_survivors()
-    rmat = np.asarray(ctx.repair_matrix())
+    rows = _coefficient_rows(ctx, survivors)
     col_of_block = {b: i for i, b in enumerate(survivors)}
     sid = ctx.stripe.stripe_id
     k = len(survivors)
@@ -177,7 +182,7 @@ def add_multilevel(
         b = blocks[pos]
         sname = _slice_name(prefix, b)
         ops.append(SliceOp(node, sname, block_name(sid, b), frac_start, frac_stop))
-        coeff = rmat[:, col_of_block[b]]
+        col = col_of_block[b]
         for row, fb in enumerate(ctx.failed_blocks):
             partial = partial_name(fb, pos)
             kids = children[pos]
@@ -185,7 +190,7 @@ def add_multilevel(
                 CombineOp(
                     node=node,
                     out=partial,
-                    coeffs=(int(coeff[row]),) + (1,) * len(kids),
+                    coeffs=(rows[row][col],) + (1,) * len(kids),
                     srcs=(sname,) + tuple(partial_name(fb, c) for c in kids),
                 )
             )
@@ -243,16 +248,17 @@ def add_independent(
         raise ValueError("empty fraction range")
     size = frac * ctx.block_size_mb
     survivors = ctx.chosen_survivors()
-    node_to_block = {ctx.stripe.placement[b]: b for b in survivors}
-    rmat = np.asarray(ctx.repair_matrix())
-    col_of_block = {b: i for i, b in enumerate(survivors)}
+    placement = ctx.stripe.placement
+    # node -> (block, its column of the repair matrix, its sub-block's name)
+    block_of = {placement[b]: (b, i, _slice_name(prefix, b)) for i, b in enumerate(survivors)}
+    rows = _coefficient_rows(ctx, survivors)
     sid = ctx.stripe.stripe_id
 
     tasks: list[Task] = []
     ops: list[Op] = []
     outputs: dict[int, tuple[int, str]] = {}
 
-    sliced: set[tuple[int, str]] = set()
+    sliced: set[int] = set()  # nodes whose sub-block is already cut
     for row, fb in enumerate(ctx.failed_blocks):
         path = paths[fb]
         if len(path) != len(survivors) + 1:
@@ -263,19 +269,17 @@ def add_independent(
         if new_node != ctx.new_node_of(fb):
             raise ValueError(f"chain for block {fb} ends at {new_node}, not its new node")
         prev_partial: str | None = None
-        for hop, node in enumerate(path[:-1]):
-            b = node_to_block[node]
-            sname = _slice_name(prefix, b)
-            if (node, sname) not in sliced:
+        coeffs, partial_head = rows[row], f"{prefix}/p{fb:02d}/h"
+        for hop, (node, nxt) in enumerate(zip(path, path[1:])):
+            b, col, sname = block_of[node]
+            if node not in sliced:
                 ops.append(SliceOp(node, sname, block_name(sid, b), frac_start, frac_stop))
-                sliced.add((node, sname))
-            coeff = int(rmat[row, col_of_block[b]])
-            partial = f"{prefix}/p{fb:02d}/h{hop:02d}"
+                sliced.add(node)
+            partial = f"{partial_head}{hop:02d}"
             if prev_partial is None:
-                ops.append(CombineOp(node, partial, (coeff,), (sname,)))
+                ops.append(CombineOp(node, partial, (coeffs[col],), (sname,)))
             else:
-                ops.append(CombineOp(node, partial, (coeff, 1), (sname, prev_partial)))
-            nxt = path[hop + 1]
+                ops.append(CombineOp(node, partial, (coeffs[col], 1), (sname, prev_partial)))
             ops.append(TransferOp(node, nxt, partial))
             prev_partial = partial
         out = repaired_name(prefix, fb)

@@ -8,8 +8,8 @@ dangerous class of bug.  This module checks a plan *without running it*:
 * every op reads buffers that an earlier op (or the initial stripe layout)
   produced **on the same node**;
 * every declared output is actually produced at its declared node;
-* the data view's transfer volume matches the timing view's within the
-  sub-block rounding tolerance.
+* the data view and the timing view use the same set of directed links (a
+  link-level check: transfer volumes are not compared).
 
 The coordinator calls :func:`validate_plan` before dispatching agent
 commands; tests fuzz planners against it.
@@ -30,21 +30,30 @@ class PlanValidationError(ValueError):
 
 
 def _check_task_graph_acyclic(plan: RepairPlan) -> None:
+    """Kahn's algorithm: retire every task whose dependencies are all
+    retired; a task never retired waits, directly or not, on a cycle."""
     by_id = validate_tasks(plan.tasks)
-    state: dict[str, int] = {}
-
-    def visit(tid: str, stack: tuple[str, ...]) -> None:
-        if state.get(tid) == 2:
-            return
-        if state.get(tid) == 1:
-            raise PlanValidationError(f"dependency cycle through {tid!r}: {stack}")
-        state[tid] = 1
-        for dep in by_id[tid].deps:
-            visit(dep, stack + (tid,))
-        state[tid] = 2
-
-    for tid in by_id:
-        visit(tid, ())
+    waiting = {tid: len(t.deps) for tid, t in by_id.items()}
+    dependents = defaultdict(list)
+    for t in plan.tasks:
+        for dep in t.deps:
+            dependents[dep].append(t.task_id)
+    ready = [tid for tid, n in waiting.items() if not n]
+    while ready:
+        for tid in dependents.get(ready.pop(), ()):
+            waiting[tid] -= 1
+            if not waiting[tid]:
+                ready.append(tid)
+    stuck = next((tid for tid, n in waiting.items() if n), None)
+    if stuck is None:
+        return
+    # every unretired task has an unretired dependency: follow them to a cycle
+    path: dict[str, int] = {}
+    while stuck not in path:
+        path[stuck] = len(path)
+        stuck = next(dep for dep in by_id[stuck].deps if waiting[dep])
+    cycle = tuple(path)[path[stuck]:]
+    raise PlanValidationError(f"dependency cycle through {stuck!r}: {cycle}")
 
 
 def _initial_buffers(ctx: RepairContext) -> set[tuple[int, str]]:
@@ -75,29 +84,24 @@ def validate_plan(plan: RepairPlan, ctx: RepairContext | None = None) -> None:
             if isinstance(op, SliceOp):
                 available.add((op.node, op.src))
 
-    def need(node: int, name: str, op) -> None:
-        if (node, name) not in available:
-            raise PlanValidationError(
-                f"op {op!r} reads buffer {name!r} not present on node {node}"
-            )
-
     for op in plan.ops:
-        if isinstance(op, SliceOp):
-            need(op.node, op.src, op)
-            available.add((op.node, op.out))
-        elif isinstance(op, TransferOp):
-            need(op.src_node, op.name, op)
-            available.add((op.dst_node, op.rename or op.name))
-        elif isinstance(op, CombineOp):
-            for src in op.srcs:
-                need(op.node, src, op)
-            available.add((op.node, op.out))
-        elif isinstance(op, ConcatOp):
-            for part in op.parts:
-                need(op.node, part, op)
-            available.add((op.node, op.out))
+        kind = type(op)
+        if kind is TransferOp:
+            node, reads, made = op.src_node, (op.name,), (op.dst_node, op.rename or op.name)
+        elif kind is CombineOp:
+            node, reads, made = op.node, op.srcs, (op.node, op.out)
+        elif kind is SliceOp:
+            node, reads, made = op.node, (op.src,), (op.node, op.out)
+        elif kind is ConcatOp:
+            node, reads, made = op.node, op.parts, (op.node, op.out)
         else:
-            raise PlanValidationError(f"unknown op type {type(op).__name__}")
+            raise PlanValidationError(f"unknown op type {kind.__name__}")
+        for name in reads:
+            if (node, name) not in available:
+                raise PlanValidationError(
+                    f"op {op!r} reads buffer {name!r} not present on node {node}"
+                )
+        available.add(made)
 
     for fb, (node, name) in plan.outputs.items():
         if (node, name) not in available:
@@ -110,31 +114,20 @@ def validate_plan(plan: RepairPlan, ctx: RepairContext | None = None) -> None:
 
 
 def _check_views_consistent(plan: RepairPlan, ctx: RepairContext) -> None:
-    """Timing-view traffic must match data-view traffic per directed link.
+    """The timing view and the data view must use the same set of directed
+    links.
 
-    Data-view volume is counted in block fractions (a TransferOp moves one
-    sub-block whose size the executor resolves at run time), so the match is
-    structural: the multiset of directed links used must be identical, and
-    the per-link task sizes must sum to the per-link transfer count times
-    the sub-block sizes recorded in the plan's fractions.
+    Only the sets are compared: a link both views use passes however many
+    tasks and transfers cross it and whatever they carry.  Zero-size tasks
+    (a degenerate split p = 0 or 1) still "time" their link, and the
+    matching TransferOps move empty sub-blocks.
     """
-    timing_links: dict[tuple[int, int], float] = defaultdict(float)
-    for t in plan.tasks:
-        if isinstance(t, DelayTask):
-            continue
-        for hop in t.hops:
-            timing_links[hop] += t.size_mb
-
-    data_links: set[tuple[int, int]] = set()
-    for op in plan.ops:
-        if isinstance(op, TransferOp):
-            data_links.add((op.src_node, op.dst_node))
-
-    # zero-size tasks (degenerate split p = 0 or 1) still "time" their link:
-    # the matching TransferOps move empty sub-blocks
-    timing_set = set(timing_links)
-    missing = data_links - timing_set
-    extra = timing_set - data_links
+    timing_links = {
+        hop for t in plan.tasks if not isinstance(t, DelayTask) for hop in t.hops
+    }
+    data_links = {(op.src_node, op.dst_node) for op in plan.ops if type(op) is TransferOp}
+    missing = data_links - timing_links
+    extra = timing_links - data_links
     if missing:
         raise PlanValidationError(f"data view moves bytes over untimed links: {sorted(missing)}")
     if extra:

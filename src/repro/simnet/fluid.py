@@ -22,6 +22,7 @@ the predecessor solver by ``tests/test_fluid_differential.py``.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +35,8 @@ from repro.simnet.dynamic import BandwidthEvent
 from repro.simnet.flows import DelayTask, Flow, PipelineFlow, Task, validate_tasks
 
 _EPS = 1e-12
+#: the resource kinds of one hop, in the order its entries are listed
+_RES_KINDS = ("up", "down", "xup", "xdown", "rup", "rdown")
 
 
 @dataclass
@@ -450,46 +453,64 @@ class _Problem:
         order = np.argsort(dep_of, kind="stable")
         self.dependents = dep_by[order]
         self.dep_ptr = _offsets(dep_of[order], n)
+        # the hop table: every flow's node path, flattened; a hop starts at
+        # each path position but the last
+        flows = np.flatnonzero(~self.is_delay)
+        paths = [t.path if isinstance(t, PipelineFlow) else (t.src, t.dst)
+                 for t in tasks if not isinstance(t, DelayTask)]
+        path_len = np.fromiter(map(len, paths), np.int64, len(paths))
+        path_node = np.fromiter(itertools.chain.from_iterable(paths), np.int64, int(path_len.sum()))
+        hop_at = np.ones(len(path_node), dtype=bool)
+        hop_at[np.cumsum(path_len) - 1] = False
+        hop_at = np.flatnonzero(hop_at)
+        # node attributes, gathered once per node the hops touch
+        self.nodes, node_at = np.unique(path_node, return_inverse=True)
+        node = [cluster[v] for v in self.nodes.tolist()]
+        racks, rack_at = np.unique([v.rack for v in node], return_inverse=True)
+        trunks = getattr(cluster, "rack_trunks", {})
+        trunk = [trunks.get(r, (None, None)) for r in racks.tolist()]
+        width = len(node)
+        pad = [None] * (width - len(racks))
+        # kind x (node | rack) slot -> capacity, None where there is no resource
+        table = [[v.uplink for v in node], [v.downlink for v in node],
+                 [v.cross_uplink for v in node], [v.cross_downlink for v in node],
+                 [t[0] for t in trunk] + pad, [t[1] for t in trunk] + pad]
+        has = np.array([[c is not None for c in row] for row in table], dtype=bool)
+        cap_of = np.array([[0.0 if c is None else c for c in row] for row in table], dtype=float)
+        # per hop, the up/down/xup/xdown/rup/rdown slots it uses, each a key
+        # kind * width + slot into cap_of
+        src, dst = node_at[hop_at], node_at[hop_at + 1]
+        cross = rack_at[src] != rack_at[dst]
+        key = np.stack((src, dst, src, dst, rack_at[src], rack_at[dst]), axis=1)
+        key += np.arange(len(_RES_KINDS)) * width
+        used = has.ravel()[key]
+        used[:, 2:] &= cross[:, None]
+        key = key[used]
         # resources get integer ids in first-appearance order (tasks in input
         # order, hops in path order, up/down/xup/xdown/rup/rdown within a
-        # hop): the order decides argmin ties between equally loaded links
-        trunks = getattr(cluster, "rack_trunks", {})
-        res_id: dict[tuple[str, int], int] = {}
-        caps: list[float] = []
-        entry_task: list[int] = []
-        entry_res: list[int] = []
-        hops: list[tuple[int, int, int, bool]] = []
-        for i, t in enumerate(tasks):
-            if isinstance(t, DelayTask):
-                continue
-            for src, dst in t.hops:
-                node_s, node_d = cluster[src], cluster[dst]
-                cross = node_s.rack != node_d.rack
-                used = [("up", src, node_s.uplink), ("down", dst, node_d.downlink)]
-                if cross and node_s.cross_uplink is not None:
-                    used.append(("xup", src, node_s.cross_uplink))
-                if cross and node_d.cross_downlink is not None:
-                    used.append(("xdown", dst, node_d.cross_downlink))
-                if cross and node_s.rack in trunks:
-                    used.append(("rup", node_s.rack, trunks[node_s.rack][0]))
-                if cross and node_d.rack in trunks:
-                    used.append(("rdown", node_d.rack, trunks[node_d.rack][1]))
-                for kind, ident, cap in used:
-                    r = res_id.setdefault((kind, ident), len(caps))
-                    if r == len(caps):
-                        caps.append(cap)
-                    entry_task.append(i)
-                    entry_res.append(r)
-                hops.append((i, src, dst, cross))
-        self.res_names = list(res_id)
-        self.caps = np.array(caps, dtype=float)
+        # hop): the order decides argmin ties between equally loaded links.
+        # Keys are bounded, so each one's first entry is a minimum.at, not a sort
+        first = np.full(cap_of.size, len(key), np.int64)
+        np.minimum.at(first, key, np.arange(len(key)))
+        res_key = np.flatnonzero(first < len(key))
+        res_key = res_key[np.argsort(first[res_key])]
+        res_id = np.empty(cap_of.size, np.int64)
+        res_id[res_key] = np.arange(len(res_key))
+        res_key = res_key.tolist()
+        idents = (self.nodes.tolist(), racks.tolist())  # of a node kind, a rack kind
+        self.res_names = [(_RES_KINDS[kind], idents[kind >= 4][slot])
+                          for kind, slot in (divmod(r, width) for r in res_key)]
+        self.caps = cap_of.ravel()[res_key]
+        self.hop_task = np.repeat(flows, path_len - 1)
         weights = np.fromiter((getattr(t, "weight", 1.0) for t in tasks), float, n)
-        self.incidence = _Incidence(entry_task, entry_res, weights, len(caps))
-        # per-hop (task, src, dst, crosses a rack boundary) for byte accounting
-        self.hop_task, self.hop_src, self.hop_dst, hop_cross = (
-            np.array(hops, dtype=np.int64).reshape(-1, 4).T
+        self.incidence = _Incidence(
+            np.repeat(self.hop_task, used.sum(axis=1)), res_id[key], weights, len(res_key)
         )
-        self.hop_cross = hop_cross.astype(bool)
+        # per hop (task, src, dst, crosses a rack boundary) for byte
+        # accounting, and its src / dst positions in ``nodes``
+        self.hop_src, self.hop_dst = path_node[hop_at], path_node[hop_at + 1]
+        self.hop_cross = cross
+        self.hop_src_at, self.hop_dst_at = src, dst
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -600,19 +621,28 @@ class _Run:
         the finished tasks, and the unfinished volume per task."""
         prob = self.prob
         finished = ~np.isnan(self.finish)
+        if finished.all():  # complete: every task in task order, no mask
+            sent = slice(None)
+            finish_times = dict(zip(prob.ids, self.finish.tolist()))
+            start_times = dict(zip(prob.ids, self.start.tolist()))
+            remaining_mb = {}
+        else:
+            sent = finished[prob.hop_task]
+            finish_times = _by_id(prob.ids, self.finish, finished)
+            start_times = _by_id(prob.ids, self.start, ~np.isnan(self.start))
+            remaining_mb = _by_id(prob.ids, self.remaining, ~finished)
         # traffic of the finished tasks, summed in task order
-        sent = finished[prob.hop_task]
         mb = self.volume[prob.hop_task[sent]]
         return SimulationResult(
             makespan=self.now,
-            finish_times=_by_id(prob.ids, self.finish, finished),
-            start_times=_by_id(prob.ids, self.start, ~np.isnan(self.start)),
-            bytes_sent=_per_node(prob.hop_src[sent], mb),
-            bytes_received=_per_node(prob.hop_dst[sent], mb),
+            finish_times=finish_times,
+            start_times=start_times,
+            bytes_sent=_per_node(prob.nodes, prob.hop_src_at[sent], mb),
+            bytes_received=_per_node(prob.nodes, prob.hop_dst_at[sent], mb),
             cross_rack_mb=float(mb[prob.hop_cross[sent]].sum()),
             n_rate_updates=self.n_updates,
             trace=None if self.trace is None else list(self.trace),
-            remaining_mb=_by_id(prob.ids, self.remaining, ~finished),
+            remaining_mb=remaining_mb,
         )
 
     def next_event_time(self) -> float | None:
@@ -727,10 +757,13 @@ def _by_id(ids: list[str], values, keep) -> dict[str, float]:
     return {ids[i]: values[i] for i in np.flatnonzero(keep).tolist()}
 
 
-def _per_node(nodes, mb) -> dict[int, float]:
-    """node -> MB summed in input order (bincount accumulates sequentially)."""
-    ids, pos = np.unique(nodes, return_inverse=True)
-    return dict(zip(ids.tolist(), np.bincount(pos, weights=mb, minlength=len(ids)).tolist()))
+def _per_node(nodes, at, mb) -> dict[int, float]:
+    """node -> MB summed in input order (bincount accumulates sequentially)
+    over positions ``at`` into the ascending ``nodes``, for the nodes that
+    occur."""
+    sums = np.bincount(at, weights=mb, minlength=len(nodes))
+    occurs = np.bincount(at, minlength=len(nodes)) > 0
+    return dict(zip(nodes[occurs].tolist(), sums[occurs].tolist()))
 
 
 class FluidSimulator:

@@ -4,10 +4,12 @@ This is the dict-and-set event loop, the string-keyed resource table, the two
 allocators (dict progressive filling and its first NumPy port) and the
 rebuild-per-candidate split search exactly as they stood in
 ``repro.simnet.fluid`` / ``repro.repair.split`` before the solver was
-rewritten around one compiled problem.  Nothing in ``repro`` imports this
-module; ``tests/test_fluid_differential.py`` requires the library solver to
-reproduce it bit for bit.  Do not optimise or tidy it: its float operation
-order *is* the specification.
+rewritten around one compiled problem, plus that compiled problem's first
+lowering (:func:`reference_compile`, one Python iteration per hop).  Nothing
+in ``repro`` imports this module; ``tests/test_fluid_differential.py``
+requires the library solver to reproduce it bit for bit.  Do not optimise or
+tidy it: its float operation order and its resource numbering *are* the
+specification.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro.cluster.topology import Cluster
 from repro.simnet.flows import DelayTask, Task, validate_tasks
-from repro.simnet.fluid import SimulationResult, _Incidence
+from repro.simnet.fluid import SimulationResult, _Incidence, _offsets
 
 _EPS = 1e-12
 
@@ -475,3 +477,77 @@ def reference_search_split(
         span = (hi - lo) / 4
         lo, hi = max(0.0, best_p - span), min(1.0, best_p + span)
     return float(best_p), float(best_t)
+
+
+# ------------------------------------------------------------------ #
+# the compile as it was: one Python iteration per hop
+# ------------------------------------------------------------------ #
+class ReferenceProblem:
+    """``repro.simnet.fluid._Problem``'s lowering before the hop table was
+    built with array operations: every array, its dtype and ``res_names``
+    of the library's compile must be ``==`` to this one's."""
+
+    def __init__(self, tasks: list[Task], cluster: Cluster):
+        index = {tid: i for i, tid in enumerate(validate_tasks(tasks))}
+        n = len(tasks)
+        self.tasks = list(tasks)
+        self.ids = list(index)
+        self.is_delay = np.fromiter((isinstance(t, DelayTask) for t in tasks), bool, n)
+        #: MB to move, or seconds to wait for a delay (which then advances as
+        #: a rate-1.0 flow: ``x * 1.0`` and ``x / 1.0`` are exact)
+        self.base = np.fromiter(
+            (t.duration_s if isinstance(t, DelayTask) else t.size_mb for t in tasks),
+            float, n,
+        )
+        # dependency DAG: in-degrees plus the dependents of each task as CSR
+        dep_of = np.fromiter((index[d] for t in tasks for d in t.deps), np.int64)
+        dep_by = np.repeat(np.arange(n, dtype=np.int64), [len(t.deps) for t in tasks])
+        self.n_deps = np.bincount(dep_by, minlength=n).astype(np.int64)
+        order = np.argsort(dep_of, kind="stable")
+        self.dependents = dep_by[order]
+        self.dep_ptr = _offsets(dep_of[order], n)
+        # resources get integer ids in first-appearance order (tasks in input
+        # order, hops in path order, up/down/xup/xdown/rup/rdown within a
+        # hop): the order decides argmin ties between equally loaded links
+        trunks = getattr(cluster, "rack_trunks", {})
+        res_id: dict[tuple[str, int], int] = {}
+        caps: list[float] = []
+        entry_task: list[int] = []
+        entry_res: list[int] = []
+        hops: list[tuple[int, int, int, bool]] = []
+        for i, t in enumerate(tasks):
+            if isinstance(t, DelayTask):
+                continue
+            for src, dst in t.hops:
+                node_s, node_d = cluster[src], cluster[dst]
+                cross = node_s.rack != node_d.rack
+                used = [("up", src, node_s.uplink), ("down", dst, node_d.downlink)]
+                if cross and node_s.cross_uplink is not None:
+                    used.append(("xup", src, node_s.cross_uplink))
+                if cross and node_d.cross_downlink is not None:
+                    used.append(("xdown", dst, node_d.cross_downlink))
+                if cross and node_s.rack in trunks:
+                    used.append(("rup", node_s.rack, trunks[node_s.rack][0]))
+                if cross and node_d.rack in trunks:
+                    used.append(("rdown", node_d.rack, trunks[node_d.rack][1]))
+                for kind, ident, cap in used:
+                    r = res_id.setdefault((kind, ident), len(caps))
+                    if r == len(caps):
+                        caps.append(cap)
+                    entry_task.append(i)
+                    entry_res.append(r)
+                hops.append((i, src, dst, cross))
+        self.res_names = list(res_id)
+        self.caps = np.array(caps, dtype=float)
+        weights = np.fromiter((getattr(t, "weight", 1.0) for t in tasks), float, n)
+        self.incidence = _Incidence(entry_task, entry_res, weights, len(caps))
+        # per-hop (task, src, dst, crosses a rack boundary) for byte accounting
+        self.hop_task, self.hop_src, self.hop_dst, hop_cross = (
+            np.array(hops, dtype=np.int64).reshape(-1, 4).T
+        )
+        self.hop_cross = hop_cross.astype(bool)
+
+
+def reference_compile(tasks: list[Task], cluster: Cluster) -> ReferenceProblem:
+    """The per-hop lowering of ``tasks`` on ``cluster``."""
+    return ReferenceProblem(tasks, cluster)

@@ -13,7 +13,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 # must match the ratchet floor in .github/workflows/ci.yml (ratchet-only:
 # raise both together when coverage improves, never lower them)
-COVERAGE_FLOOR = 78.0
+COVERAGE_FLOOR = 79.0
 
 
 def _run(*argv):

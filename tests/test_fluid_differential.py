@@ -18,6 +18,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -26,20 +27,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.bandwidth import make_wld
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
+from repro.ec.rs import RSCode
 from repro.experiments.common import build_scenario
 from repro.repair.centralized import add_centralized
 from repro.repair.independent import add_independent, build_chain_paths
+from repro.repair.hybrid import whole_block
 from repro.repair.rackaware import _build_rack_aware_cr, _build_tree_ir
 from repro.repair.split import search_split
 from repro.simnet.dynamic import BandwidthEvent
 from repro.simnet.flows import DelayTask, Flow, PipelineFlow
 from repro.simnet import fluid
 from repro.simnet.fluid import FluidSimulator, _Incidence
+from repro.system.coordinator import Coordinator
 from tests.conftest import unbound_kernel
 from tests.fluid_reference import (
     ReferenceFluidSimulator,
+    reference_compile,
     reference_search_split,
     scaled_split_tasks,
 )
@@ -133,9 +139,28 @@ def random_instance(seed: int):
     return cluster, tasks, events, horizon
 
 
+def volume_bound(cluster, tasks) -> float:
+    """No resource finishes its load faster than its capacity carries it:
+    max over resources r of (V_r - n_r * 1e-12) / C_r * (1 - 1e-12), where
+    V_r is the MB that r's n_r entries carry (a hop crossing r twice counts
+    twice).  ``n_r * 1e-12`` is what the solver may snap away as finished
+    (a remaining volume under ``1e-12`` is zero), the last factor the
+    rounding of ``now += dt``.  Resources are the reference's, not the
+    compiled problem's."""
+    ref = ReferenceFluidSimulator(cluster)
+    mb, n, cap = defaultdict(float), defaultdict(int), {}
+    for t in tasks:
+        for key, c in ref._resources_of(t):
+            mb[key] += t.size_mb
+            n[key] += 1
+            cap[key] = c
+    return max(((mb[r] - n[r] * 1e-12) / cap[r] * (1 - 1e-12) for r in cap), default=0.0)
+
+
 def assert_same_run(cluster, tasks, events=(), horizon=None):
     """Each loop body, untraced, and a traced run (which takes the NumPy
-    loop) against the reference."""
+    loop) against the reference; an event-free complete run also against
+    the volume lower bound."""
     ref = ReferenceFluidSimulator(cluster).run(
         tasks, events=events, record_trace=True, horizon_s=horizon
     )
@@ -158,6 +183,8 @@ def assert_same_run(cluster, tasks, events=(), horizon=None):
         assert new.bytes_sent == pytest.approx(ref.bytes_sent, rel=1e-9, abs=1e-9)
         assert new.bytes_received == pytest.approx(ref.bytes_received, rel=1e-9, abs=1e-9)
         assert new.cross_rack_mb == pytest.approx(ref.cross_rack_mb, rel=1e-9, abs=1e-9)
+    if not events and horizon is None:
+        assert ref.makespan >= volume_bound(cluster, tasks)
 
 
 @pytest.mark.parametrize("seed", seed_fanout(DEFAULT_MASTER_SEED, 60))
@@ -267,6 +294,84 @@ def test_result_does_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+# --------------------------------------------------------------------- #
+# the compile: array lowering == per-hop lowering
+# --------------------------------------------------------------------- #
+_PROBLEM_ARRAYS = ("is_delay", "base", "n_deps", "dependents", "dep_ptr", "caps",
+                   "hop_task", "hop_src", "hop_dst", "hop_cross")
+#: the entries, their weights and the incidence's CSR (by flow) / CSC (by resource)
+_INCIDENCE_ARRAYS = ("entry_flow", "entry_res", "weights", "entry_weight",
+                     "flow_ptr", "res_flows", "res_ptr")
+
+
+def _storm_build():
+    """The whole-block HMBR builds of a 64-stripe RS(32,8) round with 4
+    dead nodes on WLD-4x bandwidths: what the common split search compiles."""
+    ds = make_wld(68, "WLD-4x", seed=20230717)
+    nodes = [Node(i, float(ds.uplinks[i]), float(ds.downlinks[i])) for i in range(68)]
+    coord = Coordinator(Cluster(nodes[:60]), RSCode(32, 8), block_bytes=1 << 16, rng=20230717)
+    for node in nodes[60:]:
+        coord.add_spare(node)
+    coord.place_stripes(64, materialize=False)
+    for node in range(4):
+        coord.crash_node(node)
+    affected = coord.layout.stripes_with_failures(coord.cluster.dead_ids())
+    tasks = []
+    for _, ctx, center in coord.plan_round("hmbr", affected, lazy=True).work:
+        (cr, _, _), (ir, _, _) = whole_block(ctx, center)
+        tasks += cr + ir
+    return coord.cluster, tasks, (), None
+
+
+def _compile_inputs():
+    inputs = {f"seed{seed}": (lambda seed=seed: random_instance(seed))
+              for seed in seed_fanout(DEFAULT_MASTER_SEED, 60)}
+    inputs.update({name: (lambda name=name: _shaped(name)) for name in
+                   ("serve-shaped", "events-horizon-trace", "all-zero-sizes", "delays-only")})
+    return inputs | {"hmbr-storm-64": _storm_build}
+
+
+@pytest.mark.parametrize("make", _compile_inputs().values(), ids=list(_compile_inputs()))
+def test_compile_equals_the_per_hop_lowering(make):
+    """Every array of the compiled problem, with its dtype, and the resource
+    names are ``==`` to the per-hop lowering's: resource ids are numbered
+    in first-appearance order, which decides argmin ties.  A complete run
+    reads back exactly what the masked (partial-run) path would."""
+    cluster, tasks, events, _ = make()
+    got, want = FluidSimulator(cluster).compile(tasks), reference_compile(tasks, cluster)
+    assert got.ids == want.ids
+    assert got.res_names == want.res_names
+    pairs = [(name, getattr(got, name), getattr(want, name)) for name in _PROBLEM_ARRAYS]
+    pairs += [(name, getattr(got.incidence, name), getattr(want.incidence, name))
+              for name in _INCIDENCE_ARRAYS]
+    for name, a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), name
+
+    def per_node(nodes, mb):  # the per-node sums as they were: np.unique + bincount
+        ids, pos = np.unique(nodes, return_inverse=True)
+        return dict(zip(ids.tolist(), np.bincount(pos, weights=mb, minlength=len(ids)).tolist()))
+
+    run = FluidSimulator(cluster).start(got, events).advance()
+    res, every = run.result(), np.ones(len(got), dtype=bool)
+    mb = run.volume[got.hop_task]
+    masked = {
+        "finish_times": fluid._by_id(got.ids, run.finish, every),
+        "start_times": fluid._by_id(got.ids, run.start, every),
+        "bytes_sent": per_node(got.hop_src, mb),
+        "bytes_received": per_node(got.hop_dst, mb),
+    }
+    for name, mapping in masked.items():
+        assert list(getattr(res, name).items()) == list(mapping.items()), name
+    assert res.cross_rack_mb == float(mb[got.hop_cross].sum())
+    assert res.remaining_mb == {}
+    # a partial run counts the hops of its finished tasks only
+    part = FluidSimulator(cluster).start(got, events).advance(res.makespan / 2)
+    sent = ~np.isnan(part.finish[got.hop_task])
+    for name, nodes in (("bytes_sent", got.hop_src), ("bytes_received", got.hop_dst)):
+        want = per_node(nodes[sent], part.volume[got.hop_task[sent]])
+        assert list(getattr(part.result(), name).items()) == list(want.items()), name
 
 
 # --------------------------------------------------------------------- #

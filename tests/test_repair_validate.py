@@ -16,7 +16,7 @@ from repro.repair.rackaware import (
     plan_tree_independent,
 )
 from repro.repair.validate import PlanValidationError, validate_plan
-from repro.simnet.flows import Flow
+from repro.simnet.flows import DelayTask, Flow
 from tests.conftest import make_repair_ctx
 
 
@@ -116,6 +116,31 @@ def test_detects_dependency_cycle():
         outputs={},
     )
     with pytest.raises(PlanValidationError):
+        validate_plan(plan)
+
+
+def test_a_deep_dependency_chain_validates():
+    """3 000 delays, each waiting on the next and listed dependents-first:
+    the acyclicity check is one linear pass, not a recursion per level."""
+    n = 3000
+    chain = [DelayTask(f"d{i}", 0.0, deps=(f"d{i + 1}",) if i + 1 < n else ()) for i in range(n)]
+    validate_plan(RepairPlan(scheme="chain", tasks=chain, ops=[], outputs={}))
+
+
+def test_a_cycle_is_named_by_a_task_on_it():
+    """``x`` waits on the 3-cycle a -> b -> c -> a without being on it."""
+    plan = RepairPlan(
+        scheme="broken",
+        tasks=[
+            Flow("x", 0, 1, 1.0, deps=("c",)),
+            Flow("a", 0, 1, 1.0, deps=("c",)),
+            Flow("b", 1, 2, 1.0, deps=("a",)),
+            Flow("c", 2, 0, 1.0, deps=("b",)),
+        ],
+        ops=[],
+        outputs={},
+    )
+    with pytest.raises(PlanValidationError, match=r"cycle through '[abc]'"):
         validate_plan(plan)
 
 
