@@ -1,11 +1,15 @@
 """Lazily compiled C kernels: build once, cache, ``dlopen`` — or record why not.
 
 The package has no build step; its C kernels (:mod:`repro.gf.backend.native`,
-:mod:`repro.simnet.fluid`) are source strings compiled on first use and driven
+:mod:`repro.simnet.fluid`) are source strings compiled on first use and loaded
 through :mod:`ctypes`.  Each is one :class:`CLibrary` — its own translation
 unit and flag sets — cached in one per-user directory under a digest of ABI
 version, flags and source (plus the host CPU when a flag set says
-``-march=native``), one file per flag set, and published atomically.  Nothing
+``-march=native``), one file per flag set, and published atomically.  The
+fluid solver is a plain ``CDLL`` driven with raw pointers; the GF kernel's
+entry points use the Python C API (``python=True``: built against the running
+interpreter's headers, keyed by its ABI tag, loaded with ``PyDLL``), take
+arrays as Python objects and check their buffers themselves.  Nothing
 here raises to the caller: any failure leaves ``load()`` returning ``None``
 with the reason kept for ``build_info()``, and the caller runs its NumPy path
 — same results, only slower.  docs/KERNELS.md, "One build helper".
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.machinery
 import os
 import platform
 import shutil
@@ -41,6 +46,13 @@ def _cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro-gf-native"
+
+
+def _python_include() -> str:
+    """The running interpreter's C header directory (where ``Python.h`` is)."""
+    import sysconfig  # a build needs it; importing loads the whole build configuration
+
+    return sysconfig.get_paths()["include"]
 
 
 def _host_cpu() -> str:
@@ -76,18 +88,27 @@ class CLibrary:
     whose results depend on its flags passes exactly one).  ``bind(lib)``
     declares the entry points and may run a self-check; if it raises, the
     library counts as unavailable like any build failure.
+
+    ``python=True`` is for a source that uses the Python C API: it compiles
+    against the running interpreter's headers (no ``Python.h`` there is a
+    build failure like any other), loads with :class:`ctypes.PyDLL` — its
+    entry points run holding the GIL and may raise — and its cache key
+    records the interpreter's ABI tag, so no other interpreter loads it.
     """
 
-    def __init__(self, name: str, source: str, abi: int, flag_sets, bind):
-        self.name, self.source, self.bind = name, source, bind
+    def __init__(self, name: str, source: str, abi: int, flag_sets, bind, python: bool = False):
+        self.name, self.source, self.bind, self.python = name, source, bind, python
         self.flag_sets = [list(flags) for flags in flag_sets]
         key = f"abi{abi}\0{self.flag_sets}\0{source}"
+        if python:
+            # the ABI tag, as in ".cpython-311-x86_64-linux-gnu.so"
+            key += f"\0{importlib.machinery.EXTENSION_SUFFIXES[0]}"
         if any("-march=native" in flags for flags in self.flag_sets):
             # such a build runs only on CPUs like this one: a cache shared
             # between hosts must not hand it to another CPU (SIGILL)
             key += f"\0{_host_cpu()}"
         self.stem = f"{name}-{hashlib.sha256(key.encode()).hexdigest()[:16]}"
-        self.lib: ctypes.CDLL | None = None
+        self.lib: ctypes.CDLL | None = None  # a PyDLL when python=True
         self.path: Path | None = None
         #: the flag set that built ``path``
         self.flags: list[str] | None = None
@@ -103,7 +124,7 @@ class CLibrary:
             if not self._probed:
                 try:
                     self.path = self._build()
-                    lib = ctypes.CDLL(str(self.path))
+                    lib = (ctypes.PyDLL if self.python else ctypes.CDLL)(str(self.path))
                     self.bind(lib)
                     self.lib = lib
                 except Exception as exc:  # noqa: BLE001 - any failure = unavailable
@@ -123,6 +144,12 @@ class CLibrary:
             if so_path.exists():
                 self.flags = flags
                 return so_path
+        includes = []
+        if self.python:
+            include = _python_include()
+            if not os.path.exists(os.path.join(include, "Python.h")):
+                raise RuntimeError(f"no Python.h in {include} (the interpreter's C headers)")
+            includes = [f"-I{include}"]
         cc = _find_compiler()
         if cc is None:
             raise RuntimeError("no C compiler on PATH (tried $CC, cc, gcc, clang)")
@@ -134,7 +161,7 @@ class CLibrary:
         for flags, so_path in builds:
             try:
                 _publish(so_path, lambda tmp, flags=flags: subprocess.run(
-                    [cc, *flags, "-o", tmp, str(src_path)], capture_output=True, text=True,
+                    [cc, *flags, *includes, "-o", tmp, str(src_path)], capture_output=True, text=True,
                     check=True,
                 ))
             except subprocess.CalledProcessError as exc:

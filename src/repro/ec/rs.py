@@ -66,11 +66,16 @@ class RSCode:
             raise ValueError("blocks must be a 2-D array (rows = blocks)")
         return arr
 
-    def encode(self, data_blocks) -> np.ndarray:
+    def encode(self, data_blocks):
         """Encode k data blocks into m parity blocks.
 
-        ``data_blocks`` is a (k, B) array; returns an (m, B) array.
+        ``data_blocks`` is a (k, B) array; returns an (m, B) array.  Given
+        a list or tuple of k separate 1-D blocks instead, it reads them in
+        place and returns a list of m separately allocated parity rows (the
+        rows form, :func:`repro.gf.matmul_rows`).
         """
+        if isinstance(data_blocks, (list, tuple)):
+            return matmul_rows(self.generator[self.k :], data_blocks, self.field)
         data = self._as_block_matrix(data_blocks)
         if data.shape[0] != self.k:
             raise ValueError(f"expected {self.k} data blocks, got {data.shape[0]}")

@@ -6,11 +6,14 @@ repair *network*-bound; a pure-NumPy kernel tier caps out around
 transfer balance.  This package makes the kernel a pluggable tier:
 
 * ``numpy`` — the original pair-byte/word LUT path; always available;
-* ``native`` — a small C extension (compiled lazily through ``cc``,
-  cached per user, driven via :mod:`ctypes`) implementing one ISA-L-style
-  dot-product kernel per field over k source pointers, with the classic
+* ``native`` — a small C library (compiled lazily through ``cc`` against
+  the interpreter's headers, cached per user, loaded with
+  :class:`ctypes.PyDLL`) implementing one ISA-L-style dot-product kernel
+  per field over k source buffers read in place, with the classic
   split-nibble SIMD layout; ~13x the NumPy tier on GF(2^8) planes where
-  AVX2 is available.
+  AVX2 is available.  Its one entry per field takes the arrays as Python
+  objects and checks their buffers in C, so a call costs about a
+  microsecond on top of the kernel's bytes.
 
 A host-specific tier (a vendor library's bindings, say) plugs in by
 subclassing :class:`KernelBackend` and calling :func:`register_backend`.

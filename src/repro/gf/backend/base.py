@@ -83,10 +83,11 @@ class KernelBackend(abc.ABC):
         """``mat @ rows`` for k equal-length 1-D source buffers: f fresh rows.
 
         The rows form of :meth:`plane_matmul`, for callers that hold their
-        sources as separate buffers.  This default stacks them into a plane
-        and copies the product's rows apart (a kept row must not pin the
-        whole product); a backend that can read the sources in place
-        overrides it.
+        sources as separate buffers.  This default checks the rows, stacks
+        them into a plane and copies the product's rows apart (a kept row
+        must not pin the whole product); a backend that can read the
+        sources in place overrides it and must reject the same bad rows
+        with the same ``ValueError``.
         """
         mat, rows = _checked_rows(mat, rows, field)
         product = self.plane_matmul(mat, np.stack(rows), field)
@@ -220,11 +221,11 @@ def matmul_rows(mat: np.ndarray, rows, field: GF) -> list[np.ndarray]:
 
 
 def _checked_rows(mat, rows, field: GF) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Validate a rows-form call before any kernel sees a pointer.
+    """Validate a rows-form call before it is stacked into a plane.
 
-    A compiled kernel reads N elements from every source without bounds
-    checks, so each must be a 1-D array of exactly the field's dtype and the
-    same length, and there must be one per matrix column.
+    Each source must be a 1-D array of exactly the field's dtype and the
+    same length, and there must be one per matrix column.  The native tier
+    makes the same checks, with the same messages, in its C entry.
     """
     mat = np.asarray(mat, dtype=field.dtype)
     rows = list(rows)

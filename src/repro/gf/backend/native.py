@@ -1,10 +1,10 @@
 """The native C backend: an ISA-L-style dot-product kernel, lazily compiled.
 
 The NumPy tier pays one full pass over the plane per nonzero matrix entry
-*plus* a temporary per gather; this tier compiles a small C extension (no
-build-time dependency — plain ``cc -O3 -fPIC -shared`` driven through
-:mod:`ctypes`) with one entry point per field that computes f output rows
-from k source *pointers*, the shape of ISA-L's ``ec_encode_data``:
+*plus* a temporary per gather; this tier compiles a small C library (no
+build-time dependency — plain ``cc -O3 -fPIC -shared``) with one dot-product
+kernel per field that computes f output rows from k source buffers read in
+place, the shape of ISA-L's ``ec_encode_data``:
 
 * **the dot form** — output rows go in groups of up to four; for each
   32-element column tile every source is loaded once and feeds all the
@@ -25,10 +25,24 @@ from k source *pointers*, the shape of ISA-L's ``ec_encode_data``:
 Without AVX2 (or for the last < 32 elements of a row) the body is scalar:
 per output row, ``dst ^= lut[src]`` over each source.
 
+**The binding.** A hop of a repair chain is a (1, 2) product over ~44 KiB,
+a few µs of kernel work, so the call itself must cost next to nothing.  The
+library uses the Python C API and is loaded with :class:`ctypes.PyDLL`: one
+entry per field, ``repro_gf8_dot_py(n, coeffs, srcs, dsts)`` /
+``repro_gf16_dot_py``, takes the coefficient array and sequences of source
+and destination arrays as Python objects.  It acquires every buffer with
+``PyObject_GetBuffer`` and checks all of them (1-D, the field's element type,
+C-contiguous, exactly n long, destinations writable, the matrix shaped
+(f, k)) before it reads a byte, raising ``ValueError`` otherwise; it releases
+the GIL around the kernel and every buffer on every path.  The nibble-table
+scratch lives in C (on the stack for small calls), and the field's tables
+are bound once per process (``repro_gf8_bind`` / ``repro_gf16_bind``).
+
 **Build caching and fallback** are :mod:`repro._cbuild`'s: one ~1 s compile
-per host into a per-user cache (``REPRO_GF_NATIVE_CACHE``), then a ``dlopen``;
-no compiler or a failed build marks the backend unavailable (``build_info()``
-keeps the error) and auto-selection falls back to the bit-identical NumPy tier.
+per host and interpreter into a per-user cache (``REPRO_GF_NATIVE_CACHE``),
+then a ``dlopen``; no compiler, no ``Python.h`` or a failed build marks the
+backend unavailable (``build_info()`` keeps the error) and auto-selection
+falls back to the bit-identical NumPy tier.
 """
 
 from __future__ import annotations
@@ -39,16 +53,18 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro._cbuild import CLibrary
-from repro.gf.backend.base import KernelBackend, _checked_rows
+from repro.gf.backend.base import KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - repro.gf.field imports this package
     from repro.gf.field import GF
 
 #: kernel ABI version — bump when _C_SOURCE's signatures change so stale
 #: cached builds from older checkouts are never dlopen'ed.
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 _C_SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -230,27 +246,217 @@ void repro_gf16_dot(size_t n, size_t k, size_t f, const uint16_t *coeffs,
         }
     }
 }
+
+/* ------------------------------------------------------------------ *
+ * The Python entry points (the library is loaded with ctypes.PyDLL, so
+ * they run holding the GIL and may raise).
+ * ------------------------------------------------------------------ */
+
+/* A field's tables, bound once per process: the views are never released,
+ * which keeps the field's arrays alive for as long as the kernel can run. */
+static Py_buffer gf8_mul_view, gf16_log_view, gf16_exp_view;
+static const uint8_t *gf8_mul;
+static const uint32_t *gf16_log;
+static const uint16_t *gf16_exp;
+
+/* Hold obj's buffer in *view if it is C-contiguous and holds `count` items
+ * of `size` bytes; else raise naming `what`. */
+static int bind_table(PyObject *obj, Py_buffer *view, Py_ssize_t count, Py_ssize_t size,
+                      const char *what) {
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS) < 0)
+        return -1;
+    if (view->itemsize != size || view->len != count * size) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_ValueError, "%s must be %zd items of %zd bytes", what, count, size);
+        return -1;
+    }
+    return 0;
+}
+
+PyObject *repro_gf8_bind(PyObject *mul) {
+    if (!gf8_mul) {
+        if (bind_table(mul, &gf8_mul_view, 256 * 256, 1, "the GF(2^8) multiply table") < 0)
+            return NULL;
+        gf8_mul = gf8_mul_view.buf;
+    }
+    Py_RETURN_NONE;
+}
+
+PyObject *repro_gf16_bind(PyObject *log, PyObject *exp) {
+    if (!gf16_exp) {
+        if (bind_table(log, &gf16_log_view, 65536, 4, "the GF(2^16) log table") < 0)
+            return NULL;
+        if (bind_table(exp, &gf16_exp_view, 2 * 65535, 2, "the GF(2^16) exp table") < 0) {
+            PyBuffer_Release(&gf16_log_view);
+            return NULL;
+        }
+        gf16_log = gf16_log_view.buf;
+        gf16_exp = gf16_exp_view.buf;
+    }
+    Py_RETURN_NONE;
+}
+
+/* A C-contiguous buffer of one field element per item ("B" / "H"). */
+static int is_elems(const Py_buffer *v, char code) {
+    return v->format && v->format[0] == code && !v->format[1] && PyBuffer_IsContiguous(v, 'C');
+}
+
+/* Take the buffer of every item of the tuple rows into views, exactly n
+ * elements each, and its address into ptrs.  *held counts the views taken,
+ * failed or not: the caller releases them on every path. */
+static int take_rows(PyObject *rows, Py_buffer *views, void **ptrs, Py_ssize_t *held,
+                     size_t n, char code, int writable, const char *dtype) {
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(rows); i++) {
+        Py_buffer *v = &views[*held];
+        int flags = PyBUF_RECORDS_RO | (writable ? PyBUF_WRITABLE : 0);
+        if (PyObject_GetBuffer(PyTuple_GET_ITEM(rows, i), v, flags) < 0) {
+            PyErr_Clear();
+            v = NULL;
+        } else {
+            ++*held;
+        }
+        if (!v || v->ndim != 1 || !is_elems(v, code)) {
+            PyErr_Format(PyExc_ValueError, writable
+                             ? "destination rows must be writable 1-D %s arrays"
+                             : "source rows must be 1-D %s arrays", dtype);
+            return -1;
+        }
+        if ((size_t)v->shape[0] != n) {
+            PyErr_SetString(PyExc_ValueError, writable
+                                ? "destination rows must have the sources' length"
+                                : "source rows must have equal lengths");
+            return -1;
+        }
+        ptrs[i] = v->buf;
+    }
+    return 0;
+}
+
+/* "(2, 3)" for the matrix message. */
+static void shape_text(const Py_buffer *v, char *out, size_t size) {
+    size_t at = (size_t)snprintf(out, size, "(");
+    for (int d = 0; d < v->ndim && at < size; d++)
+        at += (size_t)snprintf(out + at, size - at, d ? ", %zd" : "%zd", v->shape[d]);
+    if (at < size)
+        snprintf(out + at, size - at, v->ndim == 1 ? ",)" : ")");
+}
+
+/* The bytes one call needs: a view per buffer, a pointer per row, nibble
+ * tables per matrix entry.  Small calls keep them on the stack. */
+#define STACK_SCRATCH 16384
+
+/* dsts[i] = XOR_t coeffs[i, t] * srcs[t] over n elements of GF(2^w): every
+ * buffer is acquired and checked before the first byte is read, the GIL is
+ * released around the kernel, and every buffer is released on every path.
+ * The destinations must not overlap the sources. */
+static PyObject *dot(int w, size_t n, PyObject *coeffs, PyObject *srcs, PyObject *dsts) {
+    const char code = w == 8 ? 'B' : 'H', *dtype = w == 8 ? "uint8" : "uint16";
+    const size_t tab = w == 8 ? 32 : 256;
+    if (w == 8 ? !gf8_mul : !gf16_exp) {
+        PyErr_Format(PyExc_RuntimeError, "GF(2^%d) tables are not bound", w);
+        return NULL;
+    }
+    /* tuples, so the rows cannot change while their buffers are taken */
+    PyObject *s = PySequence_Tuple(srcs);
+    if (!s)
+        return NULL;
+    PyObject *d = PySequence_Tuple(dsts);
+    if (!d) {
+        Py_DECREF(s);
+        return NULL;
+    }
+    const size_t k = (size_t)PyTuple_GET_SIZE(s), f = (size_t)PyTuple_GET_SIZE(d);
+    const size_t need = (1 + k + f) * sizeof(Py_buffer) + (k + f) * sizeof(void *) + f * k * tab;
+    Py_buffer stack[STACK_SCRATCH / sizeof(Py_buffer)];
+    char *mem = need <= sizeof stack ? (char *)stack : malloc(need);
+    Py_buffer *views = (Py_buffer *)mem, *mat = views;
+    void **ptrs = (void **)(views + 1 + k + f);
+    uint8_t *tabs = (uint8_t *)(ptrs + k + f);
+    PyObject *ret = NULL;
+    Py_ssize_t held = 0;
+    if (!mem) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    if (PyObject_GetBuffer(coeffs, mat, PyBUF_RECORDS_RO) < 0) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_ValueError, "the matrix must be a C-contiguous %s array", dtype);
+        goto done;
+    }
+    held = 1;
+    if (!k || mat->ndim != 2 || (size_t)mat->shape[1] != k || (size_t)mat->shape[0] != f) {
+        char text[96];
+        shape_text(mat, text, sizeof text);
+        if (mat->ndim == 2 && k && (size_t)mat->shape[1] == k)
+            PyErr_Format(PyExc_ValueError, "matrix %s does not fit %zu destination rows", text, f);
+        else
+            PyErr_Format(PyExc_ValueError, "matrix %s does not fit %zu source rows", text, k);
+        goto done;
+    }
+    if (!is_elems(mat, code)) {
+        PyErr_Format(PyExc_ValueError, "the matrix must be a C-contiguous %s array", dtype);
+        goto done;
+    }
+    if (take_rows(s, views, ptrs, &held, n, code, 0, dtype) < 0 ||
+        take_rows(d, views, ptrs + k, &held, n, code, 1, dtype) < 0)
+        goto done;
+
+    Py_BEGIN_ALLOW_THREADS
+    if (w == 8)
+        repro_gf8_dot(n, k, f, mat->buf, gf8_mul, tabs, (const uint8_t *const *)ptrs,
+                      (uint8_t *const *)(ptrs + k));
+    else
+        repro_gf16_dot(n, k, f, mat->buf, gf16_log, gf16_exp, tabs,
+                       (const uint16_t *const *)ptrs, (uint16_t *const *)(ptrs + k));
+    Py_END_ALLOW_THREADS
+    ret = Py_None;
+    Py_INCREF(ret);
+done:
+    while (held)
+        PyBuffer_Release(&views[--held]);
+    if (mem != (char *)stack)
+        free(mem);
+    Py_DECREF(s);
+    Py_DECREF(d);
+    return ret;
+}
+
+PyObject *repro_gf8_dot_py(size_t n, PyObject *coeffs, PyObject *srcs, PyObject *dsts) {
+    return dot(8, n, coeffs, srcs, dsts);
+}
+
+PyObject *repro_gf16_dot_py(size_t n, PyObject *coeffs, PyObject *srcs, PyObject *dsts) {
+    return dot(16, n, coeffs, srcs, dsts);
+}
 """
 
 _BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
 #: tried first; dropped when the compiler rejects it (cross-compilers,
 #: exotic toolchains) — the scalar kernels still beat NumPy comfortably.
 _NATIVE_FLAG = "-march=native"
-#: scratch bytes per matrix entry for the tables each entry point builds.
-_TABLE_BYTES = {8: 32, 16: 256}
 
 
-def _bind(lib: ctypes.CDLL) -> None:
-    """Declare the kernels' signatures on a freshly loaded library."""
-    ptr, size = ctypes.c_void_p, ctypes.c_size_t
-    lib.repro_gf8_dot.argtypes = [size, size, size, ptr, ptr, ptr, ptr, ptr]
-    lib.repro_gf8_dot.restype = None
-    lib.repro_gf16_dot.argtypes = [size, size, size, ptr, ptr, ptr, ptr, ptr, ptr]
-    lib.repro_gf16_dot.restype = None
+def _bind(lib: ctypes.PyDLL) -> None:
+    """Declare the Python entry points on a freshly loaded library."""
+    obj, size = ctypes.py_object, ctypes.c_size_t
+    for w, tables in ((8, 1), (16, 2)):
+        bind = getattr(lib, f"repro_gf{w}_bind")
+        bind.argtypes, bind.restype = [obj] * tables, obj
+        dot = getattr(lib, f"repro_gf{w}_dot_py")
+        dot.argtypes, dot.restype = [size, obj, obj, obj], obj
+
+
+def _contiguous(row):
+    """``row`` itself, or a contiguous copy of a strided array view."""
+    if isinstance(row, np.ndarray) and not row.flags.c_contiguous:
+        return np.ascontiguousarray(row)
+    return row
 
 
 class NativeBackend(KernelBackend):
-    """ctypes-driven C dot-product kernels (nibble-table gathers), compiled lazily."""
+    """C dot-product kernels (nibble-table gathers) entered through the
+    Python C API, compiled lazily."""
 
     name = "native"
     priority = 10
@@ -260,8 +466,10 @@ class NativeBackend(KernelBackend):
         #: when the compiler objects
         self._kernel = CLibrary(
             "gfkern", _C_SOURCE, _ABI_VERSION,
-            [[*_BASE_FLAGS, _NATIVE_FLAG], _BASE_FLAGS], _bind,
+            [[*_BASE_FLAGS, _NATIVE_FLAG], _BASE_FLAGS], _bind, python=True,
         )
+        #: w -> the field's entry point, its tables already bound
+        self._entries: dict[int, object] = {}
 
     def build_info(self) -> dict:
         """Diagnostics: availability, the cached .so path and its flags, any
@@ -278,49 +486,43 @@ class NativeBackend(KernelBackend):
     def available(self) -> bool:
         return self._kernel.load() is not None
 
-    def _dot(self, mat: np.ndarray, srcs: list[int], dsts: list[int], n: int, field: GF) -> None:
-        """Run the field's entry point: ``dsts[i] = mat[i] @ srcs`` over n
-        elements, every pointer already checked to cover n elements."""
-        lib = self._kernel.load()
-        if lib is None:
-            raise RuntimeError(f"native backend unavailable: {self._kernel.error}")
-        if not self.capabilities(field.w):
-            raise RuntimeError(f"native backend does not support GF(2^{field.w})")
-        f, k = mat.shape
-        coeffs = np.ascontiguousarray(mat)
-        tabs = np.empty(f * k * _TABLE_BYTES[field.w], dtype=np.uint8)
-        ptrs = np.array(srcs + dsts, dtype=np.uintp)
-        src_ptrs = ptrs.ctypes.data
-        dst_ptrs = src_ptrs + k * ptrs.itemsize
-        if field.w == 8:
-            lib.repro_gf8_dot(n, k, f, coeffs.ctypes.data, field.mul_table.ctypes.data,
-                              tabs.ctypes.data, src_ptrs, dst_ptrs)
-        else:
-            lib.repro_gf16_dot(n, k, f, coeffs.ctypes.data, field.log.ctypes.data,
-                               field.exp.ctypes.data, tabs.ctypes.data, src_ptrs, dst_ptrs)
+    def _entry(self, field: GF):
+        """``entry(n, coeffs, srcs, dsts)`` for the field: ``dsts[i] =
+        coeffs[i] @ srcs`` over n elements, every buffer checked in C.  The
+        field's tables are bound to the library on first use."""
+        entry = self._entries.get(field.w)
+        if entry is None:
+            lib = self._kernel.load()
+            if lib is None:
+                raise RuntimeError(f"native backend unavailable: {self._kernel.error}")
+            if not self.capabilities(field.w):
+                raise RuntimeError(f"native backend does not support GF(2^{field.w})")
+            if field.w == 8:
+                lib.repro_gf8_bind(field.mul_table)
+            else:
+                lib.repro_gf16_bind(field.log, field.exp)
+            entry = self._entries[field.w] = getattr(lib, f"repro_gf{field.w}_dot_py")
+        return entry
 
     def plane_matmul(self, mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray:
         mat = np.asarray(mat, dtype=field.dtype)
         plane = np.asarray(plane, dtype=field.dtype)
         if mat.ndim != 2 or plane.ndim != 2 or mat.shape[1] != plane.shape[0]:
             raise ValueError(f"incompatible shapes {mat.shape} x {plane.shape}")
-        f, n = mat.shape[0], plane.shape[1]
+        (f, k), n = mat.shape, plane.shape[1]
+        if not k:
+            return np.zeros((f, n), dtype=field.dtype)
         out = np.empty((f, n), dtype=field.dtype)
-        if n and f:
-            if plane.strides[1] != plane.itemsize:
-                plane = np.ascontiguousarray(plane)
-            base, step = plane.ctypes.data, plane.strides[0]
-            self._dot(
-                mat, [base + t * step for t in range(plane.shape[0])],
-                [out.ctypes.data + i * out.strides[0] for i in range(f)], n, field,
-            )
+        if plane.strides[1] != plane.itemsize:
+            plane = np.ascontiguousarray(plane)
+        self._entry(field)(n, np.ascontiguousarray(mat), tuple(plane), tuple(out))
         return out
 
     def rows_matmul(self, mat: np.ndarray, rows, field: GF) -> list[np.ndarray]:
-        mat, rows = _checked_rows(mat, rows, field)
-        rows = [np.ascontiguousarray(r) for r in rows]
-        n = rows[0].shape[0]
-        out = [np.empty(n, dtype=field.dtype) for _ in range(mat.shape[0])]
-        if n and out:
-            self._dot(mat, [r.ctypes.data for r in rows], [o.ctypes.data for o in out], n, field)
+        mat = np.ascontiguousarray(mat, dtype=field.dtype)
+        srcs = [_contiguous(r) for r in rows]
+        # no rows, or a first row that is no array: the entry rejects the call
+        n = srcs[0].size if srcs and isinstance(srcs[0], np.ndarray) else 0
+        out = [np.empty(n, dtype=field.dtype) for _ in range(len(mat))]
+        self._entry(field)(n, mat, srcs, out)
         return out

@@ -917,16 +917,24 @@ class Coordinator:
     def verify_stripe(self, sid: int) -> None:
         """Re-check stripe consistency: parity rows match re-encoded data.
 
-        Raises ``AssertionError`` on a mismatch or a block on a dead node
-        and ``KeyError`` for an unknown stripe id or a missing block.
+        Raises ``AssertionError`` on a mismatch, a block on a dead node or a
+        block that is not one block of field elements long, and ``KeyError``
+        for an unknown stripe id or a missing block.  The stored blocks are
+        read in place.
         """
+        k, dtype, shape = self.code.k, self.code.field.dtype, (self.block_bytes,)
         blocks = []
         for b, node in enumerate(self.layout[sid].placement):
             agent = self.agents[node]
             if not agent.alive:
                 raise AssertionError(f"stripe {sid} block {b} maps to a dead node")
-            blocks.append(agent.read_block(block_name(sid, b)))
-        data = np.stack(blocks[: self.code.k])
-        parity = np.stack(blocks[self.code.k :])
-        if not np.array_equal(parity, self.code.encode(data)):
+            block = agent.read_block(block_name(sid, b))
+            if block.shape != shape or block.dtype != dtype:
+                raise AssertionError(
+                    f"stripe {sid} block {b} is a {block.dtype} array of shape {block.shape}, "
+                    f"not {np.dtype(dtype)} of shape {shape}"
+                )
+            blocks.append(block)
+        parity = self.code.encode(blocks[:k])  # the rows form: no stacking
+        if not all(np.array_equal(p, s) for p, s in zip(parity, blocks[k:])):
             raise AssertionError(f"stripe {sid} failed post-repair parity verification")

@@ -132,6 +132,40 @@ def test_compiler_disappears_between_probe_and_build(kernel, monkeypatch, tmp_pa
     _assert_fell_back(kernel, tmp_path, "FileNotFoundError")
 
 
+def test_no_python_headers(monkeypatch, tmp_path, request):
+    """A host without the interpreter's C headers: the GF tier is
+    unavailable and says why, auto-selection falls back to NumPy, and a
+    repair still rebuilds every lost block bit for bit."""
+    from repro.ec.stripe import block_name
+    from repro.gf.backend import select_backend
+    from repro.system.request import RepairRequest
+    from tests.test_system_coordinator import make_system, payload
+
+    monkeypatch.setenv("REPRO_GF_NATIVE_CACHE", str(tmp_path / "cache"))
+    (tmp_path / "include").mkdir()
+    monkeypatch.setattr(cbuild, "_python_include", lambda: str(tmp_path / "include"))
+    kernel = _GFKernel(monkeypatch, request)
+    assert get_backend("native").available() is False
+    assert "Python.h" in kernel.info()["error"], kernel.info()
+    assert select_backend(8).name == "numpy"
+
+    coord = make_system(block_bytes=256)
+    data = payload(5 * coord.code.k * 256)
+    coord.write("f", data)
+    stored = {
+        (sid, b): coord.agents[node].read_block(block_name(sid, b)).copy()
+        for sid in range(len(coord.layout.stripes))
+        for b, node in enumerate(coord.layout[sid].placement)
+    }
+    coord.crash_node(coord.layout[0].placement[0])
+    assert coord.repair(RepairRequest()).stripes_repaired
+    for (sid, b), want in stored.items():
+        node = coord.layout[sid].placement[b]
+        assert np.array_equal(coord.agents[node].read_block(block_name(sid, b)), want)
+    assert coord.read("f") == data
+    assert all(coord.scrub().values())
+
+
 def test_unwritable_cache_directory(kernel, monkeypatch, tmp_path):
     """The cache path runs through a regular file (root ignores mode bits)."""
     (tmp_path / "file").write_text("in the way")
@@ -167,7 +201,8 @@ def test_healthy_build_binds_and_matches(kernel, tmp_path):
 def test_concurrent_first_builds_publish_atomically(kernel, tmp_path):
     """Four builders race on one empty cache: each binds a whole library."""
     libs = [
-        cbuild.CLibrary(kernel.lib.name, kernel.lib.source, 7, kernel.lib.flag_sets, kernel.lib.bind)
+        cbuild.CLibrary(kernel.lib.name, kernel.lib.source, 7, kernel.lib.flag_sets, kernel.lib.bind,
+                        python=kernel.lib.python)
         for _ in range(4)
     ]
     barrier = threading.Barrier(len(libs))
@@ -211,9 +246,10 @@ def test_native_builds_are_keyed_by_the_host_cpu(monkeypatch):
         gf = cbuild.CLibrary(
             "gfkern", native._C_SOURCE, native._ABI_VERSION,
             [[*native._BASE_FLAGS, native._NATIVE_FLAG], native._BASE_FLAGS], bind=None,
+            python=True,
         )
         plain = cbuild.CLibrary("gfkern", native._C_SOURCE, native._ABI_VERSION,
-                                [native._BASE_FLAGS], bind=None)
+                                [native._BASE_FLAGS], bind=None, python=True)
         solver = cbuild.CLibrary(fluid._KERNEL.name, fluid._C_SOURCE, 1, [fluid._C_FLAGS], bind=None)
         stems.append((gf.stem, plain.stem, solver.stem))
     (gf_a, plain_a, solver_a), (gf_b, plain_b, solver_b) = stems

@@ -22,6 +22,7 @@ tier's compiler-less fallback.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -293,7 +294,8 @@ def scalar_native(tmp_path_factory):
         pytest.skip("no C compiler on PATH")
     backend = NativeBackend()
     backend._kernel = cbuild.CLibrary(
-        "gfkern", native._C_SOURCE, native._ABI_VERSION, [native._BASE_FLAGS], native._bind
+        "gfkern", native._C_SOURCE, native._ABI_VERSION, [native._BASE_FLAGS], native._bind,
+        python=True,
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_GF_NATIVE_CACHE", str(tmp_path_factory.mktemp("scalar-gfkern")))
@@ -361,15 +363,27 @@ def test_rows_form_matches_reference_and_allocates_apart(rows_backend):
 
 def test_rows_form_rejects_bad_sources_before_any_kernel(rows_backend, monkeypatch):
     """The compiled kernel reads N elements of every source unchecked: a bad
-    source is a ValueError raised before any kernel body runs."""
+    source is a ValueError raised before any kernel body runs.  The native
+    tier checks in its C entry, so there the entry itself must raise, with
+    every destination it was handed still unwritten."""
     field, backend = rows_backend
+    calls = []
+    if isinstance(backend, NativeBackend):
+        entry = backend._entry(field)
 
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("a kernel ran on unchecked sources")
+        def checked_entry(n, coeffs, srcs, dsts):
+            for d in dsts:
+                d.fill(0xA5)
+            calls.append(dsts)
+            entry(n, coeffs, srcs, dsts)
+            raise AssertionError("the entry accepted a bad source")
 
-    for attr in ("plane_matmul", "_dot"):
-        if hasattr(backend, attr):
-            monkeypatch.setattr(backend, attr, no_kernel)
+        monkeypatch.setitem(backend._entries, field.w, checked_entry)
+    else:
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran on unchecked sources")
+
+        monkeypatch.setattr(backend, "plane_matmul", no_kernel)
     ok = np.zeros(64, dtype=field.dtype)
     other = np.uint16 if field.dtype == np.uint8 else np.uint8
     mat = np.ones((2, 2), dtype=field.dtype)
@@ -384,6 +398,77 @@ def test_rows_form_rejects_bad_sources_before_any_kernel(rows_backend, monkeypat
             backend.rows_matmul(mat, rows, field)
     with pytest.raises(ValueError):
         backend.rows_matmul(np.ones((2, 0), dtype=field.dtype), [], field)
+    if isinstance(backend, NativeBackend):
+        assert len(calls) == 6
+        assert all((d == field.dtype(0xA5)).all() for dsts in calls for d in dsts)
+
+
+@pytest.mark.skipif("native" not in BACKENDS_8, reason="native tier not built here")
+@pytest.mark.parametrize("w", [8, 16])
+def test_native_entry_rejects_hostile_buffers_and_leaks_nothing(w):
+    """The C entry checks every buffer before it reads a byte: each hostile
+    call is a ValueError that leaves its destinations as they were, and no
+    buffer it acquired stays held (a leaked ``Py_buffer`` would show as a
+    refcount climb).  Read-only and strided sources give the NumPy tier's
+    product."""
+    field = GF(w)
+    entry = get_backend("native")._entry(field)
+    dt = field.dtype
+    other = np.uint16 if dt == np.uint8 else np.uint8
+    rng = np.random.default_rng(w)
+    n = 100
+
+    def block(size=n):
+        return rng.integers(0, field.size, size=size).astype(dt)
+
+    def sentinel(size=n):
+        return np.full(size, 0xA5, dtype=dt)
+
+    mat = rng.integers(1, field.size, size=(2, 3)).astype(dt)
+    srcs = [block() for _ in range(3)]
+    read_only = sentinel()
+    read_only.setflags(write=False)
+    hostile = {
+        "short source": (mat, [srcs[0], srcs[1][:-1], srcs[2]], [sentinel(), sentinel()]),
+        "short destination": (mat, srcs, [sentinel(), sentinel(n - 1)]),
+        "read-only destination": (mat, srcs, [sentinel(), read_only]),
+        "wrong itemsize": (mat, [srcs[0], np.zeros(n, dtype=other), srcs[2]], [sentinel(), sentinel()]),
+        "wrong destination itemsize": (mat, srcs, [sentinel(), np.zeros(n, dtype=other)]),
+        "2-D row": (mat, [srcs[0], np.zeros((1, n), dtype=dt), srcs[2]], [sentinel(), sentinel()]),
+        "non-array": (mat, [srcs[0], list(range(n)), srcs[2]], [sentinel(), sentinel()]),
+        "zero rows": (np.zeros((2, 0), dtype=dt), [], [sentinel(), sentinel()]),
+        "matrix too narrow": (mat[:, :2].copy(), srcs, [sentinel(), sentinel()]),
+    }
+    for case, (m, s, d) in hostile.items():
+        with pytest.raises(ValueError):
+            entry(n, m, s, d)
+        assert all(np.array_equal(x, sentinel(x.size)) for x in d if x.dtype == dt), case
+
+    good = [np.empty(n, dtype=dt) for _ in range(2)]
+    held = [mat, srcs, good, *srcs, *good]
+    for m, s, d in hostile.values():
+        held += [m, s, d, *s, *d]
+    before = [sys.getrefcount(x) for x in held]
+    for _ in range(1000):
+        for m, s, d in hostile.values():
+            try:
+                entry(n, m, s, d)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError("a hostile call was accepted")
+        entry(n, mat, srcs, good)
+    assert [sys.getrefcount(x) for x in held] == before
+    want = gf_matmul(mat, np.stack(srcs), field)
+    assert all(np.array_equal(g, r) for g, r in zip(good, want))
+
+    frozen = [np.frombuffer(rng.bytes(n * field.dtype().itemsize), dtype=dt) for _ in range(3)]
+    strided = [block(2 * n)[::2], block(3 * n)[1::3], frozen[0]]
+    numpy_tier = get_backend("numpy")
+    for rows in (frozen, strided):
+        got = get_backend("native").rows_matmul(mat, rows, field)
+        ref = numpy_tier.rows_matmul(mat, rows, field)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 def test_matmul_rows_is_the_selected_backends_rows_form(monkeypatch):
@@ -569,6 +654,8 @@ def test_seam_rs_encode_decode_match_reference(seam_field, seed):
         parity = code.encode(data)
         assert parity.dtype == field.dtype
         assert np.array_equal(parity, _ref_matmul(code.generator[k:], data, field))
+        rows = code.encode(list(data))  # the rows form reads the blocks in place
+        assert len(rows) == m and all(np.array_equal(r, p) for r, p in zip(rows, parity))
         full = code.encode_stripe(data)
         assert np.array_equal(full[:k], data) and np.array_equal(full[k:], parity)
 

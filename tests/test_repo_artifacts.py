@@ -189,19 +189,27 @@ def test_separate_sources_reach_the_seam_unstacked():
 
 
 def test_one_native_multiply_entry_per_field():
-    """The native tier exports one dot-product entry point per field; the
-    plane-product entries and the Python-side table cache they needed are
-    gone, and both seam forms call the one entry."""
+    """The native tier has one dot-product kernel per field and enters it
+    through one Python C API entry per field (plus the call that binds the
+    field's tables); the plane-product entries, the Python-side table cache
+    and the ctypes pointer path are gone, and both seam forms call the one
+    entry."""
     import re
 
     from repro.gf.backend import native
 
     exported = re.findall(r"^void (\w+)\(", native._C_SOURCE, re.M)
     assert exported == ["repro_gf8_dot", "repro_gf16_dot"], exported
+    entries = re.findall(r"^PyObject \*(\w+)\(", native._C_SOURCE, re.M)
+    assert entries == [
+        "repro_gf8_bind", "repro_gf16_bind", "repro_gf8_dot_py", "repro_gf16_dot_py"
+    ], entries
     assert "plane_matmul" not in native._C_SOURCE and "xor_into" not in native._C_SOURCE
     assert not hasattr(native.NativeBackend, "_lut_for")
+    assert not hasattr(native.NativeBackend, "_dot")
     text = (REPO / "src" / "repro" / "gf" / "backend" / "native.py").read_text()
-    assert text.count("lib.repro_gf8_dot(") == 1 and text.count("lib.repro_gf16_dot(") == 1
+    assert ".ctypes.data" not in text and "c_void_p" not in text
+    assert text.count("self._entry(field)(") == 2
 
 
 # ------------------------------------------------------------------ #

@@ -7,6 +7,7 @@ from repro.cluster.bandwidth import make_wld
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
+from repro.ec.stripe import block_name
 from repro.system.coordinator import Coordinator
 from repro.system.request import RepairRequest
 
@@ -223,6 +224,22 @@ def test_block_bytes_must_be_word_aligned():
     cluster = Cluster([Node(i, 100, 100) for i in range(8)])
     with pytest.raises(ValueError):
         Coordinator(cluster, RSCode(4, 2), block_bytes=1001)
+
+
+@pytest.mark.parametrize("block", [1, 5], ids=["data", "parity"])
+def test_scrub_reports_a_wrong_length_block_as_unhealthy(block):
+    """A truncated stored block fails its stripe's verify with an
+    ``AssertionError`` naming the stripe and the block, before any kernel
+    runs; ``scrub`` reports that stripe, and only that stripe, unhealthy."""
+    coord = make_system(block_bytes=64)
+    coord.write("f", payload(3 * coord.code.k * 64))
+    sid = coord.layout.stripes[1].stripe_id
+    name = block_name(sid, block)
+    agent = coord.agents[coord.layout[sid].placement[block]]
+    agent.store_block(name, agent.read_block(name)[:-8].copy(), overwrite=True)
+    with pytest.raises(AssertionError, match=f"stripe {sid} block {block} "):
+        coord.verify_stripe(sid)
+    assert coord.scrub() == {s.stripe_id: s.stripe_id != sid for s in coord.layout.stripes}
 
 
 # --------------------------------------------------------------------- #
