@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 from repro.adaptive.journal import RangeJournal
 from repro.repair._build import add_centralized, add_independent, add_multilevel
@@ -176,12 +177,13 @@ class _Sub:
     #: entry's remaining range stays one interval), else up from ``lo``
     top: bool
     tasks: list = dc_field(default_factory=list)
-    #: the ops and outputs of a build over exactly ``[lo, hi)``, if kept
-    ops: list | None = None
+    #: the byte lowering and outputs of this round's build (``None`` in
+    #: round 0, whose tasks are the static plan's)
+    lower: Callable | None = None
     outputs: dict | None = None
 
     def build(self, lo: float, hi: float) -> tuple:
-        """``(tasks, ops, outputs)`` of this sub-plan over ``[lo, hi)``."""
+        """``(tasks, lower, outputs)`` of this sub-plan over ``[lo, hi)``."""
         return _BUILDERS[self.kind](self.ctx, self.prefix, lo, hi, *self.shape)
 
 
@@ -383,10 +385,14 @@ class AdaptiveEngine:
         """Journal ``[lo, hi)`` of one sub-plan and record its ops piece."""
         if hi - lo <= _TINY:
             return
-        if sub.ops is not None and abs(lo - sub.lo) <= _TINY and abs(hi - sub.hi) <= _TINY:
-            ops, outputs = sub.ops, sub.outputs
+        lower, outputs = sub.lower, sub.outputs
+        if lower is None:
+            _, lower, outputs = sub.build(lo, hi)
+            ops = lower(lo, hi)
+        elif abs(lo - sub.lo) <= _TINY and abs(hi - sub.hi) <= _TINY:
+            ops = lower(sub.lo, sub.hi)  # the whole range, cut within an ulp
         else:
-            _, ops, outputs = sub.build(lo, hi)
+            ops = lower(lo, hi)
         key = lv.entry.key
         piece_id = f"{key}:r{r}:{sub.kind}@{lo:.6f}"
         journal.commit(
@@ -535,7 +541,7 @@ class AdaptiveEngine:
                 low.hi = high.lo = lv.lo + q * (lv.hi - lv.lo)
         for subs in builds:
             for sub in subs:
-                sub.tasks, sub.ops, sub.outputs = sub.build(sub.lo, sub.hi)
+                sub.tasks, sub.lower, sub.outputs = sub.build(sub.lo, sub.hi)
         return builds
 
     def _future(self, t: float):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.repair._build import add_centralized
 from repro.repair.context import RepairContext
-from repro.repair.plan import RepairPlan
+from repro.repair.plan import ByteLowering, RepairPlan
 from repro.repair.topology import default_center
 
 
@@ -28,11 +28,12 @@ def plan_centralized(
         center = default_center(ctx, center_policy)
     elif center not in ctx.new_nodes:
         raise ValueError(f"center {center} is not one of the new nodes {ctx.new_nodes}")
-    tasks, ops, outputs = add_centralized(ctx, ctx.prefix("cr"), 0.0, 1.0, center)
+    tasks, lower, outputs = add_centralized(ctx, ctx.prefix("cr"), 0.0, 1.0, center)
+    d = ctx.decisions()
     return RepairPlan(
         scheme="CR",
         tasks=tasks,
-        ops=ops,
+        ops=ByteLowering(lambda: lower(0.0, 1.0), d),
         outputs=outputs,
-        meta={"center": center, "survivors": ctx.chosen_survivors()},
+        meta={"center": center, "survivors": list(d.survivors)},
     )

@@ -11,22 +11,23 @@ from __future__ import annotations
 
 from repro.repair._build import add_independent
 from repro.repair.context import RepairContext
-from repro.repair.plan import RepairPlan
+from repro.repair.plan import ByteLowering, RepairPlan
 from repro.repair.topology import build_chain_paths
 
 
 def plan_independent(ctx: RepairContext, chain_order: str = "index") -> RepairPlan:
     """Build the IR plan (``chain_order``: "index" or "uplink-desc")."""
     paths = build_chain_paths(ctx, chain_order)
-    tasks, ops, outputs = add_independent(ctx, ctx.prefix("ir"), 0.0, 1.0, paths)
+    tasks, lower, outputs = add_independent(ctx, ctx.prefix("ir"), 0.0, 1.0, paths)
+    d = ctx.decisions()
     return RepairPlan(
         scheme="IR",
         tasks=tasks,
-        ops=ops,
+        ops=ByteLowering(lambda: lower(0.0, 1.0), d),
         outputs=outputs,
         meta={
             "chain_order": chain_order,
             "paths": {b: list(p) for b, p in paths.items()},
-            "survivors": ctx.chosen_survivors(),
+            "survivors": list(d.survivors),
         },
     )

@@ -17,7 +17,7 @@ import math
 
 from repro.repair._build import add_multilevel, mlf_children
 from repro.repair.context import RepairContext
-from repro.repair.plan import RepairPlan
+from repro.repair.plan import ByteLowering, RepairPlan
 
 
 def plan_mlf(
@@ -33,9 +33,10 @@ def plan_mlf(
     node.  ``degree=None`` auto-picks ~sqrt(k).
     """
     del center  # the tree root is a survivor, not a new-node center
-    k = len(ctx.chosen_survivors())
+    d = ctx.decisions()
+    k = len(d.survivors)
     resolved_degree = degree if degree is not None else max(2, int(round(math.sqrt(k))))
-    tasks, ops, outputs = add_multilevel(
+    tasks, lower, outputs = add_multilevel(
         ctx, ctx.prefix("mlf"), 0.0, 1.0, degree=resolved_degree, order=order
     )
     depth = 0
@@ -51,13 +52,13 @@ def plan_mlf(
     return RepairPlan(
         scheme="MLF",
         tasks=tasks,
-        ops=ops,
+        ops=ByteLowering(lambda: lower(0.0, 1.0), d),
         outputs=outputs,
         meta={
             "degree": resolved_degree,
             "depth": depth,
             "order": order,
             "root": root,
-            "survivors": ctx.chosen_survivors(),
+            "survivors": list(d.survivors),
         },
     )

@@ -1,12 +1,17 @@
 """Repair plans: the common output of every planner.
 
-A plan carries two synchronized views of the same repair:
+A planner freezes its decisions (survivors and their nodes, center, chain
+paths, fraction range, failed blocks and their new nodes) and lowers them
+twice:
 
-* ``tasks`` — :mod:`repro.simnet` flow tasks, consumed by the fluid
-  simulator to obtain the repair *transfer* time;
+* ``tasks`` — :mod:`repro.simnet` flow tasks, built with the plan: the
+  fluid simulator's input, and all that planning alone (``plan_repair``,
+  the scheduler's ETA, reliability metadata mode) reads.
 * ``ops`` — data-level GF operations in topological order, run by the
-  storage agents (:func:`repro.system.agent.run_plan_ops`) to repair actual
-  bytes (and measure the compute component of Table II).
+  agents (:func:`repro.system.agent.run_plan_ops`).  Planners hand over a
+  :class:`ByteLowering`: the first read of ``plan.ops``, by a route about to
+  move bytes, builds the list, validates it once
+  (:func:`repro.repair.validate.validate_plan`) and keeps it.
 
 Buffer naming: every op reads/writes named buffers in per-node workspaces.
 Planners use hierarchical names like ``"h.ir/lo/b03"`` so views stay
@@ -15,7 +20,9 @@ debuggable.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.simnet.flows import Task
 
@@ -69,9 +76,20 @@ class ConcatOp:
 Op = SliceOp | TransferOp | CombineOp | ConcatOp
 
 
+@dataclass(frozen=True)
+class ByteLowering:
+    """A plan's byte view, not built yet: ``build()`` lowers the frozen
+    decisions ``ctx`` (:class:`~repro.repair.context.Decisions`, or ``None``
+    to infer the initial buffers from the slices) to the plan's ops."""
+
+    build: Callable[[], list]
+    ctx: Any = None
+
+
 @dataclass
 class RepairPlan:
-    """A fully-specified multi-block repair for one stripe."""
+    """A fully-specified multi-block repair for one stripe.  ``ops`` is
+    given as a list or a :class:`ByteLowering`, and always reads as a list."""
 
     scheme: str
     tasks: list[Task]
@@ -91,34 +109,37 @@ class RepairPlan:
     def task_ids(self) -> list[str]:
         return [t.task_id for t in self.tasks]
 
-    def merged_with(self, other: "RepairPlan", prefix_self: str, prefix_other: str) -> "RepairPlan":
-        """Combine two plans into one (used by multi-stripe scheduling)."""
-        renamed_self = rename_plan(self, prefix_self)
-        renamed_other = rename_plan(other, prefix_other)
-        return RepairPlan(
-            scheme=f"{self.scheme}+{other.scheme}",
-            tasks=renamed_self.tasks + renamed_other.tasks,
-            ops=renamed_self.ops + renamed_other.ops,
-            outputs={**renamed_self.outputs, **renamed_other.outputs},
-            meta={"left": renamed_self.meta, "right": renamed_other.meta},
-        )
+
+def _get_ops(plan: RepairPlan) -> list[Op]:
+    lowering = plan._lowering
+    if lowering is not None:  # first read: build, validate, keep
+        from repro.repair import validate
+
+        ops = lowering.build()
+        validate.validate_plan(RepairPlan(plan.scheme, plan.tasks, ops, plan.outputs), lowering.ctx)
+        plan._lowering, plan._ops = None, ops
+    return plan._ops
+
+
+def _set_ops(plan: RepairPlan, ops) -> None:
+    plan._lowering, plan._ops = (ops, None) if isinstance(ops, ByteLowering) else (None, ops)
+
+
+# installed after the decorator: ``ops`` stays a constructor field, read through it
+RepairPlan.ops = property(_get_ops, _set_ops)
 
 
 def rename_plan(plan: RepairPlan, prefix: str) -> RepairPlan:
     """Prefix every task id (buffer names are left alone: they are already
-    namespaced per stripe by the planners)."""
-    import dataclasses
-
-    tasks = []
-    for t in plan.tasks:
-        tasks.append(
-            dataclasses.replace(
-                t,
-                task_id=prefix + t.task_id,
-                deps=tuple(prefix + d for d in t.deps),
-            )
+    namespaced per stripe by the planners).  An unbuilt byte view stays so."""
+    tasks = [
+        dataclasses.replace(
+            t, task_id=prefix + t.task_id, deps=tuple(prefix + d for d in t.deps)
         )
-    return RepairPlan(plan.scheme, tasks, list(plan.ops), dict(plan.outputs), dict(plan.meta))
+        for t in plan.tasks
+    ]
+    ops = plan._lowering or list(plan._ops)
+    return RepairPlan(plan.scheme, tasks, ops, dict(plan.outputs), dict(plan.meta))
 
 
 def reweighted(plan: RepairPlan, weight: float) -> RepairPlan:
@@ -126,19 +147,16 @@ def reweighted(plan: RepairPlan, weight: float) -> RepairPlan:
 
     ``weight < 1`` throttles the repair against concurrent foreground
     traffic (weight 0.5 = half a client flow's share at any shared link);
-    the data view is untouched.
+    the byte view is untouched (and stays unbuilt if it was).
     """
-    import dataclasses
-
     if weight <= 0:
         raise ValueError("weight must be positive")
-    tasks = []
-    for t in plan.tasks:
-        tasks.append(
-            t if not hasattr(t, "weight") else dataclasses.replace(t, weight=weight)
-        )
+    tasks = [
+        t if not hasattr(t, "weight") else dataclasses.replace(t, weight=weight)
+        for t in plan.tasks
+    ]
     return RepairPlan(
-        plan.scheme, tasks, list(plan.ops), dict(plan.outputs),
+        plan.scheme, tasks, plan._lowering or list(plan._ops), dict(plan.outputs),
         {**plan.meta, "weight": weight},
     )
 
@@ -179,14 +197,18 @@ def flow_signature(tasks) -> tuple:
 
 
 def merge_plans(plans: list[RepairPlan], scheme: str) -> RepairPlan:
-    """Concatenate independently-runnable plans (e.g. one per stripe)."""
-    tasks: list[Task] = []
-    ops: list[Op] = []
-    outputs: dict[int, tuple[int, str]] = {}
-    metas = []
-    for i, p in enumerate(plans):
-        renamed = rename_plan(p, f"st{i}:")
-        tasks.extend(renamed.tasks)
-        ops.extend(renamed.ops)
-        metas.append(p.meta)
-    return RepairPlan(scheme, tasks, ops, outputs, {"stripes": metas})
+    """Concatenate independently-runnable plans (e.g. one per stripe).
+
+    Task ids gain a per-plan prefix; the byte view concatenates the plans'
+    own, each validated against its stripe when first read.  ``outputs``
+    stays empty: failed-block indices collide across stripes (block 3 of two
+    stripes), so the parts keep theirs.
+    """
+    renamed = [rename_plan(p, f"st{i}:") for i, p in enumerate(plans)]
+    return RepairPlan(
+        scheme,
+        [t for p in renamed for t in p.tasks],
+        ByteLowering(lambda: [op for p in renamed for op in p.ops]),
+        {},
+        {"stripes": [p.meta for p in plans]},
+    )

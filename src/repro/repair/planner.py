@@ -4,9 +4,10 @@ Every repair route — a healthy round, the metadata-only fast path, a
 scheduler job, the fault runtime and the adaptive runtime — plans through
 :func:`plan_round`: lost-block report → one spare per dead node →
 LFS/LRS center per stripe → one common HMBR split → per-stripe plan →
-validation.  Nothing here touches a block byte, an agent or the bus; the
-inputs are the stripe table, the cluster's bandwidth view and the stateful
-center scheduler, the output a :class:`RoundPlan`.
+task-graph check.  Nothing here touches a block byte, an agent or the bus,
+nor builds the ops that would (:mod:`repro.repair.plan`); the inputs are
+the stripe table, the cluster's bandwidth view and the stateful center
+scheduler, the output a :class:`RoundPlan`.
 
 :data:`SCHEMES` is the public scheme registry.  Its planners are looked
 up through this module's globals at call time, so rebinding
@@ -27,7 +28,7 @@ from repro.repair.plan import RepairPlan
 from repro.repair.rackaware import plan_rack_aware_hybrid
 from repro.repair.selector import choose_scheme
 from repro.repair.split import search_split
-from repro.repair.validate import validate_plan
+from repro.repair.validate import _check_task_graph_acyclic
 
 #: scheme name -> ``planner(ctx, center)``; ``"auto"`` scores every
 #: candidate per stripe in the simulator and picks the fastest.
@@ -64,7 +65,7 @@ class RoundPlan:
     work: list[tuple[int, RepairContext, int]]
     #: the shared HMBR split ratio (``None``: per-stripe splits).
     common_p: float | None = None
-    #: (stripe id, validated plan) in planning order.
+    #: (stripe id, plan) in planning order.
     plans: list[tuple[int, RepairPlan]] = field(default_factory=list)
 
     @property
@@ -133,12 +134,13 @@ def common_split(cluster, work, events=()) -> float | None:
 
 
 def plan_stripe(ctx, center, scheme: str, common_p: float | None = None) -> RepairPlan:
-    """Run ``scheme``'s planner on one stripe and validate the result."""
+    """Run ``scheme``'s planner on one stripe and check its task graph
+    (the byte view is validated in full when first read)."""
     if scheme == "hmbr" and common_p is not None:
         plan = plan_hybrid(ctx, center=center, p=common_p)
     else:
         plan = SCHEMES[scheme](ctx, center)
-    validate_plan(plan, ctx)  # refuse to dispatch an inconsistent solution
+    _check_task_graph_acyclic(plan)
     return plan
 
 

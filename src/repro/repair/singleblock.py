@@ -20,13 +20,12 @@ repairable at all).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.ec.stripe import block_name
-from repro.repair._build import repaired_name
+from repro.repair._build import add_independent, repaired_name
 from repro.repair.context import RepairContext
-from repro.repair.plan import CombineOp, Op, RepairPlan, SliceOp, TransferOp
-from repro.simnet.flows import Flow, PipelineFlow, Task
+from repro.repair.plan import ByteLowering, CombineOp, Op, RepairPlan, SliceOp, TransferOp
+from repro.repair.topology import build_chain_paths
+from repro.simnet.flows import Flow
 
 
 def _single_failure(ctx: RepairContext) -> int:
@@ -39,35 +38,40 @@ def plan_star(ctx: RepairContext) -> RepairPlan:
     """Conventional single-block repair: everyone sends to the new node."""
     fb = _single_failure(ctx)
     new_node = ctx.new_node_of(fb)
-    survivors = ctx.chosen_survivors()
-    rmat = np.asarray(ctx.repair_matrix())[0]
-    sid = ctx.stripe.stripe_id
+    d = ctx.decisions()
     prefix = ctx.prefix("star")
-
-    tasks: list[Task] = []
-    ops: list[Op] = []
-    names = []
-    for b in survivors:
-        node = ctx.stripe.placement[b]
-        name = f"{prefix}/in/b{b:02d}"
-        ops.append(SliceOp(node, name, block_name(sid, b), 0.0, 1.0))
-        ops.append(TransferOp(node, new_node, name))
-        tasks.append(Flow(f"{prefix}:fetch:b{b:02d}", node, new_node, ctx.block_size_mb))
-        names.append(name)
+    nodes = [d.placement[b] for b in d.survivors]
+    names = tuple(f"{prefix}/in/b{b:02d}" for b in d.survivors)
+    tasks = [
+        Flow(f"{prefix}:fetch:b{b:02d}", node, new_node, ctx.block_size_mb)
+        for b, node in zip(d.survivors, nodes)
+    ]
     out = repaired_name(prefix, fb)
-    ops.append(CombineOp(new_node, out, tuple(int(c) for c in rmat), tuple(names)))
-    return RepairPlan("StarSingle", tasks, ops, {fb: (new_node, out)}, {"new_node": new_node})
+
+    def lower() -> list[Op]:
+        """The byte lowering over the whole block."""
+        ops: list[Op] = []
+        for b, node, name in zip(d.survivors, nodes, names):
+            ops.append(SliceOp(node, name, block_name(d.stripe_id, b), 0.0, 1.0))
+            ops.append(TransferOp(node, new_node, name))
+        ops.append(CombineOp(new_node, out, tuple(d.rows()[0]), names))
+        return ops
+
+    return RepairPlan(
+        "StarSingle", tasks, ByteLowering(lower, d), {fb: (new_node, out)},
+        {"new_node": new_node},
+    )
 
 
 def plan_chain(ctx: RepairContext, chain_order: str = "index") -> RepairPlan:
     """Repair pipelining (RP): one chain through the survivors."""
-    from repro.repair._build import add_independent
-    from repro.repair.topology import build_chain_paths
-
     _single_failure(ctx)
     paths = build_chain_paths(ctx, chain_order)
-    tasks, ops, outputs = add_independent(ctx, ctx.prefix("rp"), 0.0, 1.0, paths)
-    return RepairPlan("ChainSingle", tasks, ops, outputs, {"chain_order": chain_order})
+    tasks, lower, outputs = add_independent(ctx, ctx.prefix("rp"), 0.0, 1.0, paths)
+    return RepairPlan(
+        "ChainSingle", tasks, ByteLowering(lambda: lower(0.0, 1.0), ctx.decisions()),
+        outputs, {"chain_order": chain_order},
+    )
 
 
 def plan_ppr(ctx: RepairContext) -> RepairPlan:
@@ -75,71 +79,57 @@ def plan_ppr(ctx: RepairContext) -> RepairPlan:
 
     Round r: active holders pair up; the sender of each pair transfers its
     partial to the receiver, which XOR-aggregates.  After ceil(log2(k+1))
-    rounds one node holds the full sum and forwards it to the new node (if
-    it is not already there).  Wall-clock ~ (log2 k) * B / bw instead of the
-    star's k * B / bw at the choke point.
+    rounds one node holds the full sum and forwards it to the new node.
+    Wall-clock ~ (log2 k) * B / bw instead of the star's k * B / bw at the
+    choke point.
     """
     fb = _single_failure(ctx)
     new_node = ctx.new_node_of(fb)
-    survivors = ctx.chosen_survivors()
-    rmat = np.asarray(ctx.repair_matrix())[0]
-    sid = ctx.stripe.stripe_id
+    d = ctx.decisions()
     prefix = ctx.prefix("ppr")
 
-    tasks: list[Task] = []
-    ops: list[Op] = []
-
-    # each survivor starts with its scaled block as the local partial
-    partial_of: dict[int, str] = {}
-    for col, b in enumerate(survivors):
-        node = ctx.stripe.placement[b]
-        in_name = f"{prefix}/in/b{b:02d}"
-        ops.append(SliceOp(node, in_name, block_name(sid, b), 0.0, 1.0))
-        pname = f"{prefix}/p/{node}/r0"
-        ops.append(CombineOp(node, pname, (int(rmat[col]),), (in_name,)))
-        partial_of[node] = pname
-
-    holders = [ctx.stripe.placement[b] for b in survivors]
-    last_round_task: dict[int, str] = {}
+    # (round, sender, receiver) of every pairwise hop, in round order
+    holders = [d.placement[b] for b in d.survivors]
+    hops: list[tuple[int, int, int]] = []
     rnd = 0
     while len(holders) > 1:
         rnd += 1
-        nxt: list[int] = []
-        for i in range(0, len(holders) - 1, 2):
-            sender, receiver = holders[i + 1], holders[i]
-            up_name = f"{prefix}/up/{sender}/r{rnd}"
-            ops.append(TransferOp(sender, receiver, partial_of[sender], rename=up_name))
-            merged = f"{prefix}/p/{receiver}/r{rnd}"
-            ops.append(
-                CombineOp(receiver, merged, (1, 1), (partial_of[receiver], up_name))
-            )
-            partial_of[receiver] = merged
-            deps = tuple(
-                d
-                for d in (last_round_task.get(sender), last_round_task.get(receiver))
-                if d
-            )
-            tid = f"{prefix}:r{rnd}:{sender}->{receiver}"
-            tasks.append(Flow(tid, sender, receiver, ctx.block_size_mb, deps=deps))
-            last_round_task[receiver] = tid
-            nxt.append(receiver)
-        if len(holders) % 2:
-            nxt.append(holders[-1])
-        holders = nxt
+        hops += [(rnd, holders[i + 1], holders[i]) for i in range(0, len(holders) - 1, 2)]
+        holders = holders[::2]
+    root = holders[0]  # a survivor, so never the new node
 
-    root = holders[0]
+    tasks = []
+    last_round_task: dict[int, str] = {}
+    for r, sender, receiver in hops:
+        deps = tuple(t for t in (last_round_task.get(sender), last_round_task.get(receiver)) if t)
+        tid = f"{prefix}:r{r}:{sender}->{receiver}"
+        tasks.append(Flow(tid, sender, receiver, ctx.block_size_mb, deps=deps))
+        last_round_task[receiver] = tid
+    deps = tuple(t for t in (last_round_task.get(root),) if t)
+    tasks.append(Flow(f"{prefix}:final", root, new_node, ctx.block_size_mb, deps=deps))
     out = repaired_name(prefix, fb)
-    if root != new_node:
+
+    def lower() -> list[Op]:
+        """The byte lowering over the whole block."""
+        # each survivor starts with its scaled block as the local partial
+        ops: list[Op] = []
+        partial_of: dict[int, str] = {}
+        for coeff, b in zip(d.rows()[0], d.survivors):
+            node = d.placement[b]
+            in_name, pname = f"{prefix}/in/b{b:02d}", f"{prefix}/p/{node}/r0"
+            ops.append(SliceOp(node, in_name, block_name(d.stripe_id, b), 0.0, 1.0))
+            ops.append(CombineOp(node, pname, (coeff,), (in_name,)))
+            partial_of[node] = pname
+        for r, sender, receiver in hops:
+            up_name, merged = f"{prefix}/up/{sender}/r{r}", f"{prefix}/p/{receiver}/r{r}"
+            ops.append(TransferOp(sender, receiver, partial_of[sender], rename=up_name))
+            ops.append(CombineOp(receiver, merged, (1, 1), (partial_of[receiver], up_name)))
+            partial_of[receiver] = merged
         ops.append(TransferOp(root, new_node, partial_of[root], rename=out))
-        deps = tuple(d for d in (last_round_task.get(root),) if d)
-        tasks.append(Flow(f"{prefix}:final", root, new_node, ctx.block_size_mb, deps=deps))
-    else:  # pragma: no cover - root is a survivor, never the new node
-        ops.append(CombineOp(new_node, out, (1,), (partial_of[root],)))
+        return ops
+
     return RepairPlan(
-        "PPRSingle",
-        tasks,
-        ops,
-        {fb: (new_node, out)},
+        "PPRSingle", tasks, ByteLowering(lower, d), {fb: (new_node, out)},
         {"rounds": rnd + 1, "new_node": new_node},
     )
 

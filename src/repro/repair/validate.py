@@ -1,26 +1,27 @@
 """Static validation of repair plans.
 
 A plan is executed twice — by the fluid simulator (timing view) and by the
-executor/agents (data view) — so inconsistencies between the two views are a
+agents (byte view) — so inconsistencies between the two views are a
 dangerous class of bug.  This module checks a plan *without running it*:
 
 * task ids unique, dependencies resolvable and acyclic;
 * every op reads buffers that an earlier op (or the initial stripe layout)
   produced **on the same node**;
 * every declared output is actually produced at its declared node;
-* the data view and the timing view use the same set of directed links (a
-  link-level check: transfer volumes are not compared).
+* the byte view and the timing view use the same set of directed links
+  (volumes are compared by the test suite's conservation oracle).
 
-The coordinator calls :func:`validate_plan` before dispatching agent
-commands; tests fuzz planners against it.
+Planning (:func:`repro.repair.planner.plan_stripe`) checks only the task
+graph, all the timing view needs.  :func:`validate_plan` runs once per plan,
+when its byte view is first built — before any op can run, and never on a
+route that only plans.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.ec.stripe import block_name
-from repro.repair.context import RepairContext
+from repro.repair.context import Decisions, RepairContext
 from repro.repair.plan import CombineOp, ConcatOp, RepairPlan, SliceOp, TransferOp
 from repro.simnet.flows import DelayTask, validate_tasks
 
@@ -56,28 +57,21 @@ def _check_task_graph_acyclic(plan: RepairPlan) -> None:
     raise PlanValidationError(f"dependency cycle through {stuck!r}: {cycle}")
 
 
-def _initial_buffers(ctx: RepairContext) -> set[tuple[int, str]]:
-    """Buffers present before the plan runs: every surviving block."""
-    out = set()
-    failed = set(ctx.failed_blocks)
-    for idx, node in enumerate(ctx.stripe.placement):
-        if idx in failed or not ctx.cluster[node].alive:
-            continue
-        out.add((node, block_name(ctx.stripe.stripe_id, idx)))
-    return out
-
-
-def validate_plan(plan: RepairPlan, ctx: RepairContext | None = None) -> None:
+def validate_plan(plan: RepairPlan, ctx: RepairContext | Decisions | None = None) -> None:
     """Raise :class:`PlanValidationError` on any structural inconsistency.
 
-    With ``ctx`` the data-flow check starts from the surviving blocks;
-    without it only the task graph and intra-plan dataflow ordering are
-    checked (initial buffers are inferred from SliceOp sources).
+    With ``ctx`` (a context, read now, or the :class:`Decisions` the plan was
+    built from) the data-flow check starts from the surviving blocks and the
+    views' link sets are compared; without it only the task graph and
+    intra-plan dataflow ordering are checked (initial buffers are inferred
+    from SliceOp sources).
     """
     _check_task_graph_acyclic(plan)
 
     if ctx is not None:
-        available = _initial_buffers(ctx)
+        if isinstance(ctx, RepairContext):
+            ctx = ctx.decisions()
+        available = ctx.initial_buffers()
     else:
         available = set()
         for op in plan.ops:
@@ -110,10 +104,10 @@ def validate_plan(plan: RepairPlan, ctx: RepairContext | None = None) -> None:
             )
 
     if ctx is not None:
-        _check_views_consistent(plan, ctx)
+        _check_views_consistent(plan)
 
 
-def _check_views_consistent(plan: RepairPlan, ctx: RepairContext) -> None:
+def _check_views_consistent(plan: RepairPlan) -> None:
     """The timing view and the data view must use the same set of directed
     links.
 

@@ -574,7 +574,6 @@ class Coordinator:
                 span.args.update(
                     stripes=len(rnd.work),
                     tasks=sum(len(p.tasks) for _, p in rnd.plans),
-                    ops=sum(len(p.ops) for _, p in rnd.plans),
                     common_p=rnd.common_p,
                 )
         return rnd

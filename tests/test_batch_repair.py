@@ -110,6 +110,8 @@ def test_one_inversion_per_pattern_across_planner_and_plan_cache(monkeypatch):
     coord.crash_node(coord.layout[0].placement[1])
     rnd = coord.plan_round("cr", coord.layout.stripes_with_failures(coord.cluster.dead_ids()))
     (_, ctx, _), = rnd.work
+    assert not calls  # planning alone derives no coefficients
+    rnd.plans[0][1].ops  # the byte view does, once
     assert len(calls) == 1
     survivors = ctx.chosen_survivors()
     stacked = np.stack(

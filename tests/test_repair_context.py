@@ -104,5 +104,5 @@ def test_pick_center_policies():
 
 def test_repair_matrix_shape():
     ctx = make_repair_ctx(k=5, m=3, f=2)
-    r = ctx.repair_matrix()
-    assert r.shape == (2, 5)
+    rows = ctx.decisions().rows()
+    assert len(rows) == 2 and all(len(row) == 5 for row in rows)

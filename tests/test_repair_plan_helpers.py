@@ -57,9 +57,13 @@ def test_merged_plans_simulate_together():
 
 
 def test_merged_with_combines_two_plans():
+    """Two plans merge through ``merge_plans``.  Both repair block 0, as two
+    stripes' plans may: the merged plan keeps no outputs rather than one."""
     left, right = small_plan("l"), small_plan("r")
-    combo = left.merged_with(right, "L:", "R:")
+    combo = merge_plans([left, right], scheme="T+T")
     assert len(combo.tasks) == 6
     assert combo.scheme == "T+T"
-    assert any(t.task_id.startswith("L:") for t in combo.tasks)
-    assert any(t.task_id.startswith("R:") for t in combo.tasks)
+    assert [t.task_id for t in combo.tasks[:3]] == ["st0:l:a", "st0:l:b", "st0:l:c"]
+    assert any(t.task_id.startswith("st1:r:") for t in combo.tasks)
+    assert combo.outputs == {} and combo.meta == {"stripes": [{"x": 1}, {"x": 1}]}
+    assert combo.ops == []

@@ -1,10 +1,11 @@
 """Plan each HMBR stripe once.
 
 A round's common-split search builds every stripe's CR and IR sub-plans
-over the whole block; the plan at the searched ``p`` re-fractions that build
-(:func:`repro.repair._build.refraction`) instead of calling the builders
-again.  Re-fractioning is pinned ``==`` against what it replaces: a fresh
-builder call over the sub-range.
+over the whole block; the plan at the searched ``p`` re-fractions that
+build's tasks (:func:`repro.repair._build.refraction`) and calls its byte
+lowering at the sub-range instead of calling the builders again.  Both are
+pinned ``==`` against what they replace: a fresh builder call over the
+sub-range.
 """
 
 import sys
@@ -16,7 +17,6 @@ from repro.repair import _build
 from repro.repair._build import add_centralized, add_independent, refraction
 from repro.repair.context import RepairContext
 from repro.repair.hybrid import plan_hybrid
-from repro.repair.plan import SliceOp
 from repro.repair.planner import plan_stripe
 from repro.repair.rackaware import (
     _build_rack_aware_cr,
@@ -76,13 +76,11 @@ def test_refraction_equals_a_fresh_build(builder, trunk):
     for p in (0.0, 1 / 3, 0.5, 1.0, searched):
         for lo, hi in ((0.0, p), (p, 1.0)):
             got = refraction(whole, lo, hi)
-            assert got == build(ctx, center, lo, hi), (p, lo, hi)
-            # only slices carry a fraction; everything else is the build's
-            fraction_free = [
-                (a, b) for a, b in zip(got[1], whole[1]) if type(a) is not SliceOp
-            ]
-            assert fraction_free and all(a is b for a, b in fraction_free)
-            assert got[2] is whole[2]
+            fresh = build(ctx, center, lo, hi)
+            assert got[0] == fresh[0] and got[2] == fresh[2], (p, lo, hi)
+            # the byte lowering takes its range when called: one serves all
+            assert got[1] is whole[1] and got[2] is whole[2]
+            assert got[1](lo, hi) == fresh[1](lo, hi), (p, lo, hi)
 
 
 def test_refraction_rejects_an_empty_range():
@@ -96,7 +94,7 @@ def _fresh_hybrid(ctx, center, p):
     """HMBR's tasks and sub-plan ops at ``p`` from two fresh range builds."""
     cr = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, p, center)
     ir = add_independent(ctx, ctx.prefix("h.ir"), p, 1.0, build_chain_paths(ctx))
-    return cr[0] + ir[0], cr[1] + ir[1]
+    return cr[0] + ir[0], cr[1](0.0, p) + ir[1](p, 1.0)
 
 
 @pytest.mark.parametrize("p", [None, 0.0, 0.25, 1.0])

@@ -370,6 +370,14 @@ def _crashed(call):
     return run
 
 
+def _plan_then_read_ops(coord):
+    """Keep a metadata-only round and build its byte views after it: a
+    deferred build holds frozen decisions, not the coordinator."""
+    timing = coord.plan_repair("hmbr", commit=False)
+    assert all(plan.ops for _, plan in timing.plans)
+    return timing
+
+
 def _custom_scheduler(coord):
     """The documented way to set an admission policy: assign a scheduler."""
     from repro.sched.scheduler import AdmissionPolicy, RepairScheduler
@@ -393,6 +401,7 @@ _ROUTES = {
         for verify in (True, False)
     },
     "plan_repair": _crashed(lambda c: c.plan_repair("hmbr", commit=False)),
+    "plan_repair-kept-ops-read": _crashed(_plan_then_read_ops),
     "plan_repair-commit": _crashed(lambda c: c.plan_repair("hmbr", commit=True)),
     "serve": _serve,
     "serve-storm-handed-round-taken": _crashed(_serve_handing(refuse=False)),
@@ -409,7 +418,8 @@ def test_reference_counting_alone_frees_the_coordinator(route):
     """No call leaves a reference cycle through its coordinator: the last
     reference going frees the whole system at once, with the cycle
     collector off.  A cycle would keep a retired system's blocks alive
-    until some later collection — through the next one's peak memory."""
+    until some later collection — through the next one's peak memory.
+    What the call returns is kept: no result refers back to the system."""
     import gc
     import weakref
 
@@ -418,10 +428,11 @@ def test_reference_counting_alone_frees_the_coordinator(route):
     gc.collect()
     gc.disable()
     try:
-        _ROUTES[route](coord)
+        kept = _ROUTES[route](coord)
         ref = weakref.ref(coord)
         del coord
         assert ref() is None
+        del kept
     finally:
         gc.enable()
 
