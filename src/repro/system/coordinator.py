@@ -223,10 +223,17 @@ class Coordinator:
         ]
 
     def read(self, name: str) -> bytes:
-        """Read a file back, transparently decoding around dead nodes."""
+        """Read a file back, transparently decoding around lost blocks.
+
+        A block is lost when its node is dead, it is absent, or it is not
+        one block of field elements long (the shape and dtype
+        :meth:`verify_stripe` checks); a stripe with fewer than ``k``
+        readable blocks raises ``IOError``.
+        """
         if name not in self.files:
             raise KeyError(f"unknown file {name!r}")
         stripe_ids, length = self.files[name]
+        shape, dtype = (self.block_bytes,), self.code.field.dtype
         blocks: list[np.ndarray] = []  # the file's data blocks, in order
         for sid in stripe_ids:
             stripe = self.layout[sid]
@@ -235,7 +242,9 @@ class Coordinator:
                 agent = self.agents[node]
                 bname = block_name(sid, b)
                 if agent.alive and agent.store.has(bname):
-                    available[b] = agent.read_block(bname)
+                    block = agent.read_block(bname)
+                    if block.shape == shape and block.dtype == dtype:
+                        available[b] = block
             missing = [b for b in range(self.code.k) if b not in available]
             if missing:  # degraded read
                 if len(available) < self.code.k:

@@ -14,7 +14,10 @@ Coordinator`, in the same two-plane style every other layer uses:
   healthy read by construction (the differential suite pins it).  A stripe
   with fewer than ``k`` survivors raises
   :class:`~repro.faults.errors.StripeUnrecoverable`.  Writes go through
-  :meth:`Coordinator.update`'s parity-delta path.
+  :meth:`Coordinator.update`'s parity-delta path.  Within one run each
+  stripe is scanned and each object decoded and hashed once, into the
+  run's read template (:meth:`ServingPlane._read_plan`); every op still
+  meters its own fetches and builds its own timing tasks.
 * **timing plane** — every op contributes arrival-gated
   :class:`~repro.simnet.flows.Flow`/:class:`~repro.simnet.flows.DelayTask`
   tasks at the foreground weight, merged into the **same**
@@ -285,8 +288,10 @@ class ServingPlane:
 
         Data plane only (no timing tasks): fetches are metered on the bus
         and lost data blocks decode through the shared plan cache — the
-        same path :meth:`run` takes, so differential tests can compare a
-        degraded read against a healthy one byte for byte.  Raises
+        same :meth:`_read_plan` path :meth:`run` takes, with a fresh read
+        template of its own, so differential tests can compare a degraded
+        read against a healthy one byte for byte.  A block of the wrong
+        length counts as lost.  Raises
         :class:`~repro.faults.errors.StripeUnrecoverable` when any stripe
         has fewer than ``k`` survivors.
         """
@@ -297,7 +302,7 @@ class ServingPlane:
             obs=self.coord.obs,
             backend=self.backend,
         )
-        payload, _ = self._read_plan(name, gw, engine, None, "")
+        payload, _ = self._read_plan(name, gw, engine, {}, None, "")
         return payload
 
     def _gateways(self) -> list[int]:
@@ -306,90 +311,161 @@ class ServingPlane:
             raise RuntimeError("no alive data nodes to serve from")
         return gws
 
-    def _read_plan(self, name, gateway, engine, tasks, task_prefix, arrival_s=None):
-        """Fetch + decode one object; returns ``(payload, stats)``.
+    def _read_plan(
+        self, name, gateway, engine, template, tasks, task_prefix, arrival_s=None
+    ):
+        """Meter, time and (once per template) decode one object read.
 
-        When ``tasks`` is a list, appends the op's timing tasks to it
-        (``task_prefix`` must then be the op's unique ``fg:<id>:`` prefix,
-        with the arrival task ``<prefix>arr`` already present).  ``stats``
-        carries the ``degraded`` / ``fast`` stripe counts, the ``metered``
-        foreground bytes, and one :class:`~repro.workload.pipeline.
-        StripeChunkPlan` per degraded stripe for post-sim accounting.
-        ``arrival_s`` (the op's arrival instant) arms the fast path; data-
-        plane-only callers like :meth:`read_object` leave it ``None``.
+        ``template`` is the caller's read template: a plain dict keyed by
+        stripe id (that stripe's ``(available, missing, chosen)`` scan) and
+        by object name (that object's ``(nbytes, sha256 hex digest)``, which
+        the caller stores).  A stripe's scan is built on its first read and
+        reused after; it stays exact for as long as no store changes, which
+        is why :meth:`run` drops it on every write and :meth:`read_object`
+        passes a fresh one.  Returns ``(payload, stats)``; ``payload`` is
+        the object's bytes when ``template`` holds no entry for ``name``,
+        and ``None`` (no block read, no decode) when it does.
+
+        Everything else is per op, template or not: the fast-path decision
+        against ``arrival_s``, each fetch's ``bus.check`` + ``bus.record``
+        in block order, the ``stats`` and, when ``tasks`` is a list, the
+        op's timing tasks (``task_prefix`` must then be the op's unique
+        ``fg:<id>:`` prefix, with the arrival task ``<prefix>arr`` already
+        present).  ``stats`` carries the ``degraded`` / ``fast`` stripe
+        counts, the ``metered`` foreground bytes, and one :class:`~repro.
+        workload.pipeline.StripeChunkPlan` per degraded stripe for post-sim
+        accounting.  ``arrival_s`` (the op's arrival instant) arms the fast
+        path; data-plane-only callers like :meth:`read_object` leave it
+        ``None``.
         """
         coord = self.coord
-        code = coord.code
-        k = code.k
+        k, bb = coord.code.k, coord.block_bytes
+        nbytes = bb * np.dtype(coord.code.field.dtype).itemsize
+        bus = coord.bus
         stripe_ids, length = coord.files[name]
         obs = coord.obs
+        tracer = obs.tracer if obs is not None else None
+        want = name not in template
         parts = []
         stats = {"degraded": 0, "fast": 0, "metered": 0, "chunk_plans": []}
         for sid in stripe_ids:
-            stripe = coord.layout[sid]
-            available: dict[int, int] = {}
-            for b, node in enumerate(stripe.placement):
-                agent = coord.agents[node]
-                if agent.alive and agent.store.has(block_name(sid, b)):
-                    available[b] = node
-            missing = [b for b in range(k) if b not in available]
+            entry = template.get(sid)
+            if entry is None:
+                entry = template[sid] = self._scan_stripe(sid)
+                if obs is not None:
+                    obs.metrics.counter("workload.read_templates").inc()
+            elif obs is not None:
+                obs.metrics.counter("workload.read_template_hits").inc()
+            available, missing, chosen = entry
             if missing and len(available) < k:
                 raise StripeUnrecoverable(sid, len(available), k)
+            stripe = coord.layout[sid]
             if missing and self._fast_path_ready(sid, stripe, missing, arrival_s):
-                parts.append(
-                    self._read_fast(
-                        sid, stripe, available, missing, gateway, engine,
-                        tasks, task_prefix, stats,
-                    )
+                if want:
+                    parts.append(self._stripe_data(sid, entry, engine, 1, None, ""))
+                self._read_fast(
+                    sid, stripe, available, gateway, tasks, task_prefix, stats
                 )
                 continue
-            chosen = sorted(available)[:k] if missing else list(range(k))
-            bufs: dict[int, np.ndarray] = {}
             fetches: list[tuple[int, int]] = []
             for b in chosen:
                 host = available[b]
-                buf = coord.agents[host].read_block(block_name(sid, b))
                 if host != gateway:
-                    coord.bus.check(host, gateway, buf.nbytes)
-                    coord.bus.record(host, gateway, buf.nbytes)
-                    stats["metered"] += buf.nbytes
+                    bus.check(host, gateway, nbytes)
+                    bus.record(host, gateway, nbytes)
+                    stats["metered"] += nbytes
                     fetches.append((b, host))
-                bufs[b] = buf
+            label = f"{task_prefix}s{sid}:"
             if missing:
                 stats["degraded"] += 1
-                stacked = np.stack([bufs[b] for b in chosen])[None, ...]
-                decoded = decode_chunked(
-                    engine, tuple(chosen), tuple(missing), stacked, self.chunks,
-                    tracer=obs.tracer if obs is not None else None,
-                    label=f"{task_prefix}s{sid}:",
-                )
-                for j, b in enumerate(missing):
-                    bufs[b] = decoded[0, j]
+                slices = chunk_slices(bb, self.chunks)
+                if want:
+                    parts.append(
+                        self._stripe_data(sid, entry, engine, self.chunks, tracer, label)
+                    )
+                elif tracer is not None:
+                    # a template hit decodes nothing; its chunk spans say so
+                    for sl in slices:
+                        tracer.end(
+                            tracer.begin(
+                                f"workload.chunk:{label}c{sl.index}",
+                                actor="serving", cat="workload", chunk=sl.index,
+                                lo=sl.lo, hi=sl.hi, chunks=len(slices),
+                                decoded=False,
+                            )
+                        )
                 if tasks is not None:
                     # modeled per-chunk fetch sub-flows + decode delays at
                     # the gateway — deterministic, never wall clock.
                     plan = chunked_read_tasks(
                         prefix=task_prefix, sid=sid, fetches=fetches,
-                        n_missing=len(missing),
-                        slices=chunk_slices(int(stacked.shape[2]), self.chunks),
+                        n_missing=len(missing), slices=slices,
                         block_size_mb=coord.block_size_mb,
                         decode_mbps=self.decode_mbps,
                         weight=self.foreground_weight, gateway=gateway,
                     )
                     tasks.extend(plan.tasks)
                     stats["chunk_plans"].append(plan)
-            elif tasks is not None:
+                continue
+            if want:
+                parts.append(self._stripe_data(sid, entry, engine, 1, None, ""))
+            if tasks is not None:
                 for b, host in fetches:
                     tasks.append(
                         Flow(
-                            f"{task_prefix}s{sid}:b{b}", host, gateway,
+                            f"{label}b{b}", host, gateway,
                             coord.block_size_mb, deps=(f"{task_prefix}arr",),
                             tag="fg", weight=self.foreground_weight,
                         )
                     )
-            parts.append(np.concatenate([bufs[b] for b in range(k)]))
-        payload = np.concatenate(parts)[:length].tobytes()
-        return payload, stats
+        if not want:
+            return None, stats
+        return np.concatenate(parts)[:length].tobytes(), stats
+
+    def _scan_stripe(self, sid):
+        """One stripe's read template: ``(available, missing, chosen)``.
+
+        ``available`` maps each readable block to its host: one on a live
+        node, stored, and one block of field elements long (the check
+        :meth:`Coordinator.read <repro.system.coordinator.Coordinator.read>`
+        makes).  ``missing`` lists the unreadable data blocks and ``chosen``
+        the blocks a read fetches: the data blocks when none is missing,
+        else the first ``k`` readable ones.
+        """
+        coord = self.coord
+        k = coord.code.k
+        shape, dtype = (coord.block_bytes,), coord.code.field.dtype
+        available: dict[int, int] = {}
+        for b, node in enumerate(coord.layout[sid].placement):
+            agent = coord.agents[node]
+            bname = block_name(sid, b)
+            if agent.alive and agent.store.has(bname):
+                block = agent.read_block(bname)
+                if block.shape == shape and block.dtype == dtype:
+                    available[b] = node
+        missing = [b for b in range(k) if b not in available]
+        chosen = sorted(available)[:k] if missing else list(range(k))
+        return available, missing, chosen
+
+    def _stripe_data(self, sid, entry, engine, chunks, tracer, label):
+        """One stripe's data blocks, concatenated: the chosen blocks read in
+        place and the missing ones decoded through
+        :func:`~repro.workload.pipeline.decode_chunked`."""
+        coord = self.coord
+        available, missing, chosen = entry
+        bufs = {
+            b: coord.agents[available[b]].read_block(block_name(sid, b))
+            for b in chosen
+        }
+        if missing:
+            stacked = np.stack([bufs[b] for b in chosen])[None, ...]
+            decoded = decode_chunked(
+                engine, tuple(chosen), tuple(missing), stacked, chunks,
+                tracer=tracer, label=label,
+            )
+            for j, b in enumerate(missing):
+                bufs[b] = decoded[0, j]
+        return np.concatenate([bufs[b] for b in range(coord.code.k)])
 
     def _fast_path_ready(self, sid, stripe, missing, arrival_s) -> bool:
         """True when the op arrives after the stripe's estimated repair."""
@@ -401,11 +477,8 @@ class ServingPlane:
             and all(stripe.placement[b] in self._repl for b in missing)
         )
 
-    def _read_fast(
-        self, sid, stripe, available, missing, gateway, engine, tasks,
-        task_prefix, stats,
-    ):
-        """Serve a partially-repaired stripe as a healthy read (fast path).
+    def _read_fast(self, sid, stripe, available, gateway, tasks, task_prefix, stats):
+        """Meter and time a partially-repaired stripe as a healthy read.
 
         The scheduler's planning-only estimate says this stripe's repair
         landed before the op arrived, so the timing plane models a healthy
@@ -413,23 +486,13 @@ class ServingPlane:
         block, with rebuilt blocks shipping from their planned spare — no
         degraded surcharge.  The payload still decodes from the current
         survivors (repairs are bit-exact, so the bytes are identical
-        either way), and exactly the modeled fetches are metered on the
-        bus.  Returns the stripe's concatenated data blocks.
+        either way; :meth:`_read_plan` does that), and exactly the modeled
+        fetches are metered on the bus.
         """
         coord = self.coord
-        k = coord.code.k
-        chosen = sorted(available)[:k]
-        bufs = {
-            b: coord.agents[available[b]].read_block(block_name(sid, b))
-            for b in chosen
-        }
-        stacked = np.stack([bufs[b] for b in chosen])[None, ...]
-        decoded = engine.decode_batch(tuple(chosen), tuple(missing), stacked)
-        for j, b in enumerate(missing):
-            bufs[b] = decoded[0, j]
         stats["fast"] += 1
         bb = coord.block_bytes
-        for b in range(k):
+        for b in range(coord.code.k):
             host = (
                 available[b] if b in available
                 else self._repl[stripe.placement[b]]
@@ -447,16 +510,18 @@ class ServingPlane:
                         tag="fg", weight=self.foreground_weight,
                     )
                 )
-        return np.concatenate([bufs[b] for b in range(k)])
 
-    def _write_plan(self, op, tasks, task_prefix):
+    def _write_plan(self, op, template, tasks, task_prefix):
         """Apply one write op; returns (ok, metered_bytes).
 
+        Drops the run's read ``template`` first, whether or not the write
+        lands: a write is the only store change inside the foreground loop.
         A write touching a block on a dead node is refused whole
         (:meth:`Coordinator.update` is atomic).  Timing: one foreground
         flow per applied parity delta — exactly the transfers the data
         plane metered.
         """
+        template.clear()
         coord = self.coord
         bus_before = coord.bus.total_bytes()
         try:
@@ -508,6 +573,9 @@ class ServingPlane:
         gateways = self._gateways()
         bus_before = coord.bus.total_bytes()
         fg_tasks: list = []
+        #: the run's read template (see _read_plan): dropped on every write,
+        #: gone when the loop ends
+        template: dict = {}
         records: list[dict] = []
         fg_bytes = 0
         root = None
@@ -536,21 +604,25 @@ class ServingPlane:
                     if op.kind == "read":
                         try:
                             payload, stats = self._read_plan(
-                                op.obj, gw, engine, fg_tasks, prefix,
+                                op.obj, gw, engine, template, fg_tasks, prefix,
                                 arrival_s=op.t_s,
                             )
                         except StripeUnrecoverable as err:
                             rec["ok"] = False
                             rec["error"] = f"{type(err).__name__}: {err}"
                         else:
+                            if payload is not None:  # the object's first read
+                                template[op.obj] = (
+                                    len(payload),
+                                    hashlib.sha256(payload).hexdigest(),
+                                )
                             rec["degraded_stripes"] = stats["degraded"]
                             rec["fast_stripes"] = stats["fast"]
                             rec["chunk_plans"] = stats["chunk_plans"]
-                            rec["nbytes"] = len(payload)
-                            rec["digest"] = hashlib.sha256(payload).hexdigest()
+                            rec["nbytes"], rec["digest"] = template[op.obj]
                             fg_bytes += stats["metered"]
                     else:
-                        ok, metered = self._write_plan(op, fg_tasks, prefix)
+                        ok, metered = self._write_plan(op, template, fg_tasks, prefix)
                         rec["ok"] = ok
                         rec["nbytes"] = op.nbytes if ok else 0
                         if not ok:

@@ -90,14 +90,15 @@ def test_degraded_read_bit_exact_gf16(seed):
     :meth:`ServingPlane.read_object` degraded path.
     """
     rng, k, m, f, _ = _random_case(seed)
-    words = int(rng.integers(16, 65))
+    # a read takes only blocks of ``block_bytes`` words, which is word-aligned
+    words = int(rng.integers(16, 65)) // 8 * 8
     field = GF(16)
     code = RSCode(k, m, field)
     n_data = k + m + 2
     coord = Coordinator(
         Cluster([Node(i, 100.0, 100.0) for i in range(n_data)]),
         code,
-        block_bytes=1 << 10,
+        block_bytes=words,
         field_=field,
         rng=0,
     )
@@ -167,3 +168,37 @@ def test_unrecoverable_read_raises():
     gw = sorted(coord.data_nodes())[0]
     with pytest.raises(StripeUnrecoverable):
         plane.read_object(spec.object_name(0), gateway=gw)
+
+
+@pytest.mark.parametrize("path", ["coordinator", "serving"])
+@pytest.mark.parametrize("degraded", [False, True], ids=["healthy", "degraded"])
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_a_wrong_length_data_block_reads_as_lost(path, degraded, which):
+    """A stored data block 16 bytes short is decoded around, never returned;
+    once fewer than ``k`` full-length blocks remain the read fails typed."""
+    k, m, block_bytes = 4, 2, 4096
+    coord = _build_system(np.random.default_rng(5), k, m, block_bytes)
+    spec = WorkloadSpec(n_objects=1, object_bytes=2 * k * block_bytes)
+    plane = ServingPlane(coord, spec)
+    plane.provision()
+    name = spec.object_name(0)
+    want = plane.read_object(name)
+    sid = coord.files[name][0][0]
+    placement = coord.layout[sid].placement
+    bad = 0 if which == "first" else k - 1
+    agent = coord.agents[placement[bad]]
+    block = agent.read_block(block_name(sid, bad))
+    agent.store_block(block_name(sid, bad), block[:-16].copy(), overwrite=True)
+    if degraded:  # a dead data node beside the short block
+        coord.crash_node(placement[1 if bad == 0 else 0])
+
+    def read():
+        if path == "coordinator":
+            return coord.read(name)
+        return plane.read_object(name, gateway=sorted(coord.data_nodes())[0])
+
+    assert read() == want
+    for node in placement[k : k + m - degraded]:  # k - 1 full blocks remain
+        coord.crash_node(node)
+    with pytest.raises(IOError if path == "coordinator" else StripeUnrecoverable):
+        read()

@@ -149,14 +149,15 @@ def test_chunked_read_bit_exact_gf8(seed):
 def test_chunked_read_bit_exact_gf16(seed):
     """Same contract on a GF(2^16) wide-word stripe."""
     rng, k, m, f, _ = _random_case(seed)
-    words = int(rng.integers(16, 65))
+    # a read takes only blocks of ``block_bytes`` words, which is word-aligned
+    words = int(rng.integers(16, 65)) // 8 * 8
     field = GF(16)
     code = RSCode(k, m, field)
     n_data = k + m + 2
     coord = Coordinator(
         Cluster([Node(i, 100.0, 100.0) for i in range(n_data)]),
         code,
-        block_bytes=1 << 10,
+        block_bytes=words,
         field_=field,
         rng=0,
     )
