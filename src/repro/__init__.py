@@ -42,7 +42,7 @@ its subpackage's ``__init__`` and listed in ``__all__``;
 __version__ = "1.1.0"
 
 from repro.gf import GF, gf8
-from repro.ec import RSCode, Stripe, split_block, join_block
+from repro.ec import RSCode, Stripe
 from repro.cluster import Cluster, Node, make_wld, FailureInjector, PowerOutage
 from repro.simnet import FluidSimulator, Flow, PipelineFlow
 from repro.repair import (
@@ -84,8 +84,6 @@ __all__ = [
     "gf8",
     "RSCode",
     "Stripe",
-    "split_block",
-    "join_block",
     "Cluster",
     "Node",
     "make_wld",

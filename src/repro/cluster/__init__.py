@@ -15,13 +15,9 @@ from repro.cluster.bandwidth import (
     load_bandwidth_csv,
     save_bandwidth_csv,
 )
-from repro.cluster.placement import (
-    place_stripes_random,
-    place_stripes_rack_aware,
-    random_stripe_nodes,
-)
+from repro.cluster.placement import place_stripes_random
 from repro.cluster.failure import FailureInjector, PowerOutage
-from repro.cluster.probing import BandwidthEstimator, measure_bandwidths, noisy_cluster
+from repro.cluster.probing import measure_bandwidths, noisy_cluster
 from repro.cluster.datasets import canonical_wld, load_wld, materialize_datasets
 
 __all__ = [
@@ -33,11 +29,8 @@ __all__ = [
     "load_bandwidth_csv",
     "save_bandwidth_csv",
     "place_stripes_random",
-    "place_stripes_rack_aware",
-    "random_stripe_nodes",
     "FailureInjector",
     "PowerOutage",
-    "BandwidthEstimator",
     "measure_bandwidths",
     "noisy_cluster",
     "canonical_wld",

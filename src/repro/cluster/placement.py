@@ -1,9 +1,7 @@
-"""Stripe placement policies.
+"""Stripe placement: flat random placement across all nodes.
 
-Two placements are used in the paper: flat random placement across all nodes
-(the Table I failure study assumes "stripes distributed randomly across all
-nodes") and rack-aware placement that bounds how many blocks of one stripe a
-single rack may hold (standard fault-tolerance practice, §IV-B).
+The paper's Table I failure study assumes "stripes distributed randomly
+across all nodes"; every experiment and the coordinator place that way.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from repro.cluster.topology import Cluster
 from repro.ec.stripe import Stripe, StripeLayout
 
 
-def random_stripe_nodes(
+def _random_stripe_nodes(
     candidates: list[int], width: int, rng: np.random.Generator
 ) -> list[int]:
     """Pick ``width`` distinct nodes uniformly at random."""
@@ -44,62 +42,6 @@ def place_stripes_random(
         candidates = [i for i in candidates if cluster[i].alive]
     layout = StripeLayout()
     for sid in range(n_stripes):
-        layout.add(Stripe(sid, k, m, random_stripe_nodes(candidates, k + m, rng)))
+        layout.add(Stripe(sid, k, m, _random_stripe_nodes(candidates, k + m, rng)))
     return layout
 
-
-def place_stripes_rack_aware(
-    cluster: Cluster,
-    n_stripes: int,
-    k: int,
-    m: int,
-    max_blocks_per_rack: int,
-    rng: np.random.Generator | int = 0,
-    candidates: list[int] | None = None,
-) -> StripeLayout:
-    """Place stripes with at most ``max_blocks_per_rack`` blocks per rack.
-
-    With c = max_blocks_per_rack <= m, a whole-rack failure destroys at most
-    c <= m blocks of any stripe, so rack failures stay repairable.
-    """
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    pool = set(cluster.alive_ids() if candidates is None else candidates)
-    racks = {
-        r: [i for i in ids if cluster[i].alive and i in pool]
-        for r, ids in cluster.racks().items()
-    }
-    racks = {r: ids for r, ids in racks.items() if ids}
-    width = k + m
-    capacity = sum(min(len(ids), max_blocks_per_rack) for ids in racks.values())
-    if capacity < width:
-        raise ValueError(
-            f"cannot place width-{width} stripe with <= {max_blocks_per_rack} "
-            f"blocks per rack across {len(racks)} racks (capacity {capacity})"
-        )
-    layout = StripeLayout()
-    rack_ids = sorted(racks)
-    for sid in range(n_stripes):
-        # Shuffle racks, then round-robin up to the per-rack cap.
-        order = list(rack_ids)
-        rng.shuffle(order)
-        placement: list[int] = []
-        per_rack_pick: dict[int, list[int]] = {}
-        for r in order:
-            ids = list(racks[r])
-            rng.shuffle(ids)
-            per_rack_pick[r] = ids
-        level = 0
-        while len(placement) < width:
-            progress = False
-            for r in order:
-                if len(placement) == width:
-                    break
-                picks = per_rack_pick[r]
-                if level < min(len(picks), max_blocks_per_rack):
-                    placement.append(picks[level])
-                    progress = True
-            if not progress:
-                raise AssertionError("placement loop stalled despite capacity check")
-            level += 1
-        layout.add(Stripe(sid, k, m, placement))
-    return layout

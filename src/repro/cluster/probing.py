@@ -6,8 +6,6 @@ of all nodes".  This module supplies that step and its failure modes:
 * :func:`measure_bandwidths` — active probing: one flow at a time against a
   well-provisioned reference node, timed in the fluid simulator, exactly how
   a coordinator would measure an idle cluster;
-* :class:`BandwidthEstimator` — passive EWMA estimation from observed
-  transfer rates (repair traffic itself is a bandwidth signal);
 * :func:`noisy_cluster` — a cluster clone whose bandwidths carry
   multiplicative error, for studying how sensitive HMBR's split is to a
   stale or mismeasured table (see ``experiments/sensitivity.py``).
@@ -49,57 +47,6 @@ def measure_bandwidths(
             )
         out[nid] = (up, down)
     return out
-
-
-class BandwidthEstimator:
-    """Passive EWMA bandwidth estimates from observed transfer rates.
-
-    ``alpha`` is the smoothing factor (1.0 = trust only the latest sample).
-    Estimates track the *observed throughput*, which lower-bounds link rates
-    under contention — callers should feed samples from uncontended (single
-    connection) periods, as the probe harness does.
-    """
-
-    def __init__(self, alpha: float = 0.3):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.up: dict[int, float] = {}
-        self.down: dict[int, float] = {}
-
-    def observe(self, node: int, direction: str, rate_mbps: float) -> None:
-        if rate_mbps <= 0:
-            raise ValueError("observed rate must be positive")
-        table = {"up": self.up, "down": self.down}.get(direction)
-        if table is None:
-            raise ValueError("direction must be 'up' or 'down'")
-        if node in table:
-            table[node] = (1 - self.alpha) * table[node] + self.alpha * rate_mbps
-        else:
-            table[node] = rate_mbps
-
-    def estimate(self, node: int) -> tuple[float | None, float | None]:
-        return self.up.get(node), self.down.get(node)
-
-    def estimated_cluster(self, true_cluster: Cluster) -> Cluster:
-        """A planning view: estimated rates where known, truth elsewhere."""
-        nodes = []
-        for nid in true_cluster.node_ids():
-            n = true_cluster[nid]
-            up, down = self.estimate(nid)
-            clone = Node(
-                nid,
-                uplink=up if up is not None else n.uplink,
-                downlink=down if down is not None else n.downlink,
-                rack=n.rack,
-                alive=n.alive,
-                cross_uplink=n.cross_uplink,
-                cross_downlink=n.cross_downlink,
-            )
-            nodes.append(clone)
-        est = Cluster(nodes)
-        est.rack_trunks = dict(true_cluster.rack_trunks)
-        return est
 
 
 def noisy_cluster(

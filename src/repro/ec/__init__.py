@@ -15,7 +15,7 @@ from repro.ec.matrices import (
 from repro.ec.rs import RSCode
 from repro.ec.lrc import LRCCode
 from repro.ec.stripe import Stripe, StripeLayout, StripeMeta, block_name
-from repro.ec.subblock import split_block, join_block, split_counts, word_slice
+from repro.ec.subblock import word_slice
 
 __all__ = [
     "RSCode",
@@ -28,8 +28,5 @@ __all__ = [
     "cauchy_parity_matrix",
     "systematic_cauchy_generator",
     "systematic_vandermonde_generator",
-    "split_block",
-    "join_block",
-    "split_counts",
     "word_slice",
 ]

@@ -2,7 +2,8 @@
 
 HMBR divides every block of ``B/l_w`` words into an *upper* sub-block (the
 first ``round(p * B/l_w)`` words, repaired centrally) and a *lower* sub-block
-(the remaining words, repaired by pipelined independent repair).  Splits are
+(the remaining words, repaired by pipelined independent repair):
+``word_slice(block, 0, p)`` and ``word_slice(block, p, 1)``.  Splits are
 word-aligned so that the same offsets across all blocks of a stripe decode
 together.
 """
@@ -13,30 +14,6 @@ import numpy as np
 
 #: Paper's default word length l_w in bytes.
 DEFAULT_WORD_BYTES = 8
-
-
-def split_counts(total_words: int, p: float) -> tuple[int, int]:
-    """Word counts (upper, lower) for split ratio ``p`` in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"split ratio p={p} outside [0, 1]")
-    upper = int(round(p * total_words))
-    return upper, total_words - upper
-
-
-def split_block(block: np.ndarray, p: float, word_bytes: int = DEFAULT_WORD_BYTES):
-    """Split a buffer into word-aligned (upper, lower) views (no copies).
-
-    The buffer length must be a multiple of ``word_bytes``; both returned
-    views share memory with ``block``.
-    """
-    block = np.asarray(block)
-    nbytes = block.shape[-1] * block.dtype.itemsize
-    if nbytes % word_bytes:
-        raise ValueError(f"block of {nbytes} bytes is not word-aligned to {word_bytes}")
-    total_words = nbytes // word_bytes
-    upper_words, _ = split_counts(total_words, p)
-    cut = upper_words * word_bytes // block.dtype.itemsize
-    return block[..., :cut], block[..., cut:]
 
 
 def word_slice(
@@ -61,9 +38,3 @@ def word_slice(
         raise ValueError("inverted fraction range")
     return arr[a * elems_per_word : b * elems_per_word]
 
-
-def join_block(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Concatenate repaired sub-blocks back into a full block (Step 4)."""
-    if upper.dtype != lower.dtype:
-        raise ValueError("sub-block dtypes differ")
-    return np.concatenate([upper, lower], axis=-1)

@@ -9,22 +9,14 @@ deltas) goes through, running on the selected kernel backend; its rows form
 :func:`matmul_rows` takes the sources as separate buffers.
 """
 
-from repro.gf.field import GF, GF8, GF16, gf8
+from repro.gf.field import GF, gf8
 from repro.gf.matrix import (
     gf_matmul,
-    gf_matvec,
     gf_inv,
     gf_rank,
-    gf_solve,
     gf_identity,
 )
-from repro.gf.batch import (
-    gf_plane_matmul,
-    gf_batch_matmul,
-    gf_stack_plane,
-    scale_lut,
-    lut_cache_clear,
-)
+from repro.gf.batch import gf_plane_matmul
 from repro.gf.backend.base import matmul, matmul_rows
 from repro.gf.backend import (
     BackendUnavailable,
@@ -38,8 +30,6 @@ from repro.gf.backend import (
 
 __all__ = [
     "GF",
-    "GF8",
-    "GF16",
     "gf8",
     "BackendUnavailable",
     "KernelBackend",
@@ -51,14 +41,8 @@ __all__ = [
     "matmul",
     "matmul_rows",
     "gf_matmul",
-    "gf_matvec",
     "gf_inv",
     "gf_rank",
-    "gf_solve",
     "gf_identity",
     "gf_plane_matmul",
-    "gf_batch_matmul",
-    "gf_stack_plane",
-    "scale_lut",
-    "lut_cache_clear",
 ]

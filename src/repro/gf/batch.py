@@ -40,7 +40,7 @@ from repro.gf.field import GF
 _LUT_CACHE: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
 _LUT_CACHE_CAPACITY = 512
 #: guards every _LUT_CACHE mutation (get+move_to_end, insert, popitem):
-#: scale_lut is called from concurrent wave dispatch and the serving
+#: _scale_lut is called from concurrent wave dispatch and the serving
 #: plane's thread-level fan-out, and an unlocked OrderedDict corrupts
 #: under simultaneous LRU reordering/eviction (same hazard the PlanCache
 #: lock closed in repro.repair.batch).
@@ -83,7 +83,7 @@ def _word_lut16(field: GF, coeff: int) -> np.ndarray:
     return lut
 
 
-def scale_lut(field: GF, coeff: int) -> np.ndarray:
+def _scale_lut(field: GF, coeff: int) -> np.ndarray:
     """Memoized multiply-by-``coeff`` lookup table for batched gathers.
 
     For w = 8 the table maps byte *pairs* (see :func:`_pair_lut8`); for
@@ -110,19 +110,13 @@ def scale_lut(field: GF, coeff: int) -> np.ndarray:
         raced = _LUT_CACHE.get(key)
         if raced is not None:
             # Another thread built the same table first; serve its copy so
-            # `scale_lut(f, c) is scale_lut(f, c)` holds under contention.
+            # `_scale_lut(f, c) is _scale_lut(f, c)` holds under contention.
             _LUT_CACHE.move_to_end(key)
             return raced
         _LUT_CACHE[key] = lut
         while len(_LUT_CACHE) > _LUT_CACHE_CAPACITY:
             _LUT_CACHE.popitem(last=False)
     return lut
-
-
-def lut_cache_clear() -> None:
-    """Drop every memoized LUT (test isolation / memory pressure)."""
-    with _LUT_CACHE_LOCK:
-        _LUT_CACHE.clear()
 
 
 def gf_plane_matmul(mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray:
@@ -179,7 +173,7 @@ def gf_plane_matmul(mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray
                         out[i, -1] ^= plane[t, -1]
                     continue
                 if half:
-                    np.take(scale_lut(field, c), src16[t], out=tmp)
+                    np.take(_scale_lut(field, c), src16[t], out=tmp)
                     row16 ^= tmp
                 if tail:
                     out[i, -1] ^= field.mul_table[c, plane[t, -1]]
@@ -196,51 +190,7 @@ def gf_plane_matmul(mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray
             if c == 1:
                 row ^= plane[t]
                 continue
-            np.take(scale_lut(field, c), plane[t], out=tmp)
+            np.take(_scale_lut(field, c), plane[t], out=tmp)
             row ^= tmp
     return out
 
-
-def gf_stack_plane(groups_of_rows, field: GF) -> np.ndarray:
-    """Stack per-stripe survivor rows into one (k, S*B) source plane.
-
-    ``groups_of_rows`` is a sequence of S stripes, each a sequence of k
-    equal-length buffers (survivor blocks in a fixed order).  Stripe ``s``
-    occupies columns ``[s*B, (s+1)*B)`` of every row, so the plane product
-    of :func:`gf_plane_matmul` slices back into per-stripe outputs.
-    """
-    stripes = [
-        [np.asarray(r, dtype=field.dtype) for r in rows] for rows in groups_of_rows
-    ]
-    if not stripes:
-        raise ValueError("empty batch")
-    k = len(stripes[0])
-    if k == 0 or any(len(rows) != k for rows in stripes):
-        raise ValueError("every stripe must supply the same number of source rows")
-    length = stripes[0][0].shape[-1]
-    for rows in stripes:
-        for r in rows:
-            if r.ndim != 1 or r.shape[0] != length:
-                raise ValueError("source rows must be equal-length 1-D buffers")
-    plane = np.empty((k, len(stripes) * length), dtype=field.dtype)
-    for s, rows in enumerate(stripes):
-        for t, r in enumerate(rows):
-            plane[t, s * length : (s + 1) * length] = r
-    return plane
-
-
-def gf_batch_matmul(mat: np.ndarray, stacked: np.ndarray, field: GF) -> np.ndarray:
-    """``mat @ stacked[s]`` for every stripe ``s`` of a (S, k, B) stack.
-
-    Returns an (S, f, B) array.  Bit-exact with calling
-    :func:`repro.gf.matrix.gf_matmul` once per stripe, but executes as a
-    single plane product (see :func:`gf_plane_matmul`).
-    """
-    stacked = np.asarray(stacked, dtype=field.dtype)
-    if stacked.ndim != 3:
-        raise ValueError(f"stacked must be (S, k, B), got {stacked.shape}")
-    s, k, b = stacked.shape
-    plane = stacked.transpose(1, 0, 2).reshape(k, s * b)
-    out = gf_plane_matmul(mat, plane, field)
-    f = out.shape[0]
-    return np.ascontiguousarray(out.reshape(f, s, b).transpose(1, 0, 2))

@@ -150,15 +150,5 @@ class GF:
         return f"GF(2^{self.w})"
 
 
-def GF8() -> GF:
-    """The default byte-oriented field GF(2^8)."""
-    return GF(8)
-
-
-def GF16() -> GF:
-    """GF(2^16), for hypothetical stripes wider than 256."""
-    return GF(16)
-
-
 #: Module-level singleton for the common case.
 gf8 = GF(8)

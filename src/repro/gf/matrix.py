@@ -12,7 +12,7 @@ from repro.gf.field import GF
 
 
 class SingularMatrixError(ValueError):
-    """Raised when inverting / solving with a singular matrix over GF(2^w)."""
+    """Raised when inverting a singular matrix over GF(2^w)."""
 
 
 def gf_identity(n: int, field: GF) -> np.ndarray:
@@ -33,12 +33,6 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     # products[i, t, j] = a[i, t] * b[t, j]
     products = field.mul(a[:, :, None], b[None, :, :])
     return np.bitwise_xor.reduce(products, axis=1)
-
-
-def gf_matvec(a: np.ndarray, x: np.ndarray, field: GF) -> np.ndarray:
-    """Matrix-vector product over GF(2^w)."""
-    x = np.asarray(x, dtype=field.dtype)
-    return gf_matmul(a, x[:, None], field)[:, 0]
 
 
 def _eliminate(aug: np.ndarray, n: int, field: GF) -> np.ndarray:
@@ -75,21 +69,6 @@ def gf_inv(a: np.ndarray, field: GF) -> np.ndarray:
     aug = np.concatenate([a.copy(), gf_identity(n, field)], axis=1)
     _eliminate(aug, n, field)
     return aug[:, n:].copy()
-
-
-def gf_solve(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
-    """Solve ``a @ x = b`` over GF(2^w); b may be a vector or matrix."""
-    a = np.asarray(a, dtype=field.dtype)
-    b = np.asarray(b, dtype=field.dtype)
-    vector = b.ndim == 1
-    rhs = b[:, None] if vector else b
-    if a.shape[0] != rhs.shape[0]:
-        raise ValueError("dimension mismatch between a and b")
-    n = a.shape[0]
-    aug = np.concatenate([a.copy(), rhs.copy()], axis=1)
-    _eliminate(aug, n, field)
-    x = aug[:, n:].copy()
-    return x[:, 0] if vector else x
 
 
 def gf_rank(a: np.ndarray, field: GF) -> int:

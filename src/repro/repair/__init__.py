@@ -10,7 +10,7 @@ for the agents of :mod:`repro.system`, which repair real bytes and verify them).
 plan path every coordinator route calls.
 """
 
-from repro.repair.context import RepairContext, make_new_node_map
+from repro.repair.context import RepairContext
 from repro.repair.plan import (
     CombineOp,
     ConcatOp,
@@ -36,20 +36,9 @@ from repro.repair.rackaware import (
     plan_rack_aware_centralized,
     plan_tree_independent,
     plan_rack_aware_hybrid,
-    LinkUsageTracker,
 )
 from repro.repair.multinode import CenterScheduler, MultiNodeRepairJob, plan_multi_node
-from repro.repair.batch import (
-    BatchRepairEngine,
-    DecodePlan,
-    PatternGroup,
-    PatternKey,
-    PlanCache,
-    StripeBatchItem,
-    build_decode_plan,
-    group_by_pattern,
-    pattern_key,
-)
+from repro.repair.batch import BatchRepairEngine, PlanCache, StripeBatchItem
 from repro.repair.validate import validate_plan, PlanValidationError
 from repro.repair.selector import choose_scheme, SchemeChoice
 from repro.repair.singleblock import plan_star, plan_chain, plan_ppr, SINGLE_BLOCK_SCHEMES
@@ -57,7 +46,6 @@ from repro.repair.planner import ADAPTIVE_SCHEMES, SCHEMES, RoundPlan, plan_roun
 
 __all__ = [
     "RepairContext",
-    "make_new_node_map",
     "RepairPlan",
     "SliceOp",
     "TransferOp",
@@ -77,19 +65,12 @@ __all__ = [
     "plan_rack_aware_centralized",
     "plan_tree_independent",
     "plan_rack_aware_hybrid",
-    "LinkUsageTracker",
     "CenterScheduler",
     "MultiNodeRepairJob",
     "plan_multi_node",
     "BatchRepairEngine",
-    "DecodePlan",
-    "PatternGroup",
-    "PatternKey",
     "PlanCache",
     "StripeBatchItem",
-    "build_decode_plan",
-    "group_by_pattern",
-    "pattern_key",
     "validate_plan",
     "PlanValidationError",
     "choose_scheme",

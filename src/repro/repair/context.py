@@ -15,17 +15,6 @@ from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe, block_name
 
 
-def make_new_node_map(failed_blocks, new_nodes) -> dict[int, int]:
-    """Assign failed block -> new node, one-to-one in order."""
-    failed = list(failed_blocks)
-    nodes = list(new_nodes)
-    if len(nodes) != len(failed):
-        raise ValueError(f"{len(failed)} failed blocks but {len(nodes)} new nodes")
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("new nodes must be distinct")
-    return dict(zip(failed, nodes))
-
-
 @dataclass(frozen=True)
 class Decisions:
     """What one stripe's repair is planned against, frozen at planning time.
@@ -105,7 +94,12 @@ class RepairContext:
         failed_nodes = {self.stripe.placement[b] for b in self.failed_blocks}
         if set(self.new_nodes) & (stripe_nodes - failed_nodes):
             raise ValueError("a new node already stores a surviving block of this stripe")
-        self._new_node_map = make_new_node_map(self.failed_blocks, self.new_nodes)
+        if len(self.new_nodes) != f:
+            raise ValueError(f"{f} failed blocks but {len(self.new_nodes)} new nodes")
+        if len(set(self.new_nodes)) != f:
+            raise ValueError("new nodes must be distinct")
+        # failed block -> new node, one-to-one in order
+        self._new_node_map = dict(zip(self.failed_blocks, self.new_nodes))
 
     # -------------------------------------------------------------- #
     def prefix(self, name: str) -> str:

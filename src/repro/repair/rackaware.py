@@ -148,7 +148,7 @@ def plan_rack_aware_centralized(
 # Tree-pipelined independent repair
 # ------------------------------------------------------------------ #
 @dataclass
-class LinkUsageTracker:
+class _LinkUsageTracker:
     """Link and NIC usage counts shared across repair jobs.
 
     Besides per-directed-link counts ("least frequently used link", §IV-B2),
@@ -175,7 +175,7 @@ class LinkUsageTracker:
         self.node_in[(v, cross)] = self.node_in.get((v, cross), 0) + 1
 
 
-def _edge_key(ctx: RepairContext, tracker: LinkUsageTracker, child: int, par: int):
+def _edge_key(ctx: RepairContext, tracker: _LinkUsageTracker, child: int, par: int):
     """Greedy selection key: inner-rack links first (cross-rack bandwidth is
     the scarce resource), then least-used links on least-loaded NICs, then
     the fastest link; node ids break remaining ties deterministically."""
@@ -195,7 +195,7 @@ def _build_repair_tree(
     ctx: RepairContext,
     root: int,
     survivors_nodes: list[int],
-    tracker: LinkUsageTracker,
+    tracker: _LinkUsageTracker,
     max_children: int,
 ) -> dict[int, int]:
     """Greedy least-frequently-used-link tree: child node -> parent node.
@@ -247,12 +247,12 @@ def _build_tree_ir(
     prefix: str,
     frac_start: float,
     frac_stop: float,
-    tracker: LinkUsageTracker | None = None,
     max_children: int = 2,
 ) -> tuple:
-    """Emit tree-pipelined IR for a fraction range."""
+    """Emit tree-pipelined IR for a fraction range; its trees share one
+    link-usage tracker, so each spreads over links the others left idle."""
     size = (frac_stop - frac_start) * ctx.block_size_mb
-    tracker = tracker if tracker is not None else LinkUsageTracker()
+    tracker = _LinkUsageTracker()
     d = ctx.decisions()
     block_of = {d.placement[b]: b for b in d.survivors}
 
@@ -309,13 +309,9 @@ def _build_tree_ir(
     return tasks, lower, outputs
 
 
-def plan_tree_independent(
-    ctx: RepairContext,
-    tracker: LinkUsageTracker | None = None,
-    max_children: int = 2,
-) -> RepairPlan:
+def plan_tree_independent(ctx: RepairContext, max_children: int = 2) -> RepairPlan:
     """Tree-pipelined IR as a standalone scheme."""
-    tasks, lower, outputs = _build_tree_ir(ctx, ctx.prefix("tir"), 0.0, 1.0, tracker, max_children)
+    tasks, lower, outputs = _build_tree_ir(ctx, ctx.prefix("tir"), 0.0, 1.0, max_children)
     return RepairPlan(
         scheme="TreeIR",
         tasks=tasks,
@@ -351,7 +347,7 @@ def plan_rack_aware_hybrid(
         center = default_center(ctx)
     # built once over the whole block; the plan re-fractions it at p0
     cr_part = _build_rack_aware_cr(ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, intermediate_policy)
-    ir_part = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, None, max_children)
+    ir_part = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, max_children)
     if p is not None:
         p0 = float(p)
     elif split == "search":

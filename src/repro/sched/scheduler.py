@@ -233,7 +233,7 @@ class RepairScheduler:
         network=None,
         foreground=(),
         eta: RepairEta | None = None,
-    ):
+    ) -> SchedulerReport:
         """Admit and run every queued job; returns a :class:`SchedulerReport`.
 
         Jobs are admitted in priority order (FIFO within a class) until the

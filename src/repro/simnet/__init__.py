@@ -20,7 +20,7 @@ from repro.simnet.slicesim import simulate_pipeline_slices
 from repro.simnet.static import StaticShareEvaluator, StaticResult
 from repro.simnet.dynamic import BandwidthEvent
 from repro.simnet.network import NetworkTrace, as_network, cluster_at
-from repro.simnet.trace import bottleneck_report, node_throughput_timeline, peak_utilization
+from repro.simnet.trace import bottleneck_report
 
 __all__ = [
     "Flow",
@@ -37,6 +37,4 @@ __all__ = [
     "as_network",
     "cluster_at",
     "bottleneck_report",
-    "node_throughput_timeline",
-    "peak_utilization",
 ]

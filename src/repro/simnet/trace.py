@@ -1,9 +1,9 @@
 """Post-processing of simulation rate traces.
 
 ``FluidSimulator.run(..., record_trace=True)`` keeps the piecewise-constant
-rate timeline.  These helpers turn it into per-node throughput and link
-utilization series — the observability a real repair system would expose,
-and the quickest way to see *which* link paces a repair and when.
+rate timeline.  :func:`bottleneck_report` turns it into per-node link
+saturation — the quickest way to see *which* link paces a repair and for
+how long.
 """
 
 from __future__ import annotations
@@ -17,37 +17,6 @@ def _hops_by_task(tasks: list[Task]) -> dict[str, tuple[tuple[int, int], ...]]:
     return {
         t.task_id: t.hops for t in tasks if not isinstance(t, DelayTask)
     }
-
-
-def node_throughput_timeline(
-    result: SimulationResult, tasks: list[Task], node: int, direction: str = "up"
-) -> list[tuple[float, float, float]]:
-    """(t0, t1, MB/s) segments of a node's aggregate up/down throughput."""
-    if result.trace is None:
-        raise ValueError("simulation was run without record_trace=True")
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
-    hops = _hops_by_task(tasks)
-    segments = []
-    for t0, t1, rates in result.trace:
-        total = 0.0
-        for tid, rate in rates.items():
-            for src, dst in hops.get(tid, ()):
-                if (direction == "up" and src == node) or (
-                    direction == "down" and dst == node
-                ):
-                    total += rate
-        segments.append((t0, t1, total))
-    return segments
-
-
-def peak_utilization(
-    result: SimulationResult, tasks: list[Task], cluster: Cluster, node: int
-) -> float:
-    """Peak uplink utilization (0..1) of a node over the repair."""
-    segs = node_throughput_timeline(result, tasks, node, "up")
-    cap = cluster[node].uplink
-    return max((rate / cap for _, _, rate in segs), default=0.0)
 
 
 def bottleneck_report(

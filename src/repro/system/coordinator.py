@@ -251,12 +251,13 @@ class Coordinator:
                     raise IOError(f"stripe {sid} unrecoverable: {len(available)} blocks left")
                 available.update(self.code.decode(available, missing))
             blocks += (available[b] for b in range(self.code.k))
-        # one pass, one copy: join the block buffers, the tail cut at ``length``
+        # one pass, one copy: join the block buffers, the tail cut at
+        # ``length``, one payload byte per data element as write stored them
         parts, left = [], length
         for block in blocks:
             if left <= 0:
                 break
-            parts.append(np.ascontiguousarray(block[:left]))
+            parts.append(np.ascontiguousarray(block[:left], dtype=np.uint8))
             left -= len(block)
         return b"".join(parts)
 

@@ -21,10 +21,15 @@ Every route plans through :func:`repro.repair.planner.plan_round`; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.repair.plan import RepairPlan, flow_signature
 from repro.repair.planner import ADAPTIVE_SCHEMES, check_scheme
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports (cycle guard)
+    from repro.adaptive.engine import AdaptiveReport
+    from repro.faults.runtime import FaultRepairReport
+    from repro.sched.scheduler import SchedulerReport
 
 _PRIORITIES = ("foreground", "normal", "background")
 
@@ -226,7 +231,7 @@ class RepairResult:
     #: chunk-level decode pipelining model (``workers > 1`` only).
     pipeline: Any = None
     #: the route-specific report the run produced internally.
-    report: Any = None
+    report: FaultRepairReport | AdaptiveReport | SchedulerReport | None = None
 
     @property
     def ok(self) -> bool:

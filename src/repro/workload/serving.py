@@ -235,7 +235,6 @@ class ServingPlane:
         chunks: int = 1,
         fast_path: bool = True,
         network=None,
-        backend=None,
     ):
         if foreground_weight <= 0:
             raise ValueError("foreground_weight must be positive")
@@ -251,9 +250,6 @@ class ServingPlane:
         self.fast_path = fast_path
         #: how capacities change during the run (see ``ServeRequest.network``).
         self.network = network
-        #: kernel-tier spec for degraded-read decodes (name / instance /
-        #: ``None`` = auto); forwarded to every engine this plane builds.
-        self.backend = backend
         self.gen = WorkloadGenerator(spec)
         #: stripe id -> estimated repair landing (set per run; see run()).
         self._eta: dict[int, float] = {}
@@ -297,10 +293,7 @@ class ServingPlane:
         """
         gw = gateway if gateway is not None else self._gateways()[0]
         engine = BatchRepairEngine(
-            self.coord.code,
-            cache=self.coord.plan_cache,
-            obs=self.coord.obs,
-            backend=self.backend,
+            self.coord.code, cache=self.coord.plan_cache, obs=self.coord.obs
         )
         payload, _ = self._read_plan(name, gw, engine, {}, None, "")
         return payload
@@ -364,7 +357,7 @@ class ServingPlane:
                 if want:
                     parts.append(self._stripe_data(sid, entry, engine, 1, None, ""))
                 self._read_fast(
-                    sid, stripe, available, gateway, tasks, task_prefix, stats
+                    sid, stripe, available, gateway, nbytes, tasks, task_prefix, stats
                 )
                 continue
             fetches: list[tuple[int, int]] = []
@@ -420,7 +413,10 @@ class ServingPlane:
                     )
         if not want:
             return None, stats
-        return np.concatenate(parts)[:length].tobytes(), stats
+        # one payload byte per data element (the write contract): GF(2^8)
+        # casts without a copy, GF(2^16) drops each element's zero high byte
+        payload = np.concatenate(parts)[:length].astype(np.uint8, copy=False)
+        return payload.tobytes(), stats
 
     def _scan_stripe(self, sid):
         """One stripe's read template: ``(available, missing, chosen)``.
@@ -477,7 +473,9 @@ class ServingPlane:
             and all(stripe.placement[b] in self._repl for b in missing)
         )
 
-    def _read_fast(self, sid, stripe, available, gateway, tasks, task_prefix, stats):
+    def _read_fast(
+        self, sid, stripe, available, gateway, nbytes, tasks, task_prefix, stats
+    ):
         """Meter and time a partially-repaired stripe as a healthy read.
 
         The scheduler's planning-only estimate says this stripe's repair
@@ -487,11 +485,11 @@ class ServingPlane:
         degraded surcharge.  The payload still decodes from the current
         survivors (repairs are bit-exact, so the bytes are identical
         either way; :meth:`_read_plan` does that), and exactly the modeled
-        fetches are metered on the bus.
+        fetches are metered on the bus, ``nbytes`` each (one block of field
+        elements, as on the healthy and degraded paths).
         """
         coord = self.coord
         stats["fast"] += 1
-        bb = coord.block_bytes
         for b in range(coord.code.k):
             host = (
                 available[b] if b in available
@@ -499,9 +497,9 @@ class ServingPlane:
             )
             if host == gateway:
                 continue
-            coord.bus.check(host, gateway, bb)
-            coord.bus.record(host, gateway, bb)
-            stats["metered"] += bb
+            coord.bus.check(host, gateway, nbytes)
+            coord.bus.record(host, gateway, nbytes)
+            stats["metered"] += nbytes
             if tasks is not None:
                 tasks.append(
                     Flow(
@@ -567,9 +565,7 @@ class ServingPlane:
             est = coord.sched.estimate_finish_s(reqs)
             self._eta, self._repl = est.finish_s, est.replacement_of
         ops = self.gen.ops()
-        engine = BatchRepairEngine(
-            coord.code, cache=coord.plan_cache, obs=obs, backend=self.backend
-        )
+        engine = BatchRepairEngine(coord.code, cache=coord.plan_cache, obs=obs)
         gateways = self._gateways()
         bus_before = coord.bus.total_bytes()
         fg_tasks: list = []

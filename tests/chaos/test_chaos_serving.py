@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from repro.gf.backend import available_backends
+from repro.gf.backend import ENV_VAR, available_backends
 from repro.system.request import RepairRequest
 from repro.workload import ServingPlane, WorkloadGenerator, WorkloadSpec, object_payload
 
@@ -54,7 +54,7 @@ def _apply_writes_and_check(res, gen, expected):
         assert math.isfinite(o.finish_s) and o.finish_s >= o.t_s
 
 
-def test_serving_survives_fault_storm(chaos_system, chaos_seed):
+def test_serving_survives_fault_storm(chaos_system, chaos_seed, monkeypatch):
     rng = np.random.default_rng(chaos_seed)
     coord = chaos_system(chaos_seed, k=K, m=M, block_bytes=BLOCK_BYTES)
     spec = WorkloadSpec(
@@ -90,7 +90,8 @@ def test_serving_survives_fault_storm(chaos_system, chaos_seed):
         # chunk count and every GF kernel tier
         chunks = int(rng.integers(1, 9))
         backend = str(rng.choice(available_backends(coord.code.field.w)))
-        plane = ServingPlane(coord, spec, chunks=chunks, backend=backend)
+        monkeypatch.setenv(ENV_VAR, backend)
+        plane = ServingPlane(coord, spec, chunks=chunks)
         res = plane.run(repair=repair)
         assert res.chunks == chunks
         assert len(res.outcomes) == n_ops, "an op was silently dropped"

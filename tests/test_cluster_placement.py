@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.placement import (
-    place_stripes_rack_aware,
-    place_stripes_random,
-    random_stripe_nodes,
-)
+from repro.cluster.placement import place_stripes_random
 from repro.cluster.topology import Cluster
 
 
 def test_random_stripe_nodes_distinct():
-    rng = np.random.default_rng(0)
-    nodes = random_stripe_nodes(list(range(20)), 9, rng)
-    assert len(nodes) == 9
-    assert len(set(nodes)) == 9
+    cl = Cluster.homogeneous(20, 100)
+    (stripe,) = place_stripes_random(cl, 1, 6, 3, rng=np.random.default_rng(0))
+    assert len(stripe.placement) == 9
+    assert len(set(stripe.placement)) == 9
     with pytest.raises(ValueError):
-        random_stripe_nodes([1, 2, 3], 4, rng)
+        place_stripes_random(cl, 1, 3, 1, rng=0, candidates=[1, 2, 3])
 
 
 @settings(max_examples=20, deadline=None)
@@ -50,30 +46,3 @@ def test_random_placement_candidate_restriction():
     for stripe in layout:
         assert all(n < 10 for n in stripe.placement)
 
-
-def test_rack_aware_respects_per_rack_cap():
-    cl = Cluster.homogeneous(24, 100, rack_size=4)
-    layout = place_stripes_rack_aware(cl, 20, 8, 4, max_blocks_per_rack=2, rng=0)
-    for stripe in layout:
-        per_rack = {}
-        for n in stripe.placement:
-            per_rack[cl.rack_of(n)] = per_rack.get(cl.rack_of(n), 0) + 1
-        assert max(per_rack.values()) <= 2
-        assert len(set(stripe.placement)) == 12
-
-
-def test_rack_aware_capacity_check():
-    cl = Cluster.homogeneous(8, 100, rack_size=4)  # 2 racks
-    with pytest.raises(ValueError):
-        place_stripes_rack_aware(cl, 1, 8, 4, max_blocks_per_rack=2, rng=0)
-
-
-def test_rack_aware_tolerates_rack_failure():
-    """With cap <= m, killing any single rack leaves every stripe repairable."""
-    cl = Cluster.homogeneous(30, 100, rack_size=5)
-    k, m, cap = 6, 3, 3
-    layout = place_stripes_rack_aware(cl, 15, k, m, max_blocks_per_rack=cap, rng=1)
-    for rack, members in cl.racks().items():
-        dead = set(members)
-        for stripe in layout:
-            assert len(stripe.failed_blocks(dead)) <= m

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.bandwidth import make_wld
 from repro.cluster.node import Node
-from repro.cluster.probing import BandwidthEstimator, measure_bandwidths, noisy_cluster
+from repro.cluster.probing import measure_bandwidths, noisy_cluster
 from repro.cluster.topology import Cluster
 
 
@@ -29,45 +29,6 @@ def test_probing_rejects_slow_reference():
     cl = Cluster([Node(0, 10.0, 10.0), Node(1, 100.0, 100.0)])
     with pytest.raises(ValueError):
         measure_bandwidths(cl, reference_node=0)
-
-
-def test_estimator_ewma_converges():
-    est = BandwidthEstimator(alpha=0.5)
-    for _ in range(20):
-        est.observe(3, "up", 80.0)
-    up, down = est.estimate(3)
-    assert up == pytest.approx(80.0)
-    assert down is None
-
-
-def test_estimator_tracks_changes():
-    est = BandwidthEstimator(alpha=0.5)
-    est.observe(1, "down", 100.0)
-    for _ in range(10):
-        est.observe(1, "down", 20.0)
-    _, down = est.estimate(1)
-    assert down == pytest.approx(20.0, rel=0.01)
-
-
-def test_estimator_validation():
-    est = BandwidthEstimator()
-    with pytest.raises(ValueError):
-        est.observe(0, "sideways", 10.0)
-    with pytest.raises(ValueError):
-        est.observe(0, "up", -1.0)
-    with pytest.raises(ValueError):
-        BandwidthEstimator(alpha=0.0)
-
-
-def test_estimated_cluster_merges_estimates_with_truth():
-    cl = probe_cluster()
-    est = BandwidthEstimator(alpha=1.0)
-    est.observe(1, "up", 42.0)
-    view = est.estimated_cluster(cl)
-    assert view[1].uplink == pytest.approx(42.0)
-    assert view[1].downlink == pytest.approx(cl[1].downlink)  # unknown -> truth
-    assert view[2].uplink == pytest.approx(cl[2].uplink)
-    assert len(view) == len(cl)
 
 
 def test_noisy_cluster_statistics():

@@ -1,8 +1,9 @@
-"""The CI docs gates must pass on the tree as committed.
+"""The CI tooling gates must pass on the tree as committed.
 
-Runs the two ``tools/`` checkers exactly as the CI docs job does, so a
-broken doc link or a docstring-coverage regression fails locally before it
-fails in CI — and exercises their failure modes against synthetic trees.
+Runs the ``tools/`` checkers exactly as CI does, so a broken doc link, a
+docstring-coverage regression or a new unreached public name fails locally
+before it fails in CI — and exercises their failure modes against
+synthetic trees.
 """
 
 import subprocess
@@ -14,6 +15,10 @@ REPO = Path(__file__).resolve().parent.parent
 # must match the ratchet floor in .github/workflows/ci.yml (ratchet-only:
 # raise both together when coverage improves, never lower them)
 COVERAGE_FLOOR = 79.0
+
+# must match the reachability ceiling in .github/workflows/ci.yml
+# (ratchet-only: lower both together when names gain callers or go)
+REACHABILITY_CEILING = 22
 
 
 def _run(*argv):
@@ -30,6 +35,45 @@ def test_no_dead_links_in_docs():
 def test_docstring_coverage_meets_floor():
     res = _run("tools/docstring_coverage.py", "--min", str(COVERAGE_FLOOR))
     assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_unreached_public_names_stay_under_ceiling():
+    res = _run("tools/reachability.py", "--max", str(REACHABILITY_CEILING))
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
+def _unreached(stdout):
+    return {line.split()[0] for line in stdout.splitlines() if line.startswith("  ")}
+
+
+def test_reachability_flags_only_unreached_public_names(tmp_path):
+    pkg = tmp_path / "src" / "toypkg"
+    pkg.mkdir(parents=True)
+    (pkg / "core.py").write_text(
+        "class Report:\n    pass\n\n"
+        "class Orphan:\n    pass\n\n"
+        "class ToyError(Exception):\n    pass\n\n"
+        "def used() -> Report:\n    return Report()\n\n"
+        "def dead():\n    return Orphan()\n"
+    )
+    (pkg / "__init__.py").write_text(
+        "from toypkg.core import Orphan, Report, ToyError, dead, used\n"
+        "__all__ = ['Orphan', 'Report', 'ToyError', 'dead', 'used']\n"
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text("from toypkg import used\nused()\n")
+    args = ("tools/reachability.py", "--modules", "toypkg", str(tmp_path))
+
+    res = _run(*args, "--max", "2")
+    assert res.returncode == 0, res.stdout + res.stderr
+    # a function nothing calls is flagged (its own module's use does not
+    # count); a class a reached function returns and an exception are not
+    assert _unreached(res.stdout) == {"Orphan", "dead"}
+    assert "unreached public names: 2" in res.stdout
+
+    res = _run(*args, "--max", "1")
+    assert res.returncode == 1
+    assert "FAIL" in res.stdout
 
 
 def test_link_checker_catches_missing_target(tmp_path):

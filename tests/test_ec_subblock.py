@@ -5,26 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ec.subblock import (
-    DEFAULT_WORD_BYTES,
-    join_block,
-    split_block,
-    split_counts,
-    word_slice,
-)
+from repro.ec.subblock import DEFAULT_WORD_BYTES, word_slice
+
+
+def split(block, p):
+    """HMBR's (upper, lower) sub-blocks of ``block`` at split ratio ``p``."""
+    return word_slice(block, 0.0, p), word_slice(block, p, 1.0)
 
 
 def test_split_counts_basic():
-    assert split_counts(100, 0.0) == (0, 100)
-    assert split_counts(100, 1.0) == (100, 0)
-    assert split_counts(100, 0.25) == (25, 75)
-
-
-def test_split_counts_validation():
-    with pytest.raises(ValueError):
-        split_counts(10, 1.5)
-    with pytest.raises(ValueError):
-        split_counts(10, -0.1)
+    block = np.zeros(100 * DEFAULT_WORD_BYTES, dtype=np.uint8)
+    for p, upper_words in ((0.0, 0), (1.0, 100), (0.25, 25)):
+        upper, lower = split(block, p)
+        assert upper.nbytes == upper_words * DEFAULT_WORD_BYTES
+        assert lower.nbytes == (100 - upper_words) * DEFAULT_WORD_BYTES
 
 
 @given(
@@ -34,8 +28,8 @@ def test_split_counts_validation():
 def test_split_join_roundtrip_property(n_words, p):
     rng = np.random.default_rng(42)
     block = rng.integers(0, 256, size=n_words * DEFAULT_WORD_BYTES, dtype=np.uint8)
-    upper, lower = split_block(block, p)
-    assert np.array_equal(join_block(upper, lower), block)
+    upper, lower = split(block, p)
+    assert np.array_equal(np.concatenate([upper, lower]), block)
     # word alignment: each part's byte length divisible by the word size
     assert upper.nbytes % DEFAULT_WORD_BYTES == 0
     assert lower.nbytes % DEFAULT_WORD_BYTES == 0
@@ -43,18 +37,13 @@ def test_split_join_roundtrip_property(n_words, p):
 
 def test_split_returns_views():
     block = np.arange(64, dtype=np.uint8)
-    upper, lower = split_block(block, 0.5)
+    upper, lower = split(block, 0.5)
     assert upper.base is block and lower.base is block
 
 
 def test_split_unaligned_rejected():
     with pytest.raises(ValueError):
-        split_block(np.zeros(13, dtype=np.uint8), 0.5)
-
-
-def test_join_dtype_mismatch():
-    with pytest.raises(ValueError):
-        join_block(np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint16))
+        split(np.zeros(13, dtype=np.uint8), 0.5)
 
 
 def test_word_slice_partition_exact():

@@ -467,7 +467,7 @@ def _rack_hmbr_subplans():
     ctx = build_scenario(16, 8, 4, wld="WLD-4x", seed=2023, rack_size=4, cross_factor=4.0).ctx
     center = ctx.pick_center("fastest-downlink")
     cr, _, _ = _build_rack_aware_cr(ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, "paper")
-    ir, _, _ = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, None, 2)
+    ir, _, _ = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, 2)
     return ctx, cr, ir
 
 

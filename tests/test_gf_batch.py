@@ -10,15 +10,23 @@ extra dependencies); a failing parametrization names its seed.
 import numpy as np
 import pytest
 
-from repro.gf import (
-    GF,
-    gf_batch_matmul,
-    gf_matmul,
-    gf_plane_matmul,
-    gf_stack_plane,
-    lut_cache_clear,
-    scale_lut,
-)
+import repro.gf.batch as batch_mod
+from repro.gf import GF, gf_matmul, gf_plane_matmul
+
+scale_lut = batch_mod._scale_lut
+
+
+def lut_cache_clear():
+    with batch_mod._LUT_CACHE_LOCK:
+        batch_mod._LUT_CACHE.clear()
+
+
+def batch_matmul(mat, stacked, field):
+    """``mat @ stacked[s]`` for every stripe of an (S, k, B) stack, as the
+    one plane product of the stripes laid side by side."""
+    s, k, b = stacked.shape
+    out = gf_plane_matmul(mat, stacked.transpose(1, 0, 2).reshape(k, s * b), field)
+    return out.reshape(-1, s, b).transpose(1, 0, 2)
 
 SEEDS = [int(s) for s in np.random.SeedSequence(1202).generate_state(8)]
 
@@ -139,7 +147,7 @@ def test_batch_matmul_matches_per_stripe(w, seed):
     f, k, b = int(rng.integers(1, 5)), int(rng.integers(1, 10)), int(rng.integers(1, 3000))
     mat = rng.integers(0, field.size, size=(f, k)).astype(field.dtype)
     stacked = rng.integers(0, field.size, size=(s, k, b)).astype(field.dtype)
-    out = gf_batch_matmul(mat, stacked, field)
+    out = batch_matmul(mat, stacked, field)
     assert out.shape == (s, f, b)
     for i in range(s):
         assert np.array_equal(out[i], gf_matmul(mat, stacked[i], field))
@@ -151,32 +159,8 @@ def test_batch_matmul_single_stripe_degenerate():
     rng = np.random.default_rng(0)
     mat = rng.integers(0, 256, size=(2, 3)).astype(np.uint8)
     stacked = rng.integers(0, 256, size=(1, 3, 517)).astype(np.uint8)
-    out = gf_batch_matmul(mat, stacked, field)
+    out = batch_matmul(mat, stacked, field)
     assert np.array_equal(out[0], gf_matmul(mat, stacked[0], field))
-
-
-def test_batch_matmul_rejects_non_3d():
-    field = GF(8)
-    with pytest.raises(ValueError):
-        gf_batch_matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((3, 4), dtype=np.uint8), field)
-
-
-def test_stack_plane_layout_and_validation():
-    field = GF(8)
-    rng = np.random.default_rng(1)
-    stripes = [[rng.integers(0, 256, size=64).astype(np.uint8) for _ in range(3)] for _ in range(4)]
-    plane = gf_stack_plane(stripes, field)
-    assert plane.shape == (3, 4 * 64)
-    for s in range(4):
-        for t in range(3):
-            assert np.array_equal(plane[t, s * 64 : (s + 1) * 64], stripes[s][t])
-    with pytest.raises(ValueError):
-        gf_stack_plane([], field)
-    with pytest.raises(ValueError):
-        gf_stack_plane([stripes[0], stripes[1][:2]], field)
-    ragged = [stripes[0], [r[:32] for r in stripes[1]]]
-    with pytest.raises(ValueError):
-        gf_stack_plane(ragged, field)
 
 
 @pytest.mark.parametrize("w", [8, 16])

@@ -11,9 +11,7 @@ from repro.gf.matrix import (
     gf_identity,
     gf_inv,
     gf_matmul,
-    gf_matvec,
     gf_rank,
-    gf_solve,
 )
 
 
@@ -73,22 +71,6 @@ def test_singular_matrix_raises():
 def test_non_square_inverse_rejected():
     with pytest.raises(ValueError):
         gf_inv(np.zeros((2, 3), dtype=np.uint8), gf8)
-
-
-def test_solve_vector_and_matrix():
-    rng = np.random.default_rng(2)
-    a = random_invertible(rng, 6)
-    x = rng.integers(0, 256, size=6, dtype=np.uint8)
-    b = gf_matvec(a, x, gf8)
-    assert np.array_equal(gf_solve(a, b, gf8), x)
-    xs = rng.integers(0, 256, size=(6, 3), dtype=np.uint8)
-    bs = gf_matmul(a, xs, gf8)
-    assert np.array_equal(gf_solve(a, bs, gf8), xs)
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        gf_solve(np.eye(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8), gf8)
 
 
 def test_rank_properties():

@@ -8,8 +8,8 @@ the exact hazard the PlanCache lock closed in ``repro.repair.batch``,
 one layer further down.
 
 The stress test shrinks the capacity so eviction churns constantly,
-hammers ``scale_lut`` from many threads over an overlapping coefficient
-set, mixes in concurrent ``lut_cache_clear`` calls, and asserts every
+hammers ``_scale_lut`` from many threads over an overlapping coefficient
+set, mixes in concurrent locked clears of the cache, and asserts every
 returned table is still bit-perfect.  Pre-fix this raced KeyError /
 RuntimeError or corrupted the LRU order; with the lock it must be silent.
 """
@@ -20,7 +20,14 @@ import numpy as np
 import pytest
 
 import repro.gf.batch as batch_mod
-from repro.gf import GF, lut_cache_clear, scale_lut
+from repro.gf import GF
+
+scale_lut = batch_mod._scale_lut
+
+
+def lut_cache_clear():
+    with batch_mod._LUT_CACHE_LOCK:
+        batch_mod._LUT_CACHE.clear()
 
 
 @pytest.fixture(autouse=True)

@@ -110,18 +110,18 @@ def test_property2_linearity_of_repair():
 def test_property3_word_granularity():
     """Property 3: decoding sub-blocks independently equals decoding whole
     blocks (same offsets decode together)."""
-    from repro.ec.subblock import split_block, join_block
+    from repro.ec.subblock import word_slice
 
     code = RSCode(4, 2)
     rng = np.random.default_rng(3)
     data = rng.integers(0, 256, size=(4, 128), dtype=np.uint8)
     stripe = code.encode_stripe(data)
     p = 0.3
-    upper = {i: split_block(stripe[i], p)[0] for i in range(6)}
-    lower = {i: split_block(stripe[i], p)[1] for i in range(6)}
+    upper = {i: word_slice(stripe[i], 0, p) for i in range(6)}
+    lower = {i: word_slice(stripe[i], p, 1) for i in range(6)}
     up_dec = code.decode({i: upper[i] for i in [1, 2, 3, 4]}, [0])[0]
     low_dec = code.decode({i: lower[i] for i in [1, 2, 3, 4]}, [0])[0]
-    assert np.array_equal(join_block(up_dec, low_dec), stripe[0])
+    assert np.array_equal(np.concatenate([up_dec, low_dec]), stripe[0])
 
 
 def test_paper_headline_reduction_at_64_8_8():

@@ -6,16 +6,25 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe
-from repro.repair.context import RepairContext, make_new_node_map
+from repro.repair.context import RepairContext
 from tests.conftest import make_repair_ctx
 
 
 def test_new_node_map():
-    assert make_new_node_map([3, 7], [10, 11]) == {3: 10, 7: 11}
+    base = make_repair_ctx(k=4, m=2, f=2)
+
+    def ctx(failed, new):
+        return RepairContext(
+            cluster=base.cluster, code=base.code, stripe=base.stripe,
+            failed_blocks=failed, new_nodes=new,
+        )
+
+    swapped = ctx([5, 4], [6, 7])
+    assert (swapped.new_node_of(5), swapped.new_node_of(4)) == (6, 7)
     with pytest.raises(ValueError):
-        make_new_node_map([3], [10, 11])
+        ctx([4], [6, 7])
     with pytest.raises(ValueError):
-        make_new_node_map([3, 7], [10, 10])
+        ctx([4, 5], [6, 6])
 
 
 def test_basic_properties():

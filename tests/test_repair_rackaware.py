@@ -7,8 +7,8 @@ from repro.repair.centralized import plan_centralized
 from repro.system.executor import PlanExecutor
 from repro.repair.hybrid import plan_hybrid
 from repro.repair.rackaware import (
-    LinkUsageTracker,
     _build_repair_tree,
+    _LinkUsageTracker as LinkUsageTracker,
     plan_rack_aware_centralized,
     plan_rack_aware_hybrid,
     plan_tree_independent,

@@ -59,7 +59,7 @@ BUILDERS = {
         "rack",
     ),
     "tree-ir": (
-        lambda ctx, c, lo, hi: _build_tree_ir(ctx, ctx.prefix("rh.ir"), lo, hi, None, 2),
+        lambda ctx, c, lo, hi: _build_tree_ir(ctx, ctx.prefix("rh.ir"), lo, hi, 2),
         "rack",
     ),
 }

@@ -318,8 +318,7 @@ def test_one_fluid_solver_by_construction():
         "Flow", "PipelineFlow", "DelayTask", "Task", "FluidSimulator",
         "SimulationResult", "simulate_pipeline_slices", "StaticShareEvaluator",
         "StaticResult", "BandwidthEvent", "NetworkTrace", "as_network",
-        "cluster_at", "bottleneck_report", "node_throughput_timeline",
-        "peak_utilization",
+        "cluster_at", "bottleneck_report",
     ]
     solver_classes = sorted(
         name for name, obj in vars(fluid).items()

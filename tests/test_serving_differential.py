@@ -15,7 +15,7 @@ import pytest
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
-from repro.ec.stripe import Stripe, block_name
+from repro.ec.stripe import block_name
 from repro.faults.errors import StripeUnrecoverable
 from repro.gf.field import GF
 from repro.system.coordinator import Coordinator
@@ -80,45 +80,62 @@ def test_degraded_read_bit_exact_gf8(seed):
         assert got == want, f"degraded read of {name} drifted (case seed {seed})"
 
 
-@pytest.mark.parametrize("seed", CASE_SEEDS)
-def test_degraded_read_bit_exact_gf16(seed):
-    """Same contract at GF(2^16), provisioned straight through the agents.
-
-    The coordinator's byte-oriented ``write`` path is uint8; wide-stripe
-    GF(2^16) systems store uint16 word blocks, so the test registers the
-    stripe/file metadata itself and then drives the *identical*
-    :meth:`ServingPlane.read_object` degraded path.
-    """
-    rng, k, m, f, _ = _random_case(seed)
-    # a read takes only blocks of ``block_bytes`` words, which is word-aligned
-    words = int(rng.integers(16, 65)) // 8 * 8
+def _gf16_system(k, m, words):
+    """A GF(2^16) coordinator with ``words``-element blocks and 2 extra nodes."""
     field = GF(16)
-    code = RSCode(k, m, field)
-    n_data = k + m + 2
-    coord = Coordinator(
-        Cluster([Node(i, 100.0, 100.0) for i in range(n_data)]),
-        code,
+    return Coordinator(
+        Cluster([Node(i, 100.0, 100.0) for i in range(k + m + 2)]),
+        RSCode(k, m, field),
         block_bytes=words,
         field_=field,
         rng=0,
     )
-    data = rng.integers(0, field.size, size=(k, words)).astype(field.dtype)
-    coded = code.encode_stripe(data)
-    placement = [int(i) for i in rng.choice(n_data, size=k + m, replace=False)]
-    coord.layout.add(Stripe(0, k, m, placement))
-    for b, node in enumerate(placement):
-        coord.agents[node].store_block(block_name(0, b), coded[b])
-    coord.files["wide"] = ([0], k * words)  # length in words: slices uniformly
+
+
+@pytest.mark.parametrize("seed", CASE_SEEDS)
+def test_degraded_read_bit_exact_gf16(seed):
+    """Same contract at GF(2^16), provisioned through ``Coordinator.write``.
+
+    ``write`` stores one payload byte per field element, and a read returns
+    one byte per data element, so the read equals the written bytes.
+    """
+    rng, k, m, f, _ = _random_case(seed)
+    # a read takes only blocks of ``block_bytes`` words, which is word-aligned
+    words = int(rng.integers(16, 65)) // 8 * 8
+    coord = _gf16_system(k, m, words)
+    payload = rng.integers(0, 256, size=k * words, dtype=np.uint8).tobytes()
+    (sid,) = coord.write("wide", payload).stripe_ids
 
     plane = ServingPlane(coord, WorkloadSpec(n_objects=1))
     want = plane.read_object("wide")
-    assert want == np.concatenate([coded[b] for b in range(k)]).tobytes()
+    assert want == payload
 
+    placement = coord.layout[sid].placement
     victims = [placement[b] for b in rng.choice(k + m, size=f, replace=False)]
     for v in victims:
         coord.crash_node(v)
     gateway = sorted(coord.data_nodes())[0]
     assert plane.read_object("wide", gateway=gateway) == want
+
+
+def test_gf16_write_update_read_round_trip():
+    """A GF(2^16) write, an update and a degraded read return the written
+    bytes, through ``Coordinator.read`` and ``ServingPlane.read_object``."""
+    k, m = 4, 2
+    coord = _gf16_system(k, m, 64)
+    rng = np.random.default_rng(7)
+    data = bytearray(rng.integers(0, 256, size=200, dtype=np.uint8).tobytes())
+    coord.write("a", bytes(data))
+    plane = ServingPlane(coord, WorkloadSpec(n_objects=1))
+    assert coord.read("a") == plane.read_object("a") == bytes(data)
+
+    patch = rng.integers(0, 256, size=40, dtype=np.uint8).tobytes()
+    coord.update("a", 50, patch)  # spans data blocks 0 and 1
+    data[50:90] = patch
+    coord.crash_node(coord.layout[coord.files["a"][0][0]].placement[0])
+    gateway = sorted(coord.data_nodes())[0]
+    assert coord.read("a") == bytes(data)
+    assert plane.read_object("a", gateway=gateway) == bytes(data)
 
 
 @pytest.mark.parametrize("seed", CASE_SEEDS[:3])

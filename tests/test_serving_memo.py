@@ -227,3 +227,36 @@ def test_a_hit_reads_no_bytes_and_holds_a_fresh_reads_scan():
         available, missing, chosen = template[sid]
         assert missing == [b for b in range(K) if b not in available]
         assert chosen == (sorted(available)[:K] if missing else list(range(K)))
+
+
+def test_gf16_fast_path_fetches_meter_whole_blocks(monkeypatch):
+    """Every foreground fetch of a GF(2^16) serve meters one block of 2-byte
+    field elements: healthy, degraded and fast-path reads alike."""
+    coord = _system(16)
+    spec = _spec(1.0)
+    ServingPlane(coord, spec).provision()
+    for node in coord.layout[0].placement[:M]:
+        coord.crash_node(node)
+    fetched, reading = [], []
+    record = coord.bus.record
+
+    def metered(src, dst, nbytes):
+        if reading:
+            fetched.append(nbytes)
+        record(src, dst, nbytes)
+
+    read_plan = ServingPlane._read_plan
+
+    def foreground(self, *args, **kwargs):
+        reading.append(True)
+        try:
+            return read_plan(self, *args, **kwargs)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(coord.bus, "record", metered)
+    monkeypatch.setattr(ServingPlane, "_read_plan", foreground)
+    storm = RepairRequest(scheme="hmbr", priority="background")
+    res = coord.serve(ServeRequest(spec, repair=(storm,), chunks=2, decode_mbps=64.0))
+    assert res.fast_path_reads > 0 and res.degraded_reads > 0
+    assert fetched and set(fetched) == {BLOCK_BYTES * 2}

@@ -28,7 +28,6 @@ import pytest
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
-from repro.ec.stripe import Stripe, block_name
 from repro.gf.field import GF
 from repro.repair.batch import BatchRepairEngine, PlanCache
 from repro.sched.scheduler import RepairScheduler
@@ -147,28 +146,23 @@ def test_chunked_read_bit_exact_gf8(seed):
 
 @pytest.mark.parametrize("seed", CASE_SEEDS[:3])
 def test_chunked_read_bit_exact_gf16(seed):
-    """Same contract on a GF(2^16) wide-word stripe."""
+    """Same contract on a GF(2^16) wide-word stripe, written through
+    ``Coordinator.write``: every chunk count reads the written bytes."""
     rng, k, m, f, _ = _random_case(seed)
     # a read takes only blocks of ``block_bytes`` words, which is word-aligned
     words = int(rng.integers(16, 65)) // 8 * 8
     field = GF(16)
-    code = RSCode(k, m, field)
     n_data = k + m + 2
     coord = Coordinator(
         Cluster([Node(i, 100.0, 100.0) for i in range(n_data)]),
-        code,
+        RSCode(k, m, field),
         block_bytes=words,
         field_=field,
         rng=0,
     )
-    data = rng.integers(0, field.size, size=(k, words)).astype(field.dtype)
-    coded = code.encode_stripe(data)
-    placement = [int(i) for i in rng.choice(n_data, size=k + m, replace=False)]
-    coord.layout.add(Stripe(0, k, m, placement))
-    for b, node in enumerate(placement):
-        coord.agents[node].store_block(block_name(0, b), coded[b])
-    coord.files["wide"] = ([0], k * words)
-    want = np.concatenate([coded[b] for b in range(k)]).tobytes()
+    want = rng.integers(0, 256, size=k * words, dtype=np.uint8).tobytes()
+    (sid,) = coord.write("wide", want).stripe_ids
+    placement = coord.layout[sid].placement
     for v in [placement[b] for b in rng.choice(k + m, size=f, replace=False)]:
         coord.crash_node(v)
     gw = sorted(coord.data_nodes())[0]

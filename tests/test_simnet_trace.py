@@ -6,7 +6,7 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.simnet.flows import Flow, PipelineFlow
 from repro.simnet.fluid import FluidSimulator
-from repro.simnet.trace import bottleneck_report, node_throughput_timeline, peak_utilization
+from repro.simnet.trace import bottleneck_report
 
 
 def cluster3():
@@ -18,7 +18,7 @@ def test_trace_disabled_by_default():
     res = FluidSimulator(cl).run([Flow("f", 0, 1, 10.0)])
     assert res.trace is None
     with pytest.raises(ValueError):
-        node_throughput_timeline(res, [], 0)
+        bottleneck_report(res, [], cl)
 
 
 def test_trace_segments_cover_makespan():
@@ -37,22 +37,10 @@ def test_node_throughput_matches_rates():
     cl = cluster3()
     tasks = [Flow("a", 0, 1, 10.0), Flow("c", 0, 2, 10.0)]
     res = FluidSimulator(cl).run(tasks, record_trace=True)
-    segs = node_throughput_timeline(res, tasks, 0, "up")
+    rates = res.trace[0][2]
     # node 0 fans out two flows: aggregate uplink = 100 while both active
-    assert segs[0][2] == pytest.approx(100.0)
-    down = node_throughput_timeline(res, tasks, 1, "down")
-    assert down[0][2] == pytest.approx(50.0)
-    with pytest.raises(ValueError):
-        node_throughput_timeline(res, tasks, 0, "sideways")
-
-
-def test_peak_utilization_full_for_bottleneck():
-    cl = cluster3()
-    tasks = [PipelineFlow("p", (0, 1, 2), 25.0)]
-    res = FluidSimulator(cl).run(tasks, record_trace=True)
-    # node 1's uplink (50) is the min hop: fully utilized
-    assert peak_utilization(res, tasks, cl, 1) == pytest.approx(1.0)
-    assert peak_utilization(res, tasks, cl, 0) == pytest.approx(0.5)
+    assert rates["a"] + rates["c"] == pytest.approx(100.0)
+    assert rates["a"] == pytest.approx(50.0)  # node 1's downlink share
 
 
 def test_bottleneck_report_identifies_pacing_node():
