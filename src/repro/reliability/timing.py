@@ -103,9 +103,8 @@ def build_twin(
         coord.layout.add(stripe)
         if materialize:
             blocks = payload_rng.integers(0, 256, size=(k, block_bytes), dtype=np.uint8)
-            coded = coord.code.encode_stripe(blocks)
-            for b, node in enumerate(stripe.placement):
-                coord.agents[node].store_block(block_name(stripe.stripe_id, b), coded[b])
+            for b, block in enumerate([*blocks, *coord.code.encode(blocks)]):
+                coord.agents[stripe.placement[b]].store_block(block_name(stripe.stripe_id, b), block)
     for d in dead:
         coord.crash_node(d)
     return coord

@@ -80,10 +80,12 @@ Op = SliceOp | TransferOp | CombineOp | ConcatOp
 class ByteLowering:
     """A plan's byte view, not built yet: ``build()`` lowers the frozen
     decisions ``ctx`` (:class:`~repro.repair.context.Decisions`, or ``None``
-    to infer the initial buffers from the slices) to the plan's ops."""
+    to infer the initial buffers from the slices) to the plan's ops, checking
+    the task graph again unless planning did (``graph_checked``)."""
 
     build: Callable[[], list]
     ctx: Any = None
+    graph_checked: bool = False
 
 
 @dataclass
@@ -115,9 +117,10 @@ def _get_ops(plan: RepairPlan) -> list[Op]:
     if lowering is not None:  # first read: build, validate, keep
         from repro.repair import validate
 
-        ops = lowering.build()
-        validate.validate_plan(RepairPlan(plan.scheme, plan.tasks, ops, plan.outputs), lowering.ctx)
-        plan._lowering, plan._ops = None, ops
+        built = RepairPlan(plan.scheme, plan.tasks, lowering.build(), plan.outputs)
+        built._graph_checked = lowering.graph_checked
+        validate.validate_plan(built, lowering.ctx)
+        plan._lowering, plan._ops = None, built.ops
     return plan._ops
 
 

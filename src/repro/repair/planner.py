@@ -17,7 +17,7 @@ effect without touching the registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.repair.centralized import plan_centralized
 from repro.repair.context import RepairContext
@@ -141,6 +141,8 @@ def plan_stripe(ctx, center, scheme: str, common_p: float | None = None) -> Repa
     else:
         plan = SCHEMES[scheme](ctx, center)
     _check_task_graph_acyclic(plan)
+    if plan._lowering is not None:  # its build need not check the graph again
+        plan.ops = replace(plan._lowering, graph_checked=True)
     return plan
 
 

@@ -13,8 +13,8 @@ dangerous class of bug.  This module checks a plan *without running it*:
 
 Planning (:func:`repro.repair.planner.plan_stripe`) checks only the task
 graph, all the timing view needs.  :func:`validate_plan` runs once per plan,
-when its byte view is first built — before any op can run, and never on a
-route that only plans.
+when its byte view is first built — before any op can run, never on a route
+that only plans, and without the task graph again after ``plan_stripe``.
 """
 
 from __future__ import annotations
@@ -64,9 +64,11 @@ def validate_plan(plan: RepairPlan, ctx: RepairContext | Decisions | None = None
     built from) the data-flow check starts from the surviving blocks and the
     views' link sets are compared; without it only the task graph and
     intra-plan dataflow ordering are checked (initial buffers are inferred
-    from SliceOp sources).
+    from SliceOp sources).  Only a byte view being built after ``plan_stripe``
+    checked its task graph skips that part.
     """
-    _check_task_graph_acyclic(plan)
+    if not getattr(plan, "_graph_checked", False):
+        _check_task_graph_acyclic(plan)
 
     if ctx is not None:
         if isinstance(ctx, RepairContext):

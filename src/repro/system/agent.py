@@ -4,7 +4,9 @@ One agent per node (Figure 7).  Agents hold the node's block store plus a
 scratch workspace for in-flight repair buffers, and execute the four command
 kinds a repair plan lowers to (slice / transfer / GF-combine / concat).
 Compute time spent in GF kernels is metered per agent — summed over agents
-this is the system's share of the Table II ``T_o`` column.
+this is the system's share of the Table II ``T_o`` column.  A buffer is
+immutable once stored or sent: a transfer hands the receiver a read-only view
+of the sender's array, and every op makes a new array.
 """
 
 from __future__ import annotations
@@ -93,10 +95,13 @@ class Agent:
         self.scratch[op.out] = np.concatenate(parts)
 
     def send_to(self, other: "Agent", name: str, rename: str | None, bus: DataBus) -> None:
+        """Hand ``other`` a read-only view of ``name`` (no copy), metered on ``bus``."""
         data = self._resolve(name)
         if data.nbytes:
-            bus.check(self.node_id, other.node_id, data.nbytes)  # fault gate, pre-copy
-        other.scratch[rename or name] = data.copy()
+            bus.check(self.node_id, other.node_id, data.nbytes)  # fault gate, pre-send
+        view = data.view()
+        view.flags.writeable = False
+        other.scratch[rename or name] = view
         if data.nbytes:
             # degenerate split fractions yield empty slices; the buffer must
             # still arrive (downstream concats read it) but puts no bytes on

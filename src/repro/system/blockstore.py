@@ -1,8 +1,10 @@
 """Per-node in-memory block store.
 
 Stands in for OpenEC's Redis-backed in-memory key-value store: named block
-buffers plus simple usage accounting.  Buffers are NumPy arrays owned by the
-store; reads return the array itself (callers copy when mutating).
+buffers plus simple usage accounting.  The store takes ownership of what it
+is given: it keeps a read-only view of the caller's array, no copy, and
+reads return that view.  Nothing writes a stored block in place; a change
+(``Coordinator.update``) stores a new array over the old one (copy on write).
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ class BlockStore:
     def put(self, name: str, data: np.ndarray, overwrite: bool = False) -> None:
         if name in self._blocks and not overwrite:
             raise KeyError(f"block {name!r} already stored on node {self.node_id}")
-        arr = np.asarray(data)
+        arr = np.asarray(data).view()
+        arr.flags.writeable = False
         new_usage = self._used_bytes - self._nbytes(name) + arr.nbytes
         if self.capacity_bytes is not None and new_usage > self.capacity_bytes:
             raise MemoryError(

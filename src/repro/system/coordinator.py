@@ -159,28 +159,32 @@ class Coordinator:
         placement = [candidates[i] for i in idx]
         self.layout.add(Stripe(sid, self.code.k, self.code.m, placement))
         if blocks is not None:
-            coded = self.code.encode_stripe(blocks)
-            for b, node in enumerate(placement):
-                self.agents[node].store_block(block_name(sid, b), coded[b])
+            blocks = np.asarray(blocks, dtype=self.code.field.dtype)
+            for b, block in enumerate([*blocks, *self.code.encode(blocks)]):
+                self.agents[placement[b]].store_block(block_name(sid, b), block)
         return sid
 
     def write(self, name: str, data: bytes | np.ndarray) -> WriteReceipt:
-        """Erasure-code ``data`` into stripes and distribute the blocks."""
+        """Erasure-code ``data`` into stripes and distribute the blocks: a
+        ``bytes`` payload by reference (read-only views of it), any other
+        buffer copied once (on GF(2^16) the widening is that copy)."""
         if name in self.files:
             raise KeyError(f"file {name!r} already exists")
         buf = np.frombuffer(data, dtype=np.uint8) if isinstance(data, bytes) else np.asarray(data, dtype=np.uint8)
         buf = buf.reshape(-1)
+        if not isinstance(data, bytes) or buf.dtype != self.code.field.dtype:
+            buf = buf.astype(self.code.field.dtype)
         k = self.code.k
         stripe_payload = k * self.block_bytes
         padded = int(np.ceil(max(buf.size, 1) / stripe_payload)) * stripe_payload
         candidates = self.data_nodes()
         stripe_ids = []
-        # stripe-sized views of the caller's buffer (encoding copies them);
-        # only a short tail stripe is zero-padded into its own array
+        # stripe-sized views of the stored buffer; only a short tail stripe
+        # is zero-padded into its own array
         for off in range(0, padded, stripe_payload):
             chunk = buf[off : off + stripe_payload]
             if chunk.size < stripe_payload:
-                chunk = np.concatenate((chunk, np.zeros(stripe_payload - chunk.size, np.uint8)))
+                chunk = np.concatenate((chunk, np.zeros(stripe_payload - chunk.size, buf.dtype)))
             stripe_ids.append(
                 self._new_stripe(candidates, chunk.reshape(k, self.block_bytes))
             )
@@ -875,7 +879,7 @@ class Coordinator:
             stripe, b = candidate
             name = block_name(stripe.stripe_id, b)
             data = self.agents[hot].read_block(name)
-            self.agents[cold].store_block(name, data.copy())
+            self.agents[cold].store_block(name, data)
             self.agents[hot].store.delete(name)
             stripe.placement[b] = cold
             self.bus.record(hot, cold, data.nbytes)

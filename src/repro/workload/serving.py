@@ -15,9 +15,9 @@ Coordinator`, in the same two-plane style every other layer uses:
   with fewer than ``k`` survivors raises
   :class:`~repro.faults.errors.StripeUnrecoverable`.  Writes go through
   :meth:`Coordinator.update`'s parity-delta path.  Within one run each
-  stripe is scanned and each object decoded and hashed once, into the
-  run's read template (:meth:`ServingPlane._read_plan`); every op still
-  meters its own fetches and builds its own timing tasks.
+  stripe is scanned once and each object version decoded and hashed once,
+  into the run's read template (:meth:`ServingPlane._read_plan`); every op
+  still meters its own fetches and builds its own timing tasks.
 * **timing plane** — every op contributes arrival-gated
   :class:`~repro.simnet.flows.Flow`/:class:`~repro.simnet.flows.DelayTask`
   tasks at the foreground weight, merged into the **same**
@@ -313,9 +313,9 @@ class ServingPlane:
         stripe id (that stripe's ``(available, missing, chosen)`` scan) and
         by object name (that object's ``(nbytes, sha256 hex digest)``, which
         the caller stores).  A stripe's scan is built on its first read and
-        reused after; it stays exact for as long as no store changes, which
-        is why :meth:`run` drops it on every write and :meth:`read_object`
-        passes a fresh one.  Returns ``(payload, stats)``; ``payload`` is
+        reused after: no write loses or moves a block (:meth:`run` drops
+        only a written object's entry) and :meth:`read_object` passes a
+        fresh one.  Returns ``(payload, stats)``; ``payload`` is
         the object's bytes when ``template`` holds no entry for ``name``,
         and ``None`` (no block read, no decode) when it does.
 
@@ -512,20 +512,20 @@ class ServingPlane:
     def _write_plan(self, op, template, tasks, task_prefix):
         """Apply one write op; returns (ok, metered_bytes).
 
-        Drops the run's read ``template`` first, whether or not the write
-        lands: a write is the only store change inside the foreground loop.
-        A write touching a block on a dead node is refused whole
-        (:meth:`Coordinator.update` is atomic).  Timing: one foreground
-        flow per applied parity delta — exactly the transfers the data
-        plane metered.
+        A write that lands drops the written object's entry from the run's
+        read ``template``: :meth:`Coordinator.update` stores same-shape
+        blocks on the same hosts, so every stripe scan stays exact.  A
+        write touching a block on a dead node is refused whole (``update``
+        is atomic) and drops nothing.  Timing: one foreground flow per
+        applied parity delta — exactly the transfers the data plane metered.
         """
-        template.clear()
         coord = self.coord
         bus_before = coord.bus.total_bytes()
         try:
             report = coord.update(op.obj, op.offset, self.gen.patch_bytes(op))
         except IOError:
             return False, 0
+        template.pop(op.obj, None)
         if tasks is not None:
             for sid, bi, j, node, pnode in report["deltas"]:
                 tasks.append(
@@ -569,8 +569,8 @@ class ServingPlane:
         gateways = self._gateways()
         bus_before = coord.bus.total_bytes()
         fg_tasks: list = []
-        #: the run's read template (see _read_plan): dropped on every write,
-        #: gone when the loop ends
+        #: the run's read template (see _read_plan): a landed write drops its
+        #: object's entry; gone when the loop ends
         template: dict = {}
         records: list[dict] = []
         fg_bytes = 0

@@ -1,0 +1,168 @@
+"""A buffer is immutable once it is stored or sent.
+
+The data plane's one ownership rule, pinned over GF(2^8) and GF(2^16):
+``write`` keeps a ``bytes`` payload by reference (its data blocks are
+read-only views of it, or of its one widened copy), copies every other
+buffer once, and a transfer hands the receiver a read-only view of the
+sender's array.  No copy is made where nothing could write, so no stored
+block may share memory with a block on another node, and deleting a file
+lets go of its payload.
+"""
+
+import sys
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from repro.cluster.node import Node
+from repro.cluster.topology import Cluster
+from repro.ec.rs import RSCode
+from repro.ec.stripe import block_name
+from repro.gf.field import GF
+from repro.system.agent import Agent
+from repro.system.coordinator import Coordinator
+from repro.system.request import RepairRequest
+
+K, M, BLOCK_BYTES, N_DATA, N_SPARE, STRIPES = 4, 2, 512, 9, 3, 3
+NBYTES = STRIPES * K * BLOCK_BYTES
+
+fields = pytest.mark.parametrize("w", [8, 16], ids=["gf8", "gf16"])
+
+
+def _system(w):
+    field = GF(w)
+    nodes = [Node(i, 100.0, 100.0) for i in range(N_DATA + N_SPARE)]
+    coord = Coordinator(
+        Cluster(nodes[:N_DATA]), RSCode(K, M, field), block_bytes=BLOCK_BYTES,
+        block_size_mb=8.0, field_=field, rng=7,
+    )
+    for node in nodes[N_DATA:]:
+        coord.add_spare(node)
+    return coord
+
+
+def _payload(seed=1, nbytes=NBYTES):
+    return np.random.default_rng(seed).integers(0, 256, nbytes, dtype=np.uint8).tobytes()
+
+
+def _data_blocks(coord, name):
+    return [
+        coord.agents[coord.layout[sid].placement[b]].read_block(block_name(sid, b))
+        for sid in coord.files[name][0]
+        for b in range(K)
+    ]
+
+
+def _stored(coord):
+    """(node, block name, array) for every stored block."""
+    return [
+        (node, bname, agent.read_block(bname))
+        for node, agent in coord.agents.items()
+        for bname in agent.store.names()
+    ]
+
+
+@fields
+def test_a_bytes_write_stores_read_only_views_of_the_payload(w):
+    coord = _system(w)
+    payload = _payload()
+    coord.write("f", payload)
+    blocks = _data_blocks(coord, "f")
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    for block in blocks:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 1
+    if w == 8:  # by reference: every data block is the payload's own memory
+        assert all(np.shares_memory(block, raw) for block in blocks)
+    else:  # the widening is the one copy: every data block is a view of it
+        assert not any(np.shares_memory(block, raw) for block in blocks)
+        assert len({id(block.base) for block in blocks}) == 1
+        assert blocks[0].base.nbytes == 2 * NBYTES
+    assert coord.read("f") == payload
+
+
+@fields
+@pytest.mark.parametrize("kind", ["bytearray", "ndarray", "memoryview"])
+def test_a_mutable_buffer_is_copied_so_the_caller_may_reuse_it(w, kind):
+    coord = _system(w)
+    payload = _payload()
+    buf = {
+        "bytearray": bytearray(payload),
+        "ndarray": np.frombuffer(payload, dtype=np.uint8).copy(),
+        "memoryview": memoryview(bytearray(payload)),
+    }[kind]
+    coord.write("f", buf)
+    assert not any(
+        np.shares_memory(block, np.asarray(buf)) for block in _data_blocks(coord, "f")
+    )
+    np.asarray(buf)[:] = 0
+    assert coord.read("f") == payload
+
+
+@fields
+def test_a_received_buffer_is_a_read_only_view_of_the_senders(w, monkeypatch):
+    payload = _payload()
+    received = []
+    send_to = Agent.send_to
+
+    def spying(self, other, name, rename, bus):
+        sent = self._resolve(name)
+        before = sent.copy()
+        send_to(self, other, name, rename, bus)
+        got = other.scratch[rename or name]
+        assert got.flags.writeable is False
+        assert sent.size == 0 or np.shares_memory(got, sent)  # by reference
+        if got.size:
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] ^= 1
+        assert np.array_equal(sent, before)
+        received.append(got)
+
+    monkeypatch.setattr(Agent, "send_to", spying)
+    for scheme in ("cr", "ir", "hmbr"):
+        coord = _system(w)
+        coord.write("f", payload)
+        for node in coord.layout[0].placement[:M]:
+            coord.crash_node(node)
+        res = coord.repair(RepairRequest(scheme=scheme))
+        assert res.ok and res.blocks_recovered > 0
+        assert coord.read("f") == payload and all(coord.scrub().values())
+    assert received
+
+
+@fields
+def test_no_two_nodes_hold_overlapping_blocks(w):
+    coord = _system(w)
+    coord.write("f", _payload(1))
+    coord.write("g", bytearray(_payload(2, NBYTES - 100)))
+
+    def assert_disjoint():
+        stored = _stored(coord)
+        for (n1, b1, a1), (n2, b2, a2) in combinations(stored, 2):
+            if n1 != n2:
+                assert not np.shares_memory(a1, a2), (n1, b1, n2, b2)
+
+    assert_disjoint()
+    coord.update("f", 10, bytes(range(200)))
+    assert_disjoint()
+    for node in coord.layout[0].placement[:M]:
+        coord.crash_node(node)
+    assert coord.repair(RepairRequest(scheme="hmbr")).ok
+    assert_disjoint()
+    assert coord.rebalance()["moves"] > 0
+    assert_disjoint()
+    assert all(coord.scrub().values())
+
+
+@fields
+def test_delete_lets_go_of_the_payload(w):
+    coord = _system(w)
+    payload = _payload()
+    before = sys.getrefcount(payload)
+    coord.write("f", payload)
+    if w == 8:
+        assert sys.getrefcount(payload) > before  # held by reference
+    coord.delete("f")
+    assert sys.getrefcount(payload) == before

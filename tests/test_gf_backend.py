@@ -801,7 +801,9 @@ def test_seam_verify_catches_a_corrupt_rebuilt_block(seam_field, monkeypatch):
     def corrupting_commit(self, sid, outputs, verify=True):
         if sid == victim:
             node, buf = next(iter(outputs.values()))
-            self.agents[node].scratch[buf][17] ^= 0x40
+            bad = self.agents[node].scratch[buf].copy()
+            bad[17] ^= 0x40
+            self.agents[node].scratch[buf] = bad
         return commit(self, sid, outputs, verify)
 
     monkeypatch.setattr(Coordinator, "commit_outputs", corrupting_commit)

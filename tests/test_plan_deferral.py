@@ -12,8 +12,11 @@ and free on every metadata-only route:
 * **Handed rounds** dispatched from an estimate repair bit-exact bytes.
 * **Frozen decisions.** A helper that dies after planning leaves the ops
   naming it; the fault runtime sees the dead node instead of a new plan.
+* **One graph check.** A byte round checks each task graph once, at
+  planning; a plan built outside ``plan_stripe`` is checked at its build.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -32,6 +35,8 @@ from repro.repair.multinode import plan_multi_node
 from repro.repair.plan import (
     ByteLowering, CombineOp, ConcatOp, RepairPlan, SliceOp, TransferOp,
 )
+from repro.repair import planner as planner_mod
+from repro.repair import validate
 from repro.repair.planner import SCHEMES
 from repro.repair.rackaware import plan_rack_aware_centralized, plan_tree_independent
 from repro.repair.singleblock import plan_chain, plan_ppr, plan_star
@@ -318,3 +323,45 @@ def test_a_deferred_build_holds_no_context_cluster_or_plan(case):
     held = list(_reachable(lowering))
     assert any(isinstance(o, Decisions) for o in held)
     assert not any(isinstance(o, (RepairContext, Cluster, RepairPlan)) for o in held)
+
+
+@pytest.fixture
+def graph_checks(monkeypatch):
+    """Count task-graph checks, wherever they are called from."""
+    calls = []
+    check = validate._check_task_graph_acyclic
+
+    def counting(plan):
+        calls.append(plan)
+        return check(plan)
+
+    monkeypatch.setattr(validate, "_check_task_graph_acyclic", counting)
+    monkeypatch.setattr(planner_mod, "_check_task_graph_acyclic", counting)
+    return calls
+
+
+def test_a_byte_round_checks_each_task_graph_once(graph_checks):
+    """A ``wide_repair``-shaped round: RS(32,8), 60 data nodes, 4 dead, HMBR
+    with verify on.  Planning checks each graph; building its ops does not
+    check it again."""
+    coord = make_system(n_data=60, n_spare=8, k=32, m=8, seed=5, block_bytes=256)
+    coord.write("f", payload(16 * 32 * 256, seed=5))
+    for node in range(4):
+        coord.crash_node(node)
+    res = coord.repair(RepairRequest())
+    assert res.ok and res.blocks_recovered > 0
+    assert len(graph_checks) == len(res.stripes_repaired) > 1
+    assert coord.read("f") == payload(16 * 32 * 256, seed=5)
+
+
+def test_a_plan_built_outside_plan_stripe_is_checked_before_its_first_op(graph_checks):
+    plan = plan_hybrid(_ctx(6, 3, 2), p=0.3)
+    assert graph_checks == []
+    assert plan.ops and len(graph_checks) == 1
+
+    cyclic = plan_hybrid(_ctx(6, 3, 2), p=0.3)
+    first = cyclic.tasks[0]
+    after = next(t for t in cyclic.tasks if first.task_id in t.deps)
+    cyclic.tasks[0] = dataclasses.replace(first, deps=(*first.deps, after.task_id))
+    with pytest.raises(validate.PlanValidationError, match="dependency cycle"):
+        cyclic.ops

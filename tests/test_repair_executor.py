@@ -66,10 +66,13 @@ def test_slice_transfer_combine_concat_pipeline():
 
 
 def test_transfer_copies_not_aliases():
+    """A received buffer is a read-only view: the receiver cannot write
+    through it into the sender's bytes."""
     ws = Workspace()
     ws.put(0, "a", np.zeros(16, dtype=np.uint8))
     PlanExecutor(ws).execute(empty_plan([TransferOp(0, 1, "a")]))
-    ws.get(1, "a")[0] = 99
+    with pytest.raises(ValueError, match="read-only"):
+        ws.get(1, "a")[0] = 99
     assert ws.get(0, "a")[0] == 0
 
 

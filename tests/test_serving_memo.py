@@ -2,10 +2,11 @@
 
 :meth:`ServingPlane.run` scans each stripe's readable blocks once per run
 and hashes each object once, then serves every later read of the run from
-that template; a write drops it.  These tests pin that the memoised run is
-indistinguishable from one that rebuilds the template before every op
-(byte for byte, bus count for bus count, float for float), that the
-template does no per-op work twice, and that it never outlives its run.
+that template; a write that lands drops only its object's entry.  These
+tests pin that the memoised run is indistinguishable from one that rebuilds
+the template before every op (byte for byte, bus count for bus count, float
+for float), that the template does no per-op work twice, and that it never
+outlives its run.
 """
 
 import gc
@@ -190,7 +191,7 @@ def test_the_template_never_outlives_its_run_or_serves_a_stale_read(monkeypatch)
 
 
 @pytest.mark.parametrize("lands", [True, False], ids=["applied", "refused"])
-def test_a_write_drops_the_template_whether_or_not_it_lands(lands, monkeypatch):
+def test_a_write_drops_only_its_objects_entry_when_it_lands(lands, monkeypatch):
     coord = _system(8)
     spec = _spec(0.0)
     plane = ServingPlane(coord, spec)
@@ -202,10 +203,36 @@ def test_a_write_drops_the_template_whether_or_not_it_lands(lands, monkeypatch):
             raise IOError("write touched a dead data node")
 
         monkeypatch.setattr(coord, "update", refuse)
-    template = {0: ({}, [], []), op.obj: (1, "digest")}
+    other = next(
+        spec.object_name(i) for i in range(spec.n_objects) if spec.object_name(i) != op.obj
+    )
+    template = {0: ({}, [], []), op.obj: (1, "digest"), other: (2, "other")}
+    kept = dict(template)
     ok, metered = plane._write_plan(op, template, None, "")
     assert ok is lands and (metered > 0) is lands
-    assert template == {}
+    if lands:
+        del kept[op.obj]
+    assert template == kept
+
+
+def test_a_mixed_run_scans_each_stripe_once():
+    """Writes leave every stripe scan standing: a mixed run builds one
+    template per stripe it reads (the whole-template drop built 66, hit 36)."""
+    coord = _system(8)
+    obs = Observability().attach(coord)
+    spec = WorkloadSpec(
+        n_objects=10, object_bytes=2 * K * BLOCK_BYTES, duration_s=20.0,
+        rate_ops_s=4.0, read_fraction=0.7, write_bytes=128, seed=17,
+    )
+    res = coord.serve(ServeRequest(spec))
+    reads = [o for o in res.outcomes if o.kind == "read"]
+    assert all(o.ok for o in res.outcomes) and len(reads) < len(res.outcomes)
+    stripes_read = sum(len(coord.files[o.obj][0]) for o in reads)
+    built = len({sid for o in reads for sid in coord.files[o.obj][0]})
+    counters = obs.metrics.snapshot()["counters"]
+    assert (counters["workload.read_templates"], counters["workload.read_template_hits"]) == (
+        built, stripes_read - built,
+    ) == (20, 82)
 
 
 def test_a_hit_reads_no_bytes_and_holds_a_fresh_reads_scan():

@@ -259,7 +259,9 @@ def _one_stripe_down(seed):
 def test_failed_verify_leaves_no_scratch_behind():
     coord = _one_stripe_down(seed=51)
     survivor = coord.layout.stripes[0].placement[1]
-    coord.agents[survivor].read_block("s0000/b01")[0] ^= 0xFF  # silent corruption
+    bad = coord.agents[survivor].read_block("s0000/b01").copy()
+    bad[0] ^= 0xFF  # silent corruption
+    coord.agents[survivor].store_block("s0000/b01", bad, overwrite=True)
     with pytest.raises(AssertionError, match="stripe 0"):
         coord.repair(RepairRequest())
     assert _held_scratch(coord) == 0
