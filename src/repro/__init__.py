@@ -14,8 +14,6 @@ Cloud Storage Systems with Wide-Stripe Erasure Coding"* (Yu et al., IPDPS
 * :mod:`repro.faults` — fault schedules, injection, and degraded repair,
 * :mod:`repro.sched` — concurrent repair jobs with admission control and
   weighted bandwidth sharing,
-* :mod:`repro.parallel` — the decode-pipelining model (stripes decode as
-  their flows land, on ``RepairRequest.workers`` lanes),
 * :mod:`repro.obs` — opt-in spans, metrics, and repair-timeline export,
 * :mod:`repro.workload` — seeded client load generation and the online
   serving plane (degraded reads under live repair traffic),
@@ -64,7 +62,6 @@ from repro.system import (
     Workspace,
 )
 from repro.sched import AdmissionPolicy, RepairJob, RepairScheduler, SchedulerReport
-from repro.parallel import PipelineReport
 from repro.faults import FaultInjector, FaultSchedule
 from repro.repair import BatchRepairEngine, PlanCache
 from repro.obs import MetricsRegistry, Observability, Tracer
@@ -112,7 +109,6 @@ __all__ = [
     "RepairJob",
     "RepairScheduler",
     "SchedulerReport",
-    "PipelineReport",
     "FaultInjector",
     "FaultSchedule",
     "MetricsRegistry",

@@ -19,7 +19,7 @@ from repro.analysis.reliability import (
     scheme_mttdl_comparison,
 )
 from repro.analysis.traffic import TrafficProfile, traffic_profile, compare_load_balance
-from repro.analysis.whatif import WidthPlan, max_width_under_slo, repair_time_at_width, slo_table
+from repro.analysis.whatif import slo_table
 
 __all__ = [
     "failure_ratio_exact",
@@ -37,8 +37,5 @@ __all__ = [
     "TrafficProfile",
     "traffic_profile",
     "compare_load_balance",
-    "WidthPlan",
-    "max_width_under_slo",
-    "repair_time_at_width",
     "slo_table",
 ]

@@ -16,7 +16,7 @@ from repro.experiments.common import build_scenario, transfer_time
 
 
 @dataclass
-class WidthPlan:
+class _WidthPlan:
     """Result of a width search for one scheme."""
 
     scheme: str
@@ -29,7 +29,7 @@ class WidthPlan:
         return self.max_k > 0
 
 
-def repair_time_at_width(
+def _repair_time_at_width(
     k: int,
     m: int,
     f: int,
@@ -51,7 +51,7 @@ def repair_time_at_width(
     return float(sum(times) / len(times))
 
 
-def max_width_under_slo(
+def _max_width_under_slo(
     slo_s: float,
     m: int,
     f: int,
@@ -60,7 +60,7 @@ def max_width_under_slo(
     k_max: int = 128,
     k_step: int = 2,
     **kwargs,
-) -> WidthPlan:
+) -> _WidthPlan:
     """Largest scanned k whose mean repair time meets the SLO.
 
     The trend of repair time in k is increasing but individual draws jitter
@@ -80,12 +80,12 @@ def max_width_under_slo(
     if ks[-1] != k_max:
         ks.append(k_max)
     for k in ks:
-        t = repair_time_at_width(k, m, f, scheme, **kwargs)
+        t = _repair_time_at_width(k, m, f, scheme, **kwargs)
         if t <= slo_s and k > best_k:
             best_k, best_t = k, t
     if best_k == 0:
-        return WidthPlan(scheme, 0, float("inf"), float("inf"))
-    return WidthPlan(scheme, best_k, best_t, (best_k + m) / best_k)
+        return _WidthPlan(scheme, 0, float("inf"), float("inf"))
+    return _WidthPlan(scheme, best_k, best_t, (best_k + m) / best_k)
 
 
 def slo_table(
@@ -98,7 +98,7 @@ def slo_table(
     """One row per scheme: widest stripe and redundancy under the SLO."""
     rows = []
     for scheme in schemes:
-        plan = max_width_under_slo(slo_s, m, f, scheme, **kwargs)
+        plan = _max_width_under_slo(slo_s, m, f, scheme, **kwargs)
         rows.append(
             {
                 "scheme": scheme,

@@ -10,7 +10,6 @@ from repro.ec.matrices import (
     cauchy_parity_matrix,
     systematic_cauchy_generator,
     systematic_vandermonde_generator,
-    vandermonde_matrix,
 )
 from repro.ec.rs import RSCode
 from repro.ec.lrc import LRCCode
@@ -24,7 +23,6 @@ __all__ = [
     "StripeLayout",
     "StripeMeta",
     "block_name",
-    "vandermonde_matrix",
     "cauchy_parity_matrix",
     "systematic_cauchy_generator",
     "systematic_vandermonde_generator",

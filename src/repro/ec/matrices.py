@@ -22,7 +22,7 @@ from repro.gf.field import GF, gf8
 from repro.gf.matrix import gf_identity, gf_inv, gf_matmul
 
 
-def vandermonde_matrix(rows: int, cols: int, field: GF = gf8) -> np.ndarray:
+def _vandermonde_matrix(rows: int, cols: int, field: GF = gf8) -> np.ndarray:
     """The rows x cols Vandermonde matrix ``V[i, j] = x_i^j`` with x_i = i.
 
     Evaluation points 0, 1, ..., rows-1 must be distinct, so rows <= 2^w.
@@ -64,7 +64,7 @@ def systematic_vandermonde_generator(k: int, m: int, field: GF = gf8) -> np.ndar
     """Systematic MDS generator matrix from a row-reduced Vandermonde matrix."""
     if k + m > field.size:
         raise ValueError(f"k + m = {k + m} exceeds field size 2^{field.w}")
-    v = vandermonde_matrix(k + m, k, field)
+    v = _vandermonde_matrix(k + m, k, field)
     top_inv = gf_inv(v[:k], field)
     g = gf_matmul(v, top_inv, field)
     # The top block is the identity by construction; enforce exactly to guard

@@ -26,11 +26,10 @@ system's code shape, or build a :class:`ReliabilitySpec` directly.  See
 ``docs/RELIABILITY.md`` for the model and the HMBR-vs-CR nines results.
 """
 
-from repro.reliability.events import EVENT_KINDS, Event, EventQueue
+from repro.reliability.events import Event, EventQueue
 from repro.reliability.lifetimes import (
     ComponentLifetimes,
     Weibull,
-    exponential_interval_hours,
 )
 from repro.reliability.simulator import (
     HOURS_PER_YEAR,
@@ -38,17 +37,13 @@ from repro.reliability.simulator import (
     ReliabilitySimulator,
     ReliabilitySpec,
     TrialResult,
-    sample_placements,
-    wilson_interval,
 )
-from repro.reliability.timing import RepairTimingModel, build_twin
+from repro.reliability.timing import RepairTimingModel
 
 __all__ = [
     "ComponentLifetimes",
     "Event",
     "EventQueue",
-    "EVENT_KINDS",
-    "exponential_interval_hours",
     "HOURS_PER_YEAR",
     "ReliabilityReport",
     "ReliabilitySimulator",
@@ -56,7 +51,4 @@ __all__ = [
     "RepairTimingModel",
     "TrialResult",
     "Weibull",
-    "build_twin",
-    "sample_placements",
-    "wilson_interval",
 ]

@@ -34,7 +34,7 @@ SCRUB = "scrub"
 #: a stripe crossed > m concurrent losses — log-only marker.
 LOSS = "loss"
 
-EVENT_KINDS = (FAIL, BURST, REPAIR_START, REPAIR_DONE, LSE, SCRUB, LOSS)
+_EVENT_KINDS = (FAIL, BURST, REPAIR_START, REPAIR_DONE, LSE, SCRUB, LOSS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +73,7 @@ class EventQueue:
         """Schedule ``kind`` at ``time_h`` (must be finite and >= 0)."""
         if not math.isfinite(time_h) or time_h < 0:
             raise ValueError(f"bad event time {time_h!r} for {kind!r}")
-        if kind not in EVENT_KINDS:
+        if kind not in _EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         heapq.heappush(self._heap, (time_h, self._seq, kind, node, eid, gen))
         self._seq += 1

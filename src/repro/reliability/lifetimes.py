@@ -63,7 +63,7 @@ class Weibull:
         return float(draw) if size is None else draw
 
 
-def exponential_interval_hours(rng: np.random.Generator, rate_per_hour: float) -> float:
+def _exponential_interval_hours(rng: np.random.Generator, rate_per_hour: float) -> float:
     """One exponential inter-arrival gap for a Poisson process."""
     if rate_per_hour <= 0:
         raise ValueError(f"rate must be > 0, got {rate_per_hour}")

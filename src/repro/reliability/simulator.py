@@ -46,7 +46,7 @@ _LOSS_RECORD_CAP = 1000
 _EVENT_LOG_CAP = 200_000
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def _wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
     Behaves sensibly at the extremes (0 or n successes give non-degenerate
@@ -64,7 +64,7 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def sample_placements(
+def _sample_placements(
     rng: np.random.Generator, n_stripes: int, width: int, n_nodes: int
 ) -> np.ndarray:
     """Uniform distinct-node placements, chunked for millions of stripes.
@@ -301,7 +301,7 @@ class ReliabilitySimulator:
                 1 for t in trials
                 if t.first_loss_year is not None and t.first_loss_year <= y
             )
-            lo, hi = wilson_interval(lost, spec.n_trials)
+            lo, hi = _wilson_interval(lost, spec.n_trials)
             p_loss.append(lost / spec.n_trials)
             p_lo.append(lo)
             p_hi.append(hi)
@@ -314,7 +314,7 @@ class ReliabilitySimulator:
         mttdl = observed_years / n_losses if n_losses else None
         stripes_lost = sum(t.stripes_lost for t in trials)
         exposure = spec.n_trials * spec.n_stripes
-        _, p_ub = wilson_interval(stripes_lost, exposure)
+        _, p_ub = _wilson_interval(stripes_lost, exposure)
         report = ReliabilityReport(
             spec=spec,
             trials=trials,
@@ -356,7 +356,7 @@ class ReliabilitySimulator:
         )
 
         width = spec.width
-        placement = sample_placements(rng_place, spec.n_stripes, width, spec.n_nodes)
+        placement = _sample_placements(rng_place, spec.n_stripes, width, spec.n_nodes)
         node_rows = _node_rows(placement, spec.n_nodes)
 
         failed = np.zeros(spec.n_stripes, dtype=np.int16)

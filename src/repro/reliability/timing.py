@@ -7,7 +7,7 @@ per scheme (CR / IR / HMBR), per failure multiplicity, scaled by how many
 stripes the failed node touched and how many repairs are already in
 flight.  Two modes:
 
-* ``"exact"`` — every repair event builds a small :func:`build_twin`
+* ``"exact"`` — every repair event builds a small :func:`_build_twin`
   coordinator from the current macro state and runs the metadata-only
   fast path (:meth:`Coordinator.plan_repair
   <repro.system.coordinator.Coordinator.plan_repair>`) on it; with
@@ -36,7 +36,7 @@ LOAD_GRID = (1, 2, 4)
 _LOAD_STRIPES = 4
 
 
-def build_twin(
+def _build_twin(
     *,
     k: int,
     m: int,
@@ -168,7 +168,7 @@ class RepairTimingModel:
         the same fluid solve, which is exactly the fast-path contract.
         """
         spec = self.spec
-        coord = build_twin(
+        coord = _build_twin(
             k=spec.k,
             m=spec.m,
             metas=metas,
@@ -245,7 +245,7 @@ class RepairTimingModel:
             )
             for r in range(n_stripes)
         ]
-        coord = build_twin(
+        coord = _build_twin(
             k=spec.k,
             m=spec.m,
             metas=metas,
@@ -301,7 +301,7 @@ class RepairTimingModel:
         n_nodes = c_max + pool
 
         def merged_makespan(c: int) -> float:
-            coord = build_twin(
+            coord = _build_twin(
                 k=spec.k,
                 m=spec.m,
                 metas=[meta for g in range(c) for meta in groups[g]],

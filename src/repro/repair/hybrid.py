@@ -64,7 +64,6 @@ def plan_hybrid(
     """
     if center is None:
         center = default_center(ctx, center_policy)
-    model = repair_model(ctx, center=center, chain_order=chain_order)
     cr_part, ir_part = whole_block(ctx, center, chain_order)
     if p is not None:
         p0 = float(p)
@@ -73,7 +72,7 @@ def plan_hybrid(
     elif split == "volume":
         p0 = volume_split(ctx, center=center, chain_order=chain_order)
     elif split == "theorem1":
-        p0 = model.p0
+        p0 = repair_model(ctx, center=center, chain_order=chain_order).p0
     else:
         raise ValueError(f"unknown split {split!r} (use 'search', 'volume' or 'theorem1')")
     if not 0.0 <= p0 <= 1.0:
@@ -91,10 +90,6 @@ def plan_hybrid(
         meta={
             "p0": p0,
             "split": "override" if p is not None else split,
-            "theorem1_p0": model.p0,
-            "model_t_cr": model.t_cr,
-            "model_t_ir": model.t_ir,
-            "model_t_hmbr": model.t_hmbr,
             "center": center,
             "chain_order": chain_order,
             "survivors": list(d.survivors),

@@ -7,13 +7,12 @@ simulation in which jobs share bandwidth by priority weight.  See
 """
 
 from repro.sched.admission import AdmissionController, AdmissionPolicy
-from repro.sched.job import PRIORITY_WEIGHTS, RepairJob, weight_for
+from repro.sched.job import RepairJob, weight_for
 from repro.sched.scheduler import RepairEta, RepairScheduler, SchedulerReport
 
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
-    "PRIORITY_WEIGHTS",
     "RepairEta",
     "RepairJob",
     "RepairScheduler",

@@ -9,7 +9,7 @@ event, or a subset of them) flowing through the queue of
         `-> failed              `-> failed
 
 Priority classes map to weighted-fair-share weights
-(:data:`PRIORITY_WEIGHTS`): a foreground degraded-read repair outweighs a
+(:data:`_PRIORITY_WEIGHTS`): a foreground degraded-read repair outweighs a
 normal repair 4:1 on every shared link, and a background rebalance gets a
 quarter share — exactly the :attr:`repro.simnet.flows.Flow.weight`
 semantics the fluid simulator's weighted max-min allocator implements.
@@ -36,7 +36,7 @@ _TRANSITIONS: dict[str, frozenset[str]] = {
 }
 
 #: priority class -> fair-share weight for every flow of the job's plans.
-PRIORITY_WEIGHTS: dict[str, float] = {
+_PRIORITY_WEIGHTS: dict[str, float] = {
     "foreground": 4.0,
     "normal": 1.0,
     "background": 0.25,
@@ -92,9 +92,9 @@ class RepairJob:
     error: str | None = None
 
     def __post_init__(self) -> None:
-        if self.priority not in PRIORITY_WEIGHTS:
+        if self.priority not in _PRIORITY_WEIGHTS:
             raise ValueError(
-                f"unknown priority {self.priority!r}; choose from {sorted(PRIORITY_WEIGHTS)}"
+                f"unknown priority {self.priority!r}; choose from {sorted(_PRIORITY_WEIGHTS)}"
             )
         if self.weight <= 0:
             raise ValueError(f"job {self.job_id}: weight must be positive")
@@ -131,8 +131,8 @@ def weight_for(priority: str, override: float | None = None) -> float:
             raise ValueError("weight override must be positive")
         return float(override)
     try:
-        return PRIORITY_WEIGHTS[priority]
+        return _PRIORITY_WEIGHTS[priority]
     except KeyError:
         raise ValueError(
-            f"unknown priority {priority!r}; choose from {sorted(PRIORITY_WEIGHTS)}"
+            f"unknown priority {priority!r}; choose from {sorted(_PRIORITY_WEIGHTS)}"
         ) from None

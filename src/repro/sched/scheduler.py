@@ -22,7 +22,7 @@ Key invariants:
   the real wave only when every input it was planned from compares equal,
   so it is the round the real call would have built.
 * **Weighted sharing** — a job's priority class maps to a flow weight
-  (:data:`~repro.sched.job.PRIORITY_WEIGHTS`); concurrent jobs split
+  (:data:`~repro.sched.job._PRIORITY_WEIGHTS`); concurrent jobs split
   shared links in proportion to those weights, and jobs with disjoint
   footprints finish as if running alone.
 * **Fault tolerance** — with a fault injector, each admitted job runs

@@ -333,7 +333,7 @@ class Coordinator:
         adaptive re-planning, or the concurrent scheduler::
 
             coord.repair(RepairRequest())                        # hmbr round
-            coord.repair(RepairRequest(scheme="cr", workers=4))  # + pipelining model
+            coord.repair(RepairRequest(scheme="cr"))             # cr round
             coord.repair(RepairRequest(faults=schedule))         # degraded
             coord.repair([RepairRequest(priority="foreground"),
                           RepairRequest(priority="background")]) # scheduled
@@ -375,12 +375,11 @@ class Coordinator:
         :meth:`RepairScheduler.run_requests
         <repro.sched.scheduler.RepairScheduler.run_requests>`.
         """
-        for name in ("adaptive", "predict_network"):
-            if any(getattr(r, name) for r in reqs):
-                raise ValueError(
-                    f"{name}=True does not compose with scheduled requests "
-                    "(a request list, or priority/weight/arrival_s/stripes)"
-                )
+        if any(r.adaptive for r in reqs):
+            raise ValueError(
+                "adaptive=True does not compose with scheduled requests "
+                "(a request list, or priority/weight/arrival_s/stripes)"
+            )
         nets = [r.network for r in reqs if r.network is not None]
         if any(n != nets[0] for n in nets[1:]):
             raise ValueError(
@@ -404,43 +403,17 @@ class Coordinator:
         simulated together so shared links contend, and centers are spread
         with the §IV-C LFS+LRS scheduler.  ``events`` (materialized from the
         request's :class:`~repro.simnet.network.NetworkTrace`) perturb the
-        timing simulation only; ``predict_network`` additionally searches
-        the common HMBR split against them.
-
-        ``workers > 1`` additionally models chunk-level decode pipelining
-        on that many decode workers against the simulated transfer finishes,
-        from the GF seconds the agents metered per stripe.  The byte plane
-        does not read it: combines always run inline (``docs/PARALLEL.md``).
+        timing simulation only.
         """
         before = self.meter()
-        workers = req.workers
-        rnd, compute_s, makespan, per_stripe = self._run_round(
+        rnd, makespan, per_stripe = self._run_round(
             req.scheme,
             ("repair", "repair"),
             events=events,
-            split_events=events if req.predict_network else (),
             dispatch=lambda rnd: self.dispatch_round(rnd, req.verify),
         )
-        pipeline = None
-        plan_summary = {}
-        if workers > 1 and compute_s:
-            from repro.parallel.pipeline import repair_pipeline
-
-            # measured GF seconds rescale from the stored ``block_bytes`` to
-            # the modeled ``block_size_mb`` (the planes' usual decoupling)
-            pipeline = repair_pipeline(
-                per_stripe,
-                compute_s,
-                workers,
-                cost_scale=self.block_size_mb * (1 << 20) / self.block_bytes,
-                tracer=self.obs.tracer if self.obs is not None else None,
-            )
-            plan_summary["pipeline_saved_s"] = pipeline.saved_s
-            if self.obs is not None:
-                self.obs.metrics.gauge("parallel.pipeline_saved_s").set(pipeline.saved_s)
         return self.round_result(
-            req, before, rnd.plans, makespan, per_stripe, rnd.replacement_of,
-            plan_summary, workers=workers, pipeline=pipeline,
+            req, before, rnd.plans, makespan, per_stripe, rnd.replacement_of, {}
         )
 
     def plan_repair(
@@ -481,7 +454,7 @@ class Coordinator:
         the reservation must be explicit).  Raises like :meth:`repair` on
         unknown schemes or insufficient spares.
         """
-        rnd, _, makespan, per_stripe = self._run_round(
+        rnd, makespan, per_stripe = self._run_round(
             scheme,
             ("plan_repair", "plan"),
             stripes=stripes,
@@ -513,7 +486,6 @@ class Coordinator:
         *,
         stripes=None,
         events=(),
-        split_events=(),
         dispatch=None,
         commit: bool = True,
     ):
@@ -523,9 +495,9 @@ class Coordinator:
         metadata-only fast path), in which case ``commit`` decides whether
         the round's *metadata* effects apply — placements move, spares are
         reserved, the center scheduler stays advanced — or everything is
-        rolled back.  Returns ``(round plan, dispatch result, makespan,
-        per-stripe finish)``; a round with nothing to repair is empty and
-        costs nothing.
+        rolled back.  Returns ``(round plan, makespan, per-stripe
+        finish)``; a round with nothing to repair is empty and costs
+        nothing.
         """
         check_scheme(scheme)
         dead = self.cluster.dead_ids()
@@ -534,15 +506,16 @@ class Coordinator:
             wanted = set(stripes)
             affected = {sid: b for sid, b in affected.items() if sid in wanted}
         if not affected:
-            return RoundPlan({}, {}, []), None, 0.0, {}
+            return RoundPlan({}, {}, []), 0.0, {}
         name, cat = span
         snap = None if commit else self.center_scheduler.snapshot()
         try:
             with self.span(
                 name, cat, scheme=scheme, dead_nodes=list(dead), stripes=sorted(affected)
             ):
-                rnd = self.plan_round(scheme, affected, events=split_events)
-                out = dispatch(rnd) if dispatch is not None else None
+                rnd = self.plan_round(scheme, affected)
+                if dispatch is not None:
+                    dispatch(rnd)
                 makespan, per_stripe, _ = self.time_plans(
                     rnd.plans, events, traced=dispatch is not None
                 )
@@ -554,7 +527,7 @@ class Coordinator:
         finally:
             if snap is not None:
                 self.center_scheduler.restore(snap)
-        return rnd, out, makespan, per_stripe
+        return rnd, makespan, per_stripe
 
     # -------------------------------------------------------------- #
     # the repair core: plan -> commit -> time (shared by every route)
@@ -565,7 +538,6 @@ class Coordinator:
         affected: dict[int, list[int]],
         *,
         replacement_of: dict[int, int] | None = None,
-        events=(),
         lazy: bool = False,
     ) -> RoundPlan:
         """:func:`repro.repair.planner.plan_round` over this system's state.
@@ -581,7 +553,6 @@ class Coordinator:
                 block_size_mb=self.block_size_mb,
                 free_spares=self.free_spares() if replacement_of is None else (),
                 replacement_of=replacement_of,
-                events=events,
                 lazy=lazy,
             )
             if span is not None:
@@ -608,15 +579,10 @@ class Coordinator:
         if verify:
             self.verify_stripe(sid)
 
-    def dispatch_round(self, rnd: RoundPlan, verify: bool) -> dict[int, float]:
+    def dispatch_round(self, rnd: RoundPlan, verify: bool) -> None:
         """Healthy data plane for a planned round, one stripe at a time:
-        run the plan's ops, commit its outputs, drop its scratch.
-
-        Returns stripe id -> the GF seconds the agents metered for it.
-        """
-        compute_s: dict[int, float] = {}
+        run the plan's ops, commit its outputs, drop its scratch."""
         for sid, plan in rnd.plans:
-            metered = sum(a.compute_seconds for a in self.agents.values())
             try:
                 with self.span(
                     f"stripe:{sid}", "dispatch",
@@ -626,8 +592,6 @@ class Coordinator:
                     self.commit_outputs(sid, plan.outputs, verify)
             finally:
                 self.clear_scratch()
-            compute_s[sid] = sum(a.compute_seconds for a in self.agents.values()) - metered
-        return compute_s
 
     def clear_scratch(self) -> None:
         """Drop every agent's in-flight buffers.  Scratch shadows stored blocks,

@@ -11,8 +11,7 @@ Routing is derived from the request, never named by the caller:
   concurrent scheduler (one job per request; pass a *list* of requests
   for a contending batch);
 * ``adaptive`` → drift-watched re-planning rounds;
-* otherwise → a plain healthy round; ``workers > 1`` adds the decode
-  pipelining model to its report.
+* otherwise → a plain healthy round.
 
 Every route plans through :func:`repro.repair.planner.plan_round`; see
 ``docs/ARCHITECTURE.md`` for the three calls each route makes.
@@ -45,10 +44,7 @@ class RepairRequest:
     * **data plane** — ``verify`` (post-repair parity check).  Every
       request executes its scheme's plan op by op with inline combines, so
       bytes on the bus and repaired blocks are the plan's, whatever else is
-      set.  ``workers > 1`` adds the chunk-level decode pipelining model on
-      that many decode workers to a plain round's report
-      (:attr:`RepairResult.pipeline`); scheduled rounds do not read it.
-      ``batched`` is accepted and selects nothing: it once switched to a
+      set.  ``batched`` is accepted and selects nothing: it once switched to a
       CR-shaped bypass that is gone, and stays only because
       ``benchmarks/e2e/workloads.py`` still passes it;
     * **scheduling** — ``priority``/``weight``/``arrival_s`` route through
@@ -61,23 +57,16 @@ class RepairRequest:
       timing simulation; with ``adaptive=True`` the run re-plans the
       remaining volume whenever observed flow rates drift more than
       ``drift_threshold`` from the plan-time prediction (at most
-      ``max_replans`` times).  ``predict_network=True`` instead keeps the
-      plan static but searches HMBR's split against the predicted
-      trajectory.
+      ``max_replans`` times).
 
     ``faults`` routes the data plane through the journaled fault runtime,
-    so it composes with scheduling but not with ``workers > 1``
-    (validation rejects the combination rather than silently dropping the
-    pipelining model).  ``adaptive`` likewise rejects ``workers > 1``/
-    ``faults``/scheduler fields: the re-planner owns its own round
-    structure.  ``predict_network`` is rejected beside ``adaptive`` or
-    ``faults`` for the same reason: neither route reads it.
+    so it composes with scheduling.  ``adaptive`` rejects ``faults`` and
+    the scheduler fields: the re-planner owns its own round structure.
     """
 
     scheme: str = "hmbr"
     stripes: tuple[int, ...] | None = None
     batched: bool = False
-    workers: int = 1
     verify: bool = True
     # ---- scheduling ----
     priority: str = "normal"
@@ -94,7 +83,6 @@ class RepairRequest:
     adaptive: bool = False
     drift_threshold: float = 0.2
     max_replans: int = 8
-    predict_network: bool = False
 
     def __post_init__(self) -> None:
         check_scheme(self.scheme)
@@ -102,9 +90,6 @@ class RepairRequest:
             raise ValueError(
                 f"unknown priority {self.priority!r}; choose from {sorted(_PRIORITIES)}"
             )
-        if int(self.workers) < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        object.__setattr__(self, "workers", int(self.workers))
         if self.arrival_s < 0:
             raise ValueError("arrival_s must be non-negative")
         if self.weight is not None and self.weight <= 0:
@@ -112,16 +97,6 @@ class RepairRequest:
         if self.stripes is not None:
             object.__setattr__(
                 self, "stripes", tuple(int(s) for s in self.stripes)
-            )
-        if self.faults is not None and self.workers > 1:
-            raise ValueError(
-                "faults route through the journaled fault runtime; it has no "
-                "decode pipelining model (use workers=1)"
-            )
-        if self.predict_network and (self.adaptive or self.faults is not None):
-            raise ValueError(
-                "predict_network=True searches a plain round's HMBR split; "
-                "the adaptive and fault routes plan their own rounds"
             )
         if self.network is not None:
             from repro.simnet.network import as_network
@@ -138,11 +113,6 @@ class RepairRequest:
                 raise ValueError(
                     f"adaptive repair supports {ADAPTIVE_SCHEMES}, "
                     f"not {self.scheme!r}"
-                )
-            if self.workers > 1:
-                raise ValueError(
-                    "adaptive repair re-plans per stripe; it has no decode "
-                    "pipelining model (use workers=1)"
                 )
             if self.faults is not None:
                 raise ValueError(
@@ -221,15 +191,12 @@ class RepairResult:
     #: measured GF compute seconds across all agents.
     compute_s_total: float
     #: route accounting: rounds/replans/retries (faulted, adaptive), waves
-    #: (scheduled), ``pipeline_saved_s`` (``workers > 1``).
+    #: (scheduled).
     plan_summary: dict = dc_field(default_factory=dict)
     #: per-job outcomes (exactly one entry unless the scheduler ran).
     jobs: list[JobOutcome] = dc_field(default_factory=list)
     per_stripe_transfer_s: dict[int, float] = dc_field(default_factory=dict)
     replacements: dict[int, int] = dc_field(default_factory=dict)
-    workers: int = 1
-    #: chunk-level decode pipelining model (``workers > 1`` only).
-    pipeline: Any = None
     #: the route-specific report the run produced internally.
     report: FaultRepairReport | AdaptiveReport | SchedulerReport | None = None
 

@@ -30,7 +30,6 @@ from repro.workload.pipeline import (
     chunk_slices,
     chunked_read_tasks,
     decode_chunked,
-    read_pipeline_report,
 )
 from repro.workload.serving import OpOutcome, ServeRequest, ServeResult, ServingPlane
 
@@ -48,5 +47,4 @@ __all__ = [
     "chunked_read_tasks",
     "decode_chunked",
     "object_payload",
-    "read_pipeline_report",
 ]

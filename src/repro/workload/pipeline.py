@@ -21,10 +21,9 @@ This module holds the three reusable pieces the serving plane composes:
   sub-flows chained per block (streaming: chunk ``c`` of a block ships
   after chunk ``c-1``, preserving the block's total transfer time under
   fluid sharing) and per-chunk decode :class:`~repro.simnet.flows.
-  DelayTask`\\ s chained on the gateway's single decode lane.  That chain
-  *is* :func:`repro.parallel.pipeline_schedule` with ``workers=1`` —
-  :func:`read_pipeline_report` replays the post-sim ready/cost pairs
-  through it to report the barrier-vs-pipelined saving.
+  DelayTask`\\ s chained on the gateway's single decode lane;
+  :func:`read_pipeline_saved_s` replays the post-sim ready/cost pairs
+  through that one lane to report the barrier-vs-pipelined saving.
 
 With ``chunks=1`` the emitted task ids and topology are exactly PR 6's
 barrier model, so every existing golden number is the degenerate case.
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.parallel.pipeline import PipelineReport, pipeline_schedule
 from repro.simnet.flows import DelayTask, Flow
 
 
@@ -173,8 +171,7 @@ def chunked_read_tasks(
     early.  Per chunk, one decode :class:`~repro.simnet.flows.DelayTask`
     (``n_missing * chunk_mb / decode_mbps`` seconds at the gateway)
     depends on that chunk's sub-flows plus the previous chunk's decode:
-    the gateway's single decode lane, i.e. ``pipeline_schedule(...,
-    workers=1)`` materialized as simulator tasks.
+    the gateway's single decode lane, materialized as simulator tasks.
 
     With a single slice the emitted ids (``{prefix}s{sid}:b{b}``,
     ``{prefix}dec{sid}``) and topology are exactly the pre-chunking
@@ -225,15 +222,20 @@ def chunked_read_tasks(
     )
 
 
-def read_pipeline_report(ready_s, cost_s) -> PipelineReport:
-    """Pipelined-vs-barrier comparison for one stripe's chunk decodes.
+def read_pipeline_saved_s(ready_s, cost_s) -> float:
+    """Simulated seconds one stripe's chained chunk decodes saved.
 
     ``ready_s[c]`` is when chunk ``c``'s survivor sub-flows finished in
     the merged simulation; ``cost_s[c]`` its modeled decode cost.  The
-    gateway decodes on one lane, so this is
-    :func:`~repro.parallel.pipeline_schedule` with ``workers=1``: the
-    report's ``saved_s`` is exactly how much earlier the chained decode
-    finished than the barrier model (fetch everything, then decode).
+    gateway decodes on one lane, chunks in ``(ready, index)`` order, each
+    as soon as it and the lane are free; the barrier model starts once the
+    last chunk is ready and decodes them all back to back.
     """
-    ready = list(ready_s)
-    return pipeline_schedule(list(range(len(ready))), ready, list(cost_s), 1)
+    ready, cost = list(ready_s), list(cost_s)
+    done = 0.0
+    for c in sorted(range(len(ready)), key=lambda c: (ready[c], c)):
+        done = max(ready[c], done) + cost[c]
+    barrier = max(ready, default=0.0)
+    for c in cost:
+        barrier += c
+    return max(barrier - done, 0.0)

@@ -74,7 +74,7 @@ from repro.workload.pipeline import (
     chunk_slices,
     chunked_read_tasks,
     decode_chunked,
-    read_pipeline_report,
+    read_pipeline_saved_s,
 )
 
 
@@ -670,8 +670,8 @@ class ServingPlane:
                 )
             )
         # Replay every degraded stripe's per-chunk (ready, cost) pairs
-        # through the single-lane pipeline model: saved_s is how much
-        # earlier the chained decode finished than the barrier would have.
+        # through the single decode lane: the saving is how much earlier
+        # the chained decode finished than the barrier would have.
         pipeline_saved = 0.0
         chunk_rows = []
         for rec in records:
@@ -684,8 +684,7 @@ class ServingPlane:
                     )
                     for ids in plan.flow_ids
                 ]
-                rep = read_pipeline_report(ready, plan.cost_s)
-                pipeline_saved += rep.saved_s
+                pipeline_saved += read_pipeline_saved_s(ready, plan.cost_s)
                 chunk_rows.append((op, plan))
         reads = [o for o in outcomes if o.kind == "read"]
         done = [o for o in reads if o.ok]

@@ -258,8 +258,6 @@ def test_adaptive_request_validation():
     with pytest.raises(ValueError):
         RepairRequest(adaptive=True, scheme="rack-hmbr")
     with pytest.raises(ValueError):
-        RepairRequest(adaptive=True, workers=2)
-    with pytest.raises(ValueError):
         RepairRequest(adaptive=True, drift_threshold=0.0)
     with pytest.raises(ValueError):
         RepairRequest(adaptive=True, max_replans=-1)

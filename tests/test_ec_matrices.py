@@ -9,14 +9,14 @@ from repro.ec.matrices import (
     cauchy_parity_matrix,
     systematic_cauchy_generator,
     systematic_vandermonde_generator,
-    vandermonde_matrix,
+    _vandermonde_matrix,
 )
 from repro.gf.field import GF, gf8
 from repro.gf.matrix import gf_identity, gf_rank
 
 
 def test_vandermonde_shape_and_first_column():
-    v = vandermonde_matrix(9, 6)
+    v = _vandermonde_matrix(9, 6)
     assert v.shape == (9, 6)
     assert (v[:, 0] == 1).all()
     # row i is powers of i
@@ -26,7 +26,7 @@ def test_vandermonde_shape_and_first_column():
 
 def test_vandermonde_any_k_rows_invertible():
     k = 4
-    v = vandermonde_matrix(8, k)
+    v = _vandermonde_matrix(8, k)
     for rows in itertools.combinations(range(8), k):
         assert gf_rank(v[list(rows)], gf8) == k
 
@@ -69,7 +69,7 @@ def test_field_size_limits():
     with pytest.raises(ValueError):
         systematic_vandermonde_generator(250, 10)
     with pytest.raises(ValueError):
-        vandermonde_matrix(300, 4)
+        _vandermonde_matrix(300, 4)
     # but fine in GF(2^16)
     g = systematic_cauchy_generator(250, 10, GF(16))
     assert g.shape == (260, 250)

@@ -46,15 +46,13 @@ def test_subpackage_exports_importable():
     import repro.faults as faults
     import repro.gf as gf
     import repro.obs as obs
-    import repro.parallel as parallel
     import repro.repair as repair
     import repro.sched as sched
     import repro.simnet as simnet
     import repro.system as system
 
     modules = (
-        analysis, cluster, ec, faults, gf, obs, parallel, repair, sched,
-        simnet, system,
+        analysis, cluster, ec, faults, gf, obs, repair, sched, simnet, system,
     )
     for module in modules:
         assert module.__all__, f"{module.__name__} must declare __all__"

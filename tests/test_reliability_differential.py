@@ -23,11 +23,8 @@ import numpy as np
 import pytest
 
 from repro.gf.field import GF
-from repro.reliability import (
-    ReliabilitySimulator,
-    ReliabilitySpec,
-    build_twin,
-)
+from repro.reliability import ReliabilitySimulator, ReliabilitySpec
+from repro.reliability.timing import _build_twin
 from repro.repair.plan import flow_signature
 from repro.system.request import RepairRequest
 from tests.seeds import DEFAULT_MASTER_SEED, seed_fanout
@@ -72,8 +69,8 @@ def _random_case(seed, field_w):
 def test_fast_path_matches_byte_repair(case_seed, field_w):
     case = _random_case(case_seed + field_w, field_w)
     for scheme in SCHEMES:
-        meta_coord = build_twin(**case, materialize=False)
-        byte_coord = build_twin(**case, materialize=True)
+        meta_coord = _build_twin(**case, materialize=False)
+        byte_coord = _build_twin(**case, materialize=True)
 
         timing = meta_coord.plan_repair(scheme)
         byte_plan = byte_coord.plan_repair(scheme)
@@ -92,8 +89,8 @@ def test_fast_path_matches_byte_repair(case_seed, field_w):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_commit_reproduces_byte_repair_metadata(scheme):
     case = _random_case(DEFAULT_MASTER_SEED, 8)
-    meta_coord = build_twin(**case, materialize=False)
-    byte_coord = build_twin(**case, materialize=True)
+    meta_coord = _build_twin(**case, materialize=False)
+    byte_coord = _build_twin(**case, materialize=True)
 
     meta_coord.plan_repair(scheme, commit=True)
     byte_coord.repair(RepairRequest(scheme=scheme))

@@ -18,10 +18,9 @@ from repro.reliability import (
     ReliabilitySimulator,
     ReliabilitySpec,
     Weibull,
-    exponential_interval_hours,
-    sample_placements,
-    wilson_interval,
 )
+from repro.reliability.lifetimes import _exponential_interval_hours
+from repro.reliability.simulator import _sample_placements, _wilson_interval
 from tests.seeds import DEFAULT_MASTER_SEED, seed_fanout
 
 SMALL = dict(
@@ -72,7 +71,7 @@ class TestWeibull:
         with pytest.raises(ValueError):
             Weibull(shape=1.0, mttf_hours=-1.0)
         with pytest.raises(ValueError):
-            exponential_interval_hours(np.random.default_rng(0), 0.0)
+            _exponential_interval_hours(np.random.default_rng(0), 0.0)
 
 
 class TestComponentLifetimes:
@@ -148,19 +147,19 @@ class TestEventQueue:
 class TestPlacements:
     def test_rows_sorted_distinct_in_range(self):
         rng = np.random.default_rng(11)
-        p = sample_placements(rng, 500, width=6, n_nodes=20)
+        p = _sample_placements(rng, 500, width=6, n_nodes=20)
         assert p.shape == (500, 6)
         assert p.min() >= 0 and p.max() < 20
         assert (np.diff(p, axis=1) > 0).all()  # sorted => distinct
 
     def test_deterministic(self):
-        a = sample_placements(np.random.default_rng(5), 200, 5, 15)
-        b = sample_placements(np.random.default_rng(5), 200, 5, 15)
+        a = _sample_placements(np.random.default_rng(5), 200, 5, 15)
+        b = _sample_placements(np.random.default_rng(5), 200, 5, 15)
         assert (a == b).all()
 
     def test_width_must_fit(self):
         with pytest.raises(ValueError):
-            sample_placements(np.random.default_rng(0), 1, 10, 5)
+            _sample_placements(np.random.default_rng(0), 1, 10, 5)
 
 
 # --------------------------------------------------------------------- #
@@ -168,18 +167,18 @@ class TestPlacements:
 # --------------------------------------------------------------------- #
 class TestWilson:
     def test_zero_successes_still_bounded_away_from_zero(self):
-        lo, hi = wilson_interval(0, 100)
+        lo, hi = _wilson_interval(0, 100)
         assert lo == 0.0 and 0.0 < hi < 0.1
 
     def test_contains_point_estimate_and_orders(self):
-        lo, hi = wilson_interval(30, 100)
+        lo, hi = _wilson_interval(30, 100)
         assert lo < 0.3 < hi
         # more successes shift the interval up
-        lo2, hi2 = wilson_interval(60, 100)
+        lo2, hi2 = _wilson_interval(60, 100)
         assert lo2 > lo and hi2 > hi
 
     def test_degenerate_n(self):
-        assert wilson_interval(0, 0) == (0.0, 1.0)
+        assert _wilson_interval(0, 0) == (0.0, 1.0)
 
 
 # --------------------------------------------------------------------- #

@@ -143,8 +143,6 @@ def test_hmbr_meta_records_model(fig2):
     plan = plan_hybrid(fig2, split="theorem1")
     m = repair_model(fig2)
     assert plan.meta["p0"] == pytest.approx(m.p0)
-    assert plan.meta["model_t_cr"] == pytest.approx(m.t_cr)
-    assert plan.meta["model_t_ir"] == pytest.approx(m.t_ir)
 
 
 def test_hmbr_invalid_split_rejected(fig2):

@@ -256,14 +256,17 @@ def test_repair_package_never_imports_the_system():
 
 def test_deleted_data_plane_names_are_gone():
     """The workspace batch executor (PR 15), the coordinator's batched bypass
-    with its compute back-charge (PR 16) and the process pool with its engine
-    and knobs (PR 20) were deleted, not deprecated."""
+    with its compute back-charge (PR 16), the process pool with its engine
+    and knobs (PR 20) and the decode-lane list schedule with the round's
+    split-events path were deleted, not deprecated."""
     gone = (
         "execute_" + "batch", "Batch" + "RepairRequest", "Batch" + "ExecutionReport",
         "_dispatch_" + "batched", "charge_" + "compute",
         "Worker" + "Pool", "Parallel" + "RepairEngine", "Pool" + "Stats", "Shard" + "Stat",
         "resolve_" + "workers", "DEFAULT_MIN_" + "PARALLEL_COLS", "shard_" + "bounds",
         "min_parallel_" + "cols",
+        "repair_" + "pipeline", "pipeline_" + "schedule", "Pipeline" + "Report",
+        "Pipeline" + "Slot", "split_" + "events",
     )
     hits = [
         f"{path.relative_to(REPO)}: {name}"

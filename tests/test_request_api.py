@@ -24,7 +24,7 @@ from tests.test_system_batch import build_system, snapshot
 def test_request_defaults_are_todays_behavior():
     req = RepairRequest()
     assert req.scheme == "hmbr" and req.verify
-    assert req.workers == 1 and req.priority == "normal"
+    assert req.priority == "normal"
     assert not req.needs_scheduler()
 
 
@@ -33,13 +33,14 @@ def test_request_defaults_are_todays_behavior():
     [
         {"scheme": "raid6"},
         {"priority": "urgent"},
-        {"workers": 0},
         {"arrival_s": -1.0},
         {"weight": 0.0},
-        {"faults": object(), "workers": 2},
-        # neither route reads predict_network: refuse it, never drop it
-        {"adaptive": True, "predict_network": True},
-        {"faults": FaultSchedule.empty(), "predict_network": True},
+        {"drift_threshold": 0.0},
+        {"max_replans": -1},
+        # the re-planner owns its round: refuse a fault schedule or a
+        # scheduler field beside it, never drop either
+        {"adaptive": True, "faults": FaultSchedule.empty()},
+        {"adaptive": True, "stripes": (0,)},
     ],
 )
 def test_request_rejects_bad_fields(kwargs):
@@ -47,9 +48,9 @@ def test_request_rejects_bad_fields(kwargs):
         RepairRequest(**kwargs)
 
 
-def test_request_normalizes_stripes_and_workers():
-    req = RepairRequest(stripes=[3, 1], workers=2.0)
-    assert req.stripes == (3, 1) and isinstance(req.workers, int)
+def test_request_normalizes_stripes():
+    req = RepairRequest(stripes=[3, 1])
+    assert req.stripes == (3, 1)
     assert req.needs_scheduler()  # restricting stripes implies queueing
 
 
@@ -184,22 +185,20 @@ def _plan_transfer_bytes(plans, block_bytes, word_bytes=8):
 
 @pytest.mark.parametrize("scheme", ["cr", "ir", "hmbr", "mlf", "rack-hmbr"])
 def test_every_request_moves_its_plans_bytes(scheme):
-    """The agents execute the scheme's plan, whatever ``batched`` / ``workers``
-    say: the bus carries exactly the plan's transfers (CR-shaped shipping
-    for every scheme was the deleted bypass) and the stores end identical."""
+    """The agents execute the scheme's plan, whatever ``batched`` says: the
+    bus carries exactly the plan's transfers (CR-shaped shipping for every
+    scheme was the deleted bypass) and the stores end identical."""
     reference = None
     for batched in (False, True):
-        for workers in (1, 2):
-            coord = _twin()
-            planned = coord.plan_repair(scheme)
-            res = coord.repair(RepairRequest(scheme=scheme, batched=batched, workers=workers))
-            assert res.bytes_moved == _plan_transfer_bytes(planned.plans, coord.block_bytes)
-            assert res.makespan_s == pytest.approx(planned.makespan_s, abs=1e-9)
-            assert res.workers == workers and (res.pipeline is not None) == (workers > 1)
-            assert all(coord.scrub().values())
-            state = (snapshot(coord), _store_bytes(coord), res.bytes_moved)
-            reference = reference or state
-            assert state == reference
+        coord = _twin()
+        planned = coord.plan_repair(scheme)
+        res = coord.repair(RepairRequest(scheme=scheme, batched=batched))
+        assert res.bytes_moved == _plan_transfer_bytes(planned.plans, coord.block_bytes)
+        assert res.makespan_s == pytest.approx(planned.makespan_s, abs=1e-9)
+        assert all(coord.scrub().values())
+        state = (snapshot(coord), _store_bytes(coord), res.bytes_moved)
+        reference = reference or state
+        assert state == reference
 
 
 def test_fault_request_exposes_the_runtime_report():
@@ -240,9 +239,9 @@ def test_request_list_runs_contending_jobs():
     assert sorted(res.stripes_repaired) == affected
 
 
-@pytest.mark.parametrize("field", ["adaptive", "predict_network"])
+@pytest.mark.parametrize("field", ["adaptive"])
 def test_request_list_rejects_round_only_fields(field):
-    """Neither composes with scheduler jobs: refuse, never silently ignore."""
+    """It does not compose with scheduler jobs: refuse, never silently ignore."""
     coord = build_system()
     coord.crash_node(3)
     req = RepairRequest(network=NetworkTrace.quiet(), **{field: True})

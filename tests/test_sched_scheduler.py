@@ -32,7 +32,7 @@ from repro.sched.job import (
     FAILED,
     QUEUED,
     RUNNING,
-    PRIORITY_WEIGHTS,
+    _PRIORITY_WEIGHTS,
     RepairJob,
     weight_for,
 )
@@ -149,7 +149,7 @@ def test_job_validation():
 
 
 def test_priority_weights():
-    assert weight_for("foreground") == PRIORITY_WEIGHTS["foreground"] == 4.0
+    assert weight_for("foreground") == _PRIORITY_WEIGHTS["foreground"] == 4.0
     assert weight_for("normal") == 1.0
     assert weight_for("background") == 0.25
     assert weight_for("background", override=2.5) == 2.5

@@ -41,8 +41,8 @@ from repro.workload import (
     chunk_slices,
     chunked_read_tasks,
     decode_chunked,
-    read_pipeline_report,
 )
+from repro.workload.pipeline import read_pipeline_saved_s
 from tests.seeds import DEFAULT_MASTER_SEED, seed_fanout
 
 CASE_SEEDS = seed_fanout(DEFAULT_MASTER_SEED, 5)
@@ -269,13 +269,22 @@ def test_chunked_tasks_chain_fetch_and_decode():
     assert abs(sum(plan.cost_s) - 2 * 32.0 / 64.0) < 1e-12
 
 
-def test_read_pipeline_report_single_lane_semantics():
-    """The savings model is pipeline_schedule(workers=1) exactly."""
-    rep = read_pipeline_report([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-    assert rep.workers == 1
-    assert rep.makespan_s == 4.0  # chained: 1->2, 2->3, 3->4
-    assert rep.barrier_makespan_s == 6.0  # all ready at 3, then 3 decodes
-    assert rep.saved_s == 2.0
+@pytest.mark.parametrize(
+    "ready, cost, saved",
+    [
+        # chained 1->2, 2->3, 3->4 against all ready at 3, then 3 decodes
+        ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 2.0),
+        # ready out of index order: decoded in ready order, done at 4
+        ([3.0, 0.0, 1.0, 2.0], [1.0] * 4, 3.0),
+        # equal ready times: the lane serializes either way, nothing saved
+        ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], 0.0),
+        ([], [], 0.0),
+    ],
+    ids=["staggered", "unordered", "equal-ready", "empty"],
+)
+def test_read_pipeline_saved_s_single_lane(ready, cost, saved):
+    """One decode lane: the chained decode against the barrier model."""
+    assert read_pipeline_saved_s(ready, cost) == saved
 
 
 # ------------------------------------------------------------------ #

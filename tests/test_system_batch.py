@@ -1,5 +1,5 @@
-"""The small twin-able system (`build_system` / `snapshot`) the request,
-parallel and data-plane tests share, plus where the healthy round's fused
+"""The small twin-able system (`build_system` / `snapshot`) the request
+and data-plane tests share, plus where the healthy round's fused
 combines are metered and traced.
 
 Removed with the coordinator's batched bypass, and where each checked
@@ -8,12 +8,10 @@ behaviour lives now that `batched` selects nothing:
 * `test_batched_repair_bit_exact_with_per_stripe[hmbr|cr|ir]`,
   `test_batched_repair_verifies_stripes`: batched and per-stripe are the
   same code; same stores, makespan and clean scrub for every scheme x
-  `batched` x `workers` is `tests/test_request_api.py::
+  `batched` is `tests/test_request_api.py::
   test_every_request_moves_its_plans_bytes`.
 * `test_batched_repair_bit_exact_after_fault_storm`: repairs following a
-  storm are checked against a twin by `tests/test_parallel_engine.py::
-  test_parallel_repair_bit_exact_after_fault_storm` and bit-exact by the
-  chaos harness.
+  storm are checked bit-exact by the chaos harness.
 * `test_plan_cache_reused_across_storms`: the round no longer consults the
   `PlanCache`; its hit/miss/eviction accounting is `tests/test_batch_repair.py`.
 * `test_batched_repair_emits_obs_spans_and_metrics`: `dispatch-batch` is
@@ -29,7 +27,7 @@ behaviour lives now that `batched` selects nothing:
   cache are deleted), and since PR 20 neither does anything else: the process
   pool is gone and `tests/test_repo_artifacts.py::
   test_deleted_data_plane_names_are_gone` pins that nothing under `src/`
-  imports `multiprocessing`, so a `workers > 1` round is inline by construction.
+  imports `multiprocessing`, so every round's combines are inline by construction.
 """
 
 import numpy as np

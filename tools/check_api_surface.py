@@ -42,7 +42,6 @@ PUBLIC_MODULES = [
     "repro.gf",
     "repro.gf.backend",
     "repro.obs",
-    "repro.parallel",
     "repro.reliability",
     "repro.repair",
     "repro.sched",
