@@ -79,13 +79,11 @@ def _build_twin(
     )
     from repro.gf.field import gf8
 
-    gf = gf8 if field is None else field
     coord = Coordinator(
         cluster,
-        RSCode(k, m, gf),
+        RSCode(k, m, gf8 if field is None else field),
         block_bytes=block_bytes,
         block_size_mb=block_size_mb,
-        field_=gf,
         rng=0,
     )
     for j, d in enumerate(dead):
@@ -98,11 +96,13 @@ def _build_twin(
             )
         )
     payload_rng = np.random.default_rng(payload_seed) if materialize else None
+    dtype = np.dtype(coord.code.field.dtype)
+    shape = (k, block_bytes * dtype.itemsize)
     for meta in metas:
         stripe = meta.to_stripe()
         coord.layout.add(stripe)
         if materialize:
-            blocks = payload_rng.integers(0, 256, size=(k, block_bytes), dtype=np.uint8)
+            blocks = payload_rng.integers(0, 256, size=shape, dtype=np.uint8).view(dtype)
             for b, block in enumerate([*blocks, *coord.code.encode(blocks)]):
                 coord.agents[stripe.placement[b]].store_block(block_name(stripe.stripe_id, b), block)
     for d in dead:

@@ -37,7 +37,6 @@ from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.ec.stripe import Stripe, StripeLayout, block_name
 from repro.gf import matmul
-from repro.gf.field import GF, gf8
 from repro.repair.batch import PlanCache
 from repro.repair.multinode import CenterScheduler
 from repro.repair.planner import RoundPlan, check_scheme, plan_round
@@ -68,7 +67,6 @@ class Coordinator:
         code: RSCode,
         block_bytes: int = 1 << 16,
         block_size_mb: float = 64.0,
-        field_: GF = gf8,
         heartbeat_timeout: float = 30.0,
         rng: np.random.Generator | int = 0,
     ):
@@ -78,13 +76,12 @@ class Coordinator:
         self.code = code
         self.block_bytes = block_bytes
         self.block_size_mb = block_size_mb
-        self.field = field_
         self.rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
         #: the stripe table: ``layout[sid]`` -> :class:`~repro.ec.stripe.Stripe`.
         self.layout = StripeLayout()
         self.files: dict[str, tuple[list[int], int]] = {}  # name -> (stripe ids, length)
         self.agents: dict[int, Agent] = {
-            i: Agent(i, field_) for i in cluster.node_ids()
+            i: Agent(i, code.field) for i in cluster.node_ids()
         }
         self.monitor = HeartbeatMonitor(timeout=heartbeat_timeout)
         for i in cluster.node_ids():
@@ -124,7 +121,7 @@ class Coordinator:
     def add_spare(self, node: Node) -> None:
         """Register an empty node usable as a repair target."""
         self.cluster.add_node(node)
-        self.agents[node.node_id] = Agent(node.node_id, self.field)
+        self.agents[node.node_id] = Agent(node.node_id, self.code.field)
         self.monitor.register(node.node_id)
         self.bus.rack_of[node.node_id] = node.rack
         self.spares.append(node.node_id)
@@ -159,34 +156,32 @@ class Coordinator:
         placement = [candidates[i] for i in idx]
         self.layout.add(Stripe(sid, self.code.k, self.code.m, placement))
         if blocks is not None:
-            blocks = np.asarray(blocks, dtype=self.code.field.dtype)
             for b, block in enumerate([*blocks, *self.code.encode(blocks)]):
                 self.agents[placement[b]].store_block(block_name(sid, b), block)
         return sid
 
     def write(self, name: str, data: bytes | np.ndarray) -> WriteReceipt:
-        """Erasure-code ``data`` into stripes and distribute the blocks: a
-        ``bytes`` payload by reference (read-only views of it), any other
-        buffer copied once (on GF(2^16) the widening is that copy)."""
+        """Erasure-code ``data`` into stripes and distribute the blocks: its
+        bytes *viewed* as field elements (``block_bytes * itemsize`` bytes a
+        block), a ``bytes`` payload by reference, any other buffer copied
+        once, and only a short tail stripe zero-padded into its own array."""
         if name in self.files:
             raise KeyError(f"file {name!r} already exists")
-        buf = np.frombuffer(data, dtype=np.uint8) if isinstance(data, bytes) else np.asarray(data, dtype=np.uint8)
-        buf = buf.reshape(-1)
-        if not isinstance(data, bytes) or buf.dtype != self.code.field.dtype:
-            buf = buf.astype(self.code.field.dtype)
-        k = self.code.k
-        stripe_payload = k * self.block_bytes
+        if isinstance(data, bytes):
+            buf = np.frombuffer(data, dtype=np.uint8)
+        else:
+            buf = np.array(data, dtype=np.uint8).reshape(-1)
+        k, dtype = self.code.k, self.code.field.dtype
+        stripe_payload = k * self.block_bytes * np.dtype(dtype).itemsize
         padded = int(np.ceil(max(buf.size, 1) / stripe_payload)) * stripe_payload
         candidates = self.data_nodes()
         stripe_ids = []
-        # stripe-sized views of the stored buffer; only a short tail stripe
-        # is zero-padded into its own array
         for off in range(0, padded, stripe_payload):
             chunk = buf[off : off + stripe_payload]
             if chunk.size < stripe_payload:
-                chunk = np.concatenate((chunk, np.zeros(stripe_payload - chunk.size, buf.dtype)))
+                chunk = np.concatenate((chunk, np.zeros(stripe_payload - chunk.size, np.uint8)))
             stripe_ids.append(
-                self._new_stripe(candidates, chunk.reshape(k, self.block_bytes))
+                self._new_stripe(candidates, chunk.view(dtype).reshape(k, self.block_bytes))
             )
         self.files[name] = (stripe_ids, buf.size)
         return WriteReceipt(name, buf.size, stripe_ids, padded)
@@ -207,19 +202,20 @@ class Coordinator:
         — the substrate the reliability differential suite compares across.
         With ``materialize=True`` each stripe's payload comes from a
         separate ``payload_seed`` stream (so payload generation cannot
-        perturb placement), is erasure-coded, and lands on the agents
-        exactly as :meth:`write` would store it.  Returns the new stripe
-        ids; the stripes belong to no file.
+        perturb placement), is viewed, erasure-coded and stored exactly as
+        :meth:`write` would store it.  Returns the new stripe ids; the
+        stripes belong to no file.
         """
         if n_stripes < 0:
             raise ValueError(f"n_stripes must be >= 0, got {n_stripes}")
         candidates = self.data_nodes()
         payload_rng = np.random.default_rng(payload_seed) if materialize else None
-        shape = (self.code.k, self.block_bytes)
+        dtype = np.dtype(self.code.field.dtype)
+        shape = (self.code.k, self.block_bytes * dtype.itemsize)
         return [
             self._new_stripe(
                 candidates,
-                payload_rng.integers(0, 256, size=shape, dtype=np.uint8)
+                payload_rng.integers(0, 256, size=shape, dtype=np.uint8).view(dtype)
                 if materialize
                 else None,
             )
@@ -229,10 +225,11 @@ class Coordinator:
     def read(self, name: str) -> bytes:
         """Read a file back, transparently decoding around lost blocks.
 
-        A block is lost when its node is dead, it is absent, or it is not
-        one block of field elements long (the shape and dtype
-        :meth:`verify_stripe` checks); a stripe with fewer than ``k``
-        readable blocks raises ``IOError``.
+        Joins the data blocks' bytes, cut at the written length.  A block is
+        lost when its node is dead, it is absent, or it is not one block of
+        field elements long (the shape and dtype :meth:`verify_stripe`
+        checks); a stripe with fewer than ``k`` readable blocks raises
+        ``IOError``.
         """
         if name not in self.files:
             raise KeyError(f"unknown file {name!r}")
@@ -255,14 +252,13 @@ class Coordinator:
                     raise IOError(f"stripe {sid} unrecoverable: {len(available)} blocks left")
                 available.update(self.code.decode(available, missing))
             blocks += (available[b] for b in range(self.code.k))
-        # one pass, one copy: join the block buffers, the tail cut at
-        # ``length``, one payload byte per data element as write stored them
+        # one pass, one copy: join the blocks' bytes, the tail cut at ``length``
         parts, left = [], length
         for block in blocks:
             if left <= 0:
                 break
-            parts.append(np.ascontiguousarray(block[:left], dtype=np.uint8))
-            left -= len(block)
+            parts.append(block.view(np.uint8)[:left])
+            left -= parts[-1].size
         return b"".join(parts)
 
     def serve(self, request):
@@ -740,8 +736,9 @@ class Coordinator:
         if offset < 0 or offset + len(patch) > length:
             raise ValueError("update range outside the file")
         patch_arr = np.frombuffer(patch, dtype=np.uint8)
-        k = self.code.k
-        stripe_payload = k * self.block_bytes
+        k, itemsize = self.code.k, np.dtype(self.code.field.dtype).itemsize
+        block_payload = self.block_bytes * itemsize
+        stripe_payload = k * block_payload
         # validate every touched data block's host before mutating anything,
         # so a patch straddling a dead node fails without a partial write
         spans = []  # (stripe, data block index, block byte range, new bytes)
@@ -749,9 +746,8 @@ class Coordinator:
         while pos < len(patch_arr):
             abs_off = offset + pos
             stripe = self.layout[stripe_ids[abs_off // stripe_payload]]
-            block_idx = (abs_off % stripe_payload) // self.block_bytes
-            lo = abs_off % self.block_bytes
-            hi = min(self.block_bytes, lo + len(patch_arr) - pos)
+            block_idx, lo = divmod(abs_off % stripe_payload, block_payload)
+            hi = min(block_payload, lo + len(patch_arr) - pos)
             node = stripe.placement[block_idx]
             if not self.agents[node].alive:
                 raise IOError(f"cannot update block on dead node {node}")
@@ -764,13 +760,17 @@ class Coordinator:
             agent = self.agents[node]
             bname = block_name(sid, block_idx)
             new = agent.read_block(bname).copy()
-            delta = new[lo:hi] ^ piece
-            new[lo:hi] = piece
+            # the elements the bytes touch (a GF(2^16) word patched in part)
+            lo_e, hi_e = lo // itemsize, -(-hi // itemsize)
+            span = new[lo_e:hi_e]
+            delta = span.copy()
+            new.view(np.uint8)[lo:hi] = piece
+            delta ^= span
             agent.store_block(bname, new, overwrite=True)
             # only the patched span travels: one (m, 1) x (1, span) product
             # scales the delta for every parity node at once
             scaled = matmul(
-                self.code.generator[k:, block_idx : block_idx + 1], delta[None, :], self.field
+                self.code.generator[k:, block_idx : block_idx + 1], delta[None, :], self.code.field
             )
             for j in range(self.code.m):
                 pnode = stripe.placement[k + j]
@@ -779,7 +779,7 @@ class Coordinator:
                     continue  # parity will be rebuilt by repair later
                 pname = block_name(sid, k + j)
                 parity = pagent.read_block(pname).copy()
-                parity[lo:hi] ^= scaled[j]
+                parity[lo_e:hi_e] ^= scaled[j]
                 pagent.store_block(pname, parity, overwrite=True)
                 self.bus.record(node, pnode, delta.nbytes)
                 deltas.append((sid, block_idx, j, node, pnode))
