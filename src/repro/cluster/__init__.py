@@ -8,17 +8,10 @@ the network simulator (:mod:`repro.simnet`) and the repair planners
 
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
-from repro.cluster.bandwidth import (
-    BandwidthDataset,
-    make_wld,
-    WLD_PRESETS,
-    load_bandwidth_csv,
-    save_bandwidth_csv,
-)
+from repro.cluster.bandwidth import BandwidthDataset, make_wld, WLD_PRESETS
 from repro.cluster.placement import place_stripes_random
 from repro.cluster.failure import FailureInjector, PowerOutage
 from repro.cluster.probing import measure_bandwidths, noisy_cluster
-from repro.cluster.datasets import canonical_wld, load_wld, materialize_datasets
 
 __all__ = [
     "Node",
@@ -26,14 +19,9 @@ __all__ = [
     "BandwidthDataset",
     "make_wld",
     "WLD_PRESETS",
-    "load_bandwidth_csv",
-    "save_bandwidth_csv",
     "place_stripes_random",
     "FailureInjector",
     "PowerOutage",
     "measure_bandwidths",
     "noisy_cluster",
-    "canonical_wld",
-    "load_wld",
-    "materialize_datasets",
 ]

@@ -14,9 +14,7 @@ so the configured gap is exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -112,26 +110,3 @@ def make_wld(
     up = _sample(distribution, n, lo, hi, rng)
     down = up.copy() if symmetric else _sample(distribution, n, lo, hi, rng)
     return BandwidthDataset(name, up, down, gap_value, distribution, seed)
-
-
-def save_bandwidth_csv(dataset: BandwidthDataset, path: str | Path) -> None:
-    """Persist a dataset in the same shape as the paper's GitHub CSVs."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "uplink_mbps", "downlink_mbps"])
-        for i, (u, d) in enumerate(zip(dataset.uplinks, dataset.downlinks)):
-            writer.writerow([i, f"{u:.4f}", f"{d:.4f}"])
-
-
-def load_bandwidth_csv(path: str | Path, name: str | None = None) -> BandwidthDataset:
-    """Load a dataset saved by :func:`save_bandwidth_csv`."""
-    path = Path(path)
-    ups, downs = [], []
-    with path.open() as fh:
-        for row in csv.DictReader(fh):
-            ups.append(float(row["uplink_mbps"]))
-            downs.append(float(row["downlink_mbps"]))
-    up, down = np.array(ups), np.array(downs)
-    gap = max(up.max(), down.max()) / min(up.min(), down.min())
-    return BandwidthDataset(name or path.stem, up, down, gap, "csv", seed=-1)

@@ -15,9 +15,8 @@ generation bit for bit on the same seed (pinned by
 drops from ``n_paths * n_steps`` to ``n_steps``.
 
 The public entry point for trace generation is
-:meth:`repro.simnet.network.NetworkTrace.ou`; the module-level
-:func:`bandwidthou_trace_events` survives as a deprecation shim that routes
-through the same implementation.
+:meth:`repro.simnet.network.NetworkTrace.ou`, which lowers its paths
+through :func:`ou_trace_events`.
 """
 
 from __future__ import annotations

@@ -7,11 +7,11 @@ The paper's headline comparison: under the 8x bandwidth gap at
 
 from __future__ import annotations
 
+from repro.cluster.bandwidth import WLD_PRESETS
 from repro.experiments.common import averaged_transfer_time, format_table
 
 #: The (k, m, f) points plotted in Figure 8.
 DEFAULT_GRID = [(6, 3, 2), (9, 3, 3), (12, 4, 4), (32, 8, 8), (64, 8, 8), (64, 16, 16)]
-DEFAULT_WLDS = ["WLD-2x", "WLD-4x", "WLD-8x"]
 SCHEMES = ["cr", "ir", "hmbr"]
 
 
@@ -22,7 +22,7 @@ def run(
     block_size_mb: float = 64.0,
 ) -> list[dict]:
     grid = grid or DEFAULT_GRID
-    wlds = wlds or DEFAULT_WLDS
+    wlds = wlds or list(WLD_PRESETS)
     rows = []
     for wld in wlds:
         for k, m, f in grid:

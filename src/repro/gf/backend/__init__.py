@@ -27,7 +27,6 @@ against every other.  See ``docs/KERNELS.md``.
 """
 
 from repro.gf.backend.base import (
-    ENV_VAR,
     BackendUnavailable,
     KernelBackend,
     available_backends,
@@ -45,7 +44,6 @@ register_backend(NativeBackend())
 register_backend(NumpyBackend())
 
 __all__ = [
-    "ENV_VAR",
     "BackendUnavailable",
     "KernelBackend",
     "NumpyBackend",

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.gf.field import GF
 
 #: environment variable naming the backend to force (empty/unset = auto).
-ENV_VAR = "REPRO_GF_BACKEND"
+_ENV_VAR = "REPRO_GF_BACKEND"
 
 
 class BackendUnavailable(RuntimeError):
@@ -167,7 +167,7 @@ def select_backend(w: int = 8, override: str | None = None) -> KernelBackend:
     read on every call, so a changed ``REPRO_GF_BACKEND`` takes effect at
     once.
     """
-    name = override if override is not None else os.environ.get(ENV_VAR) or None
+    name = override if override is not None else os.environ.get(_ENV_VAR) or None
     backend = _SELECTED.get((w, name))
     if backend is None:
         backend = _SELECTED[w, name] = _select(w, name)

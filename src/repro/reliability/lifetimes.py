@@ -63,13 +63,6 @@ class Weibull:
         return float(draw) if size is None else draw
 
 
-def _exponential_interval_hours(rng: np.random.Generator, rate_per_hour: float) -> float:
-    """One exponential inter-arrival gap for a Poisson process."""
-    if rate_per_hour <= 0:
-        raise ValueError(f"rate must be > 0, got {rate_per_hour}")
-    return float(rng.exponential(1.0 / rate_per_hour))
-
-
 class ComponentLifetimes:
     """Per-component independent lifetime substreams.
 

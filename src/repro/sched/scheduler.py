@@ -74,12 +74,8 @@ class SchedulerReport:
     waves: int
     #: total simulated time across all waves.
     makespan_s: float
-    #: job id -> simulated finish time (on the scheduler-global clock).
-    per_job_finish_s: dict[str, float]
     blocks_recovered: int
     bytes_on_wire_mb_model: float
-    #: jobs still queued when the call returned (always 0 today).
-    queue_depth_after: int
     #: total fluid-solver rate recomputations across all waves.
     n_rate_updates: int
     #: task id -> simulated finish time for every foreground task merged
@@ -243,7 +239,7 @@ class RepairScheduler:
         one merged :class:`~repro.simnet.fluid.FluidSimulator` pass in which
         the jobs' flows contend at their priority weights.  Wave ``i + 1``
         starts at the simulated instant wave ``i`` finished, so
-        ``per_job_finish_s`` values live on one global clock.
+        every job's ``finish_s`` lives on one global clock.
 
         ``faults`` (a :class:`~repro.faults.schedule.FaultSchedule`, a
         prepared :class:`~repro.faults.injector.FaultInjector`, or a
@@ -465,12 +461,8 @@ class RepairScheduler:
             jobs=list(run),
             waves=waves,
             makespan_s=offset,
-            per_job_finish_s={
-                j.job_id: j.finish_s for j in run if j.finish_s is not None
-            },
             blocks_recovered=sum(j.blocks_recovered for j in run),
             bytes_on_wire_mb_model=sum(j.bytes_on_wire_mb_model for j in run),
-            queue_depth_after=len(self._queue),
             n_rate_updates=n_updates,
             foreground_finish_s=fg_finish,
         )
