@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from repro.gf.backend import ENV_VAR, available_backends
+from repro.gf.backend import available_backends
+from repro.gf.backend.base import _ENV_VAR
 from repro.system.request import RepairRequest
 from repro.workload import ServingPlane, WorkloadGenerator, WorkloadSpec, object_payload
 
@@ -90,7 +91,7 @@ def test_serving_survives_fault_storm(chaos_system, chaos_seed, monkeypatch):
         # chunk count and every GF kernel tier
         chunks = int(rng.integers(1, 9))
         backend = str(rng.choice(available_backends(coord.code.field.w)))
-        monkeypatch.setenv(ENV_VAR, backend)
+        monkeypatch.setenv(_ENV_VAR, backend)
         plane = ServingPlane(coord, spec, chunks=chunks)
         res = plane.run(repair=repair)
         assert res.chunks == chunks

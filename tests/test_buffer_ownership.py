@@ -2,9 +2,9 @@
 
 The data plane's one ownership rule, pinned over GF(2^8) and GF(2^16):
 ``write`` keeps a ``bytes`` payload by reference (its data blocks are
-read-only views of it, or of its one widened copy), copies every other
-buffer once, and a transfer hands the receiver a read-only view of the
-sender's array.  No copy is made where nothing could write, so no stored
+read-only views of it, its bytes viewed as field elements), copies every
+other buffer once, and a transfer hands the receiver a read-only view of
+the sender's array.  No copy is made where nothing could write, so no stored
 block may share memory with a block on another node, and deleting a file
 lets go of its payload.
 """
@@ -24,18 +24,18 @@ from repro.system.agent import Agent
 from repro.system.coordinator import Coordinator
 from repro.system.request import RepairRequest
 
-K, M, BLOCK_BYTES, N_DATA, N_SPARE, STRIPES = 4, 2, 512, 9, 3, 3
+K, M, BLOCK_BYTES, N_DATA, N_SPARE, STRIPES = 4, 2, 512, 9, 3, 4
+#: whole stripes on both fields: 4 of GF(2^8), 2 of GF(2^16)
 NBYTES = STRIPES * K * BLOCK_BYTES
 
 fields = pytest.mark.parametrize("w", [8, 16], ids=["gf8", "gf16"])
 
 
 def _system(w):
-    field = GF(w)
     nodes = [Node(i, 100.0, 100.0) for i in range(N_DATA + N_SPARE)]
     coord = Coordinator(
-        Cluster(nodes[:N_DATA]), RSCode(K, M, field), block_bytes=BLOCK_BYTES,
-        block_size_mb=8.0, field_=field, rng=7,
+        Cluster(nodes[:N_DATA]), RSCode(K, M, GF(w)), block_bytes=BLOCK_BYTES,
+        block_size_mb=8.0, rng=7,
     )
     for node in nodes[N_DATA:]:
         coord.add_spare(node)
@@ -74,12 +74,10 @@ def test_a_bytes_write_stores_read_only_views_of_the_payload(w):
         assert not block.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             block[0] = 1
-    if w == 8:  # by reference: every data block is the payload's own memory
-        assert all(np.shares_memory(block, raw) for block in blocks)
-    else:  # the widening is the one copy: every data block is a view of it
-        assert not any(np.shares_memory(block, raw) for block in blocks)
-        assert len({id(block.base) for block in blocks}) == 1
-        assert blocks[0].base.nbytes == 2 * NBYTES
+    # by reference on both fields: every data block is the payload's memory,
+    # one stored byte per payload byte
+    assert all(np.shares_memory(block, raw) for block in blocks)
+    assert sum(block.nbytes for block in blocks) == NBYTES
     assert coord.read("f") == payload
 
 
@@ -162,7 +160,6 @@ def test_delete_lets_go_of_the_payload(w):
     payload = _payload()
     before = sys.getrefcount(payload)
     coord.write("f", payload)
-    if w == 8:
-        assert sys.getrefcount(payload) > before  # held by reference
+    assert sys.getrefcount(payload) > before  # held by reference
     coord.delete("f")
     assert sys.getrefcount(payload) == before

@@ -7,9 +7,7 @@ from repro.cluster.bandwidth import (
     BASE_MAX_BANDWIDTH,
     WLD_PRESETS,
     BandwidthDataset,
-    load_bandwidth_csv,
     make_wld,
-    save_bandwidth_csv,
 )
 
 
@@ -83,12 +81,3 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         BandwidthDataset("x", np.array([0.0]), np.array([1.0]), 2, "normal", 0)
 
-
-def test_csv_roundtrip(tmp_path):
-    ds = make_wld(20, "WLD-4x", seed=9)
-    path = tmp_path / "wld4.csv"
-    save_bandwidth_csv(ds, path)
-    loaded = load_bandwidth_csv(path, name="WLD-4x")
-    assert loaded.name == "WLD-4x"
-    assert np.allclose(loaded.uplinks, ds.uplinks, atol=1e-3)
-    assert np.allclose(loaded.downlinks, ds.downlinks, atol=1e-3)

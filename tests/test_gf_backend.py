@@ -30,7 +30,6 @@ import pytest
 from repro.ec.rs import RSCode
 from repro.gf import GF, gf_matmul
 from repro.gf.backend import (
-    ENV_VAR,
     BackendUnavailable,
     KernelBackend,
     NativeBackend,
@@ -41,6 +40,7 @@ from repro.gf.backend import (
     resolve_backend,
     select_backend,
 )
+from repro.gf.backend.base import _ENV_VAR
 from repro.repair.batch import BatchRepairEngine, StripeBatchItem
 from repro.workload.pipeline import decode_chunked
 
@@ -85,22 +85,22 @@ def test_incapable_override_raises():
 
 
 def test_env_var_override_wins(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "numpy")
+    monkeypatch.setenv(_ENV_VAR, "numpy")
     assert select_backend(8).name == "numpy"
-    monkeypatch.setenv(ENV_VAR, "definitely-not-a-backend")
+    monkeypatch.setenv(_ENV_VAR, "definitely-not-a-backend")
     with pytest.raises(BackendUnavailable):
         select_backend(8)
-    monkeypatch.setenv(ENV_VAR, "")  # empty = unset = auto
+    monkeypatch.setenv(_ENV_VAR, "")  # empty = unset = auto
     assert select_backend(8).name == available_backends(8)[0]
 
 
 def test_argument_override_beats_env(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "definitely-not-a-backend")
+    monkeypatch.setenv(_ENV_VAR, "definitely-not-a-backend")
     assert select_backend(8, override="numpy").name == "numpy"
 
 
 def test_resolve_backend_accepts_name_instance_none(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+    monkeypatch.delenv(_ENV_VAR, raising=False)
     field = GF(8)
     auto = resolve_backend(None, field)
     assert auto.name == available_backends(8)[0]
@@ -147,7 +147,7 @@ def test_flipping_the_env_var_between_two_matmuls_switches_tier(monkeypatch, req
     want = gf_matmul(mat, plane, GF(8))
     flips = ["numpy", "flip-probe", "numpy", "flip-probe"]
     for name in flips:
-        monkeypatch.setenv(ENV_VAR, name)
+        monkeypatch.setenv(_ENV_VAR, name)
         assert np.array_equal(repro.gf.matmul(mat, plane, GF(8)), want)
     assert used == flips
 
@@ -479,7 +479,7 @@ def test_matmul_rows_is_the_selected_backends_rows_form(monkeypatch):
     mat = rng.integers(0, 256, size=(3, 4)).astype(np.uint8)
     rows = list(rng.integers(0, 256, size=(4, 77)).astype(np.uint8))
     for name in BACKENDS_8:
-        monkeypatch.setenv(ENV_VAR, name)
+        monkeypatch.setenv(_ENV_VAR, name)
         out = matmul_rows(mat, rows, field)
         assert all(np.array_equal(o, w) for o, w in zip(out, gf_matmul(mat, np.stack(rows), field)))
 
@@ -575,7 +575,7 @@ def test_decode_chunked_differential_across_backends(w, chunks):
 
 
 def test_engine_reports_selected_backend(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+    monkeypatch.delenv(_ENV_VAR, raising=False)
     code = RSCode(4, 2)
     auto = BatchRepairEngine(code)
     assert auto.stats()["backend"] == available_backends(8)[0]
@@ -584,7 +584,7 @@ def test_engine_reports_selected_backend(monkeypatch):
 
 
 def test_engine_honors_env_override(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "numpy")
+    monkeypatch.setenv(_ENV_VAR, "numpy")
     assert BatchRepairEngine(RSCode(4, 2)).stats()["backend"] == "numpy"
 
 
@@ -608,7 +608,7 @@ def seam_field(request, monkeypatch, tmp_path):
 
     w, name = request.param
     if name == "no-compiler":
-        monkeypatch.delenv(ENV_VAR, raising=False)
+        monkeypatch.delenv(_ENV_VAR, raising=False)
         monkeypatch.setenv("REPRO_GF_NATIVE_CACHE", str(tmp_path / "empty"))
         monkeypatch.setattr(cbuild, "_find_compiler", lambda: None)
         probed = get_backend("native")
@@ -616,7 +616,7 @@ def seam_field(request, monkeypatch, tmp_path):
         request.addfinalizer(lambda: register_backend(probed, replace=True))
         assert "native" not in available_backends(w)
     else:
-        monkeypatch.setenv(ENV_VAR, name)
+        monkeypatch.setenv(_ENV_VAR, name)
         assert select_backend(w).name == name
     return GF(w)
 
@@ -732,7 +732,7 @@ def _seam_system(field, k, m, f, block_bytes, seed):
     ]
     coord = Coordinator(
         Cluster(nodes[:n_data]), RSCode(k, m, field=field),
-        block_bytes=block_bytes, block_size_mb=8.0, field_=field, rng=seed,
+        block_bytes=block_bytes, block_size_mb=8.0, rng=seed,
     )
     for node in nodes[n_data:]:
         coord.add_spare(node)
@@ -754,7 +754,7 @@ def _stored_stripes(coord):
 def _assert_reference_parity(coord, stripes):
     k = coord.code.k
     for sid, blocks in stripes.items():
-        want = _ref_matmul(coord.code.generator[k:], blocks[:k], coord.field)
+        want = _ref_matmul(coord.code.generator[k:], blocks[:k], coord.code.field)
         assert np.array_equal(blocks[k:], want), f"stripe {sid} parity drifted"
 
 

@@ -161,7 +161,7 @@ def test_request_list_network_reaches_the_scheduler():
 
     facade = system()
     res = facade.repair([RepairRequest(network=trace)])
-    assert res.report.per_job_finish_s == report.per_job_finish_s
+    assert [j.finish_s for j in res.report.jobs] == [j.finish_s for j in report.jobs]
     assert res.makespan_s > system().repair([RepairRequest()]).makespan_s
     with pytest.raises(TypeError):
         sched.run_pending(events=[])  # the pre-1.1 keyword is gone

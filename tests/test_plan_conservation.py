@@ -16,7 +16,8 @@ both against the schemes' closed forms, without trusting either:
   single-block repair k.
 * **On the wire.** Dispatched through the agents, the bus meters on every
   link exactly the bytes the op walk predicts at word-aligned slice
-  boundaries, and the repaired blocks are the originals.
+  boundaries, and the repaired blocks are the originals.  A whole round
+  moves the same bus bytes per payload byte on GF(2^8) and GF(2^16).
 """
 
 from collections import defaultdict
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import build_scenario
+from repro.gf.field import GF
 from repro.repair.plan import CombineOp, ConcatOp, SliceOp, TransferOp
 from repro.repair.planner import SCHEMES
 from repro.system.agent import run_plan_ops
@@ -167,27 +169,36 @@ def test_closed_forms_cover_every_non_rack_scheme():
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_a_dispatched_round_meters_its_byte_views(scheme):
-    """A whole coordinator round: the bus bytes on every link are the sum of
-    the dispatched plans' op walks at the system's block length."""
-    coord = make_system(seed=29, rack_size=6)
-    data = payload(5 * coord.code.k * coord.block_bytes, seed=29)
-    coord.write("f", data)
-    for node in coord.layout.stripes[0].placement[:2]:
-        coord.crash_node(node)
-    affected = coord.layout.stripes_with_failures(coord.cluster.dead_ids())
-    rnd = coord.plan_round(scheme, affected)
-    metered = defaultdict(int)
-    coord.bus.obs_hook = lambda src, dst, nbytes: metered.__setitem__(
-        (src, dst), metered[src, dst] + nbytes
-    )
-    try:
-        coord.dispatch_round(rnd, verify=True)
-    finally:
-        coord.bus.obs_hook = None
-    predicted = defaultdict(int)
-    for _, plan in rnd.plans:
-        for link, nbytes in op_walk(plan.ops, coord.block_bytes, byte_cut)[0].items():
-            predicted[link] += nbytes
-    assert dict(metered) == {link: b for link, b in predicted.items() if b}
-    assert sum(metered.values()) > 0
-    assert coord.read("f") == data
+    """A whole coordinator round, on both fields: the bus bytes on every link
+    are the sum of the dispatched plans' op walks at the system's block
+    length.  With 2 048-byte blocks on both (1 024 GF(2^16) elements), the
+    same payload moves the same bus bytes per payload byte on every link."""
+    metered_by_field = {}
+    for w in (8, 16):
+        block_nbytes = 2048
+        coord = make_system(
+            seed=29, rack_size=6, block_bytes=block_nbytes * 8 // w, field=GF(w)
+        )
+        data = payload(5 * coord.code.k * block_nbytes, seed=29)
+        coord.write("f", data)
+        for node in coord.layout.stripes[0].placement[:2]:
+            coord.crash_node(node)
+        affected = coord.layout.stripes_with_failures(coord.cluster.dead_ids())
+        rnd = coord.plan_round(scheme, affected)
+        metered = defaultdict(int)
+        coord.bus.obs_hook = lambda src, dst, nbytes: metered.__setitem__(
+            (src, dst), metered[src, dst] + nbytes
+        )
+        try:
+            coord.dispatch_round(rnd, verify=True)
+        finally:
+            coord.bus.obs_hook = None
+        predicted = defaultdict(int)
+        for _, plan in rnd.plans:
+            for link, nbytes in op_walk(plan.ops, block_nbytes, byte_cut)[0].items():
+                predicted[link] += nbytes
+        assert dict(metered) == {link: b for link, b in predicted.items() if b}
+        assert sum(metered.values()) > 0
+        assert coord.read("f") == data
+        metered_by_field[w] = dict(metered)
+    assert metered_by_field[8] == metered_by_field[16]

@@ -19,7 +19,6 @@ from repro.reliability import (
     ReliabilitySpec,
     Weibull,
 )
-from repro.reliability.lifetimes import _exponential_interval_hours
 from repro.reliability.simulator import _sample_placements, _wilson_interval
 from tests.seeds import DEFAULT_MASTER_SEED, seed_fanout
 
@@ -70,8 +69,6 @@ class TestWeibull:
             Weibull(shape=0.0, mttf_hours=100.0)
         with pytest.raises(ValueError):
             Weibull(shape=1.0, mttf_hours=-1.0)
-        with pytest.raises(ValueError):
-            _exponential_interval_hours(np.random.default_rng(0), 0.0)
 
 
 class TestComponentLifetimes:

@@ -423,7 +423,7 @@ def _run_state(coord, report) -> tuple:
         for name in agent.store.names()
     }
     return (
-        jobs, report.waves, report.makespan_s, report.per_job_finish_s,
+        jobs, report.waves, report.makespan_s,
         report.n_rate_updates, {s.stripe_id: list(s.placement) for s in coord.layout},
         coord.center_scheduler.snapshot(), coord.bus.total_bytes(), stored,
     )
@@ -707,7 +707,7 @@ def test_report_aggregates():
     report = coord.repair([RepairRequest(stripes=[sid]) for sid in sids]).report
     assert report.blocks_recovered == 2
     assert report.bytes_on_wire_mb_model > 0
-    assert report.queue_depth_after == 0
+    assert coord.sched.queue_depth == 0
     assert report.n_rate_updates > 0
-    assert set(report.per_job_finish_s) == {"job0", "job1"}
-    assert report.makespan_s == pytest.approx(max(report.per_job_finish_s.values()))
+    assert [j.job_id for j in report.jobs] == ["job0", "job1"]
+    assert report.makespan_s == pytest.approx(max(j.finish_s for j in report.jobs))

@@ -87,7 +87,6 @@ def _gf16_system(k, m, words):
         Cluster([Node(i, 100.0, 100.0) for i in range(k + m + 2)]),
         RSCode(k, m, field),
         block_bytes=words,
-        field_=field,
         rng=0,
     )
 
@@ -96,14 +95,14 @@ def _gf16_system(k, m, words):
 def test_degraded_read_bit_exact_gf16(seed):
     """Same contract at GF(2^16), provisioned through ``Coordinator.write``.
 
-    ``write`` stores one payload byte per field element, and a read returns
-    one byte per data element, so the read equals the written bytes.
+    ``write`` views two payload bytes as one field element and a read joins
+    the elements' bytes, so the read equals the written bytes.
     """
     rng, k, m, f, _ = _random_case(seed)
     # a read takes only blocks of ``block_bytes`` words, which is word-aligned
     words = int(rng.integers(16, 65)) // 8 * 8
     coord = _gf16_system(k, m, words)
-    payload = rng.integers(0, 256, size=k * words, dtype=np.uint8).tobytes()
+    payload = rng.integers(0, 256, size=2 * k * words, dtype=np.uint8).tobytes()
     (sid,) = coord.write("wide", payload).stripe_ids
 
     plane = ServingPlane(coord, WorkloadSpec(n_objects=1))
@@ -119,8 +118,9 @@ def test_degraded_read_bit_exact_gf16(seed):
 
 
 def test_gf16_write_update_read_round_trip():
-    """A GF(2^16) write, an update and a degraded read return the written
-    bytes, through ``Coordinator.read`` and ``ServingPlane.read_object``."""
+    """A GF(2^16) write, an update that starts and ends mid-word, and a
+    degraded read return the written bytes, through ``Coordinator.read``
+    and ``ServingPlane.read_object``; parity stays consistent."""
     k, m = 4, 2
     coord = _gf16_system(k, m, 64)
     rng = np.random.default_rng(7)
@@ -130,8 +130,10 @@ def test_gf16_write_update_read_round_trip():
     assert coord.read("a") == plane.read_object("a") == bytes(data)
 
     patch = rng.integers(0, 256, size=40, dtype=np.uint8).tobytes()
-    coord.update("a", 50, patch)  # spans data blocks 0 and 1
-    data[50:90] = patch
+    # bytes 101..140 start and end mid-word, across data blocks 0 and 1 (128 B each)
+    assert coord.update("a", 101, patch)["blocks_patched"] == 2
+    data[101:141] = patch
+    assert coord.read("a") == bytes(data) and all(coord.scrub().values())
     coord.crash_node(coord.layout[coord.files["a"][0][0]].placement[0])
     gateway = sorted(coord.data_nodes())[0]
     assert coord.read("a") == bytes(data)

@@ -31,11 +31,10 @@ K, M, BLOCK_BYTES, N_DATA, N_SPARE = 4, 2, 1024, 10, 4
 
 
 def _system(w):
-    field = GF(w)
     nodes = [Node(i, 100.0, 100.0, rack=i % 3) for i in range(N_DATA + N_SPARE)]
     coord = Coordinator(
-        Cluster(nodes[:N_DATA]), RSCode(K, M, field), block_bytes=BLOCK_BYTES,
-        block_size_mb=8.0, field_=field, rng=3,
+        Cluster(nodes[:N_DATA]), RSCode(K, M, GF(w)), block_bytes=BLOCK_BYTES,
+        block_size_mb=8.0, rng=3,
     )
     for node in nodes[N_DATA:]:
         coord.add_spare(node)

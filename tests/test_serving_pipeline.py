@@ -151,16 +151,14 @@ def test_chunked_read_bit_exact_gf16(seed):
     rng, k, m, f, _ = _random_case(seed)
     # a read takes only blocks of ``block_bytes`` words, which is word-aligned
     words = int(rng.integers(16, 65)) // 8 * 8
-    field = GF(16)
     n_data = k + m + 2
     coord = Coordinator(
         Cluster([Node(i, 100.0, 100.0) for i in range(n_data)]),
-        RSCode(k, m, field),
+        RSCode(k, m, GF(16)),
         block_bytes=words,
-        field_=field,
         rng=0,
     )
-    want = rng.integers(0, 256, size=k * words, dtype=np.uint8).tobytes()
+    want = rng.integers(0, 256, size=2 * k * words, dtype=np.uint8).tobytes()
     (sid,) = coord.write("wide", want).stripe_ids
     placement = coord.layout[sid].placement
     for v in [placement[b] for b in rng.choice(k + m, size=f, replace=False)]:

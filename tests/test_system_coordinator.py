@@ -8,18 +8,23 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.ec.stripe import block_name
+from repro.gf.field import gf8
 from repro.system.coordinator import Coordinator
 from repro.system.request import RepairRequest
 
 
-def make_system(n_data=18, n_spare=4, k=4, m=2, seed=0, rack_size=None, block_bytes=2048):
+def make_system(
+    n_data=18, n_spare=4, k=4, m=2, seed=0, rack_size=None, block_bytes=2048, field=gf8
+):
     ds = make_wld(n_data + n_spare, "WLD-4x", seed=seed)
     nodes = []
     for i in range(n_data):
         rack = i // rack_size if rack_size else 0
         nodes.append(Node(i, float(ds.uplinks[i]), float(ds.downlinks[i]), rack=rack))
     cluster = Cluster(nodes)
-    coord = Coordinator(cluster, RSCode(k, m), block_bytes=block_bytes, block_size_mb=16.0, rng=seed)
+    coord = Coordinator(
+        cluster, RSCode(k, m, field), block_bytes=block_bytes, block_size_mb=16.0, rng=seed
+    )
     for j in range(n_spare):
         i = n_data + j
         rack = (i // rack_size) if rack_size else 0

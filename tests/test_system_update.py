@@ -1,6 +1,5 @@
 """Delta-parity update-path tests."""
 
-import numpy as np
 import pytest
 
 from tests.test_system_coordinator import make_system, payload
@@ -80,11 +79,10 @@ def test_update_survives_degraded_parity_node():
 
 def test_update_ships_only_the_patched_span():
     """Regression: a small patch moved (and GF-multiplied) a whole block per
-    parity node.  The bus must grow by alive parities x span x itemsize."""
+    parity node.  The bus must grow by alive parities x span."""
     bb = 2048
     coord = make_system(seed=41, block_bytes=bb)
     k, m = coord.code.k, coord.code.m
-    itemsize = np.dtype(coord.field.dtype).itemsize
     data = bytearray(payload(3 * k * bb, seed=41))
     coord.write("f", bytes(data))
     cases = [
@@ -101,7 +99,7 @@ def test_update_ships_only_the_patched_span():
         assert stats["blocks_patched"] == blocks
         assert stats["parity_deltas"] == len(stats["deltas"]) == blocks * m
         assert len({(sid, b) for sid, b, *_ in stats["deltas"]}) == blocks
-        assert coord.bus.total_bytes() - sent == m * size * itemsize
+        assert coord.bus.total_bytes() - sent == m * size
         assert coord.bus.transfer_count - transfers == blocks * m
     assert coord.read("f") == bytes(data)
     assert all(coord.scrub().values())
@@ -109,7 +107,7 @@ def test_update_ships_only_the_patched_span():
     coord.crash_node(coord.layout.stripes[0].placement[k])
     sent = coord.bus.total_bytes()
     coord.update("f", 5, payload(40, seed=50))
-    assert coord.bus.total_bytes() - sent == (m - 1) * 40 * itemsize
+    assert coord.bus.total_bytes() - sent == (m - 1) * 40
 
 
 def test_update_straddling_a_dead_node_changes_nothing():

@@ -2,7 +2,9 @@
 
 The paper cites VAST's (150, 4) wide stripe — which still fits GF(2^8) — but
 a library claiming wide-stripe support must also handle k + m > 256, which
-forces GF(2^16).  These are full end-to-end repairs at both field widths.
+forces GF(2^16).  These are full end-to-end repairs at both field widths,
+plus a whole GF(2^16) system: a ``Coordinator`` takes its field from its
+code, and a payload byte is one stored byte on both fields.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ from repro.repair.context import RepairContext
 from repro.system.executor import PlanExecutor, Workspace
 from repro.repair.hybrid import plan_hybrid
 from repro.simnet.fluid import FluidSimulator
+from repro.system.request import RepairRequest
+from tests.test_system_coordinator import make_system
 
 
 def build_ctx(k, m, f, field):
@@ -74,3 +78,33 @@ def test_ultra_wide_stripe_gf16():
 def test_gf16_hybrid_multiblock_f4():
     ctx = build_ctx(60, 8, 4, GF(16))
     run_repair(ctx, length=64, seed=3)
+
+
+@pytest.mark.parametrize("scheme", ["cr", "ir", "hmbr"])
+@pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 2)])
+def test_a_default_coordinator_repairs_a_gf16_code(k, m, scheme):
+    """The system's field is its code's: agents, spares, parity deltas and
+    verify all run GF(2^16) on the ``Coordinator`` defaults."""
+    coord = make_system(k=k, m=m, block_bytes=64, field=GF(16))
+    data = np.random.default_rng(k).integers(0, 256, 1001, dtype=np.uint8).tobytes()
+    coord.write("f", data)
+    for node in coord.layout[0].placement[:m]:
+        coord.crash_node(node)
+    res = coord.repair(RepairRequest(scheme=scheme))
+    assert res.ok and res.blocks_recovered >= m
+    assert coord.read("f") == data and all(coord.scrub().values())
+
+
+@pytest.mark.parametrize("nbytes", [1, 3, 255, 257, 511, 513, 1025])
+def test_gf16_write_read_round_trips_at_odd_lengths(nbytes):
+    """Two payload bytes per element; the tail stripe's padding absorbs an
+    odd length, and the system stores one byte per payload byte."""
+    coord = make_system(k=4, m=2, block_bytes=64, field=GF(16))
+    data = np.random.default_rng(nbytes).integers(0, 256, nbytes, dtype=np.uint8).tobytes()
+    receipt = coord.write("f", data)
+    stripe_payload = 4 * 64 * 2
+    assert receipt.padded_bytes == -(-nbytes // stripe_payload) * stripe_payload
+    assert coord.stats()["bytes_stored"] == receipt.padded_bytes * 6 // 4
+    assert coord.read("f") == data
+    coord.crash_node(coord.layout[receipt.stripe_ids[-1]].placement[0])
+    assert coord.read("f") == data  # degraded: the tail stripe decodes block 0
