@@ -68,7 +68,7 @@ def main() -> None:
     print("fault-aware repair finished")
     print(f"  stripes repaired : {res.stripes_repaired}")
     print(f"  blocks recovered : {res.blocks_recovered}")
-    print(f"  rounds / retries : {res.plan_summary['rounds']} / {res.plan_summary['retries']}")
+    print(f"  rounds / retries : {res.report.rounds} / {res.report.retries}")
     print(f"  simulated T_t    : {res.makespan_s:.2f} s")
 
     # ---- the trace must conserve bytes against the bus, exactly

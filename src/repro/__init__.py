@@ -55,7 +55,6 @@ from repro.repair import (
 )
 from repro.system import (
     Coordinator,
-    JobOutcome,
     PlanExecutor,
     RepairRequest,
     RepairResult,
@@ -104,7 +103,6 @@ __all__ = [
     "Coordinator",
     "RepairRequest",
     "RepairResult",
-    "JobOutcome",
     "AdmissionPolicy",
     "RepairJob",
     "RepairScheduler",

@@ -151,10 +151,6 @@ class AdaptiveReport:
     #: entry key -> committed pieces in commit order.
     pieces: dict[str, list[AdaptivePiece]]
     journal: RangeJournal
-    drift_threshold: float
-    #: True when the event trace was empty — round 0 ran the static plans
-    #: to completion and nothing was re-planned.
-    quiet: bool
 
     @property
     def n_rounds(self) -> int:
@@ -317,8 +313,6 @@ class AdaptiveEngine:
             bytes_on_wire_mb_model=wire_mb,
             pieces=pieces,
             journal=journal,
-            drift_threshold=self.drift_threshold,
-            quiet=not self.events,
         )
 
     # ------------------------------------------------------------------ #

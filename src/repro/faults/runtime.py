@@ -502,12 +502,5 @@ class FaultRuntime:
                 m.counter("faults.wasted_transfer_bytes").inc(report.wasted_transfer_bytes)
         return coord.round_result(
             request, before, final_plans, makespan, per_stripe,
-            dict(self._replacements_all),
-            {
-                "rounds": report.rounds,
-                "replans": report.replans,
-                "retries": report.retries,
-                "wasted_transfer_bytes": report.wasted_transfer_bytes,
-            },
-            report=report,
+            dict(self._replacements_all), report=report,
         )

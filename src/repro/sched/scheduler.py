@@ -74,10 +74,6 @@ class SchedulerReport:
     waves: int
     #: total simulated time across all waves.
     makespan_s: float
-    blocks_recovered: int
-    bytes_on_wire_mb_model: float
-    #: total fluid-solver rate recomputations across all waves.
-    n_rate_updates: int
     #: task id -> simulated finish time for every foreground task merged
     #: into the first wave (see ``run_pending(foreground=...)``).
     foreground_finish_s: dict[str, float] = field(default_factory=dict)
@@ -432,7 +428,6 @@ class RepairScheduler:
         pending = sorted(run, key=RepairJob.priority_rank)
         offset = 0.0
         waves = 0
-        n_updates = 0
         fg_tasks = list(foreground)
         fg_finish: dict[str, float] = {}
         while pending or fg_tasks:
@@ -455,15 +450,11 @@ class RepairScheduler:
                 if sim is not None:
                     for t in extra:
                         fg_finish[t.task_id] = offset + sim.finish_times[t.task_id]
-                    n_updates += sim.n_rate_updates
                     offset += sim.makespan
         return SchedulerReport(
             jobs=list(run),
             waves=waves,
             makespan_s=offset,
-            blocks_recovered=sum(j.blocks_recovered for j in run),
-            bytes_on_wire_mb_model=sum(j.bytes_on_wire_mb_model for j in run),
-            n_rate_updates=n_updates,
             foreground_finish_s=fg_finish,
         )
 

@@ -14,7 +14,7 @@ from repro.system.bus import DataBus
 from repro.system.agent import Agent
 from repro.system.executor import ExecutionReport, PlanExecutor, Workspace
 from repro.system.heartbeat import HeartbeatMonitor
-from repro.system.request import JobOutcome, RepairRequest, RepairResult, RepairTiming
+from repro.system.request import RepairRequest, RepairResult, RepairTiming
 from repro.system.coordinator import Coordinator, WriteReceipt
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "HeartbeatMonitor",
     "Coordinator",
     "ExecutionReport",
-    "JobOutcome",
     "PlanExecutor",
     "RepairRequest",
     "RepairResult",

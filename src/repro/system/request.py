@@ -28,6 +28,7 @@ from repro.repair.planner import ADAPTIVE_SCHEMES, check_scheme
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (cycle guard)
     from repro.adaptive.engine import AdaptiveReport
     from repro.faults.runtime import FaultRepairReport
+    from repro.sched.job import RepairJob
     from repro.sched.scheduler import SchedulerReport
 
 _PRIORITIES = ("foreground", "normal", "background")
@@ -139,47 +140,19 @@ class RepairRequest:
         )
 
 
-@dataclass(frozen=True)
-class JobOutcome:
-    """One scheduler job's result, flattened for :attr:`RepairResult.jobs`."""
-
-    job_id: str
-    state: str
-    scheme: str
-    priority: str
-    stripes: tuple[int, ...]
-    blocks_recovered: int
-    wave: int | None
-    finish_s: float | None
-    error: str | None = None
-
-    @classmethod
-    def from_job(cls, job) -> "JobOutcome":
-        return cls(
-            job_id=job.job_id,
-            state=job.state,
-            scheme=job.scheme,
-            priority=job.priority,
-            stripes=tuple(job.stripes_repaired),
-            blocks_recovered=job.blocks_recovered,
-            wave=job.wave,
-            finish_s=job.finish_s,
-            error=job.error,
-        )
-
-
 @dataclass
 class RepairResult:
     """What one ``Coordinator.repair(request)`` call accomplished.
 
-    The same shape comes back from every route; route-specific detail
+    The same shape comes back from every route, assembled in one place
+    from the run's :attr:`jobs`: the totals are sums over them and
+    :attr:`makespan_s` is the latest job finish.  Route-specific detail
     stays reachable through :attr:`report` (the fault runtime's
     ``FaultRepairReport``, the adaptive engine's ``AdaptiveReport``, the
     scheduler's ``SchedulerReport``; ``None`` for a plain healthy round).
     """
 
     request: RepairRequest
-    scheme: str
     stripes_repaired: list[int]
     blocks_recovered: int
     #: simulated seconds until the last repaired byte landed.
@@ -190,11 +163,9 @@ class RepairResult:
     bytes_on_wire_mb_model: float
     #: measured GF compute seconds across all agents.
     compute_s_total: float
-    #: route accounting: rounds/replans/retries (faulted, adaptive), waves
-    #: (scheduled).
-    plan_summary: dict = dc_field(default_factory=dict)
-    #: per-job outcomes (exactly one entry unless the scheduler ran).
-    jobs: list[JobOutcome] = dc_field(default_factory=list)
+    #: the run's jobs: the scheduler's own, or one ``done`` job standing
+    #: for an un-scheduled round.
+    jobs: list[RepairJob] = dc_field(default_factory=list)
     per_stripe_transfer_s: dict[int, float] = dc_field(default_factory=dict)
     replacements: dict[int, int] = dc_field(default_factory=dict)
     #: the route-specific report the run produced internally.
@@ -204,71 +175,6 @@ class RepairResult:
     def ok(self) -> bool:
         """True when no job failed."""
         return all(j.state != "failed" for j in self.jobs)
-
-    # -------------------------------------------------------------- #
-    # constructors: one single-round shape, one scheduler shape
-    # -------------------------------------------------------------- #
-    @classmethod
-    def single(
-        cls,
-        request: RepairRequest,
-        *,
-        stripes_repaired: list[int],
-        blocks_recovered: int,
-        makespan_s: float,
-        job_id: str = "round0",
-        **fields,
-    ) -> "RepairResult":
-        """One un-scheduled round (healthy, faulted or adaptive) as a result."""
-        return cls(
-            request=request,
-            scheme=request.scheme,
-            stripes_repaired=stripes_repaired,
-            blocks_recovered=blocks_recovered,
-            makespan_s=makespan_s,
-            jobs=[
-                JobOutcome(
-                    job_id=job_id,
-                    state="done",
-                    scheme=request.scheme,
-                    priority=request.priority,
-                    stripes=tuple(stripes_repaired),
-                    blocks_recovered=blocks_recovered,
-                    wave=None,
-                    finish_s=makespan_s,
-                )
-            ],
-            **fields,
-        )
-
-    @classmethod
-    def from_scheduler(
-        cls,
-        report,
-        request: RepairRequest,
-        bytes_moved: int,
-        compute_s_total: float = 0.0,
-    ) -> "RepairResult":
-        """Wrap a scheduler ``SchedulerReport`` (one or many jobs)."""
-        stripes = sorted({s for j in report.jobs for s in j.stripes_repaired})
-        return cls(
-            request=request,
-            scheme=request.scheme,
-            stripes_repaired=stripes,
-            blocks_recovered=report.blocks_recovered,
-            makespan_s=report.makespan_s,
-            bytes_moved=bytes_moved,
-            bytes_on_wire_mb_model=report.bytes_on_wire_mb_model,
-            compute_s_total=compute_s_total,
-            plan_summary={"waves": report.waves},
-            jobs=[JobOutcome.from_job(j) for j in report.jobs],
-            per_stripe_transfer_s={
-                sid: t
-                for j in report.jobs
-                for sid, t in j.per_stripe_transfer_s.items()
-            },
-            report=report,
-        )
 
 
 @dataclass

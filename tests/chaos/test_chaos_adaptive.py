@@ -86,7 +86,7 @@ def test_adaptive_repair_under_random_churn(chaos_system, chaos_seed):
     assert sorted(journal.keys()) == [f"s{sid:04d}" for sid in sorted(res.stripes_repaired)]
     for key in journal.keys():
         assert journal.is_complete(key), f"seed {chaos_seed}: {key} journal has gaps"
-    assert res.plan_summary["wasted_mb"] >= 0.0
+    assert res.report.wasted_mb >= 0.0
 
 
 def test_churn_and_fault_storms_compose(chaos_system, chaos_seed):

@@ -115,9 +115,9 @@ def test_quiet_network_adaptive_is_noop(scheme):
                 assert np.array_equal(s1.get(name), s2.get(name)), (sid, b)
     assert adaptive.makespan_s == pytest.approx(static.makespan_s, abs=1e-9)
     assert adaptive.bytes_moved == static.bytes_moved
-    assert adaptive.plan_summary["replans"] == 0
-    assert adaptive.plan_summary["rounds"] == 1
-    assert adaptive.plan_summary["wasted_mb"] == 0.0
+    assert adaptive.report.replans == 0
+    assert adaptive.report.n_rounds == 1
+    assert adaptive.report.wasted_mb == 0.0
 
 
 # ------------------------------------------------------------------ #
@@ -138,7 +138,7 @@ def test_adaptive_beats_static_under_collapse():
     adaptive = c2.repair(RepairRequest(scheme="hmbr", network=trace, adaptive=True))
 
     assert c1.read("f") == c2.read("f") == data
-    assert adaptive.plan_summary["replans"] >= 1
+    assert adaptive.report.replans >= 1
     assert adaptive.makespan_s < static.makespan_s
 
 
@@ -290,5 +290,5 @@ def test_mlf_scheme_routes_through_facade():
     coord.write("f", data)
     coord.crash_node(0)
     res = coord.repair(RepairRequest(scheme="mlf"))
-    assert res.scheme == "mlf"
+    assert [job.scheme for job in res.jobs] == ["mlf"]
     assert coord.read("f") == data

@@ -65,7 +65,7 @@ def _schedule():
 # Deterministic RepairResult fields (everything except wall-clock
 # compute_s_total) ...
 _RESULT_FIELDS = [
-    "scheme", "stripes_repaired", "blocks_recovered", "makespan_s",
+    "stripes_repaired", "blocks_recovered", "makespan_s",
     "bytes_moved", "bytes_on_wire_mb_model", "per_stripe_transfer_s",
     "replacements",
 ]

@@ -8,7 +8,9 @@ from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
 from repro.ec.stripe import block_name
+from repro.faults.schedule import FaultSchedule
 from repro.gf.field import gf8
+from repro.simnet import NetworkTrace
 from repro.system.coordinator import Coordinator
 from repro.system.request import RepairRequest
 
@@ -177,7 +179,7 @@ def test_repair_restores_redundancy(scheme):
     coord.crash_node(0)  # crash_node marks the cluster node dead directly;
     coord.crash_node(1)  # heartbeat detection is covered in its own test
     report = coord.repair(RepairRequest(scheme=scheme))
-    assert report.scheme == scheme
+    assert [job.scheme for job in report.jobs] == [scheme]
     assert report.blocks_recovered >= 1
     assert report.makespan_s > 0
     assert coord.read("f1") == data
@@ -395,6 +397,11 @@ def _custom_scheduler(coord):
     return result
 
 
+_FAULTS = FaultSchedule.random(
+    seed=20230717, targets=list(range(8)), n_events=4, max_kills=1
+)
+_DEGRADE = NetworkTrace.degrade(range(2, 12), at_time=0.6, factor=20)
+
 _ROUTES = {
     "write": lambda c: c.write("g", payload(3000, seed=2)),
     "read": lambda c: c.read("f"),
@@ -417,6 +424,14 @@ _ROUTES = {
         lambda c: c.repair([RepairRequest(priority="background"), RepairRequest()])
     ),
     "custom-policy-scheduler": _crashed(_custom_scheduler),
+    "repair-faults": _crashed(lambda c: c.repair(RepairRequest(faults=_FAULTS))),
+    "repair-faults-scheduled": _crashed(
+        lambda c: c.repair(RepairRequest(faults=_FAULTS, priority="background"))
+    ),
+    "repair-network": _crashed(lambda c: c.repair(RepairRequest(network=_DEGRADE))),
+    "repair-adaptive": _crashed(
+        lambda c: c.repair(RepairRequest(adaptive=True, network=_DEGRADE))
+    ),
 }
 
 

@@ -335,8 +335,8 @@ def test_delay_past_plan_timeout_replans_the_stripe():
         return res
 
     patient = run(None)  # no timeout: the stalled attempt just finishes late
-    assert patient.plan_summary["replans"] == 0
+    assert patient.report.replans == 0
     assert set(patient.report.attempts.values()) == {1}
     hasty = run(1.0)  # the 5 s stall blows a 1 s budget: PlanTimeout, re-plan
-    assert hasty.plan_summary["replans"] >= 1
+    assert hasty.report.replans >= 1
     assert max(hasty.report.attempts.values()) == 2
