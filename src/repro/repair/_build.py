@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ec.stripe import block_name
-from repro.repair.context import RepairContext
+from repro.repair.context import Decisions, RepairContext
 from repro.repair.plan import CombineOp, ConcatOp, Op, SliceOp, TransferOp
 from repro.simnet.flows import Flow, PipelineFlow, Task
 
@@ -68,15 +68,16 @@ def add_centralized(
     frac_start: float,
     frac_stop: float,
     center: int,
+    d: Decisions | None = None,
 ) -> tuple:
     """Star repair into ``center``; redistribute the other f-1 blocks.
 
     Flow sizes are scaled by the fraction width; zero-width fractions still
     emit the op skeleton (empty buffers) so HMBR degenerates gracefully at
-    p0 ~ 0 or ~ 1.
+    p0 ~ 0 or ~ 1.  ``d`` is ``ctx.decisions()`` when the caller froze them.
     """
     size = _fraction_size(ctx, frac_start, frac_stop)
-    d = ctx.decisions()
+    d = ctx.decisions() if d is None else d
     nodes = [d.placement[b] for b in d.survivors]
     fetch_ids = tuple(f"{prefix}:fetch:b{b:02d}" for b in d.survivors)
     tasks: list[Task] = [
@@ -221,16 +222,18 @@ def add_independent(
     frac_start: float,
     frac_stop: float,
     paths: dict[int, list[int]],
+    d: Decisions | None = None,
 ) -> tuple:
     """Pipelined chain repair, one chain per failed block.
 
     ``paths[fb]`` is the node path: the chosen survivors (in some order)
     followed by the failed block's new node.  Every hop carries the partially
     accumulated sub-block; the fluid simulator models the chain as a single
-    pipeline flow at the min-hop rate.
+    pipeline flow at the min-hop rate.  ``d`` is ``ctx.decisions()`` when
+    the caller froze them.
     """
     size = _fraction_size(ctx, frac_start, frac_stop)
-    d = ctx.decisions()
+    d = ctx.decisions() if d is None else d
     chains = []
     for fb, target in zip(d.failed_blocks, d.new_nodes):
         path = tuple(paths[fb])

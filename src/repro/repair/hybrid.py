@@ -17,18 +17,24 @@ from repro.repair.split import search_split
 from repro.repair.topology import build_chain_paths, default_center
 
 
-def whole_block(ctx: RepairContext, center: int, chain_order: str = "index", keep=False):
+def whole_block(
+    ctx: RepairContext, center: int, chain_order: str = "index", keep=False, d=None
+):
     """HMBR's CR and IR sub-plans ``(tasks, lower, outputs)`` over the whole
     block, which split search scores and every split's plan re-fractions.
     ``keep`` leaves the build on ``ctx``; the next call takes it back instead
     of building while the chosen survivors, center and chain order match (a
-    helper can die before a lazily planned stripe runs), else drops it."""
-    key = (tuple(ctx.chosen_survivors()), center, chain_order)
+    helper can die before a lazily planned stripe runs), else drops it.
+    ``d`` is ``ctx.decisions()`` when the caller froze them; either way they
+    are derived once and handed to both builders."""
+    d = ctx.decisions() if d is None else d
+    key = (d.survivors, center, chain_order)
     kept, ctx._template = ctx._template, None
     if kept is None or kept[0] != key:
+        paths = build_chain_paths(ctx, chain_order, d)
         kept = key, (
-            add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center),
-            add_independent(ctx, ctx.prefix("h.ir"), 0.0, 1.0, build_chain_paths(ctx, chain_order)),
+            add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center, d),
+            add_independent(ctx, ctx.prefix("h.ir"), 0.0, 1.0, paths, d),
         )
     if keep:
         ctx._template = kept
@@ -64,7 +70,8 @@ def plan_hybrid(
     """
     if center is None:
         center = default_center(ctx, center_policy)
-    cr_part, ir_part = whole_block(ctx, center, chain_order)
+    d = ctx.decisions()
+    cr_part, ir_part = whole_block(ctx, center, chain_order, d=d)
     if p is not None:
         p0 = float(p)
     elif split == "search":
@@ -81,7 +88,6 @@ def plan_hybrid(
     cr_tasks, cr_lower, cr_out = refraction(cr_part, 0.0, p0)
     ir_tasks, ir_lower, ir_out = refraction(ir_part, p0, 1.0)
     outputs, concats = join_halves(ctx.prefix("h"), cr_out, ir_out)
-    d = ctx.decisions()
     return RepairPlan(
         scheme="HMBR",
         tasks=cr_tasks + ir_tasks,

@@ -186,3 +186,30 @@ def test_a_lazy_stripe_whose_survivor_died_is_planned_afresh(builds):
     assert plan == plan_hybrid(fresh, center=center, p=rnd.common_p)
     tasks, ops = _fresh_hybrid(fresh, center, rnd.common_p)
     assert plan.tasks == tasks and plan.ops[: len(ops)] == ops
+
+
+# ------------------------------------------------------------------ #
+# the survivors are derived once per plan, not once per builder
+# ------------------------------------------------------------------ #
+def test_a_round_derives_each_stripes_survivors_twice(monkeypatch):
+    """Once for the common-split search's whole-block build, once when the
+    stripe's plan is made from it (a helper may have died in between); the
+    builders and chain paths share those frozen decisions."""
+    calls = {"surviving_blocks": 0, "decisions": 0}
+    for name in calls:
+        real = getattr(RepairContext, name)
+
+        def counted(self, *args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RepairContext, name, counted)
+    coord = build_system()
+    coord.crash_node(3)
+    coord.crash_node(7)
+    timing = coord.plan_repair("hmbr")
+    assert len(timing.plans) >= 2 and timing.plans[0][1].meta["split"] == "override"
+    assert calls == {
+        "surviving_blocks": 2 * len(timing.plans),
+        "decisions": 2 * len(timing.plans),
+    }
