@@ -80,7 +80,7 @@ def _shape(kind: str, ctx: RepairContext, meta: dict | None) -> tuple:
         return (ctx.pick_center("fastest-downlink") if meta is None else meta["center"],)
     if kind == "ir":
         order = "uplink-desc" if meta is None else meta.get("chain_order", "index")
-        return (build_chain_paths(ctx, order),)
+        return (build_chain_paths(ctx, order, ctx.decisions()),)
     return (MLF_DEGREE, "uplink-desc") if meta is None else (meta["degree"], meta["order"])
 
 
@@ -180,7 +180,9 @@ class _Sub:
 
     def build(self, lo: float, hi: float) -> tuple:
         """``(tasks, lower, outputs)`` of this sub-plan over ``[lo, hi)``."""
-        return _BUILDERS[self.kind](self.ctx, self.prefix, lo, hi, *self.shape)
+        return _BUILDERS[self.kind](
+            self.ctx, self.prefix, lo, hi, *self.shape, self.ctx.decisions()
+        )
 
 
 @dataclass

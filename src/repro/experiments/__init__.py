@@ -12,7 +12,6 @@ from repro.experiments.common import (
     plan_for,
     transfer_time,
     format_table,
-    SCHEMES,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "plan_for",
     "transfer_time",
     "format_table",
-    "SCHEMES",
 ]

@@ -5,7 +5,7 @@ bit-exact GF(2^w) arithmetic (w = 8 or 16), dense matrix algebra over the
 field (multiplication, Gauss-Jordan inversion) used to build Reed-Solomon
 generator and repair matrices, and :func:`matmul` — the one entry point every
 operation over *block bytes* (encode, decode, verify, agent combines, parity
-deltas) goes through, running on the selected kernel backend; its rows form
+deltas) goes through, running on the selected kernel tier; its rows form
 :func:`matmul_rows` takes the sources as separate buffers.
 """
 
@@ -20,11 +20,8 @@ from repro.gf.batch import gf_plane_matmul
 from repro.gf.backend.base import matmul, matmul_rows
 from repro.gf.backend import (
     BackendUnavailable,
-    KernelBackend,
     available_backends,
     get_backend,
-    register_backend,
-    resolve_backend,
     select_backend,
 )
 
@@ -32,11 +29,8 @@ __all__ = [
     "GF",
     "gf8",
     "BackendUnavailable",
-    "KernelBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
-    "resolve_backend",
     "select_backend",
     "matmul",
     "matmul_rows",

@@ -1,42 +1,39 @@
-"""Backend protocol, registry, and auto-selection for the GF plane matmul.
+"""The two GF kernel tiers, their selection, and the plane-matmul seam.
 
 Every byte path in the system funnels its hot loop through one
 operation — ``mat @ plane`` over GF(2^w) (:func:`matmul`, one inline call
-per plane).  A *kernel backend* is one implementation of that operation:
+per plane).  A *tier* is one implementation of that operation; the
+package ships two, held in :data:`_TIERS` in selection order:
 
-* :class:`KernelBackend` — the contract: a ``name``, a
-  :meth:`~KernelBackend.capabilities` predicate saying which word sizes
-  the backend handles, an :meth:`~KernelBackend.available` probe (may be
-  expensive once — e.g. compiling a C extension — and must be cached by
-  the implementation), and the kernel itself in two forms,
-  :meth:`~KernelBackend.plane_matmul` over a stacked (k, N) plane and
-  :meth:`~KernelBackend.rows_matmul` over k separate buffers (by default a
-  stack, then the plane form).  Every backend is **bit-exact**
-  with :func:`repro.gf.matrix.gf_matmul`; backends only change how fast
-  the same field arithmetic runs (the differential suite pins every
-  registered backend against the reference and against each other).
-* the **registry** — :func:`register_backend` / :func:`get_backend` /
-  :func:`available_backends`.  Registration is what makes a backend
-  selectable by *name* (``REPRO_GF_BACKEND``, an engine's ``backend=``).
-* **selection** — :func:`select_backend` picks the highest-priority
-  available backend for a word size, unless the ``REPRO_GF_BACKEND``
-  environment variable (or an explicit argument) overrides it.
-  :func:`resolve_backend` is the engine-facing wrapper accepting a name,
-  an instance, or ``None``; :func:`matmul` and :func:`matmul_rows` are the
-  library-facing ones — select, then multiply — behind every byte the
-  codes, agents and coordinator touch.
+* :class:`~repro.gf.backend.native.NativeBackend` — the C dot-product
+  kernel, GF(2^8) and GF(2^16), available once it has compiled;
+* :class:`~repro.gf.backend.numpy_backend.NumpyBackend` — the LUT
+  gathers, GF(2^4), GF(2^8) and GF(2^16), always available.
 
-See ``docs/KERNELS.md`` for the selection order, measured throughput, and
-how to add a backend.
+Each tier class carries a ``name`` (what ``REPRO_GF_BACKEND`` names), the
+word sizes it covers (``fields``), an :meth:`available` probe (cached by
+the tier), and the kernel in two forms: ``plane_matmul`` over a stacked
+(k, N) plane and ``rows_matmul`` over k separate buffers.  Both tiers are
+**bit-exact** with :func:`repro.gf.matrix.gf_matmul`; the choice only
+moves throughput (the differential suite pins each against the reference
+and against the other).
+
+:func:`select_backend` picks the first available tier covering a word
+size, unless the ``REPRO_GF_BACKEND`` environment variable (or an
+explicit argument) forces one by name.  :func:`matmul` and
+:func:`matmul_rows` — select, then multiply — sit behind every byte the
+codes, agents and coordinator touch.  See ``docs/KERNELS.md``.
 """
 
 from __future__ import annotations
 
-import abc
 import os
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.gf.backend.native import NativeBackend
+from repro.gf.backend.numpy_backend import NumpyBackend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.gf.field import GF
@@ -44,124 +41,51 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: environment variable naming the backend to force (empty/unset = auto).
 _ENV_VAR = "REPRO_GF_BACKEND"
 
+#: the shipped tiers, one instance each, in selection order.
+_TIERS = (NativeBackend(), NumpyBackend())
+#: (w, forced name or ``None``) -> :func:`select_backend`'s answer.  Each
+#: tier caches its own availability, so an answer never changes.
+_SELECTED: dict = {}
+
 
 class BackendUnavailable(RuntimeError):
     """A requested kernel backend is unknown, unavailable, or incapable."""
 
 
-class KernelBackend(abc.ABC):
-    """One implementation of the GF(2^w) plane matmul.
-
-    Subclasses set :attr:`name` (the registry key) and :attr:`priority`
-    (selection rank, higher wins) and implement the three probes below.
-    Implementations must be thread-safe: engines on concurrent waves
-    share one backend instance.
-    """
-
-    #: registry key; what ``REPRO_GF_BACKEND`` names.
-    name: str = ""
-    #: selection rank among available backends (higher = preferred).
-    priority: int = 0
-
-    @abc.abstractmethod
-    def capabilities(self, w: int) -> bool:
-        """Whether this backend handles GF(2^w) planes."""
-
-    def available(self) -> bool:
-        """Whether the backend can run here (compiler/library present).
-
-        May do one-time expensive work (compiling, dlopen) — the result
-        must be cached so selection stays cheap.
-        """
-        return True
-
-    @abc.abstractmethod
-    def plane_matmul(self, mat: np.ndarray, plane: np.ndarray, field: "GF") -> np.ndarray:
-        """``mat @ plane`` over the field — bit-exact with ``gf_matmul``."""
-
-    def rows_matmul(self, mat: np.ndarray, rows, field: "GF") -> list[np.ndarray]:
-        """``mat @ rows`` for k equal-length 1-D source buffers: f fresh rows.
-
-        The rows form of :meth:`plane_matmul`, for callers that hold their
-        sources as separate buffers.  This default checks the rows, stacks
-        them into a plane and copies the product's rows apart (a kept row
-        must not pin the whole product); a backend that can read the
-        sources in place overrides it and must reject the same bad rows
-        with the same ``ValueError``.
-        """
-        mat, rows = _checked_rows(mat, rows, field)
-        product = self.plane_matmul(mat, np.stack(rows), field)
-        return [r.copy() for r in product] if len(product) > 1 else list(product)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-_REGISTRY: dict[str, KernelBackend] = {}
-#: (w, forced name or ``None``) -> :func:`select_backend`'s answer.  A
-#: backend caches its own availability, so only :func:`register_backend`
-#: can change an answer; it empties this.
-_SELECTED: dict[tuple[int, str | None], KernelBackend] = {}
-
-
-def register_backend(backend: KernelBackend, *, replace: bool = False) -> KernelBackend:
-    """Add a backend to the registry (the name becomes selectable).
-
-    Returns the backend for chaining.
-    """
-    if not backend.name:
-        raise ValueError("backend must carry a non-empty name")
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"backend {backend.name!r} already registered")
-    _REGISTRY[backend.name] = backend
-    _SELECTED.clear()
-    return backend
-
-
 def registered_backends() -> list[str]:
-    """Every registered backend name, best-first (availability not probed)."""
-    return sorted(_REGISTRY, key=lambda n: -_REGISTRY[n].priority)
+    """Every tier's name, in selection order (availability not probed)."""
+    return [t.name for t in _TIERS]
 
 
-def get_backend(name: str) -> KernelBackend:
-    """The registered backend for ``name``; raises :class:`BackendUnavailable`."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise BackendUnavailable(
-            f"unknown GF kernel backend {name!r}; registered: {registered_backends()}"
-        ) from None
+def get_backend(name: str):
+    """The tier called ``name``; raises :class:`BackendUnavailable`."""
+    for tier in _TIERS:
+        if tier.name == name:
+            return tier
+    raise BackendUnavailable(
+        f"unknown GF kernel backend {name!r}; registered: {registered_backends()}"
+    )
 
 
 def available_backends(w: int | None = None) -> list[str]:
-    """Names of backends that can run here, best-first.
-
-    With ``w`` the list is additionally filtered to backends whose
-    :meth:`~KernelBackend.capabilities` cover that word size.
-    """
-    names = []
-    for name in registered_backends():
-        b = _REGISTRY[name]
-        if w is not None and not b.capabilities(w):
-            continue
-        if b.available():
-            names.append(name)
-    return names
+    """Names of the tiers that can run here, in selection order; with
+    ``w``, only those covering GF(2^w)."""
+    return [t.name for t in _TIERS if (w is None or w in t.fields) and t.available()]
 
 
-def select_backend(w: int = 8, override: str | None = None) -> KernelBackend:
-    """The backend the engines should use for GF(2^w).
+def select_backend(w: int = 8, override: str | None = None):
+    """The tier the engines should use for GF(2^w).
 
     Selection order:
 
     1. ``override`` argument, if given;
     2. the ``REPRO_GF_BACKEND`` environment variable, if set and non-empty;
-    3. the highest-:attr:`~KernelBackend.priority` registered backend that
-       is available *and* capable of ``w``.
+    3. the first tier, in :func:`registered_backends` order, that is
+       available *and* covers ``w``.
 
-    An override naming an unknown, unavailable, or incapable backend
-    raises :class:`BackendUnavailable` — a forced backend silently
-    degrading to another kernel would defeat the point of forcing it.
+    An override naming an unknown, unavailable, or incapable tier raises
+    :class:`BackendUnavailable` — a forced tier silently degrading to
+    another kernel would defeat the point of forcing it.
 
     The answer is memoised per ``(w, forced name)``; the environment is
     read on every call, so a changed ``REPRO_GF_BACKEND`` takes effect at
@@ -174,24 +98,19 @@ def select_backend(w: int = 8, override: str | None = None) -> KernelBackend:
     return backend
 
 
-def _select(w: int, name: str | None) -> KernelBackend:
+def _select(w: int, name: str | None):
     """:func:`select_backend` without the memo."""
     if name:
         backend = get_backend(name)
-        if not backend.capabilities(w):
-            raise BackendUnavailable(
-                f"backend {name!r} does not support GF(2^{w})"
-            )
+        if w not in backend.fields:
+            raise BackendUnavailable(f"backend {name!r} does not support GF(2^{w})")
         if not backend.available():
-            raise BackendUnavailable(
-                f"backend {name!r} is not available on this host"
-            )
+            raise BackendUnavailable(f"backend {name!r} is not available on this host")
         return backend
-    for candidate in registered_backends():
-        b = _REGISTRY[candidate]
-        if b.capabilities(w) and b.available():
-            return b
-    raise BackendUnavailable(f"no registered backend supports GF(2^{w})")
+    for tier in _TIERS:
+        if w in tier.fields and tier.available():
+            return tier
+    raise BackendUnavailable(f"no GF kernel tier supports GF(2^{w})")
 
 
 def matmul(mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray:
@@ -218,45 +137,3 @@ def matmul_rows(mat: np.ndarray, rows, field: GF) -> list[np.ndarray]:
     Same selection, same bits as :func:`matmul`.
     """
     return select_backend(field.w).rows_matmul(mat, rows, field)
-
-
-def _checked_rows(mat, rows, field: GF) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Validate a rows-form call before it is stacked into a plane.
-
-    Each source must be a 1-D array of exactly the field's dtype and the
-    same length, and there must be one per matrix column.  The native tier
-    makes the same checks, with the same messages, in its C entry.
-    """
-    mat = np.asarray(mat, dtype=field.dtype)
-    rows = list(rows)
-    if mat.ndim != 2 or mat.shape[1] != len(rows) or not rows:
-        raise ValueError(f"matrix {mat.shape} does not fit {len(rows)} source rows")
-    for r in rows:
-        if not isinstance(r, np.ndarray) or r.dtype != field.dtype or r.ndim != 1:
-            raise ValueError(f"source rows must be 1-D {np.dtype(field.dtype)} arrays")
-        if r.shape != rows[0].shape:
-            raise ValueError("source rows must have equal lengths")
-    return mat, rows
-
-
-def resolve_backend(spec, field_or_w) -> KernelBackend:
-    """Normalize an engine's ``backend=`` argument to a live backend.
-
-    ``spec`` may be ``None`` (auto-select, honoring ``REPRO_GF_BACKEND``),
-    a registered name, or a :class:`KernelBackend` instance (validated for
-    capability but not required to be registered).
-    """
-    w = int(getattr(field_or_w, "w", field_or_w))
-    if spec is None:
-        return select_backend(w)
-    if isinstance(spec, str):
-        return select_backend(w, override=spec)
-    if isinstance(spec, KernelBackend):
-        if not spec.capabilities(w):
-            raise BackendUnavailable(
-                f"backend {spec.name!r} does not support GF(2^{w})"
-            )
-        return spec
-    raise TypeError(
-        f"backend must be None, a name, or a KernelBackend, got {type(spec).__name__}"
-    )

@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro._cbuild import CLibrary
-from repro.gf.backend.base import KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - repro.gf.field imports this package
     from repro.gf.field import GF
@@ -454,12 +453,13 @@ def _contiguous(row):
     return row
 
 
-class NativeBackend(KernelBackend):
+class NativeBackend:
     """C dot-product kernels (nibble-table gathers) entered through the
     Python C API, compiled lazily."""
 
     name = "native"
-    priority = 10
+    #: GF(2^8) and GF(2^16): the fields the C kernels implement
+    fields = (8, 16)
 
     def __init__(self) -> None:
         #: ``-march=native`` first for the SIMD paths, retried without it
@@ -476,14 +476,8 @@ class NativeBackend(KernelBackend):
         build error."""
         return {"backend": self.name, **self._kernel.build_info()}
 
-    # -------------------------------------------------------------- #
-    # backend protocol
-    # -------------------------------------------------------------- #
-    def capabilities(self, w: int) -> bool:
-        """GF(2^8) and GF(2^16): the fields the C kernels implement."""
-        return w in (8, 16)
-
     def available(self) -> bool:
+        """Whether the kernel compiled and loaded (probed once, then cached)."""
         return self._kernel.load() is not None
 
     def _entry(self, field: GF):
@@ -495,7 +489,7 @@ class NativeBackend(KernelBackend):
             lib = self._kernel.load()
             if lib is None:
                 raise RuntimeError(f"native backend unavailable: {self._kernel.error}")
-            if not self.capabilities(field.w):
+            if field.w not in self.fields:
                 raise RuntimeError(f"native backend does not support GF(2^{field.w})")
             if field.w == 8:
                 lib.repro_gf8_bind(field.mul_table)
@@ -505,6 +499,7 @@ class NativeBackend(KernelBackend):
         return entry
 
     def plane_matmul(self, mat: np.ndarray, plane: np.ndarray, field: GF) -> np.ndarray:
+        """``mat @ plane`` over the field — bit-exact with ``gf_matmul``."""
         mat = np.asarray(mat, dtype=field.dtype)
         plane = np.asarray(plane, dtype=field.dtype)
         if mat.ndim != 2 or plane.ndim != 2 or mat.shape[1] != plane.shape[0]:
@@ -519,6 +514,8 @@ class NativeBackend(KernelBackend):
         return out
 
     def rows_matmul(self, mat: np.ndarray, rows, field: GF) -> list[np.ndarray]:
+        """``mat @ rows`` for k equal-length 1-D sources, read in place; the C
+        entry rejects a bad source with ``ValueError`` before any kernel runs."""
         mat = np.ascontiguousarray(mat, dtype=field.dtype)
         srcs = [_contiguous(r) for r in rows]
         # no rows, or a first row that is no array: the entry rejects the call

@@ -1,8 +1,9 @@
 """Shared plan-building blocks for the CR / IR / HMBR planners.
 
-Each builder freezes its decisions (the context's
-:class:`~repro.repair.context.Decisions` plus its center, chain paths or
-tree) and returns ``(tasks, lower, outputs)``: the timing lowering over a
+Each builder takes the stripe's frozen
+:class:`~repro.repair.context.Decisions` from its planner, which derives
+them once per plan, freezes its own (center, chain paths or tree) and
+returns ``(tasks, lower, outputs)``: the timing lowering over a
 *fraction range* ``[frac_start, frac_stop)`` of every block (the whole block
 for pure CR/IR; the upper/lower sub-block for HMBR), the byte lowering
 ``lower(lo, hi)`` — the ops over ``[lo, hi)``, built from the frozen
@@ -68,16 +69,15 @@ def add_centralized(
     frac_start: float,
     frac_stop: float,
     center: int,
-    d: Decisions | None = None,
+    d: Decisions,
 ) -> tuple:
     """Star repair into ``center``; redistribute the other f-1 blocks.
 
     Flow sizes are scaled by the fraction width; zero-width fractions still
     emit the op skeleton (empty buffers) so HMBR degenerates gracefully at
-    p0 ~ 0 or ~ 1.  ``d`` is ``ctx.decisions()`` when the caller froze them.
+    p0 ~ 0 or ~ 1.
     """
     size = _fraction_size(ctx, frac_start, frac_stop)
-    d = ctx.decisions() if d is None else d
     nodes = [d.placement[b] for b in d.survivors]
     fetch_ids = tuple(f"{prefix}:fetch:b{b:02d}" for b in d.survivors)
     tasks: list[Task] = [
@@ -125,8 +125,9 @@ def add_multilevel(
     prefix: str,
     frac_start: float,
     frac_stop: float,
-    degree: int | None = None,
-    order: str = "uplink-desc",
+    degree: int | None,
+    order: str,
+    d: Decisions,
 ) -> tuple:
     """Multi-level forwarding repair (MLF): one shared aggregation tree.
 
@@ -145,7 +146,6 @@ def add_multilevel(
     balances tree depth against root fan-in.
     """
     size = _fraction_size(ctx, frac_start, frac_stop)
-    d = ctx.decisions()
     k = len(d.survivors)
     if degree is None:
         degree = max(2, int(round(np.sqrt(k))))
@@ -222,18 +222,16 @@ def add_independent(
     frac_start: float,
     frac_stop: float,
     paths: dict[int, list[int]],
-    d: Decisions | None = None,
+    d: Decisions,
 ) -> tuple:
     """Pipelined chain repair, one chain per failed block.
 
     ``paths[fb]`` is the node path: the chosen survivors (in some order)
     followed by the failed block's new node.  Every hop carries the partially
     accumulated sub-block; the fluid simulator models the chain as a single
-    pipeline flow at the min-hop rate.  ``d`` is ``ctx.decisions()`` when
-    the caller froze them.
+    pipeline flow at the min-hop rate.
     """
     size = _fraction_size(ctx, frac_start, frac_stop)
-    d = ctx.decisions() if d is None else d
     chains = []
     for fb, target in zip(d.failed_blocks, d.new_nodes):
         path = tuple(paths[fb])

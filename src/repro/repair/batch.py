@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.ec.rs import RSCode
-from repro.gf.backend import resolve_backend
+from repro.gf.backend import select_backend
 
 
 @dataclass(frozen=True)
@@ -290,10 +290,9 @@ class BatchRepairEngine:
     execute their plans op by op (:func:`repro.system.agent.run_plan_ops`).
 
     ``backend`` selects the GF kernel tier running the plane matmul: a
-    :mod:`repro.gf.backend` name (``"numpy"``, ``"native"``),
-    a :class:`~repro.gf.backend.KernelBackend` instance, or ``None`` for
-    auto-selection (``REPRO_GF_BACKEND`` override → best available).
-    Every backend is bit-exact, so the choice only moves throughput.
+    :mod:`repro.gf.backend` name (``"numpy"``, ``"native"``) or ``None``
+    for auto-selection (``REPRO_GF_BACKEND`` override → first available).
+    Both tiers are bit-exact, so the choice only moves throughput.
     """
 
     def __init__(
@@ -304,7 +303,7 @@ class BatchRepairEngine:
         #: optional :class:`repro.obs.Observability` session for spans/metrics.
         self.obs = obs
         #: the selected GF kernel tier (resolved once, at construction).
-        self.backend = resolve_backend(backend, code.field)
+        self.backend = select_backend(code.field.w, override=backend)
 
     # -------------------------------------------------------------- #
     # core kernels

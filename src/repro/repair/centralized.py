@@ -28,8 +28,8 @@ def plan_centralized(
         center = default_center(ctx, center_policy)
     elif center not in ctx.new_nodes:
         raise ValueError(f"center {center} is not one of the new nodes {ctx.new_nodes}")
-    tasks, lower, outputs = add_centralized(ctx, ctx.prefix("cr"), 0.0, 1.0, center)
     d = ctx.decisions()
+    tasks, lower, outputs = add_centralized(ctx, ctx.prefix("cr"), 0.0, 1.0, center, d)
     return RepairPlan(
         scheme="CR",
         tasks=tasks,

@@ -45,7 +45,6 @@ def plan_hybrid(
     ctx: RepairContext,
     p: float | None = None,
     center: int | None = None,
-    center_policy: str = "fastest-downlink",
     chain_order: str = "index",
     split: str = "search",
     events=(),
@@ -69,7 +68,7 @@ def plan_hybrid(
     trajectory instead of the current snapshot (§VII future work).
     """
     if center is None:
-        center = default_center(ctx, center_policy)
+        center = default_center(ctx)
     d = ctx.decisions()
     cr_part, ir_part = whole_block(ctx, center, chain_order, d=d)
     if p is not None:

@@ -17,9 +17,9 @@ from repro.repair.topology import build_chain_paths
 
 def plan_independent(ctx: RepairContext, chain_order: str = "index") -> RepairPlan:
     """Build the IR plan (``chain_order``: "index" or "uplink-desc")."""
-    paths = build_chain_paths(ctx, chain_order)
-    tasks, lower, outputs = add_independent(ctx, ctx.prefix("ir"), 0.0, 1.0, paths)
     d = ctx.decisions()
+    paths = build_chain_paths(ctx, chain_order, d)
+    tasks, lower, outputs = add_independent(ctx, ctx.prefix("ir"), 0.0, 1.0, paths, d)
     return RepairPlan(
         scheme="IR",
         tasks=tasks,

@@ -37,7 +37,7 @@ def plan_mlf(
     k = len(d.survivors)
     resolved_degree = degree if degree is not None else max(2, int(round(math.sqrt(k))))
     tasks, lower, outputs = add_multilevel(
-        ctx, ctx.prefix("mlf"), 0.0, 1.0, degree=resolved_degree, order=order
+        ctx, ctx.prefix("mlf"), 0.0, 1.0, resolved_degree, order, d
     )
     depth = 0
     frontier = [0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.ec.stripe import block_name
 from repro.repair._build import join_halves, refraction, repaired_name
-from repro.repair.context import RepairContext
+from repro.repair.context import Decisions, RepairContext
 from repro.repair.plan import ByteLowering, CombineOp, Op, RepairPlan, SliceOp, TransferOp
 from repro.repair.topology import default_center
 from repro.simnet.flows import Flow, Task
@@ -32,9 +32,11 @@ def _build_rack_aware_cr(
     frac_start: float,
     frac_stop: float,
     center: int,
+    d: Decisions,
     intermediate_policy: str = "paper",
 ) -> tuple:
-    """Emit the rack-aware CR sub-plan for a fraction range.
+    """Emit the rack-aware CR sub-plan for a fraction range over the
+    frozen decisions ``d``.
 
     ``intermediate_policy``:
       * ``"paper"`` — every rack always computes and ships f intermediates
@@ -46,7 +48,6 @@ def _build_rack_aware_cr(
     """
     size = (frac_stop - frac_start) * ctx.block_size_mb
     cl = ctx.cluster
-    d = ctx.decisions()
     by_rack: dict[int, list[int]] = {}
     for b in d.survivors:
         by_rack.setdefault(cl.rack_of(d.placement[b]), []).append(b)
@@ -133,12 +134,13 @@ def plan_rack_aware_centralized(
     """Rack-aware CR as a standalone scheme."""
     if center is None:
         center = default_center(ctx)
+    d = ctx.decisions()
     tasks, lower, outputs = _build_rack_aware_cr(
-        ctx, ctx.prefix("racr"), 0.0, 1.0, center, intermediate_policy)
+        ctx, ctx.prefix("racr"), 0.0, 1.0, center, d, intermediate_policy)
     return RepairPlan(
         scheme="RackAwareCR",
         tasks=tasks,
-        ops=ByteLowering(lambda: lower(0.0, 1.0), ctx.decisions()),
+        ops=ByteLowering(lambda: lower(0.0, 1.0), d),
         outputs=outputs,
         meta={"center": center, "policy": intermediate_policy},
     )
@@ -191,14 +193,18 @@ def _edge_key(ctx: RepairContext, tracker: _LinkUsageTracker, child: int, par: i
     )
 
 
+#: every repair tree is binary: a node combines at most two children
+_MAX_CHILDREN = 2
+
+
 def _build_repair_tree(
     ctx: RepairContext,
     root: int,
     survivors_nodes: list[int],
     tracker: _LinkUsageTracker,
-    max_children: int,
 ) -> dict[int, int]:
-    """Greedy least-frequently-used-link tree: child node -> parent node.
+    """Greedy least-frequently-used-link binary tree: child node -> parent
+    node.
 
     Implemented as a lazy-revalidation heap: all key components (link usage,
     NIC load) are monotone non-decreasing as edges are chosen, so a popped
@@ -220,12 +226,9 @@ def _build_repair_tree(
     push_edges_to(root)
     while unconnected:
         while True:
-            if not heap:
-                raise ValueError(
-                    f"cannot attach {len(unconnected)} nodes with max_children={max_children}"
-                )
+            # never empty: the node attached last still has a free slot
             key, child, par = heapq.heappop(heap)
-            if child not in unconnected or children_count.get(par, 0) >= max_children:
+            if child not in unconnected or children_count.get(par, 0) >= _MAX_CHILDREN:
                 continue
             fresh = _edge_key(ctx, tracker, child, par)
             if fresh != key:
@@ -237,8 +240,7 @@ def _build_repair_tree(
         children_count[par] = children_count.get(par, 0) + 1
         children_count[child] = 0
         unconnected.discard(child)
-        if max_children > 0:
-            push_edges_to(child)
+        push_edges_to(child)
     return parent
 
 
@@ -247,20 +249,20 @@ def _build_tree_ir(
     prefix: str,
     frac_start: float,
     frac_stop: float,
-    max_children: int = 2,
+    d: Decisions,
 ) -> tuple:
-    """Emit tree-pipelined IR for a fraction range; its trees share one
-    link-usage tracker, so each spreads over links the others left idle."""
+    """Emit tree-pipelined IR for a fraction range over the frozen
+    decisions ``d``; its trees share one link-usage tracker, so each
+    spreads over links the others left idle."""
     size = (frac_stop - frac_start) * ctx.block_size_mb
     tracker = _LinkUsageTracker()
-    d = ctx.decisions()
     block_of = {d.placement[b]: b for b in d.survivors}
 
     # (failed block, root, child -> parent, nodes leaves first): every
     # child's partial is sent up before its parent combines
     trees = []
     for fb, root in zip(d.failed_blocks, d.new_nodes):
-        parent = _build_repair_tree(ctx, root, list(block_of), tracker, max_children)
+        parent = _build_repair_tree(ctx, root, list(block_of), tracker)
         children: dict[int, list[int]] = {}
         for c, p in parent.items():
             children.setdefault(p, []).append(c)
@@ -309,15 +311,16 @@ def _build_tree_ir(
     return tasks, lower, outputs
 
 
-def plan_tree_independent(ctx: RepairContext, max_children: int = 2) -> RepairPlan:
+def plan_tree_independent(ctx: RepairContext) -> RepairPlan:
     """Tree-pipelined IR as a standalone scheme."""
-    tasks, lower, outputs = _build_tree_ir(ctx, ctx.prefix("tir"), 0.0, 1.0, max_children)
+    d = ctx.decisions()
+    tasks, lower, outputs = _build_tree_ir(ctx, ctx.prefix("tir"), 0.0, 1.0, d)
     return RepairPlan(
         scheme="TreeIR",
         tasks=tasks,
-        ops=ByteLowering(lambda: lower(0.0, 1.0), ctx.decisions()),
+        ops=ByteLowering(lambda: lower(0.0, 1.0), d),
         outputs=outputs,
-        meta={"max_children": max_children},
+        meta={"max_children": _MAX_CHILDREN},
     )
 
 
@@ -325,39 +328,27 @@ def plan_tree_independent(ctx: RepairContext, max_children: int = 2) -> RepairPl
 # Rack-aware HMBR
 # ------------------------------------------------------------------ #
 def plan_rack_aware_hybrid(
-    ctx: RepairContext,
-    center: int | None = None,
-    intermediate_policy: str = "paper",
-    max_children: int = 2,
-    p: float | None = None,
-    split: str = "search",
+    ctx: RepairContext, center: int | None = None, p: float | None = None
 ) -> RepairPlan:
-    """Rack-aware HMBR: rack-aware CR on the upper sub-blocks, tree IR below.
+    """Rack-aware HMBR: rack-aware CR (``"paper"`` intermediates) on the
+    upper sub-blocks, binary-tree IR below.
 
     The closed-form §III model does not cover the collector/tree topology,
-    so the split is chosen by simulation: either a full grid search over the
-    combined task graph (``split="search"``, default — never loses to the
-    pure rack-aware sub-schemes) or the Theorem 1 formula applied to the two
-    sub-schemes' simulated full-block times (``split="sim-theorem1"``).
+    so the split is searched over the combined task graph in the simulator
+    (it never loses to the pure rack-aware sub-schemes); ``p`` overrides it.
     """
     from repro.repair.split import search_split
-    from repro.simnet.fluid import FluidSimulator
 
     if center is None:
         center = default_center(ctx)
+    d = ctx.decisions()
     # built once over the whole block; the plan re-fractions it at p0
-    cr_part = _build_rack_aware_cr(ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, intermediate_policy)
-    ir_part = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, max_children)
+    cr_part = _build_rack_aware_cr(ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, d)
+    ir_part = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, d)
     if p is not None:
         p0 = float(p)
-    elif split == "search":
-        p0, _ = search_split(cr_part[0], ir_part[0], ctx.cluster)
-    elif split == "sim-theorem1":
-        sim = FluidSimulator(ctx.cluster)
-        tcr, tir = sim.run(cr_part[0]).makespan, sim.run(ir_part[0]).makespan
-        p0 = tir / (tcr + tir) if (tcr + tir) > 0 else 0.5
     else:
-        raise ValueError(f"unknown split {split!r} (use 'search' or 'sim-theorem1')")
+        p0, _ = search_split(cr_part[0], ir_part[0], ctx.cluster)
 
     cr_tasks, cr_lower, cr_out = refraction(cr_part, 0.0, p0)
     ir_tasks, ir_lower, ir_out = refraction(ir_part, p0, 1.0)
@@ -365,14 +356,12 @@ def plan_rack_aware_hybrid(
     return RepairPlan(
         scheme="RackAwareHMBR",
         tasks=cr_tasks + ir_tasks,
-        ops=ByteLowering(
-            lambda: cr_lower(0.0, p0) + ir_lower(p0, 1.0) + concats(), ctx.decisions()
-        ),
+        ops=ByteLowering(lambda: cr_lower(0.0, p0) + ir_lower(p0, 1.0) + concats(), d),
         outputs=outputs,
         meta={
             "p0": p0,
-            "split": "override" if p is not None else split,
+            "split": "override" if p is not None else "search",
             "center": center,
-            "policy": intermediate_policy,
+            "policy": "paper",
         },
     )

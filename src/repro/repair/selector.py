@@ -35,7 +35,7 @@ class SchemeChoice:
     candidates: dict[str, float]
 
 
-def _default_candidates(ctx: RepairContext) -> dict[str, callable]:
+def _candidates(ctx: RepairContext) -> dict[str, callable]:
     """Candidate planners appropriate for the context's failure shape."""
     has_racks = len({ctx.cluster[n].rack for n in ctx.cluster.node_ids()}) > 1
     if ctx.f == 1:
@@ -48,25 +48,17 @@ def _default_candidates(ctx: RepairContext) -> dict[str, callable]:
     return cands
 
 
-def choose_scheme(
-    ctx: RepairContext,
-    candidates: dict[str, callable] | None = None,
-    events=(),
-) -> SchemeChoice:
+def choose_scheme(ctx: RepairContext) -> SchemeChoice:
     """Score every candidate plan in the simulator and return the fastest.
 
-    ``candidates`` maps name -> planner(ctx); defaults depend on f and the
-    rack structure.  ``events`` (bandwidth events) are applied during
-    scoring, so the choice is dynamics-aware when a trajectory is known.
+    The candidates depend on f and the rack structure
+    (:func:`_candidates`).
     """
-    cands = candidates if candidates is not None else _default_candidates(ctx)
-    if not cands:
-        raise ValueError("no candidate schemes supplied")
     sim = FluidSimulator(ctx.cluster)
     scored: dict[str, tuple[float, RepairPlan]] = {}
-    for name, planner in cands.items():
+    for name, planner in _candidates(ctx).items():
         plan = planner(ctx)
-        t = sim.run(plan.tasks, events=events).makespan
+        t = sim.run(plan.tasks).makespan
         scored[name] = (t, plan)
     best = min(scored, key=lambda nm: scored[nm][0])
     return SchemeChoice(

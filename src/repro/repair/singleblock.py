@@ -66,10 +66,11 @@ def plan_star(ctx: RepairContext) -> RepairPlan:
 def plan_chain(ctx: RepairContext, chain_order: str = "index") -> RepairPlan:
     """Repair pipelining (RP): one chain through the survivors."""
     _single_failure(ctx)
-    paths = build_chain_paths(ctx, chain_order)
-    tasks, lower, outputs = add_independent(ctx, ctx.prefix("rp"), 0.0, 1.0, paths)
+    d = ctx.decisions()
+    paths = build_chain_paths(ctx, chain_order, d)
+    tasks, lower, outputs = add_independent(ctx, ctx.prefix("rp"), 0.0, 1.0, paths, d)
     return RepairPlan(
-        "ChainSingle", tasks, ByteLowering(lambda: lower(0.0, 1.0), ctx.decisions()),
+        "ChainSingle", tasks, ByteLowering(lambda: lower(0.0, 1.0), d),
         outputs, {"chain_order": chain_order},
     )
 

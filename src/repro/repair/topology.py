@@ -16,20 +16,15 @@ def default_center(ctx: RepairContext, policy: str = "fastest-downlink") -> int:
     return ctx.pick_center(policy)
 
 
-def chain_survivor_order(
-    ctx: RepairContext, order: str = "index", d: Decisions | None = None
-) -> list[int]:
-    """Order in which survivors appear on every IR chain.
+def chain_survivor_order(ctx: RepairContext, order: str, d: Decisions) -> list[int]:
+    """Order in which the survivors frozen in ``d`` appear on every IR chain.
 
     ``"index"`` — stripe/block-index order (what RP does by default);
     ``"uplink-desc"`` — fastest uploader first, so the slowest survivor sits
     next to the (well-provisioned) new node, a cheap heuristic ablated in the
-    benchmarks.  ``d`` is ``ctx.decisions()`` when the caller froze them.
+    benchmarks.
     """
-    if d is None:
-        nodes = ctx.survivor_nodes()
-    else:
-        nodes = [d.placement[b] for b in d.survivors]
+    nodes = [d.placement[b] for b in d.survivors]
     if order == "index":
         return nodes
     if order == "uplink-desc":
@@ -37,9 +32,7 @@ def chain_survivor_order(
     raise ValueError(f"unknown chain order {order!r}")
 
 
-def build_chain_paths(
-    ctx: RepairContext, order: str = "index", d: Decisions | None = None
-) -> dict[int, list[int]]:
+def build_chain_paths(ctx: RepairContext, order: str, d: Decisions) -> dict[int, list[int]]:
     """One pipeline path per failed block: survivors (shared order) + new node."""
     base = chain_survivor_order(ctx, order, d)
     return {b: base + [ctx.new_node_of(b)] for b in ctx.failed_blocks}

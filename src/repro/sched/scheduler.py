@@ -192,11 +192,11 @@ class RepairScheduler:
         """Queue one job per :class:`~repro.system.request.RepairRequest`, run all.
 
         Per-job fields (scheme, stripes, priority, weight, arrival) come
-        from each request; run-global ones are folded once per run — at
-        most one request may carry faults (its retry/backoff knobs
-        configure the shared fault runtime) and ``verify`` is the
-        conjunction.  ``eta`` is passed on to :meth:`run_pending`.  Returns
-        :meth:`run_pending`'s report.
+        from each request; run-global ones must be expressible once per
+        run — at most one request may carry faults (its retry/backoff knobs
+        configure the shared fault runtime) and every request must agree on
+        ``verify`` (``ValueError`` otherwise).  ``eta`` is passed on to
+        :meth:`run_pending`.  Returns :meth:`run_pending`'s report.
         """
         from repro.faults.runtime import FaultRuntime
 
@@ -204,6 +204,8 @@ class RepairScheduler:
         faulted = [r for r in reqs if r.faults is not None]
         if len(faulted) > 1:
             raise ValueError("at most one request per run may carry faults")
+        if len({r.verify for r in reqs}) > 1:
+            raise ValueError("requests in one scheduled run must agree on verify")
         for r in reqs:
             self.submit(
                 scheme=r.scheme, stripes=r.stripes, priority=r.priority,

@@ -84,7 +84,8 @@ class ServeRequest:
 
     ``repair`` requests are queued on the coordinator's scheduler and run
     in the same merged simulation as the workload's foreground tasks (at
-    most one may carry a fault schedule, mirroring
+    most one may carry a fault schedule, and all must agree on ``verify``,
+    mirroring
     :meth:`Coordinator.repair <repro.system.coordinator.Coordinator.
     repair>`'s multi-request rules).  ``foreground_weight`` is the fair-
     share weight of every client flow (the scheduler's foreground class
@@ -126,6 +127,8 @@ class ServeRequest:
                 )
         if sum(1 for r in self.repair if r.faults is not None) > 1:
             raise ValueError("at most one repair request per run may carry faults")
+        if len({r.verify for r in self.repair}) > 1:
+            raise ValueError("repair requests in one run must agree on verify")
 
 
 @dataclass(frozen=True)

@@ -458,16 +458,20 @@ def _wide_repair_subplans():
     """Full-block CR / IR sub-plans on the ``wide_repair`` geometry."""
     ctx = build_scenario(32, 8, 4, wld="WLD-4x", seed=20230717).ctx
     center = ctx.pick_center("fastest-downlink")
-    cr, _, _ = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center)
-    ir, _, _ = add_independent(ctx, ctx.prefix("h.ir"), 0.0, 1.0, build_chain_paths(ctx))
+    d = ctx.decisions()
+    cr, _, _ = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center, d)
+    ir, _, _ = add_independent(
+        ctx, ctx.prefix("h.ir"), 0.0, 1.0, build_chain_paths(ctx, "index", d), d
+    )
     return ctx, cr, ir
 
 
 def _rack_hmbr_subplans():
     ctx = build_scenario(16, 8, 4, wld="WLD-4x", seed=2023, rack_size=4, cross_factor=4.0).ctx
     center = ctx.pick_center("fastest-downlink")
-    cr, _, _ = _build_rack_aware_cr(ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, "paper")
-    ir, _, _ = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, 2)
+    d = ctx.decisions()
+    cr, _, _ = _build_rack_aware_cr(ctx, ctx.prefix("rh.cr"), 0.0, 1.0, center, d)
+    ir, _, _ = _build_tree_ir(ctx, ctx.prefix("rh.ir"), 0.0, 1.0, d)
     return ctx, cr, ir
 
 

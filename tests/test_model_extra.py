@@ -23,12 +23,12 @@ def test_repair_model_dataclass_t():
 def test_chain_order_invalid():
     ctx = make_repair_ctx()
     with pytest.raises(ValueError):
-        chain_survivor_order(ctx, "alphabetical")
+        chain_survivor_order(ctx, "alphabetical", ctx.decisions())
 
 
 def test_chain_paths_end_at_assigned_new_nodes():
     ctx = make_repair_ctx(k=4, m=2, f=2)
-    paths = build_chain_paths(ctx)
+    paths = build_chain_paths(ctx, "index", ctx.decisions())
     for fb, path in paths.items():
         assert path[-1] == ctx.new_node_of(fb)
         assert len(path) == ctx.k + 1

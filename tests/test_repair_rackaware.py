@@ -82,22 +82,13 @@ def test_tree_builder_respects_max_children():
     ctx = rack_ctx(k=8, m=4, f=1)
     tracker = LinkUsageTracker()
     parent = _build_repair_tree(
-        ctx, root=ctx.new_nodes[0], survivors_nodes=ctx.survivor_nodes(),
-        tracker=tracker, max_children=2,
+        ctx, root=ctx.new_nodes[0], survivors_nodes=ctx.survivor_nodes(), tracker=tracker,
     )
     children = {}
     for c, p in parent.items():
         children.setdefault(p, []).append(c)
     assert all(len(v) <= 2 for v in children.values())
     assert len(parent) == ctx.k  # spanning: every survivor attached
-
-
-def test_tree_builder_max_children_infeasible():
-    ctx = rack_ctx(k=8, m=4, f=1)
-    tracker = LinkUsageTracker()
-    with pytest.raises(ValueError):
-        # max_children=0: nothing can ever attach
-        _build_repair_tree(ctx, ctx.new_nodes[0], ctx.survivor_nodes(), tracker, 0)
 
 
 def test_tree_builder_spreads_links_across_jobs():
@@ -107,7 +98,7 @@ def test_tree_builder_spreads_links_across_jobs():
     edges = []
     for fb in ctx.failed_blocks:
         parent = _build_repair_tree(
-            ctx, ctx.new_node_of(fb), ctx.survivor_nodes(), tracker, 2
+            ctx, ctx.new_node_of(fb), ctx.survivor_nodes(), tracker
         )
         edges.append(set(parent.items()))
     # overlap far below full reuse (identical chains would overlap completely)
@@ -147,12 +138,15 @@ def test_link_usage_tracker_counts():
 # ------------------------------------------------------------------ #
 # rack-aware HMBR
 # ------------------------------------------------------------------ #
-@pytest.mark.parametrize("split", ["search", "sim-theorem1"])
-def test_rack_hybrid_repairs_real_bytes(stripe_data, split):
+@pytest.mark.parametrize("p", [None, 1.0], ids=["search", "all-cr"])
+def test_rack_hybrid_repairs_real_bytes(stripe_data, p):
+    """At the searched split, and at the degenerate one whose tree-IR part
+    is empty."""
     ctx = rack_ctx(k=8, m=4, f=2)
-    plan = plan_rack_aware_hybrid(ctx, split=split)
+    plan = plan_rack_aware_hybrid(ctx, p=p)
     verify(ctx, plan, stripe_data, seed=5)
     assert 0.0 <= plan.meta["p0"] <= 1.0
+    assert plan.meta["split"] == ("search" if p is None else "override")
 
 
 def test_rack_hybrid_beats_plain_hybrid_with_capped_cross(stripe_data):
@@ -164,9 +158,11 @@ def test_rack_hybrid_beats_plain_hybrid_with_capped_cross(stripe_data):
 
 
 def test_rack_hybrid_invalid_split(stripe_data):
+    """A split ratio outside [0, 1] leaves one half an empty fraction range."""
     ctx = rack_ctx()
-    with pytest.raises(ValueError):
-        plan_rack_aware_hybrid(ctx, split="nonsense")
+    for p in (-0.25, 1.5):
+        with pytest.raises(ValueError, match="empty fraction range"):
+            plan_rack_aware_hybrid(ctx, p=p)
 
 
 def test_rack_hybrid_explicit_p(stripe_data):

@@ -39,27 +39,38 @@ def _rack_scenario(trunk):
     return ctx, ctx.pick_center("fastest-downlink")
 
 
+def _paths(ctx):
+    return build_chain_paths(ctx, "index", ctx.decisions())
+
+
 #: builder name -> (fresh build over [lo, hi), which searched p applies)
 BUILDERS = {
-    "cr": (lambda ctx, c, lo, hi: add_centralized(ctx, ctx.prefix("h.cr"), lo, hi, c), "hmbr"),
+    "cr": (
+        lambda ctx, c, lo, hi: add_centralized(
+            ctx, ctx.prefix("h.cr"), lo, hi, c, ctx.decisions()
+        ),
+        "hmbr",
+    ),
     "ir": (
         lambda ctx, c, lo, hi: add_independent(
-            ctx, ctx.prefix("h.ir"), lo, hi, build_chain_paths(ctx)
+            ctx, ctx.prefix("h.ir"), lo, hi, _paths(ctx), ctx.decisions()
         ),
         "hmbr",
     ),
     "rack-cr": (
-        lambda ctx, c, lo, hi: _build_rack_aware_cr(ctx, ctx.prefix("rh.cr"), lo, hi, c, "paper"),
+        lambda ctx, c, lo, hi: _build_rack_aware_cr(
+            ctx, ctx.prefix("rh.cr"), lo, hi, c, ctx.decisions(), "paper"
+        ),
         "rack",
     ),
     "rack-cr-adaptive": (
         lambda ctx, c, lo, hi: _build_rack_aware_cr(
-            ctx, ctx.prefix("rh.cr"), lo, hi, c, "adaptive"
+            ctx, ctx.prefix("rh.cr"), lo, hi, c, ctx.decisions(), "adaptive"
         ),
         "rack",
     ),
     "tree-ir": (
-        lambda ctx, c, lo, hi: _build_tree_ir(ctx, ctx.prefix("rh.ir"), lo, hi, 2),
+        lambda ctx, c, lo, hi: _build_tree_ir(ctx, ctx.prefix("rh.ir"), lo, hi, ctx.decisions()),
         "rack",
     ),
 }
@@ -85,15 +96,15 @@ def test_refraction_equals_a_fresh_build(builder, trunk):
 
 def test_refraction_rejects_an_empty_range():
     ctx, center = _rack_scenario(None)
-    whole = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center)
+    whole = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, 1.0, center, ctx.decisions())
     with pytest.raises(ValueError, match="empty fraction range"):
         refraction(whole, 0.6, 0.4)
 
 
 def _fresh_hybrid(ctx, center, p):
     """HMBR's tasks and sub-plan ops at ``p`` from two fresh range builds."""
-    cr = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, p, center)
-    ir = add_independent(ctx, ctx.prefix("h.ir"), p, 1.0, build_chain_paths(ctx))
+    cr = add_centralized(ctx, ctx.prefix("h.cr"), 0.0, p, center, ctx.decisions())
+    ir = add_independent(ctx, ctx.prefix("h.ir"), p, 1.0, _paths(ctx), ctx.decisions())
     return cr[0] + ir[0], cr[1](0.0, p) + ir[1](p, 1.0)
 
 
@@ -191,10 +202,16 @@ def test_a_lazy_stripe_whose_survivor_died_is_planned_afresh(builds):
 # ------------------------------------------------------------------ #
 # the survivors are derived once per plan, not once per builder
 # ------------------------------------------------------------------ #
-def test_a_round_derives_each_stripes_survivors_twice(monkeypatch):
-    """Once for the common-split search's whole-block build, once when the
-    stripe's plan is made from it (a helper may have died in between); the
-    builders and chain paths share those frozen decisions."""
+#: scheme -> survivor derivations per stripe in one planned round
+DERIVATIONS = {"cr": 1, "ir": 1, "mlf": 1, "rack-hmbr": 1, "hmbr": 2}
+
+
+@pytest.mark.parametrize("scheme", sorted(DERIVATIONS))
+def test_a_round_derives_each_stripes_survivors_once_per_plan(monkeypatch, scheme):
+    """Each planner derives a stripe's decisions once and hands them to its
+    builders, chain paths and byte lowering.  HMBR plans twice per stripe:
+    once for the common-split search's whole-block build, once when the
+    stripe's plan is made from it (a helper may have died in between)."""
     calls = {"surviving_blocks": 0, "decisions": 0}
     for name in calls:
         real = getattr(RepairContext, name)
@@ -207,9 +224,9 @@ def test_a_round_derives_each_stripes_survivors_twice(monkeypatch):
     coord = build_system()
     coord.crash_node(3)
     coord.crash_node(7)
-    timing = coord.plan_repair("hmbr")
-    assert len(timing.plans) >= 2 and timing.plans[0][1].meta["split"] == "override"
-    assert calls == {
-        "surviving_blocks": 2 * len(timing.plans),
-        "decisions": 2 * len(timing.plans),
-    }
+    timing = coord.plan_repair(scheme)
+    assert len(timing.plans) == 6
+    if scheme == "hmbr":
+        assert timing.plans[0][1].meta["split"] == "override"
+    n = DERIVATIONS[scheme] * len(timing.plans)
+    assert calls == {"surviving_blocks": n, "decisions": n}

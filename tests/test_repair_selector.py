@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.repair.hybrid import plan_hybrid
 from repro.repair.selector import choose_scheme
-from repro.simnet.network import NetworkTrace
 from repro.simnet.fluid import FluidSimulator
 from tests.conftest import make_repair_ctx
 
@@ -42,21 +40,3 @@ def test_selector_includes_rack_variants_only_with_racks():
     assert "rack-hmbr" not in choose_scheme(flat).candidates
     assert "rack-hmbr" in choose_scheme(racked).candidates
 
-
-def test_selector_custom_candidates_and_errors():
-    ctx = make_repair_ctx(k=6, m=3, f=2)
-    choice = choose_scheme(ctx, candidates={"only": plan_hybrid})
-    assert choice.scheme == "only"
-    with pytest.raises(ValueError):
-        choose_scheme(ctx, candidates={})
-
-
-def test_selector_is_dynamics_aware():
-    """With survivor uplinks about to collapse, the choice shifts toward CR."""
-    ctx = make_repair_ctx(k=16, m=8, f=2, block_size_mb=64.0)
-    survivors = ctx.survivor_nodes()
-    events = NetworkTrace.degrade(survivors, at_time=0.5, factor=16.0).events_for(ctx.cluster)
-    static_choice = choose_scheme(ctx)
-    dynamic_choice = choose_scheme(ctx, events=events)
-    # under the collapse, IR must look much worse than it did statically
-    assert dynamic_choice.candidates["ir"] > static_choice.candidates["ir"] * 2

@@ -268,9 +268,22 @@ def test_deleted_data_plane_names_are_gone():
         if re.search(r"^\s*(?:from|import) multiprocessing\b", text, re.M)
     ]
     assert not forks, forks
-    from repro.gf.backend import KernelBackend
+    from repro.gf.backend import NativeBackend, NumpyBackend
 
-    assert not hasattr(KernelBackend, "warm")
+    assert not hasattr(NativeBackend, "warm") and not hasattr(NumpyBackend, "warm")
+
+
+def test_the_kernel_plug_in_registry_is_gone():
+    """The GF kernel is two fixed tiers: the abstract base, the registration
+    call and the name-or-instance resolver were deleted, not deprecated."""
+    import repro.gf
+    import repro.gf.backend
+    from repro.gf.backend import base
+
+    for module in (repro.gf, repro.gf.backend, base):
+        for name in ("KernelBackend", "register_backend", "resolve_backend"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert [type(t).__name__ for t in base._TIERS] == ["NativeBackend", "NumpyBackend"]
 
 
 def test_only_the_interpreter_moves_repair_bytes_between_agents():

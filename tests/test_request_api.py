@@ -252,6 +252,30 @@ def test_request_list_rejects_round_only_fields(field):
     assert coord.sched.queue_depth == 0  # rejected before anything queued
 
 
+def test_request_list_rejects_mixed_verify():
+    """A run verifies every stripe it repairs or none: requests that disagree
+    on ``verify`` are refused before anything queues — on the facade, on
+    the scheduler, and in a serving run's repair storm — never run
+    unverified under a result that reports ``verify=True``."""
+    from repro.workload import ServeRequest, WorkloadSpec
+
+    coord = build_system()
+    coord.crash_node(3)
+    mixed = [
+        RepairRequest(priority="foreground"),
+        RepairRequest(priority="background", verify=False),
+    ]
+    with pytest.raises(ValueError, match="verify"):
+        coord.repair(mixed)
+    with pytest.raises(ValueError, match="verify"):
+        coord.sched.run_requests(mixed)
+    assert coord.sched.queue_depth == 0
+    with pytest.raises(ValueError, match="verify"):
+        ServeRequest(WorkloadSpec(), repair=mixed)
+    res = coord.repair([RepairRequest(priority="foreground", verify=False)] * 2)
+    assert res.ok and res.request.verify is False
+
+
 def test_scheduled_faults_keep_the_requests_retry_knobs():
     """``max_retries`` & co. reach the fault runtime on the scheduler route."""
     from repro.faults.errors import RepairAborted

@@ -11,9 +11,7 @@ name their ``__all__`` exports.  A name is *reached* when:
 * it is a class that a reached callable names in its signature or its
   annotations — a reached class's fields and public methods included —
   repeated until nothing changes;
-* it is an exception;
-* it is reached through a registry: passed to a ``register*`` call, as the
-  kernel backends are.
+* it is an exception.
 
 Everything else is printed with its count.  ``--max N`` turns the report
 into a ratchet: a count above ``N`` fails, so an unreached public name must
@@ -50,24 +48,15 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _identifiers(tree: ast.AST) -> tuple[set[str], set[str]]:
-    """-> (every name/attribute used, names passed to a ``register*`` call)."""
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name and attribute used."""
     used: set[str] = set()
-    registered: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-        elif isinstance(node, ast.Call):
-            fn = node.func
-            fname = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", "")
-            if fname.startswith("register"):
-                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                    registered.update(
-                        sub.id for sub in ast.walk(arg) if isinstance(sub, ast.Name)
-                    )
-    return used, registered
+    return used
 
 
 def _module_file(modname: str) -> Path:
@@ -127,17 +116,12 @@ def unreached(root: Path, modules: list[str]) -> list[tuple[str, str]]:
         p.resolve() for d in CALLER_DIRS if (root / d).is_dir()
         for p in (root / d).rglob("*.py")
     )
-    used_in: dict[Path, set[str]] = {}
-    registered: set[str] = set()
-    for path in files:
-        used_in[path], reg = _identifiers(_parse(path))
-        registered |= reg
+    used_in = {path: _identifiers(_parse(path)) for path in files}
 
     reached = set()
     for (home, name), obj in surface.items():
         if (
             any(name in used for path, used in used_in.items() if path != home)
-            or name in registered
             or (inspect.isclass(obj) and issubclass(obj, BaseException))
         ):
             reached.add((home, name))
