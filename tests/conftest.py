@@ -43,6 +43,20 @@ def unbound_kernel():
         fluid._KERNEL.lib = lib
 
 
+def fresh_native_tier(monkeypatch, request):
+    """Swap an unprobed ``NativeBackend`` into the GF kernel's tier tuple
+    (restored by ``monkeypatch``), with the selection memo emptied now and
+    again when the test ends; returns the fresh tier."""
+    from repro.gf.backend import NativeBackend, base
+
+    fresh = NativeBackend()
+    tiers = tuple(fresh if isinstance(t, NativeBackend) else t for t in base._TIERS)
+    monkeypatch.setattr(base, "_TIERS", tiers)
+    base._SELECTED.clear()
+    request.addfinalizer(base._SELECTED.clear)
+    return fresh
+
+
 @pytest.fixture
 def numpy_allocator():
     """This test's fluid runs use the NumPy filling loop."""
