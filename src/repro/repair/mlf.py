@@ -13,9 +13,7 @@ candidate set.
 
 from __future__ import annotations
 
-import math
-
-from repro.repair._build import add_multilevel, mlf_children
+from repro.repair._build import add_multilevel, mlf_children, mlf_degree
 from repro.repair.context import RepairContext
 from repro.repair.plan import ByteLowering, RepairPlan
 
@@ -30,12 +28,12 @@ def plan_mlf(
 
     ``center`` is accepted for planner-registry compatibility and ignored:
     the aggregation root is a survivor (picked by ``order``), not a new
-    node.  ``degree=None`` auto-picks ~sqrt(k).
+    node.  ``degree=None`` auto-picks ~sqrt(k) (:func:`mlf_degree`).
     """
     del center  # the tree root is a survivor, not a new-node center
     d = ctx.decisions()
     k = len(d.survivors)
-    resolved_degree = degree if degree is not None else max(2, int(round(math.sqrt(k))))
+    resolved_degree = mlf_degree(k, degree)
     tasks, lower, outputs = add_multilevel(
         ctx, ctx.prefix("mlf"), 0.0, 1.0, resolved_degree, order, d
     )
