@@ -55,7 +55,9 @@ def main() -> None:
         print(f"{label}:")
         print(f"  repair makespan : {res.makespan:8.2f} s")
         print(f"  center loads    : {load}")
-        print(f"  common split p  : {merged.meta['common_p']:.3f}\n")
+        splits = list(merged.meta["split"].values())
+        print(f"  split p per stripe: {min(splits):.3f} .. {max(splits):.3f} "
+              f"(mean {np.mean(splits):.3f})\n")
 
     gain = 100 * (1 - results[True] / results[False])
     print(f"scheduling enhancement saved {gain:.1f}% "

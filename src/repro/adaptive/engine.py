@@ -89,7 +89,7 @@ class AdaptiveEntry:
     """One stripe's repair as the engine sees it.
 
     ``plan`` must be the plan the *static* path would run (built by the
-    coordinator's own helpers, common HMBR split included) — round 0
+    coordinator's own helpers, the round's HMBR split included) — round 0
     simulates it verbatim, which is what makes quiet-network adaptivity a
     bit-exact no-op.
     """
@@ -514,7 +514,8 @@ class AdaptiveEngine:
         Returns each entry's sub-plans, aligned with ``live``, on a context
         re-based onto the current capacities with freshly picked survivors.
         HMBR splits every entry at one *common* relative split, searched
-        against the predicted future events like the static common split.
+        against the predicted future events (the volume bound that splits
+        a static round per stripe cannot see a bandwidth change).
         """
         parts = _PARTS[cand]
         builds = []

@@ -3,8 +3,8 @@
 :class:`AdaptiveRuntime` is the bridge between the timing-only
 :class:`~repro.adaptive.engine.AdaptiveEngine` and the coordinator's
 agents: it runs the *exact* planning phase of a static healthy round
-(same spare assignment, same center-scheduler picks, same common HMBR
-split), hands the resulting plans to the engine for drift-triggered
+(same spare assignment, same center-scheduler picks, same per-stripe
+HMBR splits), hands the resulting plans to the engine for drift-triggered
 re-planning, then executes each journaled piece's GF/transfer ops
 exactly once through the agents — resumable via the fault runtime's
 :class:`~repro.system.agent.ExecutionJournal` cursor, so an

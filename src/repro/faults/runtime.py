@@ -236,7 +236,7 @@ class FaultRuntime:
         return failed
 
     def _prepare(self, sids, scheme: str) -> RoundPlan | None:
-        """Contexts, centers and the common split for the broken ``sids``.
+        """Contexts, centers and the HMBR splits for the broken ``sids``.
 
         Per-stripe plans are made lazily, right before each stripe runs,
         so they see every death confirmed while earlier stripes repaired.
@@ -385,7 +385,7 @@ class FaultRuntime:
         committed = []
         try:
             for sid, ctx, center in rnd.work if rnd is not None else ():
-                plan = self._repair_stripe(sid, scheme, verify, (ctx, center), rnd.common_p)
+                plan = self._repair_stripe(sid, scheme, verify, (ctx, center), rnd.p_of(sid))
                 if plan is not None:
                     committed.append((sid, plan))
         finally:

@@ -102,8 +102,10 @@ def plan_multi_node(
 
     For ``scheme="hmbr"``, ``split`` controls the CR/IR ratio:
 
-    * ``"global-search"`` (default) — one common p chosen by simulating the
-      *merged* task graph of every stripe.  Per-stripe isolated splits are
+    * ``"global-search"`` (default) — each stripe's p chosen over the
+      *merged* task graph of every stripe: the round's volume LP, kept when
+      one fluid run beats every common p's volume bound, else the paper's
+      common-p search (:mod:`repro.repair.split`).  Isolated splits are
       badly miscalibrated during multi-node repair because they ignore the
       other stripes contending for the same survivor uplinks.
     * ``"per-stripe"`` — each stripe searches its own p in isolation (shown
@@ -119,26 +121,25 @@ def plan_multi_node(
     affected = layout.stripes_with_failures(set(dead_nodes))
     if not affected:
         raise ValueError("no stripe was affected by the given dead nodes")
-    # a lazy round reads its scheme only to decide whether to search the
-    # common p, which the per-stripe ablation must not pay for
+    # a lazy round reads its scheme only to decide whether to split over
+    # the round, which the per-stripe ablation must not pay for
     rnd = plan_round(
         layout, cluster, code, CenterScheduler() if enhanced else None,
         scheme if split == "global-search" else "cr", affected,
         block_size_mb=block_size_mb, replacement_of=replacement_of, lazy=True,
     )
-    common_p = rnd.common_p
     jobs = [
         MultiNodeRepairJob(
             stripe_id=sid,
             failed_blocks=ctx.failed_blocks,
             new_nodes=ctx.new_nodes,
             center=center,
-            plan=plan_stripe(ctx, center, scheme, common_p),
+            plan=plan_stripe(ctx, center, scheme, rnd.p_of(sid)),
         )
         for sid, ctx, center in rnd.work
     ]
     merged = merge_plans(
         [j.plan for j in jobs], scheme=f"multi-node/{scheme}{'+sched' if enhanced else ''}"
     )
-    merged.meta["common_p"] = common_p
+    merged.meta["split"] = rnd.split
     return merged, jobs

@@ -3,8 +3,9 @@
 Every repair route — a healthy round, the metadata-only fast path, a
 scheduler job, the fault runtime and the adaptive runtime — plans through
 :func:`plan_round`: lost-block report → one spare per dead node →
-LFS/LRS center per stripe → one common HMBR split → per-stripe plan →
-task-graph check.  Nothing here touches a block byte, an agent or the bus,
+LFS/LRS center per stripe → one HMBR split per stripe, from the round's
+volume LP (:mod:`repro.repair.split`) → per-stripe plan → task-graph
+check.  Nothing here touches a block byte, an agent or the bus,
 nor builds the ops that would (:mod:`repro.repair.plan`); the inputs are
 the stripe table, the cluster's bandwidth view and the stateful center
 scheduler, the output a :class:`RoundPlan`.
@@ -63,8 +64,9 @@ class RoundPlan:
     replacement_of: dict[int, int]
     #: (stripe id, context, CR center) in planning (= sorted id) order.
     work: list[tuple[int, RepairContext, int]]
-    #: the shared HMBR split ratio (``None``: per-stripe splits).
-    common_p: float | None = None
+    #: stripe id -> its HMBR split ratio, chosen over the whole round
+    #: (``None``: each stripe's planner splits it alone).
+    split: dict[int, float] | None = None
     #: (stripe id, plan) in planning order.
     plans: list[tuple[int, RepairPlan]] = field(default_factory=list)
 
@@ -72,6 +74,10 @@ class RoundPlan:
     def tasks(self) -> list:
         """Every plan's flow tasks, merged for one fluid simulation."""
         return [t for _, plan in self.plans for t in plan.tasks]
+
+    def p_of(self, sid: int) -> float | None:
+        """Stripe ``sid``'s round split, for :func:`plan_stripe`."""
+        return None if self.split is None else self.split[sid]
 
 
 def dead_hosts(layout, affected: dict[int, list[int]]) -> list[int]:
@@ -110,32 +116,28 @@ def assign_spares(cluster, dead_nodes, free_spares, shared=None) -> dict[int, in
     return out
 
 
-def common_split(cluster, work) -> float | None:
-    """One shared HMBR split ratio over all stripes of a round (§IV-C).
-
-    A per-stripe split is miscalibrated when several stripes repair in
-    parallel (it ignores the other stripes on the same links), so one
-    common p is searched over the merged task graph instead.  Returns
-    ``None`` for fewer than two stripes (the per-stripe split is already
-    exact there).  The whole-block builds it scores stay on the contexts
-    for :func:`plan_stripe` to re-fraction at the searched p.
-    """
+def round_split(cluster, work) -> dict[int, float] | None:
+    """Each stripe's HMBR split in a round (§IV-C), stripe id -> p, chosen
+    over the merged whole-block task graph (a stripe's own search ignores
+    the stripes sharing its links), never worse than the paper's one common
+    p.  ``None`` for fewer than two stripes.  The builds stay on the
+    contexts for :func:`plan_stripe` to re-fraction at each stripe's p."""
     if len(work) < 2:
         return None
-    cr_all, ir_all = [], []
-    for _, ctx, center in work:
-        (cr_t, _, _), (ir_t, _, _) = whole_block(ctx, center, keep=True)
-        cr_all.extend(cr_t)
-        ir_all.extend(ir_t)
-    p, _ = search_split(cr_all, ir_all, cluster)
-    return p
+    builds = [whole_block(ctx, center, keep=True) for _, ctx, center in work]
+    cr_all = [t for (cr, _, _), _ in builds for t in cr]
+    ir_all = [t for _, (ir, _, _) in builds for t in ir]
+    stripe_of = [i for part in (0, 1) for i, b in enumerate(builds) for _ in b[part][0]]
+    splits, _ = search_split(cr_all, ir_all, cluster, stripe_of=stripe_of)
+    return {sid: float(p) for (sid, _, _), p in zip(work, splits)}
 
 
-def plan_stripe(ctx, center, scheme: str, common_p: float | None = None) -> RepairPlan:
-    """Run ``scheme``'s planner on one stripe and check its task graph
-    (the byte view is validated in full when first read)."""
-    if scheme == "hmbr" and common_p is not None:
-        plan = plan_hybrid(ctx, center=center, p=common_p)
+def plan_stripe(ctx, center, scheme: str, p: float | None = None) -> RepairPlan:
+    """Run ``scheme``'s planner on one stripe (HMBR at split ``p`` when
+    given) and check its task graph (the byte view is validated in full
+    when first read)."""
+    if scheme == "hmbr" and p is not None:
+        plan = plan_hybrid(ctx, center=center, p=p)
     else:
         plan = SCHEMES[scheme](ctx, center)
     _check_task_graph_acyclic(plan)
@@ -192,11 +194,11 @@ def plan_round(
         )
         center = centers.pick(new_nodes) if centers is not None else ctx.pick_center()
         work.append((sid, ctx, center))
-    common_p = common_split(cluster, work) if scheme == "hmbr" else None
-    rnd = RoundPlan(affected, replacement_of, work, common_p)
+    split = round_split(cluster, work) if scheme == "hmbr" else None
+    rnd = RoundPlan(affected, replacement_of, work, split)
     if not lazy:
         rnd.plans = [
-            (sid, plan_stripe(ctx, center, scheme, common_p))
+            (sid, plan_stripe(ctx, center, scheme, rnd.p_of(sid)))
             for sid, ctx, center in work
         ]
     return rnd

@@ -424,7 +424,7 @@ class Coordinator:
 
         The **stripe-metadata-only fast path**: runs the exact planning
         pipeline of :meth:`repair` — spare assignment, LFS/LRS center
-        picks, the common HMBR split, per-stripe planners, plan validation
+        picks, the round's HMBR splits, per-stripe planners, plan validation
         — and the exact merged fluid simulation, but skips the data plane
         entirely (no ops dispatched, no payloads stored, no parity
         verified).  On a system provisioned via
@@ -550,7 +550,7 @@ class Coordinator:
                 span.args.update(
                     stripes=len(rnd.work),
                     tasks=sum(len(p.tasks) for _, p in rnd.plans),
-                    common_p=rnd.common_p,
+                    split=rnd.split,
                 )
         return rnd
 

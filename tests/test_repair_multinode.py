@@ -128,12 +128,14 @@ def test_enhanced_cr_is_faster_under_contention():
     assert t_enh <= t_base + 1e-9
 
 
-def test_global_search_records_common_p():
+def test_global_search_records_each_stripes_split():
     cluster, code, layout, dead, repl = multi_node_setup()
-    merged, _ = plan_multi_node(cluster, code, layout, dead, repl, scheme="hmbr", split="global-search")
-    assert 0.0 <= merged.meta["common_p"] <= 1.0
+    merged, jobs = plan_multi_node(cluster, code, layout, dead, repl, scheme="hmbr", split="global-search")
+    assert set(merged.meta["split"]) == {j.stripe_id for j in jobs}
+    assert all(j.plan.meta["p0"] == merged.meta["split"][j.stripe_id] for j in jobs)
+    assert all(0.0 <= p <= 1.0 for p in merged.meta["split"].values())
     merged2, jobs2 = plan_multi_node(cluster, code, layout, dead, repl, scheme="hmbr", split="per-stripe")
-    assert merged2.meta["common_p"] is None
+    assert merged2.meta["split"] is None
     assert all(0.0 <= j.plan.meta["p0"] <= 1.0 for j in jobs2)
 
 

@@ -1,7 +1,7 @@
 """Plan each HMBR stripe once.
 
-A round's common-split search builds every stripe's CR and IR sub-plans
-over the whole block; the plan at the searched ``p`` re-fractions that
+A round's split search builds every stripe's CR and IR sub-plans over
+the whole block; the plan at the stripe's ``p`` re-fractions that
 build's tasks (:func:`repro.repair._build.refraction`) and calls its byte
 lowering at the sub-range instead of calling the builders again.  Both are
 pinned ``==`` against what they replace: a fresh builder call over the
@@ -146,7 +146,7 @@ def _crashed_round(lazy: bool):
     coord.crash_node(5)
     affected = coord.layout.stripes_with_failures(coord.cluster.dead_ids())
     rnd = coord.plan_round("hmbr", affected, lazy=lazy)
-    assert len(rnd.work) >= 2 and rnd.common_p is not None
+    assert len(rnd.work) >= 2 and set(rnd.split) == {sid for sid, _, _ in rnd.work}
     return coord, rnd
 
 
@@ -157,35 +157,35 @@ def test_a_round_builds_each_stripe_once(builds):
     assert all(ctx._template is None for _, ctx, _ in rnd.work)  # all consumed
     for (sid, ctx, center), (plan_sid, plan) in zip(rnd.work, rnd.plans):
         assert plan_sid == sid
-        tasks, ops = _fresh_hybrid(ctx, center, rnd.common_p)
+        tasks, ops = _fresh_hybrid(ctx, center, rnd.split[sid])
         assert plan.tasks == tasks and plan.ops[: len(ops)] == ops
 
 
 def test_a_template_serves_one_plan(builds):
     _, rnd = _crashed_round(lazy=True)
     n = len(rnd.work)
-    _, ctx, center = rnd.work[0]
-    _, other, other_center = next(w for w in rnd.work[1:] if w[1].f > 1)
-    first = plan_stripe(ctx, center, "hmbr", rnd.common_p)
+    sid, ctx, center = rnd.work[0]
+    other_sid, other, other_center = next(w for w in rnd.work[1:] if w[1].f > 1)
+    first = plan_stripe(ctx, center, "hmbr", rnd.split[sid])
     assert builds == {"cr": n, "ir": n} and ctx._template is None
-    second = plan_stripe(ctx, center, "hmbr", rnd.common_p)
+    second = plan_stripe(ctx, center, "hmbr", rnd.split[sid])
     assert builds == {"cr": n + 1, "ir": n + 1}
     assert second == first
     assert not any(a is b for a, b in zip(first.ops, second.ops))
     # a template made for another center is dropped, not used
     wrong = next(c for c in other.new_nodes if c != other_center)
-    plan = plan_hybrid(other, center=wrong, p=rnd.common_p)
+    plan = plan_hybrid(other, center=wrong, p=rnd.split[other_sid])
     assert builds == {"cr": n + 2, "ir": n + 2} and other._template is None
-    assert plan.tasks == _fresh_hybrid(other, wrong, rnd.common_p)[0]
+    assert plan.tasks == _fresh_hybrid(other, wrong, rnd.split[other_sid])[0]
 
 
 def test_a_lazy_stripe_whose_survivor_died_is_planned_afresh(builds):
     coord, rnd = _crashed_round(lazy=True)
     n = len(rnd.work)
-    _, ctx, center = rnd.work[0]
+    sid, ctx, center = rnd.work[0]
     victim = ctx.survivor_nodes()[0]
     coord.crash_node(victim)  # a helper dies before the stripe's turn
-    plan = plan_stripe(ctx, center, "hmbr", rnd.common_p)
+    plan = plan_stripe(ctx, center, "hmbr", rnd.split[sid])
     assert builds == {"cr": n + 1, "ir": n + 1}
     touched = {n for t in plan.tasks for hop in t.hops for n in hop}
     assert victim not in touched
@@ -194,8 +194,8 @@ def test_a_lazy_stripe_whose_survivor_died_is_planned_afresh(builds):
         failed_blocks=ctx.failed_blocks, new_nodes=ctx.new_nodes,
         block_size_mb=ctx.block_size_mb,
     )
-    assert plan == plan_hybrid(fresh, center=center, p=rnd.common_p)
-    tasks, ops = _fresh_hybrid(fresh, center, rnd.common_p)
+    assert plan == plan_hybrid(fresh, center=center, p=rnd.split[sid])
+    tasks, ops = _fresh_hybrid(fresh, center, rnd.split[sid])
     assert plan.tasks == tasks and plan.ops[: len(ops)] == ops
 
 
