@@ -156,9 +156,9 @@ def generate(path: str | Path = "EXPERIMENTS.md", quick: bool = False) -> Path:
             "concentrate in wide stripes where centers are genuinely "
             "contended; with few replacement candidates per stripe the "
             "scheduler has no freedom and the effect vanishes (small-k "
-            "rows). Reproducing this experiment required a global split "
-            "search across stripes — per-stripe splits ignore cross-stripe "
-            "contention and invert the result (kept as an ablation).",
+            "rows). Reproducing this experiment required splitting over the "
+            "whole round (each stripe's p from the round's volume LP) — "
+            "isolated per-stripe splits invert the result (an ablation).",
         )
     )
 
