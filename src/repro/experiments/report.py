@@ -1,14 +1,16 @@
 """EXPERIMENTS.md generator: run every harness and record paper-vs-measured.
 
 ``python -m repro.experiments.report`` regenerates ``EXPERIMENTS.md`` in the
-repository root, so the document always reflects what the code actually
-produces.  Each section records the paper's claim, our measured rows, and an
-honest note where shapes deviate.
+repository root, and ``--check`` exits 1 with a diff while it is stale, so the
+document always reflects what the code produces.  Each section records the
+paper's claim, our measured rows, and an honest note where shapes deviate.
 """
 
 from __future__ import annotations
 
+import argparse
 import datetime
+import difflib
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,11 @@ def generate(path: str | Path = "EXPERIMENTS.md", quick: bool = False) -> Path:
     ``quick=True`` shrinks grids/seeds (used by tests); the committed
     document is generated with ``quick=False``.
     """
+    Path(path).write_text(_render(quick))
+    return Path(path)
+
+
+def _render(quick: bool = False) -> str:
     seeds = (2023,) if quick else (2023, 2024, 2025)
     sections: list[str] = []
 
@@ -283,16 +290,24 @@ def generate(path: str | Path = "EXPERIMENTS.md", quick: bool = False) -> Path:
         "the authors' EC2 tenancy); the claims checked are the *shapes*: "
         "who wins, by roughly what factor, and where crossovers fall.\n"
     )
-    text = header + "\n" + "\n".join(sections)
-    out = Path(path)
-    out.write_text(text)
-    return out
+    return header + "\n" + "\n".join(sections)
 
 
-def main() -> None:
-    out = generate()
-    print(f"wrote {out} ({out.stat().st_size} bytes)")
+def main(argv: list[str] | None = None) -> int:
+    """Regenerate ``EXPERIMENTS.md`` in the working directory, or check it."""
+    parser = argparse.ArgumentParser(prog="python -m repro.experiments.report")
+    parser.add_argument("--check", action="store_true", help="exit 1 if the file is stale")
+    if not parser.parse_args(argv).check:
+        out = generate()
+        print(f"wrote {out} ({out.stat().st_size} bytes)")
+        return 0
+    old, new = (
+        [line for line in text.splitlines(True) if not line.startswith("Generated by")]
+        for text in (Path("EXPERIMENTS.md").read_text(), _render())
+    )
+    print("".join(difflib.unified_diff(old, new, "EXPERIMENTS.md", "regenerated")), end="")
+    return int(old != new)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._bytes import join_bytes
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
 from repro.ec.rs import RSCode
@@ -163,15 +164,15 @@ class Coordinator:
 
     def write(self, name: str, data: bytes | np.ndarray) -> WriteReceipt:
         """Erasure-code ``data`` into stripes and distribute the blocks: its
-        bytes *viewed* as field elements (``block_bytes * itemsize`` bytes a
-        block), a ``bytes`` payload by reference, any other buffer copied
-        once, and only a short tail stripe zero-padded into its own array."""
+        C-order bytes *viewed* as field elements (``block_bytes * itemsize``
+        bytes a block), a ``bytes`` payload by reference, any other buffer
+        copied once, and only a short tail zero-padded into its own array."""
         if name in self.files:
             raise KeyError(f"file {name!r} already exists")
         if isinstance(data, bytes):
             buf = np.frombuffer(data, dtype=np.uint8)
         else:
-            buf = np.array(data, dtype=np.uint8).reshape(-1)
+            buf = np.array(data, order="C").reshape(-1).view(np.uint8)
         k, dtype = self.code.k, self.code.field.dtype
         stripe_payload = k * self.block_bytes * np.dtype(dtype).itemsize
         padded = int(np.ceil(max(buf.size, 1) / stripe_payload)) * stripe_payload
@@ -226,11 +227,11 @@ class Coordinator:
     def read(self, name: str) -> bytes:
         """Read a file back, transparently decoding around lost blocks.
 
-        Joins the data blocks' bytes, cut at the written length.  A block is
-        lost when its node is dead, it is absent, or it is not one block of
-        field elements long (the shape and dtype :meth:`verify_stripe`
-        checks); a stripe with fewer than ``k`` readable blocks raises
-        ``IOError``.
+        Joins the data blocks' bytes, cut at the written length, into one
+        ``bytes``: the one copy a read makes.  A block is lost when its node
+        is dead, it is absent, or it is not one block of field elements long
+        (the shape and dtype :meth:`verify_stripe` checks); a stripe with
+        fewer than ``k`` readable blocks raises ``IOError``.
         """
         if name not in self.files:
             raise KeyError(f"unknown file {name!r}")
@@ -238,11 +239,9 @@ class Coordinator:
         shape, dtype = (self.block_bytes,), self.code.field.dtype
         blocks: list[np.ndarray] = []  # the file's data blocks, in order
         for sid in stripe_ids:
-            stripe = self.layout[sid]
             available: dict[int, np.ndarray] = {}
-            for b, node in enumerate(stripe.placement):
-                agent = self.agents[node]
-                bname = block_name(sid, b)
+            for b, node in enumerate(self.layout[sid].placement):
+                agent, bname = self.agents[node], block_name(sid, b)
                 if agent.alive and agent.store.has(bname):
                     block = agent.read_block(bname)
                     if block.shape == shape and block.dtype == dtype:
@@ -253,14 +252,7 @@ class Coordinator:
                     raise IOError(f"stripe {sid} unrecoverable: {len(available)} blocks left")
                 available.update(self.code.decode(available, missing))
             blocks += (available[b] for b in range(self.code.k))
-        # one pass, one copy: join the blocks' bytes, the tail cut at ``length``
-        parts, left = [], length
-        for block in blocks:
-            if left <= 0:
-                break
-            parts.append(block.view(np.uint8)[:left])
-            left -= parts[-1].size
-        return b"".join(parts)
+        return join_bytes(blocks, length)
 
     def serve(self, request):
         """Run a client workload (optionally merged with a repair storm).
@@ -735,8 +727,8 @@ class Coordinator:
     def update(self, name: str, offset: int, patch: bytes) -> dict:
         """In-place update with delta parity maintenance.
 
-        Overwrite ``patch`` at byte ``offset`` of the file.  Instead of
-        re-encoding whole stripes, each touched data block sends only the
+        Overwrite ``patch``'s bytes at byte ``offset`` of the file.  Instead
+        of re-encoding whole stripes, each touched data block sends only the
         GF *delta* of the patched span to the parity nodes:
         ``P_j[span] ^= alpha_{i,j} * (new - old)[span]`` — the standard
         parity-delta update the related work (§VI) optimizes.
@@ -748,9 +740,9 @@ class Coordinator:
         if name not in self.files:
             raise KeyError(f"unknown file {name!r}")
         stripe_ids, length = self.files[name]
-        if offset < 0 or offset + len(patch) > length:
+        patch_arr = np.frombuffer(patch, dtype=np.uint8)  # any C-contiguous buffer
+        if offset < 0 or offset + patch_arr.size > length:
             raise ValueError("update range outside the file")
-        patch_arr = np.frombuffer(patch, dtype=np.uint8)
         k, itemsize = self.code.k, np.dtype(self.code.field.dtype).itemsize
         block_payload = self.block_bytes * itemsize
         stripe_payload = k * block_payload

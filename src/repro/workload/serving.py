@@ -63,6 +63,7 @@ from typing import Any
 
 import numpy as np
 
+from repro._bytes import join_bytes
 from repro.ec.stripe import block_name
 from repro.faults.errors import StripeUnrecoverable
 from repro.obs.metrics import latency_summary
@@ -360,7 +361,7 @@ class ServingPlane:
             stripe = coord.layout[sid]
             if missing and self._fast_path_ready(sid, stripe, missing, arrival_s):
                 if want:
-                    parts.append(self._stripe_data(sid, entry, engine, 1, None, ""))
+                    parts.extend(self._stripe_data(sid, entry, engine, 1, None, ""))
                 self._read_fast(
                     sid, stripe, available, gateway, nbytes, tasks, task_prefix, stats
                 )
@@ -378,9 +379,7 @@ class ServingPlane:
                 stats["degraded"] += 1
                 slices = chunk_slices(bb, self.chunks)
                 if want:
-                    parts.append(
-                        self._stripe_data(sid, entry, engine, self.chunks, tracer, label)
-                    )
+                    parts.extend(self._stripe_data(sid, entry, engine, self.chunks, tracer, label))
                 elif tracer is not None:
                     # a template hit decodes nothing; its chunk spans say so
                     for sl in slices:
@@ -406,7 +405,7 @@ class ServingPlane:
                     stats["chunk_plans"].append(plan)
                 continue
             if want:
-                parts.append(self._stripe_data(sid, entry, engine, 1, None, ""))
+                parts.extend(self._stripe_data(sid, entry, engine, 1, None, ""))
             if tasks is not None:
                 for b, host in fetches:
                     tasks.append(
@@ -418,7 +417,7 @@ class ServingPlane:
                     )
         if not want:
             return None, stats
-        return np.concatenate(parts).view(np.uint8)[:length].tobytes(), stats
+        return join_bytes(parts, length), stats
 
     def _scan_stripe(self, sid):
         """One stripe's read template: ``(available, missing, chosen)``.
@@ -446,7 +445,7 @@ class ServingPlane:
         return available, missing, chosen
 
     def _stripe_data(self, sid, entry, engine, chunks, tracer, label):
-        """One stripe's data blocks, concatenated: the chosen blocks read in
+        """One stripe's data blocks, in order: the chosen blocks read in
         place and the missing ones decoded through
         :func:`~repro.workload.pipeline.decode_chunked`."""
         coord = self.coord
@@ -463,7 +462,7 @@ class ServingPlane:
             )
             for j, b in enumerate(missing):
                 bufs[b] = decoded[0, j]
-        return np.concatenate([bufs[b] for b in range(coord.code.k)])
+        return [bufs[b] for b in range(coord.code.k)]
 
     def _fast_path_ready(self, sid, stripe, missing, arrival_s) -> bool:
         """True when the op arrives after the stripe's estimated repair."""

@@ -163,3 +163,40 @@ def test_delete_lets_go_of_the_payload(w):
     assert sys.getrefcount(payload) > before  # held by reference
     coord.delete("f")
     assert sys.getrefcount(payload) == before
+
+
+@fields
+@pytest.mark.parametrize("kind", ["uint16", "strided", "memoryview"])
+def test_write_stores_a_buffers_bytes_in_c_order_not_its_items(w, kind):
+    coord = _system(w)
+    wide = np.arange(300, dtype=np.uint16)
+    buf = {
+        "uint16": wide,
+        "strided": wide.reshape(15, 20)[:, ::2],  # neither C- nor F-contiguous
+        "memoryview": memoryview(wide.tobytes()).cast("H"),
+    }[kind]
+    want = np.asarray(buf).tobytes()  # C order
+    receipt = coord.write("f", buf)
+    assert receipt.nbytes == len(want) == np.asarray(buf).nbytes
+    assert coord.read("f") == want
+    assert not any(np.shares_memory(b, np.asarray(buf)) for b in _data_blocks(coord, "f"))
+
+
+@fields
+def test_update_checks_a_buffers_bytes_not_its_items(w):
+    coord = _system(w)
+    payload = _payload(nbytes=100)
+    coord.write("f", payload)
+    patch = memoryview(bytes(range(1, 61))).cast("H")  # 30 items, 60 bytes
+    with pytest.raises(ValueError, match="outside the file"):
+        coord.update("f", 60, patch)  # bytes 60..120 of a 100-byte file
+    # nothing written, the stripe padding past the file still zero
+    assert coord.read("f") == payload and all(coord.scrub().values())
+    assert not np.asarray(_data_blocks(coord, "f")[0]).view(np.uint8)[100:].any()
+    coord.update("f", 40, patch)
+    assert coord.read("f") == payload[:40] + bytes(range(1, 61))
+    assert all(coord.scrub().values())
+    coord.update("f", 2, np.array([0x0102, 0x0304], dtype=np.uint16))
+    want = bytearray(payload[:40] + bytes(range(1, 61)))
+    want[2:6] = np.array([0x0102, 0x0304], dtype=np.uint16).tobytes()
+    assert coord.read("f") == bytes(want) and all(coord.scrub().values())
