@@ -18,7 +18,9 @@ import math
 
 from repro.ec.stripe import block_name
 from repro.repair.context import Decisions, RepairContext
-from repro.repair.plan import CombineOp, ConcatOp, Op, SliceOp, TransferOp
+from repro.repair.plan import (
+    ByteLowering, CombineOp, ConcatOp, Op, RepairPlan, SliceOp, TransferOp,
+)
 from repro.simnet.flows import Flow, PipelineFlow, Task
 
 
@@ -51,16 +53,29 @@ def repaired_name(prefix: str, block: int) -> str:
     return f"{prefix}/out/b{block:02d}"
 
 
-def join_halves(prefix: str, upper: dict, lower: dict):
-    """The outputs joining two sub-plans' repaired halves on each new node
-    (Step 4 of §IV-A), and a builder of the ``ConcatOp``\\ s that join them."""
-    joins = {}
-    for fb, (node, up) in upper.items():
-        if lower[fb][0] != node:
-            raise AssertionError(f"the two sub-plans disagree on block {fb}'s new node")
-        joins[fb] = (node, repaired_name(prefix, fb), (up, lower[fb][1]))
-    outputs = {fb: (node, out) for fb, (node, out, _) in joins.items()}
-    return outputs, lambda: [ConcatOp(*join) for join in joins.values()]
+def hybrid_plan(scheme: str, prefix: str, cr_part, ir_part, p0: float, d, meta) -> RepairPlan:
+    """The plan splitting every block at ``p0`` between two whole-block
+    builds: CR below, IR above, joined on each new node (Step 4 of §IV-A).
+    At p0 = 0 or 1 it is the one non-empty build (pure IR or CR, §III):
+    its tasks, byte lowering and outputs, with no empty half and no concat."""
+    if p0 in (0.0, 1.0):
+        tasks, lower, outputs = cr_part if p0 else ir_part
+        ops = ByteLowering(lambda: lower(0.0, 1.0), d)
+    else:
+        cr_tasks, cr_lower, upper = refraction(cr_part, 0.0, p0)
+        ir_tasks, ir_lower, below = refraction(ir_part, p0, 1.0)
+        joins = {}
+        for fb, (node, up) in upper.items():
+            if below[fb][0] != node:
+                raise AssertionError(f"the two sub-plans disagree on block {fb}'s new node")
+            joins[fb] = (node, repaired_name(prefix, fb), (up, below[fb][1]))
+        tasks = cr_tasks + ir_tasks
+        outputs = {fb: (node, out) for fb, (node, out, _) in joins.items()}
+        ops = ByteLowering(
+            lambda: cr_lower(0.0, p0) + ir_lower(p0, 1.0) + [ConcatOp(*j) for j in joins.values()],
+            d,
+        )
+    return RepairPlan(scheme, list(tasks), ops, outputs, meta)
 
 
 def add_centralized(
@@ -73,9 +88,9 @@ def add_centralized(
 ) -> tuple:
     """Star repair into ``center``; redistribute the other f-1 blocks.
 
-    Flow sizes are scaled by the fraction width; zero-width fractions still
-    emit the op skeleton (empty buffers) so HMBR degenerates gracefully at
-    p0 ~ 0 or ~ 1.
+    Flow sizes are scaled by the fraction width.  HMBR at p0 = 0 or 1 never
+    builds the empty half (:func:`hybrid_plan`); an empty range still emits
+    the op skeleton over empty buffers, which an adaptive re-plan can ask for.
     """
     size = _fraction_size(ctx, frac_start, frac_stop)
     nodes = [d.placement[b] for b in d.survivors]

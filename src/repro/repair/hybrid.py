@@ -4,15 +4,16 @@ Every available block is split at the word-aligned boundary ``p0`` (Theorem
 1): the *upper* sub-blocks are repaired centrally (CR) while the *lower*
 sub-blocks are repaired by f independent pipelines (IR); the two sub-repairs
 run in parallel and each new node concatenates its two repaired sub-blocks
-(Step 4 of §IV-A).
+(Step 4 of §IV-A).  At p0 = 0 or 1 the plan is pure IR or CR (§III): the one
+non-empty sub-plan, with nothing to concatenate.
 """
 
 from __future__ import annotations
 
-from repro.repair._build import add_centralized, add_independent, join_halves, refraction
+from repro.repair._build import add_centralized, add_independent, hybrid_plan
 from repro.repair.context import RepairContext
 from repro.repair.model import repair_model, volume_split
-from repro.repair.plan import ByteLowering, RepairPlan
+from repro.repair.plan import RepairPlan
 from repro.repair.split import search_split
 from repro.repair.topology import build_chain_paths, default_center
 
@@ -84,19 +85,10 @@ def plan_hybrid(
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"split ratio {p0} outside [0, 1]")
 
-    cr_tasks, cr_lower, cr_out = refraction(cr_part, 0.0, p0)
-    ir_tasks, ir_lower, ir_out = refraction(ir_part, p0, 1.0)
-    outputs, concats = join_halves(ctx.prefix("h"), cr_out, ir_out)
-    return RepairPlan(
-        scheme="HMBR",
-        tasks=cr_tasks + ir_tasks,
-        ops=ByteLowering(lambda: cr_lower(0.0, p0) + ir_lower(p0, 1.0) + concats(), d),
-        outputs=outputs,
-        meta={
-            "p0": p0,
-            "split": "override" if p is not None else split,
-            "center": center,
-            "chain_order": chain_order,
-            "survivors": list(d.survivors),
-        },
-    )
+    return hybrid_plan("HMBR", ctx.prefix("h"), cr_part, ir_part, p0, d, {
+        "p0": p0,
+        "split": "override" if p is not None else split,
+        "center": center,
+        "chain_order": chain_order,
+        "survivors": list(d.survivors),
+    })

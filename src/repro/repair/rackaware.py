@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ec.stripe import block_name
-from repro.repair._build import join_halves, refraction, repaired_name
+from repro.repair._build import hybrid_plan, repaired_name
 from repro.repair.context import Decisions, RepairContext
 from repro.repair.plan import ByteLowering, CombineOp, Op, RepairPlan, SliceOp, TransferOp
 from repro.repair.topology import default_center
@@ -350,18 +350,9 @@ def plan_rack_aware_hybrid(
     else:
         p0, _ = search_split(cr_part[0], ir_part[0], ctx.cluster)
 
-    cr_tasks, cr_lower, cr_out = refraction(cr_part, 0.0, p0)
-    ir_tasks, ir_lower, ir_out = refraction(ir_part, p0, 1.0)
-    outputs, concats = join_halves(ctx.prefix("rh"), cr_out, ir_out)
-    return RepairPlan(
-        scheme="RackAwareHMBR",
-        tasks=cr_tasks + ir_tasks,
-        ops=ByteLowering(lambda: cr_lower(0.0, p0) + ir_lower(p0, 1.0) + concats(), d),
-        outputs=outputs,
-        meta={
-            "p0": p0,
-            "split": "override" if p is not None else "search",
-            "center": center,
-            "policy": "paper",
-        },
-    )
+    return hybrid_plan("RackAwareHMBR", ctx.prefix("rh"), cr_part, ir_part, p0, d, {
+        "p0": p0,
+        "split": "override" if p is not None else "search",
+        "center": center,
+        "policy": "paper",
+    })

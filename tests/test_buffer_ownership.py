@@ -200,3 +200,31 @@ def test_update_checks_a_buffers_bytes_not_its_items(w):
     want = bytearray(payload[:40] + bytes(range(1, 61)))
     want[2:6] = np.array([0x0102, 0x0304], dtype=np.uint16).tobytes()
     assert coord.read("f") == bytes(want) and all(coord.scrub().values())
+
+
+@fields
+@pytest.mark.parametrize("kind", ["strided", "fortran", "uint16"])
+def test_update_reads_any_buffer_write_reads(w, kind):
+    """A patch is its C-order bytes, as a written payload is, whatever its
+    layout or item size; the range check counts those bytes."""
+    patch = {
+        "strided": np.arange(64, dtype=np.uint8)[::2],
+        "fortran": np.asfortranarray(np.arange(48, dtype=np.uint8).reshape(6, 8)),
+        "uint16": (np.arange(40, dtype=np.uint16) * 257)[::2],  # 20 items, 40 bytes
+    }[kind]
+    want = np.asarray(patch).tobytes()  # C order
+    assert len(want) == patch.nbytes
+    coord = _system(w)
+    payload = _payload(nbytes=400)
+    coord.write("f", payload)
+    coord.write("g", patch)
+    assert coord.read("g") == want
+    coord.update("f", 100, patch)
+    payload = payload[:100] + want + payload[100 + len(want):]
+    assert coord.read("f") == payload and all(coord.scrub().values())
+    with pytest.raises(ValueError, match="outside the file"):
+        coord.update("f", 400 - patch.nbytes + 1, patch)
+    assert coord.read("f") == payload
+    coord.update("f", 400 - patch.nbytes, patch)  # ends at the file's last byte
+    assert coord.read("f") == payload[: 400 - len(want)] + want
+    assert all(coord.scrub().values())
