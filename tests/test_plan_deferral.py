@@ -140,7 +140,7 @@ FROZEN = {
     "adaptive-hmbr": "d591455aff126a450265",
     "adaptive-mlf": "c80b7accdb3745827b96",
     "auto-RS12-4": "725f5fd6dbcc48a70050",
-    "auto-RS32-8": "517fb0caec5b70a77c33",
+    "auto-RS32-8": "c1daad1e7b2400395733",
     "auto-RS6-3": "f44024b800c2de2f3dec",
     "chain-RS12-4": "4f3d4a826c2ba8198cc7",
     "chain-RS32-8": "3912111454d5cebb927d",
@@ -160,7 +160,7 @@ FROZEN = {
     "mlf-RS12-4": "78422215a4122bd7f31a",
     "mlf-RS32-8": "61913928545300ffe80c",
     "mlf-RS6-3": "586d096df553b4846003",
-    "multi-node-hmbr": "5d7b455d68519b946415",
+    "multi-node-hmbr": "abd08cd6af738d3e371c",
     "ppr-RS12-4": "0699cb4add70089d8109",
     "ppr-RS32-8": "aec2fa33198991464840",
     "ppr-RS6-3": "2921bdaa963eac861749",
@@ -171,13 +171,13 @@ FROZEN = {
     "rack-cr-adaptive-RS32-8": "18649e88857b1ff9b89d",
     "rack-cr-adaptive-RS6-3": "0a9197aeb1f1f178585a",
     "rack-hmbr-RS12-4": "725f5fd6dbcc48a70050",
-    "rack-hmbr-RS32-8": "517fb0caec5b70a77c33",
+    "rack-hmbr-RS32-8": "c1daad1e7b2400395733",
     "rack-hmbr-RS6-3": "7804d9eb2f04b100586c",
     "round-cr": "087df8b41d56a8adabd5",
     "round-hmbr": "dab2b5572fbe6e0cb3fc",
     "round-ir": "16ac088fd76c02bcb8de",
     "round-mlf": "cd41946e17ac6fe6cd17",
-    "round-rack-hmbr": "4d44e19a2db18cbb7141",
+    "round-rack-hmbr": "b2d75dc14a98a2682cca",
     "star-RS12-4": "dc0509fd157d95108a25",
     "star-RS32-8": "27b28776107ae1937d41",
     "star-RS6-3": "2e972dfd42bb368fcba2",
