@@ -114,9 +114,10 @@ def _check_views_consistent(plan: RepairPlan) -> None:
     links.
 
     Only the sets are compared: a link both views use passes however many
-    tasks and transfers cross it and whatever they carry.  Zero-size tasks
-    (a degenerate split p = 0 or 1) still "time" their link, and the
-    matching TransferOps move empty sub-blocks.
+    tasks and transfers cross it and whatever they carry.  An HMBR plan at
+    p = 0 or 1 has no empty half to compare; a zero-size task (an empty
+    fraction range an adaptive re-plan can build) still "times" its link,
+    and the matching TransferOps move empty sub-blocks.
     """
     timing_links = {
         hop for t in plan.tasks if not isinstance(t, DelayTask) for hop in t.hops

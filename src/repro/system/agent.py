@@ -103,9 +103,10 @@ class Agent:
         view.flags.writeable = False
         other.scratch[rename or name] = view
         if data.nbytes:
-            # degenerate split fractions yield empty slices; the buffer must
-            # still arrive (downstream concats read it) but puts no bytes on
-            # the wire, and the bus meters only real traffic
+            # an empty fraction range (an adaptive re-plan can build one;
+            # HMBR at p = 0 or 1 plans no empty half) yields empty slices:
+            # the buffer must still arrive (downstream ops read it) but puts
+            # no bytes on the wire, and the bus meters only real traffic
             bus.record(self.node_id, other.node_id, data.nbytes)
 
     def clear_scratch(self) -> None:

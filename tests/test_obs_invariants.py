@@ -117,6 +117,37 @@ def test_disabled_hooks_are_bit_exact_under_faults():
     assert c2.read("f") == data
 
 
+def test_disabled_hooks_are_bit_exact_on_a_degenerate_split_round():
+    """A split round with stripes at p = 0, p = 1 and in between is timed by
+    the run its split search kept, attached or not; the attached session
+    draws its sim spans from that run, one per planned (non-empty) task."""
+    from tests.test_repair_refraction import _wide_system
+
+    c1, data = _wide_system(8)
+    r1 = c1.repair(RepairRequest())
+
+    c2, _ = _wide_system(8)
+    obs = Observability().attach(c2)
+    r2 = c2.repair(RepairRequest())
+
+    for f in _RESULT_FIELDS:
+        assert getattr(r1, f) == getattr(r2, f), f
+    assert c1.bus.sent_bytes == c2.bus.sent_bytes
+    assert c1.bus.received_bytes == c2.bus.received_bytes
+    assert c1.bus.transfer_count == c2.bus.transfer_count
+    assert c2.read("f") == data
+
+    (root,) = [s for s in obs.tracer.find(domain=SIM_DOMAIN) if s.cat == "sim"]
+    tasks = obs.tracer.children_of(root)
+    assert root.args["makespan"] == root.t1 == r2.makespan_s
+    assert root.args["tasks"] == len(tasks) and all(s.args["size_mb"] > 0 for s in tasks)
+    finish: dict[int, float] = {}
+    for s in tasks:
+        sid = int(s.name.split(":", 1)[0][1:])
+        finish[sid] = max(finish.get(sid, 0.0), s.t1)
+    assert finish == r2.per_stripe_transfer_s
+
+
 @pytest.mark.parametrize("scheme", ["cr", "ir", "hmbr"])
 def test_transfer_spans_conserve_bus_bytes(scheme):
     coord, _ = _build()
